@@ -24,12 +24,8 @@ from .tensor import (
     ReductionScheme,
     Role,
     Shape,
-    SubsetSpec,
-    SubsetStats,
-    enumerate_subsets,
     make_batch,
     read_tensor,
-    subset_reduce,
     write_tensor,
 )
 from .loss import (
@@ -39,7 +35,7 @@ from .loss import (
     Variant,
     dice_backward,
     dice_forward,
-    leaf_filter,
+    dice_value_and_grad,
     marginal_merge,
 )
 from .epsilon import BalanceParams, EpsilonCalibration, calibrate_epsilon, solve_balance_epsilon

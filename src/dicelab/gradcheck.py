@@ -10,14 +10,14 @@ truth bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .epsilon import calibrate_epsilon
 from .errors import ShapeMismatchError, StepOutOfRangeError
 from .loss import AvailabilityMask, DiceLossConfig, dice_backward, dice_forward
-from .tensor import BatchTensor, ReductionScheme, Shape, SubsetSpec, _wrap, enumerate_subsets
+from .tensor import BatchTensor, ReductionScheme, Shape, _wrap
 
 DEFAULT_STEP = 1e-5
 DEFAULT_RTOL = 1e-5
@@ -34,16 +34,16 @@ class GradCheckReport:
     passed: bool
 
 
-class SubsetClusters(NamedTuple):
-    subset_id: int
-    n_clusters: int
-    values_by_key: dict[int, float]
-    passed: bool
-
-
 @dataclass(frozen=True)
 class TwoValueReport:
-    subsets: list[SubsetClusters]
+    """Per-subset results in the keepdims shape of the scheme's pooled axes.
+
+    values_by_key maps each ground-truth value (0, 1) to the subset's smallest
+    gradient over elements with that value, NaN where it has none.
+    """
+
+    n_clusters: np.ndarray
+    values_by_key: dict[int, np.ndarray]
     passed: bool
 
 
@@ -111,33 +111,31 @@ def compare_grads(
 def check_two_value(
     gt: BatchTensor,
     grad: BatchTensor,
-    subsets: Sequence[SubsetSpec],
+    scheme: ReductionScheme,
     tol: float = CLUSTER_TOL,
 ) -> TwoValueReport:
-    """Verify each subset's gradient values form at most two clusters keyed by y."""
-    y = gt.flat()
-    g = grad.flat()
-    entries: list[SubsetClusters] = []
-    for s in subsets:
-        vals = g[s.members]
-        keys = y[s.members]
-        values_by_key: dict[int, float] = {}
-        keyed_ok = True
-        for key in (0, 1):
-            kv = vals[keys == float(key)]
-            if kv.size:
-                if float(kv.max() - kv.min()) > tol:
-                    keyed_ok = False
-                values_by_key[key] = float(kv[0])
-        ordered = np.sort(vals)
-        n_clusters = 1 + int(np.count_nonzero(np.diff(ordered) > tol)) if ordered.size else 0
-        entries.append(SubsetClusters(
-            subset_id=s.id,
-            n_clusters=n_clusters,
-            values_by_key=values_by_key,
-            passed=keyed_ok and n_clusters <= 2,
-        ))
-    return TwoValueReport(subsets=entries, passed=all(e.passed for e in entries))
+    """Verify each subset's gradient values form at most two clusters keyed by y.
+
+    A subset passes when, for each ground-truth value, the max - min of its
+    gradient over the pooled axes is within tol, and its sorted values split
+    at no more than one gap wider than tol.
+    """
+    axes = scheme.axes
+    g = grad.data
+    keyed_ok = True
+    values_by_key = {}
+    for key in (0, 1):
+        sel = gt.data == float(key)
+        hi = np.where(sel, g, -np.inf).max(axis=axes, keepdims=True)
+        lo = np.where(sel, g, np.inf).min(axis=axes, keepdims=True)
+        keyed_ok = keyed_ok & ~(hi - lo > tol)  # a key with no elements spreads -inf
+        values_by_key[key] = np.where(np.isfinite(lo), lo, np.nan)
+    free = tuple(a for a in range(g.ndim) if a not in axes)
+    members = g.transpose(free + axes).reshape(*(g.shape[a] for a in free), -1)
+    gaps = np.diff(np.sort(members, axis=-1), axis=-1) > tol
+    n_clusters = np.expand_dims(1 + np.count_nonzero(gaps, axis=-1), axes)
+    passed = bool(np.all(keyed_ok & (n_clusters <= 2)))
+    return TwoValueReport(n_clusters=n_clusters, values_by_key=values_by_key, passed=passed)
 
 
 ALL_SCHEMES = (
@@ -200,7 +198,6 @@ def run_check_matrix(
     for scheme in schemes:
         for dims in shapes:
             shape = Shape(*dims)
-            subsets = enumerate_subsets(scheme, shape)
             for eps_label in epsilons:
                 for k in range(n_instances):
                     seed = base_seed + 100_000 * case + k
@@ -217,7 +214,7 @@ def run_check_matrix(
                         analytic = _wrap(shape, bumped)
                     numeric = finite_diff_grad(gt, pred, cfg, h=h)
                     report = compare_grads(analytic, numeric, rtol=rtol, atol=atol)
-                    twoval = check_two_value(gt, analytic, subsets)
+                    twoval = check_two_value(gt, analytic, scheme)
                     records.append(MatrixRecord(
                         seed=seed,
                         scheme=scheme,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -221,14 +222,25 @@ def _setup_loss(setup: str, train_split: SyntheticDataset) -> tuple[DiceLossConf
     return loss, include_bg, calibration
 
 
+class MetricRow(NamedTuple):
+    """One held-out (fold, subject, class) score; its fields are metrics.csv's columns."""
+
+    fold: int
+    subject_id: int
+    tag: str
+    class_name: str
+    dsc: float
+    delta_v: float
+    pred_vol: float
+    true_vol: float
+
+
 @dataclass(frozen=True)
 class CellResult:
     labeling: str
     setup: str
     batch_size: int
-    # one tuple per (fold, subject, class):
-    # (fold, subject_id, tag, class_name, dsc, delta_v, pred_vol, true_vol)
-    metric_rows: tuple
+    metric_rows: tuple[MetricRow, ...]
     # (fold, class_name, epsilon) for calibrated setups
     calibration_rows: tuple
     # per fold: tuple of HistoryRow
@@ -276,21 +288,21 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str,
             for c, name in enumerate(full.class_names):
                 gt_map = s.gt[c].reshape(-1)
                 pred_map = hard[row, fg_offset + c]
-                metric_rows.append((
+                metric_rows.append(MetricRow(
                     fold, s.subject_id, s.tag, name,
                     hard_dsc(gt_map, pred_map),
                     volume_difference(gt_map, pred_map),
                     float(pred_map.sum()),
                     float(gt_map.sum()),
                 ))
-    metric_rows.sort(key=lambda r: (r[0], r[1], r[3]))
+    metric_rows.sort(key=lambda r: (r.fold, r.subject_id, r.class_name))
     target = roc_target_class(config.task)
     positive = always_labeled_tag(config.task)
     scores, labels = [], []
-    for fold, sid, tag, name, dsc, dv, pvol, tvol in metric_rows:
-        if name == target:
-            scores.append(pvol)
-            labels.append(1 if tag == positive else 0)
+    for row in metric_rows:
+        if row.class_name == target:
+            scores.append(row.pred_vol)
+            labels.append(1 if row.tag == positive else 0)
     curve = roc_auc(scores, labels)
     return CellResult(
         labeling=labeling, setup=setup, batch_size=batch_size,
@@ -335,20 +347,20 @@ def _mean(values) -> float:
 def _summarize(results: list[CellResult]) -> list[list]:
     rows = []
     for r in results:
-        tags = sorted({row[2] for row in r.metric_rows})
-        classes = sorted({row[3] for row in r.metric_rows})
+        tags = sorted({row.tag for row in r.metric_rows})
+        classes = sorted({row.class_name for row in r.metric_rows})
         for tag in tags + ["all"]:
             for name in classes:
                 sel = [row for row in r.metric_rows
-                       if row[3] == name and (tag == "all" or row[2] == tag)]
+                       if row.class_name == name and (tag == "all" or row.tag == tag)]
                 if not sel:
                     continue
                 rows.append([
                     r.labeling, r.setup, r.batch_size, tag, name, len(sel),
-                    _mean([x[4] for x in sel]),
-                    _mean([x[5] for x in sel]),
-                    _mean([x[6] for x in sel]),
-                    _mean([x[7] for x in sel]),
+                    _mean([x.dsc for x in sel]),
+                    _mean([x.delta_v for x in sel]),
+                    _mean([x.pred_vol for x in sel]),
+                    _mean([x.true_vol for x in sel]),
                 ])
     return rows
 
@@ -356,8 +368,8 @@ def _summarize(results: list[CellResult]) -> list[list]:
 def _paired_dsc(a: CellResult, b: CellResult, class_name: str, tag: str):
     """Per-subject DSC lists for one class, ordered by subject, tag-filtered."""
     def collect(r):
-        return {row[1]: row[4] for row in r.metric_rows
-                if row[3] == class_name and (tag == "all" or row[2] == tag)}
+        return {row.subject_id: row.dsc for row in r.metric_rows
+                if row.class_name == class_name and (tag == "all" or row.tag == tag)}
     da, db = collect(a), collect(b)
     common = sorted(set(da) & set(db))
     return [da[s] for s in common], [db[s] for s in common]
@@ -365,8 +377,8 @@ def _paired_dsc(a: CellResult, b: CellResult, class_name: str, tag: str):
 
 def _comparisons(config: ExperimentConfig, results: list[CellResult]) -> list[list]:
     by_key = {r.key: r for r in results}
-    classes = sorted({row[3] for r in results for row in r.metric_rows})
-    tags = sorted({row[2] for r in results for row in r.metric_rows}) + ["all"]
+    classes = sorted({row.class_name for r in results for row in r.metric_rows})
+    tags = sorted({row.tag for r in results for row in r.metric_rows}) + ["all"]
     rows = []
 
     def compare(kind, a, b, label_a, label_b, setup, batch_size):

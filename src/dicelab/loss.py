@@ -1,6 +1,7 @@
-"""Dice loss over a reduction partition, with exact analytic gradient.
+"""Dice loss over the pooled axes of a reduction scheme, with exact analytic gradient.
 
-Forward, per subset s of the chosen partition:
+Forward, per subset s (one index of the axes the scheme leaves free; the sums
+run over its pooled axes Phi):
 
     sdsc(s) = (2 * sum_s(y * p) + eps) / (sum_s(y) + sum_s(p) + eps)
     loss    = 1 - mean over counted subsets of sdsc(s)
@@ -35,17 +36,7 @@ from .errors import (
     NotADistributionError,
     ShapeMismatchError,
 )
-from .tensor import (
-    BatchTensor,
-    ReductionScheme,
-    Shape,
-    SubsetSpec,
-    SubsetStats,
-    _wrap,
-    broadcast_per_subset,
-    scheme_sums,
-    subset_class_tags,
-)
+from .tensor import BatchTensor, ReductionScheme, Shape, _wrap
 
 DISTRIBUTION_TOL = 1e-6
 
@@ -84,14 +75,10 @@ class DiceLossConfig:
     background_class: int | None = None
 
     def __post_init__(self):
-        eps = self.epsilon
-        if np.isscalar(eps):
-            if float(eps) < 0.0:
-                raise InvalidConfigError(f"epsilon must be non-negative, got {eps}")
-        else:
-            vec = np.asarray(eps, dtype=np.float64).reshape(-1)
-            if np.any(vec < 0.0):
-                raise InvalidConfigError("per-class epsilon entries must be non-negative")
+        vec = np.asarray(self.epsilon, dtype=np.float64).reshape(-1)
+        if not np.all(np.isfinite(vec)) or np.any(vec < 0.0):
+            raise InvalidConfigError(f"epsilon must be finite and non-negative, got {self.epsilon}")
+        if not np.isscalar(self.epsilon):
             if not self.scheme.class_pure:
                 raise EpsilonShapeError(
                     f"per-class epsilon requires a class-pure scheme, got {self.scheme.value}"
@@ -106,17 +93,16 @@ class DiceLossConfig:
 
 @dataclass(frozen=True)
 class LossOutput:
-    """Loss value plus per-subset diagnostics for the counted subsets."""
+    """Loss value plus per-subset diagnostics.
+
+    score and kept have the keepdims shape of the scheme's pooled axes, one
+    entry per subset; score is 0 where a subset is not counted.
+    """
 
     value: float
-    per_subset: list[tuple[int, SubsetStats, float]]
+    score: np.ndarray = field(repr=False)
+    kept: np.ndarray = field(repr=False)
     effective_subset_count: int
-
-
-def leaf_filter(gt: BatchTensor, subsets: list[SubsetSpec]) -> list[SubsetSpec]:
-    """Keep only subsets whose ground truth contains foreground, order preserved."""
-    flat = gt.flat()
-    return [s for s in subsets if float(np.sum(flat[s.members])) > 0.0]
 
 
 def marginal_merge(
@@ -164,70 +150,68 @@ def marginal_merge(
     return (_wrap(gt.shape, gt.data.copy()), _wrap(gt.shape, merged_pred), routing)
 
 
-def _eps_per_subset(cfg: DiceLossConfig, shape: Shape, n_subsets: int) -> np.ndarray:
+def _epsilon(cfg: DiceLossConfig, shape: Shape) -> float | np.ndarray:
+    """Scalar epsilon, or per-class epsilon shaped (1, C, 1) to broadcast over the sums."""
     eps = cfg.epsilon
     if np.isscalar(eps):
-        return np.full(n_subsets, float(eps))
-    vec = np.asarray(eps, dtype=np.float64)
-    if vec.size != shape.classes:
+        return float(eps)
+    if eps.size != shape.classes:
         raise EpsilonShapeError(
-            f"per-class epsilon has {vec.size} entries but tensor has {shape.classes} classes"
+            f"per-class epsilon has {eps.size} entries but tensor has {shape.classes} classes"
         )
-    tags = subset_class_tags(cfg.scheme, shape)
-    return vec[tags]
+    return eps.reshape(1, -1, 1)
 
 
-def _marginal_kept(cfg: DiceLossConfig, shape: Shape, avail: np.ndarray) -> np.ndarray:
-    """Subsets excluded from the mean because every cell they cover was merged away."""
-    B, C, _ = shape.as_tuple()
-    bg = cfg.background_class
-    if cfg.scheme is ReductionScheme.IMAGE_WISE:
-        kept = avail.copy()
-        kept[:, bg] = True
-        return kept.reshape(B * C)
-    if cfg.scheme is ReductionScheme.BATCH_WISE:
-        kept = avail.any(axis=0)
-        kept[bg] = True
-        return kept
-    n = B if cfg.scheme is ReductionScheme.CLASS_WISE else 1
-    return np.ones(n, dtype=bool)
+def dice_value_and_grad(
+    gt: BatchTensor,
+    pred: BatchTensor,
+    cfg: DiceLossConfig,
+    mask: AvailabilityMask | None = None,
+) -> tuple[LossOutput, BatchTensor]:
+    """Dice loss and its analytic gradient with respect to every prediction element.
 
-
-def _evaluate(gt: BatchTensor, pred: BatchTensor, cfg: DiceLossConfig,
-              mask: AvailabilityMask | None):
-    """Shared forward pipeline; returns everything backward needs as well."""
+    Dropped subsets (leaf variant, or marginal columns merged away) receive
+    exactly zero; for the marginal variant the gradient is computed on the
+    merged maps and routed back through the background sum.
+    """
     if gt.shape != pred.shape:
         raise ShapeMismatchError(f"gt shape {gt.shape} != pred shape {pred.shape}")
     shape = gt.shape
+    axes = cfg.scheme.axes
     routing = None
     if cfg.variant is Variant.MARGINAL:
         if mask is None:
             raise InvalidConfigError("marginal variant requires an availability mask")
         gt, pred, routing = marginal_merge(gt, pred, mask, cfg.background_class)
-        kept = _marginal_kept(cfg, shape, mask.available)
-    else:
-        kept = None
 
     y = gt.data
     p = pred.data
-    inter = scheme_sums(cfg.scheme, shape, y * p)
-    gsum = scheme_sums(cfg.scheme, shape, y)
-    psum = scheme_sums(cfg.scheme, shape, p)
-    n_subsets = inter.size
-    eps = _eps_per_subset(cfg, shape, n_subsets)
-
+    inter = (y * p).sum(axis=axes, keepdims=True)
+    gsum = y.sum(axis=axes, keepdims=True)
+    psum = p.sum(axis=axes, keepdims=True)
     if cfg.variant is Variant.LEAF:
         kept = gsum > 0.0
-    elif kept is None:
-        kept = np.ones(n_subsets, dtype=bool)
+    elif cfg.variant is Variant.MARGINAL:
+        # marginal_merge checked that the background is available everywhere,
+        # so only subsets made of merged-away classes alone are dropped
+        kept = mask.available[:, :, None].any(axis=axes, keepdims=True)
+    else:
+        kept = np.ones(gsum.shape, dtype=bool)
 
-    S = gsum + psum + eps
-    N = 2.0 * inter + eps
-    sdsc = np.zeros(n_subsets)
-    sdsc[kept] = N[kept] / S[kept]
+    eps = _epsilon(cfg, shape)
     K = int(np.count_nonzero(kept))
-    value = 1.0 - float(sdsc[kept].mean()) if K > 0 else 0.0
-    return value, (shape, y, inter, gsum, psum, S, N, sdsc, kept, K, routing)
+    if K == 0:
+        return LossOutput(0.0, np.zeros(kept.shape), kept, 0), _wrap(shape, np.zeros(y.shape))
+    S = gsum + psum + eps
+    S[~kept] = np.inf  # a dropped subset scores 0 and gets zero gradient
+    N = 2.0 * inter + eps
+    score = N / S
+    value = 1.0 - float(score[kept].sum()) / K
+    ratio = N / (S * S)
+    grad = np.where(y == 1.0, (ratio - 2.0 / S) / K, ratio / K)
+    if routing is not None:
+        grad = np.take_along_axis(grad, routing[:, :, None], axis=1)
+    return LossOutput(value, score, kept, K), _wrap(shape, grad)
 
 
 def dice_forward(
@@ -236,13 +220,8 @@ def dice_forward(
     cfg: DiceLossConfig,
     mask: AvailabilityMask | None = None,
 ) -> LossOutput:
-    """Dice loss value plus per-subset scores (counted subsets only)."""
-    value, (_, _, inter, gsum, psum, _, _, sdsc, kept, K, _) = _evaluate(gt, pred, cfg, mask)
-    per_subset = [
-        (int(i), SubsetStats(float(inter[i]), float(gsum[i]), float(psum[i])), float(sdsc[i]))
-        for i in np.flatnonzero(kept)
-    ]
-    return LossOutput(value=value, per_subset=per_subset, effective_subset_count=K)
+    """Dice loss value plus per-subset scores; the first half of dice_value_and_grad."""
+    return dice_value_and_grad(gt, pred, cfg, mask)[0]
 
 
 def dice_backward(
@@ -251,25 +230,5 @@ def dice_backward(
     cfg: DiceLossConfig,
     mask: AvailabilityMask | None = None,
 ) -> BatchTensor:
-    """Analytic gradient of the loss with respect to every prediction element.
-
-    Dropped subsets (leaf variant, or marginal columns merged away) receive
-    exactly zero; for the marginal variant the gradient is computed on the
-    merged maps and routed back through the background sum.
-    """
-    _, (shape, y, _, _, _, S, N, _, kept, K, routing) = _evaluate(gt, pred, cfg, mask)
-    n_subsets = S.size
-    g0 = np.zeros(n_subsets)
-    g1 = np.zeros(n_subsets)
-    if K > 0:
-        ratio = N[kept] / (S[kept] * S[kept])
-        g0[kept] = ratio / K
-        g1[kept] = -(2.0 / S[kept] - ratio) / K
-    grad = np.where(
-        y == 1.0,
-        broadcast_per_subset(cfg.scheme, shape, g1),
-        broadcast_per_subset(cfg.scheme, shape, g0),
-    )
-    if routing is not None:
-        grad = np.take_along_axis(grad, routing[:, :, None], axis=1)
-    return _wrap(shape, grad)
+    """Analytic gradient of the loss; the second half of dice_value_and_grad."""
+    return dice_value_and_grad(gt, pred, cfg, mask)[1]

@@ -1,10 +1,11 @@
-"""Dense batch/class/voxel tensors and reduction partitions.
+"""Dense batch/class/voxel tensors and reduction schemes.
 
 The whole package works on one domain: a dense array indexed by
 (batch element b, class c, voxel i), stored row-major with b outermost.
-A reduction scheme partitions that domain into disjoint subsets over which
-the Dice sums run; the four supported schemes reduce over the image axis
-only, class+image, batch+image, or everything at once.
+A reduction scheme names the axes the Dice sums pool over (the paper's Phi);
+the four supported schemes pool the voxel axis only, class+voxel,
+batch+voxel, or everything at once. Every index the pooled axes leave free
+is one subset.
 """
 
 from __future__ import annotations
@@ -12,16 +13,11 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    LengthMismatchError,
-    RangeViolationError,
-    ShapeMismatchError,
-    TensorFileError,
-)
+from .errors import LengthMismatchError, RangeViolationError, TensorFileError
 
 
 class Role(enum.Enum):
@@ -44,9 +40,22 @@ class ReductionScheme(enum.Enum):
     ALL_WISE = "all-wise"
 
     @property
+    def axes(self) -> tuple[int, ...]:
+        """The (B, C, I) axes the Dice sums pool over; the free axes index subsets."""
+        return _POOLED_AXES[self]
+
+    @property
     def class_pure(self) -> bool:
         """True when every subset spans exactly one class."""
-        return self in (ReductionScheme.IMAGE_WISE, ReductionScheme.BATCH_WISE)
+        return 1 not in self.axes
+
+
+_POOLED_AXES = {
+    ReductionScheme.IMAGE_WISE: (2,),
+    ReductionScheme.CLASS_WISE: (1, 2),
+    ReductionScheme.BATCH_WISE: (0, 2),
+    ReductionScheme.ALL_WISE: (0, 1, 2),
+}
 
 
 @dataclass(frozen=True)
@@ -109,109 +118,9 @@ def make_batch(shape: Shape, values: Sequence[float] | np.ndarray, role: Role) -
     return _wrap(shape, arr.copy())
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
-    """One member of a partition: flat element indices in ascending order."""
-
-    id: int
-    members: np.ndarray = field(repr=False)
-    class_tag: int | None = None
-    batch_tag: int | None = None
-
-    @property
-    def size(self) -> int:
-        return int(self.members.size)
-
-
-class SubsetStats(NamedTuple):
-    intersection: float
-    gt_sum: float
-    pred_sum: float
-
-
-def enumerate_subsets(scheme: ReductionScheme, shape: Shape) -> list[SubsetSpec]:
-    """Enumerate the partition for a scheme in deterministic order.
-
-    IMAGE_WISE subsets are ordered by ascending (b, c), CLASS_WISE by b,
-    BATCH_WISE by c; ALL_WISE yields the single full-domain subset.
-    """
-    B, C, I = shape.as_tuple()
-    subsets: list[SubsetSpec] = []
-    if scheme is ReductionScheme.IMAGE_WISE:
-        for b in range(B):
-            for c in range(C):
-                base = (b * C + c) * I
-                subsets.append(SubsetSpec(id=b * C + c, members=np.arange(base, base + I),
-                                          class_tag=c, batch_tag=b))
-    elif scheme is ReductionScheme.CLASS_WISE:
-        for b in range(B):
-            base = b * C * I
-            subsets.append(SubsetSpec(id=b, members=np.arange(base, base + C * I),
-                                      class_tag=C - 1 if C == 1 else None, batch_tag=b))
-    elif scheme is ReductionScheme.BATCH_WISE:
-        for c in range(C):
-            members = (np.arange(B)[:, None] * C * I + c * I + np.arange(I)[None, :]).reshape(-1)
-            subsets.append(SubsetSpec(id=c, members=members,
-                                      class_tag=c, batch_tag=B - 1 if B == 1 else None))
-    elif scheme is ReductionScheme.ALL_WISE:
-        subsets.append(SubsetSpec(id=0, members=np.arange(B * C * I),
-                                  class_tag=C - 1 if C == 1 else None,
-                                  batch_tag=B - 1 if B == 1 else None))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown scheme {scheme!r}")
-    for s in subsets:
-        s.members.flags.writeable = False
-    return subsets
-
-
-def subset_reduce(gt: BatchTensor, pred: BatchTensor, subset: SubsetSpec) -> SubsetStats:
-    """Sum y*p, y and p over exactly the subset members (ascending order)."""
-    if gt.shape != pred.shape:
-        raise ShapeMismatchError(f"gt shape {gt.shape} != pred shape {pred.shape}")
-    y = gt.flat()[subset.members]
-    p = pred.flat()[subset.members]
-    return SubsetStats(float(np.sum(y * p)), float(np.sum(y)), float(np.sum(p)))
-
-
-def scheme_sums(scheme: ReductionScheme, shape: Shape, values: np.ndarray) -> np.ndarray:
-    """Per-subset sums of a (B, C, I) array, in subset-id order."""
-    B, C, I = shape.as_tuple()
-    if scheme is ReductionScheme.IMAGE_WISE:
-        return values.reshape(B * C, I).sum(axis=1)
-    if scheme is ReductionScheme.CLASS_WISE:
-        return values.reshape(B, C * I).sum(axis=1)
-    if scheme is ReductionScheme.BATCH_WISE:
-        return np.ascontiguousarray(values.reshape(B, C, I).transpose(1, 0, 2)).reshape(C, B * I).sum(axis=1)
-    if scheme is ReductionScheme.ALL_WISE:
-        return values.reshape(1, -1).sum(axis=1)
-    raise ValueError(f"unknown scheme {scheme!r}")  # pragma: no cover
-
-
-def subset_class_tags(scheme: ReductionScheme, shape: Shape) -> np.ndarray | None:
-    """Class tag per subset id for class-pure schemes, else None."""
-    if scheme is ReductionScheme.IMAGE_WISE:
-        return np.tile(np.arange(shape.classes), shape.batch)
-    if scheme is ReductionScheme.BATCH_WISE:
-        return np.arange(shape.classes)
-    return None
-
-
-def broadcast_per_subset(scheme: ReductionScheme, shape: Shape, per_subset: np.ndarray) -> np.ndarray:
-    """Expand a per-subset vector to a full (B, C, I) array."""
-    B, C, I = shape.as_tuple()
-    if scheme is ReductionScheme.IMAGE_WISE:
-        return np.broadcast_to(per_subset.reshape(B, C, 1), (B, C, I))
-    if scheme is ReductionScheme.CLASS_WISE:
-        return np.broadcast_to(per_subset.reshape(B, 1, 1), (B, C, I))
-    if scheme is ReductionScheme.BATCH_WISE:
-        return np.broadcast_to(per_subset.reshape(1, C, 1), (B, C, I))
-    if scheme is ReductionScheme.ALL_WISE:
-        return np.broadcast_to(per_subset.reshape(1, 1, 1), (B, C, I))
-    raise ValueError(f"unknown scheme {scheme!r}")  # pragma: no cover
-
-
 _MAGIC = b"DRT1"
 _DTYPE_F64_LE = 1
+_HEADER_BYTES = 18
 
 
 def write_tensor(path, tensor: BatchTensor) -> None:
@@ -229,6 +138,8 @@ def read_tensor(path) -> BatchTensor:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise TensorFileError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < _HEADER_BYTES:
+        raise TensorFileError(f"{path}: header needs {_HEADER_BYTES} bytes, got {len(blob)}")
     dtype_code, ndim = struct.unpack_from("<BB", blob, 4)
     if dtype_code != _DTYPE_F64_LE:
         raise TensorFileError(f"{path}: unsupported dtype code {dtype_code}")
@@ -236,8 +147,8 @@ def read_tensor(path) -> BatchTensor:
         raise TensorFileError(f"{path}: expected 3 dims, got {ndim}")
     B, C, I = struct.unpack_from("<III", blob, 6)
     shape = Shape(int(B), int(C), int(I))
-    expected = 18 + 8 * shape.size
+    expected = _HEADER_BYTES + 8 * shape.size
     if len(blob) != expected:
         raise TensorFileError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    arr = np.frombuffer(blob, dtype="<f8", offset=18).astype(np.float64)
+    arr = np.frombuffer(blob, dtype="<f8", offset=_HEADER_BYTES).astype(np.float64)
     return _wrap(shape, arr)

@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatchError,
     TensorFileError,
 )
-from .loss import AvailabilityMask, DiceLossConfig, Variant, dice_backward, dice_forward
+from .loss import AvailabilityMask, DiceLossConfig, Variant, dice_forward, dice_value_and_grad
 from .tensor import BatchTensor, Shape, _wrap
 
 N_FEATURES = 4
@@ -192,8 +192,7 @@ def step_gradients(
     preds_arr = pred.data.reshape(b, c, i)
     sliced = preds_arr[:, model_cols, :]
     pred_bt = _wrap(gt.shape, sliced.reshape(-1))
-    out = dice_forward(gt, pred_bt, cfg, mask)
-    grad = dice_backward(gt, pred_bt, cfg, mask)
+    out, grad = dice_value_and_grad(gt, pred_bt, cfg, mask)
     scattered = np.zeros((b, c, i))
     scattered[:, model_cols, :] = grad.data.reshape(gt.shape.as_tuple())
     dtheta = model_backward(model, feats, scattered, preds=preds_arr)
@@ -347,8 +346,8 @@ def load_model(path) -> LinearPixelModel:
     newline = blob.find(b"\n")
     if newline < 0 or not blob.startswith(_MODEL_MAGIC.encode("ascii")):
         raise TensorFileError(f"{path}: not a model checkpoint")
-    fields = dict(part.split("=", 1) for part in blob[:newline].decode("ascii").split()[1:])
     try:
+        fields = dict(part.split("=", 1) for part in blob[:newline].decode("ascii").split()[1:])
         head = Head(fields["head"])
         c = int(fields["classes"])
         f = int(fields["features"])

@@ -14,7 +14,7 @@ from dicelab.gradcheck import (
     run_check_matrix,
 )
 from dicelab.loss import DiceLossConfig, Variant, dice_backward
-from dicelab.tensor import ReductionScheme, Role, Shape, enumerate_subsets, make_batch
+from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
 
 
 class TestFiniteDiff:
@@ -109,36 +109,44 @@ class TestTwoValue:
         gt, pred = random_instance(shape, np.random.default_rng(4))
         cfg = DiceLossConfig(scheme=ReductionScheme.CLASS_WISE, epsilon=0.5)
         grad = dice_backward(gt, pred, cfg)
-        subsets = enumerate_subsets(ReductionScheme.CLASS_WISE, shape)
-        report = check_two_value(gt, grad, subsets)
+        report = check_two_value(gt, grad, ReductionScheme.CLASS_WISE)
         assert report.passed
-        assert all(e.n_clusters <= 2 for e in report.subsets)
+        assert report.n_clusters.shape == (2, 1, 1)
+        assert np.all(report.n_clusters <= 2)
 
     def test_three_distinct_values_fail(self):
         shape = Shape(1, 1, 3)
         gt = make_batch(shape, [1, 0, 0], Role.GROUND_TRUTH)
         grad = make_batch(shape, [0.1, 0.2, 0.3], Role.PREDICTION)
-        subsets = enumerate_subsets(ReductionScheme.ALL_WISE, shape)
-        assert not check_two_value(gt, grad, subsets).passed
+        assert not check_two_value(gt, grad, ReductionScheme.ALL_WISE).passed
 
     def test_two_clusters_with_mixed_keys_fail(self):
         # two clusters overall, but the y=1 elements span both of them
         shape = Shape(1, 1, 3)
         gt = make_batch(shape, [1, 1, 0], Role.GROUND_TRUTH)
         grad = make_batch(shape, [0.1, 0.2, 0.2], Role.PREDICTION)
-        subsets = enumerate_subsets(ReductionScheme.ALL_WISE, shape)
-        report = check_two_value(gt, grad, subsets)
+        report = check_two_value(gt, grad, ReductionScheme.ALL_WISE)
         assert not report.passed
-        assert report.subsets[0].n_clusters == 2
+        assert report.n_clusters.item() == 2
 
     def test_values_reported_by_key(self):
         shape = Shape(1, 1, 4)
         gt = make_batch(shape, [1, 0, 1, 0], Role.GROUND_TRUTH)
         grad = make_batch(shape, [0.7, 0.2, 0.7, 0.2], Role.PREDICTION)
-        subsets = enumerate_subsets(ReductionScheme.ALL_WISE, shape)
-        report = check_two_value(gt, grad, subsets)
+        report = check_two_value(gt, grad, ReductionScheme.ALL_WISE)
         assert report.passed
-        assert report.subsets[0].values_by_key == {0: 0.2, 1: 0.7}
+        assert {k: v.item() for k, v in report.values_by_key.items()} == {0: 0.2, 1: 0.7}
+
+    def test_checks_each_subset_of_the_scheme(self):
+        # image-wise: element 0's y=0 values disagree, element 1 has no y=1 at all
+        shape = Shape(2, 1, 3)
+        gt = make_batch(shape, [1, 0, 0, 0, 0, 0], Role.GROUND_TRUTH)
+        grad = make_batch(shape, [0.7, 0.2, 0.3, 0.2, 0.2, 0.2], Role.PREDICTION)
+        report = check_two_value(gt, grad, ReductionScheme.IMAGE_WISE)
+        assert not report.passed
+        assert report.n_clusters.reshape(-1).tolist() == [3, 1]
+        y1 = report.values_by_key[1].reshape(-1)
+        assert y1[0] == 0.7 and np.isnan(y1[1])
 
 
 class TestMatrix:

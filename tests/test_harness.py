@@ -145,13 +145,13 @@ class TestRunCell:
         result = run_cell(cfg, "full", "image-wise", 1)
         rows = result.metric_rows
         assert len(rows) == 12  # every subject appears in exactly one fold
-        assert sorted(r[1] for r in rows) == list(range(12))
-        assert rows == tuple(sorted(rows, key=lambda r: (r[0], r[1], r[3])))
-        for fold, sid, tag, name, dsc, dv, pvol, tvol in rows:
-            assert sid % cfg.folds == fold
-            assert name == "lesion"
-            assert 0.0 <= dsc <= 1.0
-            assert tvol > 0.0
+        assert sorted(r.subject_id for r in rows) == list(range(12))
+        assert rows == tuple(sorted(rows, key=lambda r: (r.fold, r.subject_id, r.class_name)))
+        for r in rows:
+            assert r.subject_id % cfg.folds == r.fold
+            assert r.class_name == "lesion"
+            assert 0.0 <= r.dsc <= 1.0
+            assert r.true_vol > 0.0
 
     def test_calibrated_setup_records_per_fold_epsilon(self):
         result = run_cell(tiny_config(), "partial", "image-wise-calibrated", 1)

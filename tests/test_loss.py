@@ -16,32 +16,14 @@ from dicelab.loss import (
     Variant,
     dice_backward,
     dice_forward,
-    leaf_filter,
+    dice_value_and_grad,
     marginal_merge,
 )
-from dicelab.tensor import (
-    ReductionScheme,
-    Role,
-    Shape,
-    enumerate_subsets,
-    make_batch,
-    subset_reduce,
-)
+from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
+from partition_oracle import reference_loss
 
 ALL = (ReductionScheme.IMAGE_WISE, ReductionScheme.CLASS_WISE,
        ReductionScheme.BATCH_WISE, ReductionScheme.ALL_WISE)
-
-
-def reference_loss(gt, pred, cfg):
-    """Independent forward path through the public subset API."""
-    subsets = enumerate_subsets(cfg.scheme, gt.shape)
-    eps = cfg.epsilon
-    scores = []
-    for s in subsets:
-        stats = subset_reduce(gt, pred, s)
-        e = float(np.asarray(eps).reshape(-1)[s.class_tag]) if not np.isscalar(eps) else float(eps)
-        scores.append((2.0 * stats.intersection + e) / (stats.gt_sum + stats.pred_sum + e))
-    return 1.0 - float(np.mean(scores))
 
 
 def random_pair(shape, seed):
@@ -60,10 +42,9 @@ class TestForward:
         out = dice_forward(gt, pred, cfg)
         assert out.value == pytest.approx(0.5, abs=1e-15)
         assert out.effective_subset_count == 1
-        (sid, stats, score) = out.per_subset[0]
-        assert sid == 0
-        assert stats == (0.5, 1.0, 1.0)
-        assert score == pytest.approx(0.5)
+        assert out.kept.shape == out.score.shape == (1, 1, 1)
+        assert out.kept.all()
+        assert out.score.item() == pytest.approx(0.5)
 
     def test_empty_gt_with_smoothing(self):
         # all-background target, uniform half predictions, epsilon 2:
@@ -125,9 +106,16 @@ class TestConfigValidation:
 
     def test_vector_epsilon_wrong_length(self):
         gt, pred = random_pair(Shape(1, 3, 4), seed=0)
-        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=[1.0, 2.0])
-        with pytest.raises(EpsilonShapeError):
-            dice_forward(gt, pred, cfg)
+        # a length-1 vector would broadcast over C=3 if the length went unchecked
+        for eps in ([1.0, 2.0], [1.0]):
+            cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=eps)
+            with pytest.raises(EpsilonShapeError):
+                dice_forward(gt, pred, cfg)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, [1.0, np.nan], [np.inf, 1.0]])
+    def test_non_finite_epsilon(self, eps):
+        with pytest.raises(InvalidConfigError):
+            DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=eps)
 
     def test_marginal_needs_background_class(self):
         with pytest.raises(InvalidConfigError):
@@ -180,7 +168,8 @@ class TestLeafVariant:
                              variant=Variant.LEAF)
         out = dice_forward(gt, pred, cfg)
         assert out.effective_subset_count == 1
-        assert [sid for sid, _, _ in out.per_subset] == [0]
+        assert np.flatnonzero(out.kept).tolist() == [0]
+        assert out.score[0, 1, 0] == 0.0
         assert out.value == pytest.approx(0.5)
         grad = dice_backward(gt, pred, cfg).data
         assert np.all(grad[0, 1, :] == 0.0)
@@ -195,15 +184,15 @@ class TestLeafVariant:
         out = dice_forward(gt, pred, cfg)
         assert out.value == 0.0
         assert out.effective_subset_count == 0
-        assert out.per_subset == []
+        assert not out.kept.any()
         assert np.all(dice_backward(gt, pred, cfg).data == 0.0)
 
     def test_leaf_filter_keeps_order(self):
         shape = Shape(1, 3, 2)
         gt = make_batch(shape, [0, 0, 1, 0, 0, 1], Role.GROUND_TRUTH)
-        subsets = enumerate_subsets(ReductionScheme.IMAGE_WISE, shape)
-        kept = leaf_filter(gt, subsets)
-        assert [s.id for s in kept] == [1, 2]
+        pred = make_batch(shape, [0.5] * 6, Role.PREDICTION)
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, variant=Variant.LEAF)
+        assert np.flatnonzero(dice_forward(gt, pred, cfg).kept).tolist() == [1, 2]
 
     def test_leaf_equals_standard_when_nothing_is_empty(self):
         gt, pred = random_pair(Shape(2, 2, 6), seed=7)
@@ -323,6 +312,23 @@ class TestMarginalVariant:
                 den = float(gt2[c].sum() + pred2[c].sum()) + 1e-7
                 scores.append(num / den)
         assert out.value == pytest.approx(1.0 - np.mean(scores), abs=1e-12)
+
+    @pytest.mark.parametrize("scheme,expected", [
+        (ReductionScheme.IMAGE_WISE, [True, True, False, True, True, False]),
+        (ReductionScheme.CLASS_WISE, [True, True]),
+        (ReductionScheme.BATCH_WISE, [True, True, False]),
+        (ReductionScheme.ALL_WISE, [True]),
+    ])
+    def test_kept_subsets_per_scheme(self, scheme, expected):
+        # class 2 is merged away in both elements: only subsets made of it alone drop
+        avail = [[True, True, False], [True, True, False]]
+        shape, gt, pred, mask = self.build(avail, seed=41)
+        cfg = DiceLossConfig(scheme=scheme, epsilon=1e-7,
+                             variant=Variant.MARGINAL, background_class=0)
+        out, grad = dice_value_and_grad(gt, pred, cfg, mask)
+        assert out.kept.reshape(-1).tolist() == expected
+        assert out.effective_subset_count == sum(expected)
+        assert np.array_equal(grad.data[:, 2], grad.data[:, 0])
 
     def test_gradient_routes_background_to_merged_column(self):
         avail = [[True, False, True], [True, True, True]]

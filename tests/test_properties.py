@@ -1,0 +1,89 @@
+"""Property tests of the axis-based Dice core against the index-list oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dicelab.loss import DiceLossConfig, dice_value_and_grad
+from dicelab.tensor import ReductionScheme, Shape, _wrap
+from partition_oracle import enumerate_subsets, reference_grad, reference_loss
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+DEGENERATE_PAIRS = {
+    "batch": ((ReductionScheme.IMAGE_WISE, ReductionScheme.BATCH_WISE),
+              (ReductionScheme.CLASS_WISE, ReductionScheme.ALL_WISE)),
+    "classes": ((ReductionScheme.IMAGE_WISE, ReductionScheme.CLASS_WISE),
+                (ReductionScheme.BATCH_WISE, ReductionScheme.ALL_WISE)),
+}
+
+positive_eps = st.floats(min_value=1e-9, max_value=1e3, allow_nan=False, allow_infinity=False)
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def tensors(draw, batch=None, classes=None):
+    """Binary ground truth and predictions in [0, 1] of a small shape."""
+    shape = Shape(batch or draw(st.integers(1, 3)), classes or draw(st.integers(1, 3)),
+                  draw(st.integers(1, 6)))
+    y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=shape.size, max_size=shape.size))
+    p = draw(st.lists(unit, min_size=shape.size, max_size=shape.size))
+    return _wrap(shape, np.array(y)), _wrap(shape, np.array(p))
+
+
+@st.composite
+def instances(draw):
+    """A tensor pair with a scheme and a positive epsilon, per class when the scheme allows."""
+    gt, pred = draw(tensors())
+    scheme = draw(st.sampled_from(list(ReductionScheme)))
+    if scheme.class_pure and draw(st.booleans()):
+        n = gt.shape.classes
+        eps = np.array(draw(st.lists(positive_eps, min_size=n, max_size=n)))
+    else:
+        eps = draw(positive_eps)
+    return gt, pred, DiceLossConfig(scheme, eps)
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_axis_core_matches_index_list_oracle(case):
+    gt, pred, cfg = case
+    out, grad = dice_value_and_grad(gt, pred, cfg)
+    assert abs(out.value - reference_loss(gt, pred, cfg)) <= 1e-12
+    assert np.max(np.abs(grad.data - reference_grad(gt, pred, cfg))) <= 1e-12
+    assert out.effective_subset_count == len(enumerate_subsets(cfg.scheme, gt.shape))
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_loss_lies_in_unit_interval(case):
+    gt, pred, cfg = case
+    value = dice_value_and_grad(gt, pred, cfg)[0].value
+    assert 0.0 <= value <= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_background_gradient_nonnegative_foreground_nonpositive(case):
+    gt, pred, cfg = case
+    grad = dice_value_and_grad(gt, pred, cfg)[1].flat()
+    y = gt.flat()
+    for s in enumerate_subsets(cfg.scheme, gt.shape):
+        g, key = grad[s.members], y[s.members]
+        g0, g1 = g[key == 0.0], g[key == 1.0]
+        assert np.all(g0 >= 0.0)
+        assert np.all(g1 <= 0.0)
+
+
+@pytest.mark.parametrize("axis", sorted(DEGENERATE_PAIRS))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_degenerate_scheme_pairs_coincide_exactly(axis, data):
+    gt, pred = data.draw(tensors(batch=1) if axis == "batch" else tensors(classes=1))
+    eps = data.draw(positive_eps)
+    for scheme_a, scheme_b in DEGENERATE_PAIRS[axis]:
+        out_a, grad_a = dice_value_and_grad(gt, pred, DiceLossConfig(scheme_a, eps))
+        out_b, grad_b = dice_value_and_grad(gt, pred, DiceLossConfig(scheme_b, eps))
+        assert out_a.value == out_b.value
+        assert np.array_equal(grad_a.data, grad_b.data)

@@ -1,22 +1,11 @@
-"""Tensor domain, reduction partitions, and the portable file format."""
+"""Tensor domain, the pooled axes of each reduction scheme, and the portable file format."""
 
 import numpy as np
 import pytest
 
 from dicelab.errors import LengthMismatchError, RangeViolationError, ShapeMismatchError, TensorFileError
-from dicelab.tensor import (
-    ReductionScheme,
-    Role,
-    Shape,
-    broadcast_per_subset,
-    enumerate_subsets,
-    make_batch,
-    read_tensor,
-    scheme_sums,
-    subset_class_tags,
-    subset_reduce,
-    write_tensor,
-)
+from dicelab.tensor import ReductionScheme, Role, Shape, make_batch, read_tensor, write_tensor
+from partition_oracle import enumerate_subsets, subset_reduce
 
 ALL = (ReductionScheme.IMAGE_WISE, ReductionScheme.CLASS_WISE,
        ReductionScheme.BATCH_WISE, ReductionScheme.ALL_WISE)
@@ -111,9 +100,13 @@ class TestEnumerateSubsets:
 
     def test_class_tags_helper(self):
         shape = Shape(2, 3, 4)
-        assert subset_class_tags(ReductionScheme.IMAGE_WISE, shape).tolist() == [0, 1, 2, 0, 1, 2]
-        assert subset_class_tags(ReductionScheme.BATCH_WISE, shape).tolist() == [0, 1, 2]
-        assert subset_class_tags(ReductionScheme.CLASS_WISE, shape) is None
+
+        def tags(scheme):
+            return [s.class_tag for s in enumerate_subsets(scheme, shape)]
+
+        assert tags(ReductionScheme.IMAGE_WISE) == [0, 1, 2, 0, 1, 2]
+        assert tags(ReductionScheme.BATCH_WISE) == [0, 1, 2]
+        assert tags(ReductionScheme.CLASS_WISE) == [None, None]
 
 
 class TestReductions:
@@ -136,16 +129,31 @@ class TestReductions:
     def test_scheme_sums_agree_with_member_sums(self, scheme):
         shape = Shape(3, 2, 5)
         t = rand_tensor(shape, seed=3)
-        sums = scheme_sums(scheme, shape, t.data)
+        sums = t.data.sum(axis=scheme.axes, keepdims=True).reshape(-1)
         for s in enumerate_subsets(scheme, shape):
             assert sums[s.id] == pytest.approx(float(t.flat()[s.members].sum()), abs=1e-12)
+
+    @pytest.mark.parametrize("scheme", ALL)
+    def test_axes_pool_exactly_the_partition(self, scheme):
+        # summing the indicator of one index-list subset over the pooled axes
+        # must put its whole size on that subset's id and nothing elsewhere
+        shape = Shape(2, 3, 4)
+        subsets = enumerate_subsets(scheme, shape)
+        for s in subsets:
+            indicator = np.zeros(shape.size)
+            indicator[s.members] = 1.0
+            pooled = indicator.reshape(shape.as_tuple()).sum(axis=scheme.axes, keepdims=True)
+            expected = np.zeros(len(subsets))
+            expected[s.id] = s.size
+            assert pooled.reshape(-1).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("scheme", ALL)
     def test_broadcast_inverts_indexing(self, scheme):
         shape = Shape(2, 3, 4)
         subsets = enumerate_subsets(scheme, shape)
         per_subset = np.arange(1.0, len(subsets) + 1.0)
-        expanded = broadcast_per_subset(scheme, shape, per_subset).reshape(-1)
+        pooled_shape = np.zeros(shape.as_tuple()).sum(axis=scheme.axes, keepdims=True).shape
+        expanded = np.broadcast_to(per_subset.reshape(pooled_shape), shape.as_tuple()).reshape(-1)
         for s in subsets:
             assert np.all(expanded[s.members] == per_subset[s.id])
 
@@ -162,6 +170,12 @@ class TestTensorFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.drt"
         path.write_bytes(b"NOPE" + bytes(20))
+        with pytest.raises(TensorFileError):
+            read_tensor(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.drt"
+        path.write_bytes(b"DRT1\x01")
         with pytest.raises(TensorFileError):
             read_tensor(path)
 

@@ -348,6 +348,12 @@ class TestCheckpoint:
         with pytest.raises(TensorFileError):
             load_model(path)
 
+    def test_header_field_without_value(self, tmp_path):
+        path = tmp_path / "bad.model"
+        path.write_bytes(b"DLM1 head=sigmoid junk\n")
+        with pytest.raises(TensorFileError):
+            load_model(path)
+
     def test_payload_length_checked(self, tmp_path):
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
         path = tmp_path / "m.model"
