@@ -12,12 +12,14 @@ from .errors import (
     LengthMismatchError,
     MissingLabelNotEmptyError,
     NoRealRootError,
+    NonFiniteTrainingError,
     NotADistributionError,
     RangeViolationError,
     ShapeMismatchError,
     StepOutOfRangeError,
     TargetNotFoundError,
     TensorFileError,
+    ZeroDenominatorError,
 )
 from .tensor import (
     BatchTensor,
@@ -36,6 +38,7 @@ from .loss import (
     dice_backward,
     dice_forward,
     dice_value_and_grad,
+    dice_values,
     marginal_merge,
 )
 from .epsilon import BalanceParams, EpsilonCalibration, calibrate_epsilon, solve_balance_epsilon

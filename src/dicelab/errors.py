@@ -67,3 +67,11 @@ class InvalidConfigError(DicelabError, ValueError):
 
 class TensorFileError(DicelabError, ValueError):
     """Portable tensor file is malformed."""
+
+
+class ZeroDenominatorError(DicelabError, ArithmeticError):
+    """A counted Dice subset has S = 0: empty ground truth, zero prediction and epsilon 0."""
+
+
+class NonFiniteTrainingError(DicelabError, ArithmeticError):
+    """Training produced a NaN or infinite loss or weight gradient."""

@@ -10,6 +10,8 @@ byte-identical for a given config no matter the job count.
 
 from __future__ import annotations
 
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -19,7 +21,7 @@ import numpy as np
 import yaml
 
 from .epsilon import calibrate_epsilon
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, NonFiniteTrainingError
 from .loss import DiceLossConfig, Variant
 from .metrics import binarize, bootstrap_compare, hard_dsc, roc_auc, volume_difference, write_csv
 from .synthdata import (
@@ -77,22 +79,30 @@ class ExperimentConfig:
                                      "(its model has no background output otherwise)")
         if not self.labelings or not self.setups or not self.batch_sizes:
             raise InvalidConfigError("labelings, setups, and batch_sizes must be non-empty")
-        if any(b < 1 for b in self.batch_sizes):
-            raise InvalidConfigError(f"batch sizes must be >= 1, got {self.batch_sizes}")
-        if self.folds < 2:
-            raise InvalidConfigError(f"folds must be >= 2, got {self.folds}")
-        if self.iterations < 1:
-            raise InvalidConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.learning_rate < 0:
-            raise InvalidConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.bootstrap_resamples < 1:
-            raise InvalidConfigError("bootstrap_resamples must be >= 1")
+        for b in self.batch_sizes:
+            _require_int("batch size", b, 1)
+        _require_int("folds", self.folds, 2)
+        _require_int("iterations", self.iterations, 1)
+        _require_int("seed", self.seed, 0)
+        _require_int("bootstrap_resamples", self.bootstrap_resamples, 1)
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (
+                math.isfinite(lr) and lr >= 0):
+            raise InvalidConfigError(
+                f"learning_rate must be a finite number >= 0, got {self.learning_rate!r}"
+            )
 
     def cells(self) -> list[tuple[str, str, int]]:
         return [(lab, setup, b)
                 for lab in self.labelings
                 for setup in self.setups
                 for b in self.batch_sizes]
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """An integer (bool excluded) of at least minimum, else InvalidConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def default_config(task: str) -> ExperimentConfig:
@@ -276,7 +286,12 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str,
                           learning_rate=config.learning_rate,
                           iterations=config.iterations, seed=fold,
                           include_background_in_loss=include_bg)
-        result = train(train_split, cfg)
+        try:
+            result = train(train_split, cfg)
+        except NonFiniteTrainingError as exc:
+            raise NonFiniteTrainingError(
+                f"cell {_cell_dirname(labeling, setup, batch_size)} fold {fold}: {exc}"
+            ) from exc
         histories.append(result.history)
         models.append((result.model.head.value, np.asarray(result.model.weights)))
         loss_class_names = result.class_names
@@ -409,10 +424,32 @@ def _comparisons(config: ExperimentConfig, results: list[CellResult]) -> list[li
     return rows
 
 
+def _check_folds(config: ExperimentConfig, full: SyntheticDataset) -> None:
+    """Every fold must hold out a subject, and every batch size fit its smallest training split."""
+    k = config.folds
+    held_out = [sum(1 for s in full.samples if s.subject_id % k == fold) for fold in range(k)]
+    if min(held_out) == 0:
+        raise InvalidConfigError(f"{k} folds leave a fold without subjects ({len(full)} in total)")
+    smallest = len(full) - max(held_out)
+    too_big = [b for b in config.batch_sizes if b > smallest]
+    if too_big:
+        raise InvalidConfigError(
+            f"batch sizes {too_big} exceed the smallest training split "
+            f"({smallest} samples at {k} folds)"
+        )
+
+
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtifacts:
+    """Train every cell, then write all artifacts into out_dir.
+
+    out_dir must be new or empty, so no artifact of an older run survives.
+    """
     if jobs < 1:
         raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise InvalidConfigError(f"output directory {out} must be new or empty")
+    _check_folds(config, build_dataset(config)[0])  # dropped: holds no memory while cells train
     out.mkdir(parents=True, exist_ok=True)
     cells = config.cells()
     if jobs == 1 or len(cells) == 1:

@@ -19,6 +19,14 @@ Variants: the leaf variant drops subsets whose ground truth is empty (they get
 zero gradient and do not count toward K); the marginal variant first folds the
 predicted probabilities of unavailable classes into the background column and
 routes the background gradient back to them.
+
+One private helper pools the sums for both entry points. It takes Phi as
+negative axes, so predictions may carry leading axes (..., B, C, I) against a
+single (B, C, I) ground truth: dice_values scores a whole stack of
+predictions in one value-only pass, and dice_value_and_grad scores one
+prediction and adds the gradient. A counted subset with S = 0 (epsilon 0,
+empty ground truth and zero prediction) raises ZeroDenominatorError in place
+of returning NaN.
 """
 
 from __future__ import annotations
@@ -35,8 +43,9 @@ from .errors import (
     MissingLabelNotEmptyError,
     NotADistributionError,
     ShapeMismatchError,
+    ZeroDenominatorError,
 )
-from .tensor import BatchTensor, ReductionScheme, Shape, _wrap
+from .tensor import BatchTensor, ReductionScheme, _wrap
 
 DISTRIBUTION_TOL = 1e-6
 
@@ -105,6 +114,44 @@ class LossOutput:
     effective_subset_count: int
 
 
+def _merge_unavailable(
+    gt: BatchTensor,
+    p: np.ndarray,
+    mask: AvailabilityMask | None,
+    background_class: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """marginal_merge on predictions of shape (..., B, C, I): merged predictions and routing."""
+    if mask is None:
+        raise InvalidConfigError("marginal variant requires an availability mask")
+    B, C, I = gt.shape.as_tuple()
+    if C < 2:
+        raise InvalidConfigError("marginal merging requires multiclass (C >= 2) predictions")
+    if not (0 <= background_class < C):
+        raise InvalidConfigError(f"background_class {background_class} out of range for C={C}")
+    avail = mask.available
+    if avail.shape != (B, C):
+        raise ShapeMismatchError(f"availability mask shape {avail.shape} != (B, C)=({B}, {C})")
+    if not np.all(avail[:, background_class]):
+        raise InvalidConfigError("background class must be available in every batch element")
+
+    col_sums = p.sum(axis=-2)
+    if np.any(np.abs(col_sums - 1.0) > DISTRIBUTION_TOL):
+        worst = float(np.max(np.abs(col_sums - 1.0)))
+        raise NotADistributionError(f"prediction columns must sum to 1 per pixel (max dev {worst:.3g})")
+
+    unavailable = ~avail
+    if np.any(gt.data[unavailable] != 0.0):
+        raise MissingLabelNotEmptyError("ground truth of an unavailable class contains foreground")
+
+    merged = p.copy()
+    spill = (merged * unavailable[:, :, None]).sum(axis=-2)
+    merged[..., unavailable, :] = 0.0
+    merged[..., background_class, :] += spill
+
+    routing = np.where(avail, np.arange(C)[None, :], background_class)
+    return merged, routing
+
+
 def marginal_merge(
     gt: BatchTensor,
     pred: BatchTensor,
@@ -121,45 +168,69 @@ def marginal_merge(
     """
     if gt.shape != pred.shape:
         raise ShapeMismatchError(f"gt shape {gt.shape} != pred shape {pred.shape}")
-    B, C, I = gt.shape.as_tuple()
-    if C < 2:
-        raise InvalidConfigError("marginal merging requires multiclass (C >= 2) predictions")
-    if not (0 <= background_class < C):
-        raise InvalidConfigError(f"background_class {background_class} out of range for C={C}")
-    avail = mask.available
-    if avail.shape != (B, C):
-        raise ShapeMismatchError(f"availability mask shape {avail.shape} != (B, C)=({B}, {C})")
-    if not np.all(avail[:, background_class]):
-        raise InvalidConfigError("background class must be available in every batch element")
-
-    col_sums = pred.data.sum(axis=1)
-    if np.any(np.abs(col_sums - 1.0) > DISTRIBUTION_TOL):
-        worst = float(np.max(np.abs(col_sums - 1.0)))
-        raise NotADistributionError(f"prediction columns must sum to 1 per pixel (max dev {worst:.3g})")
-
-    unavailable = ~avail
-    if np.any(gt.data[unavailable] != 0.0):
-        raise MissingLabelNotEmptyError("ground truth of an unavailable class contains foreground")
-
-    merged_pred = pred.data.copy()
-    spill = (merged_pred * unavailable[:, :, None]).sum(axis=1)
-    merged_pred[unavailable] = 0.0
-    merged_pred[:, background_class, :] += spill
-
-    routing = np.where(avail, np.arange(C)[None, :], background_class)
-    return (_wrap(gt.shape, gt.data.copy()), _wrap(gt.shape, merged_pred), routing)
+    merged, routing = _merge_unavailable(gt, pred.data, mask, background_class)
+    return (_wrap(gt.shape, gt.data.copy()), _wrap(gt.shape, merged), routing)
 
 
-def _epsilon(cfg: DiceLossConfig, shape: Shape) -> float | np.ndarray:
-    """Scalar epsilon, or per-class epsilon shaped (1, C, 1) to broadcast over the sums."""
+def _epsilon(cfg: DiceLossConfig, classes: int) -> float | np.ndarray:
+    """Scalar epsilon, or per-class epsilon shaped (C, 1) to broadcast over the sums."""
     eps = cfg.epsilon
     if np.isscalar(eps):
         return float(eps)
-    if eps.size != shape.classes:
+    if eps.size != classes:
         raise EpsilonShapeError(
-            f"per-class epsilon has {eps.size} entries but tensor has {shape.classes} classes"
+            f"per-class epsilon has {eps.size} entries but tensor has {classes} classes"
         )
-    return eps.reshape(1, -1, 1)
+    return eps.reshape(-1, 1)
+
+
+def _pool(
+    y: np.ndarray,
+    p: np.ndarray,
+    cfg: DiceLossConfig,
+    mask: AvailabilityMask | None,
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Kept mask, K, N and S of every subset, pooled over the scheme's axes Phi.
+
+    y is (B, C, I); p is (..., B, C, I), already merged for the marginal
+    variant. Phi is taken as negative axes, so leading axes of p stack
+    independent predictions against the one ground truth. kept has the
+    keepdims shape of y's sums; N and S carry p's leading axes too.
+    """
+    axes = tuple(a - 3 for a in cfg.scheme.axes)
+    inter = (y * p).sum(axis=axes, keepdims=True)
+    gsum = y.sum(axis=axes, keepdims=True)
+    psum = p.sum(axis=axes, keepdims=True)
+    if cfg.variant is Variant.LEAF:
+        kept = gsum > 0.0
+    elif cfg.variant is Variant.MARGINAL:
+        # _merge_unavailable checked that the background is available everywhere,
+        # so only subsets made of merged-away classes alone are dropped
+        kept = mask.available[:, :, None].any(axis=axes, keepdims=True)
+    else:
+        kept = np.ones(gsum.shape, dtype=bool)
+
+    eps = _epsilon(cfg, y.shape[1])
+    S = gsum + psum + eps
+    np.copyto(S, np.inf, where=~kept)  # a dropped subset scores 0 and gets zero gradient
+    if not S.all():  # some counted S == 0
+        raise ZeroDenominatorError(
+            "a counted subset has empty ground truth, all-zero prediction and epsilon 0, "
+            "so its Dice score is 0/0"
+        )
+    N = 2.0 * inter + eps
+    return kept, int(np.count_nonzero(kept)), N, S
+
+
+def _loss_values(score: np.ndarray, kept: np.ndarray, K: int) -> np.ndarray:
+    """1 - mean score over the K counted subsets, one value per leading index; 0 when K is 0."""
+    if K == 0:
+        return np.zeros(score.shape[:-3])
+    if score.ndim == 3:  # one prediction, once per training step: the cheapest index
+        return 1.0 - score[kept].sum() / K
+    # with leading axes the boolean index comes back column-major; made row-contiguous,
+    # each row sums in the same order as the lone score[kept].sum() above
+    return 1.0 - np.ascontiguousarray(score[..., kept]).sum(axis=-1) / K
 
 
 def dice_value_and_grad(
@@ -177,41 +248,41 @@ def dice_value_and_grad(
     if gt.shape != pred.shape:
         raise ShapeMismatchError(f"gt shape {gt.shape} != pred shape {pred.shape}")
     shape = gt.shape
-    axes = cfg.scheme.axes
     routing = None
     if cfg.variant is Variant.MARGINAL:
-        if mask is None:
-            raise InvalidConfigError("marginal variant requires an availability mask")
         gt, pred, routing = marginal_merge(gt, pred, mask, cfg.background_class)
 
     y = gt.data
-    p = pred.data
-    inter = (y * p).sum(axis=axes, keepdims=True)
-    gsum = y.sum(axis=axes, keepdims=True)
-    psum = p.sum(axis=axes, keepdims=True)
-    if cfg.variant is Variant.LEAF:
-        kept = gsum > 0.0
-    elif cfg.variant is Variant.MARGINAL:
-        # marginal_merge checked that the background is available everywhere,
-        # so only subsets made of merged-away classes alone are dropped
-        kept = mask.available[:, :, None].any(axis=axes, keepdims=True)
-    else:
-        kept = np.ones(gsum.shape, dtype=bool)
-
-    eps = _epsilon(cfg, shape)
-    K = int(np.count_nonzero(kept))
-    if K == 0:
-        return LossOutput(0.0, np.zeros(kept.shape), kept, 0), _wrap(shape, np.zeros(y.shape))
-    S = gsum + psum + eps
-    S[~kept] = np.inf  # a dropped subset scores 0 and gets zero gradient
-    N = 2.0 * inter + eps
+    kept, K, N, S = _pool(y, pred.data, cfg, mask)
     score = N / S
-    value = 1.0 - float(score[kept].sum()) / K
+    value = float(_loss_values(score, kept, K))
+    if K == 0:
+        return LossOutput(value, score, kept, 0), _wrap(shape, np.zeros(y.shape))
     ratio = N / (S * S)
     grad = np.where(y == 1.0, (ratio - 2.0 / S) / K, ratio / K)
     if routing is not None:
         grad = np.take_along_axis(grad, routing[:, :, None], axis=1)
     return LossOutput(value, score, kept, K), _wrap(shape, grad)
+
+
+def dice_values(
+    gt: BatchTensor,
+    preds: np.ndarray,
+    cfg: DiceLossConfig,
+    mask: AvailabilityMask | None = None,
+) -> np.ndarray:
+    """Dice loss of every prediction stacked along the leading axes of preds, value only.
+
+    preds has shape (..., B, C, I) against the one (B, C, I) ground truth; the
+    result has shape (...), and entry k equals dice_forward(gt, preds[k]).value.
+    """
+    p = np.asarray(preds, dtype=np.float64)
+    if p.shape[-3:] != gt.shape.as_tuple():
+        raise ShapeMismatchError(f"gt shape {gt.shape} does not match predictions {p.shape}")
+    if cfg.variant is Variant.MARGINAL:
+        p = _merge_unavailable(gt, p, mask, cfg.background_class)[0]
+    kept, K, N, S = _pool(gt.data, p, cfg, mask)
+    return _loss_values(N / S, kept, K)
 
 
 def dice_forward(

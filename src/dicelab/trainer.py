@@ -9,6 +9,7 @@ finite-difference checked end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -21,6 +22,7 @@ from .errors import (
     DimMismatchError,
     EmptyDatasetError,
     InvalidConfigError,
+    NonFiniteTrainingError,
     ShapeMismatchError,
     TensorFileError,
 )
@@ -69,8 +71,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise InvalidConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise InvalidConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if self.iterations < 0:
             raise InvalidConfigError(f"iterations must be >= 0, got {self.iterations}")
 
@@ -252,7 +256,8 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
 
     Batches regroup every epoch; a trailing group smaller than batch_size is
     dropped so every step sees the same tensor shape. History is recorded at
-    every iteration.
+    every iteration. A NaN or infinite loss or weight gradient stops training
+    with NonFiniteTrainingError naming the iteration.
     """
     n = len(dataset.samples)
     if n == 0:
@@ -318,8 +323,12 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         mask = AvailabilityMask(avail_all[idx]) if marginal else None
         model = LinearPixelModel(weights, head)
         step = step_gradients(model, feats[idx], gt_bt, cfg.loss, mask, model_cols)
-        weights = weights - cfg.learning_rate * step.param_grad
         iteration += 1
+        if not (math.isfinite(step.loss) and np.isfinite(step.param_grad).all()):
+            raise NonFiniteTrainingError(
+                f"non-finite loss or weight gradient at iteration {iteration}"
+            )
+        weights = weights - cfg.learning_rate * step.param_grad
         y0, y1 = _grad_split(gt_all[idx], step.loss_grad.data.reshape(batch_shape.as_tuple()))
         history.append(HistoryRow(iteration, step.loss, y0, y1))
     return TrainResult(LinearPixelModel(weights, head), tuple(history), tuple(loss_names))

@@ -221,3 +221,17 @@ class TestRunAndReport:
         result = runner.invoke(main, ["run", "--config", str(tmp_path / "none.yaml"),
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
+
+    def test_run_into_non_empty_directory_exits_2(self, finished_run, runner):
+        result = runner.invoke(main, ["run", "--config",
+                                      str(finished_run / "config_snapshot.yaml"),
+                                      "--out", str(finished_run)])
+        assert result.exit_code == 2
+        assert "new or empty" in result.output
+
+    def test_run_with_oversized_batch_exits_2(self, runner, tmp_path):
+        cfg_path = write_config(tmp_path, {"batch_sizes": [500]})
+        result = runner.invoke(main, ["run", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert not (tmp_path / "x").exists()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dicelab.errors import ShapeMismatchError, StepOutOfRangeError
+from dicelab import gradcheck, loss
+from dicelab.errors import NotADistributionError, ShapeMismatchError, StepOutOfRangeError
 from dicelab.gradcheck import (
     check_two_value,
     compare_grads,
@@ -13,7 +14,7 @@ from dicelab.gradcheck import (
     resolve_epsilon,
     run_check_matrix,
 )
-from dicelab.loss import DiceLossConfig, Variant, dice_backward
+from dicelab.loss import AvailabilityMask, DiceLossConfig, Variant, dice_backward
 from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
 
 
@@ -58,6 +59,53 @@ class TestFiniteDiff:
         numeric = finite_diff_grad(gt, pred, cfg)
         assert np.all(analytic.data[0, 1] == 0.0)
         assert compare_grads(analytic, numeric).passed
+
+
+    def stencil_case(self):
+        shape = Shape(2, 3, 5)
+        gt, pred = random_instance(shape, np.random.default_rng(8))
+        return gt, pred, DiceLossConfig(scheme=ReductionScheme.BATCH_WISE, epsilon=1.0)
+
+    @pytest.mark.parametrize("block", [1, 3 * 30, 7 * 30 + 11])
+    def test_several_blocks_equal_one_block(self, monkeypatch, block):
+        gt, pred, cfg = self.stencil_case()
+        whole = finite_diff_grad(gt, pred, cfg).data
+        monkeypatch.setattr(gradcheck, "FD_BLOCK_ELEMENTS", block)
+        assert np.array_equal(finite_diff_grad(gt, pred, cfg).data, whole)
+
+    @pytest.mark.parametrize("block, calls", [(None, 1), (192 * 10, 39)])
+    def test_one_value_only_pass_per_block(self, monkeypatch, block, calls):
+        # (4, 3, 16): n = 192, so 2n^2 = 73,728 stencil elements fit one default block
+        gt, pred = random_instance(Shape(4, 3, 16), np.random.default_rng(2))
+        cfg = DiceLossConfig(scheme=ReductionScheme.CLASS_WISE, epsilon=1e-7)
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args[1].shape)
+            return loss.dice_values(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not build a gradient")
+
+        monkeypatch.setattr(gradcheck, "dice_values", counting)
+        monkeypatch.setattr(loss, "dice_value_and_grad", forbidden)
+        monkeypatch.setattr(loss, "dice_forward", forbidden)
+        if block is not None:
+            monkeypatch.setattr(gradcheck, "FD_BLOCK_ELEMENTS", block)
+        finite_diff_grad(gt, pred, cfg)
+        assert len(seen) == calls
+        assert sum(s[0] for s in seen) == 2 * 192
+
+    def test_marginal_probes_are_not_distributions(self):
+        # every +-h probe moves one column sum by h = 1e-5, past the 1e-6 tolerance
+        shape = Shape(1, 2, 3)
+        gt = make_batch(shape, [1, 0, 0, 0, 1, 0], Role.GROUND_TRUTH)
+        pred = make_batch(shape, [0.7, 0.4, 0.5, 0.3, 0.6, 0.5], Role.PREDICTION)
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
+                             variant=Variant.MARGINAL, background_class=0)
+        mask = AvailabilityMask(np.array([[True, True]]))
+        with pytest.raises(NotADistributionError):
+            finite_diff_grad(gt, pred, cfg, mask=mask)
 
 
 class TestCompareGrads:

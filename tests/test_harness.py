@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dicelab.errors import InvalidConfigError
+from dicelab import harness
+from dicelab.errors import InvalidConfigError, NonFiniteTrainingError
 from dicelab.harness import (
     ExperimentConfig,
     build_dataset,
@@ -61,6 +62,17 @@ class TestConfig:
         dict(iterations=0),
         dict(learning_rate=-1.0),
         dict(bootstrap_resamples=0),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(learning_rate="fast"),
+        dict(folds=2.5),
+        dict(folds=True),
+        dict(iterations=10.0),
+        dict(seed="x"),
+        dict(seed=-1),
+        dict(bootstrap_resamples=50.5),
+        dict(batch_sizes=(1, 2.0)),
+        dict(batch_sizes=(True,)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidConfigError):
@@ -164,6 +176,24 @@ class TestRunCell:
         result = run_cell(tiny_config(), "full", "image-wise", 1)
         assert result.calibration_rows == ()
 
+    def test_non_finite_training_names_cell_and_fold(self, monkeypatch):
+        real = harness.train
+
+        def diverge_on_second_fold(train_split, cfg):
+            if cfg.seed == 1:  # run_cell seeds each fold's training with the fold index
+                raise NonFiniteTrainingError(
+                    "non-finite loss or weight gradient at iteration 5")
+            return real(train_split, cfg)
+
+        monkeypatch.setattr(harness, "train", diverge_on_second_fold)
+        with pytest.raises(NonFiniteTrainingError,
+                           match="cell partial-image-wise-b1 fold 1: .* iteration 5"):
+            run_cell(tiny_config(), "partial", "image-wise", 1)
+
+
+def fail_if_trained(*args, **kwargs):
+    raise AssertionError("a cell trained")
+
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
@@ -216,6 +246,31 @@ class TestRunExperiment:
         for a in sorted(artifacts.out_dir.rglob("*.csv")):
             b = out2 / a.relative_to(artifacts.out_dir)
             assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_non_empty_output_directory_rejected(self, tiny_run):
+        config, artifacts = tiny_run
+        before = sorted(artifacts.out_dir.rglob("*"))
+        with pytest.raises(InvalidConfigError, match="new or empty"):
+            run_experiment(config, artifacts.out_dir)
+        assert sorted(artifacts.out_dir.rglob("*")) == before
+
+    def test_existing_empty_output_directory_allowed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "run_cell", fail_if_trained)
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(AssertionError, match="trained"):
+            run_experiment(tiny_config(), tmp_path / "empty")
+
+    def test_batch_size_must_fit_every_fold_before_training(self, tmp_path, monkeypatch):
+        # 12 subjects in 2 folds leave 6 training samples per fold
+        monkeypatch.setattr(harness, "run_cell", fail_if_trained)
+        with pytest.raises(InvalidConfigError, match=r"\[7\].*6 samples"):
+            run_experiment(tiny_config(batch_sizes=(6, 7)), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+    def test_every_fold_must_hold_out_a_subject(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "run_cell", fail_if_trained)
+        with pytest.raises(InvalidConfigError, match="13 folds"):
+            run_experiment(tiny_config(folds=13), tmp_path / "x")
 
     def test_bad_job_count(self, tiny_run, tmp_path):
         config, _ = tiny_run

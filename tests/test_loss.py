@@ -9,6 +9,7 @@ from dicelab.errors import (
     MissingLabelNotEmptyError,
     NotADistributionError,
     ShapeMismatchError,
+    ZeroDenominatorError,
 )
 from dicelab.loss import (
     AvailabilityMask,
@@ -17,6 +18,7 @@ from dicelab.loss import (
     dice_backward,
     dice_forward,
     dice_value_and_grad,
+    dice_values,
     marginal_merge,
 )
 from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
@@ -349,3 +351,65 @@ class TestMarginalVariant:
             dice_forward(gt, pred, std).value, abs=1e-15)
         assert dice_backward(gt, pred, marg, mask).data == pytest.approx(
             dice_backward(gt, pred, std).data, abs=1e-15)
+
+
+class TestDiceValues:
+    @pytest.mark.parametrize("scheme", ALL)
+    @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.LEAF])
+    def test_each_stacked_value_equals_one_forward_bitwise(self, scheme, variant):
+        shape = Shape(3, 2, 6)
+        gt, _ = random_pair(shape, seed=5)
+        rng = np.random.default_rng(6)
+        stack = rng.uniform(0.0, 1.0, (2, 4) + shape.as_tuple())
+        cfg = DiceLossConfig(scheme=scheme, epsilon=0.5, variant=variant)
+        values = dice_values(gt, stack, cfg)
+        assert values.shape == (2, 4)
+        for j, k in np.ndindex(2, 4):
+            single = make_batch(shape, stack[j, k].reshape(-1), Role.PREDICTION)
+            assert values[j, k] == dice_forward(gt, single, cfg).value
+
+    def test_marginal_stack_merges_each_prediction(self):
+        shape = Shape(1, 3, 2)
+        gt = make_batch(shape, [1, 0, 0, 0, 0, 1], Role.GROUND_TRUTH)
+        mask = AvailabilityMask(np.array([[True, False, True]]))
+        preds = [softmax_like_pred(shape, seed) for seed in (1, 2, 3)]
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
+                             variant=Variant.MARGINAL, background_class=0)
+        values = dice_values(gt, np.stack([p.data for p in preds]), cfg, mask)
+        assert values.tolist() == [dice_forward(gt, p, cfg, mask).value for p in preds]
+
+    def test_no_counted_subset_scores_zero(self):
+        shape = Shape(2, 1, 3)
+        gt = make_batch(shape, [0] * 6, Role.GROUND_TRUTH)
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, variant=Variant.LEAF)
+        assert dice_values(gt, np.full((4,) + shape.as_tuple(), 0.3), cfg).tolist() == [0.0] * 4
+
+    def test_trailing_shape_checked(self):
+        gt, _ = random_pair(Shape(1, 2, 3), seed=0)
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE)
+        with pytest.raises(ShapeMismatchError):
+            dice_values(gt, np.zeros((4, 1, 3, 2)), cfg)
+
+
+class TestZeroDenominator:
+    def zero_case(self):
+        shape = Shape(1, 1, 3)
+        gt = make_batch(shape, [0, 0, 0], Role.GROUND_TRUTH)
+        pred = make_batch(shape, [0, 0, 0], Role.PREDICTION)
+        return gt, pred
+
+    def test_empty_subset_with_zero_prediction_and_epsilon_raises(self):
+        gt, pred = self.zero_case()
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0)
+        with pytest.raises(ZeroDenominatorError):
+            dice_value_and_grad(gt, pred, cfg)
+        with pytest.raises(ZeroDenominatorError):
+            dice_values(gt, pred.data[None], cfg)
+
+    def test_dropped_subset_does_not_raise(self):
+        gt, pred = self.zero_case()
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0,
+                             variant=Variant.LEAF)
+        out, grad = dice_value_and_grad(gt, pred, cfg)
+        assert out.value == 0.0
+        assert np.all(grad.data == 0.0)

@@ -1,12 +1,15 @@
-"""Property tests of the axis-based Dice core against the index-list oracle."""
+"""Property tests of the axis-based Dice core against the index-list oracle,
+and of the batched finite-difference stencil against the per-element loop."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicelab.loss import DiceLossConfig, dice_value_and_grad
+from dicelab.gradcheck import finite_diff_grad, resolve_epsilon
+from dicelab.loss import DiceLossConfig, Variant, dice_forward, dice_value_and_grad, dice_values
 from dicelab.tensor import ReductionScheme, Shape, _wrap
+from fd_oracle import loop_finite_diff_grad
 from partition_oracle import enumerate_subsets, reference_grad, reference_loss
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -87,3 +90,41 @@ def test_degenerate_scheme_pairs_coincide_exactly(axis, data):
         out_b, grad_b = dice_value_and_grad(gt, pred, DiceLossConfig(scheme_b, eps))
         assert out_a.value == out_b.value
         assert np.array_equal(grad_a.data, grad_b.data)
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.lists(unit, min_size=1, max_size=12))
+def test_stacked_values_equal_single_forward_bitwise(case, extra):
+    gt, pred, cfg = case
+    n = gt.shape.size
+    others = np.resize(np.array(extra), (2, n))  # two more predictions, extra repeated
+    stack = np.concatenate([pred.flat()[None], others]).reshape(3, *gt.shape.as_tuple())
+    values = dice_values(gt, stack, cfg)
+    assert values.shape == (3,)
+    for k in range(3):
+        assert values[k] == dice_forward(gt, _wrap(gt.shape, stack[k].reshape(-1)), cfg).value
+
+
+@st.composite
+def stencil_cases(draw):
+    """Predictions inside the stencil range, a scheme, standard or leaf, and an epsilon spec."""
+    gt, _ = draw(tensors())
+    eps_label = draw(st.sampled_from(["0", "1e-7", "1", "calibrated"]))
+    if eps_label == "0":  # epsilon 0 is only smooth when no (b, c) map is empty
+        y = gt.data.copy()
+        y[..., 0][y.sum(axis=2) == 0] = 1.0
+        gt = _wrap(gt.shape, y.reshape(-1))
+    inside = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
+    p = draw(st.lists(inside, min_size=gt.shape.size, max_size=gt.shape.size))
+    scheme = draw(st.sampled_from(list(ReductionScheme)))
+    variant = draw(st.sampled_from([Variant.STANDARD, Variant.LEAF]))
+    cfg = DiceLossConfig(scheme, resolve_epsilon(eps_label, gt, scheme), variant)
+    return gt, _wrap(gt.shape, np.array(p)), cfg
+
+
+@PROPERTY_SETTINGS
+@given(stencil_cases())
+def test_batched_stencil_matches_per_element_loop(case):
+    gt, pred, cfg = case
+    batched = finite_diff_grad(gt, pred, cfg).data
+    assert np.max(np.abs(batched - loop_finite_diff_grad(gt, pred, cfg))) <= 1e-10

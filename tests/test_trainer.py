@@ -7,6 +7,7 @@ from dicelab.errors import (
     DimMismatchError,
     EmptyDatasetError,
     InvalidConfigError,
+    NonFiniteTrainingError,
     ShapeMismatchError,
     TensorFileError,
 )
@@ -22,6 +23,7 @@ from dicelab.synthdata import (
     generate_binary,
     generate_multiclass,
 )
+from dicelab import trainer
 from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
 from dicelab.trainer import (
     Head,
@@ -313,11 +315,29 @@ class TestTrainLoop:
             train(ds, TrainConfig(loss=loss, iterations=1))
 
     @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(learning_rate=-1.0),
-                                        dict(iterations=-1)])
+                                        dict(iterations=-1), dict(learning_rate=float("nan")),
+                                        dict(learning_rate=float("inf"))])
     def test_config_validation(self, kwargs):
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE)
         with pytest.raises(InvalidConfigError):
             TrainConfig(loss=loss, **kwargs)
+
+    def test_non_finite_step_stops_training_at_its_iteration(self, monkeypatch):
+        real = trainer.step_gradients
+        calls = []
+
+        def nan_on_third(*args):
+            calls.append(1)
+            step = real(*args)
+            if len(calls) == 3:
+                return step._replace(param_grad=np.full_like(step.param_grad, np.nan))
+            return step
+
+        monkeypatch.setattr(trainer, "step_gradients", nan_on_third)
+        ds = generate_binary(SMALL_BINARY, seed=0)
+        with pytest.raises(NonFiniteTrainingError, match="iteration 3$"):
+            train(ds, self.binary_cfg(iterations=10))
+        assert len(calls) == 3
 
     def test_predict_covers_whole_dataset(self):
         ds = generate_binary(SMALL_BINARY, seed=0)
