@@ -267,9 +267,10 @@ class CellResult:
         return (self.labeling, self.setup, self.batch_size)
 
 
-def run_cell(config: ExperimentConfig, labeling: str, setup: str,
-             batch_size: int) -> CellResult:
-    full, corrupted = build_dataset(config)
+def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: int,
+             datasets: tuple[SyntheticDataset, SyntheticDataset] | None = None) -> CellResult:
+    """Train and score one cell; datasets is build_dataset(config), built here when omitted."""
+    full, corrupted = datasets if datasets is not None else build_dataset(config)
     train_view = corrupted if labeling == "partial" else full
     k = config.folds
     metric_rows = []
@@ -449,11 +450,13 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtif
     out = Path(out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise InvalidConfigError(f"output directory {out} must be new or empty")
-    _check_folds(config, build_dataset(config)[0])  # dropped: holds no memory while cells train
+    datasets = build_dataset(config)
+    full = datasets[0]
+    _check_folds(config, full)
     out.mkdir(parents=True, exist_ok=True)
     cells = config.cells()
     if jobs == 1 or len(cells) == 1:
-        results = [run_cell(config, *cell) for cell in cells]
+        results = [run_cell(config, *cell, datasets=datasets) for cell in cells]
     else:
         config_dict = config_to_dict(config)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -461,7 +464,6 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtif
                                     [(config_dict, *cell) for cell in cells]))
 
     save_config(config, out / "config_snapshot.yaml")
-    full, _ = build_dataset(config)
     dataset_dir = out / "dataset"
     save_dataset(full, dataset_dir)
 

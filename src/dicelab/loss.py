@@ -213,7 +213,7 @@ def _pool(
     eps = _epsilon(cfg, y.shape[1])
     S = gsum + psum + eps
     np.copyto(S, np.inf, where=~kept)  # a dropped subset scores 0 and gets zero gradient
-    if not S.all():  # some counted S == 0
+    if np.count_nonzero(S) < S.size:  # some counted S == 0; cheaper than S.all() on tiny S
         raise ZeroDenominatorError(
             "a counted subset has empty ground truth, all-zero prediction and epsilon 0, "
             "so its Dice score is 0/0"
@@ -226,10 +226,8 @@ def _loss_values(score: np.ndarray, kept: np.ndarray, K: int) -> np.ndarray:
     """1 - mean score over the K counted subsets, one value per leading index; 0 when K is 0."""
     if K == 0:
         return np.zeros(score.shape[:-3])
-    if score.ndim == 3:  # one prediction, once per training step: the cheapest index
-        return 1.0 - score[kept].sum() / K
     # with leading axes the boolean index comes back column-major; made row-contiguous,
-    # each row sums in the same order as the lone score[kept].sum() above
+    # each row sums in the same order as a lone prediction's 1-D score[kept].sum()
     return 1.0 - np.ascontiguousarray(score[..., kept]).sum(axis=-1) / K
 
 

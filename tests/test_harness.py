@@ -247,6 +247,19 @@ class TestRunExperiment:
             b = out2 / a.relative_to(artifacts.out_dir)
             assert a.read_bytes() == b.read_bytes(), a.name
 
+    def test_serial_run_builds_the_dataset_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_build(config):
+            calls.append(config)
+            return build_dataset(config)
+
+        monkeypatch.setattr(harness, "build_dataset", counting_build)
+        config = tiny_config(setups=("image-wise",), iterations=5)
+        artifacts = run_experiment(config, tmp_path / "x")
+        assert len(artifacts.cell_dirs) == 2
+        assert len(calls) == 1
+
     def test_non_empty_output_directory_rejected(self, tiny_run):
         config, artifacts = tiny_run
         before = sorted(artifacts.out_dir.rglob("*"))
