@@ -35,8 +35,6 @@ from .loss import (
     DiceLossConfig,
     LossOutput,
     Variant,
-    dice_backward,
-    dice_forward,
     dice_value_and_grad,
     dice_values,
     marginal_merge,
@@ -69,7 +67,6 @@ from .trainer import (
     TrainConfig,
     TrainResult,
     featurize,
-    finite_diff_param_grad,
     load_model,
     model_backward,
     model_forward,

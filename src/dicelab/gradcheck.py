@@ -18,7 +18,7 @@ import numpy as np
 
 from .epsilon import calibrate_epsilon
 from .errors import ShapeMismatchError, StepOutOfRangeError
-from .loss import AvailabilityMask, DiceLossConfig, dice_backward, dice_values
+from .loss import AvailabilityMask, DiceLossConfig, dice_value_and_grad, dice_values
 from .tensor import BatchTensor, ReductionScheme, Shape, _wrap
 
 DEFAULT_STEP = 1e-5
@@ -211,7 +211,7 @@ def run_check_matrix(
                                                nonempty_subsets=(eps_label == "0"))
                     cfg = DiceLossConfig(scheme=scheme,
                                          epsilon=resolve_epsilon(eps_label, gt, scheme))
-                    analytic = dice_backward(gt, pred, cfg)
+                    analytic = dice_value_and_grad(gt, pred, cfg)[1]
                     if perturb != 0.0:
                         bumped = analytic.data.copy()
                         bumped.reshape(-1)[0] += perturb

@@ -10,8 +10,6 @@ byte-identical for a given config no matter the job count.
 
 from __future__ import annotations
 
-import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -40,7 +38,7 @@ from .synthdata import (
     save_dataset,
 )
 from .tensor import ReductionScheme, Shape, _wrap
-from .trainer import Head, LinearPixelModel, TrainConfig, featurize, model_forward, save_model, train
+from .trainer import TrainConfig, _require_int, _require_learning_rate, predict, save_model, train
 
 CONFIG_SCHEMA = 1
 
@@ -85,24 +83,13 @@ class ExperimentConfig:
         _require_int("iterations", self.iterations, 1)
         _require_int("seed", self.seed, 0)
         _require_int("bootstrap_resamples", self.bootstrap_resamples, 1)
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (
-                math.isfinite(lr) and lr >= 0):
-            raise InvalidConfigError(
-                f"learning_rate must be a finite number >= 0, got {self.learning_rate!r}"
-            )
+        _require_learning_rate(self.learning_rate)
 
     def cells(self) -> list[tuple[str, str, int]]:
         return [(lab, setup, b)
                 for lab in self.labelings
                 for setup in self.setups
                 for b in self.batch_sizes]
-
-
-def _require_int(name: str, value, minimum: int) -> None:
-    """An integer (bool excluded) of at least minimum, else InvalidConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def default_config(task: str) -> ExperimentConfig:
@@ -255,7 +242,7 @@ class CellResult:
     calibration_rows: tuple
     # per fold: tuple of HistoryRow
     histories: tuple
-    # per fold: (head value, weights array)
+    # per fold: the trained LinearPixelModel
     models: tuple
     loss_class_names: tuple
     roc_points: tuple
@@ -294,10 +281,9 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
                 f"cell {_cell_dirname(labeling, setup, batch_size)} fold {fold}: {exc}"
             ) from exc
         histories.append(result.history)
-        models.append((result.model.head.value, np.asarray(result.model.weights)))
+        models.append(result.model)
         loss_class_names = result.class_names
-        feats = np.stack([featurize(s.image) for s in val_split.samples])
-        pred = model_forward(result.model, feats)
+        pred = predict(result.model, val_split)
         hard = binarize(pred, result.model.head)
         fg_offset = hard.shape[1] - full.n_classes  # softmax output includes background
         for row, s in enumerate(val_split.samples):
@@ -479,8 +465,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtif
             header += [f"grad_y0_{n}" for n in names] + [f"grad_y1_{n}" for n in names]
             hrows = [[h.iteration, h.loss, *h.grad_mag_y0, *h.grad_mag_y1] for h in history]
             write_csv(cdir / f"history_fold{fold}.csv", header, hrows)
-        for fold, (head_value, weights) in enumerate(r.models):
-            save_model(LinearPixelModel(weights, Head(head_value)), cdir / f"fold{fold}.model")
+        for fold, model in enumerate(r.models):
+            save_model(model, cdir / f"fold{fold}.model")
 
     metric_header = ["labeling", "setup", "batch_size", "fold", "subject_id", "tag",
                      "class", "dsc", "delta_v", "pred_vol", "true_vol"]

@@ -114,16 +114,27 @@ class LossOutput:
     effective_subset_count: int
 
 
-def _merge_unavailable(
-    gt: BatchTensor,
+def marginal_merge(
+    gt: np.ndarray,
     p: np.ndarray,
     mask: AvailabilityMask | None,
     background_class: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """marginal_merge on predictions of shape (..., B, C, I): merged predictions and routing."""
+    """Fold unavailable-class predictions into the background column.
+
+    gt is the (B, C, I) ground truth and p holds predictions of shape
+    (..., B, C, I), so a stack of predictions merges in one call. Predictions
+    must be softmax-style (class columns sum to 1 per pixel) and the ground
+    truth of every unavailable class must already be empty. Merged columns are
+    zeroed in place of being physically removed; the returned routing table
+    maps, per batch element, each original class to the merged column that now
+    carries it (itself when available, background otherwise).
+    """
+    if gt.ndim != 3 or p.shape[-3:] != gt.shape:
+        raise ShapeMismatchError(f"gt shape {gt.shape} does not match predictions {p.shape}")
     if mask is None:
         raise InvalidConfigError("marginal variant requires an availability mask")
-    B, C, I = gt.shape.as_tuple()
+    B, C, I = gt.shape
     if C < 2:
         raise InvalidConfigError("marginal merging requires multiclass (C >= 2) predictions")
     if not (0 <= background_class < C):
@@ -140,7 +151,7 @@ def _merge_unavailable(
         raise NotADistributionError(f"prediction columns must sum to 1 per pixel (max dev {worst:.3g})")
 
     unavailable = ~avail
-    if np.any(gt.data[unavailable] != 0.0):
+    if np.any(gt[unavailable] != 0.0):
         raise MissingLabelNotEmptyError("ground truth of an unavailable class contains foreground")
 
     merged = p.copy()
@@ -150,26 +161,6 @@ def _merge_unavailable(
 
     routing = np.where(avail, np.arange(C)[None, :], background_class)
     return merged, routing
-
-
-def marginal_merge(
-    gt: BatchTensor,
-    pred: BatchTensor,
-    mask: AvailabilityMask,
-    background_class: int,
-) -> tuple[BatchTensor, BatchTensor, np.ndarray]:
-    """Fold unavailable-class predictions into the background column.
-
-    Predictions must be softmax-style (class columns sum to 1 per pixel) and
-    the ground truth of every unavailable class must already be empty. Merged
-    columns are zeroed in place of being physically removed; the returned
-    routing table maps, per batch element, each original class to the merged
-    column that now carries it (itself when available, background otherwise).
-    """
-    if gt.shape != pred.shape:
-        raise ShapeMismatchError(f"gt shape {gt.shape} != pred shape {pred.shape}")
-    merged, routing = _merge_unavailable(gt, pred.data, mask, background_class)
-    return (_wrap(gt.shape, gt.data.copy()), _wrap(gt.shape, merged), routing)
 
 
 def _epsilon(cfg: DiceLossConfig, classes: int) -> float | np.ndarray:
@@ -204,7 +195,7 @@ def _pool(
     if cfg.variant is Variant.LEAF:
         kept = gsum > 0.0
     elif cfg.variant is Variant.MARGINAL:
-        # _merge_unavailable checked that the background is available everywhere,
+        # marginal_merge checked that the background is available everywhere,
         # so only subsets made of merged-away classes alone are dropped
         kept = mask.available[:, :, None].any(axis=axes, keepdims=True)
     else:
@@ -245,22 +236,21 @@ def dice_value_and_grad(
     """
     if gt.shape != pred.shape:
         raise ShapeMismatchError(f"gt shape {gt.shape} != pred shape {pred.shape}")
-    shape = gt.shape
+    y, p = gt.data, pred.data
     routing = None
     if cfg.variant is Variant.MARGINAL:
-        gt, pred, routing = marginal_merge(gt, pred, mask, cfg.background_class)
+        p, routing = marginal_merge(y, p, mask, cfg.background_class)
 
-    y = gt.data
-    kept, K, N, S = _pool(y, pred.data, cfg, mask)
+    kept, K, N, S = _pool(y, p, cfg, mask)
     score = N / S
     value = float(_loss_values(score, kept, K))
     if K == 0:
-        return LossOutput(value, score, kept, 0), _wrap(shape, np.zeros(y.shape))
+        return LossOutput(value, score, kept, 0), _wrap(gt.shape, np.zeros(y.shape))
     ratio = N / (S * S)
     grad = np.where(y == 1.0, (ratio - 2.0 / S) / K, ratio / K)
     if routing is not None:
         grad = np.take_along_axis(grad, routing[:, :, None], axis=1)
-    return LossOutput(value, score, kept, K), _wrap(shape, grad)
+    return LossOutput(value, score, kept, K), _wrap(gt.shape, grad)
 
 
 def dice_values(
@@ -272,32 +262,13 @@ def dice_values(
     """Dice loss of every prediction stacked along the leading axes of preds, value only.
 
     preds has shape (..., B, C, I) against the one (B, C, I) ground truth; the
-    result has shape (...), and entry k equals dice_forward(gt, preds[k]).value.
+    result has shape (...), and entry k equals dice_value_and_grad(gt, preds[k])[0].value.
     """
     p = np.asarray(preds, dtype=np.float64)
     if p.shape[-3:] != gt.shape.as_tuple():
         raise ShapeMismatchError(f"gt shape {gt.shape} does not match predictions {p.shape}")
     if cfg.variant is Variant.MARGINAL:
-        p = _merge_unavailable(gt, p, mask, cfg.background_class)[0]
+        p = marginal_merge(gt.data, p, mask, cfg.background_class)[0]
     kept, K, N, S = _pool(gt.data, p, cfg, mask)
     return _loss_values(N / S, kept, K)
 
-
-def dice_forward(
-    gt: BatchTensor,
-    pred: BatchTensor,
-    cfg: DiceLossConfig,
-    mask: AvailabilityMask | None = None,
-) -> LossOutput:
-    """Dice loss value plus per-subset scores; the first half of dice_value_and_grad."""
-    return dice_value_and_grad(gt, pred, cfg, mask)[0]
-
-
-def dice_backward(
-    gt: BatchTensor,
-    pred: BatchTensor,
-    cfg: DiceLossConfig,
-    mask: AvailabilityMask | None = None,
-) -> BatchTensor:
-    """Analytic gradient of the loss; the second half of dice_value_and_grad."""
-    return dice_value_and_grad(gt, pred, cfg, mask)[1]

@@ -91,11 +91,10 @@ class BatchTensor:
         return self.data.reshape(-1)
 
 
-def _wrap(shape: Shape, array: np.ndarray, *, freeze: bool = True) -> BatchTensor:
+def _wrap(shape: Shape, array: np.ndarray) -> BatchTensor:
     """Internal constructor that skips role validation."""
     array = np.ascontiguousarray(array, dtype=np.float64).reshape(shape.as_tuple())
-    if freeze:
-        array.flags.writeable = False
+    array.flags.writeable = False
     return BatchTensor(shape=shape, data=array)
 
 

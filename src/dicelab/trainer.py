@@ -10,6 +10,7 @@ finite-difference checked end to end.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -26,7 +27,7 @@ from .errors import (
     ShapeMismatchError,
     TensorFileError,
 )
-from .loss import AvailabilityMask, DiceLossConfig, Variant, dice_forward, dice_value_and_grad
+from .loss import AvailabilityMask, DiceLossConfig, Variant, dice_value_and_grad
 from .tensor import BatchTensor, Shape, _wrap
 
 N_FEATURES = 4
@@ -69,14 +70,23 @@ class TrainConfig:
     include_background_in_loss: bool = False
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise InvalidConfigError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
-            )
-        if self.iterations < 0:
-            raise InvalidConfigError(f"iterations must be >= 0, got {self.iterations}")
+        _require_int("batch_size", self.batch_size, 1)
+        _require_learning_rate(self.learning_rate)
+        _require_int("iterations", self.iterations, 0)
+        _require_int("seed", self.seed, 0)
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """An integer (bool excluded) of at least minimum, else InvalidConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_learning_rate(value) -> None:
+    """A finite real number (bool excluded) of at least 0, else InvalidConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            math.isfinite(value) and value >= 0):
+        raise InvalidConfigError(f"learning_rate must be a finite number >= 0, got {value!r}")
 
 
 def featurize(image: np.ndarray) -> np.ndarray:
@@ -118,12 +128,14 @@ def model_backward(
     model: LinearPixelModel,
     features: np.ndarray,
     loss_grad: np.ndarray,
-    preds: np.ndarray | None = None,
+    preds: np.ndarray,
 ) -> np.ndarray:
     """Chain the loss gradient through the head and linear layer: dloss/dweights.
 
-    Sigmoid: dz = g * p * (1 - p).  Softmax: dz_c = p_c * (g_c - sum_c' g_c' p_c'),
-    the usual Jacobian contraction.  Both then contract against the features.
+    preds are model_forward's predictions for these features, which the head's
+    Jacobian needs. Sigmoid: dz = g * p * (1 - p).  Softmax: dz_c = p_c * (g_c -
+    sum_c' g_c' p_c'), the usual Jacobian contraction.  Both then contract
+    against the features.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim == 2:
@@ -134,8 +146,6 @@ def model_backward(
             f"loss_grad shape {g.shape} does not match "
             f"({feats.shape[0]}, {model.n_classes}, {feats.shape[1]})"
         )
-    if preds is None:
-        preds = model_forward(model, feats).data
     p = np.asarray(preds, dtype=np.float64).reshape(g.shape)
     if model.head is Head.SIGMOID:
         dz = g * p * (1.0 - p)
@@ -148,28 +158,6 @@ class StepResult(NamedTuple):
     loss: float
     loss_grad: BatchTensor
     param_grad: np.ndarray
-
-
-def _loss_slices(pred: BatchTensor, model_cols: np.ndarray) -> np.ndarray:
-    b, c, i = pred.shape.as_tuple()
-    return pred.data.reshape(b, c, i)[:, model_cols, :]
-
-
-def evaluate_loss(
-    model: LinearPixelModel,
-    features: np.ndarray,
-    gt: BatchTensor,
-    cfg: DiceLossConfig,
-    mask: AvailabilityMask | None = None,
-    model_cols: np.ndarray | None = None,
-) -> float:
-    """Forward pass through model and loss; the finite-difference target for dtheta."""
-    if model_cols is None:
-        model_cols = np.arange(model.n_classes)
-    pred = model_forward(model, features)
-    sliced = _loss_slices(pred, model_cols)
-    pred_bt = _wrap(gt.shape, sliced.reshape(-1))
-    return dice_forward(gt, pred_bt, cfg, mask).value
 
 
 def step_gradients(
@@ -199,30 +187,8 @@ def step_gradients(
     out, grad = dice_value_and_grad(gt, pred_bt, cfg, mask)
     scattered = np.zeros((b, c, i))
     scattered[:, model_cols, :] = grad.data.reshape(gt.shape.as_tuple())
-    dtheta = model_backward(model, feats, scattered, preds=preds_arr)
+    dtheta = model_backward(model, feats, scattered, preds_arr)
     return StepResult(out.value, grad, dtheta)
-
-
-def finite_diff_param_grad(
-    model: LinearPixelModel,
-    features: np.ndarray,
-    gt: BatchTensor,
-    cfg: DiceLossConfig,
-    mask: AvailabilityMask | None = None,
-    model_cols: np.ndarray | None = None,
-    h: float = 1e-5,
-) -> np.ndarray:
-    """Central differences of the full model-plus-loss forward over each weight."""
-    base = model.weights.copy()
-    grad = np.zeros_like(base)
-    for idx in np.ndindex(*base.shape):
-        for sign in (1.0, -1.0):
-            w = base.copy()
-            w[idx] += sign * h
-            probe = LinearPixelModel(w, model.head)
-            val = evaluate_loss(probe, features, gt, cfg, mask, model_cols)
-            grad[idx] += sign * val
-    return grad / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -362,6 +328,8 @@ def load_model(path) -> LinearPixelModel:
         f = int(fields["features"])
     except (KeyError, ValueError) as exc:
         raise TensorFileError(f"{path}: malformed header") from exc
+    if c < 0 or f < 0:
+        raise TensorFileError(f"{path}: negative size in header (classes={c}, features={f})")
     payload = blob[newline + 1:]
     if len(payload) != 8 * c * f:
         raise TensorFileError(f"{path}: expected {8 * c * f} payload bytes, got {len(payload)}")

@@ -17,7 +17,7 @@ from dicelab.cli import main as cli_main
 from dicelab.epsilon import BalanceParams, calibrate_epsilon, solve_balance_epsilon
 from dicelab.gradcheck import random_instance, run_check_matrix
 from dicelab.harness import build_dataset, default_config, run_experiment
-from dicelab.loss import DiceLossConfig, dice_backward, dice_forward
+from dicelab.loss import DiceLossConfig, dice_value_and_grad
 from dicelab.metrics import read_csv
 from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
 
@@ -105,9 +105,10 @@ def test_03_scheme_degeneracies(say):
             eps = 1.0 if k % 2 else 1e-7
             cfg_a = DiceLossConfig(scheme=scheme_a, epsilon=eps)
             cfg_b = DiceLossConfig(scheme=scheme_b, epsilon=eps)
-            dv = abs(dice_forward(gt, pred, cfg_a).value - dice_forward(gt, pred, cfg_b).value)
-            dg = float(np.max(np.abs(dice_backward(gt, pred, cfg_a).data
-                                     - dice_backward(gt, pred, cfg_b).data)))
+            dv = abs(dice_value_and_grad(gt, pred, cfg_a)[0].value
+                     - dice_value_and_grad(gt, pred, cfg_b)[0].value)
+            dg = float(np.max(np.abs(dice_value_and_grad(gt, pred, cfg_a)[1].data
+                                     - dice_value_and_grad(gt, pred, cfg_b)[1].data)))
             worst = max(worst, dv, dg)
             n_checked += 1
     ok = worst <= 1e-12

@@ -14,7 +14,7 @@ from dicelab.gradcheck import (
     resolve_epsilon,
     run_check_matrix,
 )
-from dicelab.loss import AvailabilityMask, DiceLossConfig, Variant, dice_backward
+from dicelab.loss import AvailabilityMask, DiceLossConfig, Variant, dice_value_and_grad
 from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
 
 
@@ -55,7 +55,7 @@ class TestFiniteDiff:
         pred = make_batch(shape, np.linspace(0.2, 0.8, 8), Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.LEAF)
-        analytic = dice_backward(gt, pred, cfg)
+        analytic = dice_value_and_grad(gt, pred, cfg)[1]
         numeric = finite_diff_grad(gt, pred, cfg)
         assert np.all(analytic.data[0, 1] == 0.0)
         assert compare_grads(analytic, numeric).passed
@@ -89,7 +89,6 @@ class TestFiniteDiff:
 
         monkeypatch.setattr(gradcheck, "dice_values", counting)
         monkeypatch.setattr(loss, "dice_value_and_grad", forbidden)
-        monkeypatch.setattr(loss, "dice_forward", forbidden)
         if block is not None:
             monkeypatch.setattr(gradcheck, "FD_BLOCK_ELEMENTS", block)
         finite_diff_grad(gt, pred, cfg)
@@ -113,7 +112,7 @@ class TestCompareGrads:
         shape = Shape(2, 2, 5)
         gt, pred = random_instance(shape, np.random.default_rng(3))
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1.0)
-        analytic = dice_backward(gt, pred, cfg)
+        analytic = dice_value_and_grad(gt, pred, cfg)[1]
         numeric = finite_diff_grad(gt, pred, cfg)
         return shape, analytic, numeric
 
@@ -156,7 +155,7 @@ class TestTwoValue:
         shape = Shape(2, 3, 6)
         gt, pred = random_instance(shape, np.random.default_rng(4))
         cfg = DiceLossConfig(scheme=ReductionScheme.CLASS_WISE, epsilon=0.5)
-        grad = dice_backward(gt, pred, cfg)
+        grad = dice_value_and_grad(gt, pred, cfg)[1]
         report = check_two_value(gt, grad, ReductionScheme.CLASS_WISE)
         assert report.passed
         assert report.n_clusters.shape == (2, 1, 1)

@@ -15,8 +15,6 @@ from dicelab.loss import (
     AvailabilityMask,
     DiceLossConfig,
     Variant,
-    dice_backward,
-    dice_forward,
     dice_value_and_grad,
     dice_values,
     marginal_merge,
@@ -41,7 +39,7 @@ class TestForward:
         gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5, 0.5], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0)
-        out = dice_forward(gt, pred, cfg)
+        out = dice_value_and_grad(gt, pred, cfg)[0]
         assert out.value == pytest.approx(0.5, abs=1e-15)
         assert out.effective_subset_count == 1
         assert out.kept.shape == out.score.shape == (1, 1, 1)
@@ -55,25 +53,25 @@ class TestForward:
         gt = make_batch(shape, [0, 0, 0, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5] * 4, Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=2.0)
-        assert dice_forward(gt, pred, cfg).value == pytest.approx(0.5, abs=1e-15)
+        assert dice_value_and_grad(gt, pred, cfg)[0].value == pytest.approx(0.5, abs=1e-15)
 
     def test_perfect_prediction_is_zero_loss(self):
         shape = Shape(2, 1, 3)
         gt = make_batch(shape, [1, 0, 1, 0, 1, 0], Role.GROUND_TRUTH)
         cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE, epsilon=0.0)
-        assert dice_forward(gt, gt, cfg).value == pytest.approx(0.0, abs=1e-15)
+        assert dice_value_and_grad(gt, gt, cfg)[0].value == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("scheme", ALL)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference_path(self, scheme, seed):
         gt, pred = random_pair(Shape(2, 3, 5), seed)
         cfg = DiceLossConfig(scheme=scheme, epsilon=0.5)
-        assert dice_forward(gt, pred, cfg).value == pytest.approx(
+        assert dice_value_and_grad(gt, pred, cfg)[0].value == pytest.approx(
             reference_loss(gt, pred, cfg), abs=1e-12)
 
     def test_schemes_differ_on_asymmetric_batch(self):
         gt, pred = random_pair(Shape(3, 2, 6), seed=5)
-        values = {s: dice_forward(gt, pred, DiceLossConfig(scheme=s, epsilon=1.0)).value
+        values = {s: dice_value_and_grad(gt, pred, DiceLossConfig(scheme=s, epsilon=1.0))[0].value
                   for s in ALL}
         assert len({round(v, 12) for v in values.values()}) == 4
 
@@ -83,13 +81,13 @@ class TestForward:
         pred = make_batch(shape, [0.5, 0.5, 0.25, 0.25], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=[0.0, 2.0])
         # class 0: (2*0.5 + 0)/(1 + 1 + 0) = 0.5; class 1: (0 + 2)/(0 + 0.5 + 2) = 0.8
-        assert dice_forward(gt, pred, cfg).value == pytest.approx(1.0 - (0.5 + 0.8) / 2)
+        assert dice_value_and_grad(gt, pred, cfg)[0].value == pytest.approx(1.0 - (0.5 + 0.8) / 2)
 
     def test_shape_mismatch(self):
         gt = make_batch(Shape(1, 1, 2), [1, 0], Role.GROUND_TRUTH)
         pred = make_batch(Shape(1, 1, 3), [0.5, 0.5, 0.5], Role.PREDICTION)
         with pytest.raises(ShapeMismatchError):
-            dice_forward(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE))
+            dice_value_and_grad(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE))[0]
 
 
 class TestConfigValidation:
@@ -112,7 +110,7 @@ class TestConfigValidation:
         for eps in ([1.0, 2.0], [1.0]):
             cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=eps)
             with pytest.raises(EpsilonShapeError):
-                dice_forward(gt, pred, cfg)
+                dice_value_and_grad(gt, pred, cfg)[0]
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, [1.0, np.nan], [np.inf, 1.0]])
     def test_non_finite_epsilon(self, eps):
@@ -132,7 +130,7 @@ class TestConfigValidation:
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE,
                              variant=Variant.MARGINAL, background_class=0)
         with pytest.raises(InvalidConfigError):
-            dice_forward(gt, pred, cfg)
+            dice_value_and_grad(gt, pred, cfg)[0]
 
 
 class TestBackward:
@@ -141,7 +139,7 @@ class TestBackward:
         gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5, 0.5], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0)
-        grad = dice_backward(gt, pred, cfg).flat()
+        grad = dice_value_and_grad(gt, pred, cfg)[1].flat()
         # S = 2, N = 1: y=1 slot -(2/2 - 1/4) = -0.75, y=0 slot 1/4 = 0.25
         assert grad == pytest.approx([-0.75, 0.25], abs=1e-15)
 
@@ -150,13 +148,13 @@ class TestBackward:
         gt = make_batch(shape, [0] * 4, Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5] * 4, Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=2.0)
-        grad = dice_backward(gt, pred, cfg).flat()
+        grad = dice_value_and_grad(gt, pred, cfg)[1].flat()
         # S = 4, N = 2: every slot N/S^2 = 0.125
         assert grad == pytest.approx([0.125] * 4, abs=1e-15)
 
     def test_gradient_output_is_frozen(self):
         gt, pred = random_pair(Shape(1, 2, 3), seed=1)
-        grad = dice_backward(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE))
+        grad = dice_value_and_grad(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE))[1]
         with pytest.raises(ValueError):
             grad.data[0, 0, 0] = 0.0
 
@@ -168,12 +166,12 @@ class TestLeafVariant:
         pred = make_batch(shape, [0.5, 0.5, 0.3, 0.7], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0,
                              variant=Variant.LEAF)
-        out = dice_forward(gt, pred, cfg)
+        out = dice_value_and_grad(gt, pred, cfg)[0]
         assert out.effective_subset_count == 1
         assert np.flatnonzero(out.kept).tolist() == [0]
         assert out.score[0, 1, 0] == 0.0
         assert out.value == pytest.approx(0.5)
-        grad = dice_backward(gt, pred, cfg).data
+        grad = dice_value_and_grad(gt, pred, cfg)[1].data
         assert np.all(grad[0, 1, :] == 0.0)
         assert np.any(grad[0, 0, :] != 0.0)
 
@@ -183,18 +181,18 @@ class TestLeafVariant:
         pred = make_batch(shape, [0.4] * 6, Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.LEAF)
-        out = dice_forward(gt, pred, cfg)
+        out = dice_value_and_grad(gt, pred, cfg)[0]
         assert out.value == 0.0
         assert out.effective_subset_count == 0
         assert not out.kept.any()
-        assert np.all(dice_backward(gt, pred, cfg).data == 0.0)
+        assert np.all(dice_value_and_grad(gt, pred, cfg)[1].data == 0.0)
 
     def test_leaf_filter_keeps_order(self):
         shape = Shape(1, 3, 2)
         gt = make_batch(shape, [0, 0, 1, 0, 0, 1], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5] * 6, Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, variant=Variant.LEAF)
-        assert np.flatnonzero(dice_forward(gt, pred, cfg).kept).tolist() == [1, 2]
+        assert np.flatnonzero(dice_value_and_grad(gt, pred, cfg)[0].kept).tolist() == [1, 2]
 
     def test_leaf_equals_standard_when_nothing_is_empty(self):
         gt, pred = random_pair(Shape(2, 2, 6), seed=7)
@@ -203,9 +201,10 @@ class TestLeafVariant:
         std = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5)
         leaf = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5,
                               variant=Variant.LEAF)
-        assert dice_forward(gt, pred, leaf).value == dice_forward(gt, pred, std).value
-        assert np.array_equal(dice_backward(gt, pred, leaf).data,
-                              dice_backward(gt, pred, std).data)
+        assert (dice_value_and_grad(gt, pred, leaf)[0].value
+                == dice_value_and_grad(gt, pred, std)[0].value)
+        assert np.array_equal(dice_value_and_grad(gt, pred, leaf)[1].data,
+                              dice_value_and_grad(gt, pred, std)[1].data)
 
 
 def softmax_like_pred(shape, seed):
@@ -226,11 +225,10 @@ class TestMarginalMerge:
 
     def test_spill_goes_to_background(self):
         shape, gt, pred, mask = self.make_case()
-        mgt, mpred, routing = marginal_merge(gt, pred, mask, background_class=0)
-        assert np.array_equal(mgt.data, gt.data)
-        assert mpred.data[0, 1].tolist() == [0.0, 0.0]
-        assert mpred.data[0, 0] == pytest.approx([0.7, 0.7])  # 0.2+0.5, 0.1+0.6
-        assert mpred.data[0, 2] == pytest.approx([0.3, 0.3])
+        merged, routing = marginal_merge(gt.data, pred.data, mask, background_class=0)
+        assert merged[0, 1].tolist() == [0.0, 0.0]
+        assert merged[0, 0] == pytest.approx([0.7, 0.7])  # 0.2+0.5, 0.1+0.6
+        assert merged[0, 2] == pytest.approx([0.3, 0.3])
         assert routing.tolist() == [[0, 0, 2]]
 
     def test_unavailable_gt_must_be_empty(self):
@@ -239,39 +237,45 @@ class TestMarginalMerge:
         pred = softmax_like_pred(shape, seed=0)
         mask = AvailabilityMask(np.array([[True, False]]))
         with pytest.raises(MissingLabelNotEmptyError):
-            marginal_merge(gt, pred, mask, background_class=0)
+            marginal_merge(gt.data, pred.data, mask, background_class=0)
 
     def test_columns_must_sum_to_one(self):
         shape, gt, _, mask = self.make_case()
         bad = make_batch(shape, [0.2, 0.1, 0.5, 0.6, 0.2, 0.2], Role.PREDICTION)
         with pytest.raises(NotADistributionError):
-            marginal_merge(gt, bad, mask, background_class=0)
+            marginal_merge(gt.data, bad.data, mask, background_class=0)
 
     def test_tiny_column_sum_error_tolerated(self):
         shape, gt, pred, mask = self.make_case()
         nudged = pred.data.copy()
         nudged[0, 0, 0] += 5e-7
         ok = make_batch(shape, nudged.reshape(-1), Role.PREDICTION)
-        marginal_merge(gt, ok, mask, background_class=0)
+        marginal_merge(gt.data, ok.data, mask, background_class=0)
 
     def test_background_must_stay_available(self):
         shape, gt, pred, _ = self.make_case()
         mask = AvailabilityMask(np.array([[False, True, True]]))
         with pytest.raises(InvalidConfigError):
-            marginal_merge(gt, pred, mask, background_class=0)
+            marginal_merge(gt.data, pred.data, mask, background_class=0)
 
     def test_single_class_rejected(self):
         shape = Shape(1, 1, 2)
         gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [1.0, 0.0], Role.PREDICTION)
         with pytest.raises(InvalidConfigError):
-            marginal_merge(gt, pred, AvailabilityMask(np.array([[True]])), background_class=0)
+            marginal_merge(gt.data, pred.data, AvailabilityMask(np.array([[True]])),
+                           background_class=0)
 
     def test_mask_shape_checked(self):
         shape, gt, pred, _ = self.make_case()
         with pytest.raises(ShapeMismatchError):
-            marginal_merge(gt, pred, AvailabilityMask(np.ones((2, 3), dtype=bool)),
+            marginal_merge(gt.data, pred.data, AvailabilityMask(np.ones((2, 3), dtype=bool)),
                            background_class=0)
+
+    def test_prediction_shape_checked(self):
+        shape, gt, pred, mask = self.make_case()
+        with pytest.raises(ShapeMismatchError):
+            marginal_merge(gt.data, pred.data[..., :1], mask, background_class=0)
 
 
 class TestMarginalVariant:
@@ -303,7 +307,7 @@ class TestMarginalVariant:
         shape, gt, pred, mask = self.build(avail)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.MARGINAL, background_class=0)
-        out = dice_forward(gt, pred, cfg, mask)
+        out = dice_value_and_grad(gt, pred, cfg, mask)[0]
         # element 0 loses one subset, element 1 keeps all three
         assert out.effective_subset_count == 5
         scores = []
@@ -337,7 +341,7 @@ class TestMarginalVariant:
         shape, gt, pred, mask = self.build(avail, seed=21)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.MARGINAL, background_class=0)
-        grad = dice_backward(gt, pred, cfg, mask).data
+        grad = dice_value_and_grad(gt, pred, cfg, mask)[1].data
         assert np.array_equal(grad[0, 1], grad[0, 0])
         assert not np.array_equal(grad[1, 1], grad[1, 0])
 
@@ -347,10 +351,10 @@ class TestMarginalVariant:
         std = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5)
         marg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5,
                               variant=Variant.MARGINAL, background_class=0)
-        assert dice_forward(gt, pred, marg, mask).value == pytest.approx(
-            dice_forward(gt, pred, std).value, abs=1e-15)
-        assert dice_backward(gt, pred, marg, mask).data == pytest.approx(
-            dice_backward(gt, pred, std).data, abs=1e-15)
+        assert dice_value_and_grad(gt, pred, marg, mask)[0].value == pytest.approx(
+            dice_value_and_grad(gt, pred, std)[0].value, abs=1e-15)
+        assert dice_value_and_grad(gt, pred, marg, mask)[1].data == pytest.approx(
+            dice_value_and_grad(gt, pred, std)[1].data, abs=1e-15)
 
 
 class TestDiceValues:
@@ -366,7 +370,7 @@ class TestDiceValues:
         assert values.shape == (2, 4)
         for j, k in np.ndindex(2, 4):
             single = make_batch(shape, stack[j, k].reshape(-1), Role.PREDICTION)
-            assert values[j, k] == dice_forward(gt, single, cfg).value
+            assert values[j, k] == dice_value_and_grad(gt, single, cfg)[0].value
 
     def test_marginal_stack_merges_each_prediction(self):
         shape = Shape(1, 3, 2)
@@ -376,7 +380,7 @@ class TestDiceValues:
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.MARGINAL, background_class=0)
         values = dice_values(gt, np.stack([p.data for p in preds]), cfg, mask)
-        assert values.tolist() == [dice_forward(gt, p, cfg, mask).value for p in preds]
+        assert values.tolist() == [dice_value_and_grad(gt, p, cfg, mask)[0].value for p in preds]
 
     def test_no_counted_subset_scores_zero(self):
         shape = Shape(2, 1, 3)

@@ -30,7 +30,6 @@ from dicelab.trainer import (
     LinearPixelModel,
     TrainConfig,
     featurize,
-    finite_diff_param_grad,
     load_model,
     model_backward,
     model_forward,
@@ -39,6 +38,7 @@ from dicelab.trainer import (
     step_gradients,
     train,
 )
+from fd_oracle import finite_diff_param_grad
 
 SMALL_BINARY = BinaryTaskParams(image_size=16, n_grade_a=4, n_grade_b=2,
                                 radius_a=(3.0, 4.5), radius_b=(2.0, 3.0))
@@ -120,20 +120,20 @@ class TestModelBackward:
         c = 0.3
         feats = featurize(np.full((4, 4), c))[None]
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
-        grad = model_backward(model, feats, np.ones((1, 1, 16)))
+        grad = model_backward(model, feats, np.ones((1, 1, 16)), model_forward(model, feats).data)
         assert grad == pytest.approx(0.25 * 16 * np.array([[1.0, c, c, 0.0]]))
 
     def test_zero_loss_grad_gives_zero_weight_grad(self):
         rng = np.random.default_rng(3)
         feats = rng.uniform(0, 1, (2, 8, 4))
         model = LinearPixelModel(rng.normal(size=(3, 4)), Head.SOFTMAX)
-        grad = model_backward(model, feats, np.zeros((2, 3, 8)))
+        grad = model_backward(model, feats, np.zeros((2, 3, 8)), model_forward(model, feats).data)
         assert np.all(grad == 0.0)
 
     def test_loss_grad_shape_checked(self):
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
         with pytest.raises(ShapeMismatchError):
-            model_backward(model, np.ones((1, 8, 4)), np.ones((1, 2, 8)))
+            model_backward(model, np.ones((1, 8, 4)), np.ones((1, 2, 8)), np.ones((1, 1, 8)))
 
 
 def gt_from_samples(samples, include_background):
@@ -316,7 +316,10 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(learning_rate=-1.0),
                                         dict(iterations=-1), dict(learning_rate=float("nan")),
-                                        dict(learning_rate=float("inf"))])
+                                        dict(learning_rate=float("inf")), dict(batch_size=2.5),
+                                        dict(batch_size=True), dict(iterations=2.5),
+                                        dict(seed=-1), dict(seed=1.5),
+                                        dict(learning_rate="1"), dict(learning_rate=True)])
     def test_config_validation(self, kwargs):
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE)
         with pytest.raises(InvalidConfigError):
@@ -371,6 +374,13 @@ class TestCheckpoint:
     def test_header_field_without_value(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_bytes(b"DLM1 head=sigmoid junk\n")
+        with pytest.raises(TensorFileError):
+            load_model(path)
+
+    def test_negative_size_in_header(self, tmp_path):
+        # 8 * 0 * -1 == 0 matched the empty payload and reached reshape as a bare ValueError
+        path = tmp_path / "bad.model"
+        path.write_bytes(b"DLM1 head=sigmoid classes=0 features=-1\n")
         with pytest.raises(TensorFileError):
             load_model(path)
 
