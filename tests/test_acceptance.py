@@ -105,10 +105,10 @@ def test_03_scheme_degeneracies(say):
             eps = 1.0 if k % 2 else 1e-7
             cfg_a = DiceLossConfig(scheme=scheme_a, epsilon=eps)
             cfg_b = DiceLossConfig(scheme=scheme_b, epsilon=eps)
-            dv = abs(dice_value_and_grad(gt, pred, cfg_a)[0].value
-                     - dice_value_and_grad(gt, pred, cfg_b)[0].value)
-            dg = float(np.max(np.abs(dice_value_and_grad(gt, pred, cfg_a)[1].data
-                                     - dice_value_and_grad(gt, pred, cfg_b)[1].data)))
+            out_a, g_a = dice_value_and_grad(gt, pred, cfg_a)
+            out_b, g_b = dice_value_and_grad(gt, pred, cfg_b)
+            dv = abs(out_a.value - out_b.value)
+            dg = float(np.max(np.abs(g_a.data - g_b.data)))
             worst = max(worst, dv, dg)
             n_checked += 1
     ok = worst <= 1e-12

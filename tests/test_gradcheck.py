@@ -89,6 +89,7 @@ class TestFiniteDiff:
 
         monkeypatch.setattr(gradcheck, "dice_values", counting)
         monkeypatch.setattr(loss, "dice_value_and_grad", forbidden)
+        monkeypatch.setattr(gradcheck, "dice_value_and_grad", forbidden)
         if block is not None:
             monkeypatch.setattr(gradcheck, "FD_BLOCK_ELEMENTS", block)
         finite_diff_grad(gt, pred, cfg)

@@ -166,14 +166,13 @@ class TestLeafVariant:
         pred = make_batch(shape, [0.5, 0.5, 0.3, 0.7], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0,
                              variant=Variant.LEAF)
-        out = dice_value_and_grad(gt, pred, cfg)[0]
+        out, grad = dice_value_and_grad(gt, pred, cfg)
         assert out.effective_subset_count == 1
         assert np.flatnonzero(out.kept).tolist() == [0]
         assert out.score[0, 1, 0] == 0.0
         assert out.value == pytest.approx(0.5)
-        grad = dice_value_and_grad(gt, pred, cfg)[1].data
-        assert np.all(grad[0, 1, :] == 0.0)
-        assert np.any(grad[0, 0, :] != 0.0)
+        assert np.all(grad.data[0, 1, :] == 0.0)
+        assert np.any(grad.data[0, 0, :] != 0.0)
 
     def test_all_subsets_empty_gives_zero_loss_and_gradient(self):
         shape = Shape(2, 1, 3)
@@ -181,11 +180,11 @@ class TestLeafVariant:
         pred = make_batch(shape, [0.4] * 6, Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.LEAF)
-        out = dice_value_and_grad(gt, pred, cfg)[0]
+        out, grad = dice_value_and_grad(gt, pred, cfg)
         assert out.value == 0.0
         assert out.effective_subset_count == 0
         assert not out.kept.any()
-        assert np.all(dice_value_and_grad(gt, pred, cfg)[1].data == 0.0)
+        assert np.all(grad.data == 0.0)
 
     def test_leaf_filter_keeps_order(self):
         shape = Shape(1, 3, 2)
@@ -201,10 +200,10 @@ class TestLeafVariant:
         std = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5)
         leaf = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5,
                               variant=Variant.LEAF)
-        assert (dice_value_and_grad(gt, pred, leaf)[0].value
-                == dice_value_and_grad(gt, pred, std)[0].value)
-        assert np.array_equal(dice_value_and_grad(gt, pred, leaf)[1].data,
-                              dice_value_and_grad(gt, pred, std)[1].data)
+        out_leaf, g_leaf = dice_value_and_grad(gt, pred, leaf)
+        out_std, g_std = dice_value_and_grad(gt, pred, std)
+        assert out_leaf.value == out_std.value
+        assert np.array_equal(g_leaf.data, g_std.data)
 
 
 def softmax_like_pred(shape, seed):
@@ -351,10 +350,10 @@ class TestMarginalVariant:
         std = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5)
         marg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5,
                               variant=Variant.MARGINAL, background_class=0)
-        assert dice_value_and_grad(gt, pred, marg, mask)[0].value == pytest.approx(
-            dice_value_and_grad(gt, pred, std)[0].value, abs=1e-15)
-        assert dice_value_and_grad(gt, pred, marg, mask)[1].data == pytest.approx(
-            dice_value_and_grad(gt, pred, std)[1].data, abs=1e-15)
+        out_marg, g_marg = dice_value_and_grad(gt, pred, marg, mask)
+        out_std, g_std = dice_value_and_grad(gt, pred, std)
+        assert out_marg.value == pytest.approx(out_std.value, abs=1e-15)
+        assert g_marg.data == pytest.approx(g_std.data, abs=1e-15)
 
 
 class TestDiceValues:
