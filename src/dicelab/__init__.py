@@ -21,17 +21,8 @@ from .errors import (
     TensorFileError,
     ZeroDenominatorError,
 )
-from .tensor import (
-    BatchTensor,
-    ReductionScheme,
-    Role,
-    Shape,
-    make_batch,
-    read_tensor,
-    write_tensor,
-)
+from .tensor import ReductionScheme, Role, make_batch, read_tensor, write_tensor
 from .loss import (
-    AvailabilityMask,
     DiceLossConfig,
     LossOutput,
     Variant,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from .errors import (
     EmptyDatasetError,
     InvalidConfigError,
     InvalidParamsError,
+    LengthMismatchError,
     TargetNotFoundError,
+    TensorFileError,
 )
 from .gradcheck import (
     ALL_SCHEMES,
@@ -36,10 +39,10 @@ from .harness import (
 )
 from .metrics import format_cell, read_csv, write_csv
 from .synthdata import load_dataset, save_dataset
-from .tensor import ReductionScheme, Shape, _wrap
+from .tensor import ReductionScheme, batch_dims
 
 _CONFIG_ERRORS = (InvalidConfigError, InvalidParamsError, TargetNotFoundError,
-                  EmptyDatasetError, FileNotFoundError)
+                  EmptyDatasetError, TensorFileError, LengthMismatchError, FileNotFoundError)
 
 
 def _fail(exc: Exception):
@@ -90,18 +93,14 @@ def cmd_gen_data(config_path, task, labeling, seed, out_dir):
 def cmd_gradcheck(n, seed, perturb, epsilons, shapes, schemes, out_path):
     """Compare analytic gradients against finite differences; exit 0 iff all pass."""
     try:
-        shape_list = []
-        for token in shapes.split(","):
-            dims = tuple(int(d) for d in token.lower().split("x"))
-            if len(dims) != 3:
-                raise InvalidConfigError(f"bad shape {token!r}, expected BxCxI")
-            shape_list.append(dims)
+        shape_list = [batch_dims(int(d) for d in token.lower().split("x"))
+                      for token in shapes.split(",")]
         scheme_list = [ReductionScheme(s.strip()) for s in schemes.split(",")]
         eps_list = [e.strip() for e in epsilons.split(",") if e.strip()]
         for e in eps_list:
-            if e != "calibrated":
-                float(e)
-    except (ValueError, InvalidConfigError) as exc:
+            if e != "calibrated" and not (math.isfinite(float(e)) and float(e) >= 0.0):
+                raise InvalidConfigError(f"epsilon {e!r} must be finite and non-negative")
+    except ValueError as exc:
         raise click.BadParameter(str(exc))
     records = run_check_matrix(shapes=shape_list, schemes=scheme_list,
                                epsilons=eps_list, n_instances=n,
@@ -130,9 +129,7 @@ def cmd_calibrate(dataset_dir, scheme, out_path):
     """Heuristic smoothing value (mean foreground per reduction subset)."""
     try:
         ds = load_dataset(dataset_dir)
-        n_pixels = ds.image_size ** 2
-        maps = [_wrap(Shape(1, ds.n_classes, n_pixels), s.gt.reshape(-1))
-                for s in ds.samples]
+        maps = [s.gt.reshape(1, s.n_classes, -1) for s in ds.samples]
         cal = calibrate_epsilon(maps, ReductionScheme(scheme))
     except DicelabError as exc:
         _fail(exc)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, NoRealRootError, ShapeMismatchError
-from .tensor import BatchTensor, ReductionScheme
+from .tensor import ReductionScheme
 
 
 @dataclass(frozen=True)
@@ -59,24 +59,28 @@ class BalanceParams:
 
 
 def calibrate_epsilon(
-    gt_maps: Sequence[BatchTensor],
+    gt_maps: Sequence[np.ndarray],
     scheme: ReductionScheme,
 ) -> EpsilonCalibration:
     """Mean foreground count per reduction subset across a dataset.
 
-    Every (batch element, class) cell of every map counts as one sample of its
-    class; empty maps are included in the mean. Class-pure schemes get one
-    epsilon per class, the others a single global mean of per-sample totals.
+    Each map is a (B, C, I) array whose every (batch element, class) cell
+    counts as one sample of its class; empty maps are included in the mean.
+    Class-pure schemes get one epsilon per class, the others a single global
+    mean of per-sample totals.
     """
     counts = []
     classes = None
     for t in gt_maps:
-        B, C, _ = t.shape.as_tuple()
+        t = np.asarray(t)
+        if t.ndim != 3:
+            raise ShapeMismatchError(f"ground-truth maps must be (B, C, I), got shape {t.shape}")
         if classes is None:
-            classes = C
-        elif C != classes:
-            raise ShapeMismatchError(f"inconsistent class count in dataset: {C} != {classes}")
-        counts.append(t.data.sum(axis=2).reshape(B, C))
+            classes = t.shape[1]
+        elif t.shape[1] != classes:
+            raise ShapeMismatchError(
+                f"inconsistent class count in dataset: {t.shape[1]} != {classes}")
+        counts.append(t.sum(axis=2))
     if not counts:
         raise EmptyDatasetError("cannot calibrate epsilon from an empty dataset")
     per_sample = np.concatenate(counts, axis=0)

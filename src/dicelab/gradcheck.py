@@ -18,8 +18,8 @@ import numpy as np
 
 from .epsilon import calibrate_epsilon
 from .errors import ShapeMismatchError, StepOutOfRangeError
-from .loss import AvailabilityMask, DiceLossConfig, dice_value_and_grad, dice_values
-from .tensor import BatchTensor, ReductionScheme, Shape, _wrap
+from .loss import DiceLossConfig, dice_value_and_grad, dice_values
+from .tensor import ReductionScheme, batch_dims, readonly
 
 DEFAULT_STEP = 1e-5
 DEFAULT_RTOL = 1e-5
@@ -51,12 +51,12 @@ class TwoValueReport:
 
 
 def finite_diff_grad(
-    gt: BatchTensor,
-    pred: BatchTensor,
+    gt: np.ndarray,
+    pred: np.ndarray,
     cfg: DiceLossConfig,
     h: float = DEFAULT_STEP,
-    mask: AvailabilityMask | None = None,
-) -> BatchTensor:
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
     """Central-difference gradient: (loss(p + h*e) - loss(p - h*e)) / 2h per element.
 
     Stencil row r perturbs element r % n by +h (r < n) or -h (r >= n); the
@@ -64,7 +64,8 @@ def finite_diff_grad(
     """
     if h <= 0.0:
         raise StepOutOfRangeError(f"step size must be positive, got {h}")
-    flat = pred.flat()
+    pred = np.asarray(pred, dtype=np.float64)
+    flat = pred.reshape(-1)
     if np.any(flat < h) or np.any(flat > 1.0 - h):
         raise StepOutOfRangeError(
             f"predictions must lie in [{h}, {1.0 - h}] so the stencil stays in range"
@@ -77,14 +78,14 @@ def finite_diff_grad(
         r = np.arange(start, min(start + rows, 2 * n))
         stencil = np.tile(flat, (r.size, 1))
         stencil[np.arange(r.size), r % n] += steps[r]
-        values[r] = dice_values(gt, stencil.reshape(r.size, *pred.data.shape), cfg, mask)
+        values[r] = dice_values(gt, stencil.reshape(r.size, *pred.shape), cfg, mask)
     up, down = values.reshape(2, n)
-    return _wrap(pred.shape, (up - down) * (1.0 / (2.0 * h)))
+    return readonly(((up - down) * (1.0 / (2.0 * h))).reshape(pred.shape))
 
 
 def compare_grads(
-    analytic: BatchTensor,
-    numeric: BatchTensor,
+    analytic: np.ndarray,
+    numeric: np.ndarray,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> GradCheckReport:
@@ -92,17 +93,18 @@ def compare_grads(
 
     Relative error uses max(|analytic|, |numeric|, 1e-12) as denominator.
     """
-    if analytic.shape != numeric.shape:
+    analytic, numeric = np.asarray(analytic), np.asarray(numeric)
+    if analytic.ndim != 3 or analytic.shape != numeric.shape:
         raise ShapeMismatchError(f"shape {analytic.shape} != {numeric.shape}")
-    a = analytic.flat()
-    n = numeric.flat()
+    a = analytic.reshape(-1)
+    n = numeric.reshape(-1)
     abs_err = np.abs(a - n)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-12)
     rel_err = abs_err / denom
     violation = np.minimum(abs_err / atol, rel_err / rtol)
     worst = int(np.argmax(violation))
     passed = bool(violation[worst] <= 1.0)
-    b, c, i = np.unravel_index(worst, analytic.shape.as_tuple())
+    b, c, i = np.unravel_index(worst, analytic.shape)
     return GradCheckReport(
         max_abs_err=float(abs_err.max()),
         max_rel_err=float(rel_err.max()),
@@ -113,8 +115,8 @@ def compare_grads(
 
 
 def check_two_value(
-    gt: BatchTensor,
-    grad: BatchTensor,
+    gt: np.ndarray,
+    grad: np.ndarray,
     scheme: ReductionScheme,
     tol: float = CLUSTER_TOL,
 ) -> TwoValueReport:
@@ -125,11 +127,11 @@ def check_two_value(
     at no more than one gap wider than tol.
     """
     axes = scheme.axes
-    g = grad.data
+    g = np.asarray(grad)
     keyed_ok = True
     values_by_key = {}
     for key in (0, 1):
-        sel = gt.data == float(key)
+        sel = np.asarray(gt) == float(key)
         hi = np.where(sel, g, -np.inf).max(axis=axes, keepdims=True)
         lo = np.where(sel, g, np.inf).min(axis=axes, keepdims=True)
         keyed_ok = keyed_ok & ~(hi - lo > tol)  # a key with no elements spreads -inf
@@ -162,23 +164,21 @@ class MatrixRecord:
     two_value_passed: bool
 
 
-def random_instance(shape: Shape, rng: np.random.Generator,
-                    nonempty_subsets: bool = False) -> tuple[BatchTensor, BatchTensor]:
-    """Random binary ground truth and predictions in (0.01, 0.99)."""
-    y = rng.integers(0, 2, size=shape.size).astype(np.float64)
+def random_instance(dims: tuple[int, int, int], rng: np.random.Generator,
+                    nonempty_subsets: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Random binary ground truth and predictions in (0.01, 0.99), both (B, C, I)."""
+    B, C, I = dims
+    y = rng.integers(0, 2, size=B * C * I).astype(np.float64)
     if nonempty_subsets:
-        cells = y.reshape(shape.batch * shape.classes, shape.voxels)
+        cells = y.reshape(B * C, I)
         for row in cells:
             if not row.any():
-                row[rng.integers(0, shape.voxels)] = 1.0
-        y = cells.reshape(-1)
-    p = rng.uniform(0.01, 0.99, size=shape.size)
-    gt = _wrap(shape, y)
-    pred = _wrap(shape, p)
-    return gt, pred
+                row[rng.integers(0, I)] = 1.0
+    p = rng.uniform(0.01, 0.99, size=B * C * I)
+    return readonly(y.reshape(dims)), readonly(p.reshape(dims))
 
 
-def resolve_epsilon(label: str, gt: BatchTensor, scheme: ReductionScheme):
+def resolve_epsilon(label: str, gt: np.ndarray, scheme: ReductionScheme):
     """Turn an epsilon spec into a value: a float literal or 'calibrated' from this gt."""
     if label == "calibrated":
         return calibrate_epsilon([gt], scheme).as_loss_epsilon()
@@ -201,21 +201,20 @@ def run_check_matrix(
     case = 0
     for scheme in schemes:
         for dims in shapes:
-            shape = Shape(*dims)
+            dims = batch_dims(dims)
             for eps_label in epsilons:
                 for k in range(n_instances):
                     seed = base_seed + 100_000 * case + k
                     rng = np.random.default_rng(seed)
                     # epsilon 0 is only smooth when no subset is entirely empty
-                    gt, pred = random_instance(shape, rng,
+                    gt, pred = random_instance(dims, rng,
                                                nonempty_subsets=(eps_label == "0"))
                     cfg = DiceLossConfig(scheme=scheme,
                                          epsilon=resolve_epsilon(eps_label, gt, scheme))
                     analytic = dice_value_and_grad(gt, pred, cfg)[1]
                     if perturb != 0.0:
-                        bumped = analytic.data.copy()
-                        bumped.reshape(-1)[0] += perturb
-                        analytic = _wrap(shape, bumped)
+                        analytic = analytic.copy()
+                        analytic.reshape(-1)[0] += perturb
                     numeric = finite_diff_grad(gt, pred, cfg, h=h)
                     report = compare_grads(analytic, numeric, rtol=rtol, atol=atol)
                     twoval = check_two_value(gt, analytic, scheme)

@@ -37,7 +37,7 @@ from .synthdata import (
     generate_multiclass,
     save_dataset,
 )
-from .tensor import ReductionScheme, Shape, _wrap
+from .tensor import ReductionScheme
 from .trainer import TrainConfig, _require_int, _require_learning_rate, predict, save_model, train
 
 CONFIG_SCHEMA = 1
@@ -122,7 +122,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise InvalidConfigError(f"unknown config fields: {sorted(unknown)}")
     for key in ("labelings", "setups", "batch_sizes"):
         if key in data:
+            if not isinstance(data[key], (list, tuple)):
+                raise InvalidConfigError(f"{key} must be a list, got {data[key]!r}")
             data[key] = tuple(data[key])
+    if not isinstance(data.get("dataset", {}), dict):
+        raise InvalidConfigError(f"dataset must be a mapping, got {data['dataset']!r}")
     try:
         return ExperimentConfig(**data)
     except TypeError as exc:
@@ -131,7 +135,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise InvalidConfigError(f"config file not found: {p}")
     with open(p) as fh:
         try:
@@ -153,7 +157,10 @@ def build_dataset(config: ExperimentConfig) -> tuple[SyntheticDataset, Synthetic
                 "core_radius", "shell_width", "satellite_radius",
                 "core_intensity", "shell_intensity", "satellite_intensity"):
         if key in overrides:
-            overrides[key] = tuple(overrides[key])
+            pair = overrides[key]
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise InvalidConfigError(f"dataset {key} must be a [low, high] pair, got {pair!r}")
+            overrides[key] = tuple(pair)
     try:
         if config.task == "binary":
             full = generate_binary(BinaryTaskParams(**overrides), config.seed)
@@ -196,10 +203,7 @@ def _setup_loss(setup: str, train_split: SyntheticDataset) -> tuple[DiceLossConf
         loss = DiceLossConfig(scheme=ReductionScheme.BATCH_WISE, epsilon=NEGLIGIBLE_EPSILON)
         include_bg = False
     elif setup == "image-wise-calibrated":
-        n_classes = train_split.n_classes
-        n_pixels = train_split.image_size ** 2
-        maps = [_wrap(Shape(1, n_classes, n_pixels), s.gt.reshape(-1))
-                for s in train_split.samples]
+        maps = [s.gt.reshape(1, s.n_classes, -1) for s in train_split.samples]
         cal = calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE,
                               epsilon=cal.as_loss_epsilon())
@@ -255,9 +259,9 @@ class CellResult:
 
 
 def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: int,
-             datasets: tuple[SyntheticDataset, SyntheticDataset] | None = None) -> CellResult:
-    """Train and score one cell; datasets is build_dataset(config), built here when omitted."""
-    full, corrupted = datasets if datasets is not None else build_dataset(config)
+             datasets: tuple[SyntheticDataset, SyntheticDataset]) -> CellResult:
+    """Train and score one cell; datasets is build_dataset(config)."""
+    full, corrupted = datasets
     train_view = corrupted if labeling == "partial" else full
     k = config.folds
     metric_rows = []
@@ -320,8 +324,8 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
 
 
 def _cell_worker(args) -> CellResult:
-    config_dict, labeling, setup, batch_size = args
-    return run_cell(config_from_dict(config_dict), labeling, setup, batch_size)
+    config, cell, datasets = args
+    return run_cell(config, *cell, datasets)
 
 
 @dataclass(frozen=True)
@@ -442,12 +446,10 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtif
     out.mkdir(parents=True, exist_ok=True)
     cells = config.cells()
     if jobs == 1 or len(cells) == 1:
-        results = [run_cell(config, *cell, datasets=datasets) for cell in cells]
+        results = [run_cell(config, *cell, datasets) for cell in cells]
     else:
-        config_dict = config_to_dict(config)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker,
-                                    [(config_dict, *cell) for cell in cells]))
+            results = list(pool.map(_cell_worker, [(config, cell, datasets) for cell in cells]))
 
     save_config(config, out / "config_snapshot.yaml")
     dataset_dir = out / "dataset"

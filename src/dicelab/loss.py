@@ -45,7 +45,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroDenominatorError,
 )
-from .tensor import BatchTensor, ReductionScheme, _wrap
+from .tensor import ReductionScheme, readonly
 
 DISTRIBUTION_TOL = 1e-6
 
@@ -54,19 +54,6 @@ class Variant(enum.Enum):
     STANDARD = "standard"
     LEAF = "leaf"
     MARGINAL = "marginal"
-
-
-@dataclass(frozen=True)
-class AvailabilityMask:
-    """Per (batch element, class) flag: is this class labeled in this element?"""
-
-    available: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.available, dtype=bool)
-        if arr.ndim != 2:
-            raise ShapeMismatchError(f"availability mask must be 2-D (B, C), got ndim {arr.ndim}")
-        object.__setattr__(self, "available", arr)
 
 
 @dataclass(frozen=True)
@@ -114,24 +101,29 @@ class LossOutput:
     effective_subset_count: int
 
 
+def _check_shapes(gt: np.ndarray, p: np.ndarray) -> None:
+    if gt.ndim != 3 or p.shape[-3:] != gt.shape:
+        raise ShapeMismatchError(f"gt shape {gt.shape} does not match predictions {p.shape}")
+
+
 def marginal_merge(
     gt: np.ndarray,
     p: np.ndarray,
-    mask: AvailabilityMask | None,
+    mask: np.ndarray | None,
     background_class: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold unavailable-class predictions into the background column.
 
     gt is the (B, C, I) ground truth and p holds predictions of shape
-    (..., B, C, I), so a stack of predictions merges in one call. Predictions
+    (..., B, C, I), so a stack of predictions merges in one call; mask is a
+    (B, C) bool array, True where batch element b labels class c. Predictions
     must be softmax-style (class columns sum to 1 per pixel) and the ground
     truth of every unavailable class must already be empty. Merged columns are
     zeroed in place of being physically removed; the returned routing table
     maps, per batch element, each original class to the merged column that now
     carries it (itself when available, background otherwise).
     """
-    if gt.ndim != 3 or p.shape[-3:] != gt.shape:
-        raise ShapeMismatchError(f"gt shape {gt.shape} does not match predictions {p.shape}")
+    _check_shapes(gt, p)
     if mask is None:
         raise InvalidConfigError("marginal variant requires an availability mask")
     B, C, I = gt.shape
@@ -139,9 +131,11 @@ def marginal_merge(
         raise InvalidConfigError("marginal merging requires multiclass (C >= 2) predictions")
     if not (0 <= background_class < C):
         raise InvalidConfigError(f"background_class {background_class} out of range for C={C}")
-    avail = mask.available
-    if avail.shape != (B, C):
-        raise ShapeMismatchError(f"availability mask shape {avail.shape} != (B, C)=({B}, {C})")
+    avail = np.asarray(mask)
+    if avail.dtype != bool or avail.shape != (B, C):
+        raise ShapeMismatchError(
+            f"availability mask must be a ({B}, {C}) bool array, got {avail.dtype} {avail.shape}"
+        )
     if not np.all(avail[:, background_class]):
         raise InvalidConfigError("background class must be available in every batch element")
 
@@ -179,7 +173,7 @@ def _pool(
     y: np.ndarray,
     p: np.ndarray,
     cfg: DiceLossConfig,
-    mask: AvailabilityMask | None,
+    mask: np.ndarray | None,
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Kept mask, K, N and S of every subset, pooled over the scheme's axes Phi.
 
@@ -197,7 +191,7 @@ def _pool(
     elif cfg.variant is Variant.MARGINAL:
         # marginal_merge checked that the background is available everywhere,
         # so only subsets made of merged-away classes alone are dropped
-        kept = mask.available[:, :, None].any(axis=axes, keepdims=True)
+        kept = np.asarray(mask)[:, :, None].any(axis=axes, keepdims=True)
     else:
         kept = np.ones(gsum.shape, dtype=bool)
 
@@ -223,20 +217,21 @@ def _loss_values(score: np.ndarray, kept: np.ndarray, K: int) -> np.ndarray:
 
 
 def dice_value_and_grad(
-    gt: BatchTensor,
-    pred: BatchTensor,
+    gt: np.ndarray,
+    pred: np.ndarray,
     cfg: DiceLossConfig,
-    mask: AvailabilityMask | None = None,
-) -> tuple[LossOutput, BatchTensor]:
+    mask: np.ndarray | None = None,
+) -> tuple[LossOutput, np.ndarray]:
     """Dice loss and its analytic gradient with respect to every prediction element.
 
-    Dropped subsets (leaf variant, or marginal columns merged away) receive
-    exactly zero; for the marginal variant the gradient is computed on the
-    merged maps and routed back through the background sum.
+    gt and pred are (B, C, I) arrays; the gradient is a read-only (B, C, I)
+    array. Dropped subsets (leaf variant, or marginal columns merged away)
+    receive exactly zero; for the marginal variant the gradient is computed on
+    the merged maps and routed back through the background sum.
     """
-    if gt.shape != pred.shape:
-        raise ShapeMismatchError(f"gt shape {gt.shape} != pred shape {pred.shape}")
-    y, p = gt.data, pred.data
+    y, p = np.asarray(gt, dtype=np.float64), np.asarray(pred, dtype=np.float64)
+    if y.ndim != 3 or p.shape != y.shape:
+        raise ShapeMismatchError(f"gt shape {y.shape} != pred shape {p.shape}")
     routing = None
     if cfg.variant is Variant.MARGINAL:
         p, routing = marginal_merge(y, p, mask, cfg.background_class)
@@ -245,30 +240,28 @@ def dice_value_and_grad(
     score = N / S
     value = float(_loss_values(score, kept, K))
     if K == 0:
-        return LossOutput(value, score, kept, 0), _wrap(gt.shape, np.zeros(y.shape))
+        return LossOutput(value, score, kept, 0), readonly(np.zeros(y.shape))
     ratio = N / (S * S)
     grad = np.where(y == 1.0, (ratio - 2.0 / S) / K, ratio / K)
     if routing is not None:
         grad = np.take_along_axis(grad, routing[:, :, None], axis=1)
-    return LossOutput(value, score, kept, K), _wrap(gt.shape, grad)
+    return LossOutput(value, score, kept, K), readonly(grad)
 
 
 def dice_values(
-    gt: BatchTensor,
+    gt: np.ndarray,
     preds: np.ndarray,
     cfg: DiceLossConfig,
-    mask: AvailabilityMask | None = None,
+    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Dice loss of every prediction stacked along the leading axes of preds, value only.
 
     preds has shape (..., B, C, I) against the one (B, C, I) ground truth; the
     result has shape (...), and entry k equals dice_value_and_grad(gt, preds[k])[0].value.
     """
-    p = np.asarray(preds, dtype=np.float64)
-    if p.shape[-3:] != gt.shape.as_tuple():
-        raise ShapeMismatchError(f"gt shape {gt.shape} does not match predictions {p.shape}")
+    y, p = np.asarray(gt, dtype=np.float64), np.asarray(preds, dtype=np.float64)
+    _check_shapes(y, p)
     if cfg.variant is Variant.MARGINAL:
-        p = marginal_merge(gt.data, p, mask, cfg.background_class)[0]
-    kept, K, N, S = _pool(gt.data, p, cfg, mask)
+        p = marginal_merge(y, p, mask, cfg.background_class)[0]
+    kept, K, N, S = _pool(y, p, cfg, mask)
     return _loss_values(N / S, kept, K)
-

@@ -17,7 +17,6 @@ from .errors import (
     LengthMismatchError,
     ShapeMismatchError,
 )
-from .tensor import BatchTensor
 from .trainer import Head
 
 
@@ -42,14 +41,14 @@ def volume_difference(gt_map: np.ndarray, pred_map: np.ndarray) -> float:
     return float(pred.sum() - gt.sum())
 
 
-def binarize(pred: BatchTensor, head: Head) -> np.ndarray:
-    """Hard maps from soft predictions, shape (batch, classes, pixels).
+def binarize(pred: np.ndarray, head: Head) -> np.ndarray:
+    """Hard maps from (batch, classes, pixels) soft predictions, same shape.
 
     Sigmoid thresholds at 0.5 (0.5 itself counts as foreground).  Softmax
     takes the argmax over classes; ties go to the lowest class index.
     """
-    b, c, i = pred.shape.as_tuple()
-    data = pred.data.reshape(b, c, i)
+    data = np.asarray(pred)
+    c = data.shape[1]
     if head is Head.SIGMOID:
         return (data >= 0.5).astype(np.float64)
     winner = data.argmax(axis=1)
@@ -135,6 +134,12 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a CSV write_csv wrote; InvalidConfigError when it has no header."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
-    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    if not lines:
+        raise InvalidConfigError(f"{path}: empty CSV, expected a header row")
+    header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    if any(len(row) != len(header) for row in rows):
+        raise InvalidConfigError(f"{path}: rows and header differ in column count")
+    return header, rows

@@ -23,8 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidParamsError, ShapeMismatchError, TargetNotFoundError
-from .tensor import Shape, _wrap, read_tensor, write_tensor
+from .errors import (
+    InvalidConfigError,
+    InvalidParamsError,
+    ShapeMismatchError,
+    TargetNotFoundError,
+    TensorFileError,
+)
+from .tensor import read_tensor, write_tensor
 
 GRADE_A = "grade-a"
 GRADE_B = "grade-b"
@@ -305,9 +311,8 @@ def save_dataset(dataset: SyntheticDataset, out_dir) -> Path:
     entries = []
     for s in dataset.samples:
         packed = np.concatenate([s.image[None, :, :], s.gt], axis=0)
-        tensor = _wrap(Shape(1, s.n_classes + 1, n * n), packed.reshape(-1))
         name = _sample_filename(s.subject_id)
-        write_tensor(out / name, tensor)
+        write_tensor(out / name, packed.reshape(1, s.n_classes + 1, n * n))
         entries.append({
             "subject_id": s.subject_id,
             "tag": s.tag,
@@ -329,32 +334,45 @@ def save_dataset(dataset: SyntheticDataset, out_dir) -> Path:
 
 
 def load_dataset(path) -> SyntheticDataset:
+    """Read a directory save_dataset wrote.
+
+    A malformed manifest raises InvalidConfigError; a sample file that cannot
+    be read, or is not a (1, C + 1, N * N) tensor, raises TensorFileError.
+    """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         raise InvalidConfigError(f"no {MANIFEST_NAME} in {root}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("schema_version") != MANIFEST_SCHEMA:
-        raise InvalidConfigError(
-            f"unsupported dataset schema {manifest.get('schema_version')!r}"
-        )
-    n = int(manifest["image_size"])
-    class_names = tuple(manifest["class_names"])
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise InvalidConfigError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("schema_version") != MANIFEST_SCHEMA:
+        raise InvalidConfigError(f"{manifest_path}: not a dataset manifest of schema "
+                                 f"{MANIFEST_SCHEMA}")
+    try:
+        task = manifest["task"]
+        n = int(manifest["image_size"])
+        class_names = tuple(manifest["class_names"])
+        entries = [(int(e["subject_id"]), e["tag"], np.asarray(e["availability"], dtype=bool),
+                    root / e["file"]) for e in manifest["samples"]]
+        origin = dict(manifest.get("origin", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     samples = []
-    for entry in manifest["samples"]:
-        tensor = read_tensor(root / entry["file"])
-        rows = tensor.data.reshape(tensor.shape.classes, n, n)
-        if rows.shape[0] != len(class_names) + 1:
-            raise InvalidConfigError(
-                f"{entry['file']}: expected {len(class_names) + 1} rows, got {rows.shape[0]}"
-            )
-        samples.append(SyntheticSample(
-            subject_id=int(entry["subject_id"]),
-            tag=entry["tag"],
-            image=rows[0].copy(),
-            gt=rows[1:].copy(),
-            availability=np.asarray(entry["availability"], dtype=bool),
-        ))
-    return SyntheticDataset(manifest["task"], class_names, n, tuple(samples),
-                            dict(manifest.get("origin", {})))
+    for subject_id, tag, availability, file in entries:
+        if availability.shape != (len(class_names),):
+            raise InvalidConfigError(f"{manifest_path}: subject {subject_id} needs "
+                                     f"{len(class_names)} availability flags")
+        try:
+            tensor = read_tensor(file)
+        except OSError as exc:
+            raise TensorFileError(f"{file}: cannot read sample file: {exc.strerror}") from exc
+        if tensor.shape != (1, len(class_names) + 1, n * n):
+            raise TensorFileError(f"{file}: expected a (1, {len(class_names) + 1}, {n * n}) "
+                                  f"tensor, got {tensor.shape}")
+        rows = tensor.reshape(-1, n, n)
+        samples.append(SyntheticSample(subject_id, tag, rows[0].copy(), rows[1:].copy(),
+                                       availability))
+    return SyntheticDataset(task, class_names, n, tuple(samples), origin)

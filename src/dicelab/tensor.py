@@ -11,8 +11,8 @@ is one subset.
 from __future__ import annotations
 
 import enum
+import math
 import struct
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -58,63 +58,41 @@ _POOLED_AXES = {
 }
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Dimensions (B, C, I) of the tensor domain; all strictly positive."""
-
-    batch: int
-    classes: int
-    voxels: int
-
-    def __post_init__(self):
-        for name in ("batch", "classes", "voxels"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v <= 0:
-                raise LengthMismatchError(f"shape.{name} must be a positive integer, got {v!r}")
-
-    @property
-    def size(self) -> int:
-        return self.batch * self.classes * self.voxels
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.batch, self.classes, self.voxels)
+def batch_dims(dims) -> tuple[int, int, int]:
+    """(B, C, I) as three positive integers, else LengthMismatchError."""
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and d > 0 for d in dims):
+        raise LengthMismatchError(f"(B, C, I) must be three positive integers, got {dims!r}")
+    return tuple(int(d) for d in dims)
 
 
-@dataclass(frozen=True)
-class BatchTensor:
-    """Immutable double-precision array over (B, C, I), row-major."""
+def readonly(array: np.ndarray) -> np.ndarray:
+    """array, made C-contiguous float64 if it is not, with writes refused from now on.
 
-    shape: Shape
-    data: np.ndarray = field(repr=False)
-
-    def flat(self) -> np.ndarray:
-        return self.data.reshape(-1)
-
-
-def _wrap(shape: Shape, array: np.ndarray) -> BatchTensor:
-    """Internal constructor that skips role validation."""
-    array = np.ascontiguousarray(array, dtype=np.float64).reshape(shape.as_tuple())
-    array.flags.writeable = False
-    return BatchTensor(shape=shape, data=array)
+    Callers pass arrays they have just built, so freezing in place touches no
+    one else's data.
+    """
+    out = np.ascontiguousarray(array, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
-def make_batch(shape: Shape, values: Sequence[float] | np.ndarray, role: Role) -> BatchTensor:
-    """Build a validated tensor from flat row-major values.
+def make_batch(dims, values: Sequence[float] | np.ndarray, role: Role) -> np.ndarray:
+    """Build a validated (B, C, I) tensor from flat row-major values.
 
     Ground-truth tensors must be binary; prediction tensors must lie in [0, 1].
     """
+    dims = batch_dims(dims)
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size != shape.size:
-        raise LengthMismatchError(
-            f"expected {shape.size} values for shape {shape.as_tuple()}, got {arr.size}"
-        )
+    if arr.size != math.prod(dims):
+        raise LengthMismatchError(f"expected {math.prod(dims)} values for {dims}, got {arr.size}")
     if role is Role.GROUND_TRUTH:
         if not np.all((arr == 0.0) | (arr == 1.0)):
             raise RangeViolationError("ground-truth values must be exactly 0 or 1")
     elif role is Role.PREDICTION:
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise RangeViolationError("prediction values must lie in [0, 1]")
-    return _wrap(shape, arr.copy())
+    return readonly(arr.reshape(dims).copy())
 
 
 _MAGIC = b"DRT1"
@@ -122,17 +100,17 @@ _DTYPE_F64_LE = 1
 _HEADER_BYTES = 18
 
 
-def write_tensor(path, tensor: BatchTensor) -> None:
+def write_tensor(path, tensor: np.ndarray) -> None:
     """Write the portable tensor format: magic, dtype u8, ndim u8, dims u32 LE, f64 LE payload."""
-    B, C, I = tensor.shape.as_tuple()
+    B, C, I = batch_dims(np.shape(tensor))
     header = _MAGIC + struct.pack("<BB", _DTYPE_F64_LE, 3) + struct.pack("<III", B, C, I)
-    payload = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 
 
-def read_tensor(path) -> BatchTensor:
+def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
@@ -144,10 +122,9 @@ def read_tensor(path) -> BatchTensor:
         raise TensorFileError(f"{path}: unsupported dtype code {dtype_code}")
     if ndim != 3:
         raise TensorFileError(f"{path}: expected 3 dims, got {ndim}")
-    B, C, I = struct.unpack_from("<III", blob, 6)
-    shape = Shape(int(B), int(C), int(I))
-    expected = _HEADER_BYTES + 8 * shape.size
+    dims = batch_dims(struct.unpack_from("<III", blob, 6))
+    expected = _HEADER_BYTES + 8 * math.prod(dims)
     if len(blob) != expected:
         raise TensorFileError(f"{path}: expected {expected} bytes, got {len(blob)}")
     arr = np.frombuffer(blob, dtype="<f8", offset=_HEADER_BYTES).astype(np.float64)
-    return _wrap(shape, arr)
+    return readonly(arr.reshape(dims))

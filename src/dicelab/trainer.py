@@ -27,8 +27,8 @@ from .errors import (
     ShapeMismatchError,
     TensorFileError,
 )
-from .loss import AvailabilityMask, DiceLossConfig, Variant, dice_value_and_grad
-from .tensor import BatchTensor, Shape, _wrap
+from .loss import DiceLossConfig, Variant, dice_value_and_grad
+from .tensor import readonly
 
 N_FEATURES = 4
 _MODEL_MAGIC = "DLM1"
@@ -106,7 +106,7 @@ def featurize(image: np.ndarray) -> np.ndarray:
     return feats.reshape(-1, N_FEATURES)
 
 
-def model_forward(model: LinearPixelModel, features: np.ndarray) -> BatchTensor:
+def model_forward(model: LinearPixelModel, features: np.ndarray) -> np.ndarray:
     """Predictions for a batch of per-pixel features (B, I, F) -> (B, C, I)."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim == 2:
@@ -120,8 +120,7 @@ def model_forward(model: LinearPixelModel, features: np.ndarray) -> BatchTensor:
         pred = expit(logits)
     else:
         pred = softmax(logits, axis=1)
-    b, c, i = pred.shape
-    return _wrap(Shape(b, c, i), pred.reshape(-1))
+    return readonly(pred)
 
 
 def model_backward(
@@ -156,16 +155,16 @@ def model_backward(
 
 class StepResult(NamedTuple):
     loss: float
-    loss_grad: BatchTensor
+    loss_grad: np.ndarray
     param_grad: np.ndarray
 
 
 def step_gradients(
     model: LinearPixelModel,
     features: np.ndarray,
-    gt: BatchTensor,
+    gt: np.ndarray,
     cfg: DiceLossConfig,
-    mask: AvailabilityMask | None = None,
+    mask: np.ndarray | None = None,
     model_cols: np.ndarray | None = None,
 ) -> StepResult:
     """One forward/backward pass: loss value, loss-space gradient, weight gradient.
@@ -180,14 +179,10 @@ def step_gradients(
     if feats.ndim == 2:
         feats = feats[None]
     pred = model_forward(model, feats)
-    b, c, i = pred.shape.as_tuple()
-    preds_arr = pred.data.reshape(b, c, i)
-    sliced = preds_arr[:, model_cols, :]
-    pred_bt = _wrap(gt.shape, sliced.reshape(-1))
-    out, grad = dice_value_and_grad(gt, pred_bt, cfg, mask)
-    scattered = np.zeros((b, c, i))
-    scattered[:, model_cols, :] = grad.data.reshape(gt.shape.as_tuple())
-    dtheta = model_backward(model, feats, scattered, preds_arr)
+    out, grad = dice_value_and_grad(gt, pred[:, model_cols, :], cfg, mask)
+    scattered = np.zeros(pred.shape)
+    scattered[:, model_cols, :] = grad
+    dtheta = model_backward(model, feats, scattered, pred)
     return StepResult(out.value, grad, dtheta)
 
 
@@ -271,12 +266,10 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
             avail_rows.append(s.availability.copy())
     gt_all = np.stack(gt_rows)
     avail_all = np.stack(avail_rows)
-    loss_c = gt_all.shape[1]
 
     weights = np.zeros((n_model, N_FEATURES))
     rng = np.random.default_rng(cfg.seed)
     history: list[HistoryRow] = []
-    batch_shape = Shape(cfg.batch_size, loss_c, n_pixels)
     queue: list[np.ndarray] = []
     iteration = 0
     while iteration < cfg.iterations:
@@ -285,23 +278,23 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
             n_full = (n // cfg.batch_size) * cfg.batch_size
             queue = [order[i:i + cfg.batch_size] for i in range(0, n_full, cfg.batch_size)]
         idx = queue.pop(0)
-        gt_bt = _wrap(batch_shape, gt_all[idx].reshape(-1))
-        mask = AvailabilityMask(avail_all[idx]) if marginal else None
+        gt = gt_all[idx]
+        mask = avail_all[idx] if marginal else None
         model = LinearPixelModel(weights, head)
-        step = step_gradients(model, feats[idx], gt_bt, cfg.loss, mask, model_cols)
+        step = step_gradients(model, feats[idx], gt, cfg.loss, mask, model_cols)
         iteration += 1
         if not (math.isfinite(step.loss) and np.isfinite(step.param_grad).all()):
             raise NonFiniteTrainingError(
                 f"non-finite loss or weight gradient at iteration {iteration}"
             )
         weights = weights - cfg.learning_rate * step.param_grad
-        y0, y1 = _grad_split(gt_all[idx], step.loss_grad.data.reshape(batch_shape.as_tuple()))
+        y0, y1 = _grad_split(gt, step.loss_grad)
         history.append(HistoryRow(iteration, step.loss, y0, y1))
     return TrainResult(LinearPixelModel(weights, head), tuple(history), tuple(loss_names))
 
 
-def predict(model: LinearPixelModel, dataset) -> BatchTensor:
-    """Model predictions for every sample in a dataset, as one batch tensor."""
+def predict(model: LinearPixelModel, dataset) -> np.ndarray:
+    """Model predictions for every sample in a dataset, as one (B, C, I) array."""
     feats = np.stack([featurize(s.image) for s in dataset.samples])
     return model_forward(model, feats)
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from dicelab.loss import dice_value_and_grad
-from dicelab.tensor import BatchTensor, _wrap
 from dicelab.trainer import LinearPixelModel, model_forward
 
 
 def loop_finite_diff_grad(gt, pred, cfg, h=1e-5, mask=None) -> np.ndarray:
     """(loss(p + h*e) - loss(p - h*e)) / 2h per element, as a (B, C, I) array."""
-    probe = BatchTensor(pred.shape, pred.data.copy())
-    view = probe.data.reshape(-1)
+    probe = pred.copy()
+    view = probe.reshape(-1)
     grad = np.empty(view.size)
     inv = 1.0 / (2.0 * h)
     for w in range(view.size):
@@ -33,15 +32,15 @@ def loop_finite_diff_grad(gt, pred, cfg, h=1e-5, mask=None) -> np.ndarray:
         down = dice_value_and_grad(gt, probe, cfg, mask)[0].value
         view[w] = origin
         grad[w] = (up - down) * inv
-    return grad.reshape(pred.shape.as_tuple())
+    return grad.reshape(pred.shape)
 
 
 def evaluate_loss(model, features, gt, cfg, mask=None, model_cols=None) -> float:
     """Forward pass through model and loss; the finite-difference target for dtheta."""
     if model_cols is None:
         model_cols = np.arange(model.n_classes)
-    sliced = model_forward(model, features).data[:, model_cols, :]
-    return dice_value_and_grad(gt, _wrap(gt.shape, sliced), cfg, mask)[0].value
+    sliced = model_forward(model, features)[:, model_cols, :]
+    return dice_value_and_grad(gt, sliced, cfg, mask)[0].value
 
 
 def finite_diff_param_grad(model, features, gt, cfg, mask=None, model_cols=None,

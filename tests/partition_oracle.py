@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from dicelab.errors import ShapeMismatchError
-from dicelab.tensor import ReductionScheme, Shape
+from dicelab.tensor import ReductionScheme
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,13 @@ class SubsetStats(NamedTuple):
     pred_sum: float
 
 
-def enumerate_subsets(scheme: ReductionScheme, shape: Shape) -> list[SubsetSpec]:
+def enumerate_subsets(scheme: ReductionScheme, shape: tuple[int, int, int]) -> list[SubsetSpec]:
     """Enumerate the partition for a scheme in deterministic order.
 
     IMAGE_WISE subsets are ordered by ascending (b, c), CLASS_WISE by b,
     BATCH_WISE by c; ALL_WISE yields the single full-domain subset.
     """
-    B, C, I = shape.as_tuple()
+    B, C, I = shape
     subsets: list[SubsetSpec] = []
     if scheme is ReductionScheme.IMAGE_WISE:
         for b in range(B):
@@ -76,8 +76,8 @@ def subset_reduce(gt, pred, subset: SubsetSpec) -> SubsetStats:
     """Sum y*p, y and p over exactly the subset members (ascending order)."""
     if gt.shape != pred.shape:
         raise ShapeMismatchError(f"gt shape {gt.shape} != pred shape {pred.shape}")
-    y = gt.flat()[subset.members]
-    p = pred.flat()[subset.members]
+    y = gt.reshape(-1)[subset.members]
+    p = pred.reshape(-1)[subset.members]
     return SubsetStats(float(np.sum(y * p)), float(np.sum(y)), float(np.sum(p)))
 
 
@@ -98,7 +98,7 @@ def reference_loss(gt, pred, cfg) -> float:
 def reference_grad(gt, pred, cfg) -> np.ndarray:
     """Standard-variant gradient as a (B, C, I) array, one subset at a time."""
     subsets = enumerate_subsets(cfg.scheme, gt.shape)
-    y = gt.flat()
+    y = gt.reshape(-1)
     grad = np.empty(y.size)
     for s in subsets:
         stats = subset_reduce(gt, pred, s)
@@ -106,4 +106,4 @@ def reference_grad(gt, pred, cfg) -> np.ndarray:
         S = stats.gt_sum + stats.pred_sum + e
         N = 2.0 * stats.intersection + e
         grad[s.members] = -(2.0 * y[s.members] / S - N / (S * S)) / len(subsets)
-    return grad.reshape(gt.shape.as_tuple())
+    return grad.reshape(gt.shape)

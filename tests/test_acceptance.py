@@ -19,7 +19,7 @@ from dicelab.gradcheck import random_instance, run_check_matrix
 from dicelab.harness import build_dataset, default_config, run_experiment
 from dicelab.loss import DiceLossConfig, dice_value_and_grad
 from dicelab.metrics import read_csv
-from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
+from dicelab.tensor import ReductionScheme, Role, make_batch
 
 
 @pytest.fixture
@@ -98,17 +98,16 @@ def test_03_scheme_degeneracies(say):
     worst = 0.0
     n_checked = 0
     for dims, scheme_a, scheme_b in pairs:
-        shape = Shape(*dims)
         for k in range(50):
             rng = np.random.default_rng(1000 + k)
-            gt, pred = random_instance(shape, rng)
+            gt, pred = random_instance(dims, rng)
             eps = 1.0 if k % 2 else 1e-7
             cfg_a = DiceLossConfig(scheme=scheme_a, epsilon=eps)
             cfg_b = DiceLossConfig(scheme=scheme_b, epsilon=eps)
             out_a, g_a = dice_value_and_grad(gt, pred, cfg_a)
             out_b, g_b = dice_value_and_grad(gt, pred, cfg_b)
             dv = abs(out_a.value - out_b.value)
-            dg = float(np.max(np.abs(g_a.data - g_b.data)))
+            dg = float(np.max(np.abs(g_a - g_b)))
             worst = max(worst, dv, dg)
             n_checked += 1
     ok = worst <= 1e-12
@@ -202,7 +201,7 @@ def test_09_calibration_direction(say):
         c = full.class_names.index(class_name)
 
         def per_class(ds):
-            maps = [make_batch(Shape(1, ds.n_classes, n_pixels), s.gt.reshape(-1),
+            maps = [make_batch((1, ds.n_classes, n_pixels), s.gt.reshape(-1),
                                Role.GROUND_TRUTH) for s in ds.samples]
             cal = calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)
             return dict(cal.per_class)[c]

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from dicelab.cli import main
 from dicelab.synthdata import GRADE_B, load_dataset
+from test_synthdata import MALFORMED_DATASETS, save_small_binary
 
 TINY_CONFIG = {
     "task": "binary",
@@ -34,6 +35,13 @@ TINY_CONFIG = {
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def assert_config_error(result):
+    """Exit 2 with a one-line "error:" message, not an uncaught exception."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert [ln for ln in result.output.splitlines() if ln.startswith("error: ")]
 
 
 def write_config(tmp_path, overrides=None):
@@ -80,11 +88,19 @@ class TestGenData:
         assert result.exit_code == 0
         assert len(load_dataset(out)) == 12
 
-    def test_bad_config_exits_2(self, runner, tmp_path):
-        cfg_path = write_config(tmp_path, {"task": "ternary"})
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"task": "ternary"}, id="task-ternary"),
+        pytest.param({"dataset": [1, 2]}, id="dataset-list"),
+        pytest.param({"dataset": {"radius_a": 5}}, id="dataset-radius-scalar"),
+        pytest.param({"dataset": {"radius_a": [3.0, 4.0, 5.0]}}, id="dataset-radius-triple"),
+        pytest.param({"batch_sizes": 4}, id="batch-sizes-scalar"),
+        pytest.param({"labelings": "full"}, id="labelings-string"),
+    ])
+    def test_bad_config_exits_2(self, runner, tmp_path, overrides):
+        cfg_path = write_config(tmp_path, overrides)
         result = runner.invoke(main, ["gen-data", "--config", str(cfg_path),
                                       "--out", str(tmp_path / "d")])
-        assert result.exit_code == 2
+        assert_config_error(result)
 
 
 class TestGradcheck:
@@ -105,9 +121,18 @@ class TestGradcheck:
         result = runner.invoke(main, ["gradcheck", "--n", "0"])
         assert result.exit_code == 2
 
-    def test_malformed_shape_is_a_usage_error(self, runner):
-        result = runner.invoke(main, ["gradcheck", "--shapes", "2x2"])
-        assert result.exit_code == 2
+    @pytest.mark.parametrize("args", [
+        pytest.param(["--shapes", "2x2"], id="shapes-2x2"),
+        pytest.param(["--shapes", "0x1x4"], id="shapes-zero-dim"),
+        pytest.param(["--shapes", "1x-2x4"], id="shapes-negative-dim"),
+        pytest.param(["--epsilons", "-1"], id="epsilons-negative"),
+        pytest.param(["--epsilons", "1e-7,nan"], id="epsilons-nan"),
+        pytest.param(["--epsilons", "inf"], id="epsilons-inf"),
+    ])
+    def test_malformed_shape_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, ["gradcheck", "--n", "1", *args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_report_file(self, runner, tmp_path):
         out = tmp_path / "report.txt"
@@ -154,6 +179,11 @@ class TestCalibrate:
     def test_missing_dataset_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["calibrate", "--dataset", str(tmp_path / "nope")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("corrupt", MALFORMED_DATASETS.values(), ids=MALFORMED_DATASETS)
+    def test_malformed_dataset_exits_2(self, runner, tmp_path, corrupt):
+        corrupt(save_small_binary(tmp_path / "d"))
+        assert_config_error(runner.invoke(main, ["calibrate", "--dataset", str(tmp_path / "d")]))
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +240,14 @@ class TestRunAndReport:
     def test_report_missing_dir_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["report", str(tmp_path / "ghost")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("name", ["summary.csv", "auc.csv"])
+    def test_report_empty_csv_exits_2(self, finished_run, runner, tmp_path, name):
+        run = tmp_path / "run"
+        run.mkdir()
+        for csv in ("summary.csv", "auc.csv"):
+            (run / csv).write_bytes(b"" if csv == name else (finished_run / csv).read_bytes())
+        assert_config_error(runner.invoke(main, ["report", str(run)]))
 
     def test_run_with_unknown_config_field_exits_2(self, runner, tmp_path):
         cfg_path = write_config(tmp_path, {"warp_factor": 9})

@@ -6,20 +6,20 @@ import pytest
 from dicelab.epsilon import BalanceParams, EpsilonCalibration, calibrate_epsilon, solve_balance_epsilon
 from dicelab.errors import EmptyDatasetError, InvalidConfigError, NoRealRootError, ShapeMismatchError
 from dicelab.loss import DiceLossConfig
-from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
+from dicelab.tensor import ReductionScheme, Role, make_batch
 
 
 def gt_map(shape, fg_counts):
     """Binary tensor with the requested foreground count per (b, c) cell."""
-    arr = np.zeros(shape.as_tuple())
-    for (b, c), k in np.ndenumerate(np.asarray(fg_counts).reshape(shape.batch, shape.classes)):
+    arr = np.zeros(shape)
+    for (b, c), k in np.ndenumerate(np.asarray(fg_counts).reshape(shape[:2])):
         arr[b, c, :int(k)] = 1.0
     return make_batch(shape, arr.reshape(-1), Role.GROUND_TRUTH)
 
 
 class TestCalibrate:
     def make_maps(self):
-        shape = Shape(1, 2, 32)
+        shape = (1, 2, 32)
         return [gt_map(shape, [[10, 0]]), gt_map(shape, [[20, 4]])]
 
     def test_per_class_mean_includes_empty_maps(self):
@@ -39,13 +39,13 @@ class TestCalibrate:
         assert cal.global_value == pytest.approx((10 + 24) / 2)
 
     def test_multi_element_batches_count_per_cell(self):
-        shape = Shape(2, 1, 16)
+        shape = (2, 1, 16)
         maps = [gt_map(shape, [[4], [8]])]
         cal = calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)
         assert cal.per_class == [(0, 6.0)]
 
     def test_all_empty_flag(self):
-        shape = Shape(1, 1, 8)
+        shape = (1, 1, 8)
         cal = calibrate_epsilon([gt_map(shape, [[0]])], ReductionScheme.IMAGE_WISE)
         assert cal.all_empty
         assert cal.per_class == [(0, 0.0)]
@@ -55,7 +55,7 @@ class TestCalibrate:
             calibrate_epsilon([], ReductionScheme.IMAGE_WISE)
 
     def test_inconsistent_class_counts_rejected(self):
-        maps = [gt_map(Shape(1, 1, 8), [[2]]), gt_map(Shape(1, 2, 8), [[2, 2]])]
+        maps = [gt_map((1, 1, 8), [[2]]), gt_map((1, 2, 8), [[2, 2]])]
         with pytest.raises(ShapeMismatchError):
             calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)
 

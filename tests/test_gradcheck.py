@@ -14,69 +14,69 @@ from dicelab.gradcheck import (
     resolve_epsilon,
     run_check_matrix,
 )
-from dicelab.loss import AvailabilityMask, DiceLossConfig, Variant, dice_value_and_grad
-from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
+from dicelab.loss import DiceLossConfig, Variant, dice_value_and_grad
+from dicelab.tensor import ReductionScheme, Role, make_batch
 
 
 class TestFiniteDiff:
     def test_matches_hand_gradient(self):
-        shape = Shape(1, 1, 2)
+        shape = (1, 1, 2)
         gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5, 0.5], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0)
-        numeric = finite_diff_grad(gt, pred, cfg).flat()
+        numeric = finite_diff_grad(gt, pred, cfg).reshape(-1)
         assert numeric == pytest.approx([-0.75, 0.25], abs=1e-8)
 
     def test_probe_does_not_mutate_input(self):
-        shape = Shape(1, 1, 3)
+        shape = (1, 1, 3)
         gt = make_batch(shape, [1, 0, 1], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.4, 0.5, 0.6], Role.PREDICTION)
-        before = pred.data.copy()
+        before = pred.copy()
         finite_diff_grad(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE, epsilon=1.0))
-        assert np.array_equal(pred.data, before)
+        assert np.array_equal(pred, before)
 
     def test_step_must_be_positive(self):
-        gt = make_batch(Shape(1, 1, 2), [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch(Shape(1, 1, 2), [0.5, 0.5], Role.PREDICTION)
+        gt = make_batch((1, 1, 2), [1, 0], Role.GROUND_TRUTH)
+        pred = make_batch((1, 1, 2), [0.5, 0.5], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE)
         with pytest.raises(StepOutOfRangeError):
             finite_diff_grad(gt, pred, cfg, h=0.0)
 
     def test_stencil_must_stay_in_range(self):
-        gt = make_batch(Shape(1, 1, 2), [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch(Shape(1, 1, 2), [0.5, 1.0], Role.PREDICTION)
+        gt = make_batch((1, 1, 2), [1, 0], Role.GROUND_TRUTH)
+        pred = make_batch((1, 1, 2), [0.5, 1.0], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE)
         with pytest.raises(StepOutOfRangeError):
             finite_diff_grad(gt, pred, cfg)
 
     def test_agrees_with_analytic_on_leaf_dropped_subsets(self):
-        shape = Shape(1, 2, 4)
+        shape = (1, 2, 4)
         gt = make_batch(shape, [1, 0, 1, 0] + [0] * 4, Role.GROUND_TRUTH)
         pred = make_batch(shape, np.linspace(0.2, 0.8, 8), Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.LEAF)
         analytic = dice_value_and_grad(gt, pred, cfg)[1]
         numeric = finite_diff_grad(gt, pred, cfg)
-        assert np.all(analytic.data[0, 1] == 0.0)
+        assert np.all(analytic[0, 1] == 0.0)
         assert compare_grads(analytic, numeric).passed
 
 
     def stencil_case(self):
-        shape = Shape(2, 3, 5)
+        shape = (2, 3, 5)
         gt, pred = random_instance(shape, np.random.default_rng(8))
         return gt, pred, DiceLossConfig(scheme=ReductionScheme.BATCH_WISE, epsilon=1.0)
 
     @pytest.mark.parametrize("block", [1, 3 * 30, 7 * 30 + 11])
     def test_several_blocks_equal_one_block(self, monkeypatch, block):
         gt, pred, cfg = self.stencil_case()
-        whole = finite_diff_grad(gt, pred, cfg).data
+        whole = finite_diff_grad(gt, pred, cfg)
         monkeypatch.setattr(gradcheck, "FD_BLOCK_ELEMENTS", block)
-        assert np.array_equal(finite_diff_grad(gt, pred, cfg).data, whole)
+        assert np.array_equal(finite_diff_grad(gt, pred, cfg), whole)
 
     @pytest.mark.parametrize("block, calls", [(None, 1), (192 * 10, 39)])
     def test_one_value_only_pass_per_block(self, monkeypatch, block, calls):
         # (4, 3, 16): n = 192, so 2n^2 = 73,728 stencil elements fit one default block
-        gt, pred = random_instance(Shape(4, 3, 16), np.random.default_rng(2))
+        gt, pred = random_instance((4, 3, 16), np.random.default_rng(2))
         cfg = DiceLossConfig(scheme=ReductionScheme.CLASS_WISE, epsilon=1e-7)
         seen = []
 
@@ -98,19 +98,19 @@ class TestFiniteDiff:
 
     def test_marginal_probes_are_not_distributions(self):
         # every +-h probe moves one column sum by h = 1e-5, past the 1e-6 tolerance
-        shape = Shape(1, 2, 3)
+        shape = (1, 2, 3)
         gt = make_batch(shape, [1, 0, 0, 0, 1, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.7, 0.4, 0.5, 0.3, 0.6, 0.5], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.MARGINAL, background_class=0)
-        mask = AvailabilityMask(np.array([[True, True]]))
+        mask = np.array([[True, True]])
         with pytest.raises(NotADistributionError):
             finite_diff_grad(gt, pred, cfg, mask=mask)
 
 
 class TestCompareGrads:
     def grad_pair(self):
-        shape = Shape(2, 2, 5)
+        shape = (2, 2, 5)
         gt, pred = random_instance(shape, np.random.default_rng(3))
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1.0)
         analytic = dice_value_and_grad(gt, pred, cfg)[1]
@@ -123,37 +123,35 @@ class TestCompareGrads:
         assert report.passed
         assert report.max_abs_err == 0.0
         assert report.max_rel_err == 0.0
-        assert report.n_checked == analytic.shape.size
+        assert report.n_checked == analytic.size
 
     def test_analytic_vs_numeric_passes(self):
         _, analytic, numeric = self.grad_pair()
         assert compare_grads(analytic, numeric).passed
 
     def test_bumped_element_fails_and_is_located(self):
-        from dicelab.tensor import _wrap
         shape, analytic, numeric = self.grad_pair()
-        bumped = analytic.data.copy()
+        bumped = analytic.copy()
         bumped[1, 0, 3] += 1e-3
-        report = compare_grads(_wrap(shape, bumped), numeric)
+        report = compare_grads(bumped, numeric)
         assert not report.passed
         assert report.worst_index == (1, 0, 3)
 
     def test_tiny_absolute_noise_passes_on_atol(self):
-        from dicelab.tensor import _wrap
         shape, analytic, numeric = self.grad_pair()
-        noisy = analytic.data + 1e-10  # below atol, far above rtol for small grads
-        assert compare_grads(_wrap(shape, noisy), numeric).passed
+        noisy = analytic + 1e-10  # below atol, far above rtol for small grads
+        assert compare_grads(noisy, numeric).passed
 
     def test_shape_mismatch(self):
         _, analytic, _ = self.grad_pair()
-        other = make_batch(Shape(1, 1, 2), [0.1, 0.2], Role.PREDICTION)
+        other = make_batch((1, 1, 2), [0.1, 0.2], Role.PREDICTION)
         with pytest.raises(ShapeMismatchError):
             compare_grads(analytic, other)
 
 
 class TestTwoValue:
     def test_analytic_gradient_passes(self):
-        shape = Shape(2, 3, 6)
+        shape = (2, 3, 6)
         gt, pred = random_instance(shape, np.random.default_rng(4))
         cfg = DiceLossConfig(scheme=ReductionScheme.CLASS_WISE, epsilon=0.5)
         grad = dice_value_and_grad(gt, pred, cfg)[1]
@@ -163,14 +161,14 @@ class TestTwoValue:
         assert np.all(report.n_clusters <= 2)
 
     def test_three_distinct_values_fail(self):
-        shape = Shape(1, 1, 3)
+        shape = (1, 1, 3)
         gt = make_batch(shape, [1, 0, 0], Role.GROUND_TRUTH)
         grad = make_batch(shape, [0.1, 0.2, 0.3], Role.PREDICTION)
         assert not check_two_value(gt, grad, ReductionScheme.ALL_WISE).passed
 
     def test_two_clusters_with_mixed_keys_fail(self):
         # two clusters overall, but the y=1 elements span both of them
-        shape = Shape(1, 1, 3)
+        shape = (1, 1, 3)
         gt = make_batch(shape, [1, 1, 0], Role.GROUND_TRUTH)
         grad = make_batch(shape, [0.1, 0.2, 0.2], Role.PREDICTION)
         report = check_two_value(gt, grad, ReductionScheme.ALL_WISE)
@@ -178,7 +176,7 @@ class TestTwoValue:
         assert report.n_clusters.item() == 2
 
     def test_values_reported_by_key(self):
-        shape = Shape(1, 1, 4)
+        shape = (1, 1, 4)
         gt = make_batch(shape, [1, 0, 1, 0], Role.GROUND_TRUTH)
         grad = make_batch(shape, [0.7, 0.2, 0.7, 0.2], Role.PREDICTION)
         report = check_two_value(gt, grad, ReductionScheme.ALL_WISE)
@@ -187,7 +185,7 @@ class TestTwoValue:
 
     def test_checks_each_subset_of_the_scheme(self):
         # image-wise: element 0's y=0 values disagree, element 1 has no y=1 at all
-        shape = Shape(2, 1, 3)
+        shape = (2, 1, 3)
         gt = make_batch(shape, [1, 0, 0, 0, 0, 0], Role.GROUND_TRUTH)
         grad = make_batch(shape, [0.7, 0.2, 0.3, 0.2, 0.2, 0.2], Role.PREDICTION)
         report = check_two_value(gt, grad, ReductionScheme.IMAGE_WISE)
@@ -199,17 +197,17 @@ class TestTwoValue:
 
 class TestMatrix:
     def test_random_instance_nonempty_mode(self):
-        shape = Shape(3, 2, 4)
+        shape = (3, 2, 4)
         gt, _ = random_instance(shape, np.random.default_rng(0), nonempty_subsets=True)
-        assert np.all(gt.data.sum(axis=2) > 0)
+        assert np.all(gt.sum(axis=2) > 0)
 
     def test_resolve_epsilon_literals_and_calibrated(self):
-        shape = Shape(1, 2, 8)
+        shape = (1, 2, 8)
         gt, _ = random_instance(shape, np.random.default_rng(1))
         assert resolve_epsilon("1e-7", gt, ReductionScheme.IMAGE_WISE) == 1e-7
         cal = resolve_epsilon("calibrated", gt, ReductionScheme.IMAGE_WISE)
         assert np.asarray(cal).shape == (2,)
-        assert np.asarray(cal).tolist() == gt.data.sum(axis=2).reshape(-1).tolist()
+        assert np.asarray(cal).tolist() == gt.sum(axis=2).reshape(-1).tolist()
 
     def test_small_matrix_all_pass(self):
         records = run_check_matrix(shapes=((1, 2, 6),), n_instances=3)

@@ -73,10 +73,18 @@ class TestConfig:
         dict(bootstrap_resamples=50.5),
         dict(batch_sizes=(1, 2.0)),
         dict(batch_sizes=(True,)),
+        dict(dataset=[1, 2]),
+        dict(dataset={"radius_a": 5}),
+        dict(dataset={"radius_b": [2.0]}),
+        dict(batch_sizes=4),
+        dict(labelings="full"),
+        dict(setups="image-wise"),
     ])
     def test_validation(self, kwargs):
+        # the raw mapping a config file parses to, up to building the dataset
+        raw = {**config_to_dict(tiny_config()), **kwargs}
         with pytest.raises(InvalidConfigError):
-            tiny_config(**kwargs)
+            build_dataset(config_from_dict(raw))
 
     def test_marginal_requires_multiclass(self):
         with pytest.raises(InvalidConfigError):
@@ -98,6 +106,12 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             config_from_dict(raw)
 
+    def test_string_in_place_of_a_list_is_rejected_whole(self):
+        # iterated, "full" would be reported as the unknown labeling 'f'
+        raw = {**config_to_dict(tiny_config()), "labelings": "full"}
+        with pytest.raises(InvalidConfigError, match="labelings must be a list"):
+            config_from_dict(raw)
+
     def test_task_required(self):
         with pytest.raises(InvalidConfigError):
             config_from_dict({"seed": 1})
@@ -111,6 +125,10 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidConfigError):
             load_config(tmp_path / "absent.yaml")
+
+    def test_directory_is_not_a_config_file(self, tmp_path):
+        with pytest.raises(InvalidConfigError):
+            load_config(tmp_path)
 
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -154,7 +172,7 @@ class TestBuildDataset:
 class TestRunCell:
     def test_metric_rows_cover_validation_folds(self):
         cfg = tiny_config()
-        result = run_cell(cfg, "full", "image-wise", 1)
+        result = run_cell(cfg, "full", "image-wise", 1, build_dataset(cfg))
         rows = result.metric_rows
         assert len(rows) == 12  # every subject appears in exactly one fold
         assert sorted(r.subject_id for r in rows) == list(range(12))
@@ -166,14 +184,16 @@ class TestRunCell:
             assert r.true_vol > 0.0
 
     def test_calibrated_setup_records_per_fold_epsilon(self):
-        result = run_cell(tiny_config(), "partial", "image-wise-calibrated", 1)
+        cfg = tiny_config()
+        result = run_cell(cfg, "partial", "image-wise-calibrated", 1, build_dataset(cfg))
         folds = [fold for fold, name, value in result.calibration_rows]
         assert folds == [0, 1]
         assert all(name == "lesion" for _, name, _ in result.calibration_rows)
         assert all(value > 0 for _, _, value in result.calibration_rows)
 
     def test_plain_setup_has_no_calibration(self):
-        result = run_cell(tiny_config(), "full", "image-wise", 1)
+        cfg = tiny_config()
+        result = run_cell(cfg, "full", "image-wise", 1, build_dataset(cfg))
         assert result.calibration_rows == ()
 
     def test_non_finite_training_names_cell_and_fold(self, monkeypatch):
@@ -186,9 +206,10 @@ class TestRunCell:
             return real(train_split, cfg)
 
         monkeypatch.setattr(harness, "train", diverge_on_second_fold)
+        cfg = tiny_config()
         with pytest.raises(NonFiniteTrainingError,
                            match="cell partial-image-wise-b1 fold 1: .* iteration 5"):
-            run_cell(tiny_config(), "partial", "image-wise", 1)
+            run_cell(cfg, "partial", "image-wise", 1, build_dataset(cfg))
 
 
 def fail_if_trained(*args, **kwargs):

@@ -12,14 +12,13 @@ from dicelab.errors import (
     ZeroDenominatorError,
 )
 from dicelab.loss import (
-    AvailabilityMask,
     DiceLossConfig,
     Variant,
     dice_value_and_grad,
     dice_values,
     marginal_merge,
 )
-from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
+from dicelab.tensor import ReductionScheme, Role, make_batch
 from partition_oracle import reference_loss
 
 ALL = (ReductionScheme.IMAGE_WISE, ReductionScheme.CLASS_WISE,
@@ -28,14 +27,14 @@ ALL = (ReductionScheme.IMAGE_WISE, ReductionScheme.CLASS_WISE,
 
 def random_pair(shape, seed):
     rng = np.random.default_rng(seed)
-    gt = make_batch(shape, rng.integers(0, 2, shape.size).astype(float), Role.GROUND_TRUTH)
-    pred = make_batch(shape, rng.uniform(0.01, 0.99, shape.size), Role.PREDICTION)
+    gt = make_batch(shape, rng.integers(0, 2, shape).astype(float), Role.GROUND_TRUTH)
+    pred = make_batch(shape, rng.uniform(0.01, 0.99, shape), Role.PREDICTION)
     return gt, pred
 
 
 class TestForward:
     def test_half_overlap_single_pixel_pair(self):
-        shape = Shape(1, 1, 2)
+        shape = (1, 1, 2)
         gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5, 0.5], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0)
@@ -49,14 +48,14 @@ class TestForward:
     def test_empty_gt_with_smoothing(self):
         # all-background target, uniform half predictions, epsilon 2:
         # score = (0 + 2) / (0 + 2 + 2) = 0.5
-        shape = Shape(1, 1, 4)
+        shape = (1, 1, 4)
         gt = make_batch(shape, [0, 0, 0, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5] * 4, Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=2.0)
         assert dice_value_and_grad(gt, pred, cfg)[0].value == pytest.approx(0.5, abs=1e-15)
 
     def test_perfect_prediction_is_zero_loss(self):
-        shape = Shape(2, 1, 3)
+        shape = (2, 1, 3)
         gt = make_batch(shape, [1, 0, 1, 0, 1, 0], Role.GROUND_TRUTH)
         cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE, epsilon=0.0)
         assert dice_value_and_grad(gt, gt, cfg)[0].value == pytest.approx(0.0, abs=1e-15)
@@ -64,19 +63,19 @@ class TestForward:
     @pytest.mark.parametrize("scheme", ALL)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference_path(self, scheme, seed):
-        gt, pred = random_pair(Shape(2, 3, 5), seed)
+        gt, pred = random_pair((2, 3, 5), seed)
         cfg = DiceLossConfig(scheme=scheme, epsilon=0.5)
         assert dice_value_and_grad(gt, pred, cfg)[0].value == pytest.approx(
             reference_loss(gt, pred, cfg), abs=1e-12)
 
     def test_schemes_differ_on_asymmetric_batch(self):
-        gt, pred = random_pair(Shape(3, 2, 6), seed=5)
+        gt, pred = random_pair((3, 2, 6), seed=5)
         values = {s: dice_value_and_grad(gt, pred, DiceLossConfig(scheme=s, epsilon=1.0))[0].value
                   for s in ALL}
         assert len({round(v, 12) for v in values.values()}) == 4
 
     def test_per_class_epsilon(self):
-        shape = Shape(1, 2, 2)
+        shape = (1, 2, 2)
         gt = make_batch(shape, [1, 0, 0, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5, 0.5, 0.25, 0.25], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=[0.0, 2.0])
@@ -84,8 +83,8 @@ class TestForward:
         assert dice_value_and_grad(gt, pred, cfg)[0].value == pytest.approx(1.0 - (0.5 + 0.8) / 2)
 
     def test_shape_mismatch(self):
-        gt = make_batch(Shape(1, 1, 2), [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch(Shape(1, 1, 3), [0.5, 0.5, 0.5], Role.PREDICTION)
+        gt = make_batch((1, 1, 2), [1, 0], Role.GROUND_TRUTH)
+        pred = make_batch((1, 1, 3), [0.5, 0.5, 0.5], Role.PREDICTION)
         with pytest.raises(ShapeMismatchError):
             dice_value_and_grad(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE))[0]
 
@@ -105,7 +104,7 @@ class TestConfigValidation:
             DiceLossConfig(scheme=scheme, epsilon=[1.0, 2.0])
 
     def test_vector_epsilon_wrong_length(self):
-        gt, pred = random_pair(Shape(1, 3, 4), seed=0)
+        gt, pred = random_pair((1, 3, 4), seed=0)
         # a length-1 vector would broadcast over C=3 if the length went unchecked
         for eps in ([1.0, 2.0], [1.0]):
             cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=eps)
@@ -126,7 +125,7 @@ class TestConfigValidation:
             DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, background_class=0)
 
     def test_marginal_needs_mask_at_call_time(self):
-        gt, pred = random_pair(Shape(1, 2, 4), seed=0)
+        gt, pred = random_pair((1, 2, 4), seed=0)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE,
                              variant=Variant.MARGINAL, background_class=0)
         with pytest.raises(InvalidConfigError):
@@ -135,33 +134,33 @@ class TestConfigValidation:
 
 class TestBackward:
     def test_half_overlap_gradient(self):
-        shape = Shape(1, 1, 2)
+        shape = (1, 1, 2)
         gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5, 0.5], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0)
-        grad = dice_value_and_grad(gt, pred, cfg)[1].flat()
+        grad = dice_value_and_grad(gt, pred, cfg)[1].reshape(-1)
         # S = 2, N = 1: y=1 slot -(2/2 - 1/4) = -0.75, y=0 slot 1/4 = 0.25
         assert grad == pytest.approx([-0.75, 0.25], abs=1e-15)
 
     def test_empty_gt_gradient_uniform(self):
-        shape = Shape(1, 1, 4)
+        shape = (1, 1, 4)
         gt = make_batch(shape, [0] * 4, Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5] * 4, Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=2.0)
-        grad = dice_value_and_grad(gt, pred, cfg)[1].flat()
+        grad = dice_value_and_grad(gt, pred, cfg)[1].reshape(-1)
         # S = 4, N = 2: every slot N/S^2 = 0.125
         assert grad == pytest.approx([0.125] * 4, abs=1e-15)
 
     def test_gradient_output_is_frozen(self):
-        gt, pred = random_pair(Shape(1, 2, 3), seed=1)
+        gt, pred = random_pair((1, 2, 3), seed=1)
         grad = dice_value_and_grad(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE))[1]
         with pytest.raises(ValueError):
-            grad.data[0, 0, 0] = 0.0
+            grad[0, 0, 0] = 0.0
 
 
 class TestLeafVariant:
     def test_empty_subsets_dropped_from_mean_and_gradient(self):
-        shape = Shape(1, 2, 2)
+        shape = (1, 2, 2)
         gt = make_batch(shape, [1, 0, 0, 0], Role.GROUND_TRUTH)  # class 1 empty
         pred = make_batch(shape, [0.5, 0.5, 0.3, 0.7], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0,
@@ -171,11 +170,11 @@ class TestLeafVariant:
         assert np.flatnonzero(out.kept).tolist() == [0]
         assert out.score[0, 1, 0] == 0.0
         assert out.value == pytest.approx(0.5)
-        assert np.all(grad.data[0, 1, :] == 0.0)
-        assert np.any(grad.data[0, 0, :] != 0.0)
+        assert np.all(grad[0, 1, :] == 0.0)
+        assert np.any(grad[0, 0, :] != 0.0)
 
     def test_all_subsets_empty_gives_zero_loss_and_gradient(self):
-        shape = Shape(2, 1, 3)
+        shape = (2, 1, 3)
         gt = make_batch(shape, [0] * 6, Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.4] * 6, Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
@@ -184,18 +183,18 @@ class TestLeafVariant:
         assert out.value == 0.0
         assert out.effective_subset_count == 0
         assert not out.kept.any()
-        assert np.all(grad.data == 0.0)
+        assert np.all(grad == 0.0)
 
     def test_leaf_filter_keeps_order(self):
-        shape = Shape(1, 3, 2)
+        shape = (1, 3, 2)
         gt = make_batch(shape, [0, 0, 1, 0, 0, 1], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.5] * 6, Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, variant=Variant.LEAF)
         assert np.flatnonzero(dice_value_and_grad(gt, pred, cfg)[0].kept).tolist() == [1, 2]
 
     def test_leaf_equals_standard_when_nothing_is_empty(self):
-        gt, pred = random_pair(Shape(2, 2, 6), seed=7)
-        if np.any(gt.data.sum(axis=2) == 0):  # reroll would be needed; seed 7 has none
+        gt, pred = random_pair((2, 2, 6), seed=7)
+        if np.any(gt.sum(axis=2) == 0):  # reroll would be needed; seed 7 has none
             pytest.skip("seed produced an empty map")
         std = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5)
         leaf = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5,
@@ -203,94 +202,99 @@ class TestLeafVariant:
         out_leaf, g_leaf = dice_value_and_grad(gt, pred, leaf)
         out_std, g_std = dice_value_and_grad(gt, pred, std)
         assert out_leaf.value == out_std.value
-        assert np.array_equal(g_leaf.data, g_std.data)
+        assert np.array_equal(g_leaf, g_std)
 
 
 def softmax_like_pred(shape, seed):
     """Random prediction whose class columns sum to one per pixel."""
     rng = np.random.default_rng(seed)
-    raw = rng.uniform(0.05, 1.0, shape.as_tuple())
+    raw = rng.uniform(0.05, 1.0, shape)
     raw /= raw.sum(axis=1, keepdims=True)
     return make_batch(shape, raw.reshape(-1), Role.PREDICTION)
 
 
 class TestMarginalMerge:
     def make_case(self):
-        shape = Shape(1, 3, 2)
+        shape = (1, 3, 2)
         gt = make_batch(shape, [1, 0, 0, 0, 0, 1], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0.2, 0.1, 0.5, 0.6, 0.3, 0.3], Role.PREDICTION)
-        mask = AvailabilityMask(np.array([[True, False, True]]))
+        mask = np.array([[True, False, True]])
         return shape, gt, pred, mask
 
     def test_spill_goes_to_background(self):
         shape, gt, pred, mask = self.make_case()
-        merged, routing = marginal_merge(gt.data, pred.data, mask, background_class=0)
+        merged, routing = marginal_merge(gt, pred, mask, background_class=0)
         assert merged[0, 1].tolist() == [0.0, 0.0]
         assert merged[0, 0] == pytest.approx([0.7, 0.7])  # 0.2+0.5, 0.1+0.6
         assert merged[0, 2] == pytest.approx([0.3, 0.3])
         assert routing.tolist() == [[0, 0, 2]]
 
     def test_unavailable_gt_must_be_empty(self):
-        shape = Shape(1, 2, 2)
+        shape = (1, 2, 2)
         gt = make_batch(shape, [0, 1, 1, 0], Role.GROUND_TRUTH)
         pred = softmax_like_pred(shape, seed=0)
-        mask = AvailabilityMask(np.array([[True, False]]))
+        mask = np.array([[True, False]])
         with pytest.raises(MissingLabelNotEmptyError):
-            marginal_merge(gt.data, pred.data, mask, background_class=0)
+            marginal_merge(gt, pred, mask, background_class=0)
 
     def test_columns_must_sum_to_one(self):
         shape, gt, _, mask = self.make_case()
         bad = make_batch(shape, [0.2, 0.1, 0.5, 0.6, 0.2, 0.2], Role.PREDICTION)
         with pytest.raises(NotADistributionError):
-            marginal_merge(gt.data, bad.data, mask, background_class=0)
+            marginal_merge(gt, bad, mask, background_class=0)
 
     def test_tiny_column_sum_error_tolerated(self):
         shape, gt, pred, mask = self.make_case()
-        nudged = pred.data.copy()
+        nudged = pred.copy()
         nudged[0, 0, 0] += 5e-7
         ok = make_batch(shape, nudged.reshape(-1), Role.PREDICTION)
-        marginal_merge(gt.data, ok.data, mask, background_class=0)
+        marginal_merge(gt, ok, mask, background_class=0)
 
     def test_background_must_stay_available(self):
         shape, gt, pred, _ = self.make_case()
-        mask = AvailabilityMask(np.array([[False, True, True]]))
+        mask = np.array([[False, True, True]])
         with pytest.raises(InvalidConfigError):
-            marginal_merge(gt.data, pred.data, mask, background_class=0)
+            marginal_merge(gt, pred, mask, background_class=0)
 
     def test_single_class_rejected(self):
-        shape = Shape(1, 1, 2)
+        shape = (1, 1, 2)
         gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [1.0, 0.0], Role.PREDICTION)
         with pytest.raises(InvalidConfigError):
-            marginal_merge(gt.data, pred.data, AvailabilityMask(np.array([[True]])),
-                           background_class=0)
+            marginal_merge(gt, pred, np.array([[True]]), background_class=0)
 
     def test_mask_shape_checked(self):
         shape, gt, pred, _ = self.make_case()
         with pytest.raises(ShapeMismatchError):
-            marginal_merge(gt.data, pred.data, AvailabilityMask(np.ones((2, 3), dtype=bool)),
-                           background_class=0)
+            marginal_merge(gt, pred, np.ones((2, 3), dtype=bool), background_class=0)
+
+    @pytest.mark.parametrize("mask", [np.ones((1, 3), dtype=int), np.ones(3, dtype=bool),
+                                      np.ones((1, 3, 1), dtype=bool)])
+    def test_mask_must_be_a_b_by_c_bool_array(self, mask):
+        shape, gt, pred, _ = self.make_case()
+        with pytest.raises(ShapeMismatchError):
+            marginal_merge(gt, pred, mask, background_class=0)
 
     def test_prediction_shape_checked(self):
         shape, gt, pred, mask = self.make_case()
         with pytest.raises(ShapeMismatchError):
-            marginal_merge(gt.data, pred.data[..., :1], mask, background_class=0)
+            marginal_merge(gt, pred[..., :1], mask, background_class=0)
 
 
 class TestMarginalVariant:
     def build(self, avail, seed=11):
         """B=2, C=3 softmax-style instance with a chosen availability pattern."""
-        shape = Shape(2, 3, 4)
+        shape = (2, 3, 4)
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 3, (2, 4))
-        gt_arr = np.zeros(shape.as_tuple())
+        gt_arr = np.zeros(shape)
         for b in range(2):
             for i in range(4):
                 gt_arr[b, labels[b, i], i] = 1.0
         gt_arr[~np.asarray(avail)] = 0.0  # unavailable classes must be empty
         gt = make_batch(shape, gt_arr.reshape(-1), Role.GROUND_TRUTH)
         pred = softmax_like_pred(shape, seed + 1)
-        return shape, gt, pred, AvailabilityMask(np.asarray(avail))
+        return shape, gt, pred, np.asarray(avail)
 
     def physical_counterpart(self, gt, pred, avail_row):
         """Collapse the unavailable class into background by hand for one element."""
@@ -311,7 +315,7 @@ class TestMarginalVariant:
         assert out.effective_subset_count == 5
         scores = []
         for b in range(2):
-            gt2, pred2 = self.physical_counterpart(gt.data[b], pred.data[b], avail[b])
+            gt2, pred2 = self.physical_counterpart(gt[b], pred[b], avail[b])
             for c in range(gt2.shape[0]):
                 num = 2.0 * float((gt2[c] * pred2[c]).sum()) + 1e-7
                 den = float(gt2[c].sum() + pred2[c].sum()) + 1e-7
@@ -333,14 +337,14 @@ class TestMarginalVariant:
         out, grad = dice_value_and_grad(gt, pred, cfg, mask)
         assert out.kept.reshape(-1).tolist() == expected
         assert out.effective_subset_count == sum(expected)
-        assert np.array_equal(grad.data[:, 2], grad.data[:, 0])
+        assert np.array_equal(grad[:, 2], grad[:, 0])
 
     def test_gradient_routes_background_to_merged_column(self):
         avail = [[True, False, True], [True, True, True]]
         shape, gt, pred, mask = self.build(avail, seed=21)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.MARGINAL, background_class=0)
-        grad = dice_value_and_grad(gt, pred, cfg, mask)[1].data
+        grad = dice_value_and_grad(gt, pred, cfg, mask)[1]
         assert np.array_equal(grad[0, 1], grad[0, 0])
         assert not np.array_equal(grad[1, 1], grad[1, 0])
 
@@ -353,17 +357,17 @@ class TestMarginalVariant:
         out_marg, g_marg = dice_value_and_grad(gt, pred, marg, mask)
         out_std, g_std = dice_value_and_grad(gt, pred, std)
         assert out_marg.value == pytest.approx(out_std.value, abs=1e-15)
-        assert g_marg.data == pytest.approx(g_std.data, abs=1e-15)
+        assert g_marg == pytest.approx(g_std, abs=1e-15)
 
 
 class TestDiceValues:
     @pytest.mark.parametrize("scheme", ALL)
     @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.LEAF])
     def test_each_stacked_value_equals_one_forward_bitwise(self, scheme, variant):
-        shape = Shape(3, 2, 6)
+        shape = (3, 2, 6)
         gt, _ = random_pair(shape, seed=5)
         rng = np.random.default_rng(6)
-        stack = rng.uniform(0.0, 1.0, (2, 4) + shape.as_tuple())
+        stack = rng.uniform(0.0, 1.0, (2, 4) + shape)
         cfg = DiceLossConfig(scheme=scheme, epsilon=0.5, variant=variant)
         values = dice_values(gt, stack, cfg)
         assert values.shape == (2, 4)
@@ -372,23 +376,23 @@ class TestDiceValues:
             assert values[j, k] == dice_value_and_grad(gt, single, cfg)[0].value
 
     def test_marginal_stack_merges_each_prediction(self):
-        shape = Shape(1, 3, 2)
+        shape = (1, 3, 2)
         gt = make_batch(shape, [1, 0, 0, 0, 0, 1], Role.GROUND_TRUTH)
-        mask = AvailabilityMask(np.array([[True, False, True]]))
+        mask = np.array([[True, False, True]])
         preds = [softmax_like_pred(shape, seed) for seed in (1, 2, 3)]
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.MARGINAL, background_class=0)
-        values = dice_values(gt, np.stack([p.data for p in preds]), cfg, mask)
+        values = dice_values(gt, np.stack(preds), cfg, mask)
         assert values.tolist() == [dice_value_and_grad(gt, p, cfg, mask)[0].value for p in preds]
 
     def test_no_counted_subset_scores_zero(self):
-        shape = Shape(2, 1, 3)
+        shape = (2, 1, 3)
         gt = make_batch(shape, [0] * 6, Role.GROUND_TRUTH)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, variant=Variant.LEAF)
-        assert dice_values(gt, np.full((4,) + shape.as_tuple(), 0.3), cfg).tolist() == [0.0] * 4
+        assert dice_values(gt, np.full((4,) + shape, 0.3), cfg).tolist() == [0.0] * 4
 
     def test_trailing_shape_checked(self):
-        gt, _ = random_pair(Shape(1, 2, 3), seed=0)
+        gt, _ = random_pair((1, 2, 3), seed=0)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE)
         with pytest.raises(ShapeMismatchError):
             dice_values(gt, np.zeros((4, 1, 3, 2)), cfg)
@@ -396,7 +400,7 @@ class TestDiceValues:
 
 class TestZeroDenominator:
     def zero_case(self):
-        shape = Shape(1, 1, 3)
+        shape = (1, 1, 3)
         gt = make_batch(shape, [0, 0, 0], Role.GROUND_TRUTH)
         pred = make_batch(shape, [0, 0, 0], Role.PREDICTION)
         return gt, pred
@@ -407,7 +411,7 @@ class TestZeroDenominator:
         with pytest.raises(ZeroDenominatorError):
             dice_value_and_grad(gt, pred, cfg)
         with pytest.raises(ZeroDenominatorError):
-            dice_values(gt, pred.data[None], cfg)
+            dice_values(gt, pred[None], cfg)
 
     def test_dropped_subset_does_not_raise(self):
         gt, pred = self.zero_case()
@@ -415,4 +419,4 @@ class TestZeroDenominator:
                              variant=Variant.LEAF)
         out, grad = dice_value_and_grad(gt, pred, cfg)
         assert out.value == 0.0
-        assert np.all(grad.data == 0.0)
+        assert np.all(grad == 0.0)

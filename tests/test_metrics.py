@@ -19,7 +19,7 @@ from dicelab.metrics import (
     volume_difference,
     write_csv,
 )
-from dicelab.tensor import Role, Shape, make_batch
+from dicelab.tensor import Role, make_batch
 from dicelab.trainer import Head
 
 
@@ -66,18 +66,18 @@ class TestVolumeDifference:
 
 class TestBinarize:
     def test_sigmoid_threshold_includes_half(self):
-        pred = make_batch(Shape(1, 1, 4), [0.5, 0.4999, 0.51, 0.2], Role.PREDICTION)
+        pred = make_batch((1, 1, 4), [0.5, 0.4999, 0.51, 0.2], Role.PREDICTION)
         assert binarize(pred, Head.SIGMOID).reshape(-1).tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_softmax_argmax_one_hot(self):
         # class rows: [0.2, 0.7], [0.3, 0.2], [0.5, 0.1]
-        pred = make_batch(Shape(1, 3, 2), [0.2, 0.7, 0.3, 0.2, 0.5, 0.1], Role.PREDICTION)
+        pred = make_batch((1, 3, 2), [0.2, 0.7, 0.3, 0.2, 0.5, 0.1], Role.PREDICTION)
         hard = binarize(pred, Head.SOFTMAX)
         assert hard[0, :, 0].tolist() == [0.0, 0.0, 1.0]
         assert hard[0, :, 1].tolist() == [1.0, 0.0, 0.0]
 
     def test_softmax_tie_goes_to_lowest_index(self):
-        pred = make_batch(Shape(1, 2, 1), [0.5, 0.5], Role.PREDICTION)
+        pred = make_batch((1, 2, 1), [0.5, 0.5], Role.PREDICTION)
         assert binarize(pred, Head.SOFTMAX)[0, :, 0].tolist() == [1.0, 0.0]
 
 

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 from dicelab.errors import DicelabError
 from dicelab.gradcheck import finite_diff_grad, resolve_epsilon
 from dicelab.loss import (
-    AvailabilityMask,
     DiceLossConfig,
     Variant,
     dice_value_and_grad,
     dice_values,
 )
-from dicelab.tensor import ReductionScheme, Shape, _wrap, read_tensor
+from dicelab.tensor import ReductionScheme, Role, make_batch, read_tensor
 from dicelab.trainer import load_model
 from fd_oracle import loop_finite_diff_grad
 from partition_oracle import enumerate_subsets, reference_grad, reference_loss
@@ -42,11 +41,12 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 @st.composite
 def tensors(draw, batch=None, classes=None):
     """Binary ground truth and predictions in [0, 1] of a small shape."""
-    shape = Shape(batch or draw(st.integers(1, 3)), classes or draw(st.integers(1, 3)),
-                  draw(st.integers(1, 6)))
-    y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=shape.size, max_size=shape.size))
-    p = draw(st.lists(unit, min_size=shape.size, max_size=shape.size))
-    return _wrap(shape, np.array(y)), _wrap(shape, np.array(p))
+    shape = (batch or draw(st.integers(1, 3)), classes or draw(st.integers(1, 3)),
+             draw(st.integers(1, 6)))
+    size = int(np.prod(shape))
+    y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size))
+    p = draw(st.lists(unit, min_size=size, max_size=size))
+    return make_batch(shape, y, Role.GROUND_TRUTH), make_batch(shape, p, Role.PREDICTION)
 
 
 @st.composite
@@ -55,7 +55,7 @@ def instances(draw):
     gt, pred = draw(tensors())
     scheme = draw(st.sampled_from(list(ReductionScheme)))
     if scheme.class_pure and draw(st.booleans()):
-        n = gt.shape.classes
+        n = gt.shape[1]
         eps = np.array(draw(st.lists(positive_eps, min_size=n, max_size=n)))
     else:
         eps = draw(positive_eps)
@@ -68,7 +68,7 @@ def test_axis_core_matches_index_list_oracle(case):
     gt, pred, cfg = case
     out, grad = dice_value_and_grad(gt, pred, cfg)
     assert abs(out.value - reference_loss(gt, pred, cfg)) <= 1e-12
-    assert np.max(np.abs(grad.data - reference_grad(gt, pred, cfg))) <= 1e-12
+    assert np.max(np.abs(grad - reference_grad(gt, pred, cfg))) <= 1e-12
     assert out.effective_subset_count == len(enumerate_subsets(cfg.scheme, gt.shape))
 
 
@@ -84,8 +84,8 @@ def test_loss_lies_in_unit_interval(case):
 @given(instances())
 def test_background_gradient_nonnegative_foreground_nonpositive(case):
     gt, pred, cfg = case
-    grad = dice_value_and_grad(gt, pred, cfg)[1].flat()
-    y = gt.flat()
+    grad = dice_value_and_grad(gt, pred, cfg)[1].reshape(-1)
+    y = gt.reshape(-1)
     for s in enumerate_subsets(cfg.scheme, gt.shape):
         g, key = grad[s.members], y[s.members]
         g0, g1 = g[key == 0.0], g[key == 1.0]
@@ -103,7 +103,7 @@ def test_degenerate_scheme_pairs_coincide_exactly(axis, data):
         out_a, grad_a = dice_value_and_grad(gt, pred, DiceLossConfig(scheme_a, eps))
         out_b, grad_b = dice_value_and_grad(gt, pred, DiceLossConfig(scheme_b, eps))
         assert out_a.value == out_b.value
-        assert np.array_equal(grad_a.data, grad_b.data)
+        assert np.array_equal(grad_a, grad_b)
 
 
 @PROPERTY_SETTINGS
@@ -112,7 +112,7 @@ def test_leaf_empty_subsets_get_zero_gradient_and_are_not_counted(case):
     gt, pred, cfg = case
     leaf = DiceLossConfig(cfg.scheme, cfg.epsilon, Variant.LEAF)
     out, grad = dice_value_and_grad(gt, pred, leaf)
-    g, y = grad.flat(), gt.flat()
+    g, y = grad.reshape(-1), gt.reshape(-1)
     subsets = enumerate_subsets(cfg.scheme, gt.shape)
     empty = [s for s in subsets if not y[s.members].any()]
     for s in empty:
@@ -137,16 +137,15 @@ def marginal_cases(draw):
     p = raw / raw.sum(axis=1, keepdims=True)
     cfg = DiceLossConfig(draw(st.sampled_from(list(ReductionScheme))), draw(positive_eps),
                          Variant.MARGINAL, background_class=background)
-    shape = Shape(B, C, I)
-    return _wrap(shape, y), _wrap(shape, p), cfg, AvailabilityMask(avail)
+    return y, p, cfg, avail
 
 
 @PROPERTY_SETTINGS
 @given(marginal_cases())
 def test_marginal_unavailable_classes_take_the_background_gradient(case):
     gt, pred, cfg, mask = case
-    grad = dice_value_and_grad(gt, pred, cfg, mask)[1].data
-    for b, c in zip(*np.nonzero(~mask.available)):
+    grad = dice_value_and_grad(gt, pred, cfg, mask)[1]
+    for b, c in zip(*np.nonzero(~mask)):
         assert np.array_equal(grad[b, c], grad[b, cfg.background_class])
 
 
@@ -154,14 +153,13 @@ def test_marginal_unavailable_classes_take_the_background_gradient(case):
 @given(instances(), st.lists(unit, min_size=1, max_size=12))
 def test_stacked_values_equal_single_forward_bitwise(case, extra):
     gt, pred, cfg = case
-    n = gt.shape.size
+    n = gt.size
     others = np.resize(np.array(extra), (2, n))  # two more predictions, extra repeated
-    stack = np.concatenate([pred.flat()[None], others]).reshape(3, *gt.shape.as_tuple())
+    stack = np.concatenate([pred.reshape(-1)[None], others]).reshape(3, *gt.shape)
     values = dice_values(gt, stack, cfg)
     assert values.shape == (3,)
     for k in range(3):
-        single = _wrap(gt.shape, stack[k].reshape(-1))
-        assert values[k] == dice_value_and_grad(gt, single, cfg)[0].value
+        assert values[k] == dice_value_and_grad(gt, stack[k], cfg)[0].value
 
 
 @st.composite
@@ -170,22 +168,21 @@ def stencil_cases(draw):
     gt, _ = draw(tensors())
     eps_label = draw(st.sampled_from(["0", "1e-7", "1", "calibrated"]))
     if eps_label == "0":  # epsilon 0 is only smooth when no (b, c) map is empty
-        y = gt.data.copy()
-        y[..., 0][y.sum(axis=2) == 0] = 1.0
-        gt = _wrap(gt.shape, y.reshape(-1))
+        gt = gt.copy()
+        gt[..., 0][gt.sum(axis=2) == 0] = 1.0
     inside = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
-    p = draw(st.lists(inside, min_size=gt.shape.size, max_size=gt.shape.size))
+    p = draw(st.lists(inside, min_size=gt.size, max_size=gt.size))
     scheme = draw(st.sampled_from(list(ReductionScheme)))
     variant = draw(st.sampled_from([Variant.STANDARD, Variant.LEAF]))
     cfg = DiceLossConfig(scheme, resolve_epsilon(eps_label, gt, scheme), variant)
-    return gt, _wrap(gt.shape, np.array(p)), cfg
+    return gt, np.reshape(p, gt.shape), cfg
 
 
 @PROPERTY_SETTINGS
 @given(stencil_cases())
 def test_batched_stencil_matches_per_element_loop(case):
     gt, pred, cfg = case
-    batched = finite_diff_grad(gt, pred, cfg).data
+    batched = finite_diff_grad(gt, pred, cfg)
     assert np.max(np.abs(batched - loop_finite_diff_grad(gt, pred, cfg))) <= 1e-10
 
 

@@ -1,11 +1,12 @@
 """Synthetic task generators, corruption policies, and dataset persistence."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from dicelab.errors import InvalidConfigError, InvalidParamsError, TargetNotFoundError
+from dicelab.errors import DicelabError, InvalidConfigError, InvalidParamsError, TargetNotFoundError
 from dicelab.synthdata import (
     GRADE_A,
     GRADE_B,
@@ -22,6 +23,43 @@ from dicelab.synthdata import (
     load_dataset,
     save_dataset,
 )
+from dicelab.tensor import write_tensor
+
+
+def _edit_manifest(root, change):
+    manifest = json.loads((root / MANIFEST_NAME).read_text())
+    change(manifest)
+    (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def _first_sample(root):
+    return root / json.loads((root / MANIFEST_NAME).read_text())["samples"][0]["file"]
+
+
+# Corruptions of a saved binary dataset directory (C = 1, so a sample is (1, 2, n * n)).
+MALFORMED_DATASETS = {
+    "manifest-not-json": lambda root: (root / MANIFEST_NAME).write_text("{not json"),
+    "manifest-missing-key": lambda root: _edit_manifest(root, lambda m: m.pop("image_size")),
+    "manifest-samples-not-a-list": lambda root: _edit_manifest(
+        root, lambda m: m.update(samples=3)),
+    "manifest-availability-too-long": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][0].update(availability=[True, True])),
+    "sample-file-missing": lambda root: _first_sample(root).unlink(),
+    "sample-wrong-size": lambda root: write_tensor(_first_sample(root), np.zeros((1, 2, 10))),
+    "sample-batch-not-1": lambda root: write_tensor(_first_sample(root),
+                                                    np.zeros((2, 2, 16 * 16))),
+    "sample-truncated": lambda root: _first_sample(root).write_bytes(
+        _first_sample(root).read_bytes()[:-8]),
+    "sample-zero-dim": lambda root: _first_sample(root).write_bytes(
+        b"DRT1" + struct.pack("<BBIII", 1, 3, 1, 0, 256)),
+}
+
+
+def save_small_binary(root):
+    params = BinaryTaskParams(image_size=16, n_grade_a=3, n_grade_b=2,
+                              radius_a=(3.0, 4.5), radius_b=(2.0, 3.0))
+    save_dataset(generate_binary(params, seed=9), root)
+    return root
 
 
 class TestBinaryGenerator:
@@ -243,6 +281,12 @@ class TestPersistence:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(InvalidConfigError):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("corrupt", MALFORMED_DATASETS.values(), ids=MALFORMED_DATASETS)
+    def test_malformed_directory_raises_a_dicelab_error(self, tmp_path, corrupt):
+        corrupt(save_small_binary(tmp_path / "d"))
+        with pytest.raises(DicelabError):
+            load_dataset(tmp_path / "d")
 
     def test_wrong_schema_version(self, tmp_path):
         ds = self.small_dataset()

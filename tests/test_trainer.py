@@ -11,7 +11,7 @@ from dicelab.errors import (
     ShapeMismatchError,
     TensorFileError,
 )
-from dicelab.loss import AvailabilityMask, DiceLossConfig, Variant
+from dicelab.loss import DiceLossConfig, Variant
 from dicelab.synthdata import (
     PHASE_B,
     BinaryTaskParams,
@@ -24,7 +24,7 @@ from dicelab.synthdata import (
     generate_multiclass,
 )
 from dicelab import trainer
-from dicelab.tensor import ReductionScheme, Role, Shape, make_batch
+from dicelab.tensor import ReductionScheme, Role, make_batch
 from dicelab.trainer import (
     Head,
     LinearPixelModel,
@@ -79,18 +79,18 @@ class TestModelForward:
     def test_zero_weights_sigmoid_is_half(self):
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
         pred = model_forward(model, np.ones((1, 3, 4)))
-        assert np.all(pred.data == 0.5)
+        assert np.all(pred == 0.5)
 
     def test_zero_weights_softmax_is_uniform(self):
         model = LinearPixelModel(np.zeros((3, 4)), Head.SOFTMAX)
         pred = model_forward(model, np.ones((2, 5, 4)))
-        assert pred.data == pytest.approx(np.full((2, 3, 5), 1.0 / 3.0))
+        assert pred == pytest.approx(np.full((2, 3, 5), 1.0 / 3.0))
 
     def test_softmax_columns_sum_to_one(self):
         rng = np.random.default_rng(1)
         model = LinearPixelModel(rng.normal(size=(4, 4)), Head.SOFTMAX)
         pred = model_forward(model, rng.uniform(0, 1, (2, 6, 4)))
-        assert pred.data.sum(axis=1) == pytest.approx(np.ones((2, 6)), abs=1e-12)
+        assert pred.sum(axis=1) == pytest.approx(np.ones((2, 6)), abs=1e-12)
 
     def test_sigmoid_equals_two_class_softmax_against_zero_row(self):
         rng = np.random.default_rng(2)
@@ -99,7 +99,7 @@ class TestModelForward:
         sig = model_forward(LinearPixelModel(w, Head.SIGMOID), feats)
         soft = model_forward(
             LinearPixelModel(np.vstack([np.zeros((1, 4)), w]), Head.SOFTMAX), feats)
-        assert soft.data[:, 1, :] == pytest.approx(sig.data[:, 0, :], abs=1e-12)
+        assert soft[:, 1, :] == pytest.approx(sig[:, 0, :], abs=1e-12)
 
     def test_feature_dim_checked(self):
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
@@ -120,14 +120,14 @@ class TestModelBackward:
         c = 0.3
         feats = featurize(np.full((4, 4), c))[None]
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
-        grad = model_backward(model, feats, np.ones((1, 1, 16)), model_forward(model, feats).data)
+        grad = model_backward(model, feats, np.ones((1, 1, 16)), model_forward(model, feats))
         assert grad == pytest.approx(0.25 * 16 * np.array([[1.0, c, c, 0.0]]))
 
     def test_zero_loss_grad_gives_zero_weight_grad(self):
         rng = np.random.default_rng(3)
         feats = rng.uniform(0, 1, (2, 8, 4))
         model = LinearPixelModel(rng.normal(size=(3, 4)), Head.SOFTMAX)
-        grad = model_backward(model, feats, np.zeros((2, 3, 8)), model_forward(model, feats).data)
+        grad = model_backward(model, feats, np.zeros((2, 3, 8)), model_forward(model, feats))
         assert np.all(grad == 0.0)
 
     def test_loss_grad_shape_checked(self):
@@ -147,7 +147,7 @@ def gt_from_samples(samples, include_background):
         else:
             rows.append(fg)
     arr = np.stack(rows)
-    shape = Shape(arr.shape[0], arr.shape[1], n_pixels)
+    shape = (arr.shape[0], arr.shape[1], n_pixels)
     return make_batch(shape, arr.reshape(-1), Role.GROUND_TRUTH)
 
 
@@ -213,7 +213,7 @@ class TestEndToEndGradient:
         samples = [by_tag["phase-a"], by_tag[PHASE_B]]  # one of each phase
         feats = np.stack([featurize(s.image) for s in samples])
         gt = gt_from_samples(samples, include_background=True)
-        mask = AvailabilityMask(np.stack([[True, *s.availability] for s in samples]))
+        mask = np.stack([[True, *s.availability] for s in samples])
         model = LinearPixelModel(np.random.default_rng(4).normal(0, 0.5, (4, 4)),
                                  Head.SOFTMAX)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-3,
@@ -346,7 +346,7 @@ class TestTrainLoop:
         ds = generate_binary(SMALL_BINARY, seed=0)
         result = train(ds, self.binary_cfg(iterations=3))
         pred = predict(result.model, ds)
-        assert pred.shape.as_tuple() == (6, 1, 256)
+        assert pred.shape == (6, 1, 256)
 
 
 class TestCheckpoint:
