@@ -21,7 +21,13 @@ from .errors import (
     TensorFileError,
     ZeroDenominatorError,
 )
-from .tensor import ReductionScheme, Role, make_batch, read_tensor, write_tensor
+from .tensor import (
+    ReductionScheme,
+    Role,
+    make_batch,
+    read_tensor,
+    write_tensor,
+)
 from .loss import (
     DiceLossConfig,
     LossOutput,

@@ -93,8 +93,10 @@ def cmd_gen_data(config_path, task, labeling, seed, out_dir):
 def cmd_gradcheck(n, seed, perturb, epsilons, shapes, schemes, out_path):
     """Compare analytic gradients against finite differences; exit 0 iff all pass."""
     try:
-        shape_list = [batch_dims(int(d) for d in token.lower().split("x"))
-                      for token in shapes.split(",")]
+        shape_list = []
+        for token in shapes.split(","):
+            dims = tuple(int(d) for d in token.lower().split("x"))
+            shape_list.append(batch_dims(dims))
         scheme_list = [ReductionScheme(s.strip()) for s in schemes.split(",")]
         eps_list = [e.strip() for e in epsilons.split(",") if e.strip()]
         for e in eps_list:

@@ -96,20 +96,18 @@ def compare_grads(
     analytic, numeric = np.asarray(analytic), np.asarray(numeric)
     if analytic.ndim != 3 or analytic.shape != numeric.shape:
         raise ShapeMismatchError(f"shape {analytic.shape} != {numeric.shape}")
-    a = analytic.reshape(-1)
-    n = numeric.reshape(-1)
-    abs_err = np.abs(a - n)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-12)
+    abs_err = np.abs(analytic - numeric)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
     rel_err = abs_err / denom
     violation = np.minimum(abs_err / atol, rel_err / rtol)
     worst = int(np.argmax(violation))
-    passed = bool(violation[worst] <= 1.0)
+    passed = bool(violation.flat[worst] <= 1.0)
     b, c, i = np.unravel_index(worst, analytic.shape)
     return GradCheckReport(
         max_abs_err=float(abs_err.max()),
         max_rel_err=float(rel_err.max()),
         worst_index=(int(b), int(c), int(i)),
-        n_checked=int(a.size),
+        n_checked=int(analytic.size),
         passed=passed,
     )
 
@@ -175,7 +173,9 @@ def random_instance(dims: tuple[int, int, int], rng: np.random.Generator,
             if not row.any():
                 row[rng.integers(0, I)] = 1.0
     p = rng.uniform(0.01, 0.99, size=B * C * I)
-    return readonly(y.reshape(dims)), readonly(p.reshape(dims))
+    gt = readonly(y.reshape(dims))
+    pred = readonly(p.reshape(dims))
+    return gt, pred
 
 
 def resolve_epsilon(label: str, gt: np.ndarray, scheme: ReductionScheme):

@@ -449,7 +449,8 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtif
         results = [run_cell(config, *cell, datasets) for cell in cells]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, [(config, cell, datasets) for cell in cells]))
+            results = list(pool.map(_cell_worker,
+                                    [(config, cell, datasets) for cell in cells]))
 
     save_config(config, out / "config_snapshot.yaml")
     dataset_dir = out / "dataset"

@@ -101,8 +101,9 @@ class LossOutput:
     effective_subset_count: int
 
 
-def _check_shapes(gt: np.ndarray, p: np.ndarray) -> None:
-    if gt.ndim != 3 or p.shape[-3:] != gt.shape:
+def _check_shapes(gt: np.ndarray, p: np.ndarray, stacked: bool) -> None:
+    """gt must be (B, C, I) and p the same shape, or (..., B, C, I) when stacked."""
+    if gt.ndim != 3 or p.shape[-3:] != gt.shape or (not stacked and p.ndim != 3):
         raise ShapeMismatchError(f"gt shape {gt.shape} does not match predictions {p.shape}")
 
 
@@ -123,7 +124,7 @@ def marginal_merge(
     maps, per batch element, each original class to the merged column that now
     carries it (itself when available, background otherwise).
     """
-    _check_shapes(gt, p)
+    _check_shapes(gt, p, stacked=True)
     if mask is None:
         raise InvalidConfigError("marginal variant requires an availability mask")
     B, C, I = gt.shape
@@ -131,12 +132,12 @@ def marginal_merge(
         raise InvalidConfigError("marginal merging requires multiclass (C >= 2) predictions")
     if not (0 <= background_class < C):
         raise InvalidConfigError(f"background_class {background_class} out of range for C={C}")
-    avail = np.asarray(mask)
-    if avail.dtype != bool or avail.shape != (B, C):
+    if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (B, C):
         raise ShapeMismatchError(
-            f"availability mask must be a ({B}, {C}) bool array, got {avail.dtype} {avail.shape}"
+            f"availability mask must be a ({B}, {C}) bool array, got {np.asarray(mask).dtype} "
+            f"{np.shape(mask)}"
         )
-    if not np.all(avail[:, background_class]):
+    if not np.all(mask[:, background_class]):
         raise InvalidConfigError("background class must be available in every batch element")
 
     col_sums = p.sum(axis=-2)
@@ -144,7 +145,7 @@ def marginal_merge(
         worst = float(np.max(np.abs(col_sums - 1.0)))
         raise NotADistributionError(f"prediction columns must sum to 1 per pixel (max dev {worst:.3g})")
 
-    unavailable = ~avail
+    unavailable = ~mask
     if np.any(gt[unavailable] != 0.0):
         raise MissingLabelNotEmptyError("ground truth of an unavailable class contains foreground")
 
@@ -153,7 +154,7 @@ def marginal_merge(
     merged[..., unavailable, :] = 0.0
     merged[..., background_class, :] += spill
 
-    routing = np.where(avail, np.arange(C)[None, :], background_class)
+    routing = np.where(mask, np.arange(C)[None, :], background_class)
     return merged, routing
 
 
@@ -191,7 +192,7 @@ def _pool(
     elif cfg.variant is Variant.MARGINAL:
         # marginal_merge checked that the background is available everywhere,
         # so only subsets made of merged-away classes alone are dropped
-        kept = np.asarray(mask)[:, :, None].any(axis=axes, keepdims=True)
+        kept = mask[:, :, None].any(axis=axes, keepdims=True)
     else:
         kept = np.ones(gsum.shape, dtype=bool)
 
@@ -230,8 +231,7 @@ def dice_value_and_grad(
     the merged maps and routed back through the background sum.
     """
     y, p = np.asarray(gt, dtype=np.float64), np.asarray(pred, dtype=np.float64)
-    if y.ndim != 3 or p.shape != y.shape:
-        raise ShapeMismatchError(f"gt shape {y.shape} != pred shape {p.shape}")
+    _check_shapes(y, p, stacked=False)
     routing = None
     if cfg.variant is Variant.MARGINAL:
         p, routing = marginal_merge(y, p, mask, cfg.background_class)
@@ -260,7 +260,7 @@ def dice_values(
     result has shape (...), and entry k equals dice_value_and_grad(gt, preds[k])[0].value.
     """
     y, p = np.asarray(gt, dtype=np.float64), np.asarray(preds, dtype=np.float64)
-    _check_shapes(y, p)
+    _check_shapes(y, p, stacked=True)
     if cfg.variant is Variant.MARGINAL:
         p = marginal_merge(y, p, mask, cfg.background_class)[0]
     kept, K, N, S = _pool(y, p, cfg, mask)

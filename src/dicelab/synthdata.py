@@ -336,8 +336,9 @@ def save_dataset(dataset: SyntheticDataset, out_dir) -> Path:
 def load_dataset(path) -> SyntheticDataset:
     """Read a directory save_dataset wrote.
 
-    A malformed manifest raises InvalidConfigError; a sample file that cannot
-    be read, or is not a (1, C + 1, N * N) tensor, raises TensorFileError.
+    Every malformed input raises a DicelabError: a manifest that is not JSON,
+    lacks a field or names a file outside the directory, a sample file that
+    cannot be read or is not a (1, C + 1, N * N) tensor.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -353,18 +354,23 @@ def load_dataset(path) -> SyntheticDataset:
                                  f"{MANIFEST_SCHEMA}")
     try:
         task = manifest["task"]
-        n = int(manifest["image_size"])
+        n = manifest["image_size"]
+        if type(n) is not int or n <= 0:
+            raise ValueError(f"image_size must be a positive integer, got {n!r}")
         class_names = tuple(manifest["class_names"])
         entries = [(int(e["subject_id"]), e["tag"], np.asarray(e["availability"], dtype=bool),
-                    root / e["file"]) for e in manifest["samples"]]
+                    Path(e["file"])) for e in manifest["samples"]]
         origin = dict(manifest.get("origin", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     samples = []
-    for subject_id, tag, availability, file in entries:
+    for subject_id, tag, availability, name in entries:
         if availability.shape != (len(class_names),):
             raise InvalidConfigError(f"{manifest_path}: subject {subject_id} needs "
                                      f"{len(class_names)} availability flags")
+        if name.is_absolute() or ".." in name.parts:
+            raise InvalidConfigError(f"{manifest_path}: sample file {name} is outside {root}")
+        file = root / name
         try:
             tensor = read_tensor(file)
         except OSError as exc:
@@ -373,6 +379,11 @@ def load_dataset(path) -> SyntheticDataset:
             raise TensorFileError(f"{file}: expected a (1, {len(class_names) + 1}, {n * n}) "
                                   f"tensor, got {tensor.shape}")
         rows = tensor.reshape(-1, n, n)
-        samples.append(SyntheticSample(subject_id, tag, rows[0].copy(), rows[1:].copy(),
-                                       availability))
+        samples.append(SyntheticSample(
+            subject_id=subject_id,
+            tag=tag,
+            image=rows[0].copy(),
+            gt=rows[1:].copy(),
+            availability=availability,
+        ))
     return SyntheticDataset(task, class_names, n, tuple(samples), origin)

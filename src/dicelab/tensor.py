@@ -85,7 +85,9 @@ def make_batch(dims, values: Sequence[float] | np.ndarray, role: Role) -> np.nda
     dims = batch_dims(dims)
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size != math.prod(dims):
-        raise LengthMismatchError(f"expected {math.prod(dims)} values for {dims}, got {arr.size}")
+        raise LengthMismatchError(
+            f"expected {math.prod(dims)} values for shape {dims}, got {arr.size}"
+        )
     if role is Role.GROUND_TRUTH:
         if not np.all((arr == 0.0) | (arr == 1.0)):
             raise RangeViolationError("ground-truth values must be exactly 0 or 1")

@@ -175,14 +175,11 @@ def step_gradients(
     """
     if model_cols is None:
         model_cols = np.arange(model.n_classes)
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim == 2:
-        feats = feats[None]
-    pred = model_forward(model, feats)
+    pred = model_forward(model, features)
     out, grad = dice_value_and_grad(gt, pred[:, model_cols, :], cfg, mask)
     scattered = np.zeros(pred.shape)
     scattered[:, model_cols, :] = grad
-    dtheta = model_backward(model, feats, scattered, pred)
+    dtheta = model_backward(model, features, scattered, pred)
     return StepResult(out.value, grad, dtheta)
 
 

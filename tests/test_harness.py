@@ -83,8 +83,11 @@ class TestConfig:
     def test_validation(self, kwargs):
         # the raw mapping a config file parses to, up to building the dataset
         raw = {**config_to_dict(tiny_config()), **kwargs}
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError) as exc:
             build_dataset(config_from_dict(raw))
+        # config_from_dict turns a constructor TypeError into InvalidConfigError;
+        # none of these inputs may reach that, so ExperimentConfig itself stays typed
+        assert not isinstance(exc.value.__cause__, TypeError)
 
     def test_marginal_requires_multiclass(self):
         with pytest.raises(InvalidConfigError):

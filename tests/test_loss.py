@@ -88,6 +88,12 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             dice_value_and_grad(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE))[0]
 
+    def test_stacked_predictions_rejected(self):
+        # a stack of predictions is for dice_values only
+        cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE)
+        with pytest.raises(ShapeMismatchError):
+            dice_value_and_grad(np.zeros((1, 1, 2)), np.full((3, 1, 1, 2), 0.5), cfg)
+
 
 class TestConfigValidation:
     def test_negative_epsilon(self):
@@ -269,7 +275,7 @@ class TestMarginalMerge:
             marginal_merge(gt, pred, np.ones((2, 3), dtype=bool), background_class=0)
 
     @pytest.mark.parametrize("mask", [np.ones((1, 3), dtype=int), np.ones(3, dtype=bool),
-                                      np.ones((1, 3, 1), dtype=bool)])
+                                      np.ones((1, 3, 1), dtype=bool), [[True, True, True]]])
     def test_mask_must_be_a_b_by_c_bool_array(self, mask):
         shape, gt, pred, _ = self.make_case()
         with pytest.raises(ShapeMismatchError):
@@ -396,6 +402,11 @@ class TestDiceValues:
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE)
         with pytest.raises(ShapeMismatchError):
             dice_values(gt, np.zeros((4, 1, 3, 2)), cfg)
+
+    def test_gt_must_be_three_dim(self):
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE)
+        with pytest.raises(ShapeMismatchError):
+            dice_values(np.zeros((2, 3)), np.full((2, 3), 0.5), cfg)
 
 
 class TestZeroDenominator:

@@ -1,6 +1,7 @@
 """Synthetic task generators, corruption policies, and dataset persistence."""
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -36,6 +37,18 @@ def _first_sample(root):
     return root / json.loads((root / MANIFEST_NAME).read_text())["samples"][0]["file"]
 
 
+def _copy_next_to_directory(sample):
+    """Copy sample beside its dataset directory; the manifest name that reaches it."""
+    shutil.copy(sample, sample.parent.parent / sample.name)
+    return "../" + sample.name
+
+
+def _point_first_sample(root, name_for):
+    """Rename the first sample's file entry to name_for(its current path)."""
+    name = name_for(_first_sample(root))
+    _edit_manifest(root, lambda m: m["samples"][0].update(file=name))
+
+
 # Corruptions of a saved binary dataset directory (C = 1, so a sample is (1, 2, n * n)).
 MALFORMED_DATASETS = {
     "manifest-not-json": lambda root: (root / MANIFEST_NAME).write_text("{not json"),
@@ -44,6 +57,16 @@ MALFORMED_DATASETS = {
         root, lambda m: m.update(samples=3)),
     "manifest-availability-too-long": lambda root: _edit_manifest(
         root, lambda m: m["samples"][0].update(availability=[True, True])),
+    # -16 squared still matches the sample size, so only the sign check catches it
+    "manifest-image-size-negative": lambda root: _edit_manifest(
+        root, lambda m: m.update(image_size=-16)),
+    "manifest-image-size-not-integer": lambda root: _edit_manifest(
+        root, lambda m: m.update(image_size=16.0)),
+    # both name a valid sample file, so only the containment check catches them
+    "manifest-file-outside-directory": lambda root: _point_first_sample(
+        root, _copy_next_to_directory),
+    "manifest-file-absolute": lambda root: _point_first_sample(
+        root, lambda sample: str(sample.resolve())),
     "sample-file-missing": lambda root: _first_sample(root).unlink(),
     "sample-wrong-size": lambda root: write_tensor(_first_sample(root), np.zeros((1, 2, 10))),
     "sample-batch-not-1": lambda root: write_tensor(_first_sample(root),

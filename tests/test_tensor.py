@@ -1,5 +1,6 @@
 """Tensor domain, the pooled axes of each reduction scheme, and the portable file format."""
 
+import math
 import struct
 
 import numpy as np
@@ -26,25 +27,29 @@ def drt_with_dims(path, dims):
 
 
 class TestShape:
-    """The (B, C, I) dims make_batch and read_tensor accept: three positive integers."""
+    """The (B, C, I) dims make_batch and read_tensor accept: three positive integers.
+
+    Each rejected case passes as many values as its dims multiply to, so only
+    the dims check can fire, not the value count.
+    """
 
     def test_size(self):
         t = make_batch((2, 3, 4), np.zeros(24), Role.GROUND_TRUTH)
         assert t.shape == (2, 3, 4) and t.size == 24
 
-    @pytest.mark.parametrize("dims", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])
+    @pytest.mark.parametrize("dims", [(0, 1, 1), (1, -2, -1), (1, 1, 0)])
     def test_non_positive_rejected(self, dims):
         with pytest.raises(LengthMismatchError):
-            make_batch(dims, [], Role.PREDICTION)
+            make_batch(dims, [0.0] * math.prod(dims), Role.PREDICTION)
 
     def test_non_integer_rejected(self):
         with pytest.raises(LengthMismatchError):
-            make_batch((2.5, 1, 1), [0.0, 0.0], Role.PREDICTION)
+            make_batch((2.5, 2, 1), [0.0] * 5, Role.PREDICTION)
 
     @pytest.mark.parametrize("dims", [(1, 2), (1, 1, 1, 1)])
     def test_not_three_dims_rejected(self, dims):
         with pytest.raises(LengthMismatchError):
-            make_batch(dims, [0.0, 0.0], Role.PREDICTION)
+            make_batch(dims, [0.0] * math.prod(dims), Role.PREDICTION)
 
     @pytest.mark.parametrize("dims", [(0, 1, 1), (1, 0, 4), (2, 1, 0)])
     def test_file_with_a_zero_dim_rejected(self, tmp_path, dims):
