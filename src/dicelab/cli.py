@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-data, gradcheck, calibrate, run, report.  Exit codes:
-0 success, 1 verification or assertion failure, 2 usage or config error.
+0 success, 1 a failed check (gradcheck mismatch, non-finite training),
+2 usage, config, input or file error.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ from pathlib import Path
 import click
 
 from .epsilon import calibrate_epsilon
-from .errors import (
-    DicelabError,
-    EmptyDatasetError,
-    InvalidConfigError,
-    InvalidParamsError,
-    LengthMismatchError,
-    TargetNotFoundError,
-    TensorFileError,
-)
+from .errors import DicelabError, InvalidConfigError, NonFiniteTrainingError
 from .gradcheck import (
     ALL_SCHEMES,
     DEFAULT_EPSILONS,
@@ -41,13 +34,11 @@ from .metrics import format_cell, read_csv, write_csv
 from .synthdata import load_dataset, save_dataset
 from .tensor import ReductionScheme, batch_dims
 
-_CONFIG_ERRORS = (InvalidConfigError, InvalidParamsError, TargetNotFoundError,
-                  EmptyDatasetError, TensorFileError, LengthMismatchError, FileNotFoundError)
-
 
 def _fail(exc: Exception):
+    """A diverged run is a failed check, like a gradcheck mismatch; all else is bad input."""
     click.echo(f"error: {exc}", err=True)
-    sys.exit(2 if isinstance(exc, _CONFIG_ERRORS) else 1)
+    sys.exit(1 if isinstance(exc, NonFiniteTrainingError) else 2)
 
 
 @click.group()
@@ -72,7 +63,7 @@ def cmd_gen_data(config_path, task, labeling, seed, out_dir):
         full, corrupted = build_dataset(config)
         dataset = corrupted if labeling == "partial" else full
         save_dataset(dataset, out_dir)
-    except DicelabError as exc:
+    except (DicelabError, OSError) as exc:
         _fail(exc)
     click.echo(f"wrote {len(dataset)} samples to {out_dir}")
 
@@ -133,7 +124,7 @@ def cmd_calibrate(dataset_dir, scheme, out_path):
         ds = load_dataset(dataset_dir)
         maps = [s.gt.reshape(1, s.n_classes, -1) for s in ds.samples]
         cal = calibrate_epsilon(maps, ReductionScheme(scheme))
-    except DicelabError as exc:
+    except (DicelabError, OSError) as exc:
         _fail(exc)
     payload = {"scheme": scheme, "all_empty": cal.all_empty}
     if cal.per_class is not None:
@@ -161,7 +152,7 @@ def cmd_run(config_path, out_dir, seed, jobs):
         if seed is not None:
             config = dataclasses.replace(config, seed=seed)
         artifacts = run_experiment(config, out_dir, jobs=jobs)
-    except DicelabError as exc:
+    except (DicelabError, OSError) as exc:
         _fail(exc)
     click.echo(f"run complete: {artifacts.out_dir}")
     for p in (artifacts.metrics_csv, artifacts.summary_csv, artifacts.auc_csv,
@@ -189,6 +180,12 @@ def _round_cell(column: str, value: str) -> str:
     return value
 
 
+# (file, section title, whether a run may lack it or leave it without rows)
+_REPORT_SECTIONS = (("summary.csv", "summary", False),
+                    ("auc.csv", "volume-detection AUC", False),
+                    ("comparisons.csv", "paired comparisons", True))
+
+
 @main.command("report")
 @click.argument("run_dirs", nargs=-1, required=True,
                 type=click.Path(exists=True, file_okay=False))
@@ -202,26 +199,17 @@ def cmd_report(run_dirs, out_dir):
     try:
         for d in run_dirs:
             run = Path(d)
-            name = run.name
-            header, rows = read_csv(run / "summary.csv")
-            auc_header, auc_rows = read_csv(run / "auc.csv")
-            if combined_header is None:
-                combined_header = ["run"] + header
-            combined_rows += [[name] + row for row in rows]
-            pretty = [[_round_cell(c, v) for c, v in zip(header, row)] for row in rows]
-            sections.append(f"== {name}: summary ==\n" + _aligned(header, pretty))
-            pretty = [[_round_cell(c, v) for c, v in zip(auc_header, row)]
-                      for row in auc_rows]
-            sections.append(f"== {name}: volume-detection AUC ==\n"
-                            + _aligned(auc_header, pretty))
-            comp_path = run / "comparisons.csv"
-            if comp_path.exists():
-                comp_header, comp_rows = read_csv(comp_path)
-                if comp_rows:
-                    pretty = [[_round_cell(c, v) for c, v in zip(comp_header, row)]
-                              for row in comp_rows]
-                    sections.append(f"== {name}: paired comparisons ==\n"
-                                    + _aligned(comp_header, pretty))
+            for file, title, optional in _REPORT_SECTIONS:
+                if optional and not (run / file).exists():
+                    continue
+                header, rows = read_csv(run / file)
+                if optional and not rows:
+                    continue
+                if file == "summary.csv":
+                    combined_header = combined_header or ["run"] + header
+                    combined_rows += [[run.name] + row for row in rows]
+                pretty = [[_round_cell(c, v) for c, v in zip(header, row)] for row in rows]
+                sections.append(f"== {run.name}: {title} ==\n" + _aligned(header, pretty))
     except (OSError, DicelabError) as exc:
         _fail(exc)
     click.echo("\n\n".join(sections))

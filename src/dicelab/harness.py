@@ -11,9 +11,9 @@ byte-identical for a given config no matter the job count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -42,12 +42,57 @@ from .trainer import TrainConfig, _require_int, _require_learning_rate, predict,
 
 CONFIG_SCHEMA = 1
 
-SETUP_NAMES = ("image-wise", "batch-wise", "image-wise-calibrated", "leaf", "marginal")
 LABELINGS = ("full", "partial")
 NEGLIGIBLE_EPSILON = 1e-7
 
-BINARY_SETUPS = ("image-wise", "batch-wise", "image-wise-calibrated")
-MULTICLASS_SETUPS = ("image-wise", "leaf", "marginal")
+
+class Setup(NamedTuple):
+    """One loss setup of the matrix; a marginal loss also trains the background map."""
+
+    scheme: ReductionScheme
+    variant: Variant
+    calibrated: bool  # per-class epsilon from each fold's training labels, else negligible
+
+
+SETUPS = {
+    "image-wise": Setup(ReductionScheme.IMAGE_WISE, Variant.STANDARD, False),
+    "batch-wise": Setup(ReductionScheme.BATCH_WISE, Variant.STANDARD, False),
+    "image-wise-calibrated": Setup(ReductionScheme.IMAGE_WISE, Variant.STANDARD, True),
+    "leaf": Setup(ReductionScheme.IMAGE_WISE, Variant.LEAF, False),
+    "marginal": Setup(ReductionScheme.IMAGE_WISE, Variant.MARGINAL, False),
+}
+SETUP_NAMES = tuple(SETUPS)
+
+
+class Task(NamedTuple):
+    """A synthetic task: its data, its label corruption, its ROC and its default matrix."""
+
+    generate: Callable[..., SyntheticDataset]
+    params: type
+    partial: PartialPolicy
+    positive_tag: str   # the always-labeled cohort, positive in the volume ROC
+    roc_target: str     # the class whose predicted volume separates the cohorts
+    setups: tuple[str, ...]
+    batch_sizes: tuple[int, ...]
+
+
+# Each generator is called through its module-level name, so rebinding that name
+# (as a tracer does) reaches every call.
+TASKS = {
+    "binary": Task(
+        generate=lambda params, seed: generate_binary(params, seed),
+        params=BinaryTaskParams,
+        partial=PartialPolicy(PartialAction.EMPTY_MAP, tag=GRADE_B),
+        positive_tag=GRADE_A, roc_target="lesion",
+        setups=("image-wise", "batch-wise", "image-wise-calibrated"), batch_sizes=(1, 4)),
+    "multiclass": Task(
+        generate=lambda params, seed: generate_multiclass(params, seed),
+        params=MulticlassTaskParams,
+        # class 1 of generate_multiclass is the shell
+        partial=PartialPolicy(PartialAction.MARK_UNAVAILABLE, tag=PHASE_B, class_index=1),
+        positive_tag=PHASE_A, roc_target="shell",
+        setups=("image-wise", "leaf", "marginal"), batch_sizes=(1,)),
+}
 
 
 @dataclass(frozen=True)
@@ -55,8 +100,8 @@ class ExperimentConfig:
     task: str
     seed: int = 7
     labelings: tuple[str, ...] = LABELINGS
-    setups: tuple[str, ...] = BINARY_SETUPS
-    batch_sizes: tuple[int, ...] = (1, 4)
+    setups: tuple[str, ...] = TASKS["binary"].setups
+    batch_sizes: tuple[int, ...] = TASKS["binary"].batch_sizes
     learning_rate: float = 5.0
     iterations: int = 1500
     folds: int = 3
@@ -64,7 +109,7 @@ class ExperimentConfig:
     dataset: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.task not in ("binary", "multiclass"):
+        if self.task not in TASKS:
             raise InvalidConfigError(f"unknown task {self.task!r}")
         for lab in self.labelings:
             if lab not in LABELINGS:
@@ -72,7 +117,8 @@ class ExperimentConfig:
         for s in self.setups:
             if s not in SETUP_NAMES:
                 raise InvalidConfigError(f"unknown setup {s!r}; choose from {SETUP_NAMES}")
-        if "marginal" in self.setups and self.task != "multiclass":
+        if self.task != "multiclass" and any(
+                SETUPS[s].variant is Variant.MARGINAL for s in self.setups):
             raise InvalidConfigError("the marginal setup needs the multiclass task "
                                      "(its model has no background output otherwise)")
         if not self.labelings or not self.setups or not self.batch_sizes:
@@ -93,9 +139,8 @@ class ExperimentConfig:
 
 
 def default_config(task: str) -> ExperimentConfig:
-    if task == "multiclass":
-        return ExperimentConfig(task=task, setups=MULTICLASS_SETUPS, batch_sizes=(1,))
-    return ExperimentConfig(task=task)
+    config = ExperimentConfig(task=task)  # rejects an unknown task
+    return replace(config, setups=TASKS[task].setups, batch_sizes=TASKS[task].batch_sizes)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -152,40 +197,19 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 def build_dataset(config: ExperimentConfig) -> tuple[SyntheticDataset, SyntheticDataset]:
     """Pristine dataset plus its partially labeled twin for the task's corruption."""
+    task = TASKS[config.task]
     overrides = dict(config.dataset)
-    for key in ("intensity_a", "intensity_b", "radius_a", "radius_b",
-                "core_radius", "shell_width", "satellite_radius",
-                "core_intensity", "shell_intensity", "satellite_intensity"):
+    for key in [f.name for f in fields(task.params) if isinstance(f.default, tuple)]:
         if key in overrides:
             pair = overrides[key]
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InvalidConfigError(f"dataset {key} must be a [low, high] pair, got {pair!r}")
             overrides[key] = tuple(pair)
     try:
-        if config.task == "binary":
-            full = generate_binary(BinaryTaskParams(**overrides), config.seed)
-            policy = PartialPolicy(PartialAction.EMPTY_MAP, tag=GRADE_B)
-        else:
-            full = generate_multiclass(MulticlassTaskParams(**overrides), config.seed)
-            policy = PartialPolicy(PartialAction.MARK_UNAVAILABLE, tag=PHASE_B,
-                                   class_index=full.class_names.index("shell"))
+        full = task.generate(task.params(**overrides), config.seed)
     except TypeError as exc:
         raise InvalidConfigError(f"bad dataset parameters: {exc}") from exc
-    return full, apply_partial(full, policy)
-
-
-def corrupted_tag(task: str) -> str:
-    """The cohort whose labels the partial corruption removes."""
-    return GRADE_B if task == "binary" else PHASE_B
-
-
-def always_labeled_tag(task: str) -> str:
-    return GRADE_A if task == "binary" else PHASE_A
-
-
-def roc_target_class(task: str) -> str:
-    """Class whose predicted volume separates the cohorts."""
-    return "lesion" if task == "binary" else "shell"
+    return full, apply_partial(full, task.partial)
 
 
 def _subset(ds: SyntheticDataset, keep) -> SyntheticDataset:
@@ -195,32 +219,16 @@ def _subset(ds: SyntheticDataset, keep) -> SyntheticDataset:
 
 def _setup_loss(setup: str, train_split: SyntheticDataset) -> tuple[DiceLossConfig, bool, list]:
     """Loss config, include-background flag, and calibration rows for one fold."""
-    calibration = []
-    if setup == "image-wise":
-        loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=NEGLIGIBLE_EPSILON)
-        include_bg = False
-    elif setup == "batch-wise":
-        loss = DiceLossConfig(scheme=ReductionScheme.BATCH_WISE, epsilon=NEGLIGIBLE_EPSILON)
-        include_bg = False
-    elif setup == "image-wise-calibrated":
+    scheme, variant, calibrated = SETUPS[setup]
+    marginal = variant is Variant.MARGINAL
+    epsilon, calibration = NEGLIGIBLE_EPSILON, []
+    if calibrated:
         maps = [s.gt.reshape(1, s.n_classes, -1) for s in train_split.samples]
-        cal = calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)
-        loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE,
-                              epsilon=cal.as_loss_epsilon())
-        include_bg = False
-        for c, value in cal.per_class:
-            calibration.append((train_split.class_names[c], value))
-    elif setup == "leaf":
-        loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=NEGLIGIBLE_EPSILON,
-                              variant=Variant.LEAF)
-        include_bg = False
-    elif setup == "marginal":
-        loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=NEGLIGIBLE_EPSILON,
-                              variant=Variant.MARGINAL, background_class=0)
-        include_bg = True
-    else:
-        raise InvalidConfigError(f"unknown setup {setup!r}")
-    return loss, include_bg, calibration
+        cal = calibrate_epsilon(maps, scheme)
+        epsilon = cal.as_loss_epsilon()
+        calibration = [(train_split.class_names[c], value) for c, value in cal.per_class]
+    loss = DiceLossConfig(scheme, epsilon, variant, background_class=0 if marginal else None)
+    return loss, marginal, calibration
 
 
 class MetricRow(NamedTuple):
@@ -302,13 +310,12 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
                     float(gt_map.sum()),
                 ))
     metric_rows.sort(key=lambda r: (r.fold, r.subject_id, r.class_name))
-    target = roc_target_class(config.task)
-    positive = always_labeled_tag(config.task)
+    task = TASKS[config.task]
     scores, labels = [], []
     for row in metric_rows:
-        if row.class_name == target:
+        if row.class_name == task.roc_target:
             scores.append(row.pred_vol)
-            labels.append(1 if row.tag == positive else 0)
+            labels.append(1 if row.tag == task.positive_tag else 0)
     curve = roc_auc(scores, labels)
     return CellResult(
         labeling=labeling, setup=setup, batch_size=batch_size,
@@ -326,6 +333,23 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
 def _cell_worker(args) -> CellResult:
     config, cell, datasets = args
     return run_cell(config, *cell, datasets)
+
+
+CELL_COLUMNS = ["labeling", "setup", "batch_size"]
+
+# The run-level CSVs in writing order: file name -> (RunArtifacts field, header)
+ARTIFACTS = {
+    "metrics.csv": ("metrics_csv", [*CELL_COLUMNS, "fold", "subject_id", "tag", "class",
+                                    "dsc", "delta_v", "pred_vol", "true_vol"]),
+    "summary.csv": ("summary_csv", [*CELL_COLUMNS, "tag", "class", "n", "mean_dsc",
+                                    "mean_delta_v", "mean_pred_vol", "mean_true_vol"]),
+    "auc.csv": ("auc_csv", [*CELL_COLUMNS, "target_class", "positive_tag", "auc"]),
+    "roc_points.csv": ("roc_csv", [*CELL_COLUMNS, "threshold", "fpr", "tpr"]),
+    "calibration.csv": ("calibration_csv", [*CELL_COLUMNS, "fold", "class", "epsilon"]),
+    "comparisons.csv": ("comparisons_csv", ["kind", "setup", "batch_size", "side_a", "side_b",
+                                            "tag", "class", "n", "mean_a", "mean_b",
+                                            "mean_diff", "p_value"]),
+}
 
 
 @dataclass(frozen=True)
@@ -346,72 +370,61 @@ def _cell_dirname(labeling: str, setup: str, batch_size: int) -> str:
     return f"{labeling}-{setup}-b{batch_size}"
 
 
+def _group(rows) -> dict[tuple[str, str], list[MetricRow]]:
+    """Metric rows by (tag, class) and by ("all", class), each group in row order.
+
+    Tags are never "all": they come from the generators' cohorts.
+    """
+    groups: dict[tuple[str, str], list[MetricRow]] = {}
+    for row in rows:
+        for tag in (row.tag, "all"):
+            groups.setdefault((tag, row.class_name), []).append(row)
+    return groups
+
+
 def _mean(values) -> float:
-    return float(np.mean(values)) if values else 0.0
+    return float(np.mean(values))
 
 
-def _summarize(results: list[CellResult]) -> list[list]:
+def _summarize(grouped) -> list[list]:
+    """summary.csv rows from (cell key, _group result) pairs: tags sorted, "all" last."""
     rows = []
-    for r in results:
-        tags = sorted({row.tag for row in r.metric_rows})
-        classes = sorted({row.class_name for row in r.metric_rows})
-        for tag in tags + ["all"]:
-            for name in classes:
-                sel = [row for row in r.metric_rows
-                       if row.class_name == name and (tag == "all" or row.tag == tag)]
-                if not sel:
-                    continue
-                rows.append([
-                    r.labeling, r.setup, r.batch_size, tag, name, len(sel),
-                    _mean([x.dsc for x in sel]),
-                    _mean([x.delta_v for x in sel]),
-                    _mean([x.pred_vol for x in sel]),
-                    _mean([x.true_vol for x in sel]),
-                ])
+    for key, groups in grouped:
+        for tag, name in sorted(groups, key=lambda k: (k[0] == "all", k)):
+            sel = groups[tag, name]
+            rows.append([*key, tag, name, len(sel),
+                         *(_mean([getattr(x, f) for x in sel])
+                           for f in ("dsc", "delta_v", "pred_vol", "true_vol"))])
     return rows
 
 
-def _paired_dsc(a: CellResult, b: CellResult, class_name: str, tag: str):
-    """Per-subject DSC lists for one class, ordered by subject, tag-filtered."""
-    def collect(r):
-        return {row.subject_id: row.dsc for row in r.metric_rows
-                if row.class_name == class_name and (tag == "all" or row.tag == tag)}
-    da, db = collect(a), collect(b)
-    common = sorted(set(da) & set(db))
-    return [da[s] for s in common], [db[s] for s in common]
+def _comparisons(config: ExperimentConfig, groups: dict) -> list[list]:
+    """comparisons.csv rows from each cell key's _group result.
 
-
-def _comparisons(config: ExperimentConfig, results: list[CellResult]) -> list[list]:
-    by_key = {r.key: r for r in results}
-    classes = sorted({row.class_name for r in results for row in r.metric_rows})
-    tags = sorted({row.tag for r in results for row in r.metric_rows}) + ["all"]
-    rows = []
-
-    def compare(kind, a, b, label_a, label_b, setup, batch_size):
-        for name in classes:
-            for tag in tags:
-                xs, ys = _paired_dsc(a, b, name, tag)
-                if len(xs) < 2:
-                    continue
-                p = bootstrap_compare(xs, ys, config.bootstrap_resamples, seed=config.seed)
-                rows.append([kind, setup, batch_size, label_a, label_b, tag, name,
-                             len(xs), _mean(xs), _mean(ys), _mean(xs) - _mean(ys), p])
-
-    # partial vs full, same setup and batch size
-    for setup in config.setups:
-        for b in config.batch_sizes:
-            a = by_key.get(("partial", setup, b))
-            f = by_key.get(("full", setup, b))
-            if a is not None and f is not None:
-                compare("labeling", a, f, "partial", "full", setup, b)
-    # each setup vs the first configured setup, within partial labeling
+    Partial vs full labeling for each setup and batch size, then each setup
+    vs the first configured one within partial labeling; per class, tag
+    ("all" last), over the subjects both cells scored.
+    """
     baseline = config.setups[0]
-    for setup in config.setups[1:]:
-        for b in config.batch_sizes:
-            a = by_key.get(("partial", setup, b))
-            f = by_key.get(("partial", baseline, b))
-            if a is not None and f is not None:
-                compare("setup", a, f, setup, baseline, setup, b)
+    contrasts = [("labeling", s, b, "partial", "full", ("partial", s, b), ("full", s, b))
+                 for s in config.setups for b in config.batch_sizes]
+    contrasts += [("setup", s, b, s, baseline, ("partial", s, b), ("partial", baseline, b))
+                  for s in config.setups[1:] for b in config.batch_sizes]
+    rows = []
+    for *head, key_a, key_b in contrasts:
+        if key_a not in groups or key_b not in groups:
+            continue
+        ga, gb = groups[key_a], groups[key_b]
+        for tag, name in sorted(ga.keys() & gb.keys(), key=lambda k: (k[1], k[0] == "all", k[0])):
+            da = {row.subject_id: row.dsc for row in ga[tag, name]}
+            db = {row.subject_id: row.dsc for row in gb[tag, name]}
+            common = sorted(da.keys() & db.keys())
+            if len(common) < 2:
+                continue
+            xs, ys = [da[s] for s in common], [db[s] for s in common]
+            p = bootstrap_compare(xs, ys, config.bootstrap_resamples, seed=config.seed)
+            rows.append([*head, tag, name, len(xs), _mean(xs), _mean(ys),
+                         _mean(xs) - _mean(ys), p])
     return rows
 
 
@@ -453,75 +466,33 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtif
                                     [(config, cell, datasets) for cell in cells]))
 
     save_config(config, out / "config_snapshot.yaml")
-    dataset_dir = out / "dataset"
-    save_dataset(full, dataset_dir)
-
-    cell_root = out / "cells"
+    save_dataset(full, out / "dataset")
     cell_dirs = []
     for r in results:
-        cdir = cell_root / _cell_dirname(*r.key)
+        cdir = out / "cells" / _cell_dirname(*r.key)
         cdir.mkdir(parents=True, exist_ok=True)
         cell_dirs.append(cdir)
-        for fold, history in enumerate(r.histories):
-            names = r.loss_class_names
-            header = ["iteration", "loss"]
-            header += [f"grad_y0_{n}" for n in names] + [f"grad_y1_{n}" for n in names]
+        names = r.loss_class_names
+        header = ["iteration", "loss"]
+        header += [f"grad_y0_{n}" for n in names] + [f"grad_y1_{n}" for n in names]
+        for fold, (history, model) in enumerate(zip(r.histories, r.models)):
             hrows = [[h.iteration, h.loss, *h.grad_mag_y0, *h.grad_mag_y1] for h in history]
             write_csv(cdir / f"history_fold{fold}.csv", header, hrows)
-        for fold, model in enumerate(r.models):
             save_model(model, cdir / f"fold{fold}.model")
 
-    metric_header = ["labeling", "setup", "batch_size", "fold", "subject_id", "tag",
-                     "class", "dsc", "delta_v", "pred_vol", "true_vol"]
-    metric_rows = []
-    for r in results:
-        metric_rows += [[r.labeling, r.setup, r.batch_size, *row] for row in r.metric_rows]
-    metrics_csv = out / "metrics.csv"
-    write_csv(metrics_csv, metric_header, metric_rows)
-
-    summary_csv = out / "summary.csv"
-    write_csv(summary_csv,
-              ["labeling", "setup", "batch_size", "tag", "class", "n",
-               "mean_dsc", "mean_delta_v", "mean_pred_vol", "mean_true_vol"],
-              _summarize(results))
-
-    auc_csv = out / "auc.csv"
-    write_csv(auc_csv,
-              ["labeling", "setup", "batch_size", "target_class", "positive_tag", "auc"],
-              [[r.labeling, r.setup, r.batch_size, roc_target_class(config.task),
-                always_labeled_tag(config.task), r.roc_auc] for r in results])
-
-    roc_csv = out / "roc_points.csv"
-    roc_rows = []
-    for r in results:
-        for (fpr, tpr), t in zip(r.roc_points, r.roc_thresholds):
-            roc_rows.append([r.labeling, r.setup, r.batch_size, t, fpr, tpr])
-    write_csv(roc_csv, ["labeling", "setup", "batch_size", "threshold", "fpr", "tpr"],
-              roc_rows)
-
-    calibration_csv = out / "calibration.csv"
-    cal_rows = []
-    for r in results:
-        cal_rows += [[r.labeling, r.setup, r.batch_size, fold, name, value]
-                     for fold, name, value in r.calibration_rows]
-    write_csv(calibration_csv,
-              ["labeling", "setup", "batch_size", "fold", "class", "epsilon"], cal_rows)
-
-    comparisons_csv = out / "comparisons.csv"
-    write_csv(comparisons_csv,
-              ["kind", "setup", "batch_size", "side_a", "side_b", "tag", "class",
-               "n", "mean_a", "mean_b", "mean_diff", "p_value"],
-              _comparisons(config, results))
-
-    return RunArtifacts(
-        out_dir=out,
-        config_path=out / "config_snapshot.yaml",
-        dataset_dir=dataset_dir,
-        metrics_csv=metrics_csv,
-        summary_csv=summary_csv,
-        auc_csv=auc_csv,
-        roc_csv=roc_csv,
-        calibration_csv=calibration_csv,
-        comparisons_csv=comparisons_csv,
-        cell_dirs=tuple(cell_dirs),
-    )
+    task = TASKS[config.task]
+    grouped = [(r.key, _group(r.metric_rows)) for r in results]
+    rows = {
+        "metrics.csv": [[*r.key, *row] for r in results for row in r.metric_rows],
+        "summary.csv": _summarize(grouped),
+        "auc.csv": [[*r.key, task.roc_target, task.positive_tag, r.roc_auc] for r in results],
+        "roc_points.csv": [[*r.key, t, fpr, tpr] for r in results
+                           for (fpr, tpr), t in zip(r.roc_points, r.roc_thresholds)],
+        "calibration.csv": [[*r.key, *cal] for r in results for cal in r.calibration_rows],
+        "comparisons.csv": _comparisons(config, dict(grouped)),
+    }
+    for name, (_, header) in ARTIFACTS.items():
+        write_csv(out / name, header, rows[name])
+    return RunArtifacts(out_dir=out, config_path=out / "config_snapshot.yaml",
+                        dataset_dir=out / "dataset", cell_dirs=tuple(cell_dirs),
+                        **{attr: out / name for name, (attr, _) in ARTIFACTS.items()})

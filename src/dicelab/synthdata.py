@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     InvalidConfigError,
     InvalidParamsError,
+    RangeViolationError,
     ShapeMismatchError,
     TargetNotFoundError,
     TensorFileError,
@@ -74,6 +75,13 @@ class SyntheticSample:
             )
         if self.availability.shape != (self.gt.shape[0],):
             raise ShapeMismatchError("availability must have one flag per class")
+        if not isinstance(self.tag, str) or self.availability.dtype != bool:
+            raise InvalidConfigError(f"subject {self.subject_id}: the tag must be a string "
+                                     f"and the availability flags true or false")
+        if not np.isfinite(self.image).all():
+            raise RangeViolationError(f"subject {self.subject_id}: image values must be finite")
+        if not ((self.gt == 0.0) | (self.gt == 1.0)).all():
+            raise RangeViolationError(f"subject {self.subject_id}: gt values must be 0 or 1")
         for name in ("image", "gt", "availability"):
             arr = np.ascontiguousarray(getattr(self, name))
             arr.setflags(write=False)
@@ -337,8 +345,10 @@ def load_dataset(path) -> SyntheticDataset:
     """Read a directory save_dataset wrote.
 
     Every malformed input raises a DicelabError: a manifest that is not JSON,
-    lacks a field or names a file outside the directory, a sample file that
-    cannot be read or is not a (1, C + 1, N * N) tensor.
+    lacks a field, names a file outside the directory or holds a flag other
+    than true/false or a tag other than a string, a sample file that cannot be
+    read, is not a (1, C + 1, N * N) tensor, or holds a non-finite image or a
+    gt value other than 0 or 1.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -358,7 +368,7 @@ def load_dataset(path) -> SyntheticDataset:
         if type(n) is not int or n <= 0:
             raise ValueError(f"image_size must be a positive integer, got {n!r}")
         class_names = tuple(manifest["class_names"])
-        entries = [(int(e["subject_id"]), e["tag"], np.asarray(e["availability"], dtype=bool),
+        entries = [(int(e["subject_id"]), e["tag"], np.asarray(e["availability"]),
                     Path(e["file"])) for e in manifest["samples"]]
         origin = dict(manifest.get("origin", {}))
     except (KeyError, TypeError, ValueError) as exc:

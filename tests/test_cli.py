@@ -1,6 +1,7 @@
 """Command-line surface: happy paths and exit-code contract.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 a failed check (gradcheck mismatch, non-finite
+training), 2 usage, configuration, input or file error.
 """
 
 import json
@@ -9,7 +10,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from dicelab import harness
 from dicelab.cli import main
+from dicelab.errors import NonFiniteTrainingError, RangeViolationError
 from dicelab.synthdata import GRADE_B, load_dataset
 from test_synthdata import MALFORMED_DATASETS, save_small_binary
 
@@ -273,3 +276,26 @@ class TestRunAndReport:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
         assert not (tmp_path / "x").exists()
+
+    def test_non_finite_training_exits_1(self, runner, tmp_path, monkeypatch):
+        def diverge(train_split, cfg):
+            raise NonFiniteTrainingError("non-finite loss or weight gradient at iteration 3")
+
+        monkeypatch.setattr(harness, "train", diverge)
+        result = runner.invoke(main, ["run", "--config", str(write_config(tmp_path)),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: cell full-image-wise-b1 fold 0: non-finite" in result.output
+
+    @pytest.mark.parametrize("exc", [
+        pytest.param(RangeViolationError("gt values must be 0 or 1"), id="dicelab-error"),
+        pytest.param(PermissionError(13, "Permission denied"), id="os-error"),
+    ])
+    def test_any_other_error_exits_2(self, runner, tmp_path, monkeypatch, exc):
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr(harness, "build_dataset", fail)
+        assert_config_error(runner.invoke(main, ["run", "--config", str(write_config(tmp_path)),
+                                                 "--out", str(tmp_path / "x")]))

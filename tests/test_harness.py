@@ -6,14 +6,14 @@ import pytest
 from dicelab import harness
 from dicelab.errors import InvalidConfigError, NonFiniteTrainingError
 from dicelab.harness import (
+    ARTIFACTS,
+    TASKS,
     ExperimentConfig,
     build_dataset,
     config_from_dict,
     config_to_dict,
-    corrupted_tag,
     default_config,
     load_config,
-    roc_target_class,
     run_cell,
     run_experiment,
     save_config,
@@ -165,11 +165,11 @@ class TestBuildDataset:
         with pytest.raises(InvalidConfigError):
             build_dataset(tiny_config(dataset={"mystery_knob": 3}))
 
-    def test_tag_helpers(self):
-        assert corrupted_tag("binary") == GRADE_B
-        assert corrupted_tag("multiclass") == PHASE_B
-        assert roc_target_class("binary") == "lesion"
-        assert roc_target_class("multiclass") == "shell"
+    def test_task_table_names_cohorts_and_targets(self):
+        assert TASKS["binary"].partial.tag == GRADE_B
+        assert TASKS["multiclass"].partial.tag == PHASE_B
+        assert TASKS["binary"].roc_target == "lesion"
+        assert TASKS["multiclass"].roc_target == "shell"
 
 
 class TestRunCell:
@@ -234,6 +234,10 @@ class TestRunExperiment:
                      artifacts.comparisons_csv, artifacts.dataset_dir / "manifest.json"):
             assert path.exists(), path
         assert len(artifacts.cell_dirs) == 4
+        # the artifact table is the whole run root, beside the snapshot and two directories
+        assert sorted(p.name for p in artifacts.out_dir.iterdir()) == sorted(
+            [*ARTIFACTS, "config_snapshot.yaml", "dataset", "cells"])
+        assert artifacts.dataset_dir.is_dir() and (artifacts.out_dir / "cells").is_dir()
         for cdir in artifacts.cell_dirs:
             assert (cdir / "history_fold0.csv").exists()
             assert (cdir / "fold1.model").exists()

@@ -1,6 +1,7 @@
 """Property tests of the axis-based Dice core against the index-list oracle,
 of the leaf and marginal variants, of the batched finite-difference stencil
-against the per-element loop, and of the file readers on arbitrary bytes."""
+against the per-element loop, of the harness's grouping pass against the
+per-(tag, class) rescans, and of the file readers on arbitrary bytes."""
 
 import math
 import struct
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dicelab import harness
 from dicelab.errors import DicelabError
 from dicelab.gradcheck import finite_diff_grad, resolve_epsilon
 from dicelab.loss import (
@@ -24,6 +26,7 @@ from dicelab.tensor import ReductionScheme, Role, make_batch, read_tensor
 from dicelab.trainer import load_model
 from fd_oracle import loop_finite_diff_grad
 from partition_oracle import enumerate_subsets, reference_grad, reference_loss
+import summary_oracle
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -184,6 +187,36 @@ def test_batched_stencil_matches_per_element_loop(case):
     gt, pred, cfg = case
     batched = finite_diff_grad(gt, pred, cfg)
     assert np.max(np.abs(batched - loop_finite_diff_grad(gt, pred, cfg))) <= 1e-10
+
+
+wide = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+# rows in any order: a tag may lack a class, a subject may be alone in its group
+metric_rows = st.lists(st.builds(harness.MetricRow, st.integers(0, 2), st.integers(0, 5),
+                                 st.sampled_from(["grade-a", "grade-b", "phase-b"]),
+                                 st.sampled_from(["core", "lesion", "shell"]),
+                                 wide, wide, wide, wide), max_size=8).map(tuple)
+
+
+@st.composite
+def matrix_results(draw):
+    """A config, repeated setups allowed, and the results of any subset of its cells."""
+    setups = tuple(draw(st.lists(st.sampled_from(harness.SETUP_NAMES[:3]),
+                                 min_size=1, max_size=3)))
+    config = harness.ExperimentConfig(task="binary", setups=setups, batch_sizes=(1,),
+                                      bootstrap_resamples=20, seed=draw(st.integers(0, 3)))
+    results = [harness.CellResult(*cell, draw(metric_rows), (), (), (), (), (), (), 0.0)
+               for cell in config.cells() if draw(st.booleans())]
+    return config, results
+
+
+@PROPERTY_SETTINGS
+@given(matrix_results())
+def test_grouping_pass_matches_per_tag_rescans(case):
+    config, results = case
+    grouped = [(r.key, harness._group(r.metric_rows)) for r in results]
+    assert harness._summarize(grouped) == summary_oracle.summarize(results)
+    assert (harness._comparisons(config, dict(grouped))
+            == summary_oracle.comparisons(config, results))
 
 
 def _read_raises_only_dicelab_errors(reader, blob: bytes) -> None:

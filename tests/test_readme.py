@@ -1,9 +1,12 @@
-"""The README's library quick start runs as written against the current API."""
+"""The README's library quick start runs as written against the current API, and
+its run-artifact listing names every file a run writes."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+
+from dicelab.harness import ARTIFACTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,3 +21,11 @@ def test_quick_start_runs():
     assert type(grad) is np.ndarray and grad.shape == pred.shape == (2, 3, 64)
     assert not grad.flags.writeable
     assert scope["mask"].dtype == bool and scope["mask"].shape == (2, 3)
+
+
+def test_run_artifacts_block_lists_every_table():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"### Run artifacts\n.*?```\n(.*?)```", text, re.S)
+    assert match, "README has no listing under 'Run artifacts'"
+    listed = {line.split()[0] for line in match.group(1).splitlines() if line.strip()}
+    assert set(ARTIFACTS) <= listed

@@ -24,7 +24,7 @@ from dicelab.synthdata import (
     load_dataset,
     save_dataset,
 )
-from dicelab.tensor import write_tensor
+from dicelab.tensor import read_tensor, write_tensor
 
 
 def _edit_manifest(root, change):
@@ -49,6 +49,13 @@ def _point_first_sample(root, name_for):
     _edit_manifest(root, lambda m: m["samples"][0].update(file=name))
 
 
+def _edit_first_sample(root, index, value):
+    """Set one element of the first sample's (1, 2, n * n) tensor: row 0 image, row 1 gt."""
+    tensor = read_tensor(_first_sample(root)).copy()
+    tensor[index] = value
+    write_tensor(_first_sample(root), tensor)
+
+
 # Corruptions of a saved binary dataset directory (C = 1, so a sample is (1, 2, n * n)).
 MALFORMED_DATASETS = {
     "manifest-not-json": lambda root: (root / MANIFEST_NAME).write_text("{not json"),
@@ -57,6 +64,13 @@ MALFORMED_DATASETS = {
         root, lambda m: m.update(samples=3)),
     "manifest-availability-too-long": lambda root: _edit_manifest(
         root, lambda m: m["samples"][0].update(availability=[True, True])),
+    # each flag or tag is truthy, so a cast to bool or str would accept it
+    "manifest-availability-string": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][0].update(availability=["no"])),
+    "manifest-availability-integer": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][0].update(availability=[2])),
+    "manifest-tag-integer": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][0].update(tag=5)),
     # -16 squared still matches the sample size, so only the sign check catches it
     "manifest-image-size-negative": lambda root: _edit_manifest(
         root, lambda m: m.update(image_size=-16)),
@@ -75,6 +89,8 @@ MALFORMED_DATASETS = {
         _first_sample(root).read_bytes()[:-8]),
     "sample-zero-dim": lambda root: _first_sample(root).write_bytes(
         b"DRT1" + struct.pack("<BBIII", 1, 3, 1, 0, 256)),
+    "sample-image-nan": lambda root: _edit_first_sample(root, (0, 0, 0), np.nan),
+    "sample-gt-half": lambda root: _edit_first_sample(root, (0, 1, 0), 0.5),
 }
 
 
