@@ -4,20 +4,12 @@ synthetic partial-labeling experiment harness."""
 from .errors import (
     DegenerateLabelsError,
     DicelabError,
-    DimMismatchError,
     EmptyDatasetError,
-    EpsilonShapeError,
     InvalidConfigError,
-    InvalidParamsError,
-    LengthMismatchError,
-    MissingLabelNotEmptyError,
     NoRealRootError,
     NonFiniteTrainingError,
-    NotADistributionError,
     RangeViolationError,
     ShapeMismatchError,
-    StepOutOfRangeError,
-    TargetNotFoundError,
     TensorFileError,
     ZeroDenominatorError,
 )

@@ -30,18 +30,29 @@ from .harness import (
     load_config,
     run_experiment,
 )
-from .metrics import format_cell, read_csv, write_csv
+from .metrics import read_csv, write_csv
 from .synthdata import load_dataset, save_dataset
 from .tensor import ReductionScheme, batch_dims
 
 
-def _fail(exc: Exception):
-    """A diverged run is a failed check, like a gradcheck mismatch; all else is bad input."""
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1 if isinstance(exc, NonFiniteTrainingError) else 2)
+class _Group(click.Group):
+    """Ends a DicelabError or OSError from any subcommand in one "error:" line.
+
+    A diverged run is a failed check, like a gradcheck mismatch, and exits 1;
+    any other error is bad input or an unusable file and exits 2.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # stdout closed early (`dicelab ... | head`): click exits quietly
+        except (DicelabError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1 if isinstance(exc, NonFiniteTrainingError) else 2)
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Dice-loss reduction experiments: data, checks, calibration, runs, reports."""
 
@@ -56,15 +67,12 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_gen_data(config_path, task, labeling, seed, out_dir):
     """Generate a dataset directory (manifest plus one tensor file per sample)."""
-    try:
-        config = load_config(config_path) if config_path else default_config(task)
-        if seed is not None:
-            config = dataclasses.replace(config, seed=seed)
-        full, corrupted = build_dataset(config)
-        dataset = corrupted if labeling == "partial" else full
-        save_dataset(dataset, out_dir)
-    except (DicelabError, OSError) as exc:
-        _fail(exc)
+    config = load_config(config_path) if config_path else default_config(task)
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
+    full, corrupted = build_dataset(config)
+    dataset = corrupted if labeling == "partial" else full
+    save_dataset(dataset, out_dir)
     click.echo(f"wrote {len(dataset)} samples to {out_dir}")
 
 
@@ -120,12 +128,9 @@ def cmd_gradcheck(n, seed, perturb, epsilons, shapes, schemes, out_path):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_calibrate(dataset_dir, scheme, out_path):
     """Heuristic smoothing value (mean foreground per reduction subset)."""
-    try:
-        ds = load_dataset(dataset_dir)
-        maps = [s.gt.reshape(1, s.n_classes, -1) for s in ds.samples]
-        cal = calibrate_epsilon(maps, ReductionScheme(scheme))
-    except (DicelabError, OSError) as exc:
-        _fail(exc)
+    ds = load_dataset(dataset_dir)
+    maps = [s.gt.reshape(1, s.n_classes, -1) for s in ds.samples]
+    cal = calibrate_epsilon(maps, ReductionScheme(scheme))
     payload = {"scheme": scheme, "all_empty": cal.all_empty}
     if cal.per_class is not None:
         payload["per_class"] = {ds.class_names[c]: v for c, v in cal.per_class}
@@ -147,13 +152,10 @@ def cmd_calibrate(dataset_dir, scheme, out_path):
               help="Parallel worker processes for independent matrix cells.")
 def cmd_run(config_path, out_dir, seed, jobs):
     """Run the cross-validated experiment matrix and write all artifacts."""
-    try:
-        config = load_config(config_path)
-        if seed is not None:
-            config = dataclasses.replace(config, seed=seed)
-        artifacts = run_experiment(config, out_dir, jobs=jobs)
-    except (DicelabError, OSError) as exc:
-        _fail(exc)
+    config = load_config(config_path)
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
+    artifacts = run_experiment(config, out_dir, jobs=jobs)
     click.echo(f"run complete: {artifacts.out_dir}")
     for p in (artifacts.metrics_csv, artifacts.summary_csv, artifacts.auc_csv,
               artifacts.comparisons_csv):
@@ -196,22 +198,19 @@ def cmd_report(run_dirs, out_dir):
     combined_header = None
     combined_rows = []
     sections = []
-    try:
-        for d in run_dirs:
-            run = Path(d)
-            for file, title, optional in _REPORT_SECTIONS:
-                if optional and not (run / file).exists():
-                    continue
-                header, rows = read_csv(run / file)
-                if optional and not rows:
-                    continue
-                if file == "summary.csv":
-                    combined_header = combined_header or ["run"] + header
-                    combined_rows += [[run.name] + row for row in rows]
-                pretty = [[_round_cell(c, v) for c, v in zip(header, row)] for row in rows]
-                sections.append(f"== {run.name}: {title} ==\n" + _aligned(header, pretty))
-    except (OSError, DicelabError) as exc:
-        _fail(exc)
+    for d in run_dirs:
+        run = Path(d)
+        for file, title, optional in _REPORT_SECTIONS:
+            if optional and not (run / file).exists():
+                continue
+            header, rows = read_csv(run / file)
+            if optional and not rows:
+                continue
+            if file == "summary.csv":
+                combined_header = combined_header or ["run"] + header
+                combined_rows += [[run.name] + row for row in rows]
+            pretty = [[_round_cell(c, v) for c, v in zip(header, row)] for row in rows]
+            sections.append(f"== {run.name}: {title} ==\n" + _aligned(header, pretty))
     click.echo("\n\n".join(sections))
     if out_dir:
         outp = Path(out_dir)

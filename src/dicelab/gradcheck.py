@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .epsilon import calibrate_epsilon
-from .errors import ShapeMismatchError, StepOutOfRangeError
+from .errors import RangeViolationError, ShapeMismatchError
 from .loss import DiceLossConfig, dice_value_and_grad, dice_values
 from .tensor import ReductionScheme, batch_dims, readonly
 
@@ -63,11 +63,11 @@ def finite_diff_grad(
     rows are scored in blocks of at most FD_BLOCK_ELEMENTS elements.
     """
     if h <= 0.0:
-        raise StepOutOfRangeError(f"step size must be positive, got {h}")
+        raise RangeViolationError(f"step size must be positive, got {h}")
     pred = np.asarray(pred, dtype=np.float64)
     flat = pred.reshape(-1)
     if np.any(flat < h) or np.any(flat > 1.0 - h):
-        raise StepOutOfRangeError(
+        raise RangeViolationError(
             f"predictions must lie in [{h}, {1.0 - h}] so the stencil stays in range"
         )
     n = flat.size

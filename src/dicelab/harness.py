@@ -125,6 +125,10 @@ class ExperimentConfig:
             raise InvalidConfigError("labelings, setups, and batch_sizes must be non-empty")
         for b in self.batch_sizes:
             _require_int("batch size", b, 1)
+        for name, values in (("labelings", self.labelings), ("setups", self.setups),
+                             ("batch_sizes", self.batch_sizes)):
+            if len(set(values)) != len(values):
+                raise InvalidConfigError(f"{name} must not repeat an entry, got {values!r}")
         _require_int("folds", self.folds, 2)
         _require_int("iterations", self.iterations, 1)
         _require_int("seed", self.seed, 0)
@@ -164,7 +168,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = set(data) - known
     if unknown:
-        raise InvalidConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise InvalidConfigError(f"unknown config fields: {sorted(unknown, key=str)}")
     for key in ("labelings", "setups", "batch_sizes"):
         if key in data:
             if not isinstance(data[key], (list, tuple)):

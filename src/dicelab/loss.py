@@ -38,10 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    EpsilonShapeError,
     InvalidConfigError,
-    MissingLabelNotEmptyError,
-    NotADistributionError,
+    RangeViolationError,
     ShapeMismatchError,
     ZeroDenominatorError,
 )
@@ -76,7 +74,7 @@ class DiceLossConfig:
             raise InvalidConfigError(f"epsilon must be finite and non-negative, got {self.epsilon}")
         if not np.isscalar(self.epsilon):
             if not self.scheme.class_pure:
-                raise EpsilonShapeError(
+                raise InvalidConfigError(
                     f"per-class epsilon requires a class-pure scheme, got {self.scheme.value}"
                 )
             object.__setattr__(self, "epsilon", vec)
@@ -143,11 +141,11 @@ def marginal_merge(
     col_sums = p.sum(axis=-2)
     if np.any(np.abs(col_sums - 1.0) > DISTRIBUTION_TOL):
         worst = float(np.max(np.abs(col_sums - 1.0)))
-        raise NotADistributionError(f"prediction columns must sum to 1 per pixel (max dev {worst:.3g})")
+        raise RangeViolationError(f"prediction columns must sum to 1 per pixel (max dev {worst:.3g})")
 
     unavailable = ~mask
     if np.any(gt[unavailable] != 0.0):
-        raise MissingLabelNotEmptyError("ground truth of an unavailable class contains foreground")
+        raise RangeViolationError("ground truth of an unavailable class contains foreground")
 
     merged = p.copy()
     spill = (merged * unavailable[:, :, None]).sum(axis=-2)
@@ -164,7 +162,7 @@ def _epsilon(cfg: DiceLossConfig, classes: int) -> float | np.ndarray:
     if np.isscalar(eps):
         return float(eps)
     if eps.size != classes:
-        raise EpsilonShapeError(
+        raise ShapeMismatchError(
             f"per-class epsilon has {eps.size} entries but tensor has {classes} classes"
         )
     return eps.reshape(-1, 1)

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateLabelsError,
-    InvalidConfigError,
-    LengthMismatchError,
-    ShapeMismatchError,
-)
+from .errors import DegenerateLabelsError, InvalidConfigError, ShapeMismatchError
 from .trainer import Head
 
 
@@ -72,7 +67,7 @@ def roc_auc(scores, labels) -> RocCurve:
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape:
-        raise LengthMismatchError(f"{s.size} scores vs {y.size} labels")
+        raise ShapeMismatchError(f"{s.size} scores vs {y.size} labels")
     n_pos = int(np.count_nonzero(y == 1))
     n_neg = int(np.count_nonzero(y == 0))
     if n_pos == 0 or n_neg == 0:
@@ -102,9 +97,9 @@ def bootstrap_compare(a, b, n_resamples: int = 10_000, seed: int = 0) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatchError(f"paired lists must match: {a.shape} vs {b.shape}")
+        raise ShapeMismatchError(f"paired lists must match: {a.shape} vs {b.shape}")
     if a.size < 2:
-        raise LengthMismatchError("need at least two paired subjects")
+        raise ShapeMismatchError("need at least two paired subjects")
     diff = a - b
     observed = diff.mean()
     if observed == 0.0:

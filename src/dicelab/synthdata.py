@@ -23,14 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigError,
-    InvalidParamsError,
-    RangeViolationError,
-    ShapeMismatchError,
-    TargetNotFoundError,
-    TensorFileError,
-)
+from .errors import InvalidConfigError, RangeViolationError, ShapeMismatchError, TensorFileError
 from .tensor import read_tensor, write_tensor
 
 GRADE_A = "grade-a"
@@ -144,22 +137,22 @@ class MulticlassTaskParams:
 def _check_range(name: str, rng: tuple[float, float], lo: float = 0.0, hi: float = 1.0):
     a, b = rng
     if not (lo <= a <= b <= hi):
-        raise InvalidParamsError(f"{name} must satisfy {lo} <= low <= high <= {hi}, got {rng}")
+        raise InvalidConfigError(f"{name} must satisfy {lo} <= low <= high <= {hi}, got {rng}")
 
 
 def _check_common(p) -> None:
     if p.image_size < 16:
-        raise InvalidParamsError(f"image_size must be >= 16, got {p.image_size}")
+        raise InvalidConfigError(f"image_size must be >= 16, got {p.image_size}")
     if p.noise_sigma < 0:
-        raise InvalidParamsError(f"noise_sigma must be >= 0, got {p.noise_sigma}")
+        raise InvalidConfigError(f"noise_sigma must be >= 0, got {p.noise_sigma}")
     if not 0.0 <= p.background_level <= 1.0:
-        raise InvalidParamsError(f"background_level must be in [0, 1], got {p.background_level}")
+        raise InvalidConfigError(f"background_level must be in [0, 1], got {p.background_level}")
 
 
 def _validate_binary(p: BinaryTaskParams) -> None:
     _check_common(p)
     if p.n_grade_a < 1 or p.n_grade_b < 1:
-        raise InvalidParamsError("need at least one sample per grade")
+        raise InvalidConfigError("need at least one sample per grade")
     _check_range("intensity_a", p.intensity_a)
     _check_range("intensity_b", p.intensity_b)
     for name, rng in (("radius_a", p.radius_a), ("radius_b", p.radius_b)):
@@ -169,9 +162,9 @@ def _validate_binary(p: BinaryTaskParams) -> None:
 def _validate_multiclass(p: MulticlassTaskParams) -> None:
     _check_common(p)
     if p.n_phase_a < 1 or p.n_phase_b < 1:
-        raise InvalidParamsError("need at least one sample per phase")
+        raise InvalidConfigError("need at least one sample per phase")
     if not 0.0 < p.phase_b_shrink <= 1.0:
-        raise InvalidParamsError(f"phase_b_shrink must be in (0, 1], got {p.phase_b_shrink}")
+        raise InvalidConfigError(f"phase_b_shrink must be in (0, 1], got {p.phase_b_shrink}")
     for name, rng in (("core_intensity", p.core_intensity),
                       ("shell_intensity", p.shell_intensity),
                       ("satellite_intensity", p.satellite_intensity)):
@@ -184,13 +177,13 @@ def _validate_multiclass(p: MulticlassTaskParams) -> None:
     core_right = 0.30 * n + j + outer_hi
     sat_left = 0.75 * n - j - sat_hi
     if core_right + 1.0 > sat_left:
-        raise InvalidParamsError("core/shell and satellite ranges may overlap; "
+        raise InvalidConfigError("core/shell and satellite ranges may overlap; "
                                  "reduce radii or enlarge image_size")
     if 0.30 * n - j - outer_hi < 1.0 or 0.75 * n + j + sat_hi > n - 2.0:
-        raise InvalidParamsError("structures may leave the frame; "
+        raise InvalidConfigError("structures may leave the frame; "
                                  "reduce radii or enlarge image_size")
     if 0.50 * n - j - outer_hi < 1.0 or 0.50 * n + j + outer_hi > n - 2.0:
-        raise InvalidParamsError("structures may leave the frame vertically")
+        raise InvalidConfigError("structures may leave the frame vertically")
 
 
 def _disk(n: int, cx: float, cy: float, r: float) -> np.ndarray:
@@ -276,11 +269,11 @@ def generate_multiclass(params: MulticlassTaskParams, seed: int) -> SyntheticDat
 def apply_partial(dataset: SyntheticDataset, policy: PartialPolicy) -> SyntheticDataset:
     """Corrupt targeted samples' ground truth; untouched samples are shared as-is."""
     if policy.tag is None and policy.class_index is None:
-        raise TargetNotFoundError("policy must select a tag, a class index, or both")
+        raise InvalidConfigError("policy must select a tag, a class index, or both")
     if policy.tag is not None and policy.tag not in dataset.tags():
-        raise TargetNotFoundError(f"tag {policy.tag!r} not present in dataset")
+        raise InvalidConfigError(f"tag {policy.tag!r} not present in dataset")
     if policy.class_index is not None and not 0 <= policy.class_index < dataset.n_classes:
-        raise TargetNotFoundError(
+        raise InvalidConfigError(
             f"class index {policy.class_index} out of range for {dataset.n_classes} classes"
         )
     columns = ([policy.class_index] if policy.class_index is not None
@@ -371,15 +364,16 @@ def load_dataset(path) -> SyntheticDataset:
         entries = [(int(e["subject_id"]), e["tag"], np.asarray(e["availability"]),
                     Path(e["file"])) for e in manifest["samples"]]
         origin = dict(manifest.get("origin", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfigError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     samples = []
     for subject_id, tag, availability, name in entries:
         if availability.shape != (len(class_names),):
             raise InvalidConfigError(f"{manifest_path}: subject {subject_id} needs "
                                      f"{len(class_names)} availability flags")
-        if name.is_absolute() or ".." in name.parts:
-            raise InvalidConfigError(f"{manifest_path}: sample file {name} is outside {root}")
+        if name.is_absolute() or ".." in name.parts or "\0" in str(name):
+            raise InvalidConfigError(f"{manifest_path}: sample file {str(name)!r} is not a "
+                                     f"file name inside {root}")
         file = root / name
         try:
             tensor = read_tensor(file)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError, RangeViolationError, TensorFileError
+from .errors import RangeViolationError, ShapeMismatchError, TensorFileError
 
 
 class Role(enum.Enum):
@@ -59,10 +59,10 @@ _POOLED_AXES = {
 
 
 def batch_dims(dims) -> tuple[int, int, int]:
-    """(B, C, I) as three positive integers, else LengthMismatchError."""
+    """(B, C, I) as three positive integers, else ShapeMismatchError."""
     dims = tuple(dims)
     if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and d > 0 for d in dims):
-        raise LengthMismatchError(f"(B, C, I) must be three positive integers, got {dims!r}")
+        raise ShapeMismatchError(f"(B, C, I) must be three positive integers, got {dims!r}")
     return tuple(int(d) for d in dims)
 
 
@@ -85,7 +85,7 @@ def make_batch(dims, values: Sequence[float] | np.ndarray, role: Role) -> np.nda
     dims = batch_dims(dims)
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size != math.prod(dims):
-        raise LengthMismatchError(
+        raise ShapeMismatchError(
             f"expected {math.prod(dims)} values for shape {dims}, got {arr.size}"
         )
     if role is Role.GROUND_TRUTH:

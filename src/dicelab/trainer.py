@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -20,7 +21,6 @@ import numpy as np
 from scipy.special import expit, softmax
 
 from .errors import (
-    DimMismatchError,
     EmptyDatasetError,
     InvalidConfigError,
     NonFiniteTrainingError,
@@ -47,11 +47,11 @@ class LinearPixelModel:
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[1] != N_FEATURES:
-            raise DimMismatchError(f"weights must be (classes, {N_FEATURES}), got {w.shape}")
+            raise ShapeMismatchError(f"weights must be (classes, {N_FEATURES}), got {w.shape}")
         if self.head is Head.SIGMOID and w.shape[0] != 1:
-            raise DimMismatchError("sigmoid head takes exactly one weight vector")
+            raise ShapeMismatchError("sigmoid head takes exactly one weight vector")
         if self.head is Head.SOFTMAX and w.shape[0] < 2:
-            raise DimMismatchError("softmax head needs at least two weight vectors")
+            raise ShapeMismatchError("softmax head needs at least two weight vectors")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -85,7 +85,7 @@ def _require_int(name: str, value, minimum: int) -> None:
 def _require_learning_rate(value) -> None:
     """A finite real number (bool excluded) of at least 0, else InvalidConfigError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            math.isfinite(value) and value >= 0):
+            0 <= value <= sys.float_info.max):  # an int past the float range cannot train
         raise InvalidConfigError(f"learning_rate must be a finite number >= 0, got {value!r}")
 
 
@@ -112,7 +112,7 @@ def model_forward(model: LinearPixelModel, features: np.ndarray) -> np.ndarray:
     if feats.ndim == 2:
         feats = feats[None]
     if feats.ndim != 3 or feats.shape[2] != model.weights.shape[1]:
-        raise DimMismatchError(
+        raise ShapeMismatchError(
             f"features must be (batch, pixels, {model.weights.shape[1]}), got {feats.shape}"
         )
     logits = np.einsum("bif,cf->bci", feats, model.weights)

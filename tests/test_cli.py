@@ -4,13 +4,14 @@ Exit codes: 0 success, 1 a failed check (gradcheck mismatch, non-finite
 training), 2 usage, configuration, input or file error.
 """
 
+import errno
 import json
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from dicelab import harness
+from dicelab import cli, harness
 from dicelab.cli import main
 from dicelab.errors import NonFiniteTrainingError, RangeViolationError
 from dicelab.synthdata import GRADE_B, load_dataset
@@ -43,8 +44,8 @@ def runner():
 def assert_config_error(result):
     """Exit 2 with a one-line "error:" message, not an uncaught exception."""
     assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert [ln for ln in result.output.splitlines() if ln.startswith("error: ")]
+    assert isinstance(result.exception, SystemExit)  # an escaped exception would be its traceback
+    assert len([ln for ln in result.output.splitlines() if ln.startswith("error: ")]) == 1
 
 
 def write_config(tmp_path, overrides=None):
@@ -98,6 +99,8 @@ class TestGenData:
         pytest.param({"dataset": {"radius_a": [3.0, 4.0, 5.0]}}, id="dataset-radius-triple"),
         pytest.param({"batch_sizes": 4}, id="batch-sizes-scalar"),
         pytest.param({"labelings": "full"}, id="labelings-string"),
+        # an int key next to an unknown str key: the two cannot be sorted together
+        pytest.param({1: "x", "warp": 2}, id="mixed-type-keys"),
     ])
     def test_bad_config_exits_2(self, runner, tmp_path, overrides):
         cfg_path = write_config(tmp_path, overrides)
@@ -299,3 +302,21 @@ class TestRunAndReport:
         monkeypatch.setattr(harness, "build_dataset", fail)
         assert_config_error(runner.invoke(main, ["run", "--config", str(write_config(tmp_path)),
                                                  "--out", str(tmp_path / "x")]))
+
+    @pytest.mark.parametrize("command", ["gradcheck", "calibrate", "report"])
+    def test_unwritable_out_exits_2(self, finished_run, runner, tmp_path, command):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        args = {"gradcheck": ["gradcheck", *TestGradcheck.FAST],
+                "calibrate": ["calibrate", "--dataset", str(save_small_binary(tmp_path / "d"))],
+                "report": ["report", str(finished_run)]}[command]
+        assert_config_error(runner.invoke(main, [*args, "--out", str(blocker / "out")]))
+
+    def test_broken_stdout_is_left_to_click(self, runner, monkeypatch):
+        def close(*args, **kwargs):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(cli, "run_check_matrix", close)
+        result = runner.invoke(main, ["gradcheck", *TestGradcheck.FAST])
+        assert result.exit_code == 1
+        assert "error:" not in result.output

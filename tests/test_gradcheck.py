@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dicelab import gradcheck, loss
-from dicelab.errors import NotADistributionError, ShapeMismatchError, StepOutOfRangeError
+from dicelab.errors import RangeViolationError, ShapeMismatchError
 from dicelab.gradcheck import (
     check_two_value,
     compare_grads,
@@ -39,14 +39,14 @@ class TestFiniteDiff:
         gt = make_batch((1, 1, 2), [1, 0], Role.GROUND_TRUTH)
         pred = make_batch((1, 1, 2), [0.5, 0.5], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE)
-        with pytest.raises(StepOutOfRangeError):
+        with pytest.raises(RangeViolationError):
             finite_diff_grad(gt, pred, cfg, h=0.0)
 
     def test_stencil_must_stay_in_range(self):
         gt = make_batch((1, 1, 2), [1, 0], Role.GROUND_TRUTH)
         pred = make_batch((1, 1, 2), [0.5, 1.0], Role.PREDICTION)
         cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE)
-        with pytest.raises(StepOutOfRangeError):
+        with pytest.raises(RangeViolationError):
             finite_diff_grad(gt, pred, cfg)
 
     def test_agrees_with_analytic_on_leaf_dropped_subsets(self):
@@ -104,7 +104,7 @@ class TestFiniteDiff:
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.MARGINAL, background_class=0)
         mask = np.array([[True, True]])
-        with pytest.raises(NotADistributionError):
+        with pytest.raises(RangeViolationError):
             finite_diff_grad(gt, pred, cfg, mask=mask)
 
 

@@ -79,6 +79,10 @@ class TestConfig:
         dict(batch_sizes=4),
         dict(labelings="full"),
         dict(setups="image-wise"),
+        dict(labelings=("full", "full")),
+        dict(setups=("image-wise", "image-wise")),
+        dict(batch_sizes=(1, 2, 1)),
+        dict(learning_rate=10 ** 400),  # an int past the float range
     ])
     def test_validation(self, kwargs):
         # the raw mapping a config file parses to, up to building the dataset

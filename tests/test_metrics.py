@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from dicelab.errors import (
-    DegenerateLabelsError,
-    InvalidConfigError,
-    LengthMismatchError,
-    ShapeMismatchError,
-)
+from dicelab.errors import DegenerateLabelsError, InvalidConfigError, ShapeMismatchError
 from dicelab.metrics import (
     binarize,
     bootstrap_compare,
@@ -135,7 +130,7 @@ class TestRoc:
             roc_auc([0.1, 0.2], [1, 1])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             roc_auc([0.1, 0.2, 0.3], [1, 0])
 
 
@@ -169,9 +164,9 @@ class TestBootstrap:
     def test_validation(self):
         with pytest.raises(InvalidConfigError):
             bootstrap_compare([1.0, 2.0], [1.0, 2.0], n_resamples=0)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             bootstrap_compare([1.0, 2.0], [1.0])
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             bootstrap_compare([1.0], [2.0])
 
 

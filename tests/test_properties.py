@@ -1,16 +1,20 @@
 """Property tests of the axis-based Dice core against the index-list oracle,
 of the leaf and marginal variants, of the batched finite-difference stencil
 against the per-element loop, of the harness's grouping pass against the
-per-(tag, class) rescans, and of the file readers on arbitrary bytes."""
+per-(tag, class) rescans, and of the config, dataset and file readers on
+malformed input."""
 
+import json
 import math
+import shutil
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from dicelab import harness
@@ -22,11 +26,13 @@ from dicelab.loss import (
     dice_value_and_grad,
     dice_values,
 )
+from dicelab.synthdata import MANIFEST_NAME, load_dataset
 from dicelab.tensor import ReductionScheme, Role, make_batch, read_tensor
 from dicelab.trainer import load_model
 from fd_oracle import loop_finite_diff_grad
 from partition_oracle import enumerate_subsets, reference_grad, reference_loss
 import summary_oracle
+from test_synthdata import save_small_binary
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -199,9 +205,9 @@ metric_rows = st.lists(st.builds(harness.MetricRow, st.integers(0, 2), st.intege
 
 @st.composite
 def matrix_results(draw):
-    """A config, repeated setups allowed, and the results of any subset of its cells."""
+    """A config and the results of any subset of its cells."""
     setups = tuple(draw(st.lists(st.sampled_from(harness.SETUP_NAMES[:3]),
-                                 min_size=1, max_size=3)))
+                                 min_size=1, max_size=3, unique=True)))
     config = harness.ExperimentConfig(task="binary", setups=setups, batch_sizes=(1,),
                                       bootstrap_resamples=20, seed=draw(st.integers(0, 3)))
     results = [harness.CellResult(*cell, draw(metric_rows), (), (), (), (), (), (), 0.0)
@@ -209,7 +215,9 @@ def matrix_results(draw):
     return config, results
 
 
-@PROPERTY_SETTINGS
+# Each example draws ~200 choices, so shrinking a failure would take minutes;
+# the unshrunk counterexample is reported within seconds instead.
+@settings(PROPERTY_SETTINGS, phases=[p for p in Phase if p is not Phase.shrink])
 @given(matrix_results())
 def test_grouping_pass_matches_per_tag_rescans(case):
     config, results = case
@@ -289,3 +297,60 @@ def test_read_tensor_raises_only_dicelab_errors_on_near_valid_files(blob):
 @given(model_files())
 def test_load_model_raises_only_dicelab_errors_on_near_valid_files(blob):
     _read_raises_only_dicelab_errors(load_model, blob)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+config_keys = st.one_of(
+    st.sampled_from([f.name for f in fields(harness.ExperimentConfig)] + ["schema_version"]),
+    st.text(max_size=8), st.integers(), st.none())
+
+
+@PROPERTY_SETTINGS
+@given(st.booleans(), st.dictionaries(config_keys, json_values, max_size=6))
+def test_config_from_dict_raises_only_dicelab_errors(from_valid, entries):
+    """The entries alone, or laid over a valid config so the later checks run."""
+    base = harness.config_to_dict(harness.default_config("binary")) if from_valid else {}
+    try:
+        harness.config_from_dict({**base, **entries})
+    except DicelabError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    return save_small_binary(tmp_path_factory.mktemp("fuzz") / "d")
+
+
+def _json_paths(node, path=()):
+    """The key path to every value in a parsed JSON document, the root included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_load_dataset_raises_only_dicelab_errors_on_edited_manifests(saved_dataset, data):
+    manifest = json.loads((saved_dataset / MANIFEST_NAME).read_text())
+    path = data.draw(st.sampled_from(list(_json_paths(manifest))))
+    value = data.draw(json_values)
+    if path:
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        manifest = value
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(shutil.copytree(saved_dataset, Path(tmp) / "d"))
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+        try:
+            load_dataset(root)
+        except DicelabError:
+            pass

@@ -1,11 +1,14 @@
-"""The README's library quick start runs as written against the current API, and
-its run-artifact listing names every file a run writes."""
+"""The README's library quick start runs as written against the current API, its
+run-artifact listing names every file a run writes, and its error table names
+every error class."""
 
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 
+from dicelab import errors
 from dicelab.harness import ARTIFACTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -29,3 +32,13 @@ def test_run_artifacts_block_lists_every_table():
     assert match, "README has no listing under 'Run artifacts'"
     listed = {line.split()[0] for line in match.group(1).splitlines() if line.strip()}
     assert set(ARTIFACTS) <= listed
+
+
+def test_errors_table_lists_every_error_class():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"### Errors\n(.*?)\n#", text, re.S)
+    assert match, "README has no 'Errors' section"
+    listed = set(re.findall(r"^\| `(\w+)` \|", match.group(1), re.M))
+    classes = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.DicelabError) and cls is not errors.DicelabError}
+    assert classes <= listed, f"missing from README's Errors table: {sorted(classes - listed)}"

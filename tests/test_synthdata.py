@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from dicelab.errors import DicelabError, InvalidConfigError, InvalidParamsError, TargetNotFoundError
+from dicelab.errors import DicelabError, InvalidConfigError
 from dicelab.synthdata import (
     GRADE_A,
     GRADE_B,
@@ -91,6 +91,10 @@ MALFORMED_DATASETS = {
         b"DRT1" + struct.pack("<BBIII", 1, 3, 1, 0, 256)),
     "sample-image-nan": lambda root: _edit_first_sample(root, (0, 0, 0), np.nan),
     "sample-gt-half": lambda root: _edit_first_sample(root, (0, 1, 0), 0.5),
+    "manifest-subject-id-infinite": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][0].update(subject_id=float("inf"))),
+    "manifest-file-nul-byte": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][0].update(file="sample\0.drt")),
 }
 
 
@@ -166,7 +170,7 @@ class TestBinaryGenerator:
         dict(background_level=1.5),
     ])
     def test_invalid_params_rejected(self, kwargs):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InvalidConfigError):
             generate_binary(BinaryTaskParams(**kwargs), seed=0)
 
 
@@ -221,7 +225,7 @@ class TestMulticlassGenerator:
         dict(satellite_intensity=(0.6, 0.4)),
     ])
     def test_invalid_params_rejected(self, kwargs):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InvalidConfigError):
             generate_multiclass(MulticlassTaskParams(**kwargs), seed=0)
 
 
@@ -269,17 +273,17 @@ class TestApplyPartial:
 
     def test_unknown_tag_rejected(self):
         ds = generate_binary(BinaryTaskParams(), seed=0)
-        with pytest.raises(TargetNotFoundError):
+        with pytest.raises(InvalidConfigError):
             apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, tag="grade-c"))
 
     def test_class_index_out_of_range(self):
         ds = generate_binary(BinaryTaskParams(), seed=0)
-        with pytest.raises(TargetNotFoundError):
+        with pytest.raises(InvalidConfigError):
             apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, class_index=1))
 
     def test_policy_must_select_something(self):
         ds = generate_binary(BinaryTaskParams(), seed=0)
-        with pytest.raises(TargetNotFoundError):
+        with pytest.raises(InvalidConfigError):
             apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP))
 
 

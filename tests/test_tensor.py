@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from dicelab.errors import LengthMismatchError, RangeViolationError, ShapeMismatchError, TensorFileError
+from dicelab.errors import RangeViolationError, ShapeMismatchError, TensorFileError
 from dicelab.tensor import ReductionScheme, Role, make_batch, read_tensor, write_tensor
 from partition_oracle import enumerate_subsets, subset_reduce
 
@@ -39,27 +39,27 @@ class TestShape:
 
     @pytest.mark.parametrize("dims", [(0, 1, 1), (1, -2, -1), (1, 1, 0)])
     def test_non_positive_rejected(self, dims):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             make_batch(dims, [0.0] * math.prod(dims), Role.PREDICTION)
 
     def test_non_integer_rejected(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             make_batch((2.5, 2, 1), [0.0] * 5, Role.PREDICTION)
 
     @pytest.mark.parametrize("dims", [(1, 2), (1, 1, 1, 1)])
     def test_not_three_dims_rejected(self, dims):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             make_batch(dims, [0.0] * math.prod(dims), Role.PREDICTION)
 
     @pytest.mark.parametrize("dims", [(0, 1, 1), (1, 0, 4), (2, 1, 0)])
     def test_file_with_a_zero_dim_rejected(self, tmp_path, dims):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             read_tensor(drt_with_dims(tmp_path / "t.drt", dims))
 
 
 class TestMakeBatch:
     def test_wrong_length(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             make_batch((1, 1, 3), [0.0, 1.0], Role.GROUND_TRUTH)
 
     def test_gt_must_be_binary(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dicelab.errors import (
-    DimMismatchError,
     EmptyDatasetError,
     InvalidConfigError,
     NonFiniteTrainingError,
@@ -103,13 +102,13 @@ class TestModelForward:
 
     def test_feature_dim_checked(self):
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(ShapeMismatchError):
             model_forward(model, np.ones((1, 3, 5)))
 
     def test_head_row_count_checked(self):
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(ShapeMismatchError):
             LinearPixelModel(np.zeros((2, 4)), Head.SIGMOID)
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(ShapeMismatchError):
             LinearPixelModel(np.zeros((1, 4)), Head.SOFTMAX)
 
 
