@@ -21,7 +21,8 @@ import yaml
 from .epsilon import calibrate_epsilon
 from .errors import InvalidConfigError, NonFiniteTrainingError
 from .loss import DiceLossConfig, Variant
-from .metrics import binarize, bootstrap_compare, hard_dsc, roc_auc, volume_difference, write_csv
+from .metrics import (RocCurve, binarize, bootstrap_compare, hard_dsc, roc_auc,
+                      volume_difference, write_csv)
 from .synthdata import (
     GRADE_A,
     GRADE_B,
@@ -161,7 +162,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise InvalidConfigError("config must be a mapping")
     data = dict(raw)
     version = data.pop("schema_version", CONFIG_SCHEMA)
-    if version != CONFIG_SCHEMA:
+    if type(version) is not int or version != CONFIG_SCHEMA:  # True == 1
         raise InvalidConfigError(f"unsupported config schema_version {version!r}")
     if "task" not in data:
         raise InvalidConfigError("config needs a 'task' field (binary or multiclass)")
@@ -221,18 +222,17 @@ def _subset(ds: SyntheticDataset, keep) -> SyntheticDataset:
                             tuple(s for s in ds.samples if keep(s)), {})
 
 
-def _setup_loss(setup: str, train_split: SyntheticDataset) -> tuple[DiceLossConfig, bool, list]:
-    """Loss config, include-background flag, and calibration rows for one fold."""
+def _setup_loss(setup: str, train_split: SyntheticDataset) -> tuple[DiceLossConfig, list]:
+    """Loss config and calibration rows for one fold."""
     scheme, variant, calibrated = SETUPS[setup]
-    marginal = variant is Variant.MARGINAL
     epsilon, calibration = NEGLIGIBLE_EPSILON, []
     if calibrated:
         maps = [s.gt.reshape(1, s.n_classes, -1) for s in train_split.samples]
         cal = calibrate_epsilon(maps, scheme)
         epsilon = cal.as_loss_epsilon()
         calibration = [(train_split.class_names[c], value) for c, value in cal.per_class]
-    loss = DiceLossConfig(scheme, epsilon, variant, background_class=0 if marginal else None)
-    return loss, marginal, calibration
+    background_class = 0 if variant is Variant.MARGINAL else None
+    return DiceLossConfig(scheme, epsilon, variant, background_class=background_class), calibration
 
 
 class MetricRow(NamedTuple):
@@ -261,9 +261,7 @@ class CellResult:
     # per fold: the trained LinearPixelModel
     models: tuple
     loss_class_names: tuple
-    roc_points: tuple
-    roc_thresholds: tuple
-    roc_auc: float
+    roc: RocCurve
 
     @property
     def key(self) -> tuple[str, str, int]:
@@ -284,12 +282,11 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
     for fold in range(k):
         train_split = _subset(train_view, lambda s: s.subject_id % k != fold)
         val_split = _subset(full, lambda s: s.subject_id % k == fold)
-        loss, include_bg, calibration = _setup_loss(setup, train_split)
+        loss, calibration = _setup_loss(setup, train_split)
         calibration_rows += [(fold, name, value) for name, value in calibration]
         cfg = TrainConfig(loss=loss, batch_size=batch_size,
                           learning_rate=config.learning_rate,
-                          iterations=config.iterations, seed=fold,
-                          include_background_in_loss=include_bg)
+                          iterations=config.iterations, seed=fold)
         try:
             result = train(train_split, cfg)
         except NonFiniteTrainingError as exc:
@@ -300,12 +297,11 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
         models.append(result.model)
         loss_class_names = result.class_names
         pred = predict(result.model, val_split)
-        hard = binarize(pred, result.model.head)
-        fg_offset = hard.shape[1] - full.n_classes  # softmax output includes background
+        hard = binarize(pred, result.model.head)[:, -full.n_classes:]  # skip a softmax background
         for row, s in enumerate(val_split.samples):
             for c, name in enumerate(full.class_names):
                 gt_map = s.gt[c].reshape(-1)
-                pred_map = hard[row, fg_offset + c]
+                pred_map = hard[row, c]
                 metric_rows.append(MetricRow(
                     fold, s.subject_id, s.tag, name,
                     hard_dsc(gt_map, pred_map),
@@ -320,7 +316,6 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
         if row.class_name == task.roc_target:
             scores.append(row.pred_vol)
             labels.append(1 if row.tag == task.positive_tag else 0)
-    curve = roc_auc(scores, labels)
     return CellResult(
         labeling=labeling, setup=setup, batch_size=batch_size,
         metric_rows=tuple(metric_rows),
@@ -328,9 +323,7 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
         histories=tuple(histories),
         models=tuple(models),
         loss_class_names=loss_class_names,
-        roc_points=curve.points,
-        roc_thresholds=curve.thresholds,
-        roc_auc=curve.auc,
+        roc=roc_auc(scores, labels),
     )
 
 
@@ -489,9 +482,9 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtif
     rows = {
         "metrics.csv": [[*r.key, *row] for r in results for row in r.metric_rows],
         "summary.csv": _summarize(grouped),
-        "auc.csv": [[*r.key, task.roc_target, task.positive_tag, r.roc_auc] for r in results],
+        "auc.csv": [[*r.key, task.roc_target, task.positive_tag, r.roc.auc] for r in results],
         "roc_points.csv": [[*r.key, t, fpr, tpr] for r in results
-                           for (fpr, tpr), t in zip(r.roc_points, r.roc_thresholds)],
+                           for (fpr, tpr), t in zip(r.roc.points, r.roc.thresholds)],
         "calibration.csv": [[*r.key, *cal] for r in results for cal in r.calibration_rows],
         "comparisons.csv": _comparisons(config, dict(grouped)),
     }

@@ -338,10 +338,11 @@ def load_dataset(path) -> SyntheticDataset:
     """Read a directory save_dataset wrote.
 
     Every malformed input raises a DicelabError: a manifest that is not JSON,
-    lacks a field, names a file outside the directory or holds a flag other
-    than true/false or a tag other than a string, a sample file that cannot be
-    read, is not a (1, C + 1, N * N) tensor, or holds a non-finite image or a
-    gt value other than 0 or 1.
+    lacks a field, names a file outside the directory, holds a flag other than
+    true/false, a task, tag or class name other than a string, or a subject id
+    other than a distinct integer >= 0; a sample file that cannot be read, is
+    not a (1, C + 1, N * N) tensor, or holds a non-finite image or a gt value
+    other than 0 or 1.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -352,19 +353,30 @@ def load_dataset(path) -> SyntheticDataset:
             manifest = json.load(fh)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise InvalidConfigError(f"{manifest_path}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("schema_version") != MANIFEST_SCHEMA:
+    version = manifest.get("schema_version") if isinstance(manifest, dict) else None
+    if type(version) is not int or version != MANIFEST_SCHEMA:
         raise InvalidConfigError(f"{manifest_path}: not a dataset manifest of schema "
                                  f"{MANIFEST_SCHEMA}")
     try:
         task = manifest["task"]
+        if not isinstance(task, str):
+            raise ValueError(f"task must be a string, got {task!r}")
         n = manifest["image_size"]
         if type(n) is not int or n <= 0:
             raise ValueError(f"image_size must be a positive integer, got {n!r}")
-        class_names = tuple(manifest["class_names"])
-        entries = [(int(e["subject_id"]), e["tag"], np.asarray(e["availability"]),
+        class_names = manifest["class_names"]
+        if type(class_names) is not list or not all(isinstance(c, str) for c in class_names):
+            raise ValueError(f"class_names must be a list of strings, got {class_names!r}")
+        entries = [(e["subject_id"], e["tag"], np.asarray(e["availability"]),
                     Path(e["file"])) for e in manifest["samples"]]
+        ids = [entry[0] for entry in entries]
+        for subject_id in ids:
+            if type(subject_id) is not int or subject_id < 0:
+                raise ValueError(f"subject_id must be an integer >= 0, got {subject_id!r}")
+        if len(set(ids)) != len(ids):  # each id names its own sample_NNNN.drt
+            raise ValueError(f"subject ids must be unique, got {ids!r}")
         origin = dict(manifest.get("origin", {}))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     samples = []
     for subject_id, tag, availability, name in entries:
@@ -390,4 +402,4 @@ def load_dataset(path) -> SyntheticDataset:
             gt=rows[1:].copy(),
             availability=availability,
         ))
-    return SyntheticDataset(task, class_names, n, tuple(samples), origin)
+    return SyntheticDataset(task, tuple(class_names), n, tuple(samples), origin)

@@ -67,7 +67,6 @@ class TrainConfig:
     learning_rate: float = 1.0
     iterations: int = 300
     seed: int = 0
-    include_background_in_loss: bool = False
 
     def __post_init__(self):
         _require_int("batch_size", self.batch_size, 1)
@@ -109,8 +108,6 @@ def featurize(image: np.ndarray) -> np.ndarray:
 def model_forward(model: LinearPixelModel, features: np.ndarray) -> np.ndarray:
     """Predictions for a batch of per-pixel features (B, I, F) -> (B, C, I)."""
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim == 2:
-        feats = feats[None]
     if feats.ndim != 3 or feats.shape[2] != model.weights.shape[1]:
         raise ShapeMismatchError(
             f"features must be (batch, pixels, {model.weights.shape[1]}), got {feats.shape}"
@@ -137,8 +134,6 @@ def model_backward(
     against the features.
     """
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim == 2:
-        feats = feats[None]
     g = np.asarray(loss_grad, dtype=np.float64)
     if g.shape != (feats.shape[0], model.n_classes, feats.shape[1]):
         raise ShapeMismatchError(
@@ -165,21 +160,21 @@ def step_gradients(
     gt: np.ndarray,
     cfg: DiceLossConfig,
     mask: np.ndarray | None = None,
-    model_cols: np.ndarray | None = None,
 ) -> StepResult:
     """One forward/backward pass: loss value, loss-space gradient, weight gradient.
 
-    model_cols maps loss-tensor class columns onto model output classes, so a
-    loss over foreground classes only still backpropagates through a softmax
-    that includes the background.
+    The loss sees the model's last gt.shape[1] output columns, so a loss over
+    the foreground classes only still backpropagates through a softmax whose
+    column 0 is the background.
     """
-    if model_cols is None:
-        model_cols = np.arange(model.n_classes)
     pred = model_forward(model, features)
-    out, grad = dice_value_and_grad(gt, pred[:, model_cols, :], cfg, mask)
-    scattered = np.zeros(pred.shape)
-    scattered[:, model_cols, :] = grad
-    dtheta = model_backward(model, features, scattered, pred)
+    first = model.n_classes - gt.shape[1]
+    out, grad = dice_value_and_grad(gt, pred[:, first:, :], cfg, mask)
+    full = grad
+    if first > 0:
+        full = np.zeros(pred.shape)
+        full[:, first:, :] = grad
+    dtheta = model_backward(model, features, full, pred)
     return StepResult(out.value, grad, dtheta)
 
 
@@ -215,7 +210,8 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     Batches regroup every epoch; a trailing group smaller than batch_size is
     dropped so every step sees the same tensor shape. History is recorded at
     every iteration. A NaN or infinite loss or weight gradient stops training
-    with NonFiniteTrainingError naming the iteration.
+    with NonFiniteTrainingError naming the iteration. A softmax model's
+    background column 0 is in the loss only under the marginal variant.
     """
     n = len(dataset.samples)
     if n == 0:
@@ -224,47 +220,22 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         raise InvalidConfigError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     n_fg = dataset.n_classes
     marginal = cfg.loss.variant is Variant.MARGINAL
-
-    if n_fg == 1:
-        head = Head.SIGMOID
-        n_model = 1
-        if cfg.include_background_in_loss:
-            raise InvalidConfigError("sigmoid head has no background map to include")
-        if marginal:
-            raise InvalidConfigError("marginal loss needs a softmax head with background")
-        model_cols = np.arange(1)
-        loss_names = dataset.class_names
-    else:
-        head = Head.SOFTMAX
-        n_model = n_fg + 1
-        if marginal and not cfg.include_background_in_loss:
-            raise InvalidConfigError("marginal loss requires the background in the loss")
-        if marginal and cfg.loss.background_class != 0:
-            raise InvalidConfigError("background is class 0 in this model")
-        if cfg.include_background_in_loss:
-            model_cols = np.arange(n_model)
-            loss_names = ("background",) + tuple(dataset.class_names)
-        else:
-            model_cols = np.arange(1, n_model)
-            loss_names = tuple(dataset.class_names)
+    if n_fg == 1 and marginal:
+        raise InvalidConfigError("marginal loss needs a softmax head with background")
+    if marginal and cfg.loss.background_class != 0:
+        raise InvalidConfigError("background is class 0 in this model")
+    head = Head.SIGMOID if n_fg == 1 else Head.SOFTMAX
 
     feats = np.stack([featurize(s.image) for s in dataset.samples])
-    n_pixels = feats.shape[1]
-    gt_rows = []
-    avail_rows = []
-    for s in dataset.samples:
-        fg = s.gt.reshape(n_fg, n_pixels)
-        if cfg.include_background_in_loss:
-            background = 1.0 - fg.sum(axis=0, keepdims=True)
-            gt_rows.append(np.concatenate([background, fg], axis=0))
-            avail_rows.append(np.concatenate([[True], s.availability]))
-        else:
-            gt_rows.append(fg)
-            avail_rows.append(s.availability.copy())
-    gt_all = np.stack(gt_rows)
-    avail_all = np.stack(avail_rows)
+    gt_all = np.stack([s.gt.reshape(n_fg, -1) for s in dataset.samples])
+    avail_all = np.stack([s.availability for s in dataset.samples])
+    loss_names = tuple(dataset.class_names)
+    if marginal:
+        gt_all = np.concatenate([1.0 - gt_all.sum(axis=1, keepdims=True), gt_all], axis=1)
+        avail_all = np.concatenate([np.ones((n, 1), dtype=bool), avail_all], axis=1)
+        loss_names = ("background",) + loss_names
 
-    weights = np.zeros((n_model, N_FEATURES))
+    model = LinearPixelModel(np.zeros((1 if n_fg == 1 else n_fg + 1, N_FEATURES)), head)
     rng = np.random.default_rng(cfg.seed)
     history: list[HistoryRow] = []
     queue: list[np.ndarray] = []
@@ -277,17 +248,16 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         idx = queue.pop(0)
         gt = gt_all[idx]
         mask = avail_all[idx] if marginal else None
-        model = LinearPixelModel(weights, head)
-        step = step_gradients(model, feats[idx], gt, cfg.loss, mask, model_cols)
+        step = step_gradients(model, feats[idx], gt, cfg.loss, mask)
         iteration += 1
         if not (math.isfinite(step.loss) and np.isfinite(step.param_grad).all()):
             raise NonFiniteTrainingError(
                 f"non-finite loss or weight gradient at iteration {iteration}"
             )
-        weights = weights - cfg.learning_rate * step.param_grad
+        model = LinearPixelModel(model.weights - cfg.learning_rate * step.param_grad, head)
         y0, y1 = _grad_split(gt, step.loss_grad)
         history.append(HistoryRow(iteration, step.loss, y0, y1))
-    return TrainResult(LinearPixelModel(weights, head), tuple(history), tuple(loss_names))
+    return TrainResult(model, tuple(history), loss_names)
 
 
 def predict(model: LinearPixelModel, dataset) -> np.ndarray:

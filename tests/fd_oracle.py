@@ -35,16 +35,17 @@ def loop_finite_diff_grad(gt, pred, cfg, h=1e-5, mask=None) -> np.ndarray:
     return grad.reshape(pred.shape)
 
 
-def evaluate_loss(model, features, gt, cfg, mask=None, model_cols=None) -> float:
-    """Forward pass through model and loss; the finite-difference target for dtheta."""
-    if model_cols is None:
-        model_cols = np.arange(model.n_classes)
-    sliced = model_forward(model, features)[:, model_cols, :]
-    return dice_value_and_grad(gt, sliced, cfg, mask)[0].value
+def evaluate_loss(model, features, gt, cfg, mask=None) -> float:
+    """Forward pass through model and loss; the finite-difference target for dtheta.
+
+    The loss sees the model's last gt.shape[1] output columns, as in training.
+    """
+    pred = model_forward(model, features)
+    first = model.n_classes - gt.shape[1]
+    return dice_value_and_grad(gt, pred[:, first:, :], cfg, mask)[0].value
 
 
-def finite_diff_param_grad(model, features, gt, cfg, mask=None, model_cols=None,
-                           h=1e-5) -> np.ndarray:
+def finite_diff_param_grad(model, features, gt, cfg, mask=None, h=1e-5) -> np.ndarray:
     """Central differences of the full model-plus-loss forward over each weight."""
     base = model.weights.copy()
     grad = np.zeros_like(base)
@@ -53,6 +54,6 @@ def finite_diff_param_grad(model, features, gt, cfg, mask=None, model_cols=None,
             w = base.copy()
             w[idx] += sign * h
             probe = LinearPixelModel(w, model.head)
-            val = evaluate_loss(probe, features, gt, cfg, mask, model_cols)
+            val = evaluate_loss(probe, features, gt, cfg, mask)
             grad[idx] += sign * val
     return grad / (2.0 * h)

@@ -107,9 +107,10 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             config_from_dict(raw)
 
-    def test_schema_version_checked(self):
+    @pytest.mark.parametrize("version", [99, True, 1.0])
+    def test_schema_version_checked(self, version):
         raw = config_to_dict(tiny_config())
-        raw["schema_version"] = 99
+        raw["schema_version"] = version
         with pytest.raises(InvalidConfigError):
             config_from_dict(raw)
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from dicelab import harness
 from dicelab.errors import DicelabError
 from dicelab.gradcheck import finite_diff_grad, resolve_epsilon
+from dicelab.metrics import RocCurve
 from dicelab.loss import (
     DiceLossConfig,
     Variant,
@@ -210,7 +211,7 @@ def matrix_results(draw):
                                  min_size=1, max_size=3, unique=True)))
     config = harness.ExperimentConfig(task="binary", setups=setups, batch_sizes=(1,),
                                       bootstrap_resamples=20, seed=draw(st.integers(0, 3)))
-    results = [harness.CellResult(*cell, draw(metric_rows), (), (), (), (), (), (), 0.0)
+    results = [harness.CellResult(*cell, draw(metric_rows), (), (), (), (), RocCurve((), (), 0.0))
                for cell in config.cells() if draw(st.booleans())]
     return config, results
 

@@ -1,15 +1,16 @@
 """The README's library quick start runs as written against the current API, its
-run-artifact listing names every file a run writes, and its error table names
-every error class."""
+config defaults match default_config, its run-artifact listing names every file
+a run writes, and its error table names every error class."""
 
 import inspect
 import re
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from dicelab import errors
-from dicelab.harness import ARTIFACTS
+from dicelab.harness import ARTIFACTS, TASKS, config_to_dict, default_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,6 +25,19 @@ def test_quick_start_runs():
     assert type(grad) is np.ndarray and grad.shape == pred.shape == (2, 3, 64)
     assert not grad.flags.writeable
     assert scope["mask"].dtype == bool and scope["mask"].shape == (2, 3)
+
+
+def test_config_defaults_match_default_config():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"### Config file\n.*?```yaml\n(.*?)```", text, re.S)
+    assert match, "README has no yaml block under 'Config file'"
+    assert yaml.safe_load(match.group(1)) == config_to_dict(default_config("binary"))
+    match = re.search(r"The multiclass defaults differ in `setups: (\[.*?\])` and\s+"
+                      r"`batch_sizes: (\[.*?\])`", text)
+    assert match, "README has no sentence on the multiclass defaults"
+    task = TASKS["multiclass"]
+    assert yaml.safe_load(match.group(1)) == list(task.setups)
+    assert yaml.safe_load(match.group(2)) == list(task.batch_sizes)
 
 
 def test_run_artifacts_block_lists_every_table():

@@ -95,6 +95,28 @@ MALFORMED_DATASETS = {
         root, lambda m: m["samples"][0].update(subject_id=float("inf"))),
     "manifest-file-nul-byte": lambda root: _edit_manifest(
         root, lambda m: m["samples"][0].update(file="sample\0.drt")),
+    # a cast with int() would read each of these as an id of another sample
+    "manifest-subject-id-float": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][0].update(subject_id=2.7)),
+    "manifest-subject-id-string": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][0].update(subject_id="2")),
+    "manifest-subject-id-bool": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][0].update(subject_id=True)),
+    "manifest-subject-id-negative": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][0].update(subject_id=-1)),
+    "manifest-subject-id-repeated": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][1].update(subject_id=m["samples"][0]["subject_id"])),
+    # tuple() of each is one name long, so only the type check catches them
+    "manifest-class-names-mapping": lambda root: _edit_manifest(
+        root, lambda m: m.update(class_names={"lesion": 1})),
+    "manifest-class-names-not-strings": lambda root: _edit_manifest(
+        root, lambda m: m.update(class_names=[1])),
+    "manifest-class-names-string": lambda root: _edit_manifest(
+        root, lambda m: m.update(class_names="l")),
+    "manifest-task-integer": lambda root: _edit_manifest(root, lambda m: m.update(task=5)),
+    # True == 1, so only the type check catches it
+    "manifest-schema-version-bool": lambda root: _edit_manifest(
+        root, lambda m: m.update(schema_version=True)),
 }
 
 

@@ -153,9 +153,9 @@ def gt_from_samples(samples, include_background):
 class TestEndToEndGradient:
     """Finite differences over the weights through model plus loss."""
 
-    def check(self, model, feats, gt, cfg, mask=None, model_cols=None):
-        step = step_gradients(model, feats, gt, cfg, mask, model_cols)
-        numeric = finite_diff_param_grad(model, feats, gt, cfg, mask, model_cols)
+    def check(self, model, feats, gt, cfg, mask=None):
+        step = step_gradients(model, feats, gt, cfg, mask)
+        numeric = finite_diff_param_grad(model, feats, gt, cfg, mask)
         assert step.param_grad == pytest.approx(numeric, rel=1e-5, abs=1e-7)
 
     @pytest.mark.parametrize("scheme", [ReductionScheme.IMAGE_WISE,
@@ -181,8 +181,8 @@ class TestEndToEndGradient:
         self.check(model, feats, gt, cfg)
 
     def test_softmax_head_foreground_only_loss(self):
-        # the loss sees only the foreground columns, gradients still flow
-        # through the full softmax
+        # a gt of three classes meets the last three of four softmax columns,
+        # so the loss skips the background and gradients still flow through it
         ds = generate_multiclass(SMALL_MULTI, seed=2)
         samples = ds.samples[:2]
         feats = np.stack([featurize(s.image) for s in samples])
@@ -190,7 +190,7 @@ class TestEndToEndGradient:
         model = LinearPixelModel(np.random.default_rng(2).normal(0, 0.5, (4, 4)),
                                  Head.SOFTMAX)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1.0)
-        self.check(model, feats, gt, cfg, model_cols=np.arange(1, 4))
+        self.check(model, feats, gt, cfg)
 
     def test_leaf_variant(self):
         ds = generate_binary(SMALL_BINARY, seed=3)
@@ -218,6 +218,16 @@ class TestEndToEndGradient:
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-3,
                              variant=Variant.MARGINAL, background_class=0)
         self.check(model, feats, gt, cfg, mask=mask)
+
+    def test_gt_wider_than_model_rejected(self):
+        # a background row next to the lesion map: two gt classes, one sigmoid output
+        samples = generate_binary(SMALL_BINARY, seed=0).samples[:2]
+        feats = np.stack([featurize(s.image) for s in samples])
+        gt = gt_from_samples(samples, include_background=True)
+        model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1.0)
+        with pytest.raises(ShapeMismatchError):
+            step_gradients(model, feats, gt, cfg)
 
 
 class TestTrainLoop:
@@ -260,12 +270,19 @@ class TestTrainLoop:
 
     def test_multiclass_adds_background_column(self):
         ds = generate_multiclass(SMALL_MULTI, seed=0)
-        loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7)
-        cfg = TrainConfig(loss=loss, iterations=2, include_background_in_loss=True)
-        result = train(ds, cfg)
+        loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
+                              variant=Variant.MARGINAL, background_class=0)
+        result = train(ds, TrainConfig(loss=loss, batch_size=len(ds), iterations=1))
         assert result.model.head is Head.SOFTMAX
         assert result.model.n_classes == 4
         assert result.class_names == ("background", "core", "shell", "satellite")
+        # the first step scores the zero model against gt with the background row first
+        feats = np.stack([featurize(s.image) for s in ds.samples])
+        gt = gt_from_samples(ds.samples, include_background=True)
+        mask = np.ones((len(ds), 4), dtype=bool)
+        zero = LinearPixelModel(np.zeros((4, 4)), Head.SOFTMAX)
+        step = step_gradients(zero, feats, gt, loss, mask)
+        assert result.history[0].loss == pytest.approx(step.loss, rel=1e-12)
 
     def test_multiclass_foreground_only_loss_names(self):
         ds = generate_multiclass(SMALL_MULTI, seed=0)
@@ -280,8 +297,7 @@ class TestTrainLoop:
                                              tag=PHASE_B, class_index=1))
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                               variant=Variant.MARGINAL, background_class=0)
-        cfg = TrainConfig(loss=loss, iterations=4, include_background_in_loss=True)
-        result = train(ds, cfg)
+        result = train(ds, TrainConfig(loss=loss, iterations=4))
         assert len(result.history) == 4
 
     def test_empty_dataset_rejected(self):
@@ -294,11 +310,6 @@ class TestTrainLoop:
         with pytest.raises(InvalidConfigError):
             train(ds, self.binary_cfg(batch_size=7))
 
-    def test_sigmoid_cannot_include_background(self):
-        ds = generate_binary(SMALL_BINARY, seed=0)
-        with pytest.raises(InvalidConfigError):
-            train(ds, self.binary_cfg(include_background_in_loss=True))
-
     def test_marginal_needs_softmax_head(self):
         ds = generate_binary(SMALL_BINARY, seed=0)
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
@@ -306,11 +317,11 @@ class TestTrainLoop:
         with pytest.raises(InvalidConfigError):
             train(ds, TrainConfig(loss=loss, iterations=1))
 
-    def test_marginal_needs_background_in_loss(self):
+    def test_marginal_background_is_class_0(self):
         ds = generate_multiclass(SMALL_MULTI, seed=0)
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
-                              variant=Variant.MARGINAL, background_class=0)
-        with pytest.raises(InvalidConfigError):
+                              variant=Variant.MARGINAL, background_class=1)
+        with pytest.raises(InvalidConfigError, match="background is class 0"):
             train(ds, TrainConfig(loss=loss, iterations=1))
 
     @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(learning_rate=-1.0),
