@@ -5,7 +5,9 @@ trains each cell with subject-level k-fold cross-validation, scores held-out
 subjects against pristine ground truth, and writes everything as CSV plus
 model checkpoints. Cells are independent and may execute in parallel; the
 parent process writes all artifacts in a fixed order, so outputs are
-byte-identical for a given config no matter the job count.
+byte-identical for a given config no matter the job count. Cells whose
+training is the same computation (batch-wise pooling at B = 1 is image-wise
+pooling) train once and share the result.
 """
 
 from __future__ import annotations
@@ -332,6 +334,19 @@ def _cell_worker(args) -> CellResult:
     return run_cell(config, *cell, datasets)
 
 
+def _training_key(labeling: str, setup: str, batch_size: int, n_classes: int) -> tuple:
+    """What decides how a cell trains, for a task of n_classes foreground classes.
+
+    A pooled axis of extent 1 (the batch axis at B = 1, the class axis of a
+    one-class loss) sums a single term, so leaving it out of Phi changes no
+    sum: batch-wise pooling at B = 1 is image-wise pooling, bit for bit.
+    """
+    scheme, variant, calibrated = SETUPS[setup]
+    extent = {0: batch_size, 1: n_classes + (variant is Variant.MARGINAL)}
+    axes = tuple(a for a in scheme.axes if extent.get(a) != 1)
+    return labeling, batch_size, variant, calibrated, axes
+
+
 CELL_COLUMNS = ["labeling", "setup", "batch_size"]
 
 # The run-level CSVs in writing order: file name -> (RunArtifacts field, header)
@@ -425,6 +440,29 @@ def _comparisons(config: ExperimentConfig, groups: dict) -> list[list]:
     return rows
 
 
+def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult]:
+    """The result of every cell of the matrix, in config.cells() order.
+
+    Cells with one training key train once, as the first of them in matrix
+    order; the others take its result under their own labeling, setup and
+    batch size.
+    """
+    cells = config.cells()
+    keys = [_training_key(*cell, datasets[0].n_classes) for cell in cells]
+    firsts: dict[tuple, tuple] = {}
+    for key, cell in zip(keys, cells):
+        firsts.setdefault(key, cell)
+    if jobs == 1 or len(firsts) == 1:
+        results = [run_cell(config, *cell, datasets) for cell in firsts.values()]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_cell_worker,
+                                    [(config, cell, datasets) for cell in firsts.values()]))
+    trained = dict(zip(firsts, results))
+    return [replace(trained[key], labeling=lab, setup=setup, batch_size=b)
+            for key, (lab, setup, b) in zip(keys, cells)]
+
+
 def _check_folds(config: ExperimentConfig, full: SyntheticDataset) -> None:
     """Every fold must hold out a subject, and every batch size fit its smallest training split."""
     k = config.folds
@@ -454,13 +492,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtif
     full = datasets[0]
     _check_folds(config, full)
     out.mkdir(parents=True, exist_ok=True)
-    cells = config.cells()
-    if jobs == 1 or len(cells) == 1:
-        results = [run_cell(config, *cell, datasets) for cell in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker,
-                                    [(config, cell, datasets) for cell in cells]))
+    results = _run_cells(config, datasets, jobs)
 
     save_config(config, out / "config_snapshot.yaml")
     save_dataset(full, out / "dataset")

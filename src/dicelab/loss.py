@@ -20,20 +20,23 @@ zero gradient and do not count toward K); the marginal variant first folds the
 predicted probabilities of unavailable classes into the background column and
 routes the background gradient back to them.
 
-One private helper pools the sums for both entry points. It takes Phi as
+One private helper pools the sums for every entry point. It takes Phi as
 negative axes, so predictions may carry leading axes (..., B, C, I) against a
 single (B, C, I) ground truth: dice_values scores a whole stack of
 predictions in one value-only pass, and dice_value_and_grad scores one
-prediction and adds the gradient. A counted subset with S = 0 (epsilon 0,
-empty ground truth and zero prediction) raises ZeroDenominatorError in place
-of returning NaN.
+prediction and adds the gradient. Both check their inputs, ground truth of
+0 and 1 included, then build a LossPlan; planned_value_and_grad is the
+gradient pass alone, for a caller such as the training loop that checks its
+arrays and builds the plan once for many calls. A counted subset with S = 0
+(epsilon 0, empty ground truth and zero prediction) raises
+ZeroDenominatorError in place of returning NaN.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,41 +171,64 @@ def _epsilon(cfg: DiceLossConfig, classes: int) -> float | np.ndarray:
     return eps.reshape(-1, 1)
 
 
+class LossPlan(NamedTuple):
+    """A config made ready for calls on C-class tensors: Phi as negative axes
+    and epsilon shaped to broadcast over the sums."""
+
+    cfg: DiceLossConfig
+    axes: tuple[int, ...]
+    eps: float | np.ndarray
+
+
+def loss_plan(cfg: DiceLossConfig, classes: int) -> LossPlan:
+    """The plan of cfg for C = classes; a per-class epsilon must have C entries."""
+    return LossPlan(cfg, tuple(a - 3 for a in cfg.scheme.axes), _epsilon(cfg, classes))
+
+
+def _checked(gt, pred, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """gt and pred as float64 arrays of matching shapes, gt holding only 0 and 1."""
+    y, p = np.asarray(gt, dtype=np.float64), np.asarray(pred, dtype=np.float64)
+    _check_shapes(y, p, stacked)
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise RangeViolationError("ground-truth values must be exactly 0 or 1")
+    return y, p
+
+
 def _pool(
     y: np.ndarray,
     p: np.ndarray,
-    cfg: DiceLossConfig,
+    plan: LossPlan,
     mask: np.ndarray | None,
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """Kept mask, K, N and S of every subset, pooled over the scheme's axes Phi.
+    """Kept mask, K, N and S of every subset, pooled over the plan's axes Phi.
 
     y is (B, C, I); p is (..., B, C, I), already merged for the marginal
     variant. Phi is taken as negative axes, so leading axes of p stack
     independent predictions against the one ground truth. kept has the
     keepdims shape of y's sums; N and S carry p's leading axes too.
     """
-    axes = tuple(a - 3 for a in cfg.scheme.axes)
+    axes = plan.axes
     inter = (y * p).sum(axis=axes, keepdims=True)
     gsum = y.sum(axis=axes, keepdims=True)
     psum = p.sum(axis=axes, keepdims=True)
-    if cfg.variant is Variant.LEAF:
-        kept = gsum > 0.0
-    elif cfg.variant is Variant.MARGINAL:
-        # marginal_merge checked that the background is available everywhere,
-        # so only subsets made of merged-away classes alone are dropped
-        kept = mask[:, :, None].any(axis=axes, keepdims=True)
-    else:
+    S = gsum + psum + plan.eps
+    variant = plan.cfg.variant
+    if variant is Variant.STANDARD:
         kept = np.ones(gsum.shape, dtype=bool)
-
-    eps = _epsilon(cfg, y.shape[1])
-    S = gsum + psum + eps
-    np.copyto(S, np.inf, where=~kept)  # a dropped subset scores 0 and gets zero gradient
+    else:
+        if variant is Variant.LEAF:
+            kept = gsum > 0.0
+        else:
+            # marginal_merge checked that the background is available everywhere,
+            # so only subsets made of merged-away classes alone are dropped
+            kept = mask[:, :, None].any(axis=axes, keepdims=True)
+        np.copyto(S, np.inf, where=~kept)  # a dropped subset scores 0 and gets zero gradient
     if np.count_nonzero(S) < S.size:  # some counted S == 0; cheaper than S.all() on tiny S
         raise ZeroDenominatorError(
             "a counted subset has empty ground truth, all-zero prediction and epsilon 0, "
             "so its Dice score is 0/0"
         )
-    N = 2.0 * inter + eps
+    N = 2.0 * inter + plan.eps
     return kept, int(np.count_nonzero(kept)), N, S
 
 
@@ -215,6 +241,37 @@ def _loss_values(score: np.ndarray, kept: np.ndarray, K: int) -> np.ndarray:
     return 1.0 - np.ascontiguousarray(score[..., kept]).sum(axis=-1) / K
 
 
+def planned_value_and_grad(
+    y: np.ndarray,
+    p: np.ndarray,
+    plan: LossPlan,
+    mask: np.ndarray | None = None,
+) -> tuple[LossOutput, np.ndarray]:
+    """dice_value_and_grad of y and p without its input checks.
+
+    y and p must be float64 (B, C, I) arrays of the plan's class count, y
+    holding only 0 and 1; the marginal variant still checks its mask and
+    predictions.
+    """
+    cfg = plan.cfg
+    routing = None
+    if cfg.variant is Variant.MARGINAL:
+        p, routing = marginal_merge(y, p, mask, cfg.background_class)
+
+    kept, K, N, S = _pool(y, p, plan, mask)
+    score = N / S
+    value = float(_loss_values(score, kept, K))
+    if K == 0:
+        return LossOutput(value, score, kept, 0), readonly(np.zeros(y.shape))
+    ratio = N / (S * S)
+    grad = np.empty(y.shape)  # ratio / K where y = 0, (ratio - 2 / S) / K where y = 1
+    np.copyto(grad, ratio / K)
+    np.copyto(grad, (ratio - 2.0 / S) / K, where=y == 1.0)
+    if routing is not None:
+        grad = np.take_along_axis(grad, routing[:, :, None], axis=1)
+    return LossOutput(value, score, kept, K), readonly(grad)
+
+
 def dice_value_and_grad(
     gt: np.ndarray,
     pred: np.ndarray,
@@ -223,27 +280,14 @@ def dice_value_and_grad(
 ) -> tuple[LossOutput, np.ndarray]:
     """Dice loss and its analytic gradient with respect to every prediction element.
 
-    gt and pred are (B, C, I) arrays; the gradient is a read-only (B, C, I)
-    array. Dropped subsets (leaf variant, or marginal columns merged away)
-    receive exactly zero; for the marginal variant the gradient is computed on
-    the merged maps and routed back through the background sum.
+    gt and pred are (B, C, I) arrays, gt holding only 0 and 1; the gradient
+    is a read-only (B, C, I) array. Dropped subsets (leaf variant, or
+    marginal columns merged away) receive exactly zero; for the marginal
+    variant the gradient is computed on the merged maps and routed back
+    through the background sum.
     """
-    y, p = np.asarray(gt, dtype=np.float64), np.asarray(pred, dtype=np.float64)
-    _check_shapes(y, p, stacked=False)
-    routing = None
-    if cfg.variant is Variant.MARGINAL:
-        p, routing = marginal_merge(y, p, mask, cfg.background_class)
-
-    kept, K, N, S = _pool(y, p, cfg, mask)
-    score = N / S
-    value = float(_loss_values(score, kept, K))
-    if K == 0:
-        return LossOutput(value, score, kept, 0), readonly(np.zeros(y.shape))
-    ratio = N / (S * S)
-    grad = np.where(y == 1.0, (ratio - 2.0 / S) / K, ratio / K)
-    if routing is not None:
-        grad = np.take_along_axis(grad, routing[:, :, None], axis=1)
-    return LossOutput(value, score, kept, K), readonly(grad)
+    y, p = _checked(gt, pred, stacked=False)
+    return planned_value_and_grad(y, p, loss_plan(cfg, y.shape[1]), mask)
 
 
 def dice_values(
@@ -254,12 +298,12 @@ def dice_values(
 ) -> np.ndarray:
     """Dice loss of every prediction stacked along the leading axes of preds, value only.
 
-    preds has shape (..., B, C, I) against the one (B, C, I) ground truth; the
-    result has shape (...), and entry k equals dice_value_and_grad(gt, preds[k])[0].value.
+    preds has shape (..., B, C, I) against the one (B, C, I) ground truth of
+    0 and 1; the result has shape (...), and entry k equals
+    dice_value_and_grad(gt, preds[k])[0].value.
     """
-    y, p = np.asarray(gt, dtype=np.float64), np.asarray(preds, dtype=np.float64)
-    _check_shapes(y, p, stacked=True)
+    y, p = _checked(gt, preds, stacked=True)
     if cfg.variant is Variant.MARGINAL:
         p = marginal_merge(y, p, mask, cfg.background_class)[0]
-    kept, K, N, S = _pool(y, p, cfg, mask)
+    kept, K, N, S = _pool(y, p, loss_plan(cfg, y.shape[1]), mask)
     return _loss_values(N / S, kept, K)

@@ -58,6 +58,9 @@ class SyntheticSample:
     image: np.ndarray        # (N, N) intensities in [0, 1]
     gt: np.ndarray           # (C, N, N) binary maps, disjoint across classes
     availability: np.ndarray  # (C,) bool
+    # arrays derived from the image alone (the model's features), filled on
+    # first use and shared with every relabeled twin, which holds the same image
+    image_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.image.ndim != 2 or self.gt.ndim != 3:
@@ -75,6 +78,9 @@ class SyntheticSample:
             raise RangeViolationError(f"subject {self.subject_id}: image values must be finite")
         if not ((self.gt == 0.0) | (self.gt == 1.0)).all():
             raise RangeViolationError(f"subject {self.subject_id}: gt values must be 0 or 1")
+        if len(self.gt) > 1 and (self.gt.sum(axis=0) > 1.0).any():
+            raise RangeViolationError(f"subject {self.subject_id}: gt maps of two classes "
+                                      f"overlap; a pixel belongs to at most one class")
         for name in ("image", "gt", "availability"):
             arr = np.ascontiguousarray(getattr(self, name))
             arr.setflags(write=False)
@@ -83,6 +89,12 @@ class SyntheticSample:
     @property
     def n_classes(self) -> int:
         return self.gt.shape[0]
+
+    def relabeled(self, gt: np.ndarray, availability: np.ndarray) -> SyntheticSample:
+        """This sample with other labels; the twin shares the image and its image_cache."""
+        twin = SyntheticSample(self.subject_id, self.tag, self.image, gt, availability)
+        object.__setattr__(twin, "image_cache", self.image_cache)
+        return twin
 
 
 @dataclass(frozen=True)
@@ -288,7 +300,7 @@ def apply_partial(dataset: SyntheticDataset, policy: PartialPolicy) -> Synthetic
         availability = s.availability.copy()
         if policy.action is PartialAction.MARK_UNAVAILABLE:
             availability[columns] = False
-        out.append(SyntheticSample(s.subject_id, s.tag, s.image, gt, availability))
+        out.append(s.relabeled(gt, availability))
     origin = dict(dataset.origin)
     origin.setdefault("policies", [])
     origin["policies"] = list(origin["policies"]) + [{
@@ -338,11 +350,12 @@ def load_dataset(path) -> SyntheticDataset:
     """Read a directory save_dataset wrote.
 
     Every malformed input raises a DicelabError: a manifest that is not JSON,
-    lacks a field, names a file outside the directory, holds a flag other than
-    true/false, a task, tag or class name other than a string, or a subject id
-    other than a distinct integer >= 0; a sample file that cannot be read, is
-    not a (1, C + 1, N * N) tensor, or holds a non-finite image or a gt value
-    other than 0 or 1.
+    lacks a field, names a file outside the directory or a file another sample
+    names, holds a flag other than true/false, a task, tag or class name other
+    than a string, or a subject id other than a distinct integer >= 0; a
+    sample file that cannot be read, is not a (1, C + 1, N * N) tensor, or
+    holds a non-finite image, a gt value other than 0 or 1, or gt maps of two
+    classes that overlap.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -375,6 +388,9 @@ def load_dataset(path) -> SyntheticDataset:
                 raise ValueError(f"subject_id must be an integer >= 0, got {subject_id!r}")
         if len(set(ids)) != len(ids):  # each id names its own sample_NNNN.drt
             raise ValueError(f"subject ids must be unique, got {ids!r}")
+        files = [str(entry[3]) for entry in entries]
+        if len(set(files)) != len(files):  # else one scan counts under two ids
+            raise ValueError(f"sample files must be distinct, got {files!r}")
         origin = dict(manifest.get("origin", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"{manifest_path}: malformed manifest: {exc!r}") from exc

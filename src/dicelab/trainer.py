@@ -14,7 +14,6 @@ import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     ShapeMismatchError,
     TensorFileError,
 )
-from .loss import DiceLossConfig, Variant, dice_value_and_grad
+from .loss import DiceLossConfig, LossPlan, Variant, loss_plan, planned_value_and_grad
 from .tensor import readonly
 
 N_FEATURES = 4
@@ -105,6 +104,19 @@ def featurize(image: np.ndarray) -> np.ndarray:
     return feats.reshape(-1, N_FEATURES)
 
 
+def _forward(weights: np.ndarray, head: Head, feats: np.ndarray) -> np.ndarray:
+    logits = np.einsum("bif,cf->bci", feats, weights)
+    return expit(logits) if head is Head.SIGMOID else softmax(logits, axis=1)
+
+
+def _backward(head: Head, feats: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    if head is Head.SIGMOID:
+        dz = g * p * (1.0 - p)
+    else:
+        dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
+    return np.einsum("bci,bif->cf", dz, feats)
+
+
 def model_forward(model: LinearPixelModel, features: np.ndarray) -> np.ndarray:
     """Predictions for a batch of per-pixel features (B, I, F) -> (B, C, I)."""
     feats = np.asarray(features, dtype=np.float64)
@@ -112,12 +124,7 @@ def model_forward(model: LinearPixelModel, features: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"features must be (batch, pixels, {model.weights.shape[1]}), got {feats.shape}"
         )
-    logits = np.einsum("bif,cf->bci", feats, model.weights)
-    if model.head is Head.SIGMOID:
-        pred = expit(logits)
-    else:
-        pred = softmax(logits, axis=1)
-    return readonly(pred)
+    return readonly(_forward(model.weights, model.head, feats))
 
 
 def model_backward(
@@ -141,11 +148,7 @@ def model_backward(
             f"({feats.shape[0]}, {model.n_classes}, {feats.shape[1]})"
         )
     p = np.asarray(preds, dtype=np.float64).reshape(g.shape)
-    if model.head is Head.SIGMOID:
-        dz = g * p * (1.0 - p)
-    else:
-        dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
-    return np.einsum("bci,bif->cf", dz, feats)
+    return _backward(model.head, feats, g, p)
 
 
 class StepResult(NamedTuple):
@@ -155,27 +158,29 @@ class StepResult(NamedTuple):
 
 
 def step_gradients(
-    model: LinearPixelModel,
+    weights: np.ndarray,
+    head: Head,
     features: np.ndarray,
     gt: np.ndarray,
-    cfg: DiceLossConfig,
+    plan: LossPlan,
     mask: np.ndarray | None = None,
 ) -> StepResult:
     """One forward/backward pass: loss value, loss-space gradient, weight gradient.
 
-    The loss sees the model's last gt.shape[1] output columns, so a loss over
-    the foreground classes only still backpropagates through a softmax whose
+    The arrays come checked from train: features (B, I, F), gt (B, L, I) of
+    0 and 1 with L at most the model's columns, and plan built for L classes.
+    The loss sees the model's last L output columns, so a loss over the
+    foreground classes only still backpropagates through a softmax whose
     column 0 is the background.
     """
-    pred = model_forward(model, features)
-    first = model.n_classes - gt.shape[1]
-    out, grad = dice_value_and_grad(gt, pred[:, first:, :], cfg, mask)
+    pred = _forward(weights, head, features)
+    first = weights.shape[0] - gt.shape[1]
+    out, grad = planned_value_and_grad(gt, pred[:, first:, :], plan, mask)
     full = grad
     if first > 0:
         full = np.zeros(pred.shape)
         full[:, first:, :] = grad
-    dtheta = model_backward(model, features, full, pred)
-    return StepResult(out.value, grad, dtheta)
+    return StepResult(out.value, grad, _backward(head, features, full, pred))
 
 
 @dataclass(frozen=True)
@@ -193,14 +198,35 @@ class TrainResult:
     class_names: tuple[str, ...]  # loss-tensor column names
 
 
-def _grad_split(gt_arr: np.ndarray, grad_arr: np.ndarray) -> tuple[tuple, tuple]:
-    n_classes = gt_arr.shape[1]
+def _features(samples) -> list[np.ndarray]:
+    """featurize of each sample's image, computed once per image.
+
+    The features are kept in the sample's image_cache, which a relabeled twin
+    of the sample shares, so a run featurizes each of its images once.
+    """
+    out = []
+    for s in samples:
+        feats = s.image_cache.get("features")
+        if feats is None:
+            feats = s.image_cache["features"] = readonly(featurize(s.image))
+        out.append(feats)
+    return out
+
+
+def _grad_split(ones: np.ndarray, grad: np.ndarray, n_ones: np.ndarray) -> tuple[tuple, tuple]:
+    """Mean |grad| over the y=0 and over the y=1 pixels of each loss class; 0 where none.
+
+    ones marks the y=1 pixels and n_ones counts them per (sample, class);
+    np.add.reduce(x) / n is x.mean() bit for bit.
+    """
+    a = np.abs(grad)
+    zeros = ~ones
     y0, y1 = [], []
-    for c in range(n_classes):
-        g = np.abs(grad_arr[:, c, :])
-        m = gt_arr[:, c, :] == 1.0
-        y1.append(float(g[m].mean()) if m.any() else 0.0)
-        y0.append(float(g[~m].mean()) if (~m).any() else 0.0)
+    for c, k1 in enumerate(np.add.reduce(n_ones, axis=0).tolist()):
+        k0 = ones.shape[0] * ones.shape[2] - k1
+        g = a[:, c, :]
+        y1.append(float(np.add.reduce(g[ones[:, c, :]]) / k1) if k1 else 0.0)
+        y0.append(float(np.add.reduce(g[zeros[:, c, :]]) / k0) if k0 else 0.0)
     return tuple(y0), tuple(y1)
 
 
@@ -212,6 +238,11 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     every iteration. A NaN or infinite loss or weight gradient stops training
     with NonFiniteTrainingError naming the iteration. A softmax model's
     background column 0 is in the loss only under the marginal variant.
+
+    Only the step's arithmetic runs every step. The inputs are checked, the
+    features computed and the loss planned once per call; each epoch gathers
+    its shuffled samples into buffers allocated once per call, and each step
+    slices its batch from them.
     """
     n = len(dataset.samples)
     if n == 0:
@@ -226,44 +257,53 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         raise InvalidConfigError("background is class 0 in this model")
     head = Head.SIGMOID if n_fg == 1 else Head.SOFTMAX
 
-    feats = np.stack([featurize(s.image) for s in dataset.samples])
-    gt_all = np.stack([s.gt.reshape(n_fg, -1) for s in dataset.samples])
-    avail_all = np.stack([s.availability for s in dataset.samples])
+    shapes = {(s.gt.shape[0], *s.image.shape) for s in dataset.samples}
+    if len(shapes) > 1 or min(shapes)[0] != n_fg:
+        raise ShapeMismatchError(f"every sample must hold {n_fg} gt maps of one image size, "
+                                 f"got (maps, height, width) {sorted(shapes)}")
+    feats = np.stack(_features(dataset.samples))
+    ones = np.stack([s.gt.reshape(n_fg, -1) for s in dataset.samples]) == 1.0
+    avail = np.stack([s.availability for s in dataset.samples])
     loss_names = tuple(dataset.class_names)
-    if marginal:
-        gt_all = np.concatenate([1.0 - gt_all.sum(axis=1, keepdims=True), gt_all], axis=1)
-        avail_all = np.concatenate([np.ones((n, 1), dtype=bool), avail_all], axis=1)
+    if marginal:  # the class maps are disjoint, so the background is where none is set
+        ones = np.concatenate([~ones.any(axis=1, keepdims=True), ones], axis=1)
+        avail = np.concatenate([np.ones((n, 1), dtype=bool), avail], axis=1)
         loss_names = ("background",) + loss_names
+    plan = loss_plan(cfg.loss, len(loss_names))
 
-    model = LinearPixelModel(np.zeros((1 if n_fg == 1 else n_fg + 1, N_FEATURES)), head)
+    # each epoch gathers its shuffled samples into these buffers; a step slices them
+    sources = (feats, ones, avail, np.count_nonzero(ones, axis=2))
+    buffers = [np.empty_like(src) for src in sources]
+    B = cfg.batch_size
+    gt = np.empty((B, *ones.shape[1:]))  # the batch's gt as 0.0 and 1.0
+    weights = np.zeros((1 if n_fg == 1 else n_fg + 1, N_FEATURES))
     rng = np.random.default_rng(cfg.seed)
+    n_full = (n // B) * B
     history: list[HistoryRow] = []
-    queue: list[np.ndarray] = []
-    iteration = 0
-    while iteration < cfg.iterations:
-        if not queue:
+    lo = n_full
+    for iteration in range(1, cfg.iterations + 1):
+        if lo == n_full:
             order = rng.permutation(n)
-            n_full = (n // cfg.batch_size) * cfg.batch_size
-            queue = [order[i:i + cfg.batch_size] for i in range(0, n_full, cfg.batch_size)]
-        idx = queue.pop(0)
-        gt = gt_all[idx]
-        mask = avail_all[idx] if marginal else None
-        step = step_gradients(model, feats[idx], gt, cfg.loss, mask)
-        iteration += 1
+            for src, buf in zip(sources, buffers):
+                np.take(src, order, axis=0, out=buf, mode="clip")
+            lo = 0
+        x, y_is_1, mask, n_ones = (buf[lo:lo + B] for buf in buffers)
+        lo += B
+        np.copyto(gt, y_is_1)
+        step = step_gradients(weights, head, x, gt, plan, mask if marginal else None)
         if not (math.isfinite(step.loss) and np.isfinite(step.param_grad).all()):
             raise NonFiniteTrainingError(
                 f"non-finite loss or weight gradient at iteration {iteration}"
             )
-        model = LinearPixelModel(model.weights - cfg.learning_rate * step.param_grad, head)
-        y0, y1 = _grad_split(gt, step.loss_grad)
-        history.append(HistoryRow(iteration, step.loss, y0, y1))
-    return TrainResult(model, tuple(history), loss_names)
+        weights = weights - cfg.learning_rate * step.param_grad
+        y0_mag, y1_mag = _grad_split(y_is_1, step.loss_grad, n_ones)
+        history.append(HistoryRow(iteration, step.loss, y0_mag, y1_mag))
+    return TrainResult(LinearPixelModel(weights, head), tuple(history), loss_names)
 
 
 def predict(model: LinearPixelModel, dataset) -> np.ndarray:
     """Model predictions for every sample in a dataset, as one (B, C, I) array."""
-    feats = np.stack([featurize(s.image) for s in dataset.samples])
-    return model_forward(model, feats)
+    return model_forward(model, np.stack(_features(dataset.samples)))
 
 
 def save_model(model: LinearPixelModel, path) -> None:

@@ -1,5 +1,7 @@
 """Experiment config handling, dataset wiring, and the run/artifact pipeline."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from dicelab import harness
 from dicelab.errors import InvalidConfigError, NonFiniteTrainingError
 from dicelab.harness import (
     ARTIFACTS,
+    LABELINGS,
+    SETUPS,
     TASKS,
+    CellResult,
     ExperimentConfig,
     build_dataset,
     config_from_dict,
@@ -322,3 +327,69 @@ class TestRunExperiment:
         config, _ = tiny_run
         with pytest.raises(InvalidConfigError):
             run_experiment(config, tmp_path / "x", jobs=0)
+
+
+def assert_same_result(a, b):
+    """Two CellResults equal field by field, the model weights bit for bit."""
+    for f in fields(CellResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "models":
+            assert [(m.head, m.weights.tobytes()) for m in x] == [
+                (m.head, m.weights.tobytes()) for m in y]
+        else:
+            assert x == y, f.name
+
+
+def counting_run_cell(monkeypatch):
+    """Make harness.run_cell record each cell it trains; returns the record."""
+    trained, real = [], harness.run_cell
+
+    def counting(config, labeling, setup, batch_size, datasets):
+        trained.append((labeling, setup, batch_size))
+        return real(config, labeling, setup, batch_size, datasets)
+
+    monkeypatch.setattr(harness, "run_cell", counting)
+    return trained
+
+
+class TestCellSharing:
+    def test_shared_cell_equals_its_own_training(self, monkeypatch):
+        config = tiny_config(setups=("image-wise", "batch-wise"), iterations=12)
+        datasets = build_dataset(config)
+        trained = counting_run_cell(monkeypatch)
+        results = harness._run_cells(config, datasets, jobs=1)
+        assert trained == [("full", "image-wise", 1), ("partial", "image-wise", 1)]
+        assert [r.key for r in results] == config.cells()
+        for shared in (r for r in results if r.setup == "batch-wise"):
+            assert_same_result(shared, run_cell(config, *shared.key, datasets))
+
+    def test_batch_wise_trains_apart_when_the_batch_holds_two(self, monkeypatch):
+        config = tiny_config(setups=("image-wise", "batch-wise"), batch_sizes=(2,),
+                             iterations=3)
+        trained = counting_run_cell(monkeypatch)
+        harness._run_cells(config, build_dataset(config), jobs=1)
+        assert trained == config.cells()
+
+    def test_pool_gives_the_serial_results(self):
+        config = tiny_config(setups=("image-wise", "batch-wise"), batch_sizes=(1, 2),
+                             iterations=3)
+        serial = harness._run_cells(config, build_dataset(config), jobs=1)
+        pooled = harness._run_cells(config, build_dataset(config), jobs=2)
+        for a, b in zip(serial, pooled, strict=True):
+            assert_same_result(a, b)
+
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_key_merges_only_cells_that_train_alike(self, n_classes):
+        cells = [(lab, setup, b) for lab in LABELINGS for setup in SETUPS for b in (1, 2, 4)]
+        for a in cells:
+            for b in cells:
+                if harness._training_key(*a, n_classes) != harness._training_key(*b, n_classes):
+                    continue
+                (lab_a, setup_a, b_a), (lab_b, setup_b, b_b) = a, b
+                assert lab_a == lab_b and b_a == b_b
+                assert SETUPS[setup_a].calibrated == SETUPS[setup_b].calibrated
+                assert SETUPS[setup_a].variant is SETUPS[setup_b].variant
+                assert {setup_a, setup_b} <= {"image-wise", "batch-wise"} or setup_a == setup_b
+                assert setup_a == setup_b or b_a == 1
+        image, batch = ("full", "image-wise", 1), ("full", "batch-wise", 1)
+        assert harness._training_key(*image, n_classes) == harness._training_key(*batch, n_classes)

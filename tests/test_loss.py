@@ -128,6 +128,14 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, background_class=0)
 
+    @pytest.mark.parametrize("entry", [dice_value_and_grad, dice_values])
+    @pytest.mark.parametrize("values", [[-1.0, 0.5], [0.0, 2.0], [np.nan, 1.0]])
+    def test_ground_truth_must_be_0_or_1(self, entry, values):
+        # [-1, 0.5] against 0.5 scored a loss of 2.0 without an error
+        gt = np.array([[values]])
+        with pytest.raises(RangeViolationError, match="exactly 0 or 1"):
+            entry(gt, np.full((1, 1, 2), 0.5), DiceLossConfig(ReductionScheme.IMAGE_WISE))
+
     def test_marginal_needs_mask_at_call_time(self):
         gt, pred = random_pair((1, 2, 4), seed=0)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE,

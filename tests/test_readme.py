@@ -1,6 +1,7 @@
 """The README's library quick start runs as written against the current API, its
 config defaults match default_config, its run-artifact listing names every file
-a run writes, and its error table names every error class."""
+a run writes, its list of shared cells matches the run's grouping, and its
+error table names every error class."""
 
 import inspect
 import re
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from dicelab import errors
-from dicelab.harness import ARTIFACTS, TASKS, config_to_dict, default_config
+from dicelab import errors, harness
+from dicelab.harness import ARTIFACTS, TASKS, build_dataset, config_to_dict, default_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,6 +47,27 @@ def test_run_artifacts_block_lists_every_table():
     assert match, "README has no listing under 'Run artifacts'"
     listed = {line.split()[0] for line in match.group(1).splitlines() if line.strip()}
     assert set(ARTIFACTS) <= listed
+
+
+def test_shared_cells_match_the_grouping():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"### Which cells train\n(.*?)\n#", text, re.S)
+    assert match, "README has no 'Which cells train' section"
+    for task in TASKS:
+        line = re.search(rf"^- {task}: (.*)$", match.group(1), re.M)
+        assert line, f"README lists no shared cells for {task}"
+        listed = re.findall(r"`([\w-]+)` ← `([\w-]+)`", line.group(1))
+        assert listed or line.group(1) == "none"
+        config = default_config(task)
+        n_classes = build_dataset(config)[0].n_classes
+        first: dict = {}
+        shared = []
+        for cell in config.cells():
+            key = harness._training_key(*cell, n_classes)
+            if key in first:
+                shared.append((harness._cell_dirname(*cell), harness._cell_dirname(*first[key])))
+            first.setdefault(key, cell)
+        assert listed == shared, task
 
 
 def test_errors_table_lists_every_error_class():

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from dicelab.errors import DicelabError, InvalidConfigError
+from dicelab.errors import DicelabError, InvalidConfigError, RangeViolationError
 from dicelab.synthdata import (
     GRADE_A,
     GRADE_B,
@@ -18,6 +18,7 @@ from dicelab.synthdata import (
     MulticlassTaskParams,
     PartialAction,
     PartialPolicy,
+    SyntheticSample,
     apply_partial,
     generate_binary,
     generate_multiclass,
@@ -54,6 +55,15 @@ def _edit_first_sample(root, index, value):
     tensor = read_tensor(_first_sample(root)).copy()
     tensor[index] = value
     write_tensor(_first_sample(root), tensor)
+
+
+def _duplicate_lesion_class(root):
+    """Make every sample carry its lesion map twice, as two classes that overlap."""
+    for entry in json.loads((root / MANIFEST_NAME).read_text())["samples"]:
+        tensor = read_tensor(root / entry["file"])
+        write_tensor(root / entry["file"], np.concatenate([tensor, tensor[:, 1:]], axis=1))
+    _edit_manifest(root, lambda m: [m.update(class_names=["lesion", "copy"])]
+                   + [e.update(availability=[True, True]) for e in m["samples"]])
 
 
 # Corruptions of a saved binary dataset directory (C = 1, so a sample is (1, 2, n * n)).
@@ -117,6 +127,10 @@ MALFORMED_DATASETS = {
     # True == 1, so only the type check catches it
     "manifest-schema-version-bool": lambda root: _edit_manifest(
         root, lambda m: m.update(schema_version=True)),
+    # two ids, one scan: the sample would count twice
+    "manifest-file-repeated": lambda root: _edit_manifest(
+        root, lambda m: m["samples"][1].update(file=m["samples"][0]["file"])),
+    "sample-maps-overlap": _duplicate_lesion_class,
 }
 
 
@@ -303,10 +317,31 @@ class TestApplyPartial:
         with pytest.raises(InvalidConfigError):
             apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, class_index=1))
 
+    def test_relabeled_twin_shares_image_and_its_cache(self):
+        ds = generate_binary(BinaryTaskParams(), seed=0)
+        out = apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, tag=GRADE_B))
+        for before, after in zip(ds.samples, out.samples):
+            assert after.image is before.image
+            assert after.image_cache is before.image_cache
+
     def test_policy_must_select_something(self):
         ds = generate_binary(BinaryTaskParams(), seed=0)
         with pytest.raises(InvalidConfigError):
             apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP))
+
+
+class TestSample:
+    def test_overlapping_class_maps_rejected(self):
+        # a row in both maps made the marginal background 1 - 2 = -1
+        gt = np.zeros((2, 4, 4))
+        gt[0, 1] = gt[1, 1] = 1.0
+        with pytest.raises(RangeViolationError, match="overlap"):
+            SyntheticSample(0, "a", np.zeros((4, 4)), gt, np.ones(2, dtype=bool))
+
+    def test_disjoint_class_maps_accepted(self):
+        gt = np.zeros((2, 4, 4))
+        gt[0, 1] = gt[1, 2] = 1.0
+        assert SyntheticSample(0, "a", np.zeros((4, 4)), gt, np.ones(2, dtype=bool)).n_classes == 2
 
 
 class TestPersistence:

@@ -10,7 +10,7 @@ from dicelab.errors import (
     ShapeMismatchError,
     TensorFileError,
 )
-from dicelab.loss import DiceLossConfig, Variant
+from dicelab.loss import DiceLossConfig, Variant, loss_plan
 from dicelab.synthdata import (
     PHASE_B,
     BinaryTaskParams,
@@ -38,6 +38,7 @@ from dicelab.trainer import (
     train,
 )
 from fd_oracle import finite_diff_param_grad
+import train_oracle
 
 SMALL_BINARY = BinaryTaskParams(image_size=16, n_grade_a=4, n_grade_b=2,
                                 radius_a=(3.0, 4.5), radius_b=(2.0, 3.0))
@@ -150,11 +151,25 @@ def gt_from_samples(samples, include_background):
     return make_batch(shape, arr.reshape(-1), Role.GROUND_TRUTH)
 
 
+def assert_same_bits(a, b):
+    """Two StepResults with bit-identical loss and gradients."""
+    assert a.loss == b.loss
+    for x, y in ((a.loss_grad, b.loss_grad), (a.param_grad, b.param_grad)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def planned_step(model, feats, gt, cfg, mask=None):
+    """step_gradients with the loss planned as train plans it."""
+    return step_gradients(model.weights, model.head, feats, gt,
+                          loss_plan(cfg, gt.shape[1]), mask)
+
+
 class TestEndToEndGradient:
     """Finite differences over the weights through model plus loss."""
 
     def check(self, model, feats, gt, cfg, mask=None):
-        step = step_gradients(model, feats, gt, cfg, mask)
+        step = planned_step(model, feats, gt, cfg, mask)
+        assert_same_bits(step, train_oracle.step_gradients(model, feats, gt, cfg, mask))
         numeric = finite_diff_param_grad(model, feats, gt, cfg, mask)
         assert step.param_grad == pytest.approx(numeric, rel=1e-5, abs=1e-7)
 
@@ -219,16 +234,6 @@ class TestEndToEndGradient:
                              variant=Variant.MARGINAL, background_class=0)
         self.check(model, feats, gt, cfg, mask=mask)
 
-    def test_gt_wider_than_model_rejected(self):
-        # a background row next to the lesion map: two gt classes, one sigmoid output
-        samples = generate_binary(SMALL_BINARY, seed=0).samples[:2]
-        feats = np.stack([featurize(s.image) for s in samples])
-        gt = gt_from_samples(samples, include_background=True)
-        model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
-        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1.0)
-        with pytest.raises(ShapeMismatchError):
-            step_gradients(model, feats, gt, cfg)
-
 
 class TestTrainLoop:
     def binary_cfg(self, **kwargs):
@@ -281,7 +286,7 @@ class TestTrainLoop:
         gt = gt_from_samples(ds.samples, include_background=True)
         mask = np.ones((len(ds), 4), dtype=bool)
         zero = LinearPixelModel(np.zeros((4, 4)), Head.SOFTMAX)
-        step = step_gradients(zero, feats, gt, loss, mask)
+        step = planned_step(zero, feats, gt, loss, mask)
         assert result.history[0].loss == pytest.approx(step.loss, rel=1e-12)
 
     def test_multiclass_foreground_only_loss_names(self):
@@ -352,6 +357,28 @@ class TestTrainLoop:
             train(ds, self.binary_cfg(iterations=10))
         assert len(calls) == 3
 
+    def test_samples_must_hold_the_dataset_class_count(self):
+        # three gt maps per sample in a dataset that names one class
+        ds = generate_multiclass(SMALL_MULTI, seed=0)
+        narrowed = SyntheticDataset(ds.task, ("core",), ds.image_size, ds.samples, {})
+        with pytest.raises(ShapeMismatchError, match="1 gt maps"):
+            train(narrowed, self.binary_cfg(iterations=1))
+
+    def test_each_image_is_featurized_once(self, monkeypatch):
+        calls = []
+
+        def counting(image):
+            calls.append(image)
+            return featurize(image)
+
+        monkeypatch.setattr(trainer, "featurize", counting)
+        ds = generate_binary(SMALL_BINARY, seed=0)
+        twin = apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, tag="grade-b"))
+        for data in (ds, twin, ds):
+            result = train(data, self.binary_cfg(iterations=3))
+            predict(result.model, data)
+        assert len(calls) == len(ds)
+
     def test_predict_covers_whole_dataset(self):
         ds = generate_binary(SMALL_BINARY, seed=0)
         result = train(ds, self.binary_cfg(iterations=3))
@@ -401,3 +428,51 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(TensorFileError):
             load_model(path)
+
+
+SEVEN_BINARY = BinaryTaskParams(image_size=16, n_grade_a=5, n_grade_b=2,
+                                radius_a=(3.0, 4.5), radius_b=(2.0, 3.0))
+IMAGE, BATCH = ReductionScheme.IMAGE_WISE, ReductionScheme.BATCH_WISE
+
+
+def _partial_binary():
+    """Seven samples, the two grade-b maps emptied; B = 3 drops one per epoch."""
+    return apply_partial(generate_binary(SEVEN_BINARY, seed=11),
+                         PartialPolicy(PartialAction.EMPTY_MAP, tag="grade-b"))
+
+
+def _partial_multiclass():
+    """Six samples; the phase-b shell maps emptied and marked unavailable."""
+    return apply_partial(generate_multiclass(SMALL_MULTI, seed=3),
+                         PartialPolicy(PartialAction.MARK_UNAVAILABLE, tag=PHASE_B,
+                                       class_index=1))
+
+
+EXACTNESS_CASES = {
+    "sigmoid-b1": (_partial_binary, DiceLossConfig(IMAGE), 1, 24),
+    "sigmoid-b3-trailing-dropped": (_partial_binary, DiceLossConfig(IMAGE), 3, 9),
+    "sigmoid-batch-wise-b3": (_partial_binary, DiceLossConfig(BATCH), 3, 9),
+    "sigmoid-per-class-eps-b3": (_partial_binary, DiceLossConfig(IMAGE, [2.5]), 3, 9),
+    "softmax-standard-b1": (_partial_multiclass, DiceLossConfig(IMAGE), 1, 20),
+    "softmax-batch-wise-per-class-eps-b4": (
+        _partial_multiclass, DiceLossConfig(BATCH, [3.0, 0.5, 1.5]), 4, 6),
+    "softmax-leaf-b2": (_partial_multiclass, DiceLossConfig(IMAGE, variant=Variant.LEAF), 2, 10),
+    "softmax-marginal-b4-trailing-dropped": (
+        _partial_multiclass,
+        DiceLossConfig(IMAGE, variant=Variant.MARGINAL, background_class=0), 4, 6),
+}
+
+
+@pytest.mark.parametrize("make_data, loss, batch_size, iterations",
+                         EXACTNESS_CASES.values(), ids=EXACTNESS_CASES)
+def test_train_matches_the_per_step_oracle_bit_for_bit(make_data, loss, batch_size, iterations):
+    # three epochs or more in every case, so buffers are refilled after a shuffle
+    ds = make_data()
+    assert iterations >= 3 * (len(ds) // batch_size)
+    cfg = TrainConfig(loss=loss, batch_size=batch_size, learning_rate=5.0,
+                      iterations=iterations, seed=2)
+    got, want = train(ds, cfg), train_oracle.train(ds, cfg)
+    assert got.model.head is want.model.head
+    assert got.model.weights.tobytes() == want.model.weights.tobytes()
+    assert got.history == want.history
+    assert got.class_names == want.class_names
