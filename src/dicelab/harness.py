@@ -41,7 +41,8 @@ from .synthdata import (
     save_dataset,
 )
 from .tensor import ReductionScheme
-from .trainer import TrainConfig, _require_int, _require_learning_rate, predict, save_model, train
+from .trainer import (TrainConfig, _features, _require_int, _require_learning_rate, predict,
+                      save_model, train)
 
 CONFIG_SCHEMA = 1
 
@@ -447,6 +448,7 @@ def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult
     order; the others take its result under their own labeling, setup and
     batch size.
     """
+    _features(datasets[0].samples)  # fills the image_cache that twins share and workers receive
     cells = config.cells()
     keys = [_training_key(*cell, datasets[0].n_classes) for cell in cells]
     firsts: dict[tuple, tuple] = {}

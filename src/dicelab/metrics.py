@@ -116,8 +116,8 @@ def bootstrap_compare(a, b, n_resamples: int = 10_000, seed: int = 0) -> float:
 
 def format_cell(value) -> str:
     """Deterministic CSV cell rendering; floats keep full round-trip precision."""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # float() drops NumPy 2's np.float64(...) wrapper
+        return repr(float(value))
     return str(value)
 
 

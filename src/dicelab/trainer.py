@@ -5,10 +5,14 @@ linear layer with a sigmoid (single class) or softmax (multiclass, background
 included as class 0) head. Backpropagation is written out by hand, so the
 chain from the Dice-loss gradient down to the weights is explicit and can be
 finite-difference checked end to end.
+
+NumPy computes the softmax. SciPy serves only the sigmoid head's expit and is
+imported on the first sigmoid step, so multiclass training never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -17,7 +21,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, softmax
 
 from .errors import (
     EmptyDatasetError,
@@ -104,9 +107,18 @@ def featurize(image: np.ndarray) -> np.ndarray:
     return feats.reshape(-1, N_FEATURES)
 
 
+@functools.cache
+def _expit():
+    from scipy.special import expit  # a 0.25 s import, paid by sigmoid runs only
+    return expit
+
+
 def _forward(weights: np.ndarray, head: Head, feats: np.ndarray) -> np.ndarray:
     logits = np.einsum("bif,cf->bci", feats, weights)
-    return expit(logits) if head is Head.SIGMOID else softmax(logits, axis=1)
+    if head is Head.SIGMOID:
+        return _expit()(logits)
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))  # scipy.special.softmax's steps
+    return e / np.sum(e, axis=1, keepdims=True)
 
 
 def _backward(head: Head, feats: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Experiment config handling, dataset wiring, and the run/artifact pipeline."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from dicelab import harness
+from dicelab import harness, trainer
 from dicelab.errors import InvalidConfigError, NonFiniteTrainingError
 from dicelab.harness import (
     ARTIFACTS,
@@ -284,6 +284,26 @@ class TestRunExperiment:
         for a in sorted(artifacts.out_dir.rglob("*.csv")):
             b = out2 / a.relative_to(artifacts.out_dir)
             assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_pool_workers_receive_the_features_of_the_parent(self, tmp_path, monkeypatch):
+        # pool workers fork with the wrapper, so their calls land in the same file
+        calls, real = tmp_path / "featurize_calls", trainer.featurize
+
+        def counting(image):
+            with open(calls, "a") as fh:
+                fh.write("1\n")
+            return real(image)
+
+        monkeypatch.setattr(trainer, "featurize", counting)
+        config = replace(default_config("binary"), iterations=5)
+        trees = []
+        for jobs in (1, 2):
+            calls.write_text("")
+            out = run_experiment(config, tmp_path / f"jobs{jobs}", jobs=jobs).out_dir
+            assert len(calls.read_text().splitlines()) == 40  # once per image
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert trees[0] == trees[1]
 
     def test_serial_run_builds_the_dataset_once(self, tmp_path, monkeypatch):
         calls = []

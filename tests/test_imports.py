@@ -1,0 +1,59 @@
+"""SciPy stays off dicelab's import path: only the sigmoid head's expit loads it.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported SciPy for the oracles.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dicelab
+
+SRC = Path(dicelab.__file__).resolve().parents[1]
+
+TINY_TRAIN = """
+from dicelab.loss import DiceLossConfig
+from dicelab.synthdata import {params}, {generate}
+from dicelab.tensor import ReductionScheme
+from dicelab.trainer import TrainConfig, train
+ds = {generate}({params}({kwargs}), seed=0)
+train(ds, TrainConfig(loss=DiceLossConfig(ReductionScheme.IMAGE_WISE), iterations=2))
+"""
+SIGMOID_TRAIN = TINY_TRAIN.format(
+    params="BinaryTaskParams", generate="generate_binary",
+    kwargs="image_size=16, n_grade_a=2, n_grade_b=1, radius_a=(3.0, 4.5), radius_b=(2.0, 3.0)")
+SOFTMAX_TRAIN = TINY_TRAIN.format(
+    params="MulticlassTaskParams", generate="generate_multiclass",
+    kwargs="image_size=32, core_radius=(2.5, 3.5), shell_width=(1.5, 2.0), "
+           "satellite_radius=(2.0, 3.0), n_phase_a=2, n_phase_b=1, center_jitter=1.0")
+
+SCIPY_FREE = {
+    "import dicelab": "import dicelab",
+    "import dicelab.cli": "import dicelab.cli",
+    "run_check_matrix": "from dicelab.gradcheck import run_check_matrix\n"
+                        "run_check_matrix(n_instances=1)",
+    "softmax train": SOFTMAX_TRAIN,
+}
+
+
+def scipy_loaded(code: str) -> bool:
+    """Whether a fresh interpreter has imported SciPy after running code."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint('scipy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()[-1] == "True"
+
+
+@pytest.mark.parametrize("code", SCIPY_FREE.values(), ids=SCIPY_FREE)
+def test_scipy_is_not_imported(code):
+    assert not scipy_loaded(code)
+
+
+def test_a_sigmoid_step_imports_scipy():
+    assert scipy_loaded(SIGMOID_TRAIN)

@@ -177,6 +177,14 @@ class TestCsv:
         assert format_cell(7) == "7"
         assert format_cell("tag") == "tag"
 
+    def test_format_cell_renders_numpy_floats_as_plain_floats(self, tmp_path):
+        # under NumPy 2, repr(np.float64(0.5)) is "np.float64(0.5)"
+        assert format_cell(np.float64(0.5)) == "0.5"
+        assert float(format_cell(np.float64(1 / 3))) == 1 / 3
+        path = tmp_path / "t.csv"
+        write_csv(path, ["value"], [[np.float64(0.25)]])
+        assert read_csv(path)[1] == [["0.25"]]
+
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["name", "value"], [["a", 0.25], ["b", 2]])

@@ -101,6 +101,21 @@ class TestModelForward:
             LinearPixelModel(np.vstack([np.zeros((1, 4)), w]), Head.SOFTMAX), feats)
         assert soft[:, 1, :] == pytest.approx(sig[:, 0, :], abs=1e-12)
 
+    def test_softmax_is_byte_equal_to_scipy(self):
+        # identity weights make the logits the features; tied columns tie the maximum
+        from scipy.special import softmax
+        rng = np.random.default_rng(4)
+        for trial in range(300):
+            b, c, i = rng.integers(1, 5), rng.integers(2, 6), rng.integers(1, 40)
+            scale = (1.0, 30.0, 700.0)[trial % 3]
+            x = rng.uniform(-scale, scale, (b, i, c))
+            if trial % 2:
+                x[:, :, rng.integers(c)] = x.max(axis=2)
+                x[:, :, rng.integers(c)] = x[:, :, rng.integers(c)]
+            got = trainer._forward(np.eye(c), Head.SOFTMAX, x)
+            want = softmax(np.einsum("bif,cf->bci", x, np.eye(c)), axis=1)
+            assert got.tobytes() == want.tobytes()
+
     def test_feature_dim_checked(self):
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
         with pytest.raises(ShapeMismatchError):

@@ -1,11 +1,13 @@
 """The per-step training loop that dicelab.trainer.train must match bit for bit.
 
-Each step here gathers its batch by fancy indexing, scores the loss through
-the checked public dice_value_and_grad, runs the public model_forward and
+Each step here gathers its batch by fancy indexing, computes the predictions
+itself with np.einsum and scipy.special's expit or softmax, scores the loss
+through the checked public dice_value_and_grad, runs the public
 model_backward, rebuilds the model, and averages |grad| with .mean(). train
-in dicelab.trainer does all of that set-up once per call; the floating-point
-operations of a step, and their order, are the same, so the weights and
-every history row must come out equal under ==.
+in dicelab.trainer does all of that set-up once per call and computes the
+softmax in NumPy; the floating-point operations of a step, and their order,
+are the same, so the weights and every history row must come out equal
+under ==.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import expit, softmax
 
 from dicelab.errors import NonFiniteTrainingError
 from dicelab.loss import Variant, dice_value_and_grad
@@ -25,13 +28,18 @@ from dicelab.trainer import (
     TrainResult,
     featurize,
     model_backward,
-    model_forward,
 )
+
+
+def forward(model, features) -> np.ndarray:
+    """The model's (B, C, I) predictions through SciPy's expit or softmax."""
+    logits = np.einsum("bif,cf->bci", features, model.weights)
+    return expit(logits) if model.head is Head.SIGMOID else softmax(logits, axis=1)
 
 
 def step_gradients(model, features, gt, cfg, mask=None) -> StepResult:
     """One forward/backward pass; the loss sees the model's last gt.shape[1] columns."""
-    pred = model_forward(model, features)
+    pred = forward(model, features)
     first = model.n_classes - gt.shape[1]
     out, grad = dice_value_and_grad(gt, pred[:, first:, :], cfg, mask)
     full = grad
