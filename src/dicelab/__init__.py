@@ -15,8 +15,6 @@ from .errors import (
 )
 from .tensor import (
     ReductionScheme,
-    Role,
-    make_batch,
     read_tensor,
     write_tensor,
 )
@@ -57,8 +55,6 @@ from .trainer import (
     TrainResult,
     featurize,
     load_model,
-    model_backward,
-    model_forward,
     save_model,
     train,
 )

@@ -79,7 +79,7 @@ def cmd_gen_data(config_path, task, labeling, seed, out_dir):
 @main.command("gradcheck")
 @click.option("--n", type=click.IntRange(min=1), default=100,
               help="Random instances per scheme/shape/epsilon cell.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--perturb", type=float, default=0.0,
               help="Fault injection: offset added to one analytic gradient element.")
 @click.option("--epsilons", default=",".join(DEFAULT_EPSILONS), show_default=True,
@@ -98,6 +98,8 @@ def cmd_gradcheck(n, seed, perturb, epsilons, shapes, schemes, out_path):
             shape_list.append(batch_dims(dims))
         scheme_list = [ReductionScheme(s.strip()) for s in schemes.split(",")]
         eps_list = [e.strip() for e in epsilons.split(",") if e.strip()]
+        if not eps_list:
+            raise ValueError(f"--epsilons {epsilons!r} names no epsilon")
         for e in eps_list:
             if e != "calibrated" and not (math.isfinite(float(e)) and float(e) >= 0.0):
                 raise InvalidConfigError(f"epsilon {e!r} must be finite and non-negative")

@@ -234,8 +234,7 @@ def _setup_loss(setup: str, train_split: SyntheticDataset) -> tuple[DiceLossConf
         cal = calibrate_epsilon(maps, scheme)
         epsilon = cal.as_loss_epsilon()
         calibration = [(train_split.class_names[c], value) for c, value in cal.per_class]
-    background_class = 0 if variant is Variant.MARGINAL else None
-    return DiceLossConfig(scheme, epsilon, variant, background_class=background_class), calibration
+    return DiceLossConfig(scheme, epsilon, variant), calibration
 
 
 class MetricRow(NamedTuple):

@@ -17,17 +17,17 @@ for y_w = 0 and one for y_w = 1.
 
 Variants: the leaf variant drops subsets whose ground truth is empty (they get
 zero gradient and do not count toward K); the marginal variant first folds the
-predicted probabilities of unavailable classes into the background column and
-routes the background gradient back to them.
+predicted probabilities of unavailable classes into the background, class 0,
+and routes the background gradient back to them.
 
 One private helper pools the sums for every entry point. It takes Phi as
 negative axes, so predictions may carry leading axes (..., B, C, I) against a
 single (B, C, I) ground truth: dice_values scores a whole stack of
 predictions in one value-only pass, and dice_value_and_grad scores one
-prediction and adds the gradient. Both check their inputs, ground truth of
-0 and 1 included, then build a LossPlan; planned_value_and_grad is the
-gradient pass alone, for a caller such as the training loop that checks its
-arrays and builds the plan once for many calls. A counted subset with S = 0
+prediction and adds the gradient. Both check their inputs (ground truth of
+0 and 1, predictions in [0, 1]), then build a LossPlan; planned_value_and_grad
+is the gradient pass alone, for a caller such as the training loop that checks
+its arrays and builds the plan once for many calls. A counted subset with S = 0
 (epsilon 0, empty ground truth and zero prediction) raises
 ZeroDenominatorError in place of returning NaN.
 """
@@ -62,14 +62,12 @@ class DiceLossConfig:
     """Scheme, smoothing epsilon (scalar or per-class) and variant.
 
     Per-class epsilon requires a scheme whose subsets are class-pure
-    (image-wise or batch-wise). background_class is required for the
-    marginal variant and disallowed otherwise.
+    (image-wise or batch-wise). The marginal variant's background is class 0.
     """
 
     scheme: ReductionScheme
     epsilon: float | Sequence[float] | np.ndarray = 1e-7
     variant: Variant = Variant.STANDARD
-    background_class: int | None = None
 
     def __post_init__(self):
         vec = np.asarray(self.epsilon, dtype=np.float64).reshape(-1)
@@ -81,11 +79,6 @@ class DiceLossConfig:
                     f"per-class epsilon requires a class-pure scheme, got {self.scheme.value}"
                 )
             object.__setattr__(self, "epsilon", vec)
-        if self.variant is Variant.MARGINAL:
-            if self.background_class is None or self.background_class < 0:
-                raise InvalidConfigError("marginal variant requires a background_class index")
-        elif self.background_class is not None:
-            raise InvalidConfigError("background_class is only meaningful for the marginal variant")
 
 
 @dataclass(frozen=True)
@@ -112,9 +105,8 @@ def marginal_merge(
     gt: np.ndarray,
     p: np.ndarray,
     mask: np.ndarray | None,
-    background_class: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fold unavailable-class predictions into the background column.
+    """Fold unavailable-class predictions into the background column, class 0.
 
     gt is the (B, C, I) ground truth and p holds predictions of shape
     (..., B, C, I), so a stack of predictions merges in one call; mask is a
@@ -131,14 +123,12 @@ def marginal_merge(
     B, C, I = gt.shape
     if C < 2:
         raise InvalidConfigError("marginal merging requires multiclass (C >= 2) predictions")
-    if not (0 <= background_class < C):
-        raise InvalidConfigError(f"background_class {background_class} out of range for C={C}")
     if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (B, C):
         raise ShapeMismatchError(
             f"availability mask must be a ({B}, {C}) bool array, got {np.asarray(mask).dtype} "
             f"{np.shape(mask)}"
         )
-    if not np.all(mask[:, background_class]):
+    if not np.all(mask[:, 0]):
         raise InvalidConfigError("background class must be available in every batch element")
 
     col_sums = p.sum(axis=-2)
@@ -153,9 +143,9 @@ def marginal_merge(
     merged = p.copy()
     spill = (merged * unavailable[:, :, None]).sum(axis=-2)
     merged[..., unavailable, :] = 0.0
-    merged[..., background_class, :] += spill
+    merged[..., 0, :] += spill
 
-    routing = np.where(mask, np.arange(C)[None, :], background_class)
+    routing = np.where(mask, np.arange(C)[None, :], 0)
     return merged, routing
 
 
@@ -186,11 +176,13 @@ def loss_plan(cfg: DiceLossConfig, classes: int) -> LossPlan:
 
 
 def _checked(gt, pred, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
-    """gt and pred as float64 arrays of matching shapes, gt holding only 0 and 1."""
+    """gt and pred as float64 arrays of matching shapes, gt of 0 and 1, pred in [0, 1]."""
     y, p = np.asarray(gt, dtype=np.float64), np.asarray(pred, dtype=np.float64)
     _check_shapes(y, p, stacked)
     if not ((y == 0.0) | (y == 1.0)).all():
         raise RangeViolationError("ground-truth values must be exactly 0 or 1")
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise RangeViolationError("prediction values must lie in [0, 1]")
     return y, p
 
 
@@ -199,20 +191,24 @@ def _pool(
     p: np.ndarray,
     plan: LossPlan,
     mask: np.ndarray | None,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """Kept mask, K, N and S of every subset, pooled over the plan's axes Phi.
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Kept mask, K, N and S of every subset, pooled over the plan's axes Phi,
+    and the marginal variant's routing table (None for the other variants).
 
-    y is (B, C, I); p is (..., B, C, I), already merged for the marginal
+    y is (B, C, I); p is (..., B, C, I), merged here first for the marginal
     variant. Phi is taken as negative axes, so leading axes of p stack
     independent predictions against the one ground truth. kept has the
     keepdims shape of y's sums; N and S carry p's leading axes too.
     """
     axes = plan.axes
+    variant = plan.cfg.variant
+    routing = None
+    if variant is Variant.MARGINAL:
+        p, routing = marginal_merge(y, p, mask)
     inter = (y * p).sum(axis=axes, keepdims=True)
     gsum = y.sum(axis=axes, keepdims=True)
     psum = p.sum(axis=axes, keepdims=True)
     S = gsum + psum + plan.eps
-    variant = plan.cfg.variant
     if variant is Variant.STANDARD:
         kept = np.ones(gsum.shape, dtype=bool)
     else:
@@ -229,7 +225,7 @@ def _pool(
             "so its Dice score is 0/0"
         )
     N = 2.0 * inter + plan.eps
-    return kept, int(np.count_nonzero(kept)), N, S
+    return kept, int(np.count_nonzero(kept)), N, S, routing
 
 
 def _loss_values(score: np.ndarray, kept: np.ndarray, K: int) -> np.ndarray:
@@ -253,12 +249,7 @@ def planned_value_and_grad(
     holding only 0 and 1; the marginal variant still checks its mask and
     predictions.
     """
-    cfg = plan.cfg
-    routing = None
-    if cfg.variant is Variant.MARGINAL:
-        p, routing = marginal_merge(y, p, mask, cfg.background_class)
-
-    kept, K, N, S = _pool(y, p, plan, mask)
+    kept, K, N, S, routing = _pool(y, p, plan, mask)
     score = N / S
     value = float(_loss_values(score, kept, K))
     if K == 0:
@@ -303,7 +294,5 @@ def dice_values(
     dice_value_and_grad(gt, preds[k])[0].value.
     """
     y, p = _checked(gt, preds, stacked=True)
-    if cfg.variant is Variant.MARGINAL:
-        p = marginal_merge(y, p, mask, cfg.background_class)[0]
-    kept, K, N, S = _pool(y, p, loss_plan(cfg, y.shape[1]), mask)
+    kept, K, N, S = _pool(y, p, loss_plan(cfg, y.shape[1]), mask)[:4]
     return _loss_values(N / S, kept, K)

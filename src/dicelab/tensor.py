@@ -13,16 +13,10 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from typing import Sequence
 
 import numpy as np
 
-from .errors import RangeViolationError, ShapeMismatchError, TensorFileError
-
-
-class Role(enum.Enum):
-    GROUND_TRUTH = "ground_truth"
-    PREDICTION = "prediction"
+from .errors import ShapeMismatchError, TensorFileError
 
 
 class ReductionScheme(enum.Enum):
@@ -75,26 +69,6 @@ def readonly(array: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(array, dtype=np.float64)
     out.flags.writeable = False
     return out
-
-
-def make_batch(dims, values: Sequence[float] | np.ndarray, role: Role) -> np.ndarray:
-    """Build a validated (B, C, I) tensor from flat row-major values.
-
-    Ground-truth tensors must be binary; prediction tensors must lie in [0, 1].
-    """
-    dims = batch_dims(dims)
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size != math.prod(dims):
-        raise ShapeMismatchError(
-            f"expected {math.prod(dims)} values for shape {dims}, got {arr.size}"
-        )
-    if role is Role.GROUND_TRUTH:
-        if not np.all((arr == 0.0) | (arr == 1.0)):
-            raise RangeViolationError("ground-truth values must be exactly 0 or 1")
-    elif role is Role.PREDICTION:
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
-            raise RangeViolationError("prediction values must lie in [0, 1]")
-    return readonly(arr.reshape(dims).copy())
 
 
 _MAGIC = b"DRT1"

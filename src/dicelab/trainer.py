@@ -114,6 +114,7 @@ def _expit():
 
 
 def _forward(weights: np.ndarray, head: Head, feats: np.ndarray) -> np.ndarray:
+    """Predictions (B, C, I) of the model for per-pixel features (B, I, F)."""
     logits = np.einsum("bif,cf->bci", feats, weights)
     if head is Head.SIGMOID:
         return _expit()(logits)
@@ -122,45 +123,13 @@ def _forward(weights: np.ndarray, head: Head, feats: np.ndarray) -> np.ndarray:
 
 
 def _backward(head: Head, feats: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dloss/dweights from the loss gradient g at p = _forward(...): the head's Jacobian
+    (sigmoid g p (1 - p), softmax p_c (g_c - sum_c' g_c' p_c')), then the features."""
     if head is Head.SIGMOID:
         dz = g * p * (1.0 - p)
     else:
         dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
     return np.einsum("bci,bif->cf", dz, feats)
-
-
-def model_forward(model: LinearPixelModel, features: np.ndarray) -> np.ndarray:
-    """Predictions for a batch of per-pixel features (B, I, F) -> (B, C, I)."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 3 or feats.shape[2] != model.weights.shape[1]:
-        raise ShapeMismatchError(
-            f"features must be (batch, pixels, {model.weights.shape[1]}), got {feats.shape}"
-        )
-    return readonly(_forward(model.weights, model.head, feats))
-
-
-def model_backward(
-    model: LinearPixelModel,
-    features: np.ndarray,
-    loss_grad: np.ndarray,
-    preds: np.ndarray,
-) -> np.ndarray:
-    """Chain the loss gradient through the head and linear layer: dloss/dweights.
-
-    preds are model_forward's predictions for these features, which the head's
-    Jacobian needs. Sigmoid: dz = g * p * (1 - p).  Softmax: dz_c = p_c * (g_c -
-    sum_c' g_c' p_c'), the usual Jacobian contraction.  Both then contract
-    against the features.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    g = np.asarray(loss_grad, dtype=np.float64)
-    if g.shape != (feats.shape[0], model.n_classes, feats.shape[1]):
-        raise ShapeMismatchError(
-            f"loss_grad shape {g.shape} does not match "
-            f"({feats.shape[0]}, {model.n_classes}, {feats.shape[1]})"
-        )
-    p = np.asarray(preds, dtype=np.float64).reshape(g.shape)
-    return _backward(model.head, feats, g, p)
 
 
 class StepResult(NamedTuple):
@@ -265,8 +234,6 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     marginal = cfg.loss.variant is Variant.MARGINAL
     if n_fg == 1 and marginal:
         raise InvalidConfigError("marginal loss needs a softmax head with background")
-    if marginal and cfg.loss.background_class != 0:
-        raise InvalidConfigError("background is class 0 in this model")
     head = Head.SIGMOID if n_fg == 1 else Head.SOFTMAX
 
     shapes = {(s.gt.shape[0], *s.image.shape) for s in dataset.samples}
@@ -315,7 +282,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
 
 def predict(model: LinearPixelModel, dataset) -> np.ndarray:
     """Model predictions for every sample in a dataset, as one (B, C, I) array."""
-    return model_forward(model, np.stack(_features(dataset.samples)))
+    return readonly(_forward(model.weights, model.head, np.stack(_features(dataset.samples))))
 
 
 def save_model(model: LinearPixelModel, path) -> None:
@@ -346,4 +313,6 @@ def load_model(path) -> LinearPixelModel:
     if len(payload) != 8 * c * f:
         raise TensorFileError(f"{path}: expected {8 * c * f} payload bytes, got {len(payload)}")
     weights = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(c, f)
+    if not np.isfinite(weights).all():
+        raise TensorFileError(f"{path}: weights are not all finite")
     return LinearPixelModel(weights, head)

@@ -8,6 +8,8 @@ here so the tests can check that the two agree.
 finite_diff_param_grad does the same over the weights of a linear pixel
 model, running the whole model-plus-loss forward for every probe, so the
 hand-written backpropagation in dicelab.trainer can be checked end to end.
+The model forward is the training oracle's own (np.einsum plus SciPy), not
+dicelab's.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from dicelab.loss import dice_value_and_grad
-from dicelab.trainer import LinearPixelModel, model_forward
+from dicelab.trainer import LinearPixelModel
+from train_oracle import forward
 
 
 def loop_finite_diff_grad(gt, pred, cfg, h=1e-5, mask=None) -> np.ndarray:
@@ -40,7 +43,7 @@ def evaluate_loss(model, features, gt, cfg, mask=None) -> float:
 
     The loss sees the model's last gt.shape[1] output columns, as in training.
     """
-    pred = model_forward(model, features)
+    pred = forward(model, features)
     first = model.n_classes - gt.shape[1]
     return dice_value_and_grad(gt, pred[:, first:, :], cfg, mask)[0].value
 

@@ -19,7 +19,7 @@ from dicelab.gradcheck import random_instance, run_check_matrix
 from dicelab.harness import build_dataset, default_config, run_experiment
 from dicelab.loss import DiceLossConfig, dice_value_and_grad
 from dicelab.metrics import read_csv
-from dicelab.tensor import ReductionScheme, Role, make_batch
+from dicelab.tensor import ReductionScheme
 
 
 @pytest.fixture
@@ -201,8 +201,8 @@ def test_09_calibration_direction(say):
         c = full.class_names.index(class_name)
 
         def per_class(ds):
-            maps = [make_batch((1, ds.n_classes, n_pixels), s.gt.reshape(-1),
-                               Role.GROUND_TRUTH) for s in ds.samples]
+            maps = [np.asarray(s.gt, dtype=np.float64).reshape(1, ds.n_classes, n_pixels)
+                    for s in ds.samples]
             cal = calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)
             return dict(cal.per_class)[c]
 

@@ -134,6 +134,11 @@ class TestGradcheck:
         pytest.param(["--epsilons", "-1"], id="epsilons-negative"),
         pytest.param(["--epsilons", "1e-7,nan"], id="epsilons-nan"),
         pytest.param(["--epsilons", "inf"], id="epsilons-inf"),
+        # an empty list printed total=0 failed=0 and exited 0 having checked nothing
+        pytest.param(["--epsilons", ","], id="epsilons-empty"),
+        pytest.param(["--epsilons", " , "], id="epsilons-blank"),
+        # np.random.default_rng(-1) raised a bare ValueError: a traceback and exit 1
+        pytest.param(["--seed", "-1"], id="seed-negative"),
     ])
     def test_malformed_shape_is_a_usage_error(self, runner, args):
         result = runner.invoke(main, ["gradcheck", "--n", "1", *args])

@@ -6,7 +6,7 @@ import pytest
 from dicelab.epsilon import BalanceParams, EpsilonCalibration, calibrate_epsilon, solve_balance_epsilon
 from dicelab.errors import EmptyDatasetError, InvalidConfigError, NoRealRootError, ShapeMismatchError
 from dicelab.loss import DiceLossConfig
-from dicelab.tensor import ReductionScheme, Role, make_batch
+from dicelab.tensor import ReductionScheme
 
 
 def gt_map(shape, fg_counts):
@@ -14,7 +14,7 @@ def gt_map(shape, fg_counts):
     arr = np.zeros(shape)
     for (b, c), k in np.ndenumerate(np.asarray(fg_counts).reshape(shape[:2])):
         arr[b, c, :int(k)] = 1.0
-    return make_batch(shape, arr.reshape(-1), Role.GROUND_TRUTH)
+    return arr
 
 
 class TestCalibrate:

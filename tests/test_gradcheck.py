@@ -15,44 +15,44 @@ from dicelab.gradcheck import (
     run_check_matrix,
 )
 from dicelab.loss import DiceLossConfig, Variant, dice_value_and_grad
-from dicelab.tensor import ReductionScheme, Role, make_batch
+from dicelab.tensor import ReductionScheme
 
 
 class TestFiniteDiff:
     def test_matches_hand_gradient(self):
         shape = (1, 1, 2)
-        gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.5, 0.5], Role.PREDICTION)
+        gt = np.asarray([1, 0], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.5, 0.5], dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0)
         numeric = finite_diff_grad(gt, pred, cfg).reshape(-1)
         assert numeric == pytest.approx([-0.75, 0.25], abs=1e-8)
 
     def test_probe_does_not_mutate_input(self):
         shape = (1, 1, 3)
-        gt = make_batch(shape, [1, 0, 1], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.4, 0.5, 0.6], Role.PREDICTION)
+        gt = np.asarray([1, 0, 1], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.4, 0.5, 0.6], dtype=np.float64).reshape(shape)
         before = pred.copy()
         finite_diff_grad(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE, epsilon=1.0))
         assert np.array_equal(pred, before)
 
     def test_step_must_be_positive(self):
-        gt = make_batch((1, 1, 2), [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch((1, 1, 2), [0.5, 0.5], Role.PREDICTION)
+        gt = np.asarray([1, 0], dtype=np.float64).reshape((1, 1, 2))
+        pred = np.asarray([0.5, 0.5], dtype=np.float64).reshape((1, 1, 2))
         cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE)
         with pytest.raises(RangeViolationError):
             finite_diff_grad(gt, pred, cfg, h=0.0)
 
     def test_stencil_must_stay_in_range(self):
-        gt = make_batch((1, 1, 2), [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch((1, 1, 2), [0.5, 1.0], Role.PREDICTION)
+        gt = np.asarray([1, 0], dtype=np.float64).reshape((1, 1, 2))
+        pred = np.asarray([0.5, 1.0], dtype=np.float64).reshape((1, 1, 2))
         cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE)
         with pytest.raises(RangeViolationError):
             finite_diff_grad(gt, pred, cfg)
 
     def test_agrees_with_analytic_on_leaf_dropped_subsets(self):
         shape = (1, 2, 4)
-        gt = make_batch(shape, [1, 0, 1, 0] + [0] * 4, Role.GROUND_TRUTH)
-        pred = make_batch(shape, np.linspace(0.2, 0.8, 8), Role.PREDICTION)
+        gt = np.asarray([1, 0, 1, 0] + [0] * 4, dtype=np.float64).reshape(shape)
+        pred = np.linspace(0.2, 0.8, 8).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.LEAF)
         analytic = dice_value_and_grad(gt, pred, cfg)[1]
@@ -99,10 +99,10 @@ class TestFiniteDiff:
     def test_marginal_probes_are_not_distributions(self):
         # every +-h probe moves one column sum by h = 1e-5, past the 1e-6 tolerance
         shape = (1, 2, 3)
-        gt = make_batch(shape, [1, 0, 0, 0, 1, 0], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.7, 0.4, 0.5, 0.3, 0.6, 0.5], Role.PREDICTION)
+        gt = np.asarray([1, 0, 0, 0, 1, 0], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.7, 0.4, 0.5, 0.3, 0.6, 0.5], dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
-                             variant=Variant.MARGINAL, background_class=0)
+                             variant=Variant.MARGINAL)
         mask = np.array([[True, True]])
         with pytest.raises(RangeViolationError):
             finite_diff_grad(gt, pred, cfg, mask=mask)
@@ -144,7 +144,7 @@ class TestCompareGrads:
 
     def test_shape_mismatch(self):
         _, analytic, _ = self.grad_pair()
-        other = make_batch((1, 1, 2), [0.1, 0.2], Role.PREDICTION)
+        other = np.asarray([0.1, 0.2], dtype=np.float64).reshape((1, 1, 2))
         with pytest.raises(ShapeMismatchError):
             compare_grads(analytic, other)
 
@@ -162,23 +162,23 @@ class TestTwoValue:
 
     def test_three_distinct_values_fail(self):
         shape = (1, 1, 3)
-        gt = make_batch(shape, [1, 0, 0], Role.GROUND_TRUTH)
-        grad = make_batch(shape, [0.1, 0.2, 0.3], Role.PREDICTION)
+        gt = np.asarray([1, 0, 0], dtype=np.float64).reshape(shape)
+        grad = np.asarray([0.1, 0.2, 0.3], dtype=np.float64).reshape(shape)
         assert not check_two_value(gt, grad, ReductionScheme.ALL_WISE).passed
 
     def test_two_clusters_with_mixed_keys_fail(self):
         # two clusters overall, but the y=1 elements span both of them
         shape = (1, 1, 3)
-        gt = make_batch(shape, [1, 1, 0], Role.GROUND_TRUTH)
-        grad = make_batch(shape, [0.1, 0.2, 0.2], Role.PREDICTION)
+        gt = np.asarray([1, 1, 0], dtype=np.float64).reshape(shape)
+        grad = np.asarray([0.1, 0.2, 0.2], dtype=np.float64).reshape(shape)
         report = check_two_value(gt, grad, ReductionScheme.ALL_WISE)
         assert not report.passed
         assert report.n_clusters.item() == 2
 
     def test_values_reported_by_key(self):
         shape = (1, 1, 4)
-        gt = make_batch(shape, [1, 0, 1, 0], Role.GROUND_TRUTH)
-        grad = make_batch(shape, [0.7, 0.2, 0.7, 0.2], Role.PREDICTION)
+        gt = np.asarray([1, 0, 1, 0], dtype=np.float64).reshape(shape)
+        grad = np.asarray([0.7, 0.2, 0.7, 0.2], dtype=np.float64).reshape(shape)
         report = check_two_value(gt, grad, ReductionScheme.ALL_WISE)
         assert report.passed
         assert {k: v.item() for k, v in report.values_by_key.items()} == {0: 0.2, 1: 0.7}
@@ -186,8 +186,8 @@ class TestTwoValue:
     def test_checks_each_subset_of_the_scheme(self):
         # image-wise: element 0's y=0 values disagree, element 1 has no y=1 at all
         shape = (2, 1, 3)
-        gt = make_batch(shape, [1, 0, 0, 0, 0, 0], Role.GROUND_TRUTH)
-        grad = make_batch(shape, [0.7, 0.2, 0.3, 0.2, 0.2, 0.2], Role.PREDICTION)
+        gt = np.asarray([1, 0, 0, 0, 0, 0], dtype=np.float64).reshape(shape)
+        grad = np.asarray([0.7, 0.2, 0.3, 0.2, 0.2, 0.2], dtype=np.float64).reshape(shape)
         report = check_two_value(gt, grad, ReductionScheme.IMAGE_WISE)
         assert not report.passed
         assert report.n_clusters.reshape(-1).tolist() == [3, 1]

@@ -16,7 +16,7 @@ from dicelab.loss import (
     dice_values,
     marginal_merge,
 )
-from dicelab.tensor import ReductionScheme, Role, make_batch
+from dicelab.tensor import ReductionScheme
 from partition_oracle import reference_loss
 
 ALL = (ReductionScheme.IMAGE_WISE, ReductionScheme.CLASS_WISE,
@@ -25,16 +25,16 @@ ALL = (ReductionScheme.IMAGE_WISE, ReductionScheme.CLASS_WISE,
 
 def random_pair(shape, seed):
     rng = np.random.default_rng(seed)
-    gt = make_batch(shape, rng.integers(0, 2, shape).astype(float), Role.GROUND_TRUTH)
-    pred = make_batch(shape, rng.uniform(0.01, 0.99, shape), Role.PREDICTION)
+    gt = rng.integers(0, 2, shape).astype(np.float64)
+    pred = rng.uniform(0.01, 0.99, shape)
     return gt, pred
 
 
 class TestForward:
     def test_half_overlap_single_pixel_pair(self):
         shape = (1, 1, 2)
-        gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.5, 0.5], Role.PREDICTION)
+        gt = np.asarray([1, 0], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.5, 0.5], dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0)
         out = dice_value_and_grad(gt, pred, cfg)[0]
         assert out.value == pytest.approx(0.5, abs=1e-15)
@@ -47,14 +47,14 @@ class TestForward:
         # all-background target, uniform half predictions, epsilon 2:
         # score = (0 + 2) / (0 + 2 + 2) = 0.5
         shape = (1, 1, 4)
-        gt = make_batch(shape, [0, 0, 0, 0], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.5] * 4, Role.PREDICTION)
+        gt = np.asarray([0, 0, 0, 0], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.5] * 4, dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=2.0)
         assert dice_value_and_grad(gt, pred, cfg)[0].value == pytest.approx(0.5, abs=1e-15)
 
     def test_perfect_prediction_is_zero_loss(self):
         shape = (2, 1, 3)
-        gt = make_batch(shape, [1, 0, 1, 0, 1, 0], Role.GROUND_TRUTH)
+        gt = np.asarray([1, 0, 1, 0, 1, 0], dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE, epsilon=0.0)
         assert dice_value_and_grad(gt, gt, cfg)[0].value == pytest.approx(0.0, abs=1e-15)
 
@@ -74,15 +74,15 @@ class TestForward:
 
     def test_per_class_epsilon(self):
         shape = (1, 2, 2)
-        gt = make_batch(shape, [1, 0, 0, 0], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.5, 0.5, 0.25, 0.25], Role.PREDICTION)
+        gt = np.asarray([1, 0, 0, 0], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.5, 0.5, 0.25, 0.25], dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=[0.0, 2.0])
         # class 0: (2*0.5 + 0)/(1 + 1 + 0) = 0.5; class 1: (0 + 2)/(0 + 0.5 + 2) = 0.8
         assert dice_value_and_grad(gt, pred, cfg)[0].value == pytest.approx(1.0 - (0.5 + 0.8) / 2)
 
     def test_shape_mismatch(self):
-        gt = make_batch((1, 1, 2), [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch((1, 1, 3), [0.5, 0.5, 0.5], Role.PREDICTION)
+        gt = np.asarray([1, 0], dtype=np.float64).reshape((1, 1, 2))
+        pred = np.asarray([0.5, 0.5, 0.5], dtype=np.float64).reshape((1, 1, 3))
         with pytest.raises(ShapeMismatchError):
             dice_value_and_grad(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE))[0]
 
@@ -120,26 +120,26 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=eps)
 
-    def test_marginal_needs_background_class(self):
-        with pytest.raises(InvalidConfigError):
-            DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, variant=Variant.MARGINAL)
-
-    def test_background_class_rejected_outside_marginal(self):
-        with pytest.raises(InvalidConfigError):
-            DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, background_class=0)
-
     @pytest.mark.parametrize("entry", [dice_value_and_grad, dice_values])
-    @pytest.mark.parametrize("values", [[-1.0, 0.5], [0.0, 2.0], [np.nan, 1.0]])
+    @pytest.mark.parametrize("values", [[-1.0, 0.5], [0.0, 2.0], [np.nan, 1.0], [0.0, 0.5]])
     def test_ground_truth_must_be_0_or_1(self, entry, values):
         # [-1, 0.5] against 0.5 scored a loss of 2.0 without an error
         gt = np.array([[values]])
         with pytest.raises(RangeViolationError, match="exactly 0 or 1"):
             entry(gt, np.full((1, 1, 2), 0.5), DiceLossConfig(ReductionScheme.IMAGE_WISE))
 
+    @pytest.mark.parametrize("entry", [dice_value_and_grad, dice_values])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.2])
+    def test_predictions_must_lie_in_unit_interval(self, entry, bad):
+        # a NaN or inf prediction gave a NaN loss and gradient, and -0.5 a loss of 2.0
+        with pytest.raises(RangeViolationError, match=r"\[0, 1\]"):
+            entry(np.array([[[1.0, 0.0]]]), np.array([[[bad, 0.5]]]),
+                  DiceLossConfig(ReductionScheme.IMAGE_WISE))
+
     def test_marginal_needs_mask_at_call_time(self):
         gt, pred = random_pair((1, 2, 4), seed=0)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE,
-                             variant=Variant.MARGINAL, background_class=0)
+                             variant=Variant.MARGINAL)
         with pytest.raises(InvalidConfigError):
             dice_value_and_grad(gt, pred, cfg)[0]
 
@@ -147,8 +147,8 @@ class TestConfigValidation:
 class TestBackward:
     def test_half_overlap_gradient(self):
         shape = (1, 1, 2)
-        gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.5, 0.5], Role.PREDICTION)
+        gt = np.asarray([1, 0], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.5, 0.5], dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0)
         grad = dice_value_and_grad(gt, pred, cfg)[1].reshape(-1)
         # S = 2, N = 1: y=1 slot -(2/2 - 1/4) = -0.75, y=0 slot 1/4 = 0.25
@@ -156,8 +156,8 @@ class TestBackward:
 
     def test_empty_gt_gradient_uniform(self):
         shape = (1, 1, 4)
-        gt = make_batch(shape, [0] * 4, Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.5] * 4, Role.PREDICTION)
+        gt = np.asarray([0] * 4, dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.5] * 4, dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=2.0)
         grad = dice_value_and_grad(gt, pred, cfg)[1].reshape(-1)
         # S = 4, N = 2: every slot N/S^2 = 0.125
@@ -173,8 +173,8 @@ class TestBackward:
 class TestLeafVariant:
     def test_empty_subsets_dropped_from_mean_and_gradient(self):
         shape = (1, 2, 2)
-        gt = make_batch(shape, [1, 0, 0, 0], Role.GROUND_TRUTH)  # class 1 empty
-        pred = make_batch(shape, [0.5, 0.5, 0.3, 0.7], Role.PREDICTION)
+        gt = np.asarray([1, 0, 0, 0], dtype=np.float64).reshape(shape)  # class 1 empty
+        pred = np.asarray([0.5, 0.5, 0.3, 0.7], dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.0,
                              variant=Variant.LEAF)
         out, grad = dice_value_and_grad(gt, pred, cfg)
@@ -187,8 +187,8 @@ class TestLeafVariant:
 
     def test_all_subsets_empty_gives_zero_loss_and_gradient(self):
         shape = (2, 1, 3)
-        gt = make_batch(shape, [0] * 6, Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.4] * 6, Role.PREDICTION)
+        gt = np.asarray([0] * 6, dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.4] * 6, dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.LEAF)
         out, grad = dice_value_and_grad(gt, pred, cfg)
@@ -199,8 +199,8 @@ class TestLeafVariant:
 
     def test_leaf_filter_keeps_order(self):
         shape = (1, 3, 2)
-        gt = make_batch(shape, [0, 0, 1, 0, 0, 1], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.5] * 6, Role.PREDICTION)
+        gt = np.asarray([0, 0, 1, 0, 0, 1], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.5] * 6, dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, variant=Variant.LEAF)
         assert np.flatnonzero(dice_value_and_grad(gt, pred, cfg)[0].kept).tolist() == [1, 2]
 
@@ -222,20 +222,20 @@ def softmax_like_pred(shape, seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.05, 1.0, shape)
     raw /= raw.sum(axis=1, keepdims=True)
-    return make_batch(shape, raw.reshape(-1), Role.PREDICTION)
+    return raw
 
 
 class TestMarginalMerge:
     def make_case(self):
         shape = (1, 3, 2)
-        gt = make_batch(shape, [1, 0, 0, 0, 0, 1], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.2, 0.1, 0.5, 0.6, 0.3, 0.3], Role.PREDICTION)
+        gt = np.asarray([1, 0, 0, 0, 0, 1], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.2, 0.1, 0.5, 0.6, 0.3, 0.3], dtype=np.float64).reshape(shape)
         mask = np.array([[True, False, True]])
         return shape, gt, pred, mask
 
     def test_spill_goes_to_background(self):
         shape, gt, pred, mask = self.make_case()
-        merged, routing = marginal_merge(gt, pred, mask, background_class=0)
+        merged, routing = marginal_merge(gt, pred, mask)
         assert merged[0, 1].tolist() == [0.0, 0.0]
         assert merged[0, 0] == pytest.approx([0.7, 0.7])  # 0.2+0.5, 0.1+0.6
         assert merged[0, 2] == pytest.approx([0.3, 0.3])
@@ -243,54 +243,53 @@ class TestMarginalMerge:
 
     def test_unavailable_gt_must_be_empty(self):
         shape = (1, 2, 2)
-        gt = make_batch(shape, [0, 1, 1, 0], Role.GROUND_TRUTH)
+        gt = np.asarray([0, 1, 1, 0], dtype=np.float64).reshape(shape)
         pred = softmax_like_pred(shape, seed=0)
         mask = np.array([[True, False]])
         with pytest.raises(RangeViolationError):
-            marginal_merge(gt, pred, mask, background_class=0)
+            marginal_merge(gt, pred, mask)
 
     def test_columns_must_sum_to_one(self):
         shape, gt, _, mask = self.make_case()
-        bad = make_batch(shape, [0.2, 0.1, 0.5, 0.6, 0.2, 0.2], Role.PREDICTION)
+        bad = np.asarray([0.2, 0.1, 0.5, 0.6, 0.2, 0.2], dtype=np.float64).reshape(shape)
         with pytest.raises(RangeViolationError):
-            marginal_merge(gt, bad, mask, background_class=0)
+            marginal_merge(gt, bad, mask)
 
     def test_tiny_column_sum_error_tolerated(self):
         shape, gt, pred, mask = self.make_case()
         nudged = pred.copy()
         nudged[0, 0, 0] += 5e-7
-        ok = make_batch(shape, nudged.reshape(-1), Role.PREDICTION)
-        marginal_merge(gt, ok, mask, background_class=0)
+        marginal_merge(gt, nudged, mask)
 
     def test_background_must_stay_available(self):
         shape, gt, pred, _ = self.make_case()
         mask = np.array([[False, True, True]])
         with pytest.raises(InvalidConfigError):
-            marginal_merge(gt, pred, mask, background_class=0)
+            marginal_merge(gt, pred, mask)
 
     def test_single_class_rejected(self):
         shape = (1, 1, 2)
-        gt = make_batch(shape, [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [1.0, 0.0], Role.PREDICTION)
+        gt = np.asarray([1, 0], dtype=np.float64).reshape(shape)
+        pred = np.asarray([1.0, 0.0], dtype=np.float64).reshape(shape)
         with pytest.raises(InvalidConfigError):
-            marginal_merge(gt, pred, np.array([[True]]), background_class=0)
+            marginal_merge(gt, pred, np.array([[True]]))
 
     def test_mask_shape_checked(self):
         shape, gt, pred, _ = self.make_case()
         with pytest.raises(ShapeMismatchError):
-            marginal_merge(gt, pred, np.ones((2, 3), dtype=bool), background_class=0)
+            marginal_merge(gt, pred, np.ones((2, 3), dtype=bool))
 
     @pytest.mark.parametrize("mask", [np.ones((1, 3), dtype=int), np.ones(3, dtype=bool),
                                       np.ones((1, 3, 1), dtype=bool), [[True, True, True]]])
     def test_mask_must_be_a_b_by_c_bool_array(self, mask):
         shape, gt, pred, _ = self.make_case()
         with pytest.raises(ShapeMismatchError):
-            marginal_merge(gt, pred, mask, background_class=0)
+            marginal_merge(gt, pred, mask)
 
     def test_prediction_shape_checked(self):
         shape, gt, pred, mask = self.make_case()
         with pytest.raises(ShapeMismatchError):
-            marginal_merge(gt, pred[..., :1], mask, background_class=0)
+            marginal_merge(gt, pred[..., :1], mask)
 
 
 class TestMarginalVariant:
@@ -304,7 +303,7 @@ class TestMarginalVariant:
             for i in range(4):
                 gt_arr[b, labels[b, i], i] = 1.0
         gt_arr[~np.asarray(avail)] = 0.0  # unavailable classes must be empty
-        gt = make_batch(shape, gt_arr.reshape(-1), Role.GROUND_TRUTH)
+        gt = gt_arr
         pred = softmax_like_pred(shape, seed + 1)
         return shape, gt, pred, np.asarray(avail)
 
@@ -321,7 +320,7 @@ class TestMarginalVariant:
         avail = [[True, True, False], [True, True, True]]
         shape, gt, pred, mask = self.build(avail)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
-                             variant=Variant.MARGINAL, background_class=0)
+                             variant=Variant.MARGINAL)
         out = dice_value_and_grad(gt, pred, cfg, mask)[0]
         # element 0 loses one subset, element 1 keeps all three
         assert out.effective_subset_count == 5
@@ -345,7 +344,7 @@ class TestMarginalVariant:
         avail = [[True, True, False], [True, True, False]]
         shape, gt, pred, mask = self.build(avail, seed=41)
         cfg = DiceLossConfig(scheme=scheme, epsilon=1e-7,
-                             variant=Variant.MARGINAL, background_class=0)
+                             variant=Variant.MARGINAL)
         out, grad = dice_value_and_grad(gt, pred, cfg, mask)
         assert out.kept.reshape(-1).tolist() == expected
         assert out.effective_subset_count == sum(expected)
@@ -355,7 +354,7 @@ class TestMarginalVariant:
         avail = [[True, False, True], [True, True, True]]
         shape, gt, pred, mask = self.build(avail, seed=21)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
-                             variant=Variant.MARGINAL, background_class=0)
+                             variant=Variant.MARGINAL)
         grad = dice_value_and_grad(gt, pred, cfg, mask)[1]
         assert np.array_equal(grad[0, 1], grad[0, 0])
         assert not np.array_equal(grad[1, 1], grad[1, 0])
@@ -365,7 +364,7 @@ class TestMarginalVariant:
         shape, gt, pred, mask = self.build(avail, seed=31)
         std = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5)
         marg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=0.5,
-                              variant=Variant.MARGINAL, background_class=0)
+                              variant=Variant.MARGINAL)
         out_marg, g_marg = dice_value_and_grad(gt, pred, marg, mask)
         out_std, g_std = dice_value_and_grad(gt, pred, std)
         assert out_marg.value == pytest.approx(out_std.value, abs=1e-15)
@@ -384,22 +383,21 @@ class TestDiceValues:
         values = dice_values(gt, stack, cfg)
         assert values.shape == (2, 4)
         for j, k in np.ndindex(2, 4):
-            single = make_batch(shape, stack[j, k].reshape(-1), Role.PREDICTION)
-            assert values[j, k] == dice_value_and_grad(gt, single, cfg)[0].value
+            assert values[j, k] == dice_value_and_grad(gt, stack[j, k], cfg)[0].value
 
     def test_marginal_stack_merges_each_prediction(self):
         shape = (1, 3, 2)
-        gt = make_batch(shape, [1, 0, 0, 0, 0, 1], Role.GROUND_TRUTH)
+        gt = np.asarray([1, 0, 0, 0, 0, 1], dtype=np.float64).reshape(shape)
         mask = np.array([[True, False, True]])
         preds = [softmax_like_pred(shape, seed) for seed in (1, 2, 3)]
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
-                             variant=Variant.MARGINAL, background_class=0)
+                             variant=Variant.MARGINAL)
         values = dice_values(gt, np.stack(preds), cfg, mask)
         assert values.tolist() == [dice_value_and_grad(gt, p, cfg, mask)[0].value for p in preds]
 
     def test_no_counted_subset_scores_zero(self):
         shape = (2, 1, 3)
-        gt = make_batch(shape, [0] * 6, Role.GROUND_TRUTH)
+        gt = np.asarray([0] * 6, dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, variant=Variant.LEAF)
         assert dice_values(gt, np.full((4,) + shape, 0.3), cfg).tolist() == [0.0] * 4
 
@@ -418,8 +416,8 @@ class TestDiceValues:
 class TestZeroDenominator:
     def zero_case(self):
         shape = (1, 1, 3)
-        gt = make_batch(shape, [0, 0, 0], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0, 0, 0], Role.PREDICTION)
+        gt = np.asarray([0, 0, 0], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0, 0, 0], dtype=np.float64).reshape(shape)
         return gt, pred
 
     def test_empty_subset_with_zero_prediction_and_epsilon_raises(self):

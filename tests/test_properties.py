@@ -28,7 +28,7 @@ from dicelab.loss import (
     dice_values,
 )
 from dicelab.synthdata import MANIFEST_NAME, load_dataset
-from dicelab.tensor import ReductionScheme, Role, make_batch, read_tensor
+from dicelab.tensor import ReductionScheme, read_tensor
 from dicelab.trainer import load_model
 from fd_oracle import loop_finite_diff_grad
 from partition_oracle import enumerate_subsets, reference_grad, reference_loss
@@ -56,7 +56,8 @@ def tensors(draw, batch=None, classes=None):
     size = int(np.prod(shape))
     y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size))
     p = draw(st.lists(unit, min_size=size, max_size=size))
-    return make_batch(shape, y, Role.GROUND_TRUTH), make_batch(shape, p, Role.PREDICTION)
+    return (np.asarray(y, dtype=np.float64).reshape(shape),
+            np.asarray(p, dtype=np.float64).reshape(shape))
 
 
 @st.composite
@@ -132,13 +133,12 @@ def test_leaf_empty_subsets_get_zero_gradient_and_are_not_counted(case):
 
 @st.composite
 def marginal_cases(draw):
-    """Softmax-style predictions, a mask keeping the background available in every
-    element, and ground truth that is empty wherever a class is unavailable."""
+    """Softmax-style predictions, a mask keeping the background (class 0) available in
+    every element, and ground truth that is empty wherever a class is unavailable."""
     B, C, I = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 6))
-    background = draw(st.integers(0, C - 1))
     avail = np.array(draw(st.lists(st.booleans(), min_size=B * C,
                                    max_size=B * C))).reshape(B, C)
-    avail[:, background] = True
+    avail[:, 0] = True
     y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=B * C * I,
                                max_size=B * C * I))).reshape(B, C, I)
     y[~avail] = 0.0
@@ -146,7 +146,7 @@ def marginal_cases(draw):
                                  min_size=B * C * I, max_size=B * C * I))).reshape(B, C, I)
     p = raw / raw.sum(axis=1, keepdims=True)
     cfg = DiceLossConfig(draw(st.sampled_from(list(ReductionScheme))), draw(positive_eps),
-                         Variant.MARGINAL, background_class=background)
+                         Variant.MARGINAL)
     return y, p, cfg, avail
 
 
@@ -156,7 +156,7 @@ def test_marginal_unavailable_classes_take_the_background_gradient(case):
     gt, pred, cfg, mask = case
     grad = dice_value_and_grad(gt, pred, cfg, mask)[1]
     for b, c in zip(*np.nonzero(~mask)):
-        assert np.array_equal(grad[b, c], grad[b, cfg.background_class])
+        assert np.array_equal(grad[b, c], grad[b, 0])
 
 
 @PROPERTY_SETTINGS

@@ -1,13 +1,12 @@
 """Tensor domain, the pooled axes of each reduction scheme, and the portable file format."""
 
-import math
 import struct
 
 import numpy as np
 import pytest
 
-from dicelab.errors import RangeViolationError, ShapeMismatchError, TensorFileError
-from dicelab.tensor import ReductionScheme, Role, make_batch, read_tensor, write_tensor
+from dicelab.errors import ShapeMismatchError, TensorFileError
+from dicelab.tensor import ReductionScheme, batch_dims, read_tensor, readonly, write_tensor
 from partition_oracle import enumerate_subsets, subset_reduce
 
 ALL = (ReductionScheme.IMAGE_WISE, ReductionScheme.CLASS_WISE,
@@ -16,7 +15,7 @@ ALL = (ReductionScheme.IMAGE_WISE, ReductionScheme.CLASS_WISE,
 
 def rand_tensor(shape, seed=0):
     rng = np.random.default_rng(seed)
-    return make_batch(shape, rng.uniform(0, 1, shape), Role.PREDICTION)
+    return rng.uniform(0, 1, shape)
 
 
 def drt_with_dims(path, dims):
@@ -27,29 +26,25 @@ def drt_with_dims(path, dims):
 
 
 class TestShape:
-    """The (B, C, I) dims make_batch and read_tensor accept: three positive integers.
-
-    Each rejected case passes as many values as its dims multiply to, so only
-    the dims check can fire, not the value count.
-    """
+    """The (B, C, I) dims batch_dims and read_tensor accept: three positive integers."""
 
     def test_size(self):
-        t = make_batch((2, 3, 4), np.zeros(24), Role.GROUND_TRUTH)
-        assert t.shape == (2, 3, 4) and t.size == 24
+        assert batch_dims((2, 3, 4)) == (2, 3, 4)
+        assert batch_dims(np.zeros((2, 3, 4)).shape) == (2, 3, 4)
 
     @pytest.mark.parametrize("dims", [(0, 1, 1), (1, -2, -1), (1, 1, 0)])
     def test_non_positive_rejected(self, dims):
         with pytest.raises(ShapeMismatchError):
-            make_batch(dims, [0.0] * math.prod(dims), Role.PREDICTION)
+            batch_dims(dims)
 
     def test_non_integer_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            make_batch((2.5, 2, 1), [0.0] * 5, Role.PREDICTION)
+            batch_dims((2.5, 2, 1))
 
     @pytest.mark.parametrize("dims", [(1, 2), (1, 1, 1, 1)])
     def test_not_three_dims_rejected(self, dims):
         with pytest.raises(ShapeMismatchError):
-            make_batch(dims, [0.0] * math.prod(dims), Role.PREDICTION)
+            batch_dims(dims)
 
     @pytest.mark.parametrize("dims", [(0, 1, 1), (1, 0, 4), (2, 1, 0)])
     def test_file_with_a_zero_dim_rejected(self, tmp_path, dims):
@@ -57,33 +52,12 @@ class TestShape:
             read_tensor(drt_with_dims(tmp_path / "t.drt", dims))
 
 
-class TestMakeBatch:
-    def test_wrong_length(self):
-        with pytest.raises(ShapeMismatchError):
-            make_batch((1, 1, 3), [0.0, 1.0], Role.GROUND_TRUTH)
-
-    def test_gt_must_be_binary(self):
-        with pytest.raises(RangeViolationError):
-            make_batch((1, 1, 2), [0.0, 0.5], Role.GROUND_TRUTH)
-
-    def test_pred_must_be_in_unit_interval(self):
-        with pytest.raises(RangeViolationError):
-            make_batch((1, 1, 2), [0.2, 1.2], Role.PREDICTION)
-        with pytest.raises(RangeViolationError):
-            make_batch((1, 1, 2), [-0.1, 0.5], Role.PREDICTION)
-
+class TestReadonly:
     def test_result_is_immutable(self):
-        t = make_batch((1, 1, 2), [0.0, 1.0], Role.GROUND_TRUTH)
+        t = readonly(np.array([[[0, 1]]]))
         assert isinstance(t, np.ndarray) and t.dtype == np.float64
         with pytest.raises(ValueError):
             t[0, 0, 0] = 1.0
-
-    def test_values_are_copied(self):
-        src = np.array([0.1, 0.2])
-        t = make_batch((1, 1, 2), src, Role.PREDICTION)
-        src[0] = 0.9
-        assert t[0, 0, 0] == 0.1
-        assert src.flags.writeable
 
 
 class TestEnumerateSubsets:
@@ -141,15 +115,15 @@ class TestEnumerateSubsets:
 class TestReductions:
     def test_subset_reduce_hand_case(self):
         shape = (1, 2, 2)
-        gt = make_batch(shape, [1, 0, 1, 1], Role.GROUND_TRUTH)
-        pred = make_batch(shape, [0.5, 0.25, 0.75, 1.0], Role.PREDICTION)
+        gt = np.asarray([1, 0, 1, 1], dtype=np.float64).reshape(shape)
+        pred = np.asarray([0.5, 0.25, 0.75, 1.0], dtype=np.float64).reshape(shape)
         s0, s1 = enumerate_subsets(ReductionScheme.IMAGE_WISE, shape)
         assert subset_reduce(gt, pred, s0) == (0.5, 1.0, 0.75)
         assert subset_reduce(gt, pred, s1) == (1.75, 2.0, 1.75)
 
     def test_subset_reduce_shape_mismatch(self):
-        gt = make_batch((1, 1, 2), [1, 0], Role.GROUND_TRUTH)
-        pred = make_batch((1, 1, 3), [0.1, 0.2, 0.3], Role.PREDICTION)
+        gt = np.asarray([1, 0], dtype=np.float64).reshape((1, 1, 2))
+        pred = np.asarray([0.1, 0.2, 0.3], dtype=np.float64).reshape((1, 1, 3))
         s = enumerate_subsets(ReductionScheme.ALL_WISE, (1, 1, 2))[0]
         with pytest.raises(ShapeMismatchError):
             subset_reduce(gt, pred, s)

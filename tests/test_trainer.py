@@ -23,15 +23,13 @@ from dicelab.synthdata import (
     generate_multiclass,
 )
 from dicelab import trainer
-from dicelab.tensor import ReductionScheme, Role, make_batch
+from dicelab.tensor import ReductionScheme
 from dicelab.trainer import (
     Head,
     LinearPixelModel,
     TrainConfig,
     featurize,
     load_model,
-    model_backward,
-    model_forward,
     predict,
     save_model,
     step_gradients,
@@ -75,29 +73,34 @@ class TestFeaturize:
         assert feats[0, 0, 2] == pytest.approx(0.4)
 
 
+def forward(model, feats):
+    """The model's (B, C, I) predictions for features (B, I, F), as a training step makes them."""
+    return trainer._forward(model.weights, model.head, feats)
+
+
 class TestModelForward:
     def test_zero_weights_sigmoid_is_half(self):
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
-        pred = model_forward(model, np.ones((1, 3, 4)))
+        pred = forward(model, np.ones((1, 3, 4)))
         assert np.all(pred == 0.5)
 
     def test_zero_weights_softmax_is_uniform(self):
         model = LinearPixelModel(np.zeros((3, 4)), Head.SOFTMAX)
-        pred = model_forward(model, np.ones((2, 5, 4)))
+        pred = forward(model, np.ones((2, 5, 4)))
         assert pred == pytest.approx(np.full((2, 3, 5), 1.0 / 3.0))
 
     def test_softmax_columns_sum_to_one(self):
         rng = np.random.default_rng(1)
         model = LinearPixelModel(rng.normal(size=(4, 4)), Head.SOFTMAX)
-        pred = model_forward(model, rng.uniform(0, 1, (2, 6, 4)))
+        pred = forward(model, rng.uniform(0, 1, (2, 6, 4)))
         assert pred.sum(axis=1) == pytest.approx(np.ones((2, 6)), abs=1e-12)
 
     def test_sigmoid_equals_two_class_softmax_against_zero_row(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(1, 4))
         feats = rng.uniform(0, 1, (1, 10, 4))
-        sig = model_forward(LinearPixelModel(w, Head.SIGMOID), feats)
-        soft = model_forward(
+        sig = forward(LinearPixelModel(w, Head.SIGMOID), feats)
+        soft = forward(
             LinearPixelModel(np.vstack([np.zeros((1, 4)), w]), Head.SOFTMAX), feats)
         assert soft[:, 1, :] == pytest.approx(sig[:, 0, :], abs=1e-12)
 
@@ -116,11 +119,6 @@ class TestModelForward:
             want = softmax(np.einsum("bif,cf->bci", x, np.eye(c)), axis=1)
             assert got.tobytes() == want.tobytes()
 
-    def test_feature_dim_checked(self):
-        model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
-        with pytest.raises(ShapeMismatchError):
-            model_forward(model, np.ones((1, 3, 5)))
-
     def test_head_row_count_checked(self):
         with pytest.raises(ShapeMismatchError):
             LinearPixelModel(np.zeros((2, 4)), Head.SIGMOID)
@@ -135,20 +133,15 @@ class TestModelBackward:
         c = 0.3
         feats = featurize(np.full((4, 4), c))[None]
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
-        grad = model_backward(model, feats, np.ones((1, 1, 16)), model_forward(model, feats))
+        grad = trainer._backward(model.head, feats, np.ones((1, 1, 16)), forward(model, feats))
         assert grad == pytest.approx(0.25 * 16 * np.array([[1.0, c, c, 0.0]]))
 
     def test_zero_loss_grad_gives_zero_weight_grad(self):
         rng = np.random.default_rng(3)
         feats = rng.uniform(0, 1, (2, 8, 4))
         model = LinearPixelModel(rng.normal(size=(3, 4)), Head.SOFTMAX)
-        grad = model_backward(model, feats, np.zeros((2, 3, 8)), model_forward(model, feats))
+        grad = trainer._backward(model.head, feats, np.zeros((2, 3, 8)), forward(model, feats))
         assert np.all(grad == 0.0)
-
-    def test_loss_grad_shape_checked(self):
-        model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
-        with pytest.raises(ShapeMismatchError):
-            model_backward(model, np.ones((1, 8, 4)), np.ones((1, 2, 8)), np.ones((1, 1, 8)))
 
 
 def gt_from_samples(samples, include_background):
@@ -161,9 +154,7 @@ def gt_from_samples(samples, include_background):
             rows.append(np.concatenate([1.0 - fg.sum(axis=0, keepdims=True), fg]))
         else:
             rows.append(fg)
-    arr = np.stack(rows)
-    shape = (arr.shape[0], arr.shape[1], n_pixels)
-    return make_batch(shape, arr.reshape(-1), Role.GROUND_TRUTH)
+    return np.stack(rows).astype(np.float64)
 
 
 def assert_same_bits(a, b):
@@ -246,7 +237,7 @@ class TestEndToEndGradient:
         model = LinearPixelModel(np.random.default_rng(4).normal(0, 0.5, (4, 4)),
                                  Head.SOFTMAX)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-3,
-                             variant=Variant.MARGINAL, background_class=0)
+                             variant=Variant.MARGINAL)
         self.check(model, feats, gt, cfg, mask=mask)
 
 
@@ -291,7 +282,7 @@ class TestTrainLoop:
     def test_multiclass_adds_background_column(self):
         ds = generate_multiclass(SMALL_MULTI, seed=0)
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
-                              variant=Variant.MARGINAL, background_class=0)
+                              variant=Variant.MARGINAL)
         result = train(ds, TrainConfig(loss=loss, batch_size=len(ds), iterations=1))
         assert result.model.head is Head.SOFTMAX
         assert result.model.n_classes == 4
@@ -316,7 +307,7 @@ class TestTrainLoop:
         ds = apply_partial(ds, PartialPolicy(PartialAction.MARK_UNAVAILABLE,
                                              tag=PHASE_B, class_index=1))
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
-                              variant=Variant.MARGINAL, background_class=0)
+                              variant=Variant.MARGINAL)
         result = train(ds, TrainConfig(loss=loss, iterations=4))
         assert len(result.history) == 4
 
@@ -333,15 +324,8 @@ class TestTrainLoop:
     def test_marginal_needs_softmax_head(self):
         ds = generate_binary(SMALL_BINARY, seed=0)
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
-                              variant=Variant.MARGINAL, background_class=0)
+                              variant=Variant.MARGINAL)
         with pytest.raises(InvalidConfigError):
-            train(ds, TrainConfig(loss=loss, iterations=1))
-
-    def test_marginal_background_is_class_0(self):
-        ds = generate_multiclass(SMALL_MULTI, seed=0)
-        loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
-                              variant=Variant.MARGINAL, background_class=1)
-        with pytest.raises(InvalidConfigError, match="background is class 0"):
             train(ds, TrainConfig(loss=loss, iterations=1))
 
     @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(learning_rate=-1.0),
@@ -436,6 +420,15 @@ class TestCheckpoint:
         with pytest.raises(TensorFileError):
             load_model(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, tmp_path, bad):
+        # weights of [nan, 1, 2, inf] loaded as is, and predict then returned NaN
+        path = tmp_path / "m.model"
+        path.write_bytes(b"DLM1 head=sigmoid classes=1 features=4\n"
+                         + np.array([bad, 1.0, 2.0, 0.0], dtype="<f8").tobytes())
+        with pytest.raises(TensorFileError, match="finite"):
+            load_model(path)
+
     def test_payload_length_checked(self, tmp_path):
         model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
         path = tmp_path / "m.model"
@@ -474,7 +467,7 @@ EXACTNESS_CASES = {
     "softmax-leaf-b2": (_partial_multiclass, DiceLossConfig(IMAGE, variant=Variant.LEAF), 2, 10),
     "softmax-marginal-b4-trailing-dropped": (
         _partial_multiclass,
-        DiceLossConfig(IMAGE, variant=Variant.MARGINAL, background_class=0), 4, 6),
+        DiceLossConfig(IMAGE, variant=Variant.MARGINAL), 4, 6),
 }
 
 

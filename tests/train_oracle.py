@@ -2,8 +2,9 @@
 
 Each step here gathers its batch by fancy indexing, computes the predictions
 itself with np.einsum and scipy.special's expit or softmax, scores the loss
-through the checked public dice_value_and_grad, runs the public
-model_backward, rebuilds the model, and averages |grad| with .mean(). train
+through the checked public dice_value_and_grad, backpropagates through its
+own head Jacobian and np.einsum, rebuilds the model, and averages |grad|
+with .mean(). train
 in dicelab.trainer does all of that set-up once per call and computes the
 softmax in NumPy; the floating-point operations of a step, and their order,
 are the same, so the weights and every history row must come out equal
@@ -27,7 +28,6 @@ from dicelab.trainer import (
     StepResult,
     TrainResult,
     featurize,
-    model_backward,
 )
 
 
@@ -35,6 +35,16 @@ def forward(model, features) -> np.ndarray:
     """The model's (B, C, I) predictions through SciPy's expit or softmax."""
     logits = np.einsum("bif,cf->bci", features, model.weights)
     return expit(logits) if model.head is Head.SIGMOID else softmax(logits, axis=1)
+
+
+def backward(model, features, g, p) -> np.ndarray:
+    """dloss/dweights: the head's Jacobian applied to the loss gradient g at the
+    predictions p, contracted against the features."""
+    if model.head is Head.SIGMOID:
+        dz = g * p * (1.0 - p)
+    else:
+        dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
+    return np.einsum("bci,bif->cf", dz, features)
 
 
 def step_gradients(model, features, gt, cfg, mask=None) -> StepResult:
@@ -46,7 +56,7 @@ def step_gradients(model, features, gt, cfg, mask=None) -> StepResult:
     if first > 0:
         full = np.zeros(pred.shape)
         full[:, first:, :] = grad
-    dtheta = model_backward(model, features, full, pred)
+    dtheta = backward(model, features, full, pred)
     return StepResult(out.value, grad, dtheta)
 
 
