@@ -26,7 +26,7 @@ from .loss import (
     dice_values,
     marginal_merge,
 )
-from .epsilon import BalanceParams, EpsilonCalibration, calibrate_epsilon, solve_balance_epsilon
+from .epsilon import BalanceParams, calibrate_epsilon, solve_balance_epsilon
 from .gradcheck import (
     GradCheckReport,
     TwoValueReport,
@@ -59,6 +59,6 @@ from .trainer import (
     train,
 )
 from .metrics import RocCurve, binarize, bootstrap_compare, hard_dsc, roc_auc, volume_difference
-from .harness import ExperimentConfig, RunArtifacts, default_config, load_config, run_experiment
+from .harness import ExperimentConfig, default_config, load_config, run_experiment
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .epsilon import calibrate_epsilon
 from .errors import DicelabError, InvalidConfigError, NonFiniteTrainingError
@@ -80,8 +81,6 @@ def cmd_gen_data(config_path, task, labeling, seed, out_dir):
 @click.option("--n", type=click.IntRange(min=1), default=100,
               help="Random instances per scheme/shape/epsilon cell.")
 @click.option("--seed", type=click.IntRange(min=0), default=0)
-@click.option("--perturb", type=float, default=0.0,
-              help="Fault injection: offset added to one analytic gradient element.")
 @click.option("--epsilons", default=",".join(DEFAULT_EPSILONS), show_default=True,
               help="Comma list of floats and/or 'calibrated'.")
 @click.option("--shapes", default=",".join("x".join(map(str, s)) for s in DEFAULT_SHAPES),
@@ -89,7 +88,7 @@ def cmd_gen_data(config_path, task, labeling, seed, out_dir):
 @click.option("--schemes", default=",".join(s.value for s in ALL_SCHEMES), show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the per-instance report here instead of stdout.")
-def cmd_gradcheck(n, seed, perturb, epsilons, shapes, schemes, out_path):
+def cmd_gradcheck(n, seed, epsilons, shapes, schemes, out_path):
     """Compare analytic gradients against finite differences; exit 0 iff all pass."""
     try:
         shape_list = []
@@ -107,7 +106,7 @@ def cmd_gradcheck(n, seed, perturb, epsilons, shapes, schemes, out_path):
         raise click.BadParameter(str(exc))
     records = run_check_matrix(shapes=shape_list, schemes=scheme_list,
                                epsilons=eps_list, n_instances=n,
-                               base_seed=seed, perturb=perturb)
+                               base_seed=seed)
     lines = [format_record(r) for r in records]
     failed = sum(1 for r in records
                  if not (r.grad_report.passed and r.two_value_passed))
@@ -132,12 +131,12 @@ def cmd_calibrate(dataset_dir, scheme, out_path):
     """Heuristic smoothing value (mean foreground per reduction subset)."""
     ds = load_dataset(dataset_dir)
     maps = [s.gt.reshape(1, s.n_classes, -1) for s in ds.samples]
-    cal = calibrate_epsilon(maps, ReductionScheme(scheme))
-    payload = {"scheme": scheme, "all_empty": cal.all_empty}
-    if cal.per_class is not None:
-        payload["per_class"] = {ds.class_names[c]: v for c, v in cal.per_class}
+    eps = calibrate_epsilon(maps, ReductionScheme(scheme))
+    payload = {"scheme": scheme, "all_empty": not np.any(eps)}  # 0/1 maps: 0 iff all empty
+    if ReductionScheme(scheme).class_pure:
+        payload["per_class"] = dict(zip(ds.class_names, eps.tolist()))
     else:
-        payload["global"] = cal.global_value
+        payload["global"] = eps
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
         Path(out_path).write_text(text)
@@ -151,17 +150,17 @@ def cmd_calibrate(dataset_dir, scheme, out_path):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1,
-              help="Parallel worker processes for independent matrix cells.")
+              help="Parallel worker processes for independent matrix cells "
+                   "(at most one per cell that trains).")
 def cmd_run(config_path, out_dir, seed, jobs):
     """Run the cross-validated experiment matrix and write all artifacts."""
     config = load_config(config_path)
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    artifacts = run_experiment(config, out_dir, jobs=jobs)
-    click.echo(f"run complete: {artifacts.out_dir}")
-    for p in (artifacts.metrics_csv, artifacts.summary_csv, artifacts.auc_csv,
-              artifacts.comparisons_csv):
-        click.echo(f"  {p}")
+    out = run_experiment(config, out_dir, jobs=jobs)
+    click.echo(f"run complete: {out}")
+    for name in ("metrics.csv", "summary.csv", "auc.csv", "comparisons.csv"):
+        click.echo(f"  {out / name}")
 
 
 def _aligned(header: list[str], rows: list[list[str]]) -> str:

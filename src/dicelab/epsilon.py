@@ -22,23 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, NoRealRootError, ShapeMismatchError
-from .tensor import ReductionScheme
-
-
-@dataclass(frozen=True)
-class EpsilonCalibration:
-    """Calibrated epsilon: per-class for class-pure schemes, else one global value."""
-
-    scheme: ReductionScheme
-    per_class: list[tuple[int, float]] | None
-    global_value: float | None
-    all_empty: bool
-
-    def as_loss_epsilon(self) -> float | np.ndarray:
-        """Value in the form DiceLossConfig.epsilon expects."""
-        if self.per_class is not None:
-            return np.array([v for _, v in self.per_class])
-        return float(self.global_value)
+from .loss import _require_binary
+from .tensor import ReductionScheme, readonly
 
 
 @dataclass(frozen=True)
@@ -61,13 +46,14 @@ class BalanceParams:
 def calibrate_epsilon(
     gt_maps: Sequence[np.ndarray],
     scheme: ReductionScheme,
-) -> EpsilonCalibration:
-    """Mean foreground count per reduction subset across a dataset.
+) -> float | np.ndarray:
+    """Mean foreground count per reduction subset across a dataset, as the loss epsilon.
 
-    Each map is a (B, C, I) array whose every (batch element, class) cell
-    counts as one sample of its class; empty maps are included in the mean.
-    Class-pure schemes get one epsilon per class, the others a single global
-    mean of per-sample totals.
+    Each map is a (B, C, I) array of 0 and 1 whose every (batch element,
+    class) cell counts as one sample of its class; empty maps are included in
+    the mean. Class-pure schemes get a read-only (C,) array, one epsilon per
+    class; the others a float, the mean of per-sample totals. The value is 0
+    exactly when every map is empty.
     """
     counts = []
     classes = None
@@ -80,25 +66,14 @@ def calibrate_epsilon(
         elif t.shape[1] != classes:
             raise ShapeMismatchError(
                 f"inconsistent class count in dataset: {t.shape[1]} != {classes}")
+        _require_binary(t)
         counts.append(t.sum(axis=2))
     if not counts:
         raise EmptyDatasetError("cannot calibrate epsilon from an empty dataset")
     per_sample = np.concatenate(counts, axis=0)
-    all_empty = bool(np.all(per_sample == 0.0))
     if scheme.class_pure:
-        means = per_sample.mean(axis=0)
-        return EpsilonCalibration(
-            scheme=scheme,
-            per_class=[(c, float(means[c])) for c in range(classes)],
-            global_value=None,
-            all_empty=all_empty,
-        )
-    return EpsilonCalibration(
-        scheme=scheme,
-        per_class=None,
-        global_value=float(per_sample.sum(axis=1).mean()),
-        all_empty=all_empty,
-    )
+        return readonly(per_sample.mean(axis=0))
+    return float(per_sample.sum(axis=1).mean())
 
 
 def solve_balance_epsilon(p: BalanceParams) -> float:

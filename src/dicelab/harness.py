@@ -229,11 +229,10 @@ def _setup_loss(setup: str, train_split: SyntheticDataset) -> tuple[DiceLossConf
     """Loss config and calibration rows for one fold."""
     scheme, variant, calibrated = SETUPS[setup]
     epsilon, calibration = NEGLIGIBLE_EPSILON, []
-    if calibrated:
+    if calibrated:  # every calibrated setup pools class-pure, so epsilon is per class
         maps = [s.gt.reshape(1, s.n_classes, -1) for s in train_split.samples]
-        cal = calibrate_epsilon(maps, scheme)
-        epsilon = cal.as_loss_epsilon()
-        calibration = [(train_split.class_names[c], value) for c, value in cal.per_class]
+        epsilon = calibrate_epsilon(maps, scheme)
+        calibration = list(zip(train_split.class_names, epsilon.tolist()))
     return DiceLossConfig(scheme, epsilon, variant), calibration
 
 
@@ -258,7 +257,7 @@ class CellResult:
     metric_rows: tuple[MetricRow, ...]
     # (fold, class_name, epsilon) for calibrated setups
     calibration_rows: tuple
-    # per fold: tuple of HistoryRow
+    # per fold: the TrainResult.history array
     histories: tuple
     # per fold: the trained LinearPixelModel
     models: tuple
@@ -349,33 +348,18 @@ def _training_key(labeling: str, setup: str, batch_size: int, n_classes: int) ->
 
 CELL_COLUMNS = ["labeling", "setup", "batch_size"]
 
-# The run-level CSVs in writing order: file name -> (RunArtifacts field, header)
+# The run-level CSVs in writing order: file name -> header
 ARTIFACTS = {
-    "metrics.csv": ("metrics_csv", [*CELL_COLUMNS, "fold", "subject_id", "tag", "class",
-                                    "dsc", "delta_v", "pred_vol", "true_vol"]),
-    "summary.csv": ("summary_csv", [*CELL_COLUMNS, "tag", "class", "n", "mean_dsc",
-                                    "mean_delta_v", "mean_pred_vol", "mean_true_vol"]),
-    "auc.csv": ("auc_csv", [*CELL_COLUMNS, "target_class", "positive_tag", "auc"]),
-    "roc_points.csv": ("roc_csv", [*CELL_COLUMNS, "threshold", "fpr", "tpr"]),
-    "calibration.csv": ("calibration_csv", [*CELL_COLUMNS, "fold", "class", "epsilon"]),
-    "comparisons.csv": ("comparisons_csv", ["kind", "setup", "batch_size", "side_a", "side_b",
-                                            "tag", "class", "n", "mean_a", "mean_b",
-                                            "mean_diff", "p_value"]),
+    "metrics.csv": [*CELL_COLUMNS, "fold", "subject_id", "tag", "class",
+                    "dsc", "delta_v", "pred_vol", "true_vol"],
+    "summary.csv": [*CELL_COLUMNS, "tag", "class", "n", "mean_dsc",
+                    "mean_delta_v", "mean_pred_vol", "mean_true_vol"],
+    "auc.csv": [*CELL_COLUMNS, "target_class", "positive_tag", "auc"],
+    "roc_points.csv": [*CELL_COLUMNS, "threshold", "fpr", "tpr"],
+    "calibration.csv": [*CELL_COLUMNS, "fold", "class", "epsilon"],
+    "comparisons.csv": ["kind", "setup", "batch_size", "side_a", "side_b", "tag", "class",
+                        "n", "mean_a", "mean_b", "mean_diff", "p_value"],
 }
-
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    out_dir: Path
-    config_path: Path
-    dataset_dir: Path
-    metrics_csv: Path
-    summary_csv: Path
-    auc_csv: Path
-    roc_csv: Path
-    calibration_csv: Path
-    comparisons_csv: Path
-    cell_dirs: tuple[Path, ...]
 
 
 def _cell_dirname(labeling: str, setup: str, batch_size: int) -> str:
@@ -456,7 +440,7 @@ def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult
     if jobs == 1 or len(firsts) == 1:
         results = [run_cell(config, *cell, datasets) for cell in firsts.values()]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
             results = list(pool.map(_cell_worker,
                                     [(config, cell, datasets) for cell in firsts.values()]))
     trained = dict(zip(firsts, results))
@@ -479,8 +463,8 @@ def _check_folds(config: ExperimentConfig, full: SyntheticDataset) -> None:
         )
 
 
-def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtifacts:
-    """Train every cell, then write all artifacts into out_dir.
+def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
+    """Train every cell, then write all artifacts into out_dir; returns it as a Path.
 
     out_dir must be new or empty, so no artifact of an older run survives.
     """
@@ -497,16 +481,14 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtif
 
     save_config(config, out / "config_snapshot.yaml")
     save_dataset(full, out / "dataset")
-    cell_dirs = []
     for r in results:
         cdir = out / "cells" / _cell_dirname(*r.key)
         cdir.mkdir(parents=True, exist_ok=True)
-        cell_dirs.append(cdir)
         names = r.loss_class_names
         header = ["iteration", "loss"]
         header += [f"grad_y0_{n}" for n in names] + [f"grad_y1_{n}" for n in names]
         for fold, (history, model) in enumerate(zip(r.histories, r.models)):
-            hrows = [[h.iteration, h.loss, *h.grad_mag_y0, *h.grad_mag_y1] for h in history]
+            hrows = [[i, *row] for i, row in enumerate(history.tolist(), 1)]
             write_csv(cdir / f"history_fold{fold}.csv", header, hrows)
             save_model(model, cdir / f"fold{fold}.model")
 
@@ -521,8 +503,6 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> RunArtif
         "calibration.csv": [[*r.key, *cal] for r in results for cal in r.calibration_rows],
         "comparisons.csv": _comparisons(config, dict(grouped)),
     }
-    for name, (_, header) in ARTIFACTS.items():
+    for name, header in ARTIFACTS.items():
         write_csv(out / name, header, rows[name])
-    return RunArtifacts(out_dir=out, config_path=out / "config_snapshot.yaml",
-                        dataset_dir=out / "dataset", cell_dirs=tuple(cell_dirs),
-                        **{attr: out / name for name, (attr, _) in ARTIFACTS.items()})
+    return out

@@ -175,12 +175,17 @@ def loss_plan(cfg: DiceLossConfig, classes: int) -> LossPlan:
     return LossPlan(cfg, tuple(a - 3 for a in cfg.scheme.axes), _epsilon(cfg, classes))
 
 
+def _require_binary(y: np.ndarray) -> None:
+    """RangeViolationError unless every ground-truth value is 0 or 1 (NaN is neither)."""
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise RangeViolationError("ground-truth values must be exactly 0 or 1")
+
+
 def _checked(gt, pred, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
     """gt and pred as float64 arrays of matching shapes, gt of 0 and 1, pred in [0, 1]."""
     y, p = np.asarray(gt, dtype=np.float64), np.asarray(pred, dtype=np.float64)
     _check_shapes(y, p, stacked)
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise RangeViolationError("ground-truth values must be exactly 0 or 1")
+    _require_binary(y)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise RangeViolationError("prediction values must lie in [0, 1]")
     return y, p

@@ -165,17 +165,11 @@ def step_gradients(
 
 
 @dataclass(frozen=True)
-class HistoryRow:
-    iteration: int
-    loss: float
-    grad_mag_y0: tuple[float, ...]  # per loss class, mean |grad| over y=0 pixels
-    grad_mag_y1: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class TrainResult:
     model: LinearPixelModel
-    history: tuple[HistoryRow, ...]
+    # read-only (iterations, 1 + 2L) for L loss classes; row i - 1 is iteration i: its
+    # loss, then per loss class the mean |grad| over y=0 pixels, then over y=1 pixels
+    history: np.ndarray
     class_names: tuple[str, ...]  # loss-tensor column names
 
 
@@ -194,21 +188,21 @@ def _features(samples) -> list[np.ndarray]:
     return out
 
 
-def _grad_split(ones: np.ndarray, grad: np.ndarray, n_ones: np.ndarray) -> tuple[tuple, tuple]:
-    """Mean |grad| over the y=0 and over the y=1 pixels of each loss class; 0 where none.
+def _grad_split(ones: np.ndarray, grad: np.ndarray, n_ones: np.ndarray, out: np.ndarray) -> None:
+    """Mean |grad| over the y=0 pixels of loss class c into out[c], over its y=1 pixels
+    into out[L + c]; 0 where there are none.
 
     ones marks the y=1 pixels and n_ones counts them per (sample, class);
     np.add.reduce(x) / n is x.mean() bit for bit.
     """
     a = np.abs(grad)
     zeros = ~ones
-    y0, y1 = [], []
+    L = ones.shape[1]
     for c, k1 in enumerate(np.add.reduce(n_ones, axis=0).tolist()):
         k0 = ones.shape[0] * ones.shape[2] - k1
         g = a[:, c, :]
-        y1.append(float(np.add.reduce(g[ones[:, c, :]]) / k1) if k1 else 0.0)
-        y0.append(float(np.add.reduce(g[zeros[:, c, :]]) / k0) if k0 else 0.0)
-    return tuple(y0), tuple(y1)
+        out[L + c] = np.add.reduce(g[ones[:, c, :]]) / k1 if k1 else 0.0
+        out[c] = np.add.reduce(g[zeros[:, c, :]]) / k0 if k0 else 0.0
 
 
 def train(dataset, cfg: TrainConfig) -> TrainResult:
@@ -258,7 +252,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     weights = np.zeros((1 if n_fg == 1 else n_fg + 1, N_FEATURES))
     rng = np.random.default_rng(cfg.seed)
     n_full = (n // B) * B
-    history: list[HistoryRow] = []
+    history = np.empty((cfg.iterations, 1 + 2 * len(loss_names)))
     lo = n_full
     for iteration in range(1, cfg.iterations + 1):
         if lo == n_full:
@@ -275,9 +269,10 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
                 f"non-finite loss or weight gradient at iteration {iteration}"
             )
         weights = weights - cfg.learning_rate * step.param_grad
-        y0_mag, y1_mag = _grad_split(y_is_1, step.loss_grad, n_ones)
-        history.append(HistoryRow(iteration, step.loss, y0_mag, y1_mag))
-    return TrainResult(LinearPixelModel(weights, head), tuple(history), loss_names)
+        row = history[iteration - 1]
+        row[0] = step.loss
+        _grad_split(y_is_1, step.loss_grad, n_ones, row[1:])
+    return TrainResult(LinearPixelModel(weights, head), readonly(history), loss_names)
 
 
 def predict(model: LinearPixelModel, dataset) -> np.ndarray:

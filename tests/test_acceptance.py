@@ -42,16 +42,16 @@ def binary_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("binary-run")
     config = default_config("binary")
     t0 = time.perf_counter()
-    artifacts = run_experiment(config, out)
-    return config, artifacts, time.perf_counter() - t0
+    run_experiment(config, out)
+    return config, out, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def multiclass_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("multiclass-run")
     config = default_config("multiclass")
-    artifacts = run_experiment(config, out)
-    return config, artifacts
+    run_experiment(config, out)
+    return config, out
 
 
 def _table(path, key_cols):
@@ -127,8 +127,8 @@ def test_04_balance_identity(say):
 
 
 def test_05_missing_label_insensitivity(binary_run, say):
-    _, artifacts, elapsed = binary_run
-    summary = _table(artifacts.summary_csv, ("labeling", "setup", "batch_size", "tag", "class"))
+    _, out, elapsed = binary_run
+    summary = _table(out / "summary.csv", ("labeling", "setup", "batch_size", "tag", "class"))
     partial = float(summary[("partial", "image-wise", "1", "grade-b", "lesion")]["mean_dsc"])
     full = float(summary[("full", "image-wise", "1", "grade-b", "lesion")]["mean_dsc"])
     ok = partial >= 0.95 * full and full >= 0.85 and elapsed < 300.0
@@ -141,8 +141,8 @@ def test_05_missing_label_insensitivity(binary_run, say):
 
 
 def test_06_empty_label_suppression(binary_run, say):
-    _, artifacts, _ = binary_run
-    summary = _table(artifacts.summary_csv, ("labeling", "setup", "batch_size", "tag", "class"))
+    _, out, _ = binary_run
+    summary = _table(out / "summary.csv", ("labeling", "setup", "batch_size", "tag", "class"))
     details = []
     ok = True
     for setup, batch in (("batch-wise", "4"), ("image-wise-calibrated", "1"),
@@ -162,8 +162,8 @@ def test_06_empty_label_suppression(binary_run, say):
 
 
 def test_07_volume_detection_auc(binary_run, say):
-    _, artifacts, _ = binary_run
-    auc = _table(artifacts.auc_csv, ("labeling", "setup", "batch_size"))
+    _, out, _ = binary_run
+    auc = _table(out / "auc.csv", ("labeling", "setup", "batch_size"))
     values = {
         (setup, batch): float(auc[("partial", setup, batch)]["auc"])
         for setup, batch in (("batch-wise", "4"), ("image-wise-calibrated", "1"),
@@ -177,8 +177,8 @@ def test_07_volume_detection_auc(binary_run, say):
 
 
 def test_08_variant_parity_on_missing_labels(multiclass_run, say):
-    _, artifacts = multiclass_run
-    comps = _table(artifacts.comparisons_csv,
+    _, out = multiclass_run
+    comps = _table(out / "comparisons.csv",
                    ("kind", "side_a", "side_b", "batch_size", "tag", "class"))
     details = []
     ok = True
@@ -203,8 +203,7 @@ def test_09_calibration_direction(say):
         def per_class(ds):
             maps = [np.asarray(s.gt, dtype=np.float64).reshape(1, ds.n_classes, n_pixels)
                     for s in ds.samples]
-            cal = calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)
-            return dict(cal.per_class)[c]
+            return calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)[c]
 
         eps_full, eps_partial = per_class(full), per_class(partial)
         ok = ok and eps_partial < eps_full
@@ -214,14 +213,13 @@ def test_09_calibration_direction(say):
 
 
 def test_10_byte_identical_rerun(binary_run, tmp_path_factory, say):
-    _, artifacts, _ = binary_run
+    _, out, _ = binary_run
     rerun_dir = tmp_path_factory.mktemp("binary-rerun")
     runner = CliRunner()
-    result = runner.invoke(cli_main, ["run", "--config", str(artifacts.config_path),
+    result = runner.invoke(cli_main, ["run", "--config", str(out / "config_snapshot.yaml"),
                                       "--out", str(rerun_dir)])
     assert result.exit_code == 0, result.output
-    originals = {p.relative_to(artifacts.out_dir): p
-                 for p in sorted(artifacts.out_dir.rglob("*.csv"))}
+    originals = {p.relative_to(out): p for p in sorted(out.rglob("*.csv"))}
     reruns = {p.relative_to(rerun_dir): p for p in sorted(rerun_dir.rglob("*.csv"))}
     same_set = set(originals) == set(reruns)
     mismatched = [str(rel) for rel in originals

@@ -6,7 +6,9 @@ training), 2 usage, configuration, input or file error.
 
 import errno
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -14,7 +16,8 @@ from click.testing import CliRunner
 from dicelab import cli, harness
 from dicelab.cli import main
 from dicelab.errors import NonFiniteTrainingError, RangeViolationError
-from dicelab.synthdata import GRADE_B, load_dataset
+from dicelab.synthdata import GRADE_B, load_dataset, save_dataset
+from test_gradcheck import inject_gradient_fault
 from test_synthdata import MALFORMED_DATASETS, save_small_binary
 
 TINY_CONFIG = {
@@ -118,8 +121,9 @@ class TestGradcheck:
         assert result.exit_code == 0, result.output
         assert "total=8 failed=0" in result.output
 
-    def test_fault_injection_exits_1(self, runner):
-        result = runner.invoke(main, ["gradcheck", *self.FAST, "--perturb", "1e-3"])
+    def test_fault_injection_exits_1(self, runner, monkeypatch):
+        inject_gradient_fault(monkeypatch)
+        result = runner.invoke(main, ["gradcheck", *self.FAST])
         assert result.exit_code == 1
         assert "failed=8" in result.output
 
@@ -186,6 +190,17 @@ class TestCalibrate:
                                       "--out", str(out)])
         assert result.exit_code == 0
         assert "per_class" in json.loads(out.read_text())
+
+    def test_all_empty_only_when_every_map_is_empty(self, runner, tmp_path):
+        ds = load_dataset(save_small_binary(tmp_path / "some"))
+        empty = tuple(replace(s, gt=np.zeros_like(s.gt)) for s in ds.samples)
+        save_dataset(replace(ds, samples=empty), tmp_path / "none")
+        for name, want in (("some", False), ("none", True)):
+            for scheme in ("image-wise", "all-wise"):
+                result = runner.invoke(main, ["calibrate", "--dataset", str(tmp_path / name),
+                                              "--scheme", scheme])
+                assert result.exit_code == 0, result.output
+                assert json.loads(result.output)["all_empty"] is want, (name, scheme)
 
     def test_missing_dataset_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["calibrate", "--dataset", str(tmp_path / "nope")])

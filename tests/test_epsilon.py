@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from dicelab.epsilon import BalanceParams, EpsilonCalibration, calibrate_epsilon, solve_balance_epsilon
-from dicelab.errors import EmptyDatasetError, InvalidConfigError, NoRealRootError, ShapeMismatchError
+from dicelab.epsilon import BalanceParams, calibrate_epsilon, solve_balance_epsilon
+from dicelab.errors import (EmptyDatasetError, InvalidConfigError, NoRealRootError,
+                            RangeViolationError, ShapeMismatchError)
 from dicelab.loss import DiceLossConfig
 from dicelab.tensor import ReductionScheme
 
@@ -23,32 +24,44 @@ class TestCalibrate:
         return [gt_map(shape, [[10, 0]]), gt_map(shape, [[20, 4]])]
 
     def test_per_class_mean_includes_empty_maps(self):
-        cal = calibrate_epsilon(self.make_maps(), ReductionScheme.IMAGE_WISE)
-        assert cal.per_class == [(0, 15.0), (1, 2.0)]
-        assert cal.global_value is None
-        assert not cal.all_empty
+        eps = calibrate_epsilon(self.make_maps(), ReductionScheme.IMAGE_WISE)
+        # a class-pure scheme gets one read-only float64 epsilon per class
+        assert isinstance(eps, np.ndarray)
+        assert eps.dtype == np.float64 and eps.shape == (2,)
+        assert not eps.flags.writeable
+        assert eps.tolist() == [15.0, 2.0]
 
     def test_batch_wise_gets_the_same_per_class_values(self):
-        cal = calibrate_epsilon(self.make_maps(), ReductionScheme.BATCH_WISE)
-        assert cal.per_class == [(0, 15.0), (1, 2.0)]
+        eps = calibrate_epsilon(self.make_maps(), ReductionScheme.BATCH_WISE)
+        assert isinstance(eps, np.ndarray)
+        assert eps.tolist() == [15.0, 2.0]
 
     @pytest.mark.parametrize("scheme", [ReductionScheme.CLASS_WISE, ReductionScheme.ALL_WISE])
     def test_global_mean_of_per_sample_totals(self, scheme):
-        cal = calibrate_epsilon(self.make_maps(), scheme)
-        assert cal.per_class is None
-        assert cal.global_value == pytest.approx((10 + 24) / 2)
+        eps = calibrate_epsilon(self.make_maps(), scheme)
+        assert type(eps) is float
+        assert eps == pytest.approx((10 + 24) / 2)
 
     def test_multi_element_batches_count_per_cell(self):
         shape = (2, 1, 16)
         maps = [gt_map(shape, [[4], [8]])]
-        cal = calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)
-        assert cal.per_class == [(0, 6.0)]
+        assert calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE).tolist() == [6.0]
 
-    def test_all_empty_flag(self):
-        shape = (1, 1, 8)
-        cal = calibrate_epsilon([gt_map(shape, [[0]])], ReductionScheme.IMAGE_WISE)
-        assert cal.all_empty
-        assert cal.per_class == [(0, 0.0)]
+    @pytest.mark.parametrize("scheme", list(ReductionScheme))
+    def test_all_empty_maps_calibrate_to_zero(self, scheme):
+        # `dicelab calibrate` reports all_empty exactly when the epsilon is 0
+        assert not np.any(calibrate_epsilon([gt_map((1, 1, 8), [[0]])], scheme))
+        one_voxel = [gt_map((1, 1, 8), [[0]]), gt_map((1, 1, 8), [[1]])]
+        assert np.any(calibrate_epsilon(one_voxel, scheme))
+
+    @pytest.mark.parametrize("values", [[1.0, -1.0], [np.nan, 1.0], [0.5]],
+                             ids=["minus-one", "nan", "half"])
+    def test_ground_truth_must_be_zero_or_one(self, values):
+        # [1, -1] calibrated to 0 (read as all empty) and [nan, 1] to nan
+        gt = np.asarray(values).reshape(1, 1, -1)
+        for scheme in ReductionScheme:
+            with pytest.raises(RangeViolationError, match="exactly 0 or 1"):
+                calibrate_epsilon([gt_map((1, 1, 2), [[1]]), gt], scheme)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
@@ -59,18 +72,11 @@ class TestCalibrate:
         with pytest.raises(ShapeMismatchError):
             calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)
 
-    def test_as_loss_epsilon_shapes(self):
-        per_class = calibrate_epsilon(self.make_maps(), ReductionScheme.IMAGE_WISE)
-        vec = per_class.as_loss_epsilon()
-        assert isinstance(vec, np.ndarray)
-        assert vec.tolist() == [15.0, 2.0]
-        global_cal = calibrate_epsilon(self.make_maps(), ReductionScheme.ALL_WISE)
-        assert isinstance(global_cal.as_loss_epsilon(), float)
-
-    def test_feeds_straight_into_loss_config(self):
-        cal = calibrate_epsilon(self.make_maps(), ReductionScheme.IMAGE_WISE)
-        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=cal.as_loss_epsilon())
-        assert np.asarray(cfg.epsilon).tolist() == [15.0, 2.0]
+    @pytest.mark.parametrize("scheme", list(ReductionScheme))
+    def test_feeds_straight_into_loss_config(self, scheme):
+        cfg = DiceLossConfig(scheme=scheme, epsilon=calibrate_epsilon(self.make_maps(), scheme))
+        want = [15.0, 2.0] if scheme.class_pure else [17.0]
+        assert np.asarray(cfg.epsilon).reshape(-1).tolist() == want
 
 
 class TestBalanceEquation:
@@ -107,8 +113,3 @@ class TestBalanceEquation:
     def test_coefficient_validation(self, kwargs):
         with pytest.raises(InvalidConfigError):
             BalanceParams(**kwargs)
-
-    def test_calibration_dataclass_round_trip(self):
-        cal = EpsilonCalibration(scheme=ReductionScheme.ALL_WISE, per_class=None,
-                                 global_value=17.0, all_empty=False)
-        assert cal.as_loss_epsilon() == 17.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dicelab import gradcheck, loss
-from dicelab.errors import RangeViolationError, ShapeMismatchError
+from dicelab.errors import InvalidConfigError, RangeViolationError, ShapeMismatchError
 from dicelab.gradcheck import (
     check_two_value,
     compare_grads,
@@ -16,6 +16,17 @@ from dicelab.gradcheck import (
 )
 from dicelab.loss import DiceLossConfig, Variant, dice_value_and_grad
 from dicelab.tensor import ReductionScheme
+
+
+def inject_gradient_fault(monkeypatch, offset=1e-3):
+    """Make run_check_matrix's analytic gradient wrong by offset in its first element."""
+    def faulty(*args, **kwargs):
+        out, grad = loss.dice_value_and_grad(*args, **kwargs)
+        grad = grad.copy()
+        grad.reshape(-1)[0] += offset
+        return out, grad
+
+    monkeypatch.setattr(gradcheck, "dice_value_and_grad", faulty)
 
 
 class TestFiniteDiff:
@@ -96,16 +107,17 @@ class TestFiniteDiff:
         assert len(seen) == calls
         assert sum(s[0] for s in seen) == 2 * 192
 
-    def test_marginal_probes_are_not_distributions(self):
-        # every +-h probe moves one column sum by h = 1e-5, past the 1e-6 tolerance
+    def test_marginal_probes_are_not_distributions(self, monkeypatch):
+        # every +-h probe moves one column sum by h = 1e-5, past the 1e-6 tolerance,
+        # so a marginal config is refused before any probe is scored
         shape = (1, 2, 3)
         gt = np.asarray([1, 0, 0, 0, 1, 0], dtype=np.float64).reshape(shape)
         pred = np.asarray([0.7, 0.4, 0.5, 0.3, 0.6, 0.5], dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.MARGINAL)
-        mask = np.array([[True, True]])
-        with pytest.raises(RangeViolationError):
-            finite_diff_grad(gt, pred, cfg, mask=mask)
+        monkeypatch.setattr(gradcheck, "dice_values", None)
+        with pytest.raises(InvalidConfigError, match="marginal.*sum to 1"):
+            finite_diff_grad(gt, pred, cfg)
 
 
 class TestCompareGrads:
@@ -221,10 +233,12 @@ class TestMatrix:
         assert len(records) == 4 * 4 * 1 * 10
         assert all(r.grad_report.passed and r.two_value_passed for r in records)
 
-    def test_fault_injection_is_caught(self):
+    def test_fault_injection_is_caught(self, monkeypatch):
+        inject_gradient_fault(monkeypatch)
         records = run_check_matrix(shapes=((1, 1, 6),),
                                    schemes=(ReductionScheme.IMAGE_WISE,),
-                                   epsilons=("1",), n_instances=2, perturb=1e-3)
+                                   epsilons=("1",), n_instances=2)
+        assert len(records) == 2
         assert all(not r.grad_report.passed for r in records)
 
     def test_seeds_are_deterministic(self):

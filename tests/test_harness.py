@@ -233,28 +233,27 @@ def fail_if_trained(*args, **kwargs):
 def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny-run")
     config = tiny_config()
-    return config, run_experiment(config, out)
+    assert run_experiment(config, str(out)) == out  # the output directory, as a Path
+    return config, out
 
 
 class TestRunExperiment:
     def test_artifacts_exist(self, tiny_run):
-        _, artifacts = tiny_run
-        for path in (artifacts.config_path, artifacts.metrics_csv, artifacts.summary_csv,
-                     artifacts.auc_csv, artifacts.roc_csv, artifacts.calibration_csv,
-                     artifacts.comparisons_csv, artifacts.dataset_dir / "manifest.json"):
-            assert path.exists(), path
-        assert len(artifacts.cell_dirs) == 4
+        config, out = tiny_run
+        for name in ("config_snapshot.yaml", *ARTIFACTS, "dataset/manifest.json"):
+            assert (out / name).is_file(), name
         # the artifact table is the whole run root, beside the snapshot and two directories
-        assert sorted(p.name for p in artifacts.out_dir.iterdir()) == sorted(
+        assert sorted(p.name for p in out.iterdir()) == sorted(
             [*ARTIFACTS, "config_snapshot.yaml", "dataset", "cells"])
-        assert artifacts.dataset_dir.is_dir() and (artifacts.out_dir / "cells").is_dir()
-        for cdir in artifacts.cell_dirs:
+        assert sorted(p.name for p in (out / "cells").iterdir()) == sorted(
+            harness._cell_dirname(*cell) for cell in config.cells())
+        for cdir in (out / "cells").iterdir():
             assert (cdir / "history_fold0.csv").exists()
             assert (cdir / "fold1.model").exists()
 
     def test_summary_covers_every_cell_and_tag(self, tiny_run):
-        config, artifacts = tiny_run
-        header, rows = read_csv(artifacts.summary_csv)
+        config, out = tiny_run
+        header, rows = read_csv(out / "summary.csv")
         idx = {h: i for i, h in enumerate(header)}
         keys = {(r[idx["labeling"]], r[idx["setup"]], r[idx["tag"]]) for r in rows}
         for labeling, setup, _ in config.cells():
@@ -262,27 +261,49 @@ class TestRunExperiment:
                 assert (labeling, setup, tag) in keys
 
     def test_comparisons_have_both_kinds(self, tiny_run):
-        _, artifacts = tiny_run
-        header, rows = read_csv(artifacts.comparisons_csv)
+        _, out = tiny_run
+        header, rows = read_csv(out / "comparisons.csv")
         kinds = {r[0] for r in rows}
         assert kinds == {"labeling", "setup"}
         p_idx = header.index("p_value")
         assert all(0.0 <= float(r[p_idx]) <= 1.0 for r in rows)
 
     def test_history_losses_are_finite(self, tiny_run):
-        _, artifacts = tiny_run
-        header, rows = read_csv(artifacts.cell_dirs[0] / "history_fold0.csv")
+        _, out = tiny_run
+        header, rows = read_csv(out / "cells" / "full-image-wise-b1" / "history_fold0.csv")
         loss_idx = header.index("loss")
         values = [float(r[loss_idx]) for r in rows]
         assert len(values) == 25
         assert all(np.isfinite(v) for v in values)
 
+    def test_history_csv_holds_each_folds_train_history(self, tmp_path, monkeypatch):
+        histories, real = [], harness.train
+
+        def recording(train_split, cfg):
+            result = real(train_split, cfg)
+            histories.append(result.history)
+            return result
+
+        monkeypatch.setattr(harness, "train", recording)
+        config = tiny_config(labelings=("partial",), setups=("image-wise-calibrated",),
+                             iterations=7)
+        out = run_experiment(config, tmp_path / "x")
+        cdir = out / "cells" / "partial-image-wise-calibrated-b1"
+        assert len(histories) == config.folds
+        for fold, history in enumerate(histories):
+            header, rows = read_csv(cdir / f"history_fold{fold}.csv")
+            assert header == ["iteration", "loss", "grad_y0_lesion", "grad_y1_lesion"]
+            assert [int(r[0]) for r in rows] == list(range(1, 8))
+            parsed = np.array([[float(v) for v in r[1:]] for r in rows])
+            assert parsed.shape == history.shape
+            assert parsed.tobytes() == history.tobytes()
+
     def test_parallel_jobs_write_identical_artifacts(self, tiny_run, tmp_path_factory):
-        config, artifacts = tiny_run
+        config, out = tiny_run
         out2 = tmp_path_factory.mktemp("tiny-run-jobs")
         run_experiment(config, out2, jobs=2)
-        for a in sorted(artifacts.out_dir.rglob("*.csv")):
-            b = out2 / a.relative_to(artifacts.out_dir)
+        for a in sorted(out.rglob("*.csv")):
+            b = out2 / a.relative_to(out)
             assert a.read_bytes() == b.read_bytes(), a.name
 
     def test_pool_workers_receive_the_features_of_the_parent(self, tmp_path, monkeypatch):
@@ -299,7 +320,7 @@ class TestRunExperiment:
         trees = []
         for jobs in (1, 2):
             calls.write_text("")
-            out = run_experiment(config, tmp_path / f"jobs{jobs}", jobs=jobs).out_dir
+            out = run_experiment(config, tmp_path / f"jobs{jobs}", jobs=jobs)
             assert len(calls.read_text().splitlines()) == 40  # once per image
             trees.append({p.relative_to(out): p.read_bytes()
                           for p in sorted(out.rglob("*")) if p.is_file()})
@@ -314,16 +335,16 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "build_dataset", counting_build)
         config = tiny_config(setups=("image-wise",), iterations=5)
-        artifacts = run_experiment(config, tmp_path / "x")
-        assert len(artifacts.cell_dirs) == 2
+        out = run_experiment(config, tmp_path / "x")
+        assert len(list((out / "cells").iterdir())) == 2
         assert len(calls) == 1
 
     def test_non_empty_output_directory_rejected(self, tiny_run):
-        config, artifacts = tiny_run
-        before = sorted(artifacts.out_dir.rglob("*"))
+        config, out = tiny_run
+        before = sorted(out.rglob("*"))
         with pytest.raises(InvalidConfigError, match="new or empty"):
-            run_experiment(config, artifacts.out_dir)
-        assert sorted(artifacts.out_dir.rglob("*")) == before
+            run_experiment(config, out)
+        assert sorted(out.rglob("*")) == before
 
     def test_existing_empty_output_directory_allowed(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "run_cell", fail_if_trained)
@@ -350,12 +371,14 @@ class TestRunExperiment:
 
 
 def assert_same_result(a, b):
-    """Two CellResults equal field by field, the model weights bit for bit."""
+    """Two CellResults equal field by field, the model weights and histories bit for bit."""
     for f in fields(CellResult):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "models":
             assert [(m.head, m.weights.tobytes()) for m in x] == [
                 (m.head, m.weights.tobytes()) for m in y]
+        elif f.name == "histories":
+            assert [(h.shape, h.tobytes()) for h in x] == [(h.shape, h.tobytes()) for h in y]
         else:
             assert x == y, f.name
 
@@ -397,6 +420,32 @@ class TestCellSharing:
         pooled = harness._run_cells(config, build_dataset(config), jobs=2)
         for a, b in zip(serial, pooled, strict=True):
             assert_same_result(a, b)
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (5, 5), (64, 6)])
+    def test_pool_starts_no_more_workers_than_cells_to_train(self, monkeypatch, jobs, workers):
+        # a fork pool starts all max_workers processes on the first submit
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        trained = counting_run_cell(monkeypatch)
+        config = tiny_config(setups=("image-wise", "batch-wise"), batch_sizes=(1, 2),
+                             iterations=3)
+        results = harness._run_cells(config, build_dataset(config), jobs=jobs)
+        assert len(trained) == 6 and len(results) == 8  # batch-wise at B = 1 trains once
+        assert seen == [workers]
 
     @pytest.mark.parametrize("n_classes", [1, 3])
     def test_key_merges_only_cells_that_train_alike(self, n_classes):

@@ -254,8 +254,8 @@ class TestTrainLoop:
         assert np.all(result.model.weights == 0.0)
         assert len(result.history) == 12
         # two epochs over the same six samples: same loss values, maybe reordered
-        first = sorted(h.loss for h in result.history[:6])
-        second = sorted(h.loss for h in result.history[6:])
+        first = sorted(result.history[:6, 0].tolist())
+        second = sorted(result.history[6:, 0].tolist())
         assert first == second
 
     def test_history_and_determinism(self):
@@ -263,21 +263,23 @@ class TestTrainLoop:
         a = train(ds, self.binary_cfg())
         b = train(ds, self.binary_cfg())
         assert np.array_equal(a.model.weights, b.model.weights)
-        assert a.history == b.history
-        assert [h.iteration for h in a.history] == list(range(1, 41))
+        assert a.history.tobytes() == b.history.tobytes()
+        # one row per iteration: the loss, then grad_y0 and grad_y1 of the one class
+        assert a.history.shape == (40, 3)
+        assert a.history.dtype == np.float64 and not a.history.flags.writeable
 
     def test_seed_changes_trajectory(self):
         ds = generate_binary(SMALL_BINARY, seed=1)
         a = train(ds, self.binary_cfg(seed=0, iterations=3))
         b = train(ds, self.binary_cfg(seed=9, iterations=3))
-        assert a.history != b.history
+        assert not np.array_equal(a.history, b.history)
 
     def test_training_learns_the_small_binary_task(self):
         ds = generate_binary(SMALL_BINARY, seed=2)
         result = train(ds, self.binary_cfg(learning_rate=5.0, iterations=300))
         assert result.class_names == ("lesion",)
-        assert result.history[-1].loss < result.history[0].loss
-        assert result.history[-1].loss < 0.15
+        assert result.history[-1, 0] < result.history[0, 0]
+        assert result.history[-1, 0] < 0.15
 
     def test_multiclass_adds_background_column(self):
         ds = generate_multiclass(SMALL_MULTI, seed=0)
@@ -293,7 +295,8 @@ class TestTrainLoop:
         mask = np.ones((len(ds), 4), dtype=bool)
         zero = LinearPixelModel(np.zeros((4, 4)), Head.SOFTMAX)
         step = planned_step(zero, feats, gt, loss, mask)
-        assert result.history[0].loss == pytest.approx(step.loss, rel=1e-12)
+        assert result.history[0, 0] == pytest.approx(step.loss, rel=1e-12)
+        assert result.history.shape == (1, 1 + 2 * 4)
 
     def test_multiclass_foreground_only_loss_names(self):
         ds = generate_multiclass(SMALL_MULTI, seed=0)
@@ -309,7 +312,7 @@ class TestTrainLoop:
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                               variant=Variant.MARGINAL)
         result = train(ds, TrainConfig(loss=loss, iterations=4))
-        assert len(result.history) == 4
+        assert result.history.shape == (4, 1 + 2 * 4)
 
     def test_empty_dataset_rejected(self):
         empty = SyntheticDataset("binary", ("lesion",), 16, (), {})
@@ -482,5 +485,6 @@ def test_train_matches_the_per_step_oracle_bit_for_bit(make_data, loss, batch_si
     got, want = train(ds, cfg), train_oracle.train(ds, cfg)
     assert got.model.head is want.model.head
     assert got.model.weights.tobytes() == want.model.weights.tobytes()
-    assert got.history == want.history
+    assert got.history.shape == want.history.shape
+    assert got.history.tobytes() == want.history.tobytes()
     assert got.class_names == want.class_names

@@ -7,8 +7,8 @@ own head Jacobian and np.einsum, rebuilds the model, and averages |grad|
 with .mean(). train
 in dicelab.trainer does all of that set-up once per call and computes the
 softmax in NumPy; the floating-point operations of a step, and their order,
-are the same, so the weights and every history row must come out equal
-under ==.
+are the same, so the weights and the history array must come out equal bit
+for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dicelab.loss import Variant, dice_value_and_grad
 from dicelab.trainer import (
     N_FEATURES,
     Head,
-    HistoryRow,
     LinearPixelModel,
     StepResult,
     TrainResult,
@@ -89,7 +88,7 @@ def train(dataset, cfg) -> TrainResult:
 
     model = LinearPixelModel(np.zeros((1 if n_fg == 1 else n_fg + 1, N_FEATURES)), head)
     rng = np.random.default_rng(cfg.seed)
-    history: list[HistoryRow] = []
+    history: list[list[float]] = []
     queue: list[np.ndarray] = []
     iteration = 0
     while iteration < cfg.iterations:
@@ -108,5 +107,6 @@ def train(dataset, cfg) -> TrainResult:
             )
         model = LinearPixelModel(model.weights - cfg.learning_rate * step.param_grad, head)
         y0, y1 = grad_split(gt, step.loss_grad)
-        history.append(HistoryRow(iteration, step.loss, y0, y1))
-    return TrainResult(model, tuple(history), loss_names)
+        history.append([step.loss, *y0, *y1])
+    rows = np.array(history, dtype=np.float64).reshape(len(history), 1 + 2 * len(loss_names))
+    return TrainResult(model, rows, loss_names)
