@@ -29,7 +29,6 @@ from .loss import (
 from .epsilon import BalanceParams, calibrate_epsilon, solve_balance_epsilon
 from .gradcheck import (
     GradCheckReport,
-    TwoValueReport,
     check_two_value,
     compare_grads,
     finite_diff_grad,

@@ -181,7 +181,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(data.get("dataset", {}), dict):
         raise InvalidConfigError(f"dataset must be a mapping, got {data['dataset']!r}")
     try:
-        return ExperimentConfig(**data)
+        return replace(default_config(data.pop("task")), **data)  # omitted fields: task defaults
     except TypeError as exc:
         raise InvalidConfigError(f"bad config: {exc}") from exc
 
@@ -443,6 +443,9 @@ def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult
         with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
             results = list(pool.map(_cell_worker,
                                     [(config, cell, datasets) for cell in firsts.values()]))
+        for r in results:  # unpickling drops NumPy's read-only flag
+            for array in (*r.histories, *(m.weights for m in r.models)):
+                array.flags.writeable = False
     trained = dict(zip(firsts, results))
     return [replace(trained[key], labeling=lab, setup=setup, batch_size=b)
             for key, (lab, setup, b) in zip(keys, cells)]

@@ -129,6 +129,12 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             config_from_dict({"seed": 1})
 
+    @pytest.mark.parametrize("task", list(TASKS))
+    def test_omitted_fields_take_the_task_defaults(self, tmp_path, task):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"task: {task}\n")
+        assert load_config(path) == default_config(task)
+
     def test_yaml_round_trip(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "cfg.yaml"
@@ -420,6 +426,9 @@ class TestCellSharing:
         pooled = harness._run_cells(config, build_dataset(config), jobs=2)
         for a, b in zip(serial, pooled, strict=True):
             assert_same_result(a, b)
+            for r in (a, b):  # unpickled pool results are frozen like serial ones
+                assert not any(h.flags.writeable for h in r.histories)
+                assert not any(m.weights.flags.writeable for m in r.models)
 
     @pytest.mark.parametrize("jobs, workers", [(2, 2), (5, 5), (64, 6)])
     def test_pool_starts_no_more_workers_than_cells_to_train(self, monkeypatch, jobs, workers):
