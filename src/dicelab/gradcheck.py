@@ -7,6 +7,13 @@ axis, and dice_values scores the stencil in blocks of at most
 FD_BLOCK_ELEMENTS elements, one value-only pass per block. A second checker
 verifies the structural claim that within one reduction subset the gradient
 takes one value where y = 0 and one where y = 1.
+
+Each checker takes one (B, C, I) instance or a stack of n instances along a
+leading instance axis, (n, B, C, I); a lone instance is the n = 1 case.
+run_check_matrix draws every instance of a (scheme, shape, epsilon) cell
+first and scores the cell as one stack: one analytic pass, one stencil whose
+blocks hold as many whole instances as fit (or part of one instance's probes
+when even one does not), one comparison and one two-value test.
 """
 
 from __future__ import annotations
@@ -19,14 +26,17 @@ import numpy as np
 
 from .epsilon import calibrate_epsilon
 from .errors import InvalidConfigError, RangeViolationError, ShapeMismatchError
-from .loss import DiceLossConfig, Variant, _require_binary, dice_value_and_grad, dice_values
+# dice_value_and_grad is never called here; it stays in this namespace so that a
+# test can forbid the oracle from building a gradient
+from .loss import (DiceLossConfig, LossPlan, Variant, _require_binary, dice_grads,
+                   dice_value_and_grad, dice_values, loss_plan)
 from .tensor import ReductionScheme, batch_dims, readonly
 
 FD_STEP = 1e-5
 RTOL = 1e-5
 ATOL = 1e-9
 CLUSTER_TOL = 1e-12
-FD_BLOCK_ELEMENTS = 2 ** 20  # stencil elements per dice_values call; bounds memory
+FD_BLOCK_ELEMENTS = 2 ** 17  # stencil elements per dice_values call; bounds memory
 
 
 @dataclass(frozen=True)
@@ -36,72 +46,98 @@ class GradCheckReport:
     passed: bool
 
 
-def finite_diff_grad(gt: np.ndarray, pred: np.ndarray, cfg: DiceLossConfig) -> np.ndarray:
+def _check_instances(a: np.ndarray, b: np.ndarray) -> None:
+    """ShapeMismatchError unless a and b share one (B, C, I) or (n, B, C, I) shape."""
+    if a.ndim not in (3, 4) or a.shape != b.shape:
+        raise ShapeMismatchError("expected two (B, C, I) or (n, B, C, I) arrays of one "
+                                 f"shape, got {a.shape} and {b.shape}")
+
+
+def finite_diff_grad(gt: np.ndarray, pred: np.ndarray,
+                     cfg: DiceLossConfig | LossPlan) -> np.ndarray:
     """Central-difference gradient: (loss(p + h*e) - loss(p - h*e)) / 2h per element.
 
-    h is FD_STEP. Stencil row r moves element r % n by +h (r < n) or -h
-    (r >= n); the rows are scored in blocks of at most FD_BLOCK_ELEMENTS elements.
+    gt and pred are one (B, C, I) instance or n stacked (n, B, C, I); cfg may
+    be a LossPlan whose eps holds one value per instance, (n, 1, C, 1) or
+    (n, 1, 1, 1). h is FD_STEP. Stencil row r moves element r % m of each
+    instance's m elements by +h (r < m) or -h (r >= m). A block takes as many
+    whole instances as fit in FD_BLOCK_ELEMENTS stencil elements; when even
+    one does not fit, it takes as many rows of one instance as do.
     """
-    if cfg.variant is Variant.MARGINAL:
+    gt, pred = np.asarray(gt), np.asarray(pred, dtype=np.float64)
+    _check_instances(gt, pred)
+    plan = loss_plan(cfg, pred.shape[-2])
+    if plan.cfg.variant is Variant.MARGINAL:
         raise InvalidConfigError("the marginal variant cannot be finite-differenced: its "
                                  "predictions must sum to 1 per pixel, which every probe breaks")
     h = FD_STEP
-    pred = np.asarray(pred, dtype=np.float64)
-    flat = pred.reshape(-1)
-    if np.any(flat < h) or np.any(flat > 1.0 - h):
+    if np.any(pred < h) or np.any(pred > 1.0 - h):
         raise RangeViolationError(f"predictions must lie in [{h}, {1.0 - h}] so the stencil "
                                   "stays in range")
-    n = flat.size
-    steps = np.repeat([h, -h], n)
-    values = np.empty(2 * n)
-    rows = max(1, FD_BLOCK_ELEMENTS // n)
-    for start in range(0, 2 * n, rows):
-        r = np.arange(start, min(start + rows, 2 * n))
-        stencil = np.tile(flat, (r.size, 1))
-        stencil[np.arange(r.size), r % n] += steps[r]
-        values[r] = dice_values(gt, stencil.reshape(r.size, *pred.shape), cfg)
-    up, down = values.reshape(2, n)
-    return readonly(((up - down) * (1.0 / (2.0 * h))).reshape(pred.shape))
+    dims = pred.shape[-3:]
+    flat = pred.reshape(-1, math.prod(dims))
+    n, m = flat.shape
+    gts = gt.reshape(n, *dims)
+    per_instance = np.ndim(plan.eps) == 4
+    steps = np.repeat([h, -h], m)
+    values = np.empty((2 * m, n))
+    rows = min(2 * m, max(1, FD_BLOCK_ELEMENTS // m))
+    count = max(1, FD_BLOCK_ELEMENTS // (rows * m))
+    for lo in range(0, n, count):
+        k = slice(lo, lo + count)
+        block = plan._replace(eps=plan.eps[k]) if per_instance else plan
+        for start in range(0, 2 * m, rows):
+            r = np.arange(start, min(start + rows, 2 * m))
+            stencil = np.repeat(flat[None, k], r.size, axis=0)  # (rows, instances, m)
+            stencil[np.arange(r.size), :, r % m] += steps[r, None]
+            values[r, k] = dice_values(gts[k], stencil.reshape(r.size, -1, *dims), block)
+    up, down = values.reshape(2, m, n)
+    return readonly(((up - down) * (1.0 / (2.0 * h))).T.reshape(pred.shape))
 
 
-def compare_grads(analytic: np.ndarray, numeric: np.ndarray) -> GradCheckReport:
+def compare_grads(analytic: np.ndarray,
+                  numeric: np.ndarray) -> GradCheckReport | list[GradCheckReport]:
     """Elementwise comparison; an element passes within ATOL or within RTOL.
 
-    Relative error uses max(|analytic|, |numeric|, 1e-12) as denominator.
+    Relative error uses max(|analytic|, |numeric|, 1e-12) as denominator. One
+    (B, C, I) instance gives one report, and a stack (n, B, C, I) a list of n.
     """
     analytic, numeric = np.asarray(analytic), np.asarray(numeric)
-    if analytic.ndim != 3 or analytic.shape != numeric.shape:
-        raise ShapeMismatchError(f"shape {analytic.shape} != {numeric.shape}")
-    abs_err = np.abs(analytic - numeric)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+    _check_instances(analytic, numeric)
+    n = math.prod(analytic.shape[:-3])
+    abs_err = np.abs(analytic - numeric).reshape(n, -1)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12).reshape(n, -1)
     rel_err = abs_err / denom
     violation = np.minimum(abs_err / ATOL, rel_err / RTOL)
-    return GradCheckReport(
-        max_abs_err=float(abs_err.max()),
-        max_rel_err=float(rel_err.max()),
-        passed=bool(np.all(violation <= 1.0)),  # a NaN error fails
-    )
+    reports = [GradCheckReport(*r) for r in zip(
+        abs_err.max(axis=1).tolist(),
+        rel_err.max(axis=1).tolist(),
+        np.all(violation <= 1.0, axis=1).tolist(),  # a NaN error fails
+    )]
+    return reports if analytic.ndim == 4 else reports[0]
 
 
-def check_two_value(gt: np.ndarray, grad: np.ndarray, scheme: ReductionScheme) -> bool:
+def check_two_value(gt: np.ndarray, grad: np.ndarray,
+                    scheme: ReductionScheme) -> bool | list[bool]:
     """Whether every subset's gradient takes one value where y = 0 and one where y = 1.
 
     Within each subset of the scheme's pooled axes, the gradient over the
     y = 0 elements must span at most CLUSTER_TOL, and so must the gradient
     over the y = 1 elements. A NaN or infinite spread fails; a key with no
-    elements in a subset spans -inf and passes.
+    elements in a subset spans -inf and passes. One (B, C, I) instance gives
+    one bool, and a stack (n, B, C, I) a list of n.
     """
     y, g = np.asarray(gt), np.asarray(grad)
-    if y.shape != g.shape:
-        raise ShapeMismatchError(f"gt shape {y.shape} != gradient shape {g.shape}")
+    _check_instances(y, g)
     _require_binary(y)
+    axes = tuple(a - 3 for a in scheme.axes)
+    within = []
     for sel in (y == 0.0, y == 1.0):
-        hi = np.where(sel, g, -np.inf).max(axis=scheme.axes)
-        lo = np.where(sel, g, np.inf).min(axis=scheme.axes)
+        hi = np.where(sel, g, -np.inf).max(axis=axes)
+        lo = np.where(sel, g, np.inf).min(axis=axes)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails
-            if not np.all(hi - lo <= CLUSTER_TOL):
-                return False
-    return True
+            within.append((hi - lo <= CLUSTER_TOL).reshape(*y.shape[:-3], -1).all(axis=-1))
+    return (within[0] & within[1]).tolist()
 
 
 ALL_SCHEMES = (
@@ -168,28 +204,47 @@ def run_check_matrix(
     n_instances: int = 100,
     base_seed: int = 0,
 ) -> list[MatrixRecord]:
-    """Run the full analytic-vs-numeric matrix and the two-value check per instance."""
+    """The analytic-vs-numeric comparison and the two-value check of every instance.
+
+    Every argument is checked before the first instance: InvalidConfigError
+    for no scheme, a scheme that is not a ReductionScheme, no shape, a bad
+    epsilon label or an n_instances that is not an int >= 1, and
+    ShapeMismatchError for a shape that is not three positive ints. Each
+    (scheme, shape, epsilon) cell draws its n_instances instances and scores
+    them as one stack, each instance with its own epsilon.
+    """
     _check_epsilon_labels(epsilons)
+    if not schemes or not all(isinstance(s, ReductionScheme) for s in schemes):
+        raise InvalidConfigError(f"schemes must be one or more ReductionScheme members, "
+                                 f"got {schemes!r}")
+    if not shapes:
+        raise InvalidConfigError("at least one shape is required")
+    shapes = [batch_dims(dims) for dims in shapes]
+    if isinstance(n_instances, bool) or not isinstance(n_instances, (int, np.integer)) \
+            or n_instances < 1:
+        raise InvalidConfigError(f"n_instances must be an int >= 1, got {n_instances!r}")
     records: list[MatrixRecord] = []
     case = 0
     for scheme in schemes:
         for dims in shapes:
-            dims = batch_dims(dims)
             for eps_label in epsilons:
-                for k in range(n_instances):
-                    seed = base_seed + 100_000 * case + k
-                    rng = np.random.default_rng(seed)
-                    # epsilon 0 is only smooth when no subset is entirely empty
-                    gt, pred = random_instance(dims, rng,
-                                               nonempty_subsets=(eps_label == "0"))
-                    cfg = DiceLossConfig(scheme=scheme,
-                                         epsilon=resolve_epsilon(eps_label, gt, scheme))
-                    analytic = dice_value_and_grad(gt, pred, cfg)[1]
-                    report = compare_grads(analytic, finite_diff_grad(gt, pred, cfg))
-                    records.append(MatrixRecord(
-                        seed=seed, scheme=scheme, epsilon_label=eps_label, shape=dims,
-                        grad_report=report,
-                        two_value_passed=check_two_value(gt, analytic, scheme)))
+                first = base_seed + 100_000 * case
+                seeds = range(first, first + n_instances)
+                # epsilon 0 is only smooth when no subset is entirely empty
+                gt, pred = map(np.stack, zip(*(
+                    random_instance(dims, np.random.default_rng(seed),
+                                    nonempty_subsets=(eps_label == "0"))
+                    for seed in seeds)))
+                eps = [resolve_epsilon(eps_label, one, scheme) for one in gt]
+                plan = loss_plan(DiceLossConfig(scheme), dims[1])._replace(
+                    eps=np.reshape(eps, (n_instances, 1, -1, 1)))
+                analytic = dice_grads(gt, pred, plan)
+                reports = compare_grads(analytic, finite_diff_grad(gt, pred, plan))
+                two_value = check_two_value(gt, analytic, scheme)
+                records += [MatrixRecord(seed=seed, scheme=scheme, epsilon_label=eps_label,
+                                         shape=dims, grad_report=report,
+                                         two_value_passed=passed)
+                            for seed, report, passed in zip(seeds, reports, two_value)]
                 case += 1
     return records
 

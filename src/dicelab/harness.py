@@ -12,6 +12,7 @@ pooling) train once and share the result.
 
 from __future__ import annotations
 
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
@@ -101,11 +102,13 @@ TASKS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; omitted setups and batch sizes are the task's defaults."""
+
     task: str
     seed: int = 7
     labelings: tuple[str, ...] = LABELINGS
-    setups: tuple[str, ...] = TASKS["binary"].setups
-    batch_sizes: tuple[int, ...] = TASKS["binary"].batch_sizes
+    setups: tuple[str, ...] | None = None
+    batch_sizes: tuple[int, ...] | None = None
     learning_rate: float = 5.0
     iterations: int = 1500
     folds: int = 3
@@ -115,6 +118,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise InvalidConfigError(f"unknown task {self.task!r}")
+        for name in ("setups", "batch_sizes"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, getattr(TASKS[self.task], name))
         for lab in self.labelings:
             if lab not in LABELINGS:
                 raise InvalidConfigError(f"unknown labeling {lab!r}")
@@ -147,8 +153,7 @@ class ExperimentConfig:
 
 
 def default_config(task: str) -> ExperimentConfig:
-    config = ExperimentConfig(task=task)  # rejects an unknown task
-    return replace(config, setups=TASKS[task].setups, batch_sizes=TASKS[task].batch_sizes)
+    return ExperimentConfig(task=task)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -181,7 +186,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(data.get("dataset", {}), dict):
         raise InvalidConfigError(f"dataset must be a mapping, got {data['dataset']!r}")
     try:
-        return replace(default_config(data.pop("task")), **data)  # omitted fields: task defaults
+        return ExperimentConfig(**data)  # omitted fields: the task's defaults
     except TypeError as exc:
         raise InvalidConfigError(f"bad config: {exc}") from exc
 
@@ -466,6 +471,16 @@ def _check_folds(config: ExperimentConfig, full: SyntheticDataset) -> None:
         )
 
 
+def _history_csv(names: tuple[str, ...], history: np.ndarray) -> bytes:
+    """The bytes of one fold's history_fold<k>.csv, rendered as write_csv would
+    render them but in one pass over the history's floats."""
+    header = ["iteration", "loss"]
+    header += [f"grad_y0_{n}" for n in names] + [f"grad_y1_{n}" for n in names]
+    lines = [",".join(header)]
+    lines += [",".join([str(i), *map(repr, row)]) for i, row in enumerate(history.tolist(), 1)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     """Train every cell, then write all artifacts into out_dir; returns it as a Path.
 
@@ -484,15 +499,17 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
 
     save_config(config, out / "config_snapshot.yaml")
     save_dataset(full, out / "dataset")
+    first_file: dict[int, Path] = {}  # by id of the history array, which shared cells reuse
     for r in results:
         cdir = out / "cells" / _cell_dirname(*r.key)
         cdir.mkdir(parents=True, exist_ok=True)
-        names = r.loss_class_names
-        header = ["iteration", "loss"]
-        header += [f"grad_y0_{n}" for n in names] + [f"grad_y1_{n}" for n in names]
         for fold, (history, model) in enumerate(zip(r.histories, r.models)):
-            hrows = [[i, *row] for i, row in enumerate(history.tolist(), 1)]
-            write_csv(cdir / f"history_fold{fold}.csv", header, hrows)
+            path = cdir / f"history_fold{fold}.csv"
+            if id(history) in first_file:
+                shutil.copyfile(first_file[id(history)], path)
+            else:
+                path.write_bytes(_history_csv(r.loss_class_names, history))
+                first_file[id(history)] = path
             save_model(model, cdir / f"fold{fold}.model")
 
     task = TASKS[config.task]

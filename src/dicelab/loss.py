@@ -21,12 +21,15 @@ predicted probabilities of unavailable classes into the background, class 0,
 and routes the background gradient back to them.
 
 One private helper pools the sums for every entry point. It takes Phi as
-negative axes, so predictions may carry leading axes (..., B, C, I) against a
-single (B, C, I) ground truth: dice_values scores a whole stack of
-predictions in one value-only pass, and dice_value_and_grad scores one
-prediction and adds the gradient. Both check their inputs (ground truth of
-0 and 1, predictions in [0, 1]), then build a LossPlan; planned_value_and_grad
-is the gradient pass alone, for a caller such as the training loop that checks
+negative axes, so the ground truth and the predictions may both carry leading
+axes, (..., B, C, I), which broadcast against each other: dice_values scores a
+whole stack of (ground truth, prediction) pairs in one value-only pass,
+dice_grads gives the gradient of each pair of a stack, and dice_value_and_grad
+scores one (B, C, I) pair and adds the gradient. All three check their inputs
+(ground truth of 0 and 1, predictions in [0, 1]), then build a LossPlan; a
+caller may pass a LossPlan in place of the config, for instance one whose
+epsilon holds one value per stacked ground truth. planned_value_and_grad is
+the gradient pass alone, for a caller such as the training loop that checks
 its arrays and builds the plan once for many calls. A counted subset with S = 0
 (epsilon 0, empty ground truth and zero prediction) raises
 ZeroDenominatorError in place of returning NaN.
@@ -35,6 +38,7 @@ ZeroDenominatorError in place of returning NaN.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -70,8 +74,16 @@ class DiceLossConfig:
     variant: Variant = Variant.STANDARD
 
     def __post_init__(self):
-        vec = np.asarray(self.epsilon, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(vec)) or np.any(vec < 0.0):
+        if not isinstance(self.scheme, ReductionScheme):
+            raise InvalidConfigError(f"scheme must be a ReductionScheme, got {self.scheme!r}")
+        if not isinstance(self.variant, Variant):
+            raise InvalidConfigError(f"variant must be a Variant, got {self.variant!r}")
+        try:
+            vec = np.asarray(self.epsilon, dtype=np.float64).reshape(-1)
+            ok = bool(np.all(np.isfinite(vec))) and not np.any(vec < 0.0)
+        except (TypeError, ValueError, OverflowError):  # not numbers, or a ragged sequence
+            ok = False
+        if not ok:
             raise InvalidConfigError(f"epsilon must be finite and non-negative, got {self.epsilon}")
         if not np.isscalar(self.epsilon):
             if not self.scheme.class_pure:
@@ -96,8 +108,17 @@ class LossOutput:
 
 
 def _check_shapes(gt: np.ndarray, p: np.ndarray, stacked: bool) -> None:
-    """gt must be (B, C, I) and p the same shape, or (..., B, C, I) when stacked."""
-    if gt.ndim != 3 or p.shape[-3:] != gt.shape or (not stacked and p.ndim != 3):
+    """gt and p must both be (B, C, I); when stacked, each may carry leading axes
+    that broadcast against the other's."""
+    ok = min(gt.ndim, p.ndim) >= 3 and p.shape[-3:] == gt.shape[-3:]
+    if ok and not stacked:
+        ok = gt.ndim == p.ndim == 3
+    elif ok and gt.shape != p.shape:
+        try:
+            np.broadcast_shapes(gt.shape, p.shape)
+        except ValueError:
+            ok = False
+    if not ok:
         raise ShapeMismatchError(f"gt shape {gt.shape} does not match predictions {p.shape}")
 
 
@@ -108,8 +129,8 @@ def marginal_merge(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold unavailable-class predictions into the background column, class 0.
 
-    gt is the (B, C, I) ground truth and p holds predictions of shape
-    (..., B, C, I), so a stack of predictions merges in one call; mask is a
+    gt is the ground truth and p the predictions, both (..., B, C, I) with
+    leading axes that broadcast, so a stack merges in one call; mask is a
     (B, C) bool array, True where batch element b labels class c. Predictions
     must be softmax-style (class columns sum to 1 per pixel) and the ground
     truth of every unavailable class must already be empty. Merged columns are
@@ -120,7 +141,7 @@ def marginal_merge(
     _check_shapes(gt, p, stacked=True)
     if mask is None:
         raise InvalidConfigError("marginal variant requires an availability mask")
-    B, C, I = gt.shape
+    B, C, I = gt.shape[-3:]
     if C < 2:
         raise InvalidConfigError("marginal merging requires multiclass (C >= 2) predictions")
     if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (B, C):
@@ -137,7 +158,7 @@ def marginal_merge(
         raise RangeViolationError(f"prediction columns must sum to 1 per pixel (max dev {worst:.3g})")
 
     unavailable = ~mask
-    if np.any(gt[unavailable] != 0.0):
+    if np.any(gt[..., unavailable, :] != 0.0):
         raise RangeViolationError("ground truth of an unavailable class contains foreground")
 
     merged = p.copy()
@@ -163,15 +184,23 @@ def _epsilon(cfg: DiceLossConfig, classes: int) -> float | np.ndarray:
 
 class LossPlan(NamedTuple):
     """A config made ready for calls on C-class tensors: Phi as negative axes
-    and epsilon shaped to broadcast over the sums."""
+    and epsilon shaped to broadcast over the sums.
+
+    eps is a float, a per-class (C, 1) array, or one value per stacked ground
+    truth: an array of the ground truth's leading axes followed by (1, C, 1)
+    or (1, 1, 1). The plan's eps is the one used, whatever cfg.epsilon holds.
+    """
 
     cfg: DiceLossConfig
     axes: tuple[int, ...]
     eps: float | np.ndarray
 
 
-def loss_plan(cfg: DiceLossConfig, classes: int) -> LossPlan:
-    """The plan of cfg for C = classes; a per-class epsilon must have C entries."""
+def loss_plan(cfg: DiceLossConfig | LossPlan, classes: int) -> LossPlan:
+    """The plan of cfg for C = classes, or cfg itself when it is a plan already;
+    a per-class epsilon must have C entries."""
+    if isinstance(cfg, LossPlan):
+        return cfg
     return LossPlan(cfg, tuple(a - 3 for a in cfg.scheme.axes), _epsilon(cfg, classes))
 
 
@@ -196,14 +225,15 @@ def _pool(
     p: np.ndarray,
     plan: LossPlan,
     mask: np.ndarray | None,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Kept mask, K, N and S of every subset, pooled over the plan's axes Phi,
-    and the marginal variant's routing table (None for the other variants).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Kept mask, N and S of every subset, pooled over the plan's axes Phi, and
+    the marginal variant's routing table (None for the other variants).
 
-    y is (B, C, I); p is (..., B, C, I), merged here first for the marginal
-    variant. Phi is taken as negative axes, so leading axes of p stack
-    independent predictions against the one ground truth. kept has the
-    keepdims shape of y's sums; N and S carry p's leading axes too.
+    y and p are (..., B, C, I) with leading axes that broadcast; p is merged
+    here first for the marginal variant. Phi is taken as negative axes, so
+    leading axes stack independent pairs. N and S carry the broadcast leading
+    axes; kept is (B', C', 1), the keepdims shape of one pair's sums, unless the
+    leaf variant drops subsets of a stacked y, where it carries y's leading axes.
     """
     axes = plan.axes
     variant = plan.cfg.variant
@@ -215,7 +245,7 @@ def _pool(
     psum = p.sum(axis=axes, keepdims=True)
     S = gsum + psum + plan.eps
     if variant is Variant.STANDARD:
-        kept = np.ones(gsum.shape, dtype=bool)
+        kept = np.ones(gsum.shape[-3:], dtype=bool)
     else:
         if variant is Variant.LEAF:
             kept = gsum > 0.0
@@ -230,16 +260,52 @@ def _pool(
             "so its Dice score is 0/0"
         )
     N = 2.0 * inter + plan.eps
-    return kept, int(np.count_nonzero(kept)), N, S, routing
+    return kept, N, S, routing
 
 
-def _loss_values(score: np.ndarray, kept: np.ndarray, K: int) -> np.ndarray:
-    """1 - mean score over the K counted subsets, one value per leading index; 0 when K is 0."""
-    if K == 0:
-        return np.zeros(score.shape[:-3])
-    # with leading axes the boolean index comes back column-major; made row-contiguous,
-    # each row sums in the same order as a lone prediction's 1-D score[kept].sum()
-    return 1.0 - np.ascontiguousarray(score[..., kept]).sum(axis=-1) / K
+def _loss_values(score: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """1 - mean score over the counted subsets, one value per leading index of
+    score; 0 where no subset counts.
+
+    Each value sums its K kept scores as one row-contiguous run, in the order
+    of a lone pair's 1-D score[kept].sum(), so a stacked value equals the lone
+    one bit for bit. A kept mask with leading axes (the leaf variant on a
+    stacked ground truth) groups the rows by K.
+    """
+    if kept.ndim == 3:  # every leading index counts the same subsets
+        K = np.count_nonzero(kept)
+        if K == 0:
+            return np.zeros(score.shape[:-3])
+        # with leading axes the boolean index comes back column-major; made
+        # row-contiguous, each row sums in the same order as a lone pair
+        return 1.0 - np.ascontiguousarray(score[..., kept]).sum(axis=-1) / K
+    rows = score.reshape(-1, math.prod(score.shape[-3:]))
+    keep = np.broadcast_to(kept, score.shape).reshape(rows.shape)
+    counts = np.count_nonzero(keep, axis=1)
+    values = np.zeros(len(rows))
+    for K in np.unique(counts[counts > 0]).tolist():
+        group = counts == K
+        values[group] = 1.0 - rows[group][keep[group]].reshape(-1, K).sum(axis=-1) / K
+    return values.reshape(score.shape[:-3])
+
+
+def _grad(shape: tuple[int, ...], y: np.ndarray, K, N: np.ndarray, S: np.ndarray,
+          routing: np.ndarray | None) -> np.ndarray:
+    """The read-only gradient of the given shape from the pooled N and S.
+
+    ratio / K where y = 0 and (ratio - 2 / S) / K where y = 1, ratio = N / S^2,
+    with K the counted subsets, one int or one per pair, raised to at least 1.
+    Dropped subsets have S = inf, so they, and every subset of a pair with
+    none counted, get exactly 0.
+    """
+    ratio = N / (S * S)
+    grad = np.empty(shape)
+    np.copyto(grad, ratio / K)
+    np.copyto(grad, (ratio - 2.0 / S) / K, where=y == 1.0)
+    if routing is not None:
+        index = routing.reshape((1,) * (grad.ndim - 3) + routing.shape + (1,))
+        grad = np.take_along_axis(grad, index, axis=-2)
+    return readonly(grad)
 
 
 def planned_value_and_grad(
@@ -254,18 +320,11 @@ def planned_value_and_grad(
     holding only 0 and 1; the marginal variant still checks its mask and
     predictions.
     """
-    kept, K, N, S, routing = _pool(y, p, plan, mask)
+    kept, N, S, routing = _pool(y, p, plan, mask)
     score = N / S
-    value = float(_loss_values(score, kept, K))
-    if K == 0:
-        return LossOutput(value, score, kept, 0), readonly(np.zeros(y.shape))
-    ratio = N / (S * S)
-    grad = np.empty(y.shape)  # ratio / K where y = 0, (ratio - 2 / S) / K where y = 1
-    np.copyto(grad, ratio / K)
-    np.copyto(grad, (ratio - 2.0 / S) / K, where=y == 1.0)
-    if routing is not None:
-        grad = np.take_along_axis(grad, routing[:, :, None], axis=1)
-    return LossOutput(value, score, kept, K), readonly(grad)
+    K = np.count_nonzero(kept)
+    return (LossOutput(float(_loss_values(score, kept)), score, kept, K),
+            _grad(y.shape, y, max(K, 1), N, S, routing))
 
 
 def dice_value_and_grad(
@@ -289,15 +348,33 @@ def dice_value_and_grad(
 def dice_values(
     gt: np.ndarray,
     preds: np.ndarray,
-    cfg: DiceLossConfig,
+    cfg: DiceLossConfig | LossPlan,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Dice loss of every prediction stacked along the leading axes of preds, value only.
+    """Dice loss of every (ground truth, prediction) pair of a stack, value only.
 
-    preds has shape (..., B, C, I) against the one (B, C, I) ground truth of
-    0 and 1; the result has shape (...), and entry k equals
-    dice_value_and_grad(gt, preds[k])[0].value.
+    gt and preds have shapes (..., B, C, I) whose leading axes broadcast, gt
+    holding only 0 and 1; the result has the broadcast leading shape, and the
+    entry of pair k equals dice_value_and_grad(gt[k], preds[k])[0].value.
     """
     y, p = _checked(gt, preds, stacked=True)
-    kept, K, N, S = _pool(y, p, loss_plan(cfg, y.shape[1]), mask)[:4]
-    return _loss_values(N / S, kept, K)
+    kept, N, S = _pool(y, p, loss_plan(cfg, y.shape[-2]), mask)[:3]
+    return _loss_values(N / S, kept)
+
+
+def dice_grads(
+    gt: np.ndarray,
+    preds: np.ndarray,
+    cfg: DiceLossConfig | LossPlan,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Analytic gradient of every (ground truth, prediction) pair of a stack.
+
+    gt and preds are as for dice_values; the result is read-only, of the
+    broadcast shape (..., B, C, I), and the gradient of pair k equals
+    dice_value_and_grad(gt[k], preds[k])[1].
+    """
+    y, p = _checked(gt, preds, stacked=True)
+    kept, N, S, routing = _pool(y, p, loss_plan(cfg, y.shape[-2]), mask)
+    K = np.count_nonzero(kept, axis=(-3, -2, -1), keepdims=True)
+    return _grad(np.broadcast_shapes(y.shape, p.shape), y, np.maximum(K, 1), N, S, routing)

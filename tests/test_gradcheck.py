@@ -8,6 +8,9 @@ import pytest
 from dicelab import gradcheck, loss
 from dicelab.errors import InvalidConfigError, RangeViolationError, ShapeMismatchError
 from dicelab.gradcheck import (
+    ALL_SCHEMES,
+    DEFAULT_EPSILONS,
+    DEFAULT_SHAPES,
     MatrixRecord,
     check_two_value,
     compare_grads,
@@ -17,19 +20,19 @@ from dicelab.gradcheck import (
     resolve_epsilon,
     run_check_matrix,
 )
-from dicelab.loss import DiceLossConfig, Variant, dice_value_and_grad
+from dicelab.loss import DiceLossConfig, Variant, dice_value_and_grad, loss_plan
 from dicelab.tensor import ReductionScheme
 
 
 def inject_gradient_fault(monkeypatch, offset=1e-3):
-    """Make run_check_matrix's analytic gradient wrong by offset in its first element."""
+    """Make run_check_matrix's analytic gradient wrong by offset in the first
+    element of every instance of its stacks."""
     def faulty(*args, **kwargs):
-        out, grad = loss.dice_value_and_grad(*args, **kwargs)
-        grad = grad.copy()
-        grad.reshape(-1)[0] += offset
-        return out, grad
+        grad = loss.dice_grads(*args, **kwargs).copy()
+        grad[..., 0, 0, 0] += offset
+        return grad
 
-    monkeypatch.setattr(gradcheck, "dice_value_and_grad", faulty)
+    monkeypatch.setattr(gradcheck, "dice_grads", faulty)
 
 
 class TestFiniteDiff:
@@ -103,6 +106,51 @@ class TestFiniteDiff:
         assert len(seen) == calls
         assert sum(s[0] for s in seen) == 2 * 192
 
+    def stacked_case(self, n=5, shape=(2, 3, 5), scheme=ReductionScheme.IMAGE_WISE,
+                     variant=Variant.STANDARD):
+        """n instances, each with its own calibrated epsilon in a plan."""
+        pairs = [random_instance(shape, np.random.default_rng(20 + k)) for k in range(n)]
+        gt, pred = (np.stack(a) for a in zip(*pairs))
+        eps = [resolve_epsilon("calibrated", g, scheme) for g in gt]
+        plan = loss_plan(DiceLossConfig(scheme, variant=variant), shape[1])._replace(
+            eps=np.reshape(eps, (n, 1, -1, 1)))
+        cfgs = [DiceLossConfig(scheme, e, variant) for e in eps]
+        return gt, pred, plan, cfgs
+
+    @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.LEAF])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_stack_equals_lone_instances(self, scheme, variant):
+        gt, pred, plan, cfgs = self.stacked_case(scheme=scheme, variant=variant)
+        stacked = finite_diff_grad(gt, pred, plan)
+        assert stacked.shape == pred.shape
+        for k, cfg in enumerate(cfgs):
+            assert np.array_equal(stacked[k], finite_diff_grad(gt[k], pred[k], cfg))
+
+    # (2, 3, 5): m = 30 elements, 2m^2 = 1,800 stencil elements per instance
+    @pytest.mark.parametrize("block", [1, 3 * 30, 1800, 2 * 1800, 3 * 1800 + 7])
+    def test_stack_is_the_same_in_any_blocks(self, monkeypatch, block):
+        # 2 * 1800 splits the 5 instances 2 + 2 + 1, 1800 and below take one at a time
+        gt, pred, plan, _ = self.stacked_case(variant=Variant.LEAF)
+        whole = finite_diff_grad(gt, pred, plan)
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args[1].size)
+            return loss.dice_values(*args, **kwargs)
+
+        monkeypatch.setattr(gradcheck, "dice_values", counting)
+        monkeypatch.setattr(gradcheck, "FD_BLOCK_ELEMENTS", block)
+        assert np.array_equal(finite_diff_grad(gt, pred, plan), whole)
+        assert sum(seen) == 5 * 1800
+        assert max(seen) <= max(block, 30)  # a block holds at least one stencil row
+
+    def test_stack_shapes_must_match(self):
+        gt, pred, plan, _ = self.stacked_case()
+        with pytest.raises(ShapeMismatchError):
+            finite_diff_grad(gt[0], pred, plan)
+        with pytest.raises(ShapeMismatchError):
+            finite_diff_grad(gt[None], pred[None], plan)
+
     def test_marginal_probes_are_not_distributions(self, monkeypatch):
         # every +-h probe moves one column sum by h = 1e-5, past the 1e-6 tolerance,
         # so a marginal config is refused before any probe is scored
@@ -159,6 +207,15 @@ class TestCompareGrads:
         with pytest.raises(ShapeMismatchError):
             compare_grads(analytic, other)
 
+    def test_stack_gives_one_report_per_instance(self):
+        _, analytic, numeric = self.grad_pair()
+        bumped = analytic.copy()
+        bumped[1, 0, 3] += 1e-3
+        stack_a, stack_n = np.stack([analytic, bumped]), np.stack([numeric, numeric])
+        reports = compare_grads(stack_a, stack_n)
+        assert reports == [compare_grads(analytic, numeric), compare_grads(bumped, numeric)]
+        assert [r.passed for r in reports] == [True, False]
+
 
 class TestTwoValue:
     def test_analytic_gradient_passes(self):
@@ -214,6 +271,17 @@ class TestTwoValue:
         with pytest.raises(ShapeMismatchError):
             check_two_value(gt, np.zeros((1, 1, 3)), ReductionScheme.ALL_WISE)
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_stack_gives_one_verdict_per_instance(self, scheme):
+        shape = (2, 3, 6)
+        gt, pred = random_instance(shape, np.random.default_rng(4))
+        grad = dice_value_and_grad(gt, pred, DiceLossConfig(scheme=scheme, epsilon=0.5))[1]
+        spread = grad.copy()
+        spread[1, 2] += np.linspace(0.0, 1e-6, 6)  # three or more values in that subset
+        verdicts = check_two_value(np.stack([gt, gt]), np.stack([spread, grad]), scheme)
+        assert verdicts == [False, True]
+        assert verdicts == [check_two_value(gt, g, scheme) for g in (spread, grad)]
+
 
 class TestMatrix:
     def test_random_instance_nonempty_mode(self):
@@ -246,6 +314,55 @@ class TestMatrix:
         monkeypatch.setattr(gradcheck, "random_instance", None)  # no instance may start
         with pytest.raises(InvalidConfigError):
             run_check_matrix(epsilons=epsilons, n_instances=1)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        # a string scheme raised AttributeError; no scheme, no shape or no instance
+        # returned [], a vacuous pass
+        ({"schemes": ["image-wise"]}, InvalidConfigError),
+        ({"schemes": [ReductionScheme.ALL_WISE, None]}, InvalidConfigError),
+        ({"schemes": ()}, InvalidConfigError),
+        ({"shapes": ()}, InvalidConfigError),
+        ({"n_instances": 0}, InvalidConfigError),
+        ({"n_instances": -3}, InvalidConfigError),
+        ({"n_instances": 2.0}, InvalidConfigError),
+        ({"n_instances": "2"}, InvalidConfigError),
+        ({"n_instances": True}, InvalidConfigError),
+        ({"shapes": [(2, 2)]}, ShapeMismatchError),
+        ({"shapes": [(1, 1, 4), (0, 1, 4)]}, ShapeMismatchError),
+    ])
+    def test_arguments_checked_before_the_first_instance(self, monkeypatch, kwargs, error):
+        monkeypatch.setattr(gradcheck, "random_instance", None)  # no instance may start
+        with pytest.raises(error):
+            run_check_matrix(**{"n_instances": 1, **kwargs})
+
+    @pytest.mark.parametrize("base_seed", [0, 7_000])
+    def test_records_equal_the_lone_instance_composition(self, base_seed):
+        epsilons = DEFAULT_EPSILONS + ("0",)
+        records = run_check_matrix(epsilons=epsilons, n_instances=3, base_seed=base_seed)
+        assert len(records) == 4 * 4 * 4 * 3
+        for r in records:
+            gt, pred = random_instance(r.shape, np.random.default_rng(r.seed),
+                                       nonempty_subsets=(r.epsilon_label == "0"))
+            cfg = DiceLossConfig(r.scheme, resolve_epsilon(r.epsilon_label, gt, r.scheme))
+            analytic = dice_value_and_grad(gt, pred, cfg)[1]
+            assert r.grad_report == compare_grads(analytic, finite_diff_grad(gt, pred, cfg))
+            assert r.two_value_passed is check_two_value(gt, analytic, r.scheme)
+        assert [(r.scheme, r.shape, r.epsilon_label) for r in records[::3]] == [
+            (s, d, e) for s in ALL_SCHEMES for d in DEFAULT_SHAPES for e in epsilons]
+
+    def test_no_stencil_block_exceeds_the_bound(self, monkeypatch):
+        sizes = []
+
+        def counting(*args, **kwargs):
+            sizes.append(args[1].size)
+            return loss.dice_values(*args, **kwargs)
+
+        monkeypatch.setattr(gradcheck, "dice_values", counting)
+        run_check_matrix(n_instances=25)
+        assert max(sizes) <= gradcheck.FD_BLOCK_ELEMENTS
+        # per scheme and epsilon: the three small shapes one block each, (4, 3, 16)
+        # (2 * 192^2 = 73,728 elements) one block per instance
+        assert len(sizes) == 4 * 3 * (1 + 1 + 1 + 25)
 
     def test_records_keep_what_the_benchmark_reads(self):
         # the benchmark digests astuple(grad_report) and reads these six fields

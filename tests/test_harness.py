@@ -23,7 +23,7 @@ from dicelab.harness import (
     run_experiment,
     save_config,
 )
-from dicelab.metrics import read_csv
+from dicelab.metrics import read_csv, write_csv
 from dicelab.synthdata import GRADE_B, PHASE_B
 
 TINY_DATASET = {
@@ -51,6 +51,15 @@ class TestConfig:
         multi = default_config("multiclass")
         assert multi.setups == ("image-wise", "leaf", "marginal")
         assert multi.batch_sizes == (1,)
+
+    @pytest.mark.parametrize("task", ["binary", "multiclass"])
+    def test_omitted_matrix_is_the_tasks(self, task):
+        # ExperimentConfig(task="multiclass") used to take the binary setups and batch sizes
+        assert ExperimentConfig(task) == default_config(task)
+        assert ExperimentConfig(task).setups == TASKS[task].setups
+        assert ExperimentConfig(task).batch_sizes == TASKS[task].batch_sizes
+        given = ExperimentConfig(task, setups=("image-wise",), batch_sizes=(2,))
+        assert (given.setups, given.batch_sizes) == (("image-wise",), (2,))
 
     def test_cells_expand_the_matrix(self):
         cfg = tiny_config(batch_sizes=(1, 2))
@@ -303,6 +312,25 @@ class TestRunExperiment:
             parsed = np.array([[float(v) for v in r[1:]] for r in rows])
             assert parsed.shape == history.shape
             assert parsed.tobytes() == history.tobytes()
+
+    def test_history_csv_renders_as_write_csv(self, tmp_path):
+        history = np.array([[0.5, 1e-300, -0.0], [1 / 3, 2.5e17, 7.0], [np.pi, 1e-5, 0.1]])
+        names = ("core", "shell")
+        header = ["iteration", "loss", "grad_y0_core", "grad_y0_shell",
+                  "grad_y1_core", "grad_y1_shell"]
+        history = np.hstack([history, history[:, :2]])
+        write_csv(tmp_path / "h.csv", header,
+                  [[i, *map(float, row)] for i, row in enumerate(history, 1)])
+        assert harness._history_csv(names, history) == (tmp_path / "h.csv").read_bytes()
+
+    def test_shared_cells_write_their_representatives_history(self, tmp_path):
+        config = tiny_config(setups=("image-wise", "batch-wise"), labelings=("full",),
+                             iterations=5)
+        out = run_experiment(config, tmp_path / "x")
+        for fold in range(config.folds):
+            name = f"history_fold{fold}.csv"
+            assert ((out / "cells" / "full-batch-wise-b1" / name).read_bytes()
+                    == (out / "cells" / "full-image-wise-b1" / name).read_bytes())
 
     def test_parallel_jobs_write_identical_artifacts(self, tiny_run, tmp_path_factory):
         config, out = tiny_run

@@ -12,8 +12,10 @@ from dicelab.errors import (
 from dicelab.loss import (
     DiceLossConfig,
     Variant,
+    dice_grads,
     dice_value_and_grad,
     dice_values,
+    loss_plan,
     marginal_merge,
 )
 from dicelab.tensor import ReductionScheme
@@ -119,6 +121,33 @@ class TestConfigValidation:
     def test_non_finite_epsilon(self, eps):
         with pytest.raises(InvalidConfigError):
             DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=eps)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"scheme": "image-wise"},
+        {"scheme": None},
+        {"scheme": ReductionScheme.IMAGE_WISE, "variant": "leaf"},
+        {"scheme": ReductionScheme.IMAGE_WISE, "variant": None},
+    ])
+    def test_scheme_and_variant_must_be_members(self, kwargs):
+        with pytest.raises(InvalidConfigError):
+            DiceLossConfig(**kwargs)
+
+    def test_string_variant_cannot_change_what_is_computed(self):
+        # DiceLossConfig(IMAGE_WISE, variant="leaf") used to build, and _pool then kept
+        # both subsets by the mask: a loss of 0.75 here, where the leaf variant gives 0.50
+        shape = (1, 2, 4)
+        gt = np.asarray([1, 1, 0, 0] + [0] * 4, dtype=np.float64).reshape(shape)
+        pred = np.full(shape, 0.5)
+        mask = np.ones((1, 2), dtype=bool)
+        leaf = DiceLossConfig(ReductionScheme.IMAGE_WISE, variant=Variant.LEAF)
+        assert dice_value_and_grad(gt, pred, leaf, mask)[0].value == pytest.approx(0.5)
+        with pytest.raises(InvalidConfigError, match="Variant"):
+            DiceLossConfig(ReductionScheme.IMAGE_WISE, variant="leaf")
+
+    @pytest.mark.parametrize("eps", ["abc", [[1.0, 2.0], [3.0]], {}, 10 ** 400])
+    def test_epsilon_must_be_numbers(self, eps):
+        with pytest.raises(InvalidConfigError):
+            DiceLossConfig(ReductionScheme.IMAGE_WISE, epsilon=eps)
 
     @pytest.mark.parametrize("entry", [dice_value_and_grad, dice_values])
     @pytest.mark.parametrize("values", [[-1.0, 0.5], [0.0, 2.0], [np.nan, 1.0], [0.0, 0.5]])
@@ -400,6 +429,79 @@ class TestDiceValues:
         gt = np.asarray([0] * 6, dtype=np.float64).reshape(shape)
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, variant=Variant.LEAF)
         assert dice_values(gt, np.full((4,) + shape, 0.3), cfg).tolist() == [0.0] * 4
+
+    def stacked_leaf_case(self):
+        # 3 x 3 image-wise subsets (past the 8 that NumPy sums pairwise), with empty
+        # maps that differ per instance; instance 2 has none counted at all
+        shape = (3, 3, 4)
+        gts = np.stack([random_pair(shape, seed)[0] for seed in range(4)])
+        gts[0, 0, 1] = 0.0
+        gts[1, :2] = 0.0
+        gts[2] = 0.0
+        gts[3, 2, 0] = 0.0
+        preds = np.random.default_rng(9).uniform(0.0, 1.0, (2, 4) + shape)
+        return gts, preds
+
+    @pytest.mark.parametrize("scheme", ALL)
+    @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.LEAF])
+    def test_stacked_ground_truth_equals_lone_calls_bitwise(self, scheme, variant):
+        gts, preds = self.stacked_leaf_case()
+        cfg = DiceLossConfig(scheme=scheme, epsilon=0.5, variant=variant)
+        values = dice_values(gts, preds, cfg)  # gts (4, ...) broadcast against preds (2, 4, ...)
+        grads = dice_grads(gts, preds, cfg)
+        assert values.shape == (2, 4)
+        assert grads.shape == preds.shape
+        for j, k in np.ndindex(2, 4):
+            out, grad = dice_value_and_grad(gts[k], preds[j, k], cfg)
+            assert values[j, k] == out.value
+            assert np.array_equal(grads[j, k], grad)
+
+    def test_leaf_counts_subsets_per_instance(self):
+        gts, preds = self.stacked_leaf_case()
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, variant=Variant.LEAF)
+        counts = [dice_value_and_grad(g, preds[0, k], cfg)[0].effective_subset_count
+                  for k, g in enumerate(gts)]
+        assert len(set(counts)) == 4 and 0 in counts  # every instance keeps its own K
+        assert dice_values(gts, preds[0], cfg)[2] == 0.0
+
+    @pytest.mark.parametrize("scheme", ALL)
+    def test_plan_epsilon_per_stacked_ground_truth(self, scheme):
+        shape = (2, 3, 5)
+        gts = np.stack([random_pair(shape, seed)[0] for seed in range(3)])
+        preds = np.random.default_rng(4).uniform(0.0, 1.0, gts.shape)
+        eps = [[0.5, 1.0, 2.0], [0.0, 3.0, 1.0], [7.0, 7.0, 0.25]]
+        if scheme.class_pure:
+            cfgs = [DiceLossConfig(scheme, e) for e in eps]
+        else:
+            cfgs = [DiceLossConfig(scheme, e[0]) for e in eps]
+        stacked = np.reshape([c.epsilon for c in cfgs], (3, 1, -1, 1))
+        plan = loss_plan(DiceLossConfig(scheme), 3)._replace(eps=stacked)
+        values, grads = dice_values(gts, preds, plan), dice_grads(gts, preds, plan)
+        for k, cfg in enumerate(cfgs):
+            out, grad = dice_value_and_grad(gts[k], preds[k], cfg)
+            assert values[k] == out.value
+            assert np.array_equal(grads[k], grad)
+
+    def test_marginal_gradient_of_a_stack_routes_each_prediction(self):
+        shape = (1, 3, 2)
+        gt = np.asarray([1, 0, 0, 0, 0, 1], dtype=np.float64).reshape(shape)
+        mask = np.array([[True, False, True]])
+        preds = np.stack([softmax_like_pred(shape, seed) for seed in (1, 2, 3)])
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
+                             variant=Variant.MARGINAL)
+        grads = dice_grads(gt, preds, cfg, mask)
+        for k, p in enumerate(preds):
+            assert np.array_equal(grads[k], dice_value_and_grad(gt, p, cfg, mask)[1])
+
+    @pytest.mark.parametrize("gt_shape, preds_shape", [
+        ((3, 1, 2, 3), (4, 1, 2, 3)),   # leading axes that do not broadcast
+        ((2, 3), (4, 2, 3)),            # gt without three trailing axes
+    ])
+    def test_leading_axes_must_broadcast(self, gt_shape, preds_shape):
+        cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE)
+        for entry in (dice_values, dice_grads):
+            with pytest.raises(ShapeMismatchError):
+                entry(np.zeros(gt_shape), np.full(preds_shape, 0.5), cfg)
 
     def test_trailing_shape_checked(self):
         gt, _ = random_pair((1, 2, 3), seed=0)

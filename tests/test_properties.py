@@ -1,8 +1,8 @@
 """Property tests of the axis-based Dice core against the index-list oracle,
 of the leaf and marginal variants, of the batched finite-difference stencil
 against the per-element loop, of the harness's grouping pass against the
-per-(tag, class) rescans, and of the config, dataset and file readers on
-malformed input."""
+per-(tag, class) rescans, and of the loss config, the experiment config, the
+dataset and the file readers on malformed input."""
 
 import json
 import math
@@ -319,6 +319,23 @@ def test_config_from_dict_raises_only_dicelab_errors(from_valid, entries):
         harness.config_from_dict({**base, **entries})
     except DicelabError:
         pass
+
+
+enum_like = st.one_of(st.sampled_from([*ReductionScheme, *Variant]),
+                     st.sampled_from([m.value for m in (*ReductionScheme, *Variant)]), json_values)
+epsilon_like = st.one_of(json_values, st.floats(), st.integers(),
+                         st.lists(st.one_of(st.floats(), st.integers()), max_size=4))
+
+
+@PROPERTY_SETTINGS
+@given(enum_like, epsilon_like, enum_like)
+def test_dice_loss_config_raises_only_dicelab_errors(scheme, epsilon, variant):
+    """Any scheme, epsilon and variant: a config, or a DicelabError."""
+    try:
+        cfg = DiceLossConfig(scheme, epsilon, variant)
+    except DicelabError:
+        return
+    assert isinstance(cfg.scheme, ReductionScheme) and isinstance(cfg.variant, Variant)
 
 
 @pytest.fixture(scope="module")
