@@ -48,7 +48,6 @@ from .synthdata import (
     save_dataset,
 )
 from .trainer import (
-    Head,
     LinearPixelModel,
     TrainConfig,
     TrainResult,

@@ -26,10 +26,8 @@ import numpy as np
 
 from .epsilon import calibrate_epsilon
 from .errors import InvalidConfigError, RangeViolationError, ShapeMismatchError
-# dice_value_and_grad is never called here; it stays in this namespace so that a
-# test can forbid the oracle from building a gradient
-from .loss import (DiceLossConfig, LossPlan, Variant, _require_binary, dice_grads,
-                   dice_value_and_grad, dice_values, loss_plan)
+from .loss import (DiceLossConfig, LossPlan, Variant, _require_binary, dice_grads, dice_values,
+                   loss_plan)
 from .tensor import ReductionScheme, batch_dims, readonly
 
 FD_STEP = 1e-5

@@ -303,7 +303,7 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
         models.append(result.model)
         loss_class_names = result.class_names
         pred = predict(result.model, val_split)
-        hard = binarize(pred, result.model.head)[:, -full.n_classes:]  # skip a softmax background
+        hard = binarize(pred)[:, -full.n_classes:]  # skip a softmax background
         for row, s in enumerate(val_split.samples):
             for c, name in enumerate(full.class_names):
                 gt_map = s.gt[c].reshape(-1)
@@ -471,16 +471,6 @@ def _check_folds(config: ExperimentConfig, full: SyntheticDataset) -> None:
         )
 
 
-def _history_csv(names: tuple[str, ...], history: np.ndarray) -> bytes:
-    """The bytes of one fold's history_fold<k>.csv, rendered as write_csv would
-    render them but in one pass over the history's floats."""
-    header = ["iteration", "loss"]
-    header += [f"grad_y0_{n}" for n in names] + [f"grad_y1_{n}" for n in names]
-    lines = [",".join(header)]
-    lines += [",".join([str(i), *map(repr, row)]) for i, row in enumerate(history.tolist(), 1)]
-    return ("\n".join(lines) + "\n").encode()
-
-
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     """Train every cell, then write all artifacts into out_dir; returns it as a Path.
 
@@ -503,12 +493,15 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     for r in results:
         cdir = out / "cells" / _cell_dirname(*r.key)
         cdir.mkdir(parents=True, exist_ok=True)
+        names = r.loss_class_names
+        header = ["iteration", "loss"]
+        header += [f"grad_y0_{n}" for n in names] + [f"grad_y1_{n}" for n in names]
         for fold, (history, model) in enumerate(zip(r.histories, r.models)):
             path = cdir / f"history_fold{fold}.csv"
             if id(history) in first_file:
                 shutil.copyfile(first_file[id(history)], path)
             else:
-                path.write_bytes(_history_csv(r.loss_class_names, history))
+                write_csv(path, header, [[i, *row] for i, row in enumerate(history.tolist(), 1)])
                 first_file[id(history)] = path
             save_model(model, cdir / f"fold{fold}.model")
 

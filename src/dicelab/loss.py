@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -66,7 +68,8 @@ class DiceLossConfig:
     """Scheme, smoothing epsilon (scalar or per-class) and variant.
 
     Per-class epsilon requires a scheme whose subsets are class-pure
-    (image-wise or batch-wise). The marginal variant's background is class 0.
+    (image-wise or batch-wise); it is stored as a float64 array, a scalar
+    epsilon as a float. The marginal variant's background is class 0.
     """
 
     scheme: ReductionScheme
@@ -78,19 +81,21 @@ class DiceLossConfig:
             raise InvalidConfigError(f"scheme must be a ReductionScheme, got {self.scheme!r}")
         if not isinstance(self.variant, Variant):
             raise InvalidConfigError(f"variant must be a Variant, got {self.variant!r}")
-        try:
-            vec = np.asarray(self.epsilon, dtype=np.float64).reshape(-1)
-            ok = bool(np.all(np.isfinite(vec))) and not np.any(vec < 0.0)
-        except (TypeError, ValueError, OverflowError):  # not numbers, or a ragged sequence
-            ok = False
-        if not ok:
-            raise InvalidConfigError(f"epsilon must be finite and non-negative, got {self.epsilon}")
-        if not np.isscalar(self.epsilon):
-            if not self.scheme.class_pure:
-                raise InvalidConfigError(
-                    f"per-class epsilon requires a class-pure scheme, got {self.scheme.value}"
-                )
-            object.__setattr__(self, "epsilon", vec)
+        # NumPy would parse "1.0" and take True as 1.0, so each cell must be a real
+        # number; a ragged sequence flattens to its rows, which are not
+        cells = np.asarray(self.epsilon, dtype=object).reshape(-1).tolist()
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and 0 <= v <= sys.float_info.max for v in cells):  # NaN fails too
+            raise InvalidConfigError(f"epsilon must be finite and non-negative numbers, "
+                                     f"got {self.epsilon!r}")
+        if np.isscalar(self.epsilon):
+            object.__setattr__(self, "epsilon", float(self.epsilon))
+        elif not self.scheme.class_pure:
+            raise InvalidConfigError(
+                f"per-class epsilon requires a class-pure scheme, got {self.scheme.value}"
+            )
+        else:
+            object.__setattr__(self, "epsilon", np.asarray(cells, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ def marginal_merge(
     gt: np.ndarray,
     p: np.ndarray,
     mask: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Fold unavailable-class predictions into the background column, class 0.
 
     gt is the ground truth and p the predictions, both (..., B, C, I) with
@@ -134,9 +139,7 @@ def marginal_merge(
     (B, C) bool array, True where batch element b labels class c. Predictions
     must be softmax-style (class columns sum to 1 per pixel) and the ground
     truth of every unavailable class must already be empty. Merged columns are
-    zeroed in place of being physically removed; the returned routing table
-    maps, per batch element, each original class to the merged column that now
-    carries it (itself when available, background otherwise).
+    zeroed in place of being physically removed.
     """
     _check_shapes(gt, p, stacked=True)
     if mask is None:
@@ -165,16 +168,14 @@ def marginal_merge(
     spill = (merged * unavailable[:, :, None]).sum(axis=-2)
     merged[..., unavailable, :] = 0.0
     merged[..., 0, :] += spill
-
-    routing = np.where(mask, np.arange(C)[None, :], 0)
-    return merged, routing
+    return merged
 
 
 def _epsilon(cfg: DiceLossConfig, classes: int) -> float | np.ndarray:
     """Scalar epsilon, or per-class epsilon shaped (C, 1) to broadcast over the sums."""
     eps = cfg.epsilon
-    if np.isscalar(eps):
-        return float(eps)
+    if isinstance(eps, float):
+        return eps
     if eps.size != classes:
         raise ShapeMismatchError(
             f"per-class epsilon has {eps.size} entries but tensor has {classes} classes"
@@ -225,9 +226,8 @@ def _pool(
     p: np.ndarray,
     plan: LossPlan,
     mask: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Kept mask, N and S of every subset, pooled over the plan's axes Phi, and
-    the marginal variant's routing table (None for the other variants).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kept mask, N and S of every subset, pooled over the plan's axes Phi.
 
     y and p are (..., B, C, I) with leading axes that broadcast; p is merged
     here first for the marginal variant. Phi is taken as negative axes, so
@@ -237,9 +237,8 @@ def _pool(
     """
     axes = plan.axes
     variant = plan.cfg.variant
-    routing = None
     if variant is Variant.MARGINAL:
-        p, routing = marginal_merge(y, p, mask)
+        p = marginal_merge(y, p, mask)
     inter = (y * p).sum(axis=axes, keepdims=True)
     gsum = y.sum(axis=axes, keepdims=True)
     psum = p.sum(axis=axes, keepdims=True)
@@ -260,7 +259,7 @@ def _pool(
             "so its Dice score is 0/0"
         )
     N = 2.0 * inter + plan.eps
-    return kept, N, S, routing
+    return kept, N, S
 
 
 def _loss_values(score: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -290,21 +289,22 @@ def _loss_values(score: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 
 def _grad(shape: tuple[int, ...], y: np.ndarray, K, N: np.ndarray, S: np.ndarray,
-          routing: np.ndarray | None) -> np.ndarray:
+          mask: np.ndarray | None) -> np.ndarray:
     """The read-only gradient of the given shape from the pooled N and S.
 
     ratio / K where y = 0 and (ratio - 2 / S) / K where y = 1, ratio = N / S^2,
     with K the counted subsets, one int or one per pair, raised to at least 1.
     Dropped subsets have S = inf, so they, and every subset of a pair with
-    none counted, get exactly 0.
+    none counted, get exactly 0. Under the marginal variant (mask given), an
+    unavailable (b, c) column takes the background column's gradient, as its
+    predictions were merged into the background.
     """
     ratio = N / (S * S)
     grad = np.empty(shape)
     np.copyto(grad, ratio / K)
     np.copyto(grad, (ratio - 2.0 / S) / K, where=y == 1.0)
-    if routing is not None:
-        index = routing.reshape((1,) * (grad.ndim - 3) + routing.shape + (1,))
-        grad = np.take_along_axis(grad, index, axis=-2)
+    if mask is not None:
+        grad = np.where(mask[:, :, None], grad, grad[..., :1, :])
     return readonly(grad)
 
 
@@ -320,11 +320,12 @@ def planned_value_and_grad(
     holding only 0 and 1; the marginal variant still checks its mask and
     predictions.
     """
-    kept, N, S, routing = _pool(y, p, plan, mask)
+    kept, N, S = _pool(y, p, plan, mask)
     score = N / S
     K = np.count_nonzero(kept)
     return (LossOutput(float(_loss_values(score, kept)), score, kept, K),
-            _grad(y.shape, y, max(K, 1), N, S, routing))
+            _grad(y.shape, y, max(K, 1), N, S,
+                  mask if plan.cfg.variant is Variant.MARGINAL else None))
 
 
 def dice_value_and_grad(
@@ -358,7 +359,7 @@ def dice_values(
     entry of pair k equals dice_value_and_grad(gt[k], preds[k])[0].value.
     """
     y, p = _checked(gt, preds, stacked=True)
-    kept, N, S = _pool(y, p, loss_plan(cfg, y.shape[-2]), mask)[:3]
+    kept, N, S = _pool(y, p, loss_plan(cfg, y.shape[-2]), mask)
     return _loss_values(N / S, kept)
 
 
@@ -375,6 +376,8 @@ def dice_grads(
     dice_value_and_grad(gt[k], preds[k])[1].
     """
     y, p = _checked(gt, preds, stacked=True)
-    kept, N, S, routing = _pool(y, p, loss_plan(cfg, y.shape[-2]), mask)
+    plan = loss_plan(cfg, y.shape[-2])
+    kept, N, S = _pool(y, p, plan, mask)
     K = np.count_nonzero(kept, axis=(-3, -2, -1), keepdims=True)
-    return _grad(np.broadcast_shapes(y.shape, p.shape), y, np.maximum(K, 1), N, S, routing)
+    return _grad(np.broadcast_shapes(y.shape, p.shape), y, np.maximum(K, 1), N, S,
+                 mask if plan.cfg.variant is Variant.MARGINAL else None)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabelsError, InvalidConfigError, ShapeMismatchError
-from .trainer import Head
 
 
 def hard_dsc(gt_map: np.ndarray, pred_map: np.ndarray) -> float:
@@ -36,15 +35,16 @@ def volume_difference(gt_map: np.ndarray, pred_map: np.ndarray) -> float:
     return float(pred.sum() - gt.sum())
 
 
-def binarize(pred: np.ndarray, head: Head) -> np.ndarray:
+def binarize(pred: np.ndarray) -> np.ndarray:
     """Hard maps from (batch, classes, pixels) soft predictions, same shape.
 
-    Sigmoid thresholds at 0.5 (0.5 itself counts as foreground).  Softmax
-    takes the argmax over classes; ties go to the lowest class index.
+    One class (a sigmoid) thresholds at 0.5 (0.5 itself counts as foreground).
+    Two or more (a softmax) take the argmax over classes; ties go to the
+    lowest class index.
     """
     data = np.asarray(pred)
     c = data.shape[1]
-    if head is Head.SIGMOID:
+    if c == 1:
         return (data >= 0.5).astype(np.float64)
     winner = data.argmax(axis=1)
     return (winner[:, None, :] == np.arange(c)[None, :, None]).astype(np.float64)
@@ -114,16 +114,12 @@ def bootstrap_compare(a, b, n_resamples: int = 10_000, seed: int = 0) -> float:
     return min(1.0, 2.0 * contra)
 
 
-def format_cell(value) -> str:
-    """Deterministic CSV cell rendering; floats keep full round-trip precision."""
-    if isinstance(value, float):  # float() drops NumPy 2's np.float64(...) wrapper
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path, header: list[str], rows: list[list]) -> None:
+    """One header line, then one line per row; a float cell keeps full round-trip
+    precision (float() drops NumPy 2's np.float64(...) wrapper), any other is str()."""
     lines = [",".join(header)]
-    lines += [",".join(format_cell(v) for v in row) for row in rows]
+    lines += [",".join([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
+              for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

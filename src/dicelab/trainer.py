@@ -1,10 +1,11 @@
 """Per-pixel linear segmentation model and the gradient-descent loop.
 
 The model is deliberately tiny: four hand-rolled features per pixel through a
-linear layer with a sigmoid (single class) or softmax (multiclass, background
-included as class 0) head. Backpropagation is written out by hand, so the
-chain from the Dice-loss gradient down to the weights is explicit and can be
-finite-difference checked end to end.
+linear layer. Its weight matrix fixes the head: one row is a sigmoid (single
+class), two or more a softmax (multiclass, background included as class 0).
+Backpropagation is written out by hand, so the chain from the Dice-loss
+gradient down to the weights is explicit and can be finite-difference checked
+end to end.
 
 NumPy computes the softmax. SciPy serves only the sigmoid head's expit and is
 imported on the first sigmoid step, so multiclass training never loads it.
@@ -17,7 +18,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -36,24 +36,20 @@ N_FEATURES = 4
 _MODEL_MAGIC = "DLM1"
 
 
-class Head(Enum):
-    SIGMOID = "sigmoid"
-    SOFTMAX = "softmax"
-
-
 @dataclass(frozen=True)
 class LinearPixelModel:
-    weights: np.ndarray  # (n_classes, N_FEATURES)
-    head: Head
+    """A read-only (n_classes, N_FEATURES) weight matrix; one row is a sigmoid
+    model, two or more a softmax model whose row 0 is the background."""
+
+    weights: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[1] != N_FEATURES:
+        try:
+            w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:  # not numbers, or ragged
+            raise InvalidConfigError(f"weights must be a 2-D array of numbers: {exc}") from exc
+        if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != N_FEATURES:
             raise ShapeMismatchError(f"weights must be (classes, {N_FEATURES}), got {w.shape}")
-        if self.head is Head.SIGMOID and w.shape[0] != 1:
-            raise ShapeMismatchError("sigmoid head takes exactly one weight vector")
-        if self.head is Head.SOFTMAX and w.shape[0] < 2:
-            raise ShapeMismatchError("softmax head needs at least two weight vectors")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -71,6 +67,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.loss, DiceLossConfig):
+            raise InvalidConfigError(f"loss must be a DiceLossConfig, got {self.loss!r}")
         _require_int("batch_size", self.batch_size, 1)
         _require_learning_rate(self.learning_rate)
         _require_int("iterations", self.iterations, 0)
@@ -113,19 +111,21 @@ def _expit():
     return expit
 
 
-def _forward(weights: np.ndarray, head: Head, feats: np.ndarray) -> np.ndarray:
-    """Predictions (B, C, I) of the model for per-pixel features (B, I, F)."""
+def _forward(weights: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Predictions (B, C, I) of the model for per-pixel features (B, I, F):
+    a sigmoid for one weight row, else a softmax over the C rows."""
     logits = np.einsum("bif,cf->bci", feats, weights)
-    if head is Head.SIGMOID:
+    if weights.shape[0] == 1:
         return _expit()(logits)
     e = np.exp(logits - np.max(logits, axis=1, keepdims=True))  # scipy.special.softmax's steps
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def _backward(head: Head, feats: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _backward(feats: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """dloss/dweights from the loss gradient g at p = _forward(...): the head's Jacobian
-    (sigmoid g p (1 - p), softmax p_c (g_c - sum_c' g_c' p_c')), then the features."""
-    if head is Head.SIGMOID:
+    (sigmoid g p (1 - p) for one column, else softmax p_c (g_c - sum_c' g_c' p_c')),
+    then the features."""
+    if p.shape[1] == 1:
         dz = g * p * (1.0 - p)
     else:
         dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
@@ -140,7 +140,6 @@ class StepResult(NamedTuple):
 
 def step_gradients(
     weights: np.ndarray,
-    head: Head,
     features: np.ndarray,
     gt: np.ndarray,
     plan: LossPlan,
@@ -154,14 +153,14 @@ def step_gradients(
     foreground classes only still backpropagates through a softmax whose
     column 0 is the background.
     """
-    pred = _forward(weights, head, features)
+    pred = _forward(weights, features)
     first = weights.shape[0] - gt.shape[1]
     out, grad = planned_value_and_grad(gt, pred[:, first:, :], plan, mask)
     full = grad
     if first > 0:
         full = np.zeros(pred.shape)
         full[:, first:, :] = grad
-    return StepResult(out.value, grad, _backward(head, features, full, pred))
+    return StepResult(out.value, grad, _backward(features, full, pred))
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,6 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     marginal = cfg.loss.variant is Variant.MARGINAL
     if n_fg == 1 and marginal:
         raise InvalidConfigError("marginal loss needs a softmax head with background")
-    head = Head.SIGMOID if n_fg == 1 else Head.SOFTMAX
 
     shapes = {(s.gt.shape[0], *s.image.shape) for s in dataset.samples}
     if len(shapes) > 1 or min(shapes)[0] != n_fg:
@@ -263,7 +261,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         x, y_is_1, mask, n_ones = (buf[lo:lo + B] for buf in buffers)
         lo += B
         np.copyto(gt, y_is_1)
-        step = step_gradients(weights, head, x, gt, plan, mask if marginal else None)
+        step = step_gradients(weights, x, gt, plan, mask if marginal else None)
         if not (math.isfinite(step.loss) and np.isfinite(step.param_grad).all()):
             raise NonFiniteTrainingError(
                 f"non-finite loss or weight gradient at iteration {iteration}"
@@ -272,18 +270,23 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         row = history[iteration - 1]
         row[0] = step.loss
         _grad_split(y_is_1, step.loss_grad, n_ones, row[1:])
-    return TrainResult(LinearPixelModel(weights, head), readonly(history), loss_names)
+    return TrainResult(LinearPixelModel(weights), readonly(history), loss_names)
 
 
 def predict(model: LinearPixelModel, dataset) -> np.ndarray:
     """Model predictions for every sample in a dataset, as one (B, C, I) array."""
-    return readonly(_forward(model.weights, model.head, np.stack(_features(dataset.samples))))
+    return readonly(_forward(model.weights, np.stack(_features(dataset.samples))))
+
+
+def _head_name(classes: int) -> str:
+    return "sigmoid" if classes == 1 else "softmax"
 
 
 def save_model(model: LinearPixelModel, path) -> None:
-    """Text header (head, classes, features) followed by f64 LE weights."""
+    """Text header (head, classes, features) followed by f64 LE weights; the head
+    is the one the row count gives, sigmoid for one class, softmax otherwise."""
     c, f = model.weights.shape
-    header = f"{_MODEL_MAGIC} head={model.head.value} classes={c} features={f}\n"
+    header = f"{_MODEL_MAGIC} head={_head_name(c)} classes={c} features={f}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
@@ -297,17 +300,19 @@ def load_model(path) -> LinearPixelModel:
         raise TensorFileError(f"{path}: not a model checkpoint")
     try:
         fields = dict(part.split("=", 1) for part in blob[:newline].decode("ascii").split()[1:])
-        head = Head(fields["head"])
+        head = fields["head"]
         c = int(fields["classes"])
         f = int(fields["features"])
     except (KeyError, ValueError) as exc:
         raise TensorFileError(f"{path}: malformed header") from exc
     if c < 0 or f < 0:
         raise TensorFileError(f"{path}: negative size in header (classes={c}, features={f})")
+    if head != _head_name(c):
+        raise TensorFileError(f"{path}: head={head} does not fit classes={c}")
     payload = blob[newline + 1:]
     if len(payload) != 8 * c * f:
         raise TensorFileError(f"{path}: expected {8 * c * f} payload bytes, got {len(payload)}")
     weights = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(c, f)
     if not np.isfinite(weights).all():
         raise TensorFileError(f"{path}: weights are not all finite")
-    return LinearPixelModel(weights, head)
+    return LinearPixelModel(weights)

@@ -56,7 +56,7 @@ def finite_diff_param_grad(model, features, gt, cfg, mask=None, h=1e-5) -> np.nd
         for sign in (1.0, -1.0):
             w = base.copy()
             w[idx] += sign * h
-            probe = LinearPixelModel(w, model.head)
+            probe = LinearPixelModel(w)
             val = evaluate_loss(probe, features, gt, cfg, mask)
             grad[idx] += sign * val
     return grad / (2.0 * h)

@@ -144,10 +144,18 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError, match="Variant"):
             DiceLossConfig(ReductionScheme.IMAGE_WISE, variant="leaf")
 
-    @pytest.mark.parametrize("eps", ["abc", [[1.0, 2.0], [3.0]], {}, 10 ** 400])
+    @pytest.mark.parametrize("eps", ["abc", [[1.0, 2.0], [3.0]], {}, 10 ** 400,
+                                     "1.0", True, np.True_, [1.0, "2.0"], [1.0, True],
+                                     np.array([True, False]), np.array(["1.0"])])
     def test_epsilon_must_be_numbers(self, eps):
+        # "1.0" used to be kept as the str '1.0', and True as True
         with pytest.raises(InvalidConfigError):
             DiceLossConfig(ReductionScheme.IMAGE_WISE, epsilon=eps)
+
+    @pytest.mark.parametrize("eps", [2, 0.5, np.float64(0.5), np.int64(3)])
+    def test_scalar_epsilon_is_stored_as_a_float(self, eps):
+        cfg = DiceLossConfig(ReductionScheme.IMAGE_WISE, epsilon=eps)
+        assert type(cfg.epsilon) is float and cfg.epsilon == eps
 
     @pytest.mark.parametrize("entry", [dice_value_and_grad, dice_values])
     @pytest.mark.parametrize("values", [[-1.0, 0.5], [0.0, 2.0], [np.nan, 1.0], [0.0, 0.5]])
@@ -264,11 +272,10 @@ class TestMarginalMerge:
 
     def test_spill_goes_to_background(self):
         shape, gt, pred, mask = self.make_case()
-        merged, routing = marginal_merge(gt, pred, mask)
+        merged = marginal_merge(gt, pred, mask)
         assert merged[0, 1].tolist() == [0.0, 0.0]
         assert merged[0, 0] == pytest.approx([0.7, 0.7])  # 0.2+0.5, 0.1+0.6
         assert merged[0, 2] == pytest.approx([0.3, 0.3])
-        assert routing.tolist() == [[0, 0, 2]]
 
     def test_unavailable_gt_must_be_empty(self):
         shape = (1, 2, 2)

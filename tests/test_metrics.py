@@ -7,14 +7,12 @@ from dicelab.errors import DegenerateLabelsError, InvalidConfigError, ShapeMisma
 from dicelab.metrics import (
     binarize,
     bootstrap_compare,
-    format_cell,
     hard_dsc,
     read_csv,
     roc_auc,
     volume_difference,
     write_csv,
 )
-from dicelab.trainer import Head
 
 
 class TestHardDsc:
@@ -61,18 +59,18 @@ class TestVolumeDifference:
 class TestBinarize:
     def test_sigmoid_threshold_includes_half(self):
         pred = np.asarray([0.5, 0.4999, 0.51, 0.2], dtype=np.float64).reshape((1, 1, 4))
-        assert binarize(pred, Head.SIGMOID).reshape(-1).tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert binarize(pred).reshape(-1).tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_softmax_argmax_one_hot(self):
         # class rows: [0.2, 0.7], [0.3, 0.2], [0.5, 0.1]
         pred = np.asarray([0.2, 0.7, 0.3, 0.2, 0.5, 0.1], dtype=np.float64).reshape((1, 3, 2))
-        hard = binarize(pred, Head.SOFTMAX)
+        hard = binarize(pred)
         assert hard[0, :, 0].tolist() == [0.0, 0.0, 1.0]
         assert hard[0, :, 1].tolist() == [1.0, 0.0, 0.0]
 
     def test_softmax_tie_goes_to_lowest_index(self):
         pred = np.asarray([0.5, 0.5], dtype=np.float64).reshape((1, 2, 1))
-        assert binarize(pred, Head.SOFTMAX)[0, :, 0].tolist() == [1.0, 0.0]
+        assert binarize(pred)[0, :, 0].tolist() == [1.0, 0.0]
 
 
 def pair_count_auc(scores, labels):
@@ -170,19 +168,24 @@ class TestBootstrap:
 
 
 class TestCsv:
-    def test_format_cell_round_trips_floats(self):
-        assert format_cell(0.1) == "0.1"
-        assert float(format_cell(1 / 3)) == 1 / 3
-        assert format_cell(7) == "7"
-        assert format_cell("tag") == "tag"
-
-    def test_format_cell_renders_numpy_floats_as_plain_floats(self, tmp_path):
-        # under NumPy 2, repr(np.float64(0.5)) is "np.float64(0.5)"
-        assert format_cell(np.float64(0.5)) == "0.5"
-        assert float(format_cell(np.float64(1 / 3))) == 1 / 3
+    def test_cells_round_trip_floats(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["value"], [[np.float64(0.25)]])
-        assert read_csv(path)[1] == [["0.25"]]
+        write_csv(path, ["a", "b", "c", "d"], [[0.1, 1 / 3, 7, "tag"],
+                                               [1e-300, -0.0, 2.5e17, 7.0]])
+        rows = read_csv(path)[1]
+        assert rows[0][0] == "0.1"
+        assert float(rows[0][1]) == 1 / 3
+        assert rows[0][2:] == ["7", "tag"]
+        assert rows[1] == ["1e-300", "-0.0", "2.5e+17", "7.0"]
+
+    def test_numpy_floats_render_as_plain_floats(self, tmp_path):
+        # under NumPy 2, repr(np.float64(0.5)) is "np.float64(0.5)"
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], [[np.float64(0.5), np.float64(1 / 3), np.float64(0.25)]])
+        cells = read_csv(path)[1][0]
+        assert cells[0] == "0.5"
+        assert float(cells[1]) == 1 / 3
+        assert cells[2] == "0.25"
 
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"

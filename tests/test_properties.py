@@ -1,8 +1,8 @@
 """Property tests of the axis-based Dice core against the index-list oracle,
 of the leaf and marginal variants, of the batched finite-difference stencil
 against the per-element loop, of the harness's grouping pass against the
-per-(tag, class) rescans, and of the loss config, the experiment config, the
-dataset and the file readers on malformed input."""
+per-(tag, class) rescans, and of the loss config, the train config, the model,
+the experiment config, the dataset and the file readers on malformed input."""
 
 import json
 import math
@@ -29,7 +29,7 @@ from dicelab.loss import (
 )
 from dicelab.synthdata import MANIFEST_NAME, load_dataset
 from dicelab.tensor import ReductionScheme, read_tensor
-from dicelab.trainer import load_model
+from dicelab.trainer import N_FEATURES, LinearPixelModel, TrainConfig, load_model
 from fd_oracle import loop_finite_diff_grad
 from partition_oracle import enumerate_subsets, reference_grad, reference_loss
 import summary_oracle
@@ -336,6 +336,37 @@ def test_dice_loss_config_raises_only_dicelab_errors(scheme, epsilon, variant):
     except DicelabError:
         return
     assert isinstance(cfg.scheme, ReductionScheme) and isinstance(cfg.variant, Variant)
+
+
+number_like = st.one_of(json_values, st.floats(), st.integers())
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(st.builds(DiceLossConfig, st.sampled_from(list(ReductionScheme))), enum_like),
+       number_like, number_like, number_like, number_like)
+def test_train_config_raises_only_dicelab_errors(loss, batch_size, learning_rate, iterations,
+                                                 seed):
+    """Any loss and any numbers: a config, or a DicelabError."""
+    try:
+        cfg = TrainConfig(loss, batch_size, learning_rate, iterations, seed)
+    except DicelabError:
+        return
+    assert isinstance(cfg.loss, DiceLossConfig)
+
+
+weight_rows = st.lists(st.one_of(st.floats(), st.integers(), json_values), max_size=5)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(json_values, st.lists(weight_rows, max_size=3)))
+def test_linear_pixel_model_raises_only_dicelab_errors(weights):
+    """Any weights: a read-only (rows >= 1, N_FEATURES) model, or a DicelabError."""
+    try:
+        model = LinearPixelModel(weights)
+    except DicelabError:
+        return
+    assert model.weights.shape[0] >= 1 and model.weights.shape[1:] == (N_FEATURES,)
+    assert not model.weights.flags.writeable
 
 
 @pytest.fixture(scope="module")

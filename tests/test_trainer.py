@@ -25,7 +25,6 @@ from dicelab.synthdata import (
 from dicelab import trainer
 from dicelab.tensor import ReductionScheme
 from dicelab.trainer import (
-    Head,
     LinearPixelModel,
     TrainConfig,
     featurize,
@@ -75,23 +74,23 @@ class TestFeaturize:
 
 def forward(model, feats):
     """The model's (B, C, I) predictions for features (B, I, F), as a training step makes them."""
-    return trainer._forward(model.weights, model.head, feats)
+    return trainer._forward(model.weights, feats)
 
 
 class TestModelForward:
     def test_zero_weights_sigmoid_is_half(self):
-        model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
+        model = LinearPixelModel(np.zeros((1, 4)))
         pred = forward(model, np.ones((1, 3, 4)))
         assert np.all(pred == 0.5)
 
     def test_zero_weights_softmax_is_uniform(self):
-        model = LinearPixelModel(np.zeros((3, 4)), Head.SOFTMAX)
+        model = LinearPixelModel(np.zeros((3, 4)))
         pred = forward(model, np.ones((2, 5, 4)))
         assert pred == pytest.approx(np.full((2, 3, 5), 1.0 / 3.0))
 
     def test_softmax_columns_sum_to_one(self):
         rng = np.random.default_rng(1)
-        model = LinearPixelModel(rng.normal(size=(4, 4)), Head.SOFTMAX)
+        model = LinearPixelModel(rng.normal(size=(4, 4)))
         pred = forward(model, rng.uniform(0, 1, (2, 6, 4)))
         assert pred.sum(axis=1) == pytest.approx(np.ones((2, 6)), abs=1e-12)
 
@@ -99,9 +98,8 @@ class TestModelForward:
         rng = np.random.default_rng(2)
         w = rng.normal(size=(1, 4))
         feats = rng.uniform(0, 1, (1, 10, 4))
-        sig = forward(LinearPixelModel(w, Head.SIGMOID), feats)
-        soft = forward(
-            LinearPixelModel(np.vstack([np.zeros((1, 4)), w]), Head.SOFTMAX), feats)
+        sig = forward(LinearPixelModel(w), feats)
+        soft = forward(LinearPixelModel(np.vstack([np.zeros((1, 4)), w])), feats)
         assert soft[:, 1, :] == pytest.approx(sig[:, 0, :], abs=1e-12)
 
     def test_softmax_is_byte_equal_to_scipy(self):
@@ -115,15 +113,20 @@ class TestModelForward:
             if trial % 2:
                 x[:, :, rng.integers(c)] = x.max(axis=2)
                 x[:, :, rng.integers(c)] = x[:, :, rng.integers(c)]
-            got = trainer._forward(np.eye(c), Head.SOFTMAX, x)
+            got = trainer._forward(np.eye(c), x)
             want = softmax(np.einsum("bif,cf->bci", x, np.eye(c)), axis=1)
             assert got.tobytes() == want.tobytes()
 
-    def test_head_row_count_checked(self):
+    @pytest.mark.parametrize("weights", [np.zeros((0, 4)), np.zeros((1, 3)), np.zeros(4),
+                                         np.zeros((1, 1, 4))])
+    def test_weight_shape_checked(self, weights):
         with pytest.raises(ShapeMismatchError):
-            LinearPixelModel(np.zeros((2, 4)), Head.SIGMOID)
-        with pytest.raises(ShapeMismatchError):
-            LinearPixelModel(np.zeros((1, 4)), Head.SOFTMAX)
+            LinearPixelModel(weights)
+
+    @pytest.mark.parametrize("weights", ["abc", {}, [[1.0, 2.0], [3.0]]])
+    def test_weights_must_be_numbers(self, weights):
+        with pytest.raises(InvalidConfigError):
+            LinearPixelModel(weights)
 
 
 class TestModelBackward:
@@ -132,15 +135,15 @@ class TestModelBackward:
         # gradient is 0.25 * sum over pixels of features
         c = 0.3
         feats = featurize(np.full((4, 4), c))[None]
-        model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
-        grad = trainer._backward(model.head, feats, np.ones((1, 1, 16)), forward(model, feats))
+        model = LinearPixelModel(np.zeros((1, 4)))
+        grad = trainer._backward(feats, np.ones((1, 1, 16)), forward(model, feats))
         assert grad == pytest.approx(0.25 * 16 * np.array([[1.0, c, c, 0.0]]))
 
     def test_zero_loss_grad_gives_zero_weight_grad(self):
         rng = np.random.default_rng(3)
         feats = rng.uniform(0, 1, (2, 8, 4))
-        model = LinearPixelModel(rng.normal(size=(3, 4)), Head.SOFTMAX)
-        grad = trainer._backward(model.head, feats, np.zeros((2, 3, 8)), forward(model, feats))
+        model = LinearPixelModel(rng.normal(size=(3, 4)))
+        grad = trainer._backward(feats, np.zeros((2, 3, 8)), forward(model, feats))
         assert np.all(grad == 0.0)
 
 
@@ -166,8 +169,7 @@ def assert_same_bits(a, b):
 
 def planned_step(model, feats, gt, cfg, mask=None):
     """step_gradients with the loss planned as train plans it."""
-    return step_gradients(model.weights, model.head, feats, gt,
-                          loss_plan(cfg, gt.shape[1]), mask)
+    return step_gradients(model.weights, feats, gt, loss_plan(cfg, gt.shape[1]), mask)
 
 
 class TestEndToEndGradient:
@@ -187,8 +189,7 @@ class TestEndToEndGradient:
         samples = ds.samples[:3]
         feats = np.stack([featurize(s.image) for s in samples])
         gt = gt_from_samples(samples, include_background=False)
-        model = LinearPixelModel(np.random.default_rng(0).normal(0, 0.5, (1, 4)),
-                                 Head.SIGMOID)
+        model = LinearPixelModel(np.random.default_rng(0).normal(0, 0.5, (1, 4)))
         self.check(model, feats, gt, DiceLossConfig(scheme=scheme, epsilon=1.0))
 
     def test_softmax_head_with_background(self):
@@ -196,8 +197,7 @@ class TestEndToEndGradient:
         samples = ds.samples[:2]
         feats = np.stack([featurize(s.image) for s in samples])
         gt = gt_from_samples(samples, include_background=True)
-        model = LinearPixelModel(np.random.default_rng(1).normal(0, 0.5, (4, 4)),
-                                 Head.SOFTMAX)
+        model = LinearPixelModel(np.random.default_rng(1).normal(0, 0.5, (4, 4)))
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1.0)
         self.check(model, feats, gt, cfg)
 
@@ -208,8 +208,7 @@ class TestEndToEndGradient:
         samples = ds.samples[:2]
         feats = np.stack([featurize(s.image) for s in samples])
         gt = gt_from_samples(samples, include_background=False)
-        model = LinearPixelModel(np.random.default_rng(2).normal(0, 0.5, (4, 4)),
-                                 Head.SOFTMAX)
+        model = LinearPixelModel(np.random.default_rng(2).normal(0, 0.5, (4, 4)))
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1.0)
         self.check(model, feats, gt, cfg)
 
@@ -219,8 +218,7 @@ class TestEndToEndGradient:
         samples = ds.samples[:4]  # mix of labeled and emptied
         feats = np.stack([featurize(s.image) for s in samples])
         gt = gt_from_samples(samples, include_background=False)
-        model = LinearPixelModel(np.random.default_rng(3).normal(0, 0.5, (1, 4)),
-                                 Head.SIGMOID)
+        model = LinearPixelModel(np.random.default_rng(3).normal(0, 0.5, (1, 4)))
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-3,
                              variant=Variant.LEAF)
         self.check(model, feats, gt, cfg)
@@ -234,8 +232,7 @@ class TestEndToEndGradient:
         feats = np.stack([featurize(s.image) for s in samples])
         gt = gt_from_samples(samples, include_background=True)
         mask = np.stack([[True, *s.availability] for s in samples])
-        model = LinearPixelModel(np.random.default_rng(4).normal(0, 0.5, (4, 4)),
-                                 Head.SOFTMAX)
+        model = LinearPixelModel(np.random.default_rng(4).normal(0, 0.5, (4, 4)))
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-3,
                              variant=Variant.MARGINAL)
         self.check(model, feats, gt, cfg, mask=mask)
@@ -286,14 +283,14 @@ class TestTrainLoop:
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                               variant=Variant.MARGINAL)
         result = train(ds, TrainConfig(loss=loss, batch_size=len(ds), iterations=1))
-        assert result.model.head is Head.SOFTMAX
+        assert result.model.weights.shape == (4, 4)
         assert result.model.n_classes == 4
         assert result.class_names == ("background", "core", "shell", "satellite")
         # the first step scores the zero model against gt with the background row first
         feats = np.stack([featurize(s.image) for s in ds.samples])
         gt = gt_from_samples(ds.samples, include_background=True)
         mask = np.ones((len(ds), 4), dtype=bool)
-        zero = LinearPixelModel(np.zeros((4, 4)), Head.SOFTMAX)
+        zero = LinearPixelModel(np.zeros((4, 4)))
         step = planned_step(zero, feats, gt, loss, mask)
         assert result.history[0, 0] == pytest.approx(step.loss, rel=1e-12)
         assert result.history.shape == (1, 1 + 2 * 4)
@@ -341,6 +338,12 @@ class TestTrainLoop:
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE)
         with pytest.raises(InvalidConfigError):
             TrainConfig(loss=loss, **kwargs)
+
+    @pytest.mark.parametrize("loss", ["x", None, ReductionScheme.IMAGE_WISE])
+    def test_loss_must_be_a_dice_loss_config(self, loss):
+        # TrainConfig(loss="x") used to build and fail later inside train
+        with pytest.raises(InvalidConfigError, match="DiceLossConfig"):
+            TrainConfig(loss=loss)
 
     def test_non_finite_step_stops_training_at_its_iteration(self, monkeypatch):
         real = trainer.step_gradients
@@ -391,12 +394,27 @@ class TestTrainLoop:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        model = LinearPixelModel(rng.normal(size=(3, 4)), Head.SOFTMAX)
+        model = LinearPixelModel(rng.normal(size=(3, 4)))
         path = tmp_path / "m.model"
         save_model(model, path)
+        assert path.read_bytes().startswith(b"DLM1 head=softmax classes=3 features=4\n")
         back = load_model(path)
-        assert back.head is Head.SOFTMAX
+        assert back.weights.shape == (3, 4)
         assert np.array_equal(back.weights, model.weights)
+
+    def test_one_row_saves_as_sigmoid(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(LinearPixelModel(np.ones((1, 4))), path)
+        assert path.read_bytes().startswith(b"DLM1 head=sigmoid classes=1 features=4\n")
+        assert load_model(path).weights.tolist() == [[1.0] * 4]
+
+    @pytest.mark.parametrize("head, classes", [("softmax", 1), ("sigmoid", 3), ("relu", 1)])
+    def test_head_must_fit_classes(self, tmp_path, head, classes):
+        path = tmp_path / "bad.model"
+        path.write_bytes(f"DLM1 head={head} classes={classes} features=4\n".encode()
+                         + bytes(8 * 4 * classes))
+        with pytest.raises(TensorFileError, match="does not fit"):
+            load_model(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.model"
@@ -433,7 +451,7 @@ class TestCheckpoint:
             load_model(path)
 
     def test_payload_length_checked(self, tmp_path):
-        model = LinearPixelModel(np.zeros((1, 4)), Head.SIGMOID)
+        model = LinearPixelModel(np.zeros((1, 4)))
         path = tmp_path / "m.model"
         save_model(model, path)
         path.write_bytes(path.read_bytes()[:-8])
@@ -483,7 +501,7 @@ def test_train_matches_the_per_step_oracle_bit_for_bit(make_data, loss, batch_si
     cfg = TrainConfig(loss=loss, batch_size=batch_size, learning_rate=5.0,
                       iterations=iterations, seed=2)
     got, want = train(ds, cfg), train_oracle.train(ds, cfg)
-    assert got.model.head is want.model.head
+    assert got.model.weights.shape == want.model.weights.shape
     assert got.model.weights.tobytes() == want.model.weights.tobytes()
     assert got.history.shape == want.history.shape
     assert got.history.tobytes() == want.history.tobytes()

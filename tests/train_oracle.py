@@ -22,7 +22,6 @@ from dicelab.errors import NonFiniteTrainingError
 from dicelab.loss import Variant, dice_value_and_grad
 from dicelab.trainer import (
     N_FEATURES,
-    Head,
     LinearPixelModel,
     StepResult,
     TrainResult,
@@ -31,15 +30,15 @@ from dicelab.trainer import (
 
 
 def forward(model, features) -> np.ndarray:
-    """The model's (B, C, I) predictions through SciPy's expit or softmax."""
+    """The model's (B, C, I) predictions through SciPy's expit (one class) or softmax."""
     logits = np.einsum("bif,cf->bci", features, model.weights)
-    return expit(logits) if model.head is Head.SIGMOID else softmax(logits, axis=1)
+    return expit(logits) if model.n_classes == 1 else softmax(logits, axis=1)
 
 
 def backward(model, features, g, p) -> np.ndarray:
     """dloss/dweights: the head's Jacobian applied to the loss gradient g at the
     predictions p, contracted against the features."""
-    if model.head is Head.SIGMOID:
+    if model.n_classes == 1:
         dz = g * p * (1.0 - p)
     else:
         dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
@@ -75,7 +74,6 @@ def train(dataset, cfg) -> TrainResult:
     n = len(dataset.samples)
     n_fg = dataset.n_classes
     marginal = cfg.loss.variant is Variant.MARGINAL
-    head = Head.SIGMOID if n_fg == 1 else Head.SOFTMAX
 
     feats = np.stack([featurize(s.image) for s in dataset.samples])
     gt_all = np.stack([s.gt.reshape(n_fg, -1) for s in dataset.samples])
@@ -86,7 +84,7 @@ def train(dataset, cfg) -> TrainResult:
         avail_all = np.concatenate([np.ones((n, 1), dtype=bool), avail_all], axis=1)
         loss_names = ("background",) + loss_names
 
-    model = LinearPixelModel(np.zeros((1 if n_fg == 1 else n_fg + 1, N_FEATURES)), head)
+    model = LinearPixelModel(np.zeros((1 if n_fg == 1 else n_fg + 1, N_FEATURES)))
     rng = np.random.default_rng(cfg.seed)
     history: list[list[float]] = []
     queue: list[np.ndarray] = []
@@ -105,7 +103,7 @@ def train(dataset, cfg) -> TrainResult:
             raise NonFiniteTrainingError(
                 f"non-finite loss or weight gradient at iteration {iteration}"
             )
-        model = LinearPixelModel(model.weights - cfg.learning_rate * step.param_grad, head)
+        model = LinearPixelModel(model.weights - cfg.learning_rate * step.param_grad)
         y0, y1 = grad_split(gt, step.loss_grad)
         history.append([step.loss, *y0, *y1])
     rows = np.array(history, dtype=np.float64).reshape(len(history), 1 + 2 * len(loss_names))
