@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InvalidConfigError, NoRealRootError, ShapeMismatchError
-from .loss import _require_binary
+from .errors import (EmptyDatasetError, InvalidConfigError, NoRealRootError, ShapeMismatchError,
+                     require_binary, require_number)
 from .tensor import ReductionScheme, readonly
 
 
@@ -35,12 +35,12 @@ class BalanceParams:
     v_hat: float
 
     def __post_init__(self):
-        if not (0.0 < self.a <= 1.0):
-            raise InvalidConfigError(f"overlap coefficient a must be in (0, 1], got {self.a}")
-        if not (0.0 < self.b <= 4.0):
-            raise InvalidConfigError(f"union coefficient b must be in (0, 4], got {self.b}")
-        if not self.v_hat > 0.0:
-            raise InvalidConfigError(f"expected volume v_hat must be positive, got {self.v_hat}")
+        for name, value, high in (("overlap coefficient a", self.a, 1.0),
+                                  ("union coefficient b", self.b, 4.0),
+                                  ("expected volume v_hat", self.v_hat, math.inf)):
+            require_number(name, value, 0.0, high)
+            if value == 0:  # each lower bound is open
+                raise InvalidConfigError(f"{name} must be > 0, got {value!r}")
 
 
 def calibrate_epsilon(
@@ -66,7 +66,7 @@ def calibrate_epsilon(
         elif t.shape[1] != classes:
             raise ShapeMismatchError(
                 f"inconsistent class count in dataset: {t.shape[1]} != {classes}")
-        _require_binary(t)
+        require_binary("ground-truth", t)
         counts.append(t.sum(axis=2))
     if not counts:
         raise EmptyDatasetError("cannot calibrate epsilon from an empty dataset")

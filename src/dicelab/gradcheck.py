@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .epsilon import calibrate_epsilon
-from .errors import InvalidConfigError, RangeViolationError, ShapeMismatchError
-from .loss import (DiceLossConfig, LossPlan, Variant, _require_binary, dice_grads, dice_values,
-                   loss_plan)
+from .errors import (InvalidConfigError, RangeViolationError, ShapeMismatchError, require_binary,
+                     require_int, require_number)
+from .loss import DiceLossConfig, LossPlan, Variant, dice_grads, dice_values, loss_plan
 from .tensor import ReductionScheme, batch_dims, readonly
 
 FD_STEP = 1e-5
@@ -127,7 +127,7 @@ def check_two_value(gt: np.ndarray, grad: np.ndarray,
     """
     y, g = np.asarray(gt), np.asarray(grad)
     _check_instances(y, g)
-    _require_binary(y)
+    require_binary("ground-truth", y)
     axes = tuple(a - 3 for a in scheme.axes)
     within = []
     for sel in (y == 0.0, y == 1.0):
@@ -175,17 +175,13 @@ def random_instance(dims: tuple[int, int, int], rng: np.random.Generator,
 
 
 def _check_epsilon_labels(labels: Sequence[str]) -> None:
-    """InvalidConfigError unless there is a label and each is 'calibrated' or a float >= 0."""
-    if not labels:
-        raise InvalidConfigError("at least one epsilon label is required")
+    """InvalidConfigError unless each label is 'calibrated' or a finite float >= 0."""
     for label in labels:
         try:
-            ok = label == "calibrated" or 0.0 <= float(label) < math.inf  # NaN fails too
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise InvalidConfigError(f"epsilon {label!r} must be 'calibrated' or a finite "
-                                     "non-negative number")
+            value = 0.0 if label == "calibrated" else float(label)
+        except (TypeError, ValueError, OverflowError):
+            value = label  # not a number, so require_number rejects it
+        require_number("an epsilon label other than 'calibrated'", value, 0)
 
 
 def resolve_epsilon(label: str, gt: np.ndarray, scheme: ReductionScheme):
@@ -205,22 +201,22 @@ def run_check_matrix(
     """The analytic-vs-numeric comparison and the two-value check of every instance.
 
     Every argument is checked before the first instance: InvalidConfigError
-    for no scheme, a scheme that is not a ReductionScheme, no shape, a bad
-    epsilon label or an n_instances that is not an int >= 1, and
+    for shapes, schemes or epsilons that are not a non-empty list or tuple, a
+    scheme that is not a ReductionScheme, a bad epsilon label, an n_instances
+    that is not an int >= 1 or a base_seed that is not an int >= 0, and
     ShapeMismatchError for a shape that is not three positive ints. Each
     (scheme, shape, epsilon) cell draws its n_instances instances and scores
     them as one stack, each instance with its own epsilon.
     """
+    for name, arg in (("shapes", shapes), ("schemes", schemes), ("epsilons", epsilons)):
+        if not isinstance(arg, (list, tuple)) or not arg:
+            raise InvalidConfigError(f"{name} must be a non-empty list, got {arg!r}")
     _check_epsilon_labels(epsilons)
-    if not schemes or not all(isinstance(s, ReductionScheme) for s in schemes):
-        raise InvalidConfigError(f"schemes must be one or more ReductionScheme members, "
-                                 f"got {schemes!r}")
-    if not shapes:
-        raise InvalidConfigError("at least one shape is required")
+    if not all(isinstance(s, ReductionScheme) for s in schemes):
+        raise InvalidConfigError(f"schemes must be ReductionScheme members, got {schemes!r}")
     shapes = [batch_dims(dims) for dims in shapes]
-    if isinstance(n_instances, bool) or not isinstance(n_instances, (int, np.integer)) \
-            or n_instances < 1:
-        raise InvalidConfigError(f"n_instances must be an int >= 1, got {n_instances!r}")
+    require_int("n_instances", n_instances, 1)
+    require_int("base_seed", base_seed, 0)
     records: list[MatrixRecord] = []
     case = 0
     for scheme in schemes:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .epsilon import calibrate_epsilon
-from .errors import InvalidConfigError, NonFiniteTrainingError
+from .errors import InvalidConfigError, NonFiniteTrainingError, require_int, require_number
 from .loss import DiceLossConfig, Variant
 from .metrics import (RocCurve, binarize, bootstrap_compare, hard_dsc, roc_auc,
                       volume_difference, write_csv)
@@ -42,8 +42,7 @@ from .synthdata import (
     save_dataset,
 )
 from .tensor import ReductionScheme
-from .trainer import (TrainConfig, _features, _require_int, _require_learning_rate, predict,
-                      save_model, train)
+from .trainer import TrainConfig, _features, predict, save_model, train
 
 CONFIG_SCHEMA = 1
 
@@ -134,16 +133,16 @@ class ExperimentConfig:
         if not self.labelings or not self.setups or not self.batch_sizes:
             raise InvalidConfigError("labelings, setups, and batch_sizes must be non-empty")
         for b in self.batch_sizes:
-            _require_int("batch size", b, 1)
+            require_int("batch size", b, 1)
         for name, values in (("labelings", self.labelings), ("setups", self.setups),
                              ("batch_sizes", self.batch_sizes)):
             if len(set(values)) != len(values):
                 raise InvalidConfigError(f"{name} must not repeat an entry, got {values!r}")
-        _require_int("folds", self.folds, 2)
-        _require_int("iterations", self.iterations, 1)
-        _require_int("seed", self.seed, 0)
-        _require_int("bootstrap_resamples", self.bootstrap_resamples, 1)
-        _require_learning_rate(self.learning_rate)
+        require_int("folds", self.folds, 2)
+        require_int("iterations", self.iterations, 1)
+        require_int("seed", self.seed, 0)
+        require_int("bootstrap_resamples", self.bootstrap_resamples, 1)
+        require_number("learning_rate", self.learning_rate, 0)
 
     def cells(self) -> list[tuple[str, str, int]]:
         return [(lab, setup, b)
@@ -211,17 +210,11 @@ def save_config(config: ExperimentConfig, path) -> None:
 def build_dataset(config: ExperimentConfig) -> tuple[SyntheticDataset, SyntheticDataset]:
     """Pristine dataset plus its partially labeled twin for the task's corruption."""
     task = TASKS[config.task]
-    overrides = dict(config.dataset)
-    for key in [f.name for f in fields(task.params) if isinstance(f.default, tuple)]:
-        if key in overrides:
-            pair = overrides[key]
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise InvalidConfigError(f"dataset {key} must be a [low, high] pair, got {pair!r}")
-            overrides[key] = tuple(pair)
     try:
-        full = task.generate(task.params(**overrides), config.seed)
-    except TypeError as exc:
+        params = task.params(**config.dataset)
+    except TypeError as exc:  # a field the task's parameters do not have
         raise InvalidConfigError(f"bad dataset parameters: {exc}") from exc
+    full = task.generate(params, config.seed)
     return full, apply_partial(full, task.partial)
 
 
@@ -476,8 +469,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
 
     out_dir must be new or empty, so no artifact of an older run survives.
     """
-    if jobs < 1:
-        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
+    require_int("jobs", jobs, 1)
     out = Path(out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise InvalidConfigError(f"output directory {out} must be new or empty")

@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -51,6 +49,8 @@ from .errors import (
     RangeViolationError,
     ShapeMismatchError,
     ZeroDenominatorError,
+    require_binary,
+    require_number,
 )
 from .tensor import ReductionScheme, readonly
 
@@ -82,12 +82,13 @@ class DiceLossConfig:
         if not isinstance(self.variant, Variant):
             raise InvalidConfigError(f"variant must be a Variant, got {self.variant!r}")
         # NumPy would parse "1.0" and take True as 1.0, so each cell must be a real
-        # number; a ragged sequence flattens to its rows, which are not
-        cells = np.asarray(self.epsilon, dtype=object).reshape(-1).tolist()
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   and 0 <= v <= sys.float_info.max for v in cells):  # NaN fails too
-            raise InvalidConfigError(f"epsilon must be finite and non-negative numbers, "
+        # number; the rows of a ragged sequence are cells, and not numbers
+        cells = np.asarray(self.epsilon, dtype=object)
+        if cells.ndim > 1:
+            raise InvalidConfigError(f"epsilon must be a number or a 1-D sequence of numbers, "
                                      f"got {self.epsilon!r}")
+        for v in cells.reshape(-1).tolist():
+            require_number("epsilon", v, 0)
         if np.isscalar(self.epsilon):
             object.__setattr__(self, "epsilon", float(self.epsilon))
         elif not self.scheme.class_pure:
@@ -95,7 +96,7 @@ class DiceLossConfig:
                 f"per-class epsilon requires a class-pure scheme, got {self.scheme.value}"
             )
         else:
-            object.__setattr__(self, "epsilon", np.asarray(cells, dtype=np.float64))
+            object.__setattr__(self, "epsilon", cells.astype(np.float64).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -205,17 +206,11 @@ def loss_plan(cfg: DiceLossConfig | LossPlan, classes: int) -> LossPlan:
     return LossPlan(cfg, tuple(a - 3 for a in cfg.scheme.axes), _epsilon(cfg, classes))
 
 
-def _require_binary(y: np.ndarray) -> None:
-    """RangeViolationError unless every ground-truth value is 0 or 1 (NaN is neither)."""
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise RangeViolationError("ground-truth values must be exactly 0 or 1")
-
-
 def _checked(gt, pred, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
     """gt and pred as float64 arrays of matching shapes, gt of 0 and 1, pred in [0, 1]."""
     y, p = np.asarray(gt, dtype=np.float64), np.asarray(pred, dtype=np.float64)
     _check_shapes(y, p, stacked)
-    _require_binary(y)
+    require_binary("ground-truth", y)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise RangeViolationError("prediction values must lie in [0, 1]")
     return y, p

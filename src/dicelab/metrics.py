@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, InvalidConfigError, ShapeMismatchError
+from .errors import DegenerateLabelsError, InvalidConfigError, ShapeMismatchError, require_int
 
 
 def hard_dsc(gt_map: np.ndarray, pred_map: np.ndarray) -> float:
@@ -92,8 +92,8 @@ def bootstrap_compare(a, b, n_resamples: int = 10_000, seed: int = 0) -> float:
     resampled mean differences whose sign contradicts the observed one,
     doubled and clamped to [0, 1].  Identical lists give exactly 1.
     """
-    if n_resamples < 1:
-        raise InvalidConfigError(f"n_resamples must be >= 1, got {n_resamples}")
+    require_int("n_resamples", n_resamples, 1)
+    require_int("seed", seed, 0)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfigError, RangeViolationError, ShapeMismatchError, TensorFileError
+from .errors import (InvalidConfigError, RangeViolationError, ShapeMismatchError, TensorFileError,
+                     require_binary, require_int, require_number)
 from .tensor import read_tensor, write_tensor
 
 GRADE_A = "grade-a"
@@ -76,8 +77,7 @@ class SyntheticSample:
                                      f"and the availability flags true or false")
         if not np.isfinite(self.image).all():
             raise RangeViolationError(f"subject {self.subject_id}: image values must be finite")
-        if not ((self.gt == 0.0) | (self.gt == 1.0)).all():
-            raise RangeViolationError(f"subject {self.subject_id}: gt values must be 0 or 1")
+        require_binary(f"subject {self.subject_id}: gt", self.gt)
         if len(self.gt) > 1 and (self.gt.sum(axis=0) > 1.0).any():
             raise RangeViolationError(f"subject {self.subject_id}: gt maps of two classes "
                                       f"overlap; a pixel belongs to at most one class")
@@ -128,6 +128,13 @@ class BinaryTaskParams:
     background_level: float = 0.05
     noise_sigma: float = 0.02
 
+    def __post_init__(self):
+        _check_common(self, ("n_grade_a", "n_grade_b"))
+        for name in ("intensity_a", "intensity_b"):
+            _check_range(self, name, 0.0, 1.0)
+        for name in ("radius_a", "radius_b"):  # every disk fits inside the frame
+            _check_range(self, name, 1.0, self.image_size / 2.0 - 2.0)
+
 
 @dataclass(frozen=True)
 class MulticlassTaskParams:
@@ -145,57 +152,50 @@ class MulticlassTaskParams:
     noise_sigma: float = 0.03
     center_jitter: float = 1.5
 
+    def __post_init__(self):
+        _check_common(self, ("n_phase_a", "n_phase_b"))
+        require_number("phase_b_shrink", self.phase_b_shrink, 0.0, 1.0)
+        if self.phase_b_shrink == 0:
+            raise InvalidConfigError("phase_b_shrink must be in (0, 1], got 0")
+        require_number("center_jitter", self.center_jitter, 0.0)
+        for name in ("core_radius", "shell_width", "satellite_radius"):
+            _check_range(self, name, 0.0, self.image_size / 2.0)
+        for name in ("core_intensity", "shell_intensity", "satellite_intensity"):
+            _check_range(self, name, 0.0, 1.0)
+        n = self.image_size
+        j = self.center_jitter
+        outer_hi = self.core_radius[1] + self.shell_width[1]
+        sat_hi = self.satellite_radius[1]
+        # worst-case extents: structures must fit inside the frame and never touch
+        core_right = 0.30 * n + j + outer_hi
+        sat_left = 0.75 * n - j - sat_hi
+        if core_right + 1.0 > sat_left:
+            raise InvalidConfigError("core/shell and satellite ranges may overlap; "
+                                     "reduce radii or enlarge image_size")
+        if 0.30 * n - j - outer_hi < 1.0 or 0.75 * n + j + sat_hi > n - 2.0:
+            raise InvalidConfigError("structures may leave the frame; "
+                                     "reduce radii or enlarge image_size")
+        if 0.50 * n - j - outer_hi < 1.0 or 0.50 * n + j + outer_hi > n - 2.0:
+            raise InvalidConfigError("structures may leave the frame vertically")
 
-def _check_range(name: str, rng: tuple[float, float], lo: float = 0.0, hi: float = 1.0):
-    a, b = rng
-    if not (lo <= a <= b <= hi):
-        raise InvalidConfigError(f"{name} must satisfy {lo} <= low <= high <= {hi}, got {rng}")
+
+def _check_common(p, counts: tuple[str, str]) -> None:
+    """The fields both tasks share: image size, the two cohort counts, background, noise."""
+    require_int("image_size", p.image_size, 16)
+    for name in counts:
+        require_int(name, getattr(p, name), 1)
+    require_number("background_level", p.background_level, 0.0, 1.0)
+    require_number("noise_sigma", p.noise_sigma, 0.0)
 
 
-def _check_common(p) -> None:
-    if p.image_size < 16:
-        raise InvalidConfigError(f"image_size must be >= 16, got {p.image_size}")
-    if p.noise_sigma < 0:
-        raise InvalidConfigError(f"noise_sigma must be >= 0, got {p.noise_sigma}")
-    if not 0.0 <= p.background_level <= 1.0:
-        raise InvalidConfigError(f"background_level must be in [0, 1], got {p.background_level}")
-
-
-def _validate_binary(p: BinaryTaskParams) -> None:
-    _check_common(p)
-    if p.n_grade_a < 1 or p.n_grade_b < 1:
-        raise InvalidConfigError("need at least one sample per grade")
-    _check_range("intensity_a", p.intensity_a)
-    _check_range("intensity_b", p.intensity_b)
-    for name, rng in (("radius_a", p.radius_a), ("radius_b", p.radius_b)):
-        _check_range(name, rng, lo=1.0, hi=p.image_size / 2.0 - 2.0)
-
-
-def _validate_multiclass(p: MulticlassTaskParams) -> None:
-    _check_common(p)
-    if p.n_phase_a < 1 or p.n_phase_b < 1:
-        raise InvalidConfigError("need at least one sample per phase")
-    if not 0.0 < p.phase_b_shrink <= 1.0:
-        raise InvalidConfigError(f"phase_b_shrink must be in (0, 1], got {p.phase_b_shrink}")
-    for name, rng in (("core_intensity", p.core_intensity),
-                      ("shell_intensity", p.shell_intensity),
-                      ("satellite_intensity", p.satellite_intensity)):
-        _check_range(name, rng)
-    n = p.image_size
-    j = p.center_jitter
-    outer_hi = p.core_radius[1] + p.shell_width[1]
-    sat_hi = p.satellite_radius[1]
-    # worst-case extents: structures must fit inside the frame and never touch
-    core_right = 0.30 * n + j + outer_hi
-    sat_left = 0.75 * n - j - sat_hi
-    if core_right + 1.0 > sat_left:
-        raise InvalidConfigError("core/shell and satellite ranges may overlap; "
-                                 "reduce radii or enlarge image_size")
-    if 0.30 * n - j - outer_hi < 1.0 or 0.75 * n + j + sat_hi > n - 2.0:
-        raise InvalidConfigError("structures may leave the frame; "
-                                 "reduce radii or enlarge image_size")
-    if 0.50 * n - j - outer_hi < 1.0 or 0.50 * n + j + outer_hi > n - 2.0:
-        raise InvalidConfigError("structures may leave the frame vertically")
+def _check_range(p, name: str, low: float, high: float) -> None:
+    """Field name of p: a range low <= lo <= hi <= high, a list stored as a (lo, hi) tuple."""
+    pair = getattr(p, name)
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise InvalidConfigError(f"{name} must be a [low, high] pair, got {pair!r}")
+    require_number(f"{name} low", pair[0], low, high)
+    require_number(f"{name} high", pair[1], pair[0], high)
+    object.__setattr__(p, name, tuple(pair))
 
 
 def _disk(n: int, cx: float, cy: float, r: float) -> np.ndarray:
@@ -211,7 +211,7 @@ def _shuffled_tags(counts: list[tuple[str, int]], rng: np.random.Generator) -> l
 
 def generate_binary(params: BinaryTaskParams, seed: int) -> SyntheticDataset:
     """One disk per image; grade decides its intensity band and radius range."""
-    _validate_binary(params)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     n = params.image_size
     tags = _shuffled_tags([(GRADE_A, params.n_grade_a), (GRADE_B, params.n_grade_b)], rng)
@@ -243,7 +243,7 @@ def generate_binary(params: BinaryTaskParams, seed: int) -> SyntheticDataset:
 
 def generate_multiclass(params: MulticlassTaskParams, seed: int) -> SyntheticDataset:
     """Core disk + shell ring + satellite disk; phase-b shrinks all radii."""
-    _validate_multiclass(params)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     n = params.image_size
     tags = _shuffled_tags([(PHASE_A, params.n_phase_a), (PHASE_B, params.n_phase_b)], rng)
@@ -375,8 +375,7 @@ def load_dataset(path) -> SyntheticDataset:
         if not isinstance(task, str):
             raise ValueError(f"task must be a string, got {task!r}")
         n = manifest["image_size"]
-        if type(n) is not int or n <= 0:
-            raise ValueError(f"image_size must be a positive integer, got {n!r}")
+        require_int("image_size", n, 1)
         class_names = manifest["class_names"]
         if type(class_names) is not list or not all(isinstance(c, str) for c in class_names):
             raise ValueError(f"class_names must be a list of strings, got {class_names!r}")
@@ -384,8 +383,7 @@ def load_dataset(path) -> SyntheticDataset:
                     Path(e["file"])) for e in manifest["samples"]]
         ids = [entry[0] for entry in entries]
         for subject_id in ids:
-            if type(subject_id) is not int or subject_id < 0:
-                raise ValueError(f"subject_id must be an integer >= 0, got {subject_id!r}")
+            require_int("subject_id", subject_id, 0)
         if len(set(ids)) != len(ids):  # each id names its own sample_NNNN.drt
             raise ValueError(f"subject ids must be unique, got {ids!r}")
         files = [str(entry[3]) for entry in entries]

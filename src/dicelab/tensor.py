@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .errors import ShapeMismatchError, TensorFileError
+from .errors import InvalidConfigError, ShapeMismatchError, TensorFileError, require_int
 
 
 class ReductionScheme(enum.Enum):
@@ -53,11 +53,16 @@ _POOLED_AXES = {
 
 
 def batch_dims(dims) -> tuple[int, int, int]:
-    """(B, C, I) as three positive integers, else ShapeMismatchError."""
-    dims = tuple(dims)
-    if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and d > 0 for d in dims):
-        raise ShapeMismatchError(f"(B, C, I) must be three positive integers, got {dims!r}")
-    return tuple(int(d) for d in dims)
+    """(B, C, I) as three positive integers (bool excluded), else ShapeMismatchError."""
+    try:
+        dims = tuple(dims)
+        if len(dims) == 3:
+            for d in dims:
+                require_int("a dim", d, 1)
+            return tuple(int(d) for d in dims)
+    except (TypeError, InvalidConfigError):  # not a sequence, or a dim is not an int >= 1
+        pass
+    raise ShapeMismatchError(f"(B, C, I) must be three positive integers, got {dims!r}")
 
 
 def readonly(array: np.ndarray) -> np.ndarray:

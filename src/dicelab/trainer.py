@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +26,8 @@ from .errors import (
     NonFiniteTrainingError,
     ShapeMismatchError,
     TensorFileError,
+    require_int,
+    require_number,
 )
 from .loss import DiceLossConfig, LossPlan, Variant, loss_plan, planned_value_and_grad
 from .tensor import readonly
@@ -38,20 +38,20 @@ _MODEL_MAGIC = "DLM1"
 
 @dataclass(frozen=True)
 class LinearPixelModel:
-    """A read-only (n_classes, N_FEATURES) weight matrix; one row is a sigmoid
-    model, two or more a softmax model whose row 0 is the background."""
+    """A read-only (n_classes, N_FEATURES) matrix of finite weights; one row is a
+    sigmoid model, two or more a softmax model whose row 0 is the background."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        try:
-            w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:  # not numbers, or ragged
-            raise InvalidConfigError(f"weights must be a 2-D array of numbers: {exc}") from exc
-        if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != N_FEATURES:
-            raise ShapeMismatchError(f"weights must be (classes, {N_FEATURES}), got {w.shape}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        # NumPy would parse "1" and take True as 1.0, so each cell must be a real
+        # number; the rows of a ragged list are cells, and not numbers
+        cells = np.asarray(self.weights, dtype=object)
+        for v in cells.reshape(-1).tolist():
+            require_number("each weight", v, -math.inf)
+        if cells.ndim != 2 or cells.shape[0] < 1 or cells.shape[1] != N_FEATURES:
+            raise ShapeMismatchError(f"weights must be (classes, {N_FEATURES}), got {cells.shape}")
+        object.__setattr__(self, "weights", readonly(cells))
 
     @property
     def n_classes(self) -> int:
@@ -69,23 +69,10 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.loss, DiceLossConfig):
             raise InvalidConfigError(f"loss must be a DiceLossConfig, got {self.loss!r}")
-        _require_int("batch_size", self.batch_size, 1)
-        _require_learning_rate(self.learning_rate)
-        _require_int("iterations", self.iterations, 0)
-        _require_int("seed", self.seed, 0)
-
-
-def _require_int(name: str, value, minimum: int) -> None:
-    """An integer (bool excluded) of at least minimum, else InvalidConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _require_learning_rate(value) -> None:
-    """A finite real number (bool excluded) of at least 0, else InvalidConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            0 <= value <= sys.float_info.max):  # an int past the float range cannot train
-        raise InvalidConfigError(f"learning_rate must be a finite number >= 0, got {value!r}")
+        require_int("batch_size", self.batch_size, 1)
+        require_number("learning_rate", self.learning_rate, 0)
+        require_int("iterations", self.iterations, 0)
+        require_int("seed", self.seed, 0)
 
 
 def featurize(image: np.ndarray) -> np.ndarray:
@@ -305,8 +292,9 @@ def load_model(path) -> LinearPixelModel:
         f = int(fields["features"])
     except (KeyError, ValueError) as exc:
         raise TensorFileError(f"{path}: malformed header") from exc
-    if c < 0 or f < 0:
-        raise TensorFileError(f"{path}: negative size in header (classes={c}, features={f})")
+    if c < 1 or f != N_FEATURES:
+        raise TensorFileError(f"{path}: a model needs classes >= 1 and features={N_FEATURES}, "
+                              f"got classes={c}, features={f}")
     if head != _head_name(c):
         raise TensorFileError(f"{path}: head={head} does not fit classes={c}")
     payload = blob[newline + 1:]

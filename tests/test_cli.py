@@ -100,6 +100,10 @@ class TestGenData:
         pytest.param({"dataset": [1, 2]}, id="dataset-list"),
         pytest.param({"dataset": {"radius_a": 5}}, id="dataset-radius-scalar"),
         pytest.param({"dataset": {"radius_a": [3.0, 4.0, 5.0]}}, id="dataset-radius-triple"),
+        # written as `center_jitter: .nan`; it ended in an OverflowError traceback
+        pytest.param({"task": "multiclass", "dataset": {"center_jitter": float("nan")}},
+                     id="dataset-jitter-nan"),
+        pytest.param({"dataset": {"n_grade_b": True}}, id="dataset-count-bool"),
         pytest.param({"batch_sizes": 4}, id="batch-sizes-scalar"),
         pytest.param({"labelings": "full"}, id="labelings-string"),
         # an int key next to an unknown str key: the two cannot be sorted together

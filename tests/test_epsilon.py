@@ -109,6 +109,11 @@ class TestBalanceEquation:
         dict(a=0.5, b=4.5, v_hat=10.0),
         dict(a=0.5, b=2.0, v_hat=0.0),
         dict(a=0.5, b=2.0, v_hat=-3.0),
+        # a string raised TypeError, and True counted as 1
+        dict(a="0.5", b=2.0, v_hat=10.0),
+        dict(a=True, b=2.0, v_hat=10.0),
+        dict(a=0.5, b=2.0, v_hat=float("nan")),
+        dict(a=0.5, b=2.0, v_hat=float("inf")),
     ])
     def test_coefficient_validation(self, kwargs):
         with pytest.raises(InvalidConfigError):

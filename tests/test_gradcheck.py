@@ -326,6 +326,11 @@ class TestMatrix:
         ({"n_instances": 2.0}, InvalidConfigError),
         ({"n_instances": "2"}, InvalidConfigError),
         ({"n_instances": True}, InvalidConfigError),
+        # base_seed=-5 raised a bare ValueError from NumPy
+        ({"base_seed": -5}, InvalidConfigError),
+        ({"base_seed": 1.5}, InvalidConfigError),
+        ({"base_seed": True}, InvalidConfigError),
+        ({"shapes": [(True, 1, 4)]}, ShapeMismatchError),
         ({"shapes": [(2, 2)]}, ShapeMismatchError),
         ({"shapes": [(1, 1, 4), (0, 1, 4)]}, ShapeMismatchError),
     ])

@@ -97,6 +97,13 @@ class TestConfig:
         dict(setups=("image-wise", "image-wise")),
         dict(batch_sizes=(1, 2, 1)),
         dict(learning_rate=10 ** 400),  # an int past the float range
+        # generator parameters: a bool count made one sample, a NaN jitter an OverflowError
+        dict(dataset={"n_grade_a": True}),
+        dict(dataset={"noise_sigma": "0.1"}),
+        dict(dataset={"radius_a": [3.0, float("nan")]}),
+        dict(dataset={"intensity_b": {"low": 0.1, "high": 0.2}}),
+        dict(task="multiclass", dataset={"center_jitter": float("nan")}),
+        dict(task="multiclass", dataset={"phase_b_shrink": True}),
     ])
     def test_validation(self, kwargs):
         # the raw mapping a config file parses to, up to building the dataset
@@ -393,10 +400,13 @@ class TestRunExperiment:
         with pytest.raises(InvalidConfigError, match="13 folds"):
             run_experiment(tiny_config(folds=13), tmp_path / "x")
 
-    def test_bad_job_count(self, tiny_run, tmp_path):
+    # jobs=2.5 created the output directory, then raised TypeError in the pool
+    @pytest.mark.parametrize("jobs", [0, 2.5, True, "2"])
+    def test_bad_job_count(self, tiny_run, tmp_path, jobs):
         config, _ = tiny_run
         with pytest.raises(InvalidConfigError):
-            run_experiment(config, tmp_path / "x", jobs=0)
+            run_experiment(config, tmp_path / "x", jobs=jobs)
+        assert not (tmp_path / "x").exists()
 
 
 def assert_same_result(a, b):

@@ -1,9 +1,14 @@
-"""SciPy stays off dicelab's import path: only the sigmoid head's expit loads it.
+"""What dicelab's modules import.
 
-Each check runs in a fresh interpreter, since this test process has long
-since imported SciPy for the oracles.
+SciPy stays off dicelab's import path: only the sigmoid head's expit loads it.
+Each of those checks runs in a fresh interpreter, since this test process has
+long since imported SciPy for the oracles.
+
+The input rules (require_int, require_number, require_binary) are defined in
+errors.py alone, so no module grows its own copy of them.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -57,3 +62,17 @@ def test_scipy_is_not_imported(code):
 
 def test_a_sigmoid_step_imports_scipy():
     assert scipy_loaded(SIGMOID_TRAIN)
+
+
+def test_input_rules_are_defined_in_errors_alone():
+    defined = {}
+    for path in sorted((SRC / "dicelab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name.startswith(("require_", "_require_")):
+                defined.setdefault(path.name, []).append(node.name)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                private = [a.name for a in node.names
+                           if a.name.rpartition(".")[2].startswith("_require_")]
+                assert not private, f"{path.name} imports {private}"
+    assert defined == {"errors.py": ["require_int", "require_number", "require_binary"]}

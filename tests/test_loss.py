@@ -146,9 +146,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("eps", ["abc", [[1.0, 2.0], [3.0]], {}, 10 ** 400,
                                      "1.0", True, np.True_, [1.0, "2.0"], [1.0, True],
-                                     np.array([True, False]), np.array(["1.0"])])
+                                     np.array([True, False]), np.array(["1.0"]),
+                                     [[1.0, 2.0], [3.0, 4.0]], np.ones((2, 1))])
     def test_epsilon_must_be_numbers(self, eps):
-        # "1.0" used to be kept as the str '1.0', and True as True
+        # "1.0" used to be kept as the str '1.0', and True as True; a 2-D epsilon
+        # became its flattened cells
         with pytest.raises(InvalidConfigError):
             DiceLossConfig(ReductionScheme.IMAGE_WISE, epsilon=eps)
 

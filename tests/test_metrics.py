@@ -158,9 +158,15 @@ class TestBootstrap:
         a, b = rng.uniform(0, 1, 15), rng.uniform(0, 1, 15)
         assert bootstrap_compare(a, b, seed=2) == bootstrap_compare(b, a, seed=2)
 
-    def test_validation(self):
+    # seed=-1 raised a bare ValueError from NumPy, n_resamples=2.5 a TypeError
+    @pytest.mark.parametrize("kwargs", [{"n_resamples": 0}, {"n_resamples": 2.5},
+                                        {"n_resamples": True}, {"seed": -1}, {"seed": 1.5},
+                                        {"seed": "3"}])
+    def test_resamples_and_seed_checked(self, kwargs):
         with pytest.raises(InvalidConfigError):
-            bootstrap_compare([1.0, 2.0], [1.0, 2.0], n_resamples=0)
+            bootstrap_compare([1.0, 2.0], [2.0, 4.0], **kwargs)
+
+    def test_validation(self):
         with pytest.raises(ShapeMismatchError):
             bootstrap_compare([1.0, 2.0], [1.0])
         with pytest.raises(ShapeMismatchError):

@@ -2,7 +2,8 @@
 of the leaf and marginal variants, of the batched finite-difference stencil
 against the per-element loop, of the harness's grouping pass against the
 per-(tag, class) rescans, and of the loss config, the train config, the model,
-the experiment config, the dataset and the file readers on malformed input."""
+the experiment config, the generator parameters, the gradient-check matrix,
+the bootstrap, the dataset and the file readers on malformed input."""
 
 import json
 import math
@@ -14,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from dicelab import harness
 from dicelab.errors import DicelabError
-from dicelab.gradcheck import finite_diff_grad, resolve_epsilon
-from dicelab.metrics import RocCurve
+from dicelab.gradcheck import finite_diff_grad, resolve_epsilon, run_check_matrix
+from dicelab.metrics import RocCurve, bootstrap_compare
 from dicelab.loss import (
     DiceLossConfig,
     Variant,
@@ -367,6 +368,111 @@ def test_linear_pixel_model_raises_only_dicelab_errors(weights):
         return
     assert model.weights.shape[0] >= 1 and model.weights.shape[1:] == (N_FEATURES,)
     assert not model.weights.flags.writeable
+
+
+# Anything but an int: a valid size or count drawn from st.integers() could ask for
+# gigabytes, so every int below is drawn from a small range.
+not_int = st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=3),
+                    st.lists(st.integers(), max_size=2))
+
+
+def _spoiled(draw, valid: dict, anything: dict) -> dict:
+    """valid with any of its entries, or of the names in anything, drawn from anything."""
+    out = dict(valid)
+    for name in draw(st.lists(st.sampled_from(sorted(anything)), unique=True, max_size=3)):
+        out[name] = draw(anything[name])
+    return out
+
+
+unit_pair = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted)
+SMALL_TASK_PARAMS = {  # a few 32 x 32 or 48 x 48 samples
+    "binary": dict(n_grade_a=st.integers(1, 3), n_grade_b=st.integers(1, 3),
+                   intensity_a=unit_pair, background_level=st.floats(0.0, 1.0),
+                   noise_sigma=st.floats(0.0, 1.0)),
+    "multiclass": dict(n_phase_a=st.integers(1, 3), n_phase_b=st.integers(1, 3),
+                       shell_intensity=unit_pair, phase_b_shrink=st.floats(0.5, 1.0),
+                       center_jitter=st.floats(0.0, 1.5)),
+}
+
+
+@st.composite
+def dataset_overrides(draw):
+    """A task and small valid generator parameters, any of them (or another key) replaced
+    by any value."""
+    task = draw(st.sampled_from(sorted(SMALL_TASK_PARAMS)))
+    valid = draw(st.fixed_dictionaries(SMALL_TASK_PARAMS[task]))
+    edge = st.sampled_from([math.nan, math.inf, -1.0, 0, 1, True, "1"])
+    value = st.one_of(edge, st.lists(edge, min_size=2, max_size=2), st.integers(-2, 40),
+                      not_int, st.lists(st.one_of(st.floats(), st.integers(-2, 40),
+                                                  st.text(max_size=2)), max_size=3))
+    names = [f.name for f in fields(harness.TASKS[task].params)] + ["mystery_knob"]
+    return task, _spoiled(draw, valid, dict.fromkeys(names, value))
+
+
+# a NaN jitter or radius passed every comparison and ended in an OverflowError
+@example(("multiclass", {"center_jitter": math.nan}))
+@example(("multiclass", {"core_radius": [math.nan, 5.0]}))
+@PROPERTY_SETTINGS
+@given(dataset_overrides())
+def test_build_dataset_raises_only_dicelab_errors(case):
+    """Any generator parameters given as config overrides: two datasets, or a DicelabError."""
+    task, overrides = case
+    try:
+        full, partial = harness.build_dataset(harness.ExperimentConfig(task, dataset=overrides))
+    except DicelabError:
+        return
+    assert len(full) == len(partial) > 0
+
+
+small_dim = st.one_of(st.integers(-1, 2), not_int)
+CHECK_MATRIX_VALID = dict(  # at most 2 x 2 x 2 cells of two 8-element instances
+    shapes=st.lists(st.tuples(*[st.integers(1, 2)] * 3), min_size=1, max_size=2),
+    schemes=st.lists(st.sampled_from(list(ReductionScheme)), min_size=1, max_size=2),
+    epsilons=st.lists(st.sampled_from(["calibrated", "0", "1e-7", "1"]), min_size=1, max_size=2),
+    n_instances=st.integers(1, 2),
+    base_seed=st.integers(0, 2 ** 70),
+)
+CHECK_MATRIX_ANY = dict(
+    shapes=st.one_of(st.lists(st.one_of(st.tuples(small_dim, small_dim, small_dim),
+                                        st.lists(small_dim, max_size=4)), max_size=2),
+                     not_int, st.integers(-1, 2)),
+    schemes=st.one_of(st.lists(enum_like, max_size=2), json_values),
+    epsilons=st.one_of(st.lists(st.one_of(st.sampled_from(["calibrated", "0", "1", "-1", "nan",
+                                                           "inf", "abc", ""]),
+                                          number_like), max_size=2),
+                       json_values),
+    n_instances=st.one_of(st.integers(-1, 2), not_int),
+    base_seed=st.one_of(st.integers(), not_int),
+)
+
+
+@st.composite
+def check_matrix_calls(draw):
+    """Valid run_check_matrix arguments, any of them replaced by any value."""
+    return _spoiled(draw, draw(st.fixed_dictionaries(CHECK_MATRIX_VALID)), CHECK_MATRIX_ANY)
+
+
+@PROPERTY_SETTINGS
+@given(check_matrix_calls())
+def test_run_check_matrix_raises_only_dicelab_errors(kwargs):
+    """Any arguments: one record per instance, or a DicelabError."""
+    try:
+        records = run_check_matrix(**kwargs)
+    except DicelabError:
+        return
+    cells = math.prod(len(kwargs[k]) for k in ("shapes", "schemes", "epsilons"))
+    assert len(records) == cells * kwargs["n_instances"]
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(st.integers(-2, 50), not_int), st.one_of(st.integers(), not_int))
+def test_bootstrap_compare_raises_only_dicelab_errors(n_resamples, seed):
+    """Any resample count and seed: a p-value in [0, 1], or a DicelabError."""
+    try:
+        p = bootstrap_compare([0.1, 0.5, 0.9], [0.2, 0.4, 0.3], n_resamples, seed)
+    except DicelabError:
+        return
+    assert 0.0 <= p <= 1.0
 
 
 @pytest.fixture(scope="module")

@@ -204,10 +204,29 @@ class TestBinaryGenerator:
         dict(intensity_b=(0.5, 1.4)),
         dict(radius_a=(4.0, 20.0)),
         dict(background_level=1.5),
+        # a bool count made one sample; the others raised TypeError or passed
+        dict(n_grade_a=True),
+        dict(image_size=32.0),
+        dict(noise_sigma="0.1"),
+        dict(noise_sigma=float("inf")),
+        dict(intensity_a=0.8),
+        dict(intensity_a=(0.1, 0.2, 0.3)),
+        dict(radius_b=(float("nan"), 3.0)),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(InvalidConfigError):
             generate_binary(BinaryTaskParams(**kwargs), seed=0)
+
+    def test_a_list_range_is_stored_as_a_tuple(self):
+        params = BinaryTaskParams(radius_a=[4.0, 7.0], intensity_b=[0.5, 0.6])
+        assert params == BinaryTaskParams()
+
+    @pytest.mark.parametrize("generate, params", [(generate_binary, BinaryTaskParams()),
+                                                  (generate_multiclass, MulticlassTaskParams())])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_checked(self, generate, params, seed):
+        with pytest.raises(InvalidConfigError):
+            generate(params, seed)
 
 
 class TestMulticlassGenerator:
@@ -259,6 +278,13 @@ class TestMulticlassGenerator:
         dict(phase_b_shrink=0.0),
         dict(n_phase_b=0),
         dict(satellite_intensity=(0.6, 0.4)),
+        # a NaN jitter or radius raised OverflowError in the generator
+        dict(center_jitter=float("nan")),
+        dict(center_jitter=-1.0),
+        dict(core_radius=(float("nan"), 5.0)),
+        dict(shell_width=(-1.0, 2.0)),
+        dict(phase_b_shrink=True),
+        dict(n_phase_a=False),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(InvalidConfigError):
@@ -337,6 +363,11 @@ class TestSample:
         gt[0, 1] = gt[1, 1] = 1.0
         with pytest.raises(RangeViolationError, match="overlap"):
             SyntheticSample(0, "a", np.zeros((4, 4)), gt, np.ones(2, dtype=bool))
+
+    def test_gt_must_be_0_or_1(self):
+        gt = np.full((1, 4, 4), 0.5)
+        with pytest.raises(RangeViolationError, match="subject 3: gt values must be exactly 0 or 1"):
+            SyntheticSample(3, "a", np.zeros((4, 4)), gt, np.ones(1, dtype=bool))
 
     def test_disjoint_class_maps_accepted(self):
         gt = np.zeros((2, 4, 4))

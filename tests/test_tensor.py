@@ -37,9 +37,11 @@ class TestShape:
         with pytest.raises(ShapeMismatchError):
             batch_dims(dims)
 
-    def test_non_integer_rejected(self):
+    # (True, 1, 8) was accepted as (1, 1, 8); 5 raised a bare TypeError
+    @pytest.mark.parametrize("dims", [(2.5, 2, 1), (True, 1, 8), (1, np.True_, 8), (1, "2", 8), 5])
+    def test_non_integer_rejected(self, dims):
         with pytest.raises(ShapeMismatchError):
-            batch_dims((2.5, 2, 1))
+            batch_dims(dims)
 
     @pytest.mark.parametrize("dims", [(1, 2), (1, 1, 1, 1)])
     def test_not_three_dims_rejected(self, dims):

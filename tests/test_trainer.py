@@ -123,10 +123,18 @@ class TestModelForward:
         with pytest.raises(ShapeMismatchError):
             LinearPixelModel(weights)
 
-    @pytest.mark.parametrize("weights", ["abc", {}, [[1.0, 2.0], [3.0]]])
+    # [["1", "2", "3", "4"]] was parsed into a model, and True taken as 1.0
+    @pytest.mark.parametrize("weights", ["abc", {}, [[1.0, 2.0], [3.0]], [["1", "2", "3", "4"]],
+                                         [[True, 1.0, 2.0, 3.0]], np.ones((1, 4), dtype=bool),
+                                         np.array([["1", "2", "3", "4"]]),
+                                         [[np.nan, 1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0, 10 ** 400]]])
     def test_weights_must_be_numbers(self, weights):
         with pytest.raises(InvalidConfigError):
             LinearPixelModel(weights)
+
+    def test_integer_weights_are_stored_as_floats(self):
+        model = LinearPixelModel([[1, 2, 3, np.int64(4)]])
+        assert model.weights.dtype == np.float64 and model.weights.tolist() == [[1, 2, 3, 4]]
 
 
 class TestModelBackward:
@@ -439,6 +447,15 @@ class TestCheckpoint:
         path = tmp_path / "bad.model"
         path.write_bytes(b"DLM1 head=sigmoid classes=0 features=-1\n")
         with pytest.raises(TensorFileError):
+            load_model(path)
+
+    # both reached the LinearPixelModel constructor and ended in ShapeMismatchError
+    @pytest.mark.parametrize("head, classes, features", [("softmax", 0, 4), ("sigmoid", 1, 3)])
+    def test_header_sizes_must_fit_a_model(self, tmp_path, head, classes, features):
+        path = tmp_path / "bad.model"
+        path.write_bytes(f"DLM1 head={head} classes={classes} features={features}\n".encode()
+                         + bytes(8 * classes * features))
+        with pytest.raises(TensorFileError, match="classes >= 1 and features=4"):
             load_model(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
