@@ -59,10 +59,11 @@ def require_int(name: str, value, minimum: int) -> None:
 
 def require_number(name: str, value, low: float, high: float = math.inf) -> None:
     """InvalidConfigError unless value is a finite real number (bool excluded) in
-    [low, high]; NaN fails, and so does an int past the float range."""
+    [low, high]; NaN fails, as does an int past the float range; NumPy floats compare as floats."""
     big = sys.float_info.max
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            max(low, -big) <= value <= min(high, big)):
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    v = value if not real or isinstance(value, numbers.Integral) else float(value)
+    if not real or not max(low, -big) <= v <= min(high, big):
         raise InvalidConfigError(f"{name} must be a finite number in [{low}, {high}], "
                                  f"got {value!r}")
 

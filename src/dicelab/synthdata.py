@@ -34,6 +34,7 @@ PHASE_B = "phase-b"
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = 1
+MAX_IMAGE_SIZE = 4096  # pixels per side; one 4096 x 4096 float64 image is 128 MiB
 
 
 class PartialAction(Enum):
@@ -51,6 +52,15 @@ class PartialPolicy:
     tag: str | None = None
     class_index: int | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.action, PartialAction) or not isinstance(self.tag, str | None):
+            raise InvalidConfigError(f"a policy needs a PartialAction and a str or None tag, "
+                                     f"got {self.action!r} and {self.tag!r}")
+        if self.tag is None and self.class_index is None:
+            raise InvalidConfigError("policy must select a tag, a class index, or both")
+        if self.class_index is not None:
+            _plain(self, "class_index", require_int, 0)
+
 
 @dataclass(frozen=True)
 class SyntheticSample:
@@ -59,9 +69,6 @@ class SyntheticSample:
     image: np.ndarray        # (N, N) intensities in [0, 1]
     gt: np.ndarray           # (C, N, N) binary maps, disjoint across classes
     availability: np.ndarray  # (C,) bool
-    # arrays derived from the image alone (the model's features), filled on
-    # first use and shared with every relabeled twin, which holds the same image
-    image_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.image.ndim != 2 or self.gt.ndim != 3:
@@ -90,12 +97,6 @@ class SyntheticSample:
     def n_classes(self) -> int:
         return self.gt.shape[0]
 
-    def relabeled(self, gt: np.ndarray, availability: np.ndarray) -> SyntheticSample:
-        """This sample with other labels; the twin shares the image and its image_cache."""
-        twin = SyntheticSample(self.subject_id, self.tag, self.image, gt, availability)
-        object.__setattr__(twin, "image_cache", self.image_cache)
-        return twin
-
 
 @dataclass(frozen=True)
 class SyntheticDataset:
@@ -111,9 +112,6 @@ class SyntheticDataset:
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
-
-    def tags(self) -> set[str]:
-        return {s.tag for s in self.samples}
 
 
 @dataclass(frozen=True)
@@ -154,10 +152,10 @@ class MulticlassTaskParams:
 
     def __post_init__(self):
         _check_common(self, ("n_phase_a", "n_phase_b"))
-        require_number("phase_b_shrink", self.phase_b_shrink, 0.0, 1.0)
+        _plain(self, "phase_b_shrink", require_number, 0.0, 1.0)
         if self.phase_b_shrink == 0:
             raise InvalidConfigError("phase_b_shrink must be in (0, 1], got 0")
-        require_number("center_jitter", self.center_jitter, 0.0)
+        _plain(self, "center_jitter", require_number, 0.0)
         for name in ("core_radius", "shell_width", "satellite_radius"):
             _check_range(self, name, 0.0, self.image_size / 2.0)
         for name in ("core_intensity", "shell_intensity", "satellite_intensity"):
@@ -179,23 +177,30 @@ class MulticlassTaskParams:
             raise InvalidConfigError("structures may leave the frame vertically")
 
 
+def _plain(p, name: str, rule, *bounds) -> None:
+    """Field name of p after rule(name, value, *bounds), as the int or float JSON writes."""
+    rule(name, getattr(p, name), *bounds)
+    object.__setattr__(p, name, (int if rule is require_int else float)(getattr(p, name)))
+
+
 def _check_common(p, counts: tuple[str, str]) -> None:
     """The fields both tasks share: image size, the two cohort counts, background, noise."""
-    require_int("image_size", p.image_size, 16)
+    _plain(p, "image_size", require_int, 16)
+    require_number("image_size", p.image_size, 16, MAX_IMAGE_SIZE)
     for name in counts:
-        require_int(name, getattr(p, name), 1)
-    require_number("background_level", p.background_level, 0.0, 1.0)
-    require_number("noise_sigma", p.noise_sigma, 0.0)
+        _plain(p, name, require_int, 1)
+    _plain(p, "background_level", require_number, 0.0, 1.0)
+    _plain(p, "noise_sigma", require_number, 0.0)
 
 
 def _check_range(p, name: str, low: float, high: float) -> None:
-    """Field name of p: a range low <= lo <= hi <= high, a list stored as a (lo, hi) tuple."""
+    """Field name of p: a range low <= lo <= hi <= high, stored as a (lo, hi) tuple of floats."""
     pair = getattr(p, name)
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise InvalidConfigError(f"{name} must be a [low, high] pair, got {pair!r}")
     require_number(f"{name} low", pair[0], low, high)
-    require_number(f"{name} high", pair[1], pair[0], high)
-    object.__setattr__(p, name, tuple(pair))
+    require_number(f"{name} high", pair[1], float(pair[0]), high)
+    object.__setattr__(p, name, (float(pair[0]), float(pair[1])))
 
 
 def _disk(n: int, cx: float, cy: float, r: float) -> np.ndarray:
@@ -280,16 +285,12 @@ def generate_multiclass(params: MulticlassTaskParams, seed: int) -> SyntheticDat
 
 def apply_partial(dataset: SyntheticDataset, policy: PartialPolicy) -> SyntheticDataset:
     """Corrupt targeted samples' ground truth; untouched samples are shared as-is."""
-    if policy.tag is None and policy.class_index is None:
-        raise InvalidConfigError("policy must select a tag, a class index, or both")
-    if policy.tag is not None and policy.tag not in dataset.tags():
+    if policy.tag is not None and policy.tag not in {s.tag for s in dataset.samples}:
         raise InvalidConfigError(f"tag {policy.tag!r} not present in dataset")
-    if policy.class_index is not None and not 0 <= policy.class_index < dataset.n_classes:
-        raise InvalidConfigError(
-            f"class index {policy.class_index} out of range for {dataset.n_classes} classes"
-        )
-    columns = ([policy.class_index] if policy.class_index is not None
-               else list(range(dataset.n_classes)))
+    if policy.class_index is not None and policy.class_index >= dataset.n_classes:
+        raise InvalidConfigError(f"class index {policy.class_index} out of range for "
+                                 f"{dataset.n_classes} classes")
+    columns = [policy.class_index] if policy.class_index is not None else slice(None)
     out = []
     for s in dataset.samples:
         if policy.tag is not None and s.tag != policy.tag:
@@ -300,14 +301,9 @@ def apply_partial(dataset: SyntheticDataset, policy: PartialPolicy) -> Synthetic
         availability = s.availability.copy()
         if policy.action is PartialAction.MARK_UNAVAILABLE:
             availability[columns] = False
-        out.append(s.relabeled(gt, availability))
-    origin = dict(dataset.origin)
-    origin.setdefault("policies", [])
-    origin["policies"] = list(origin["policies"]) + [{
-        "action": policy.action.value,
-        "tag": policy.tag,
-        "class_index": policy.class_index,
-    }]
+        out.append(SyntheticSample(s.subject_id, s.tag, s.image, gt, availability))
+    record = {**asdict(policy), "action": policy.action.value}
+    origin = {**dataset.origin, "policies": [*dataset.origin.get("policies", []), record]}
     return SyntheticDataset(dataset.task, dataset.class_names, dataset.image_size,
                             tuple(out), origin)
 

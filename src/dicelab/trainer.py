@@ -76,20 +76,37 @@ class TrainConfig:
 
 
 def featurize(image: np.ndarray) -> np.ndarray:
-    """Per-pixel features [bias, intensity, 3x3 local mean, 3x3 local std].
+    """Per-pixel features [bias, intensity, 3x3 local mean, 3x3 local std] of one
+    (H, W) image or a stack (..., H, W), as (..., H * W, N_FEATURES).
 
     Border neighborhoods are edge-replicated, so the output is defined for
     every pixel and the bias column is exactly 1.
     """
     image = np.asarray(image, dtype=np.float64)
-    padded = np.pad(image, 1, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
-    local_mean = windows.mean(axis=(2, 3))
-    # two-pass variance: exactly zero on constant neighborhoods
-    centered = windows - local_mean[:, :, None, None]
-    local_std = np.sqrt((centered ** 2).mean(axis=(2, 3)))
-    feats = np.stack([np.ones_like(image), image, local_mean, local_std], axis=-1)
-    return feats.reshape(-1, N_FEATURES)
+    if image.ndim < 2 or 0 in image.shape[-2:]:
+        raise ShapeMismatchError(f"featurize needs (..., H, W) with H, W >= 1, got {image.shape}")
+    h, w = image.shape[-2:]
+    padded = np.pad(image, [(0, 0)] * (image.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    # window row sums, then their sum: NumPy's order for .mean over a window view
+    rows = padded[..., 0:w] + padded[..., 1:w + 1]  # (..., H + 2, W)
+    rows += padded[..., 2:w + 2]
+    mean = rows[..., 0:h, :] + rows[..., 1:h + 1, :]
+    mean += rows[..., 2:h + 2, :]
+    mean /= 9
+    # two-pass variance, zero on constant neighborhoods; row i's first term lands in sq[i]
+    sq, d = [np.empty(image.shape) for _ in range(3)], np.empty(image.shape)
+    for i in range(3):
+        for j in range(3):
+            term = np.subtract(padded[..., i:i + h, j:j + w], mean, out=d if j else sq[i])
+            term *= term
+            if j:
+                sq[i] += d
+    sq[0] += sq[1]
+    sq[0] += sq[2]
+    feats = np.empty((*image.shape, N_FEATURES))
+    feats[..., 0], feats[..., 1], feats[..., 2] = 1.0, image, mean
+    np.sqrt(sq[0] / 9, out=feats[..., 3])
+    return feats.reshape(*image.shape[:-2], h * w, N_FEATURES)
 
 
 @functools.cache
@@ -159,21 +176,6 @@ class TrainResult:
     class_names: tuple[str, ...]  # loss-tensor column names
 
 
-def _features(samples) -> list[np.ndarray]:
-    """featurize of each sample's image, computed once per image.
-
-    The features are kept in the sample's image_cache, which a relabeled twin
-    of the sample shares, so a run featurizes each of its images once.
-    """
-    out = []
-    for s in samples:
-        feats = s.image_cache.get("features")
-        if feats is None:
-            feats = s.image_cache["features"] = readonly(featurize(s.image))
-        out.append(feats)
-    return out
-
-
 def _grad_split(ones: np.ndarray, grad: np.ndarray, n_ones: np.ndarray, out: np.ndarray) -> None:
     """Mean |grad| over the y=0 pixels of loss class c into out[c], over its y=1 pixels
     into out[L + c]; 0 where there are none.
@@ -219,7 +221,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     if len(shapes) > 1 or min(shapes)[0] != n_fg:
         raise ShapeMismatchError(f"every sample must hold {n_fg} gt maps of one image size, "
                                  f"got (maps, height, width) {sorted(shapes)}")
-    feats = np.stack(_features(dataset.samples))
+    feats = featurize(np.stack([s.image for s in dataset.samples]))
     ones = np.stack([s.gt.reshape(n_fg, -1) for s in dataset.samples]) == 1.0
     avail = np.stack([s.availability for s in dataset.samples])
     loss_names = tuple(dataset.class_names)
@@ -262,7 +264,8 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
 
 def predict(model: LinearPixelModel, dataset) -> np.ndarray:
     """Model predictions for every sample in a dataset, as one (B, C, I) array."""
-    return readonly(_forward(model.weights, np.stack(_features(dataset.samples))))
+    feats = featurize(np.stack([s.image for s in dataset.samples]))
+    return readonly(_forward(model.weights, feats))
 
 
 def _head_name(classes: int) -> str:

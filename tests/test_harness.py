@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from dicelab import harness, trainer
+from dicelab import harness
 from dicelab.errors import InvalidConfigError, NonFiniteTrainingError
 from dicelab.harness import (
     ARTIFACTS,
@@ -342,22 +342,11 @@ class TestRunExperiment:
             b = out2 / a.relative_to(out)
             assert a.read_bytes() == b.read_bytes(), a.name
 
-    def test_pool_workers_receive_the_features_of_the_parent(self, tmp_path, monkeypatch):
-        # pool workers fork with the wrapper, so their calls land in the same file
-        calls, real = tmp_path / "featurize_calls", trainer.featurize
-
-        def counting(image):
-            with open(calls, "a") as fh:
-                fh.write("1\n")
-            return real(image)
-
-        monkeypatch.setattr(trainer, "featurize", counting)
+    def test_default_run_trees_match_at_one_and_two_jobs(self, tmp_path):
         config = replace(default_config("binary"), iterations=5)
         trees = []
         for jobs in (1, 2):
-            calls.write_text("")
             out = run_experiment(config, tmp_path / f"jobs{jobs}", jobs=jobs)
-            assert len(calls.read_text().splitlines()) == 40  # once per image
             trees.append({p.relative_to(out): p.read_bytes()
                           for p in sorted(out.rglob("*")) if p.is_file()})
         assert trees[0] == trees[1]

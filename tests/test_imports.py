@@ -5,7 +5,9 @@ Each of those checks runs in a fresh interpreter, since this test process has
 long since imported SciPy for the oracles.
 
 The input rules (require_int, require_number, require_binary) are defined in
-errors.py alone, so no module grows its own copy of them.
+errors.py alone, so no module grows its own copy of them. No module imports a
+_-prefixed name from another dicelab module: what a module keeps private stays
+its own decision.
 """
 
 import ast
@@ -76,3 +78,14 @@ def test_input_rules_are_defined_in_errors_alone():
                            if a.name.rpartition(".")[2].startswith("_require_")]
                 assert not private, f"{path.name} imports {private}"
     assert defined == {"errors.py": ["require_int", "require_number", "require_binary"]}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted((SRC / "dicelab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "dicelab"):
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_")]
+    assert not private

@@ -12,6 +12,7 @@ import yaml
 
 from dicelab import errors, harness
 from dicelab.harness import ARTIFACTS, TASKS, build_dataset, config_to_dict, default_config
+from dicelab.synthdata import MAX_IMAGE_SIZE
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,6 +27,11 @@ def test_quick_start_runs():
     assert type(grad) is np.ndarray and grad.shape == pred.shape == (2, 3, 64)
     assert not grad.flags.writeable
     assert scope["mask"].dtype == bool and scope["mask"].shape == (2, 3)
+
+
+def test_image_size_bound_is_the_generators():
+    text = README.read_text(encoding="utf-8")
+    assert f"`image_size` must be an integer from 16 to {MAX_IMAGE_SIZE}" in text
 
 
 def test_config_defaults_match_default_config():

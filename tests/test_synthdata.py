@@ -12,6 +12,7 @@ from dicelab.synthdata import (
     GRADE_A,
     GRADE_B,
     MANIFEST_NAME,
+    MAX_IMAGE_SIZE,
     PHASE_A,
     PHASE_B,
     BinaryTaskParams,
@@ -212,14 +213,27 @@ class TestBinaryGenerator:
         dict(intensity_a=0.8),
         dict(intensity_a=(0.1, 0.2, 0.3)),
         dict(radius_b=(float("nan"), 3.0)),
+        # 10**400 raised a bare OverflowError when the fit checks divided it as a float
+        dict(image_size=10**400),
+        dict(image_size=MAX_IMAGE_SIZE + 1),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(InvalidConfigError):
             generate_binary(BinaryTaskParams(**kwargs), seed=0)
 
+    def test_image_size_bound_is_inclusive(self):
+        assert BinaryTaskParams(image_size=MAX_IMAGE_SIZE).image_size == MAX_IMAGE_SIZE
+
     def test_a_list_range_is_stored_as_a_tuple(self):
         params = BinaryTaskParams(radius_a=[4.0, 7.0], intensity_b=[0.5, 0.6])
         assert params == BinaryTaskParams()
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        params = BinaryTaskParams(image_size=np.int64(32), n_grade_a=np.int32(30),
+                                  radius_a=(np.float32(4.0), 7), noise_sigma=np.float64(0.02))
+        assert params == BinaryTaskParams()
+        assert [type(v) for v in (params.image_size, params.n_grade_a, *params.radius_a,
+                                  params.noise_sigma)] == [int, int, float, float, float]
 
     @pytest.mark.parametrize("generate, params", [(generate_binary, BinaryTaskParams()),
                                                   (generate_multiclass, MulticlassTaskParams())])
@@ -343,12 +357,34 @@ class TestApplyPartial:
         with pytest.raises(InvalidConfigError):
             apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, class_index=1))
 
-    def test_relabeled_twin_shares_image_and_its_cache(self):
+    def test_partial_twin_shares_the_image(self):
         ds = generate_binary(BinaryTaskParams(), seed=0)
         out = apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, tag=GRADE_B))
         for before, after in zip(ds.samples, out.samples):
             assert after.image is before.image
-            assert after.image_cache is before.image_cache
+
+    # each built, then failed in apply_partial with AttributeError, IndexError or TypeError
+    @pytest.mark.parametrize("kwargs", [
+        dict(action="empty-map", tag=GRADE_B),
+        dict(action=None, tag=GRADE_B),
+        dict(action=PartialAction.EMPTY_MAP, tag=["x"]),
+        dict(action=PartialAction.EMPTY_MAP, tag=1),
+        dict(action=PartialAction.EMPTY_MAP, class_index=0.0),
+        dict(action=PartialAction.EMPTY_MAP, class_index=True),
+        dict(action=PartialAction.EMPTY_MAP, class_index=-1),
+        dict(action=PartialAction.EMPTY_MAP, class_index="0"),
+    ])
+    def test_policy_fields_checked(self, kwargs):
+        with pytest.raises(InvalidConfigError):
+            PartialPolicy(**kwargs)
+
+    def test_numpy_class_index_is_stored_as_an_int(self, tmp_path):
+        policy = PartialPolicy(PartialAction.MARK_UNAVAILABLE, tag=PHASE_B,
+                               class_index=np.int64(1))
+        assert type(policy.class_index) is int
+        out = apply_partial(generate_multiclass(MulticlassTaskParams(), seed=0), policy)
+        save_dataset(out, tmp_path / "d")
+        assert load_dataset(tmp_path / "d").origin["policies"][0]["class_index"] == 1
 
     def test_policy_must_select_something(self):
         ds = generate_binary(BinaryTaskParams(), seed=0)
@@ -393,6 +429,20 @@ class TestPersistence:
             assert np.array_equal(a.image, b.image)
             assert np.array_equal(a.gt, b.gt)
             assert np.array_equal(a.availability, b.availability)
+
+    def test_numpy_scalar_params_save_and_reload(self, tmp_path):
+        # json.dump failed on them after the sample files were written
+        params = MulticlassTaskParams(n_phase_a=np.int64(2), n_phase_b=np.int64(1),
+                                      center_jitter=np.float32(1.5),
+                                      core_radius=(np.float32(4.0), np.float64(7.0)))
+        ds = generate_multiclass(params, seed=np.int64(3))
+        save_dataset(ds, tmp_path / "d")
+        back = load_dataset(tmp_path / "d")
+        plain = generate_multiclass(MulticlassTaskParams(n_phase_a=2, n_phase_b=1), seed=3)
+        assert back.origin == json.loads(json.dumps(plain.origin))
+        for a, b in zip(plain.samples, back.samples):
+            assert np.array_equal(a.image, b.image)
+            assert np.array_equal(a.gt, b.gt)
 
     def test_round_trip_keeps_unavailability(self, tmp_path):
         ds = generate_multiclass(MulticlassTaskParams(), seed=4)

@@ -71,6 +71,42 @@ class TestFeaturize:
         # replicated padding puts the corner value in 4 of the 9 window cells
         assert feats[0, 0, 2] == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("shape", [(6, 16, 16), (5, 17, 23), (3, 40, 2), (4, 2, 31),
+                                       (2, 3, 9, 13), (2, 7, 1), (1, 1, 1)])
+    def test_a_stack_matches_the_oracle_and_single_calls(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        images = rng.uniform(0, 1, shape) ** 3  # spread exponents, so rounding shows
+        images[0, ..., 1:, :] = images[0, ..., :1, :]  # a run of equal rows
+        flat = images.reshape(-1, *shape[-2:])
+        feats = featurize(images)
+        assert feats.shape == (*shape[:-2], shape[-2] * shape[-1], 4)
+        for i, image in enumerate(flat):
+            one = featurize(image)
+            assert feats.reshape(len(flat), -1, 4)[i].tobytes() == one.tobytes()
+            oracle = train_oracle.featurize(image)
+            if shape[-1] > 1:
+                assert one.tobytes() == oracle.tobytes()
+            else:  # NumPy sums a one-pixel-wide window pairwise; see train_oracle.featurize
+                assert np.allclose(one, oracle, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("generate, params", [(generate_binary, BinaryTaskParams()),
+                                                  (generate_multiclass, MulticlassTaskParams())])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_default_datasets_match_the_oracle(self, generate, params, seed):
+        images = [s.image for s in generate(params, seed).samples]
+        expected = np.stack([train_oracle.featurize(image) for image in images])
+        assert featurize(np.stack(images)).tobytes() == expected.tobytes()
+
+    def test_an_empty_stack_has_no_rows(self):
+        assert featurize(np.zeros((0, 5, 5))).shape == (0, 25, 4)
+
+    @pytest.mark.parametrize("image", [np.float64(1.0), np.zeros(4), np.zeros((0, 0)),
+                                       np.zeros((3, 0)), np.zeros((2, 4, 0))],
+                             ids=["0-D", "1-D", "(0, 0)", "(3, 0)", "(2, 4, 0)"])
+    def test_bad_shapes_are_typed(self, image):
+        with pytest.raises(ShapeMismatchError):
+            featurize(image)
+
 
 def forward(model, feats):
     """The model's (B, C, I) predictions for features (B, I, F), as a training step makes them."""
@@ -377,11 +413,11 @@ class TestTrainLoop:
         with pytest.raises(ShapeMismatchError, match="1 gt maps"):
             train(narrowed, self.binary_cfg(iterations=1))
 
-    def test_each_image_is_featurized_once(self, monkeypatch):
+    def test_train_and_predict_featurize_once_each(self, monkeypatch):
         calls = []
 
         def counting(image):
-            calls.append(image)
+            calls.append(image.shape)
             return featurize(image)
 
         monkeypatch.setattr(trainer, "featurize", counting)
@@ -390,7 +426,7 @@ class TestTrainLoop:
         for data in (ds, twin, ds):
             result = train(data, self.binary_cfg(iterations=3))
             predict(result.model, data)
-        assert len(calls) == len(ds)
+        assert calls == [(len(ds), 16, 16)] * 6  # the whole stack, once per call
 
     def test_predict_covers_whole_dataset(self):
         ds = generate_binary(SMALL_BINARY, seed=0)

@@ -1,14 +1,15 @@
 """The per-step training loop that dicelab.trainer.train must match bit for bit.
 
-Each step here gathers its batch by fancy indexing, computes the predictions
-itself with np.einsum and scipy.special's expit or softmax, scores the loss
-through the checked public dice_value_and_grad, backpropagates through its
-own head Jacobian and np.einsum, rebuilds the model, and averages |grad|
-with .mean(). train
-in dicelab.trainer does all of that set-up once per call and computes the
-softmax in NumPy; the floating-point operations of a step, and their order,
-are the same, so the weights and the history array must come out equal bit
-for bit.
+Features come from this module's featurize, the sliding-window reduction that
+dicelab.trainer.featurize must match bit for bit on images at least two pixels
+wide. Each step here gathers its batch by fancy indexing, computes the
+predictions itself with np.einsum and scipy.special's expit or softmax, scores
+the loss through the checked public dice_value_and_grad, backpropagates
+through its own head Jacobian and np.einsum, rebuilds the model, and averages
+|grad| with .mean(). train in dicelab.trainer does all of that set-up once per
+call and computes the softmax in NumPy; the floating-point operations of a
+step, and their order, are the same, so the weights and the history array
+must come out equal bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +26,25 @@ from dicelab.trainer import (
     LinearPixelModel,
     StepResult,
     TrainResult,
-    featurize,
 )
+
+
+def featurize(image: np.ndarray) -> np.ndarray:
+    """(H * W, N_FEATURES) features [bias, intensity, 3x3 local mean, 3x3 local std] of
+    one (H, W) image, each 3x3 statistic a .mean() over an edge-padded window view.
+
+    NumPy sums each window row, then the row sums, as dicelab's stacked featurize
+    does; except at W = 1, where the window is one contiguous run of nine and
+    NumPy sums it pairwise, so the last bit of a mean or std may differ there.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    padded = np.pad(image, 1, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
+    local_mean = windows.mean(axis=(2, 3))
+    centered = windows - local_mean[:, :, None, None]
+    local_std = np.sqrt((centered ** 2).mean(axis=(2, 3)))
+    feats = np.stack([np.ones_like(image), image, local_mean, local_std], axis=-1)
+    return feats.reshape(-1, N_FEATURES)
 
 
 def forward(model, features) -> np.ndarray:
