@@ -40,7 +40,6 @@ from .synthdata import (
     PartialAction,
     PartialPolicy,
     SyntheticDataset,
-    SyntheticSample,
     apply_partial,
     generate_binary,
     generate_multiclass,

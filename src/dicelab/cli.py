@@ -121,8 +121,8 @@ def cmd_gradcheck(n, seed, epsilons, shapes, schemes, out_path):
 def cmd_calibrate(dataset_dir, scheme, out_path):
     """Heuristic smoothing value (mean foreground per reduction subset)."""
     ds = load_dataset(dataset_dir)
-    maps = [s.gt.reshape(1, s.n_classes, -1) for s in ds.samples]
-    eps = calibrate_epsilon(maps, ReductionScheme(scheme))
+    gt = ds.gt.reshape(len(ds), ds.n_classes, ds.image_size ** 2)
+    eps = calibrate_epsilon(gt, ReductionScheme(scheme))
     payload = {"scheme": scheme, "all_empty": not np.any(eps)}  # 0/1 maps: 0 iff all empty
     if ReductionScheme(scheme).class_pure:
         payload["per_class"] = dict(zip(ds.class_names, eps.tolist()))

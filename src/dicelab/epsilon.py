@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,34 +42,22 @@ class BalanceParams:
                 raise InvalidConfigError(f"{name} must be > 0, got {value!r}")
 
 
-def calibrate_epsilon(
-    gt_maps: Sequence[np.ndarray],
-    scheme: ReductionScheme,
-) -> float | np.ndarray:
+def calibrate_epsilon(gt: np.ndarray, scheme: ReductionScheme) -> float | np.ndarray:
     """Mean foreground count per reduction subset across a dataset, as the loss epsilon.
 
-    Each map is a (B, C, I) array of 0 and 1 whose every (batch element,
-    class) cell counts as one sample of its class; empty maps are included in
-    the mean. Class-pure schemes get a read-only (C,) array, one epsilon per
-    class; the others a float, the mean of per-sample totals. The value is 0
-    exactly when every map is empty.
+    gt is one (B, C, I) array of 0 and 1 (bool or numbers) whose every (batch
+    element, class) cell counts as one sample of its class; empty maps are
+    included in the mean. Class-pure schemes get a read-only (C,) array, one
+    epsilon per class; the others a float, the mean of per-sample totals. The
+    value is 0 exactly when every map is empty.
     """
-    counts = []
-    classes = None
-    for t in gt_maps:
-        t = np.asarray(t)
-        if t.ndim != 3:
-            raise ShapeMismatchError(f"ground-truth maps must be (B, C, I), got shape {t.shape}")
-        if classes is None:
-            classes = t.shape[1]
-        elif t.shape[1] != classes:
-            raise ShapeMismatchError(
-                f"inconsistent class count in dataset: {t.shape[1]} != {classes}")
-        require_binary("ground-truth", t)
-        counts.append(t.sum(axis=2))
-    if not counts:
+    gt = np.asarray(gt)
+    if gt.ndim != 3:
+        raise ShapeMismatchError(f"ground-truth maps must be (B, C, I), got shape {gt.shape}")
+    if len(gt) == 0:
         raise EmptyDatasetError("cannot calibrate epsilon from an empty dataset")
-    per_sample = np.concatenate(counts, axis=0)
+    require_binary("ground-truth", gt)
+    per_sample = np.count_nonzero(gt, axis=2)  # exact integer counts
     if scheme.class_pure:
         return readonly(per_sample.mean(axis=0))
     return float(per_sample.sum(axis=1).mean())

@@ -187,7 +187,7 @@ def _check_epsilon_labels(labels: Sequence[str]) -> None:
 def resolve_epsilon(label: str, gt: np.ndarray, scheme: ReductionScheme):
     """Turn an epsilon spec into a value: a float literal or 'calibrated' from this gt."""
     if label == "calibrated":
-        return calibrate_epsilon([gt], scheme)
+        return calibrate_epsilon(gt, scheme)
     return float(label)
 
 

@@ -218,9 +218,10 @@ def build_dataset(config: ExperimentConfig) -> tuple[SyntheticDataset, Synthetic
     return full, apply_partial(full, task.partial)
 
 
-def _subset(ds: SyntheticDataset, keep) -> SyntheticDataset:
-    return SyntheticDataset(ds.task, ds.class_names, ds.image_size,
-                            tuple(s for s in ds.samples if keep(s)), {})
+def _subset(ds: SyntheticDataset, rows: np.ndarray) -> SyntheticDataset:
+    """The samples of ds where the (n,) bool mask rows is true."""
+    return SyntheticDataset(ds.task, ds.class_names, ds.subject_ids[rows], ds.tags[rows],
+                            ds.images[rows], ds.gt[rows], ds.availability[rows])
 
 
 def _setup_loss(setup: str, train_split: SyntheticDataset) -> tuple[DiceLossConfig, list]:
@@ -228,8 +229,8 @@ def _setup_loss(setup: str, train_split: SyntheticDataset) -> tuple[DiceLossConf
     scheme, variant, calibrated = SETUPS[setup]
     epsilon, calibration = NEGLIGIBLE_EPSILON, []
     if calibrated:  # every calibrated setup pools class-pure, so epsilon is per class
-        maps = [s.gt.reshape(1, s.n_classes, -1) for s in train_split.samples]
-        epsilon = calibrate_epsilon(maps, scheme)
+        gt = train_split.gt.reshape(len(train_split), train_split.n_classes, -1)
+        epsilon = calibrate_epsilon(gt, scheme)
         calibration = list(zip(train_split.class_names, epsilon.tolist()))
     return DiceLossConfig(scheme, epsilon, variant), calibration
 
@@ -278,9 +279,10 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
     histories = []
     models = []
     loss_class_names: tuple = ()
+    folds = full.subject_ids % k  # the twin holds the same subjects in the same rows
     for fold in range(k):
-        train_split = _subset(train_view, lambda s: s.subject_id % k != fold)
-        val_split = _subset(full, lambda s: s.subject_id % k == fold)
+        train_split = _subset(train_view, folds != fold)
+        val_split = _subset(full, folds == fold)
         loss, calibration = _setup_loss(setup, train_split)
         calibration_rows += [(fold, name, value) for name, value in calibration]
         cfg = TrainConfig(loss=loss, batch_size=batch_size,
@@ -297,12 +299,14 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
         loss_class_names = result.class_names
         pred = predict(result.model, val_split)
         hard = binarize(pred)[:, -full.n_classes:]  # skip a softmax background
-        for row, s in enumerate(val_split.samples):
+        gt = val_split.gt.reshape(hard.shape)
+        for row, (subject_id, tag) in enumerate(zip(val_split.subject_ids.tolist(),
+                                                    val_split.tags.tolist())):
             for c, name in enumerate(full.class_names):
-                gt_map = s.gt[c].reshape(-1)
+                gt_map = gt[row, c]
                 pred_map = hard[row, c]
                 metric_rows.append(MetricRow(
-                    fold, s.subject_id, s.tag, name,
+                    fold, subject_id, tag, name,
                     hard_dsc(gt_map, pred_map),
                     volume_difference(gt_map, pred_map),
                     float(pred_map.sum()),
@@ -451,10 +455,10 @@ def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult
 def _check_folds(config: ExperimentConfig, full: SyntheticDataset) -> None:
     """Every fold must hold out a subject, and every batch size fit its smallest training split."""
     k = config.folds
-    held_out = [sum(1 for s in full.samples if s.subject_id % k == fold) for fold in range(k)]
-    if min(held_out) == 0:
+    held_out = np.bincount(full.subject_ids % k, minlength=k)
+    if held_out.min() == 0:
         raise InvalidConfigError(f"{k} folds leave a fold without subjects ({len(full)} in total)")
-    smallest = len(full) - max(held_out)
+    smallest = len(full) - int(held_out.max())
     too_big = [b for b in config.batch_sizes if b > smallest]
     if too_big:
         raise InvalidConfigError(

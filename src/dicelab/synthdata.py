@@ -17,14 +17,14 @@ the class unavailable (missing-label regime).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (InvalidConfigError, RangeViolationError, ShapeMismatchError, TensorFileError,
-                     require_binary, require_int, require_number)
+                     require_int, require_number)
 from .tensor import read_tensor, write_tensor
 
 GRADE_A = "grade-a"
@@ -63,55 +63,88 @@ class PartialPolicy:
 
 
 @dataclass(frozen=True)
-class SyntheticSample:
-    subject_id: int
-    tag: str
-    image: np.ndarray        # (N, N) intensities in [0, 1]
-    gt: np.ndarray           # (C, N, N) binary maps, disjoint across classes
-    availability: np.ndarray  # (C,) bool
-
-    def __post_init__(self):
-        if self.image.ndim != 2 or self.gt.ndim != 3:
-            raise ShapeMismatchError("image must be 2-D and gt 3-D")
-        if self.gt.shape[1:] != self.image.shape:
-            raise ShapeMismatchError(
-                f"gt maps {self.gt.shape[1:]} do not match image {self.image.shape}"
-            )
-        if self.availability.shape != (self.gt.shape[0],):
-            raise ShapeMismatchError("availability must have one flag per class")
-        if not isinstance(self.tag, str) or self.availability.dtype != bool:
-            raise InvalidConfigError(f"subject {self.subject_id}: the tag must be a string "
-                                     f"and the availability flags true or false")
-        if not np.isfinite(self.image).all():
-            raise RangeViolationError(f"subject {self.subject_id}: image values must be finite")
-        require_binary(f"subject {self.subject_id}: gt", self.gt)
-        if len(self.gt) > 1 and (self.gt.sum(axis=0) > 1.0).any():
-            raise RangeViolationError(f"subject {self.subject_id}: gt maps of two classes "
-                                      f"overlap; a pixel belongs to at most one class")
-        for name in ("image", "gt", "availability"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_classes(self) -> int:
-        return self.gt.shape[0]
-
-
-@dataclass(frozen=True)
 class SyntheticDataset:
+    """n samples of one task as stacked arrays; row k of each is subject subject_ids[k].
+
+    subject_ids is (n,) int64, distinct and >= 0; tags (n,) str; images (n, N, N)
+    finite float64; gt (n, C, N, N) bool, at most one class per pixel; availability
+    (n, C) bool, for C = len(class_names) >= 1. Every array is read-only.
+    """
+
     task: str
     class_names: tuple[str, ...]
-    image_size: int
-    samples: tuple[SyntheticSample, ...]
+    subject_ids: np.ndarray
+    tags: np.ndarray
+    images: np.ndarray
+    gt: np.ndarray
+    availability: np.ndarray
     origin: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        names = self.class_names
+        if not isinstance(self.task, str) or type(names) is not tuple or not names \
+                or not all(isinstance(c, str) for c in names):
+            raise InvalidConfigError(f"a dataset needs a str task and a non-empty tuple of "
+                                     f"str class names, got {self.task!r} and {names!r}")
+        try:  # ids and tags as objects, so a bool id or an int tag stays what it was
+            ids, tags = (np.asarray(v, dtype=object) for v in (self.subject_ids, self.tags))
+            images, gt, availability = map(np.asarray, (self.images, self.gt, self.availability))
+        except ValueError as exc:  # lists nested to different depths or lengths
+            raise ShapeMismatchError(f"dataset arrays must be rectangular: {exc}") from exc
+        if images.ndim != 3 or images.shape[1] != images.shape[2] or images.shape[1] < 1:
+            raise ShapeMismatchError(f"images must be (n, N, N) with N >= 1, got {images.shape}")
+        n, size = images.shape[:2]
+        for name, arr, want in (("subject_ids", ids, (n,)), ("tags", tags, (n,)),
+                                ("gt", gt, (n, len(names), size, size)),
+                                ("availability", availability, (n, len(names)))):
+            if arr.shape != want:
+                raise ShapeMismatchError(f"{name} must be {want} for {n} images of "
+                                         f"{size} x {size} and {len(names)} classes, "
+                                         f"got {arr.shape}")
+        ids = ids.tolist()
+        for sid in ids:
+            require_int("each subject id", sid, 0)
+        # each id names its own sample_NNNN.drt
+        if len(set(ids)) != n or max(ids, default=0) > np.iinfo(np.int64).max:
+            raise InvalidConfigError(f"subject ids must be distinct int64s, got {ids!r}")
+        ids = np.array(ids, dtype=np.int64)
+        _first_subject(ids, np.array([isinstance(t, str) for t in tags.tolist()], dtype=bool),
+                       InvalidConfigError, "the tag must be a string")
+        if availability.dtype != bool:
+            raise InvalidConfigError(f"availability flags must be bools, got {availability.dtype}")
+        if images.dtype.kind not in "iuf":  # bool excluded
+            raise InvalidConfigError(f"images must hold real numbers, got {images.dtype}")
+        images = images.astype(np.float64, copy=False)
+        _first_subject(ids, np.isfinite(images), RangeViolationError,
+                       "image values must be finite")
+        _first_subject(ids, (gt == 0) | (gt == 1), RangeViolationError,
+                       "gt values must be exactly 0 or 1")
+        gt = gt.astype(bool, copy=False)
+        _first_subject(ids, gt.sum(axis=1) <= 1, RangeViolationError,
+                       "gt maps of two classes overlap; a pixel belongs to at most one class")
+        for name, arr in (("subject_ids", ids), ("tags", tags), ("images", images),
+                          ("gt", gt), ("availability", availability)):
+            arr = np.ascontiguousarray(arr)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.subject_ids)
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
+
+    @property
+    def image_size(self) -> int:
+        return self.images.shape[-1]
+
+
+def _first_subject(ids: np.ndarray, ok: np.ndarray, error: type, message: str) -> None:
+    """error naming the first subject whose rows of ok, (n, ...) bool, are not all true."""
+    good = ok.all(axis=tuple(range(1, ok.ndim)))
+    if not good.all():
+        raise error(f"subject {ids[np.argmin(good)]}: {message}")
 
 
 @dataclass(frozen=True)
@@ -220,8 +253,8 @@ def generate_binary(params: BinaryTaskParams, seed: int) -> SyntheticDataset:
     rng = np.random.default_rng(seed)
     n = params.image_size
     tags = _shuffled_tags([(GRADE_A, params.n_grade_a), (GRADE_B, params.n_grade_b)], rng)
-    samples = []
-    for sid, tag in enumerate(tags):
+    images, gts = [], []
+    for tag in tags:
         if tag == GRADE_A:
             r = rng.uniform(*params.radius_a)
             level = rng.uniform(*params.intensity_a)
@@ -234,16 +267,11 @@ def generate_binary(params: BinaryTaskParams, seed: int) -> SyntheticDataset:
         mask = _disk(n, cx, cy, r)
         image = np.full((n, n), params.background_level)
         image[mask] = level
-        image = np.clip(image + params.noise_sigma * rng.standard_normal((n, n)), 0.0, 1.0)
-        samples.append(SyntheticSample(
-            subject_id=sid,
-            tag=tag,
-            image=image,
-            gt=mask[None, :, :].astype(np.float64),
-            availability=np.ones(1, dtype=bool),
-        ))
+        images.append(np.clip(image + params.noise_sigma * rng.standard_normal((n, n)), 0.0, 1.0))
+        gts.append(mask[None])
     origin = {"generator": "binary", "seed": int(seed), "params": asdict(params)}
-    return SyntheticDataset("binary", ("lesion",), n, tuple(samples), origin)
+    return SyntheticDataset("binary", ("lesion",), np.arange(len(tags)), tags, np.stack(images),
+                            np.stack(gts), np.ones((len(tags), 1), dtype=bool), origin)
 
 
 def generate_multiclass(params: MulticlassTaskParams, seed: int) -> SyntheticDataset:
@@ -253,8 +281,8 @@ def generate_multiclass(params: MulticlassTaskParams, seed: int) -> SyntheticDat
     n = params.image_size
     tags = _shuffled_tags([(PHASE_A, params.n_phase_a), (PHASE_B, params.n_phase_b)], rng)
     j = params.center_jitter
-    samples = []
-    for sid, tag in enumerate(tags):
+    images, gts = [], []
+    for tag in tags:
         scale = params.phase_b_shrink if tag == PHASE_B else 1.0
         r_core = rng.uniform(*params.core_radius) * scale
         width = rng.uniform(*params.shell_width) * scale
@@ -270,42 +298,30 @@ def generate_multiclass(params: MulticlassTaskParams, seed: int) -> SyntheticDat
         image[core] = rng.uniform(*params.core_intensity)
         image[shell] = rng.uniform(*params.shell_intensity)
         image[satellite] = rng.uniform(*params.satellite_intensity)
-        image = np.clip(image + params.noise_sigma * rng.standard_normal((n, n)), 0.0, 1.0)
-        samples.append(SyntheticSample(
-            subject_id=sid,
-            tag=tag,
-            image=image,
-            gt=np.stack([core, shell, satellite]).astype(np.float64),
-            availability=np.ones(3, dtype=bool),
-        ))
+        images.append(np.clip(image + params.noise_sigma * rng.standard_normal((n, n)), 0.0, 1.0))
+        gts.append(np.stack([core, shell, satellite]))
     origin = {"generator": "multiclass", "seed": int(seed), "params": asdict(params)}
-    return SyntheticDataset("multiclass", ("core", "shell", "satellite"), n,
-                            tuple(samples), origin)
+    return SyntheticDataset("multiclass", ("core", "shell", "satellite"), np.arange(len(tags)),
+                            tags, np.stack(images), np.stack(gts),
+                            np.ones((len(tags), 3), dtype=bool), origin)
 
 
 def apply_partial(dataset: SyntheticDataset, policy: PartialPolicy) -> SyntheticDataset:
-    """Corrupt targeted samples' ground truth; untouched samples are shared as-is."""
-    if policy.tag is not None and policy.tag not in {s.tag for s in dataset.samples}:
+    """Corrupt targeted samples' ground truth; the images are shared, not copied."""
+    rows = slice(None) if policy.tag is None else dataset.tags == policy.tag
+    if policy.tag is not None and not rows.any():
         raise InvalidConfigError(f"tag {policy.tag!r} not present in dataset")
     if policy.class_index is not None and policy.class_index >= dataset.n_classes:
         raise InvalidConfigError(f"class index {policy.class_index} out of range for "
                                  f"{dataset.n_classes} classes")
-    columns = [policy.class_index] if policy.class_index is not None else slice(None)
-    out = []
-    for s in dataset.samples:
-        if policy.tag is not None and s.tag != policy.tag:
-            out.append(s)
-            continue
-        gt = s.gt.copy()
-        gt[columns] = 0.0
-        availability = s.availability.copy()
-        if policy.action is PartialAction.MARK_UNAVAILABLE:
-            availability[columns] = False
-        out.append(SyntheticSample(s.subject_id, s.tag, s.image, gt, availability))
+    columns = slice(None) if policy.class_index is None else policy.class_index
+    gt, availability = dataset.gt.copy(), dataset.availability.copy()
+    gt[rows, columns] = False
+    if policy.action is PartialAction.MARK_UNAVAILABLE:
+        availability[rows, columns] = False
     record = {**asdict(policy), "action": policy.action.value}
     origin = {**dataset.origin, "policies": [*dataset.origin.get("policies", []), record]}
-    return SyntheticDataset(dataset.task, dataset.class_names, dataset.image_size,
-                            tuple(out), origin)
+    return replace(dataset, gt=gt, availability=availability, origin=origin)
 
 
 def _sample_filename(subject_id: int) -> str:
@@ -318,16 +334,13 @@ def save_dataset(dataset: SyntheticDataset, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     n = dataset.image_size
     entries = []
-    for s in dataset.samples:
-        packed = np.concatenate([s.image[None, :, :], s.gt], axis=0)
-        name = _sample_filename(s.subject_id)
-        write_tensor(out / name, packed.reshape(1, s.n_classes + 1, n * n))
-        entries.append({
-            "subject_id": s.subject_id,
-            "tag": s.tag,
-            "availability": [bool(a) for a in s.availability],
-            "file": name,
-        })
+    for sid, tag, image, gt, flags in zip(dataset.subject_ids.tolist(), dataset.tags.tolist(),
+                                          dataset.images, dataset.gt,
+                                          dataset.availability.tolist()):
+        name = _sample_filename(sid)
+        packed = np.concatenate([image[None], gt])  # 0/1 as float64
+        write_tensor(out / name, packed.reshape(1, dataset.n_classes + 1, n * n))
+        entries.append({"subject_id": sid, "tag": tag, "availability": flags, "file": name})
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
         "task": dataset.task,
@@ -347,11 +360,10 @@ def load_dataset(path) -> SyntheticDataset:
 
     Every malformed input raises a DicelabError: a manifest that is not JSON,
     lacks a field, names a file outside the directory or a file another sample
-    names, holds a flag other than true/false, a task, tag or class name other
-    than a string, or a subject id other than a distinct integer >= 0; a
-    sample file that cannot be read, is not a (1, C + 1, N * N) tensor, or
-    holds a non-finite image, a gt value other than 0 or 1, or gt maps of two
-    classes that overlap.
+    names, gives availability flags of the wrong count, an image_size other
+    than an integer from 1 to MAX_IMAGE_SIZE, or class names other than a list;
+    a sample file that cannot be read or is not a (1, C + 1, N * N) tensor;
+    and whatever SyntheticDataset rejects in the data read.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -368,28 +380,22 @@ def load_dataset(path) -> SyntheticDataset:
                                  f"{MANIFEST_SCHEMA}")
     try:
         task = manifest["task"]
-        if not isinstance(task, str):
-            raise ValueError(f"task must be a string, got {task!r}")
         n = manifest["image_size"]
         require_int("image_size", n, 1)
+        require_number("image_size", n, 1, MAX_IMAGE_SIZE)
         class_names = manifest["class_names"]
-        if type(class_names) is not list or not all(isinstance(c, str) for c in class_names):
-            raise ValueError(f"class_names must be a list of strings, got {class_names!r}")
+        if type(class_names) is not list:  # tuple() would take a mapping's keys
+            raise ValueError(f"class_names must be a list, got {class_names!r}")
         entries = [(e["subject_id"], e["tag"], np.asarray(e["availability"]),
                     Path(e["file"])) for e in manifest["samples"]]
-        ids = [entry[0] for entry in entries]
-        for subject_id in ids:
-            require_int("subject_id", subject_id, 0)
-        if len(set(ids)) != len(ids):  # each id names its own sample_NNNN.drt
-            raise ValueError(f"subject ids must be unique, got {ids!r}")
         files = [str(entry[3]) for entry in entries]
         if len(set(files)) != len(files):  # else one scan counts under two ids
             raise ValueError(f"sample files must be distinct, got {files!r}")
         origin = dict(manifest.get("origin", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
-    samples = []
-    for subject_id, tag, availability, name in entries:
+    rows = []
+    for subject_id, _, availability, name in entries:
         if availability.shape != (len(class_names),):
             raise InvalidConfigError(f"{manifest_path}: subject {subject_id} needs "
                                      f"{len(class_names)} availability flags")
@@ -404,12 +410,9 @@ def load_dataset(path) -> SyntheticDataset:
         if tensor.shape != (1, len(class_names) + 1, n * n):
             raise TensorFileError(f"{file}: expected a (1, {len(class_names) + 1}, {n * n}) "
                                   f"tensor, got {tensor.shape}")
-        rows = tensor.reshape(-1, n, n)
-        samples.append(SyntheticSample(
-            subject_id=subject_id,
-            tag=tag,
-            image=rows[0].copy(),
-            gt=rows[1:].copy(),
-            availability=availability,
-        ))
-    return SyntheticDataset(task, tuple(class_names), n, tuple(samples), origin)
+        rows.append(tensor)
+    packed = np.array(rows).reshape(-1, len(class_names) + 1, n, n)  # (0, ...) if no rows
+    flags = [entry[2] for entry in entries] or np.zeros((0, len(class_names)), dtype=bool)
+    return SyntheticDataset(task, tuple(class_names), [entry[0] for entry in entries],
+                            [entry[1] for entry in entries], packed[:, 0], packed[:, 1:],
+                            np.array(flags), origin)

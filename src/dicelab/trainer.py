@@ -207,7 +207,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     its shuffled samples into buffers allocated once per call, and each step
     slices its batch from them.
     """
-    n = len(dataset.samples)
+    n = len(dataset)
     if n == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     if cfg.batch_size > n:
@@ -217,13 +217,9 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     if n_fg == 1 and marginal:
         raise InvalidConfigError("marginal loss needs a softmax head with background")
 
-    shapes = {(s.gt.shape[0], *s.image.shape) for s in dataset.samples}
-    if len(shapes) > 1 or min(shapes)[0] != n_fg:
-        raise ShapeMismatchError(f"every sample must hold {n_fg} gt maps of one image size, "
-                                 f"got (maps, height, width) {sorted(shapes)}")
-    feats = featurize(np.stack([s.image for s in dataset.samples]))
-    ones = np.stack([s.gt.reshape(n_fg, -1) for s in dataset.samples]) == 1.0
-    avail = np.stack([s.availability for s in dataset.samples])
+    feats = featurize(dataset.images)
+    ones = dataset.gt.reshape(n, n_fg, -1)
+    avail = dataset.availability
     loss_names = tuple(dataset.class_names)
     if marginal:  # the class maps are disjoint, so the background is where none is set
         ones = np.concatenate([~ones.any(axis=1, keepdims=True), ones], axis=1)
@@ -264,8 +260,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
 
 def predict(model: LinearPixelModel, dataset) -> np.ndarray:
     """Model predictions for every sample in a dataset, as one (B, C, I) array."""
-    feats = featurize(np.stack([s.image for s in dataset.samples]))
-    return readonly(_forward(model.weights, feats))
+    return readonly(_forward(model.weights, featurize(dataset.images)))
 
 
 def _head_name(classes: int) -> str:

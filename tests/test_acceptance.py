@@ -201,8 +201,7 @@ def test_09_calibration_direction(say):
         c = full.class_names.index(class_name)
 
         def per_class(ds):
-            maps = [np.asarray(s.gt, dtype=np.float64).reshape(1, ds.n_classes, n_pixels)
-                    for s in ds.samples]
+            maps = ds.gt.reshape(len(ds), ds.n_classes, n_pixels)
             return calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)[c]
 
         eps_full, eps_partial = per_class(full), per_class(partial)

@@ -20,8 +20,7 @@ def gt_map(shape, fg_counts):
 
 class TestCalibrate:
     def make_maps(self):
-        shape = (1, 2, 32)
-        return [gt_map(shape, [[10, 0]]), gt_map(shape, [[20, 4]])]
+        return gt_map((2, 2, 32), [[10, 0], [20, 4]])
 
     def test_per_class_mean_includes_empty_maps(self):
         eps = calibrate_epsilon(self.make_maps(), ReductionScheme.IMAGE_WISE)
@@ -43,34 +42,40 @@ class TestCalibrate:
         assert eps == pytest.approx((10 + 24) / 2)
 
     def test_multi_element_batches_count_per_cell(self):
-        shape = (2, 1, 16)
-        maps = [gt_map(shape, [[4], [8]])]
+        maps = gt_map((2, 1, 16), [[4], [8]])
         assert calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE).tolist() == [6.0]
+
+    @pytest.mark.parametrize("scheme", list(ReductionScheme))
+    def test_bool_and_float_maps_give_the_same_bits(self, scheme):
+        maps = np.random.default_rng(0).integers(0, 2, (7, 3, 50)).astype(bool)
+        got = calibrate_epsilon(maps, scheme)
+        want = calibrate_epsilon(maps.astype(np.float64), scheme)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("scheme", list(ReductionScheme))
     def test_all_empty_maps_calibrate_to_zero(self, scheme):
         # `dicelab calibrate` reports all_empty exactly when the epsilon is 0
-        assert not np.any(calibrate_epsilon([gt_map((1, 1, 8), [[0]])], scheme))
-        one_voxel = [gt_map((1, 1, 8), [[0]]), gt_map((1, 1, 8), [[1]])]
+        assert not np.any(calibrate_epsilon(gt_map((1, 1, 8), [[0]]), scheme))
+        one_voxel = gt_map((2, 1, 8), [[0], [1]])
         assert np.any(calibrate_epsilon(one_voxel, scheme))
 
     @pytest.mark.parametrize("values", [[1.0, -1.0], [np.nan, 1.0], [0.5]],
                              ids=["minus-one", "nan", "half"])
     def test_ground_truth_must_be_zero_or_one(self, values):
         # [1, -1] calibrated to 0 (read as all empty) and [nan, 1] to nan
-        gt = np.asarray(values).reshape(1, 1, -1)
+        gt = np.concatenate([gt_map((1, 1, len(values)), [[1]]), np.reshape(values, (1, 1, -1))])
         for scheme in ReductionScheme:
             with pytest.raises(RangeViolationError, match="exactly 0 or 1"):
-                calibrate_epsilon([gt_map((1, 1, 2), [[1]]), gt], scheme)
+                calibrate_epsilon(gt, scheme)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            calibrate_epsilon([], ReductionScheme.IMAGE_WISE)
+            calibrate_epsilon(np.zeros((0, 1, 8)), ReductionScheme.IMAGE_WISE)
 
-    def test_inconsistent_class_counts_rejected(self):
-        maps = [gt_map((1, 1, 8), [[2]]), gt_map((1, 2, 8), [[2, 2]])]
+    @pytest.mark.parametrize("shape", [(8,), (1, 8), (1, 1, 2, 4)])
+    def test_gt_must_be_one_3d_array(self, shape):
         with pytest.raises(ShapeMismatchError):
-            calibrate_epsilon(maps, ReductionScheme.IMAGE_WISE)
+            calibrate_epsilon(np.zeros(shape), ReductionScheme.IMAGE_WISE)
 
     @pytest.mark.parametrize("scheme", list(ReductionScheme))
     def test_feeds_straight_into_loss_config(self, scheme):

@@ -176,22 +176,18 @@ class TestBuildDataset:
     def test_binary_partial_empties_grade_b_only(self):
         full, partial = build_dataset(tiny_config())
         assert len(full) == len(partial) == 12
-        for f, p in zip(full.samples, partial.samples):
-            if f.tag == GRADE_B:
-                assert f.gt.sum() > 0 and p.gt.sum() == 0
-                assert p.availability.tolist() == [True]
-            else:
-                assert np.array_equal(f.gt, p.gt)
+        target = full.tags == GRADE_B
+        assert full.gt[target].sum(axis=(1, 2, 3)).all() and not partial.gt[target].any()
+        assert partial.availability.all()
+        assert np.array_equal(full.gt[~target], partial.gt[~target])
 
     def test_multiclass_partial_marks_shell_unavailable(self):
         full, partial = build_dataset(default_config("multiclass"))
         shell = full.class_names.index("shell")
-        for f, p in zip(full.samples, partial.samples):
-            if f.tag == PHASE_B:
-                assert p.gt[shell].sum() == 0
-                assert not p.availability[shell]
-            else:
-                assert p.availability.all()
+        target = full.tags == PHASE_B
+        assert not partial.gt[target, shell].any()
+        assert not partial.availability[target, shell].any()
+        assert partial.availability[~target].all()
 
     def test_bad_dataset_override_rejected(self):
         with pytest.raises(InvalidConfigError):

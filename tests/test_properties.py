@@ -2,8 +2,9 @@
 of the leaf and marginal variants, of the batched finite-difference stencil
 against the per-element loop, of the harness's grouping pass against the
 per-(tag, class) rescans, and of the loss config, the train config, the model,
-the experiment config, the generator parameters, the gradient-check matrix,
-the bootstrap, the dataset and the file readers on malformed input."""
+the experiment config, the generator parameters, the dataset's fields, the
+gradient-check matrix, the bootstrap, the dataset manifest and the file readers
+on malformed input."""
 
 import json
 import math
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as nps
 
 from dicelab import harness
 from dicelab.errors import DicelabError
@@ -28,7 +30,7 @@ from dicelab.loss import (
     dice_value_and_grad,
     dice_values,
 )
-from dicelab.synthdata import MANIFEST_NAME, load_dataset
+from dicelab.synthdata import MANIFEST_NAME, SyntheticDataset, load_dataset
 from dicelab.tensor import ReductionScheme, read_tensor
 from dicelab.trainer import N_FEATURES, LinearPixelModel, TrainConfig, load_model
 from fd_oracle import loop_finite_diff_grad
@@ -422,6 +424,68 @@ def test_build_dataset_raises_only_dicelab_errors(case):
     except DicelabError:
         return
     assert len(full) == len(partial) > 0
+
+
+any_dtype = st.sampled_from([np.float64, np.int64, bool, complex, "U2"])
+any_scalar = st.one_of(st.integers(-2, 3), st.booleans(), st.floats(), st.text(max_size=2),
+                       st.none())
+any_array = nps.arrays(any_dtype, nps.array_shapes(min_dims=0, max_dims=4, min_side=0,
+                                                   max_side=3))
+any_field = st.one_of(any_array, any_array.map(np.ndarray.tolist), json_values,
+                      st.lists(any_scalar, max_size=3))
+
+
+@st.composite
+def dataset_fields(draw):
+    """Valid SyntheticDataset fields of up to 3 samples, 2 classes and 3 x 3 images, one
+    or two of them replaced by any value: an array of any dtype, nested lists, n scalars
+    of any type, or JSON."""
+    n, c, size = draw(st.integers(0, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    labels = draw(nps.arrays(np.int64, (n, size, size), elements=st.integers(0, c)))
+    valid = dict(task="t", class_names=tuple("ab"[:c]), subject_ids=np.arange(n),
+                 tags=["x"] * n,
+                 images=draw(nps.arrays(np.float64, (n, size, size), elements=st.floats(0, 1))),
+                 gt=labels[:, None] == np.arange(1, c + 1)[:, None, None],  # 0 is no class
+                 availability=draw(nps.arrays(bool, (n, c))))
+    for name in draw(st.lists(st.sampled_from(sorted(valid)), min_size=1, max_size=2,
+                              unique=True)):
+        # values of the valid shape reach the checks past the shape checks
+        same_shape = nps.arrays(any_dtype, np.shape(valid[name]))
+        valid[name] = draw(st.one_of(same_shape, same_shape.map(np.ndarray.tolist),
+                                     st.lists(any_scalar, min_size=n, max_size=n), any_field))
+    return valid
+
+
+def _two_samples(**changes):
+    fields = dict(task="t", class_names=("a",), subject_ids=[0, 1], tags=["x", "y"],
+                  images=np.zeros((2, 2, 2)), gt=np.zeros((2, 1, 2, 2)),
+                  availability=np.ones((2, 1), dtype=bool))
+    return {**fields, **changes}
+
+
+@example(_two_samples(images=[[[0.0, np.nan], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]))
+@example(_two_samples(tags=["x", 1]))
+@example(_two_samples(subject_ids=[True, 1]))
+@example(_two_samples(subject_ids=[0, -1]))
+@example(_two_samples(subject_ids=[1, 1]))
+@example(_two_samples(gt=np.zeros((2, 1, 2, 2)).tolist(), availability=[[True], [False]]))
+@PROPERTY_SETTINGS
+@given(dataset_fields())
+def test_synthetic_dataset_raises_only_dicelab_errors(fields):
+    """Any fields: a dataset whose arrays are read-only and agree, or a DicelabError."""
+    try:
+        ds = SyntheticDataset(**fields)
+    except DicelabError:
+        return
+    n, c, size = len(ds), ds.n_classes, ds.image_size
+    assert ds.images.shape == (n, size, size) and ds.gt.shape == (n, c, size, size)
+    assert ds.availability.shape == (n, c) and ds.tags.shape == (n,)
+    assert (ds.subject_ids.dtype, ds.gt.dtype, ds.availability.dtype) == (np.int64, bool, bool)
+    assert len(set(ds.subject_ids.tolist())) == n and min(ds.subject_ids, default=0) >= 0
+    assert all(isinstance(t, str) for t in ds.tags.tolist())
+    assert np.isfinite(ds.images).all() and (ds.gt.sum(axis=1) <= 1).all()
+    for name in ("subject_ids", "tags", "images", "gt", "availability"):
+        assert not getattr(ds, name).flags.writeable, name
 
 
 small_dim = st.one_of(st.integers(-1, 2), not_int)

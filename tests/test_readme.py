@@ -1,7 +1,7 @@
 """The README's library quick start runs as written against the current API, its
 config defaults match default_config, its run-artifact listing names every file
-a run writes, its list of shared cells matches the run's grouping, and its
-error table names every error class."""
+a run writes, its list of shared cells matches the run's grouping, its
+error table names every error class, and its module map lists every module."""
 
 import inspect
 import re
@@ -14,7 +14,8 @@ from dicelab import errors, harness
 from dicelab.harness import ARTIFACTS, TASKS, build_dataset, config_to_dict, default_config
 from dicelab.synthdata import MAX_IMAGE_SIZE
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_quick_start_runs():
@@ -84,3 +85,13 @@ def test_errors_table_lists_every_error_class():
     classes = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
                if issubclass(cls, errors.DicelabError) and cls is not errors.DicelabError}
     assert classes <= listed, f"missing from README's Errors table: {sorted(classes - listed)}"
+
+
+def test_module_map_lists_every_module():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"## Module map\n.*?```\nsrc/dicelab/\n(.*?)```", text, re.S)
+    assert match, "README has no src/dicelab/ listing under 'Module map'"
+    listed = set(re.findall(r"^  (\S+\.py) ", match.group(1), re.M))
+    modules = {path.name for path in (ROOT / "src" / "dicelab").glob("*.py")}
+    assert listed == modules, (f"missing from README's module map: {sorted(modules - listed)}; "
+                               f"listed but absent: {sorted(listed - modules)}")

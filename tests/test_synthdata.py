@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from dicelab.errors import DicelabError, InvalidConfigError, RangeViolationError
+from dicelab.errors import (DicelabError, InvalidConfigError, RangeViolationError,
+                            ShapeMismatchError)
 from dicelab.synthdata import (
     GRADE_A,
     GRADE_B,
@@ -19,7 +20,7 @@ from dicelab.synthdata import (
     MulticlassTaskParams,
     PartialAction,
     PartialPolicy,
-    SyntheticSample,
+    SyntheticDataset,
     apply_partial,
     generate_binary,
     generate_multiclass,
@@ -147,54 +148,53 @@ class TestBinaryGenerator:
         ds = generate_binary(BinaryTaskParams(), seed=0)
         assert len(ds) == 40
         assert ds.class_names == ("lesion",)
-        assert sum(s.tag == GRADE_A for s in ds.samples) == 30
-        assert sum(s.tag == GRADE_B for s in ds.samples) == 10
-        assert [s.subject_id for s in ds.samples] == list(range(40))
-        for s in ds.samples:
-            assert s.image.shape == (32, 32)
-            assert s.gt.shape == (1, 32, 32)
-            assert s.availability.tolist() == [True]
+        assert np.count_nonzero(ds.tags == GRADE_A) == 30
+        assert np.count_nonzero(ds.tags == GRADE_B) == 10
+        assert ds.subject_ids.dtype == np.int64 and ds.subject_ids.tolist() == list(range(40))
+        assert ds.images.shape == (40, 32, 32) and ds.images.dtype == np.float64
+        assert ds.gt.shape == (40, 1, 32, 32) and ds.gt.dtype == bool
+        assert ds.availability.shape == (40, 1) and ds.availability.all()
+        assert ds.image_size == 32
+        for name in ("subject_ids", "tags", "images", "gt", "availability"):
+            assert not getattr(ds, name).flags.writeable, name
 
     def test_deterministic(self):
         a = generate_binary(BinaryTaskParams(), seed=3)
         b = generate_binary(BinaryTaskParams(), seed=3)
-        for sa, sb in zip(a.samples, b.samples):
-            assert sa.tag == sb.tag
-            assert np.array_equal(sa.image, sb.image)
-            assert np.array_equal(sa.gt, sb.gt)
+        assert a.tags.tolist() == b.tags.tolist()
+        assert np.array_equal(a.images, b.images)
+        assert np.array_equal(a.gt, b.gt)
 
     def test_different_seeds_differ(self):
         a = generate_binary(BinaryTaskParams(), seed=1)
         b = generate_binary(BinaryTaskParams(), seed=2)
-        assert not np.array_equal(a.samples[0].image, b.samples[0].image)
+        assert not np.array_equal(a.images[0], b.images[0])
 
     def test_gt_is_binary_and_nonempty(self):
         ds = generate_binary(BinaryTaskParams(), seed=4)
-        for s in ds.samples:
-            assert set(np.unique(s.gt)) <= {0.0, 1.0}
-            assert s.gt.sum() > 0
+        assert ds.gt.dtype == bool
+        assert np.all(ds.gt.sum(axis=(1, 2, 3)) > 0)
 
     def test_disk_area_tracks_radius_range(self):
         # radii drawn from (4.8, 5.3): E[pi r^2] = pi (a^2+ab+b^2)/3 = 80.2 pixels
         params = BinaryTaskParams(n_grade_a=50, n_grade_b=10,
                                   radius_a=(4.8, 5.3), radius_b=(4.8, 5.3))
         ds = generate_binary(params, seed=5)
-        mean_area = np.mean([s.gt.sum() for s in ds.samples])
+        mean_area = ds.gt.sum(axis=(1, 2, 3)).mean()
         assert 70.0 <= mean_area <= 90.0
 
     def test_zero_noise_gives_exact_plateaus(self):
         params = BinaryTaskParams(noise_sigma=0.0, n_grade_a=2, n_grade_b=2)
         ds = generate_binary(params, seed=6)
-        for s in ds.samples:
-            mask = s.gt[0].astype(bool)
-            assert np.all(s.image[~mask] == params.background_level)
-            assert len(np.unique(s.image[mask])) == 1
+        for image, gt in zip(ds.images, ds.gt):
+            assert np.all(image[~gt[0]] == params.background_level)
+            assert len(np.unique(image[gt[0]])) == 1
 
     def test_grades_occupy_their_intensity_bands(self):
         ds = generate_binary(BinaryTaskParams(noise_sigma=0.0), seed=7)
-        for s in ds.samples:
-            level = float(s.image[s.gt[0].astype(bool)][0])
-            lo, hi = ((0.72, 0.9) if s.tag == GRADE_A else (0.5, 0.6))
+        for tag, image, gt in zip(ds.tags, ds.images, ds.gt):
+            level = float(image[gt[0]][0])
+            lo, hi = ((0.72, 0.9) if tag == GRADE_A else (0.5, 0.6))
             assert lo <= level <= hi
 
     @pytest.mark.parametrize("kwargs", [
@@ -248,21 +248,18 @@ class TestMulticlassGenerator:
         ds = generate_multiclass(MulticlassTaskParams(), seed=0)
         assert len(ds) == 40
         assert ds.class_names == ("core", "shell", "satellite")
-        assert sum(s.tag == PHASE_A for s in ds.samples) == 30
-        assert sum(s.tag == PHASE_B for s in ds.samples) == 10
-        for s in ds.samples:
-            assert s.gt.shape == (3, 48, 48)
+        assert np.count_nonzero(ds.tags == PHASE_A) == 30
+        assert np.count_nonzero(ds.tags == PHASE_B) == 10
+        assert ds.gt.shape == (40, 3, 48, 48)
 
     def test_classes_are_disjoint_and_nonempty(self):
         ds = generate_multiclass(MulticlassTaskParams(), seed=1)
-        for s in ds.samples:
-            assert np.all(s.gt.sum(axis=0) <= 1.0)
-            assert np.all(s.gt.sum(axis=(1, 2)) > 0)
+        assert np.all(ds.gt.sum(axis=1) <= 1)
+        assert np.all(ds.gt.sum(axis=(2, 3)) > 0)
 
     def test_shell_is_a_ring_around_core(self):
         ds = generate_multiclass(MulticlassTaskParams(), seed=2)
-        s = ds.samples[0]
-        core, shell = s.gt[0].astype(bool), s.gt[1].astype(bool)
+        core, shell = ds.gt[0, 0], ds.gt[0, 1]
         assert not np.any(core & shell)
         # every core-adjacent outside pixel belongs to the shell
         grown = np.zeros_like(core)
@@ -274,17 +271,15 @@ class TestMulticlassGenerator:
 
     def test_shrink_factor_reduces_phase_b_area(self):
         ds = generate_multiclass(MulticlassTaskParams(n_phase_a=30, n_phase_b=30), seed=3)
-        area = {PHASE_A: [], PHASE_B: []}
-        for s in ds.samples:
-            area[s.tag].append(s.gt.sum())
-        ratio = np.mean(area[PHASE_B]) / np.mean(area[PHASE_A])
+        area = ds.gt.sum(axis=(1, 2, 3))
+        ratio = area[ds.tags == PHASE_B].mean() / area[ds.tags == PHASE_A].mean()
         # linear shrink 0.8 -> area factor 0.64, biased low by pixelation
         assert 0.55 <= ratio <= 0.73
 
     def test_deterministic(self):
         a = generate_multiclass(MulticlassTaskParams(), seed=8)
         b = generate_multiclass(MulticlassTaskParams(), seed=8)
-        assert all(np.array_equal(x.image, y.image) for x, y in zip(a.samples, b.samples))
+        assert np.array_equal(a.images, b.images)
 
     @pytest.mark.parametrize("kwargs", [
         dict(image_size=16),                  # structures cannot fit
@@ -309,35 +304,30 @@ class TestApplyPartial:
     def test_empty_map_keeps_availability(self):
         ds = generate_binary(BinaryTaskParams(), seed=0)
         out = apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, tag=GRADE_B))
-        for before, after in zip(ds.samples, out.samples):
-            if before.tag == GRADE_B:
-                assert after.gt.sum() == 0.0
-                assert after.availability.tolist() == [True]
-                assert np.array_equal(after.image, before.image)
-            else:
-                assert after is before  # untouched samples are shared, not copied
+        target = ds.tags == GRADE_B
+        assert not out.gt[target].any()
+        assert out.availability.all()
+        assert np.array_equal(out.gt[~target], ds.gt[~target])
+        assert ds.gt[target].any()  # the source keeps its labels
 
     def test_mark_unavailable_single_class(self):
         ds = generate_multiclass(MulticlassTaskParams(), seed=0)
         policy = PartialPolicy(PartialAction.MARK_UNAVAILABLE, tag=PHASE_B, class_index=1)
         out = apply_partial(ds, policy)
-        for before, after in zip(ds.samples, out.samples):
-            if before.tag == PHASE_B:
-                assert after.gt[1].sum() == 0.0
-                assert after.availability.tolist() == [True, False, True]
-                assert np.array_equal(after.gt[0], before.gt[0])
-                assert np.array_equal(after.gt[2], before.gt[2])
-            else:
-                assert after is before
+        target = ds.tags == PHASE_B
+        assert not out.gt[target, 1].any()
+        assert out.availability[target].tolist() == [[True, False, True]] * target.sum()
+        assert out.availability[~target].all()
+        assert np.array_equal(out.gt[:, [0, 2]], ds.gt[:, [0, 2]])
+        assert np.array_equal(out.gt[~target], ds.gt[~target])
 
     def test_idempotent(self):
         ds = generate_binary(BinaryTaskParams(), seed=1)
         policy = PartialPolicy(PartialAction.EMPTY_MAP, tag=GRADE_B)
         once = apply_partial(ds, policy)
         twice = apply_partial(once, policy)
-        for a, b in zip(once.samples, twice.samples):
-            assert np.array_equal(a.gt, b.gt)
-            assert np.array_equal(a.availability, b.availability)
+        assert np.array_equal(once.gt, twice.gt)
+        assert np.array_equal(once.availability, twice.availability)
 
     def test_policies_are_recorded(self):
         ds = generate_binary(BinaryTaskParams(), seed=1)
@@ -360,8 +350,7 @@ class TestApplyPartial:
     def test_partial_twin_shares_the_image(self):
         ds = generate_binary(BinaryTaskParams(), seed=0)
         out = apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, tag=GRADE_B))
-        for before, after in zip(ds.samples, out.samples):
-            assert after.image is before.image
+        assert out.images is ds.images
 
     # each built, then failed in apply_partial with AttributeError, IndexError or TypeError
     @pytest.mark.parametrize("kwargs", [
@@ -392,23 +381,121 @@ class TestApplyPartial:
             apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP))
 
 
-class TestSample:
-    def test_overlapping_class_maps_rejected(self):
-        # a row in both maps made the marginal background 1 - 2 = -1
-        gt = np.zeros((2, 4, 4))
-        gt[0, 1] = gt[1, 1] = 1.0
-        with pytest.raises(RangeViolationError, match="overlap"):
-            SyntheticSample(0, "a", np.zeros((4, 4)), gt, np.ones(2, dtype=bool))
+def tiny_dataset(**changes):
+    """Three 4 x 4 samples of two classes, valid unless changes replace a field."""
+    gt = np.zeros((3, 2, 4, 4), dtype=bool)
+    gt[:, 0, 0] = gt[:, 1, 1] = True
+    fields = dict(task="t", class_names=("a", "b"), subject_ids=[5, 3, 7],
+                  tags=["x", "y", "x"], images=np.zeros((3, 4, 4)), gt=gt,
+                  availability=np.ones((3, 2), dtype=bool))
+    fields.update(changes)
+    return SyntheticDataset(**fields)
 
-    def test_gt_must_be_0_or_1(self):
-        gt = np.full((1, 4, 4), 0.5)
-        with pytest.raises(RangeViolationError, match="subject 3: gt values must be exactly 0 or 1"):
-            SyntheticSample(3, "a", np.zeros((4, 4)), gt, np.ones(1, dtype=bool))
+
+def empty_dataset():
+    """tiny_dataset without its samples."""
+    return tiny_dataset(subject_ids=[], tags=[], images=np.zeros((0, 4, 4)),
+                        gt=np.zeros((0, 2, 4, 4)), availability=np.zeros((0, 2), bool))
+
+
+def _with(field, index, value):
+    """tiny_dataset's images or gt as float64, with one element set."""
+    arr = getattr(tiny_dataset(), field).astype(np.float64)
+    arr[index] = value
+    return {field: arr}
+
+
+# Each dataset field replaced by a malformed value, and the error it must raise.
+MALFORMED_FIELDS = {
+    "task-not-str": (dict(task=1), InvalidConfigError),
+    "class-names-list": (dict(class_names=["a", "b"]), InvalidConfigError),
+    "class-names-empty": (dict(class_names=(), gt=np.zeros((3, 0, 4, 4)),
+                               availability=np.zeros((3, 0), dtype=bool)), InvalidConfigError),
+    # the motivating faults: each used to build, then fail in save or load
+    "more-class-names-than-maps": (dict(class_names=("a", "b", "c")), ShapeMismatchError),
+    "gt-of-another-image-size": (dict(gt=np.zeros((3, 2, 5, 5))), ShapeMismatchError),
+    "subject-id-repeated": (dict(subject_ids=[5, 3, 5]), InvalidConfigError),
+    "images-of-two-sizes": (dict(images=[np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((5, 5))]),
+                            ShapeMismatchError),
+    "images-2d": (dict(images=np.zeros((4, 4))), ShapeMismatchError),
+    "images-zero-size": (dict(images=np.zeros((3, 0, 0)), gt=np.zeros((3, 2, 0, 0))),
+                         ShapeMismatchError),
+    "images-bool": (dict(images=np.zeros((3, 4, 4), dtype=bool)), InvalidConfigError),
+    "images-str": (dict(images=np.full((3, 4, 4), "0")), InvalidConfigError),
+    "images-complex": (dict(images=np.zeros((3, 4, 4), dtype=complex)), InvalidConfigError),
+    "image-nan": (_with("images", (1, 2, 2), np.nan), RangeViolationError),
+    "image-inf": (_with("images", (0, 0, 0), -np.inf), RangeViolationError),
+    "gt-half": (_with("gt", (2, 0, 3, 3), 0.5), RangeViolationError),
+    "gt-nan": (_with("gt", (2, 0, 3, 3), np.nan), RangeViolationError),
+    "gt-str": (dict(gt=np.full((3, 2, 4, 4), "1")), RangeViolationError),
+    "gt-one-map-too-few": (dict(gt=np.zeros((3, 1, 4, 4))), ShapeMismatchError),
+    "availability-int": (dict(availability=np.ones((3, 2), dtype=int)), InvalidConfigError),
+    "availability-str": (dict(availability=[["no", "no"]] * 3), InvalidConfigError),
+    "availability-one-row": (dict(availability=[True, True]), ShapeMismatchError),
+    "tags-int": (dict(tags=["x", 1, "x"]), InvalidConfigError),
+    "tags-too-few": (dict(tags=["x", "y"]), ShapeMismatchError),
+    "tags-one-string": (dict(tags="xyz"), ShapeMismatchError),
+    "subject-id-bool": (dict(subject_ids=[5, True, 7]), InvalidConfigError),
+    "subject-id-negative": (dict(subject_ids=[5, -3, 7]), InvalidConfigError),
+    "subject-id-float": (dict(subject_ids=[5.0, 3, 7]), InvalidConfigError),
+    "subject-id-past-int64": (dict(subject_ids=[5, 2 ** 63, 7]), InvalidConfigError),
+    "subject-ids-nested": (dict(subject_ids=[[5], [3], [7]]), ShapeMismatchError),
+    "ragged-lists": (dict(gt=[[[[0]]], [[[0, 1]]], []]), ShapeMismatchError),
+}
+
+
+class TestDataset:
+    def test_fields_are_stored_as_read_only_arrays(self):
+        gt = np.zeros((3, 2, 4, 4))
+        gt[1, 0, 2] = 1.0
+        ds = tiny_dataset(gt=gt.tolist(), images=np.zeros((3, 4, 4), dtype=np.float32),
+                          subject_ids=np.array([5, 3, 7], dtype=np.uint8))
+        assert len(ds) == 3 and ds.n_classes == 2 and ds.image_size == 4
+        assert ds.subject_ids.dtype == np.int64 and ds.subject_ids.tolist() == [5, 3, 7]
+        assert ds.tags.tolist() == ["x", "y", "x"]
+        assert ds.images.dtype == np.float64
+        assert ds.gt.dtype == bool and np.array_equal(ds.gt, gt)
+        for name in ("subject_ids", "tags", "images", "gt", "availability"):
+            assert not getattr(ds, name).flags.writeable, name
 
     def test_disjoint_class_maps_accepted(self):
-        gt = np.zeros((2, 4, 4))
-        gt[0, 1] = gt[1, 2] = 1.0
-        assert SyntheticSample(0, "a", np.zeros((4, 4)), gt, np.ones(2, dtype=bool)).n_classes == 2
+        assert tiny_dataset().n_classes == 2
+
+    def test_overlapping_class_maps_name_the_first_subject(self):
+        # a pixel in both maps made the marginal background 1 - 2 = -1
+        gt = np.array(tiny_dataset().gt)
+        gt[1:, 1, 0] = True
+        with pytest.raises(RangeViolationError, match="subject 3: gt maps of two classes overlap"):
+            tiny_dataset(gt=gt)
+
+    def test_gt_other_than_0_or_1_names_the_first_subject(self):
+        with pytest.raises(RangeViolationError,
+                           match="subject 7: gt values must be exactly 0 or 1"):
+            tiny_dataset(**_with("gt", (2, 0, 3, 3), 0.5))
+
+    def test_non_finite_image_names_the_first_subject(self):
+        with pytest.raises(RangeViolationError, match="subject 3: image values must be finite"):
+            tiny_dataset(**_with("images", (1, 2, 2), np.nan))
+
+    def test_non_str_tag_names_its_subject(self):
+        with pytest.raises(InvalidConfigError, match="subject 3: the tag must be a string"):
+            tiny_dataset(tags=["x", 1, "x"])
+
+    @pytest.mark.parametrize("changes, error", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS)
+    def test_malformed_field_rejected(self, changes, error):
+        with pytest.raises(error):
+            tiny_dataset(**changes)
+
+    def test_images_must_be_square(self):
+        # gt of the same (4, 5) maps, so only the images' own check names the fault
+        with pytest.raises(ShapeMismatchError, match=r"images must be \(n, N, N\)"):
+            tiny_dataset(images=np.zeros((3, 4, 5)), gt=np.zeros((3, 2, 4, 5)))
+
+    def test_empty_dataset_saves_and_loads(self, tmp_path):
+        save_dataset(empty_dataset(), tmp_path / "d")
+        back = load_dataset(tmp_path / "d")
+        assert len(back) == 0 and back.class_names == ("a", "b") and back.image_size == 4
+        assert back.gt.shape == (0, 2, 4, 4) and back.availability.shape == (0, 2)
 
 
 class TestPersistence:
@@ -424,11 +511,9 @@ class TestPersistence:
         assert back.task == ds.task
         assert back.class_names == ds.class_names
         assert back.origin == json.loads(json.dumps(ds.origin))  # tuples become lists
-        for a, b in zip(ds.samples, back.samples):
-            assert (a.subject_id, a.tag) == (b.subject_id, b.tag)
-            assert np.array_equal(a.image, b.image)
-            assert np.array_equal(a.gt, b.gt)
-            assert np.array_equal(a.availability, b.availability)
+        for name in ("subject_ids", "tags", "images", "gt", "availability"):
+            a, b = getattr(ds, name), getattr(back, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_numpy_scalar_params_save_and_reload(self, tmp_path):
         # json.dump failed on them after the sample files were written
@@ -440,9 +525,8 @@ class TestPersistence:
         back = load_dataset(tmp_path / "d")
         plain = generate_multiclass(MulticlassTaskParams(n_phase_a=2, n_phase_b=1), seed=3)
         assert back.origin == json.loads(json.dumps(plain.origin))
-        for a, b in zip(plain.samples, back.samples):
-            assert np.array_equal(a.image, b.image)
-            assert np.array_equal(a.gt, b.gt)
+        assert np.array_equal(plain.images, back.images)
+        assert np.array_equal(plain.gt, back.gt)
 
     def test_round_trip_keeps_unavailability(self, tmp_path):
         ds = generate_multiclass(MulticlassTaskParams(), seed=4)
@@ -450,7 +534,8 @@ class TestPersistence:
                                              tag=PHASE_B, class_index=1))
         save_dataset(ds, tmp_path / "d")
         back = load_dataset(tmp_path / "d")
-        assert any(not s.availability[1] for s in back.samples)
+        assert np.array_equal(back.availability, ds.availability)
+        assert not back.availability[:, 1].all()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         ds = self.small_dataset()
@@ -458,6 +543,14 @@ class TestPersistence:
         save_dataset(ds, tmp_path / "b")
         for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("size", [MAX_IMAGE_SIZE + 1, 10**30])
+    def test_image_size_is_bounded_without_any_sample_file(self, tmp_path, size):
+        # with no file to disagree with it, only the bound rejects the size
+        save_dataset(empty_dataset(), tmp_path / "d")
+        _edit_manifest(tmp_path / "d", lambda m: m.update(image_size=size))
+        with pytest.raises(InvalidConfigError, match="image_size"):
+            load_dataset(tmp_path / "d")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(InvalidConfigError):

@@ -1,5 +1,7 @@
 """Feature extraction, the linear model, manual backprop, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,12 @@ SMALL_BINARY = BinaryTaskParams(image_size=16, n_grade_a=4, n_grade_b=2,
 SMALL_MULTI = MulticlassTaskParams(image_size=32, core_radius=(2.5, 3.5),
                                    shell_width=(1.5, 2.0), satellite_radius=(2.0, 3.0),
                                    n_phase_a=4, n_phase_b=2, center_jitter=1.0)
+
+
+def empty_binary():
+    """A binary dataset of no 16 x 16 samples."""
+    return SyntheticDataset("binary", ("lesion",), [], [], np.zeros((0, 16, 16)),
+                            np.zeros((0, 1, 16, 16)), np.zeros((0, 1), dtype=bool))
 
 
 class TestFeaturize:
@@ -93,9 +101,9 @@ class TestFeaturize:
                                                   (generate_multiclass, MulticlassTaskParams())])
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_default_datasets_match_the_oracle(self, generate, params, seed):
-        images = [s.image for s in generate(params, seed).samples]
+        images = generate(params, seed).images
         expected = np.stack([train_oracle.featurize(image) for image in images])
-        assert featurize(np.stack(images)).tobytes() == expected.tobytes()
+        assert featurize(images).tobytes() == expected.tobytes()
 
     def test_an_empty_stack_has_no_rows(self):
         assert featurize(np.zeros((0, 5, 5))).shape == (0, 25, 4)
@@ -191,17 +199,13 @@ class TestModelBackward:
         assert np.all(grad == 0.0)
 
 
-def gt_from_samples(samples, include_background):
-    n_fg = samples[0].gt.shape[0]
-    n_pixels = samples[0].image.size
-    rows = []
-    for s in samples:
-        fg = s.gt.reshape(n_fg, n_pixels)
-        if include_background:
-            rows.append(np.concatenate([1.0 - fg.sum(axis=0, keepdims=True), fg]))
-        else:
-            rows.append(fg)
-    return np.stack(rows).astype(np.float64)
+def features_and_gt(ds, rows, include_background):
+    """featurize of the rows' images, one at a time, and their gt as (B, L, I) float64."""
+    feats = np.stack([featurize(image) for image in ds.images[rows]])
+    fg = ds.gt[rows].reshape(len(feats), ds.n_classes, -1).astype(np.float64)
+    if include_background:
+        fg = np.concatenate([1.0 - fg.sum(axis=1, keepdims=True), fg], axis=1)
+    return feats, fg
 
 
 def assert_same_bits(a, b):
@@ -230,17 +234,13 @@ class TestEndToEndGradient:
                                         ReductionScheme.ALL_WISE])
     def test_sigmoid_head(self, scheme):
         ds = generate_binary(SMALL_BINARY, seed=0)
-        samples = ds.samples[:3]
-        feats = np.stack([featurize(s.image) for s in samples])
-        gt = gt_from_samples(samples, include_background=False)
+        feats, gt = features_and_gt(ds, slice(3), include_background=False)
         model = LinearPixelModel(np.random.default_rng(0).normal(0, 0.5, (1, 4)))
         self.check(model, feats, gt, DiceLossConfig(scheme=scheme, epsilon=1.0))
 
     def test_softmax_head_with_background(self):
         ds = generate_multiclass(SMALL_MULTI, seed=0)
-        samples = ds.samples[:2]
-        feats = np.stack([featurize(s.image) for s in samples])
-        gt = gt_from_samples(samples, include_background=True)
+        feats, gt = features_and_gt(ds, slice(2), include_background=True)
         model = LinearPixelModel(np.random.default_rng(1).normal(0, 0.5, (4, 4)))
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1.0)
         self.check(model, feats, gt, cfg)
@@ -249,9 +249,7 @@ class TestEndToEndGradient:
         # a gt of three classes meets the last three of four softmax columns,
         # so the loss skips the background and gradients still flow through it
         ds = generate_multiclass(SMALL_MULTI, seed=2)
-        samples = ds.samples[:2]
-        feats = np.stack([featurize(s.image) for s in samples])
-        gt = gt_from_samples(samples, include_background=False)
+        feats, gt = features_and_gt(ds, slice(2), include_background=False)
         model = LinearPixelModel(np.random.default_rng(2).normal(0, 0.5, (4, 4)))
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1.0)
         self.check(model, feats, gt, cfg)
@@ -259,9 +257,8 @@ class TestEndToEndGradient:
     def test_leaf_variant(self):
         ds = generate_binary(SMALL_BINARY, seed=3)
         ds = apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, tag="grade-b"))
-        samples = ds.samples[:4]  # mix of labeled and emptied
-        feats = np.stack([featurize(s.image) for s in samples])
-        gt = gt_from_samples(samples, include_background=False)
+        # a mix of labeled and emptied
+        feats, gt = features_and_gt(ds, slice(4), include_background=False)
         model = LinearPixelModel(np.random.default_rng(3).normal(0, 0.5, (1, 4)))
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-3,
                              variant=Variant.LEAF)
@@ -271,11 +268,9 @@ class TestEndToEndGradient:
         ds = generate_multiclass(SMALL_MULTI, seed=4)
         ds = apply_partial(ds, PartialPolicy(PartialAction.MARK_UNAVAILABLE,
                                              tag=PHASE_B, class_index=1))
-        by_tag = {s.tag: s for s in ds.samples}
-        samples = [by_tag["phase-a"], by_tag[PHASE_B]]  # one of each phase
-        feats = np.stack([featurize(s.image) for s in samples])
-        gt = gt_from_samples(samples, include_background=True)
-        mask = np.stack([[True, *s.availability] for s in samples])
+        rows = [np.flatnonzero(ds.tags == t)[-1] for t in ("phase-a", PHASE_B)]  # one of each
+        feats, gt = features_and_gt(ds, rows, include_background=True)
+        mask = np.concatenate([np.ones((2, 1), dtype=bool), ds.availability[rows]], axis=1)
         model = LinearPixelModel(np.random.default_rng(4).normal(0, 0.5, (4, 4)))
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-3,
                              variant=Variant.MARGINAL)
@@ -331,8 +326,7 @@ class TestTrainLoop:
         assert result.model.n_classes == 4
         assert result.class_names == ("background", "core", "shell", "satellite")
         # the first step scores the zero model against gt with the background row first
-        feats = np.stack([featurize(s.image) for s in ds.samples])
-        gt = gt_from_samples(ds.samples, include_background=True)
+        feats, gt = features_and_gt(ds, slice(None), include_background=True)
         mask = np.ones((len(ds), 4), dtype=bool)
         zero = LinearPixelModel(np.zeros((4, 4)))
         step = planned_step(zero, feats, gt, loss, mask)
@@ -356,9 +350,8 @@ class TestTrainLoop:
         assert result.history.shape == (4, 1 + 2 * 4)
 
     def test_empty_dataset_rejected(self):
-        empty = SyntheticDataset("binary", ("lesion",), 16, (), {})
         with pytest.raises(EmptyDatasetError):
-            train(empty, self.binary_cfg())
+            train(empty_binary(), self.binary_cfg())
 
     def test_batch_size_larger_than_dataset_rejected(self):
         ds = generate_binary(SMALL_BINARY, seed=0)
@@ -406,12 +399,11 @@ class TestTrainLoop:
             train(ds, self.binary_cfg(iterations=10))
         assert len(calls) == 3
 
-    def test_samples_must_hold_the_dataset_class_count(self):
+    def test_a_dataset_holds_its_class_count(self):
         # three gt maps per sample in a dataset that names one class
         ds = generate_multiclass(SMALL_MULTI, seed=0)
-        narrowed = SyntheticDataset(ds.task, ("core",), ds.image_size, ds.samples, {})
-        with pytest.raises(ShapeMismatchError, match="1 gt maps"):
-            train(narrowed, self.binary_cfg(iterations=1))
+        with pytest.raises(ShapeMismatchError, match=r"gt must be \(6, 1, 32, 32\)"):
+            replace(ds, class_names=("core",))
 
     def test_train_and_predict_featurize_once_each(self, monkeypatch):
         calls = []
@@ -433,6 +425,19 @@ class TestTrainLoop:
         result = train(ds, self.binary_cfg(iterations=3))
         pred = predict(result.model, ds)
         assert pred.shape == (6, 1, 256)
+
+    @pytest.mark.parametrize("rows", [1, 4], ids=["sigmoid", "softmax"])
+    def test_predict_on_an_empty_dataset_is_empty(self, rows):
+        # it raised a bare ValueError from np.stack
+        pred = predict(LinearPixelModel(np.zeros((rows, 4))), empty_binary())
+        assert pred.shape == (0, rows, 16 * 16) and not pred.flags.writeable
+
+    def test_a_dataset_of_mixed_image_sizes_cannot_be_built(self):
+        # predict raised a bare ValueError from np.stack on such samples
+        ds = generate_binary(SMALL_BINARY, seed=0)
+        images = [*ds.images[:-1], np.zeros((17, 17))]
+        with pytest.raises(ShapeMismatchError):
+            replace(ds, images=images)
 
 
 class TestCheckpoint:

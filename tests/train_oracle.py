@@ -89,13 +89,13 @@ def grad_split(gt_arr: np.ndarray, grad_arr: np.ndarray) -> tuple[tuple, tuple]:
 
 def train(dataset, cfg) -> TrainResult:
     """dicelab.trainer.train on a valid dataset and config, one step at a time."""
-    n = len(dataset.samples)
+    n = len(dataset)
     n_fg = dataset.n_classes
     marginal = cfg.loss.variant is Variant.MARGINAL
 
-    feats = np.stack([featurize(s.image) for s in dataset.samples])
-    gt_all = np.stack([s.gt.reshape(n_fg, -1) for s in dataset.samples])
-    avail_all = np.stack([s.availability for s in dataset.samples])
+    feats = np.stack([featurize(image) for image in dataset.images])
+    gt_all = dataset.gt.reshape(n, n_fg, -1).astype(np.float64)
+    avail_all = dataset.availability
     loss_names = tuple(dataset.class_names)
     if marginal:
         gt_all = np.concatenate([1.0 - gt_all.sum(axis=1, keepdims=True), gt_all], axis=1)
