@@ -7,7 +7,8 @@ model checkpoints. Cells are independent and may execute in parallel; the
 parent process writes all artifacts in a fixed order, so outputs are
 byte-identical for a given config no matter the job count. Cells whose
 training is the same computation (batch-wise pooling at B = 1 is image-wise
-pooling) train once and share the result.
+pooling; the leaf variant on labels without an empty map is the standard loss)
+train once and share the result.
 """
 
 from __future__ import annotations
@@ -335,17 +336,30 @@ def _cell_worker(args) -> CellResult:
     return run_cell(config, *cell, datasets)
 
 
-def _training_key(labeling: str, setup: str, batch_size: int, n_classes: int) -> tuple:
-    """What decides how a cell trains, for a task of n_classes foreground classes.
+def _training_key(labeling: str, setup: str, batch_size: int, n_classes: int,
+                  complete: bool) -> tuple:
+    """What decides how a cell trains, for a task of n_classes foreground classes
+    whose labeling has no empty (sample, class) map when complete is true.
 
     A pooled axis of extent 1 (the batch axis at B = 1, the class axis of a
     one-class loss) sums a single term, so leaving it out of Phi changes no
-    sum: batch-wise pooling at B = 1 is image-wise pooling, bit for bit.
+    sum: batch-wise pooling at B = 1 is image-wise pooling, bit for bit. On
+    complete labels no pooled subset is empty, so the leaf variant drops none
+    and trains as the standard loss, bit for bit.
     """
     scheme, variant, calibrated = SETUPS[setup]
+    if variant is Variant.LEAF and complete:
+        variant = Variant.STANDARD
     extent = {0: batch_size, 1: n_classes + (variant is Variant.MARGINAL)}
     axes = tuple(a for a in scheme.axes if extent.get(a) != 1)
     return labeling, batch_size, variant, calibrated, axes
+
+
+def _training_keys(config: ExperimentConfig, datasets) -> list[tuple]:
+    """Each cell's training key; datasets is build_dataset(config), in LABELINGS order."""
+    complete = {lab: bool(v.gt.any(axis=(-2, -1)).all()) for lab, v in zip(LABELINGS, datasets)}
+    return [_training_key(*cell, datasets[0].n_classes, complete[cell[0]])
+            for cell in config.cells()]
 
 
 CELL_COLUMNS = ["labeling", "setup", "batch_size"]
@@ -434,7 +448,7 @@ def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult
     batch size.
     """
     cells = config.cells()
-    keys = [_training_key(*cell, datasets[0].n_classes) for cell in cells]
+    keys = _training_keys(config, datasets)
     firsts: dict[tuple, tuple] = {}
     for key, cell in zip(keys, cells):
         firsts.setdefault(key, cell)

@@ -17,7 +17,7 @@ the class unavailable (missing-label regime).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -69,6 +69,10 @@ class SyntheticDataset:
     subject_ids is (n,) int64, distinct and >= 0; tags (n,) str; images (n, N, N)
     finite float64; gt (n, C, N, N) bool, at most one class per pixel; availability
     (n, C) bool, for C = len(class_names) >= 1. Every array is read-only.
+
+    An array already C-contiguous and of its field's dtype is handed over, not
+    copied: the dataset keeps it and makes it read-only in place, for the caller
+    too. Unpickling rebuilds through this constructor, checked and read-only.
     """
 
     task: str
@@ -127,6 +131,9 @@ class SyntheticDataset:
             arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        return SyntheticDataset, tuple(getattr(self, f.name) for f in fields(self))
 
     def __len__(self) -> int:
         return len(self.subject_ids)

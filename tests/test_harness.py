@@ -1,6 +1,7 @@
 """Experiment config handling, dataset wiring, and the run/artifact pipeline."""
 
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,12 +36,33 @@ TINY_DATASET = {
 }
 
 
+TINY_MULTICLASS = {
+    "image_size": 32,
+    "n_phase_a": 4,
+    "n_phase_b": 2,
+    "core_radius": [2.5, 3.5],
+    "shell_width": [1.5, 2.0],
+    "satellite_radius": [2.0, 3.0],
+    "center_jitter": 1.0,
+}
+
+
 def tiny_config(**kwargs):
     base = dict(task="binary", labelings=("full", "partial"),
                 setups=("image-wise", "image-wise-calibrated"), batch_sizes=(1,),
                 iterations=25, folds=2, bootstrap_resamples=50, dataset=TINY_DATASET)
     base.update(kwargs)
     return ExperimentConfig(**base)
+
+
+def tiny_multiclass_config(**kwargs):
+    """Six subjects whose full labels leave no (sample, class) map empty."""
+    return tiny_config(task="multiclass", setups=("image-wise", "leaf"),
+                       dataset=TINY_MULTICLASS, **kwargs)
+
+
+def no_empty_map(ds):
+    return bool(ds.gt.any(axis=(-2, -1)).all())
 
 
 class TestConfig:
@@ -338,14 +360,27 @@ class TestRunExperiment:
             b = out2 / a.relative_to(out)
             assert a.read_bytes() == b.read_bytes(), a.name
 
-    def test_default_run_trees_match_at_one_and_two_jobs(self, tmp_path):
-        config = replace(default_config("binary"), iterations=5)
+    @staticmethod
+    def run_trees(config, root):
+        """The file tree of run_experiment(config) at one and at two jobs, path -> bytes."""
         trees = []
         for jobs in (1, 2):
-            out = run_experiment(config, tmp_path / f"jobs{jobs}", jobs=jobs)
+            out = run_experiment(config, root / f"jobs{jobs}", jobs=jobs)
             trees.append({p.relative_to(out): p.read_bytes()
                           for p in sorted(out.rglob("*")) if p.is_file()})
+        return trees
+
+    def test_default_run_trees_match_at_one_and_two_jobs(self, tmp_path):
+        trees = self.run_trees(replace(default_config("binary"), iterations=5), tmp_path)
         assert trees[0] == trees[1]
+
+    def test_shared_leaf_cell_trees_match_at_one_and_two_jobs(self, tmp_path):
+        trees = self.run_trees(tiny_multiclass_config(iterations=5), tmp_path)
+        assert trees[0] == trees[1]
+        for fold in range(2):  # full-leaf-b1 copies its representative's history
+            leaf, image = (trees[1][Path("cells", f"full-{s}-b1", f"history_fold{fold}.csv")]
+                           for s in ("leaf", "image-wise"))
+            assert leaf == image
 
     def test_serial_run_builds_the_dataset_once(self, tmp_path, monkeypatch):
         calls = []
@@ -474,18 +509,62 @@ class TestCellSharing:
         assert len(trained) == 6 and len(results) == 8  # batch-wise at B = 1 trains once
         assert seen == [workers]
 
+    @pytest.mark.parametrize("complete", [False, True])
     @pytest.mark.parametrize("n_classes", [1, 3])
-    def test_key_merges_only_cells_that_train_alike(self, n_classes):
+    def test_key_merges_only_cells_that_train_alike(self, n_classes, complete):
+        def key(cell):
+            return harness._training_key(*cell, n_classes, complete)
+
         cells = [(lab, setup, b) for lab in LABELINGS for setup in SETUPS for b in (1, 2, 4)]
         for a in cells:
             for b in cells:
-                if harness._training_key(*a, n_classes) != harness._training_key(*b, n_classes):
+                if key(a) != key(b):
                     continue
                 (lab_a, setup_a, b_a), (lab_b, setup_b, b_b) = a, b
                 assert lab_a == lab_b and b_a == b_b
                 assert SETUPS[setup_a].calibrated == SETUPS[setup_b].calibrated
+                if complete and {setup_a, setup_b} == {"image-wise", "leaf"}:
+                    continue  # the one merge complete labels add
+                if complete and {setup_a, setup_b} == {"batch-wise", "leaf"} and b_a == 1:
+                    continue  # both merge with image-wise there
                 assert SETUPS[setup_a].variant is SETUPS[setup_b].variant
                 assert {setup_a, setup_b} <= {"image-wise", "batch-wise"} or setup_a == setup_b
                 assert setup_a == setup_b or b_a == 1
         image, batch = ("full", "image-wise", 1), ("full", "batch-wise", 1)
-        assert harness._training_key(*image, n_classes) == harness._training_key(*batch, n_classes)
+        assert key(image) == key(batch)
+        for b in (1, 2, 4):
+            assert (key(("full", "leaf", b)) == key(("full", "image-wise", b))) is complete
+
+    def test_leaf_on_complete_labels_is_image_wise(self, monkeypatch):
+        config = tiny_multiclass_config(labelings=("full",), iterations=12)
+        datasets = build_dataset(config)
+        assert no_empty_map(datasets[0])
+        leaf = run_cell(config, "full", "leaf", 1, datasets)
+        image = run_cell(config, "full", "image-wise", 1, datasets)
+        assert_same_result(replace(leaf, setup="image-wise"), image)
+        trained = counting_run_cell(monkeypatch)
+        results = harness._run_cells(config, datasets, jobs=1)
+        assert trained == [("full", "image-wise", 1)]
+        assert_same_result(results[1], leaf)
+
+    def test_leaf_trains_apart_when_a_map_is_empty(self, monkeypatch):
+        config = tiny_multiclass_config(labelings=("full",), iterations=12)
+        full, partial = build_dataset(config)
+        gt = full.gt.copy()
+        gt[0, 1] = False  # subject 0's shell
+        datasets = (replace(full, gt=gt), partial)
+        assert not no_empty_map(datasets[0])
+        trained = counting_run_cell(monkeypatch)
+        image, leaf = harness._run_cells(config, datasets, jobs=1)
+        assert trained == config.cells()
+        assert [m.weights.tobytes() for m in leaf.models] != [
+            m.weights.tobytes() for m in image.models]
+
+    @pytest.mark.parametrize("task, trained_cells", [("binary", 10), ("multiclass", 5)])
+    def test_default_configs_train_fewer_cells_than_they_have(self, monkeypatch, task,
+                                                              trained_cells):
+        # binary: batch-wise at B = 1 twice; multiclass: leaf on the full labels
+        config = replace(default_config(task), iterations=2)
+        trained = counting_run_cell(monkeypatch)
+        results = harness._run_cells(config, build_dataset(config), jobs=1)
+        assert len(trained) == trained_cells and len(results) == len(config.cells())

@@ -66,11 +66,10 @@ def test_shared_cells_match_the_grouping():
         listed = re.findall(r"`([\w-]+)` ← `([\w-]+)`", line.group(1))
         assert listed or line.group(1) == "none"
         config = default_config(task)
-        n_classes = build_dataset(config)[0].n_classes
         first: dict = {}
         shared = []
-        for cell in config.cells():
-            key = harness._training_key(*cell, n_classes)
+        for cell, key in zip(config.cells(),
+                             harness._training_keys(config, build_dataset(config))):
             if key in first:
                 shared.append((harness._cell_dirname(*cell), harness._cell_dirname(*first[key])))
             first.setdefault(key, cell)

@@ -1,6 +1,7 @@
 """Synthetic task generators, corruption policies, and dataset persistence."""
 
 import json
+import pickle
 import shutil
 import struct
 
@@ -457,6 +458,24 @@ class TestDataset:
         assert ds.gt.dtype == bool and np.array_equal(ds.gt, gt)
         for name in ("subject_ids", "tags", "images", "gt", "availability"):
             assert not getattr(ds, name).flags.writeable, name
+
+    def test_arrays_of_the_field_dtype_are_handed_over_not_copied(self):
+        images, gt = np.zeros((3, 4, 4)), np.array(tiny_dataset().gt)
+        ds = tiny_dataset(images=images, gt=gt)
+        assert ds.images is images and ds.gt is gt
+        with pytest.raises(ValueError, match="read-only"):
+            images[0, 0, 0] = 1.0
+        other = np.zeros((3, 4, 4), dtype=np.float32)  # converted, so the caller's stays
+        assert tiny_dataset(images=other).images is not other and other.flags.writeable
+
+    def test_pickle_round_trip_gives_equal_read_only_arrays(self):
+        ds = tiny_dataset(origin={"generator": "t", "seed": 1})
+        back = pickle.loads(pickle.dumps(ds))
+        assert (back.task, back.class_names, back.origin) == (ds.task, ds.class_names, ds.origin)
+        for name in ("subject_ids", "tags", "images", "gt", "availability"):
+            a, b = getattr(ds, name), getattr(back, name)
+            assert b.dtype == a.dtype and np.array_equal(b, a), name
+            assert not b.flags.writeable, name
 
     def test_disjoint_class_maps_accepted(self):
         assert tiny_dataset().n_classes == 2
