@@ -458,9 +458,9 @@ def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult
         with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
             results = list(pool.map(_cell_worker,
                                     [(config, cell, datasets) for cell in firsts.values()]))
-        for r in results:  # unpickling drops NumPy's read-only flag
-            for array in (*r.histories, *(m.weights for m in r.models)):
-                array.flags.writeable = False
+        for r in results:  # unpickling drops NumPy's read-only flag; models rebuild their own
+            for history in r.histories:
+                history.flags.writeable = False
     trained = dict(zip(firsts, results))
     return [replace(trained[key], labeling=lab, setup=setup, batch_size=b)
             for key, (lab, setup, b) in zip(keys, cells)]

@@ -29,10 +29,11 @@ scores one (B, C, I) pair and adds the gradient. All three check their inputs
 (ground truth of 0 and 1, predictions in [0, 1]), then build a LossPlan; a
 caller may pass a LossPlan in place of the config, for instance one whose
 epsilon holds one value per stacked ground truth. planned_value_and_grad is
-the gradient pass alone, for a caller such as the training loop that checks
-its arrays and builds the plan once for many calls. A counted subset with S = 0
-(epsilon 0, empty ground truth and zero prediction) raises
-ZeroDenominatorError in place of returning NaN.
+the value and gradient pass alone, for a caller such as the training loop
+that checks its arrays, builds the plan and allocates the buffers the pass
+writes once for many calls, and knows the ground truth's counts of ones.
+A counted subset with S = 0 (epsilon 0, empty ground truth and zero
+prediction) raises ZeroDenominatorError in place of returning NaN.
 """
 
 from __future__ import annotations
@@ -221,32 +222,40 @@ def _pool(
     p: np.ndarray,
     plan: LossPlan,
     mask: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    counts: np.ndarray | None = None,
+    yp: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Kept mask, N and S of every subset, pooled over the plan's axes Phi.
 
     y and p are (..., B, C, I) with leading axes that broadcast; p is merged
     here first for the marginal variant. Phi is taken as negative axes, so
     leading axes stack independent pairs. N and S carry the broadcast leading
-    axes; kept is (B', C', 1), the keepdims shape of one pair's sums, unless the
-    leaf variant drops subsets of a stacked y, where it carries y's leading axes.
+    axes; kept is None under the standard variant, which counts every subset,
+    else (B', C', 1), the keepdims shape of one pair's sums, unless the leaf
+    variant drops subsets of a stacked y, where it carries y's leading axes.
+    counts, when given, is a lone y's (B, C) count of ones: its pooled sums
+    are exact integers, so they equal y's bit for bit. yp, when given,
+    receives y * p.
     """
     axes = plan.axes
     variant = plan.cfg.variant
     if variant is Variant.MARGINAL:
         p = marginal_merge(y, p, mask)
-    inter = (y * p).sum(axis=axes, keepdims=True)
-    gsum = y.sum(axis=axes, keepdims=True)
+    inter = np.multiply(y, p, out=yp).sum(axis=axes, keepdims=True)
+    if counts is None:
+        gsum = y.sum(axis=axes, keepdims=True)
+    else:
+        gsum = counts[:, :, None].sum(axis=axes, keepdims=True)
     psum = p.sum(axis=axes, keepdims=True)
     S = gsum + psum + plan.eps
-    if variant is Variant.STANDARD:
-        kept = np.ones(gsum.shape[-3:], dtype=bool)
-    else:
-        if variant is Variant.LEAF:
-            kept = gsum > 0.0
-        else:
-            # marginal_merge checked that the background is available everywhere,
-            # so only subsets made of merged-away classes alone are dropped
-            kept = mask[:, :, None].any(axis=axes, keepdims=True)
+    kept = None
+    if variant is Variant.LEAF:
+        kept = gsum > 0.0
+    elif variant is Variant.MARGINAL:
+        # marginal_merge checked that the background is available everywhere,
+        # so only subsets made of merged-away classes alone are dropped
+        kept = mask[:, :, None].any(axis=axes, keepdims=True)
+    if kept is not None:
         np.copyto(S, np.inf, where=~kept)  # a dropped subset scores 0 and gets zero gradient
     if np.count_nonzero(S) < S.size:  # some counted S == 0; cheaper than S.all() on tiny S
         raise ZeroDenominatorError(
@@ -257,22 +266,24 @@ def _pool(
     return kept, N, S
 
 
-def _loss_values(score: np.ndarray, kept: np.ndarray) -> np.ndarray:
+def _loss_values(score: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
     """1 - mean score over the counted subsets, one value per leading index of
-    score; 0 where no subset counts.
+    score; 0 where no subset counts. kept None counts every subset.
 
     Each value sums its K kept scores as one row-contiguous run, in the order
     of a lone pair's 1-D score[kept].sum(), so a stacked value equals the lone
     one bit for bit. A kept mask with leading axes (the leaf variant on a
     stacked ground truth) groups the rows by K.
     """
-    if kept.ndim == 3:  # every leading index counts the same subsets
-        K = np.count_nonzero(kept)
+    if kept is None or kept.ndim == 3:  # every leading index counts the same subsets
+        K = math.prod(score.shape[-3:]) if kept is None else np.count_nonzero(kept)
         if K == 0:
             return np.zeros(score.shape[:-3])
-        # with leading axes the boolean index comes back column-major; made
-        # row-contiguous, each row sums in the same order as a lone pair
-        return 1.0 - np.ascontiguousarray(score[..., kept]).sum(axis=-1) / K
+        # score is C-contiguous, so its rows already run in that order; with leading
+        # axes the boolean index comes back column-major and is made row-contiguous
+        counted = (score.reshape(*score.shape[:-3], K) if kept is None
+                   else np.ascontiguousarray(score[..., kept]))
+        return 1.0 - counted.sum(axis=-1) / K
     rows = score.reshape(-1, math.prod(score.shape[-3:]))
     keep = np.broadcast_to(kept, score.shape).reshape(rows.shape)
     counts = np.count_nonzero(keep, axis=1)
@@ -283,44 +294,48 @@ def _loss_values(score: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return values.reshape(score.shape[:-3])
 
 
-def _grad(shape: tuple[int, ...], y: np.ndarray, K, N: np.ndarray, S: np.ndarray,
-          mask: np.ndarray | None) -> np.ndarray:
-    """The read-only gradient of the given shape from the pooled N and S.
+def _grad(out: np.ndarray, ones: np.ndarray, K, N: np.ndarray, S: np.ndarray,
+          plan: LossPlan, mask: np.ndarray | None) -> np.ndarray:
+    """out, filled with the gradient from the pooled N and S.
 
-    ratio / K where y = 0 and (ratio - 2 / S) / K where y = 1, ratio = N / S^2,
-    with K the counted subsets, one int or one per pair, raised to at least 1.
-    Dropped subsets have S = inf, so they, and every subset of a pair with
-    none counted, get exactly 0. Under the marginal variant (mask given), an
-    unavailable (b, c) column takes the background column's gradient, as its
-    predictions were merged into the background.
+    ratio / K where y = 0 and (ratio - 2 / S) / K where ones marks y = 1,
+    ratio = N / S^2, with K the counted subsets, one int or one per pair,
+    raised to at least 1. Dropped subsets have S = inf, so they, and every
+    subset of a pair with none counted, get exactly 0. Under the marginal
+    variant, an unavailable (b, c) column takes the background column's
+    gradient, as its predictions were merged into the background.
     """
     ratio = N / (S * S)
-    grad = np.empty(shape)
-    np.copyto(grad, ratio / K)
-    np.copyto(grad, (ratio - 2.0 / S) / K, where=y == 1.0)
-    if mask is not None:
-        grad = np.where(mask[:, :, None], grad, grad[..., :1, :])
-    return readonly(grad)
+    np.copyto(out, ratio / K)
+    np.copyto(out, (ratio - 2.0 / S) / K, where=ones)
+    if plan.cfg.variant is Variant.MARGINAL:
+        np.copyto(out, out[..., :1, :], where=~mask[:, :, None])
+    return out
 
 
 def planned_value_and_grad(
     y: np.ndarray,
     p: np.ndarray,
     plan: LossPlan,
-    mask: np.ndarray | None = None,
-) -> tuple[LossOutput, np.ndarray]:
-    """dice_value_and_grad of y and p without its input checks.
+    mask: np.ndarray | None,
+    ones: np.ndarray,
+    counts: np.ndarray,
+    yp: np.ndarray,
+    out: np.ndarray,
+) -> float:
+    """dice_value_and_grad's value of y and p without its input checks; the
+    gradient goes into out.
 
     y and p must be float64 (B, C, I) arrays of the plan's class count, y
-    holding only 0 and 1; the marginal variant still checks its mask and
-    predictions.
+    holding only 0 and 1; ones is y as bool, counts its (B, C) count of ones,
+    yp a C-contiguous (B, C, I) float64 buffer for y * p (so its sums run in
+    a fresh product's order) and out a (B, C, I) float64 one. The marginal
+    variant still checks its mask and predictions.
     """
-    kept, N, S = _pool(y, p, plan, mask)
-    score = N / S
-    K = np.count_nonzero(kept)
-    return (LossOutput(float(_loss_values(score, kept)), score, kept, K),
-            _grad(y.shape, y, max(K, 1), N, S,
-                  mask if plan.cfg.variant is Variant.MARGINAL else None))
+    kept, N, S = _pool(y, p, plan, mask, counts, yp)
+    K = S.size if kept is None else np.count_nonzero(kept)
+    _grad(out, ones, max(K, 1), N, S, plan, mask)
+    return float(_loss_values(N / S, kept))
 
 
 def dice_value_and_grad(
@@ -338,7 +353,14 @@ def dice_value_and_grad(
     through the background sum.
     """
     y, p = _checked(gt, pred, stacked=False)
-    return planned_value_and_grad(y, p, loss_plan(cfg, y.shape[1]), mask)
+    plan = loss_plan(cfg, y.shape[1])
+    kept, N, S = _pool(y, p, plan, mask)
+    score = N / S
+    if kept is None:
+        kept = np.ones(score.shape, dtype=bool)
+    K = np.count_nonzero(kept)
+    grad = _grad(np.empty(y.shape), y == 1.0, max(K, 1), N, S, plan, mask)
+    return LossOutput(float(_loss_values(score, kept)), score, kept, K), readonly(grad)
 
 
 def dice_values(
@@ -373,6 +395,9 @@ def dice_grads(
     y, p = _checked(gt, preds, stacked=True)
     plan = loss_plan(cfg, y.shape[-2])
     kept, N, S = _pool(y, p, plan, mask)
-    K = np.count_nonzero(kept, axis=(-3, -2, -1), keepdims=True)
-    return _grad(np.broadcast_shapes(y.shape, p.shape), y, np.maximum(K, 1), N, S,
-                 mask if plan.cfg.variant is Variant.MARGINAL else None)
+    if kept is None:
+        K = max(math.prod(S.shape[-3:]), 1)
+    else:
+        K = np.maximum(np.count_nonzero(kept, axis=(-3, -2, -1), keepdims=True), 1)
+    grad = np.empty(np.broadcast_shapes(y.shape, p.shape))
+    return readonly(_grad(grad, y == 1.0, K, N, S, plan, mask))

@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, InvalidConfigError, ShapeMismatchError, require_int
+from .errors import (
+    DegenerateLabelsError,
+    InvalidConfigError,
+    RangeViolationError,
+    ShapeMismatchError,
+    require_binary,
+    require_int,
+)
 
 
 def hard_dsc(gt_map: np.ndarray, pred_map: np.ndarray) -> float:
@@ -58,7 +65,8 @@ class RocCurve:
 
 
 def roc_auc(scores, labels) -> RocCurve:
-    """ROC over score thresholds (predict positive when score >= threshold).
+    """ROC over score thresholds (predict positive when score >= threshold) of
+    1-D finite scores and their 0/1 labels.
 
     Thresholds are +inf plus every distinct score in descending order, so tied
     scores cross together and the trapezoidal area equals the pair-counting
@@ -66,8 +74,11 @@ def roc_auc(scores, labels) -> RocCurve:
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
-    if s.shape != y.shape:
-        raise ShapeMismatchError(f"{s.size} scores vs {y.size} labels")
+    if s.ndim != 1 or s.shape != y.shape:
+        raise ShapeMismatchError(f"scores {s.shape} and labels {y.shape} must be 1-D of one length")
+    require_binary("label", y)
+    if not np.isfinite(s).all():
+        raise RangeViolationError("scores must be finite")
     n_pos = int(np.count_nonzero(y == 1))
     n_neg = int(np.count_nonzero(y == 0))
     if n_pos == 0 or n_neg == 0:
@@ -86,7 +97,8 @@ def roc_auc(scores, labels) -> RocCurve:
 
 
 def bootstrap_compare(a, b, n_resamples: int = 10_000, seed: int = 0) -> float:
-    """Two-sided bootstrap p-value for the paired mean difference of a and b.
+    """Two-sided bootstrap p-value for the paired mean difference of a and b,
+    two 1-D lists of finite values.
 
     Subjects are resampled with replacement; the p-value is the fraction of
     resampled mean differences whose sign contradicts the observed one,
@@ -100,6 +112,8 @@ def bootstrap_compare(a, b, n_resamples: int = 10_000, seed: int = 0) -> float:
         raise ShapeMismatchError(f"paired lists must match: {a.shape} vs {b.shape}")
     if a.size < 2:
         raise ShapeMismatchError("need at least two paired subjects")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise RangeViolationError("paired values must be finite")
     diff = a - b
     observed = diff.mean()
     if observed == 0.0:

@@ -53,6 +53,9 @@ class LinearPixelModel:
             raise ShapeMismatchError(f"weights must be (classes, {N_FEATURES}), got {cells.shape}")
         object.__setattr__(self, "weights", readonly(cells))
 
+    def __reduce__(self):  # unpickling builds the model again: checked and read-only
+        return LinearPixelModel, (self.weights,)
+
     @property
     def n_classes(self) -> int:
         return self.weights.shape[0]
@@ -115,24 +118,39 @@ def _expit():
     return expit
 
 
-def _forward(weights: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """Predictions (B, C, I) of the model for per-pixel features (B, I, F):
-    a sigmoid for one weight row, else a softmax over the C rows."""
-    logits = np.einsum("bif,cf->bci", feats, weights)
+def _forward(weights: np.ndarray, feats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Predictions (B, C, I) of the model for per-pixel features (B, I, F), into out
+    when given: a sigmoid for one weight row, else a softmax over the C rows.
+
+    The logits are one matrix-vector product per (sample, row), which sums the F
+    products in np.einsum's order, so they equal einsum("bif,cf->bci") bit for
+    bit; at I = 1 NumPy takes a dot product, which sums in another order, so
+    einsum computes them there.
+    """
+    if out is None:
+        out = np.empty((feats.shape[0], weights.shape[0], feats.shape[1]))
+    if feats.shape[1] == 1:
+        np.einsum("bif,cf->bci", feats, weights, out=out)
+    else:
+        np.matmul(feats[:, None], weights[None, :, :, None], out=out[..., None])
     if weights.shape[0] == 1:
-        return _expit()(logits)
-    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))  # scipy.special.softmax's steps
-    return e / np.sum(e, axis=1, keepdims=True)
+        return _expit()(out, out=out)
+    out -= np.max(out, axis=1, keepdims=True)  # scipy.special.softmax's steps
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=1, keepdims=True)
+    return out
 
 
-def _backward(feats: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _backward(feats: np.ndarray, g: np.ndarray, p: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """dloss/dweights from the loss gradient g at p = _forward(...): the head's Jacobian
     (sigmoid g p (1 - p) for one column, else softmax p_c (g_c - sum_c' g_c' p_c')),
-    then the features."""
+    written into dz, then the features."""
+    np.multiply(g, p, out=dz)
     if p.shape[1] == 1:
-        dz = g * p * (1.0 - p)
+        dz *= 1.0 - p
     else:
-        dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
+        np.subtract(g, np.sum(dz, axis=1, keepdims=True), out=dz)
+        dz *= p
     return np.einsum("bci,bif->cf", dz, feats)
 
 
@@ -142,29 +160,47 @@ class StepResult(NamedTuple):
     param_grad: np.ndarray
 
 
+class StepBuffers(NamedTuple):
+    """The arrays a step writes, for B samples, C model columns, L loss classes
+    and I pixels; train allocates them once per call."""
+
+    pred: np.ndarray  # (B, C, I) predictions
+    yp: np.ndarray  # (B, L, I) the loss's y * p
+    grad: np.ndarray  # (B, C, I) loss gradient; columns the loss does not see stay 0
+    dz: np.ndarray  # (B, C, I) gradient at the logits
+
+    @classmethod
+    def allocate(cls, B: int, C: int, L: int, I: int) -> StepBuffers:
+        return cls(np.empty((B, C, I)), np.empty((B, L, I)), np.zeros((B, C, I)),
+                   np.empty((B, C, I)))
+
+
 def step_gradients(
     weights: np.ndarray,
     features: np.ndarray,
     gt: np.ndarray,
     plan: LossPlan,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray | None,
+    ones: np.ndarray,
+    counts: np.ndarray,
+    buffers: StepBuffers,
 ) -> StepResult:
     """One forward/backward pass: loss value, loss-space gradient, weight gradient.
 
     The arrays come checked from train: features (B, I, F), gt (B, L, I) of
-    0 and 1 with L at most the model's columns, and plan built for L classes.
-    The loss sees the model's last L output columns, so a loss over the
-    foreground classes only still backpropagates through a softmax whose
-    column 0 is the background.
+    0 and 1 with L at most the model's columns, ones the same gt as bool,
+    counts its (B, L) counts of ones, and plan built for L classes. The loss
+    sees the model's last L output columns, so a loss over the foreground
+    classes only still backpropagates through a softmax whose column 0 is the
+    background. The step writes into buffers, which the returned loss
+    gradient is a view of.
     """
-    pred = _forward(weights, features)
+    pred = _forward(weights, features, buffers.pred)
     first = weights.shape[0] - gt.shape[1]
-    out, grad = planned_value_and_grad(gt, pred[:, first:, :], plan, mask)
-    full = grad
-    if first > 0:
-        full = np.zeros(pred.shape)
-        full[:, first:, :] = grad
-    return StepResult(out.value, grad, _backward(features, full, pred))
+    grad = buffers.grad[:, first:, :]
+    loss = planned_value_and_grad(gt, pred[:, first:, :], plan, mask, ones, counts,
+                                  buffers.yp, grad)
+    return StepResult(loss, grad, _backward(features, buffers.grad, pred, buffers.dz))
 
 
 @dataclass(frozen=True)
@@ -176,14 +212,13 @@ class TrainResult:
     class_names: tuple[str, ...]  # loss-tensor column names
 
 
-def _grad_split(ones: np.ndarray, grad: np.ndarray, n_ones: np.ndarray, out: np.ndarray) -> None:
+def _grad_split(ones: np.ndarray, a: np.ndarray, n_ones: np.ndarray, out: np.ndarray) -> None:
     """Mean |grad| over the y=0 pixels of loss class c into out[c], over its y=1 pixels
     into out[L + c]; 0 where there are none.
 
-    ones marks the y=1 pixels and n_ones counts them per (sample, class);
-    np.add.reduce(x) / n is x.mean() bit for bit.
+    a holds |grad|, ones marks the y=1 pixels and n_ones counts them per (sample,
+    class); np.add.reduce(x) / n is x.mean() bit for bit.
     """
-    a = np.abs(grad)
     zeros = ~ones
     L = ones.shape[1]
     for c, k1 in enumerate(np.add.reduce(n_ones, axis=0).tolist()):
@@ -204,8 +239,11 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
 
     Only the step's arithmetic runs every step. The inputs are checked, the
     features computed and the loss planned once per call; each epoch gathers
-    its shuffled samples into buffers allocated once per call, and each step
-    slices its batch from them.
+    its shuffled samples, their gt as bool and its counts of ones into buffers
+    allocated once per call, and each step slices its batch from them. The
+    arrays a step writes (StepBuffers, and |grad|) are allocated once per call
+    too, so a step allocates only arrays of the pooled sums' size and the
+    sigmoid's 1 - p.
     """
     n = len(dataset)
     if n == 0:
@@ -231,11 +269,14 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     sources = (feats, ones, avail, np.count_nonzero(ones, axis=2))
     buffers = [np.empty_like(src) for src in sources]
     B = cfg.batch_size
-    gt = np.empty((B, *ones.shape[1:]))  # the batch's gt as 0.0 and 1.0
-    weights = np.zeros((1 if n_fg == 1 else n_fg + 1, N_FEATURES))
+    C, L, I = 1 if n_fg == 1 else n_fg + 1, len(loss_names), feats.shape[1]
+    gt = np.empty((B, L, I))  # the batch's gt as 0.0 and 1.0
+    step_buffers = StepBuffers.allocate(B, C, L, I)
+    abs_grad = np.empty((B, L, I))
+    weights = np.zeros((C, N_FEATURES))
     rng = np.random.default_rng(cfg.seed)
     n_full = (n // B) * B
-    history = np.empty((cfg.iterations, 1 + 2 * len(loss_names)))
+    history = np.empty((cfg.iterations, 1 + 2 * L))
     lo = n_full
     for iteration in range(1, cfg.iterations + 1):
         if lo == n_full:
@@ -246,15 +287,16 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         x, y_is_1, mask, n_ones = (buf[lo:lo + B] for buf in buffers)
         lo += B
         np.copyto(gt, y_is_1)
-        step = step_gradients(weights, x, gt, plan, mask if marginal else None)
+        step = step_gradients(weights, x, gt, plan, mask if marginal else None, y_is_1, n_ones,
+                              step_buffers)
         if not (math.isfinite(step.loss) and np.isfinite(step.param_grad).all()):
             raise NonFiniteTrainingError(
                 f"non-finite loss or weight gradient at iteration {iteration}"
             )
-        weights = weights - cfg.learning_rate * step.param_grad
+        weights -= cfg.learning_rate * step.param_grad
         row = history[iteration - 1]
         row[0] = step.loss
-        _grad_split(y_is_1, step.loss_grad, n_ones, row[1:])
+        _grad_split(y_is_1, np.abs(step.loss_grad, out=abs_grad), n_ones, row[1:])
     return TrainResult(LinearPixelModel(weights), readonly(history), loss_names)
 
 

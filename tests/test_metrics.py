@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from dicelab.errors import DegenerateLabelsError, InvalidConfigError, ShapeMismatchError
+from dicelab.errors import (
+    DegenerateLabelsError,
+    InvalidConfigError,
+    RangeViolationError,
+    ShapeMismatchError,
+)
 from dicelab.metrics import (
     binarize,
     bootstrap_compare,
@@ -130,6 +135,26 @@ class TestRoc:
         with pytest.raises(ShapeMismatchError):
             roc_auc([0.1, 0.2, 0.3], [1, 0])
 
+    # [0, 1, 2] gave AUC 1.0 with the 2 dropped; "1" and NaN were dropped the same way
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1], [0, 1, 0.5], [0, 1, np.nan],
+                                        ["0", "1", "1"]])
+    def test_labels_must_be_zero_or_one(self, labels):
+        with pytest.raises(RangeViolationError, match="label"):
+            roc_auc([0.1, 0.2, 0.3], labels)
+
+    # a NaN score gave AUC 0.0 and a NaN threshold
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scores_must_be_finite(self, bad):
+        with pytest.raises(RangeViolationError, match="finite"):
+            roc_auc([0.1, bad, 0.3], [0, 1, 1])
+
+    # 2-D lists raised a bare TypeError
+    @pytest.mark.parametrize("scores, labels", [([[0.1, 0.2], [0.3, 0.4]], [[0, 1], [1, 0]]),
+                                                (0.5, 1), ([[0.1, 0.2]], [0, 1])])
+    def test_input_must_be_one_dimensional(self, scores, labels):
+        with pytest.raises(ShapeMismatchError):
+            roc_auc(scores, labels)
+
 
 class TestBootstrap:
     def test_identical_lists_give_one(self):
@@ -171,6 +196,14 @@ class TestBootstrap:
             bootstrap_compare([1.0, 2.0], [1.0])
         with pytest.raises(ShapeMismatchError):
             bootstrap_compare([1.0], [2.0])
+
+    # [nan, 1] against [0, .5] gave p = 1.0, and an inf gave 0.0
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_values_must_be_finite(self, bad, side):
+        pair = [[bad, 1.0], [0.0, 0.5]]
+        with pytest.raises(RangeViolationError, match="finite"):
+            bootstrap_compare(*(pair if side == 0 else pair[::-1]), n_resamples=10)
 
 
 class TestCsv:

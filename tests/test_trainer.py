@@ -1,5 +1,6 @@
 """Feature extraction, the linear model, manual backprop, and the training loop."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from dicelab import trainer
 from dicelab.tensor import ReductionScheme
 from dicelab.trainer import (
     LinearPixelModel,
+    StepBuffers,
     TrainConfig,
     featurize,
     load_model,
@@ -161,6 +163,31 @@ class TestModelForward:
             want = softmax(np.einsum("bif,cf->bci", x, np.eye(c)), axis=1)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("source", ["binary", "multiclass", "small images"])
+    def test_forward_is_byte_equal_to_einsum(self, source):
+        # the logits are a batched matrix-vector product; it must sum as np.einsum does,
+        # into a fresh array or into a buffer as train's steps do
+        from scipy.special import expit, softmax
+        rng = np.random.default_rng(5)
+        if source == "small images":  # I = 1 takes NumPy's dot-product path
+            stacks = [featurize(rng.uniform(0, 1, (40, h, w))) for h, w in [(1, 1), (1, 2), (3, 5)]]
+        else:
+            generate = generate_binary if source == "binary" else generate_multiclass
+            params = BinaryTaskParams() if source == "binary" else MulticlassTaskParams()
+            stacks = [featurize(generate(params, seed=0).images)]
+        for all_feats in stacks:
+            for b in (1, 4, 13, 40):
+                feats = all_feats[rng.integers(0, len(all_feats), b)]
+                for c in range(1, 6):
+                    for scale in (0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e3):
+                        w = rng.normal(0.0, 1.0, (c, 4)) * scale
+                        logits = np.einsum("bif,cf->bci", feats, w)
+                        want = expit(logits) if c == 1 else softmax(logits, axis=1)
+                        out = np.empty(want.shape)
+                        assert trainer._forward(w, feats).tobytes() == want.tobytes()
+                        assert trainer._forward(w, feats, out) is out
+                        assert out.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("weights", [np.zeros((0, 4)), np.zeros((1, 3)), np.zeros(4),
                                          np.zeros((1, 1, 4))])
     def test_weight_shape_checked(self, weights):
@@ -188,14 +215,16 @@ class TestModelBackward:
         c = 0.3
         feats = featurize(np.full((4, 4), c))[None]
         model = LinearPixelModel(np.zeros((1, 4)))
-        grad = trainer._backward(feats, np.ones((1, 1, 16)), forward(model, feats))
+        grad = trainer._backward(feats, np.ones((1, 1, 16)), forward(model, feats),
+                                 np.empty((1, 1, 16)))
         assert grad == pytest.approx(0.25 * 16 * np.array([[1.0, c, c, 0.0]]))
 
     def test_zero_loss_grad_gives_zero_weight_grad(self):
         rng = np.random.default_rng(3)
         feats = rng.uniform(0, 1, (2, 8, 4))
         model = LinearPixelModel(rng.normal(size=(3, 4)))
-        grad = trainer._backward(feats, np.zeros((2, 3, 8)), forward(model, feats))
+        grad = trainer._backward(feats, np.zeros((2, 3, 8)), forward(model, feats),
+                                 np.empty((2, 3, 8)))
         assert np.all(grad == 0.0)
 
 
@@ -216,8 +245,12 @@ def assert_same_bits(a, b):
 
 
 def planned_step(model, feats, gt, cfg, mask=None):
-    """step_gradients with the loss planned as train plans it."""
-    return step_gradients(model.weights, feats, gt, loss_plan(cfg, gt.shape[1]), mask)
+    """step_gradients with the loss planned and the buffers allocated as train does it."""
+    ones = gt == 1.0
+    B, L, I = gt.shape
+    return step_gradients(model.weights, feats, gt, loss_plan(cfg, L), mask, ones,
+                          np.count_nonzero(ones, axis=2),
+                          StepBuffers.allocate(B, model.n_classes, L, I))
 
 
 class TestEndToEndGradient:
@@ -441,6 +474,16 @@ class TestTrainLoop:
 
 
 class TestCheckpoint:
+    def test_pickle_round_trip_is_checked_and_read_only(self):
+        # unpickling used to restore a writable weight array and skip the checks
+        model = LinearPixelModel(np.arange(8.0).reshape(2, 4))
+        back = pickle.loads(pickle.dumps(model))
+        assert back.weights.tobytes() == model.weights.tobytes()
+        assert not back.weights.flags.writeable
+        object.__setattr__(model, "weights", np.full((1, 4), np.nan))
+        with pytest.raises(InvalidConfigError):
+            pickle.loads(pickle.dumps(model))
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         model = LinearPixelModel(rng.normal(size=(3, 4)))

@@ -10,6 +10,11 @@ through its own head Jacobian and np.einsum, rebuilds the model, and averages
 call and computes the softmax in NumPy; the floating-point operations of a
 step, and their order, are the same, so the weights and the history array
 must come out equal bit for bit.
+
+The forward here keeps np.einsum on purpose. dicelab.trainer computes the
+logits as a batched matrix-vector product into buffers it allocates once per
+call, so the bit-for-bit comparison pins that product to einsum's sums on
+every machine that runs the tests.
 """
 
 from __future__ import annotations
