@@ -141,8 +141,8 @@ def cmd_calibrate(dataset_dir, scheme, out_path):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1,
-              help="Parallel worker processes for independent matrix cells "
-                   "(at most one per cell that trains).")
+              help="Parallel worker processes; cells that train at one fold and batch "
+                   "size train together (at most one worker per such group).")
 def cmd_run(config_path, out_dir, seed, jobs):
     """Run the cross-validated experiment matrix and write all artifacts."""
     config = load_config(config_path)

@@ -48,7 +48,15 @@ class ZeroDenominatorError(DicelabError, ArithmeticError):
 
 
 class NonFiniteTrainingError(DicelabError, ArithmeticError):
-    """Training produced a NaN or infinite loss or weight gradient."""
+    """Training produced a NaN or infinite loss or weight gradient; run is the
+    position of the failing run among those trained together."""
+
+    def __init__(self, message: str, run: int = 0):
+        super().__init__(message)
+        self.run = run
+
+    def __reduce__(self):
+        return type(self), (str(self), self.run)
 
 
 def require_int(name: str, value, minimum: int) -> None:

@@ -3,12 +3,14 @@
 A run expands a config into a matrix of cells (labeling x setup x batch size),
 trains each cell with subject-level k-fold cross-validation, scores held-out
 subjects against pristine ground truth, and writes everything as CSV plus
-model checkpoints. Cells are independent and may execute in parallel; the
-parent process writes all artifacts in a fixed order, so outputs are
-byte-identical for a given config no matter the job count. Cells whose
-training is the same computation (batch-wise pooling at B = 1 is image-wise
-pooling; the leaf variant on labels without an empty map is the standard loss)
-train once and share the result.
+model checkpoints. Cells whose training is the same computation (batch-wise
+pooling at B = 1 is image-wise pooling; the leaf variant on labels without an
+empty map is the standard loss) train once and share the result. The cells
+that train draw the same batches at one fold and batch size, so each such
+group trains in lockstep; groups are independent and may execute in parallel.
+The parent process scores the cells and writes all artifacts in a fixed
+order, so outputs are byte-identical for a given config no matter the job
+count.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .synthdata import (
     save_dataset,
 )
 from .tensor import ReductionScheme
-from .trainer import TrainConfig, predict, save_model, train
+from .trainer import TrainConfig, load_expit, predict, save_model, train
 
 CONFIG_SCHEMA = 1
 
@@ -269,35 +271,42 @@ class CellResult:
         return (self.labeling, self.setup, self.batch_size)
 
 
-def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: int,
-             datasets: tuple[SyntheticDataset, SyntheticDataset]) -> CellResult:
-    """Train and score one cell; datasets is build_dataset(config)."""
+def _train_group(config: ExperimentConfig, cells: list, fold: int, datasets):
+    """Train cells, which share a batch size, on fold's training split in lockstep.
+
+    Returns each cell's (TrainResult, calibration rows) in order, or the
+    NonFiniteTrainingError of the first cell that fails; datasets is
+    build_dataset(config).
+    """
     full, corrupted = datasets
-    train_view = corrupted if labeling == "partial" else full
-    k = config.folds
+    held_out = full.subject_ids % config.folds  # the twin holds the same subjects in the same rows
+    splits = {lab: _subset(corrupted if lab == "partial" else full, held_out != fold)
+              for lab in {cell[0] for cell in cells}}
+    runs, calibrations = [], []
+    for labeling, setup, batch_size in cells:
+        loss, calibration = _setup_loss(setup, splits[labeling])
+        calibrations.append(calibration)
+        runs.append((splits[labeling], TrainConfig(
+            loss=loss, batch_size=batch_size, learning_rate=config.learning_rate,
+            iterations=config.iterations, seed=fold)))
+    try:
+        return list(zip(train(runs), calibrations))
+    except NonFiniteTrainingError as exc:
+        return exc
+
+
+def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: int,
+             datasets: tuple[SyntheticDataset, SyntheticDataset], trained) -> CellResult:
+    """Score one cell on each fold's held-out subjects; trained holds each fold's
+    (TrainResult, calibration rows) in fold order, and datasets is
+    build_dataset(config)."""
+    full = datasets[0]
+    held_out = full.subject_ids % config.folds
     metric_rows = []
     calibration_rows = []
-    histories = []
-    models = []
-    loss_class_names: tuple = ()
-    folds = full.subject_ids % k  # the twin holds the same subjects in the same rows
-    for fold in range(k):
-        train_split = _subset(train_view, folds != fold)
-        val_split = _subset(full, folds == fold)
-        loss, calibration = _setup_loss(setup, train_split)
+    for fold, (result, calibration) in enumerate(trained):
         calibration_rows += [(fold, name, value) for name, value in calibration]
-        cfg = TrainConfig(loss=loss, batch_size=batch_size,
-                          learning_rate=config.learning_rate,
-                          iterations=config.iterations, seed=fold)
-        try:
-            result = train(train_split, cfg)
-        except NonFiniteTrainingError as exc:
-            raise NonFiniteTrainingError(
-                f"cell {_cell_dirname(labeling, setup, batch_size)} fold {fold}: {exc}"
-            ) from exc
-        histories.append(result.history)
-        models.append(result.model)
-        loss_class_names = result.class_names
+        val_split = _subset(full, held_out == fold)
         pred = predict(result.model, val_split)
         hard = binarize(pred)[:, -full.n_classes:]  # skip a softmax background
         gt = val_split.gt.reshape(hard.shape)
@@ -324,16 +333,11 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
         labeling=labeling, setup=setup, batch_size=batch_size,
         metric_rows=tuple(metric_rows),
         calibration_rows=tuple(calibration_rows),
-        histories=tuple(histories),
-        models=tuple(models),
-        loss_class_names=loss_class_names,
+        histories=tuple(result.history for result, _ in trained),
+        models=tuple(result.model for result, _ in trained),
+        loss_class_names=trained[-1][0].class_names,
         roc=roc_auc(scores, labels),
     )
-
-
-def _cell_worker(args) -> CellResult:
-    config, cell, datasets = args
-    return run_cell(config, *cell, datasets)
 
 
 def _training_key(labeling: str, setup: str, batch_size: int, n_classes: int,
@@ -445,24 +449,40 @@ def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult
 
     Cells with one training key train once, as the first of them in matrix
     order; the others take its result under their own labeling, setup and
-    batch size.
+    batch size. The cells that train draw the same batches at one fold and
+    batch size, so each such group trains in lockstep, serially or as one
+    pool task; then each cell is scored. A NonFiniteTrainingError names the
+    first failing (cell, fold) in matrix order.
     """
     cells = config.cells()
     keys = _training_keys(config, datasets)
     firsts: dict[tuple, tuple] = {}
     for key, cell in zip(keys, cells):
         firsts.setdefault(key, cell)
-    if jobs == 1 or len(firsts) == 1:
-        results = [run_cell(config, *cell, datasets) for cell in firsts.values()]
+    trained = list(firsts.values())
+    groups = [(fold, [cell for cell in trained if cell[2] == b])
+              for fold in range(config.folds) for b in config.batch_sizes]
+    tasks = [(config, group, fold, datasets) for fold, group in groups]
+    if jobs == 1 or len(tasks) == 1:
+        outcomes = [_train_group(*task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
-            results = list(pool.map(_cell_worker,
-                                    [(config, cell, datasets) for cell in firsts.values()]))
-        for r in results:  # unpickling drops NumPy's read-only flag; models rebuild their own
-            for history in r.histories:
-                history.flags.writeable = False
-    trained = dict(zip(firsts, results))
-    return [replace(trained[key], labeling=lab, setup=setup, batch_size=b)
+        if datasets[0].n_classes == 1:  # the workers fork with SciPy's expit loaded
+            load_expit()
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            outcomes = list(pool.map(_train_group, *zip(*tasks)))
+    failures = [(trained.index(group[exc.run]), fold, exc)
+                for (fold, group), exc in zip(groups, outcomes)
+                if isinstance(exc, NonFiniteTrainingError)]
+    if failures:
+        cell, fold, exc = min(failures, key=lambda f: f[:2])
+        raise NonFiniteTrainingError(
+            f"cell {_cell_dirname(*trained[cell])} fold {fold}: {exc}") from exc
+    folds: dict[tuple, list] = {cell: [] for cell in trained}
+    for (_, group), outcome in zip(groups, outcomes):  # in fold order
+        for cell, result in zip(group, outcome):
+            folds[cell].append(result)
+    scored = {key: run_cell(config, *cell, datasets, folds[cell]) for key, cell in firsts.items()}
+    return [replace(scored[key], labeling=lab, setup=setup, batch_size=b)
             for key, (lab, setup, b) in zip(keys, cells)]
 
 

@@ -29,9 +29,10 @@ scores one (B, C, I) pair and adds the gradient. All three check their inputs
 (ground truth of 0 and 1, predictions in [0, 1]), then build a LossPlan; a
 caller may pass a LossPlan in place of the config, for instance one whose
 epsilon holds one value per stacked ground truth. planned_value_and_grad is
-the value and gradient pass alone, for a caller such as the training loop
-that checks its arrays, builds the plan and allocates the buffers the pass
-writes once for many calls, and knows the ground truth's counts of ones.
+the value and gradient pass alone over a stack, for a caller such as the
+training loop that checks its arrays, builds the plan and allocates the
+buffers the pass writes once for many calls, and knows the ground truth's
+counts of ones; it also hands back each subset's two gradient values.
 A counted subset with S = 0 (epsilon 0, empty ground truth and zero
 prediction) raises ZeroDenominatorError in place of returning NaN.
 """
@@ -138,7 +139,8 @@ def marginal_merge(
 
     gt is the ground truth and p the predictions, both (..., B, C, I) with
     leading axes that broadcast, so a stack merges in one call; mask is a
-    (B, C) bool array, True where batch element b labels class c. Predictions
+    (..., B, C) bool array, True where batch element b labels class c, whose
+    leading axes broadcast against theirs. Predictions
     must be softmax-style (class columns sum to 1 per pixel) and the ground
     truth of every unavailable class must already be empty. Merged columns are
     zeroed in place of being physically removed.
@@ -149,12 +151,17 @@ def marginal_merge(
     B, C, I = gt.shape[-3:]
     if C < 2:
         raise InvalidConfigError("marginal merging requires multiclass (C >= 2) predictions")
-    if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (B, C):
+    try:
+        if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape[-2:] != (B, C) \
+                or mask.ndim > max(gt.ndim, p.ndim) - 1:
+            raise ValueError
+        shape = np.broadcast_shapes(gt.shape, p.shape, mask.shape + (1,))
+    except ValueError:
         raise ShapeMismatchError(
-            f"availability mask must be a ({B}, {C}) bool array, got {np.asarray(mask).dtype} "
-            f"{np.shape(mask)}"
-        )
-    if not np.all(mask[:, 0]):
+            f"availability mask must be a (..., {B}, {C}) bool array whose leading axes "
+            f"broadcast, got {np.asarray(mask).dtype} {np.shape(mask)}"
+        ) from None
+    if not np.all(mask[..., 0]):
         raise InvalidConfigError("background class must be available in every batch element")
 
     col_sums = p.sum(axis=-2)
@@ -162,13 +169,15 @@ def marginal_merge(
         worst = float(np.max(np.abs(col_sums - 1.0)))
         raise RangeViolationError(f"prediction columns must sum to 1 per pixel (max dev {worst:.3g})")
 
-    unavailable = ~mask
-    if np.any(gt[..., unavailable, :] != 0.0):
+    hidden = np.broadcast_to(~mask, shape[:-1])
+    if np.any(np.broadcast_to(gt, shape)[hidden]):
         raise RangeViolationError("ground truth of an unavailable class contains foreground")
 
-    merged = p.copy()
-    spill = (merged * unavailable[:, :, None]).sum(axis=-2)
-    merged[..., unavailable, :] = 0.0
+    merged = np.empty(shape)
+    np.copyto(merged, p)
+    # the merged-away columns in class order, after the background's 0
+    spill = np.sum(merged, axis=-2, where=hidden[..., None])
+    merged[hidden] = 0.0
     merged[..., 0, :] += spill
     return merged
 
@@ -227,15 +236,16 @@ def _pool(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Kept mask, N and S of every subset, pooled over the plan's axes Phi.
 
-    y and p are (..., B, C, I) with leading axes that broadcast; p is merged
-    here first for the marginal variant. Phi is taken as negative axes, so
-    leading axes stack independent pairs. N and S carry the broadcast leading
-    axes; kept is None under the standard variant, which counts every subset,
-    else (B', C', 1), the keepdims shape of one pair's sums, unless the leaf
-    variant drops subsets of a stacked y, where it carries y's leading axes.
-    counts, when given, is a lone y's (B, C) count of ones: its pooled sums
-    are exact integers, so they equal y's bit for bit. yp, when given,
-    receives y * p.
+    y (0 and 1, as float64 or bool) and p are (..., B, C, I) with leading axes
+    that broadcast; p is merged here first for the marginal variant. Phi is
+    taken as negative axes, so leading axes stack independent pairs. N and S
+    carry the broadcast leading axes; kept is None under the standard
+    variant, which counts every subset, else (B', C', 1), the keepdims shape
+    of one pair's sums, unless the leaf variant drops subsets of a stacked y
+    or the marginal variant's mask has leading axes, where it carries them.
+    counts, when given, is y's (..., B, C) count of ones: its pooled sums are
+    exact integers, so they equal y's bit for bit. yp, when given, receives
+    y * p.
     """
     axes = plan.axes
     variant = plan.cfg.variant
@@ -245,7 +255,7 @@ def _pool(
     if counts is None:
         gsum = y.sum(axis=axes, keepdims=True)
     else:
-        gsum = counts[:, :, None].sum(axis=axes, keepdims=True)
+        gsum = counts[..., None].sum(axis=axes, keepdims=True)
     psum = p.sum(axis=axes, keepdims=True)
     S = gsum + psum + plan.eps
     kept = None
@@ -254,7 +264,7 @@ def _pool(
     elif variant is Variant.MARGINAL:
         # marginal_merge checked that the background is available everywhere,
         # so only subsets made of merged-away classes alone are dropped
-        kept = mask[:, :, None].any(axis=axes, keepdims=True)
+        kept = mask[..., None].any(axis=axes, keepdims=True)
     if kept is not None:
         np.copyto(S, np.inf, where=~kept)  # a dropped subset scores 0 and gets zero gradient
     if np.count_nonzero(S) < S.size:  # some counted S == 0; cheaper than S.all() on tiny S
@@ -288,15 +298,24 @@ def _loss_values(score: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
     keep = np.broadcast_to(kept, score.shape).reshape(rows.shape)
     counts = np.count_nonzero(keep, axis=1)
     values = np.zeros(len(rows))
-    for K in np.unique(counts[counts > 0]).tolist():
+    for K in set(counts.tolist()) - {0}:
         group = counts == K
         values[group] = 1.0 - rows[group][keep[group]].reshape(-1, K).sum(axis=-1) / K
     return values.reshape(score.shape[:-3])
 
 
+def _subset_counts(S: np.ndarray, kept: np.ndarray | None):
+    """K of each stacked pair of S's leading axes, raised to at least 1: an int
+    when every subset counts, else an array that broadcasts against S."""
+    if kept is None:
+        return math.prod(S.shape[-3:])
+    return np.maximum(np.count_nonzero(kept, axis=(-3, -2, -1), keepdims=True), 1)
+
+
 def _grad(out: np.ndarray, ones: np.ndarray, K, N: np.ndarray, S: np.ndarray,
-          plan: LossPlan, mask: np.ndarray | None) -> np.ndarray:
-    """out, filled with the gradient from the pooled N and S.
+          plan: LossPlan, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Fill out with the gradient from the pooled N and S; return each subset's
+    two values, for y = 0 and for y = 1, in the keepdims shape of the sums.
 
     ratio / K where y = 0 and (ratio - 2 / S) / K where ones marks y = 1,
     ratio = N / S^2, with K the counted subsets, one int or one per pair,
@@ -306,36 +325,38 @@ def _grad(out: np.ndarray, ones: np.ndarray, K, N: np.ndarray, S: np.ndarray,
     gradient, as its predictions were merged into the background.
     """
     ratio = N / (S * S)
-    np.copyto(out, ratio / K)
-    np.copyto(out, (ratio - 2.0 / S) / K, where=ones)
+    y0, y1 = ratio / K, (ratio - 2.0 / S) / K
+    np.copyto(out, y0)
+    np.copyto(out, y1, where=ones)
     if plan.cfg.variant is Variant.MARGINAL:
-        np.copyto(out, out[..., :1, :], where=~mask[:, :, None])
-    return out
+        np.copyto(out, out[..., :1, :], where=~mask[..., None])
+    return y0, y1
 
 
 def planned_value_and_grad(
-    y: np.ndarray,
+    ones: np.ndarray,
     p: np.ndarray,
     plan: LossPlan,
     mask: np.ndarray | None,
-    ones: np.ndarray,
     counts: np.ndarray,
     yp: np.ndarray,
     out: np.ndarray,
-) -> float:
-    """dice_value_and_grad's value of y and p without its input checks; the
-    gradient goes into out.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dice_value_and_grad of a stack of R pairs without its input checks: each
+    pair's loss value, and each subset's gradient for y = 0 and for y = 1 as
+    _grad returns them; the gradient goes into out.
 
-    y and p must be float64 (B, C, I) arrays of the plan's class count, y
-    holding only 0 and 1; ones is y as bool, counts its (B, C) count of ones,
-    yp a C-contiguous (B, C, I) float64 buffer for y * p (so its sums run in
-    a fresh product's order) and out a (B, C, I) float64 one. The marginal
-    variant still checks its mask and predictions.
+    ones is the ground truth as a bool (R, B, C, I) array of the plan's class
+    count and p the float64 predictions of that shape; counts is the (R, B, C)
+    count of ones, mask None or (R, B, C), yp a C-contiguous (R, B, C, I)
+    float64 buffer for y * p (so its sums run in a fresh product's order) and
+    out an (R, B, C, I) float64 one. The plan's eps holds one value per pair,
+    as (R, 1, C, 1) or (R, 1, 1, 1). The marginal variant still checks its
+    mask and predictions.
     """
-    kept, N, S = _pool(y, p, plan, mask, counts, yp)
-    K = S.size if kept is None else np.count_nonzero(kept)
-    _grad(out, ones, max(K, 1), N, S, plan, mask)
-    return float(_loss_values(N / S, kept))
+    kept, N, S = _pool(ones, p, plan, mask, counts, yp)
+    y0, y1 = _grad(out, ones, _subset_counts(S, kept), N, S, plan, mask)
+    return _loss_values(N / S, kept), y0, y1
 
 
 def dice_value_and_grad(
@@ -359,7 +380,8 @@ def dice_value_and_grad(
     if kept is None:
         kept = np.ones(score.shape, dtype=bool)
     K = np.count_nonzero(kept)
-    grad = _grad(np.empty(y.shape), y == 1.0, max(K, 1), N, S, plan, mask)
+    grad = np.empty(y.shape)
+    _grad(grad, y == 1.0, max(K, 1), N, S, plan, mask)
     return LossOutput(float(_loss_values(score, kept)), score, kept, K), readonly(grad)
 
 
@@ -395,9 +417,6 @@ def dice_grads(
     y, p = _checked(gt, preds, stacked=True)
     plan = loss_plan(cfg, y.shape[-2])
     kept, N, S = _pool(y, p, plan, mask)
-    if kept is None:
-        K = max(math.prod(S.shape[-3:]), 1)
-    else:
-        K = np.maximum(np.count_nonzero(kept, axis=(-3, -2, -1), keepdims=True), 1)
     grad = np.empty(np.broadcast_shapes(y.shape, p.shape))
-    return readonly(_grad(grad, y == 1.0, K, N, S, plan, mask))
+    _grad(grad, y == 1.0, _subset_counts(S, kept), N, S, plan, mask)
+    return readonly(grad)

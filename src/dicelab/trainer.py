@@ -9,14 +9,19 @@ end to end.
 
 NumPy computes the softmax. SciPy serves only the sigmoid head's expit and is
 imported on the first sigmoid step, so multiclass training never loads it.
+
+Training takes a group of runs that draw the same batches, such as the cells
+of one cross-validation fold, and steps them in lockstep: one feature gather,
+one forward and one backward per step for all of them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,94 +118,130 @@ def featurize(image: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _expit():
-    from scipy.special import expit  # a 0.25 s import, paid by sigmoid runs only
+def load_expit():
+    """scipy.special.expit, imported on the first call: a 0.25 s import that only
+    sigmoid models pay, and that a parent pays once for the workers it forks."""
+    from scipy.special import expit
     return expit
 
 
 def _forward(weights: np.ndarray, feats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Predictions (B, C, I) of the model for per-pixel features (B, I, F), into out
-    when given: a sigmoid for one weight row, else a softmax over the C rows.
+    """Predictions (R, B, C, I) of R models' weights (R, C, F) for the per-pixel
+    features (B, I, F) of one batch, into out when given: a sigmoid for one
+    weight row, else a softmax over the C rows.
 
-    The logits are one matrix-vector product per (sample, row), which sums the F
-    products in np.einsum's order, so they equal einsum("bif,cf->bci") bit for
-    bit; at I = 1 NumPy takes a dot product, which sums in another order, so
-    einsum computes them there.
+    The logits are one matrix-vector product per (model, sample, row), which
+    sums the F products in np.einsum's order, so they equal each model's own
+    einsum("bif,cf->bci") bit for bit; at I = 1 NumPy takes a dot product,
+    which sums in another order, so einsum computes them there.
     """
+    R, C = weights.shape[:2]
     if out is None:
-        out = np.empty((feats.shape[0], weights.shape[0], feats.shape[1]))
+        out = np.empty((R, feats.shape[0], C, feats.shape[1]))
     if feats.shape[1] == 1:
-        np.einsum("bif,cf->bci", feats, weights, out=out)
+        np.einsum("bif,rcf->rbci", feats, weights, out=out)
     else:
-        np.matmul(feats[:, None], weights[None, :, :, None], out=out[..., None])
-    if weights.shape[0] == 1:
-        return _expit()(out, out=out)
-    out -= np.max(out, axis=1, keepdims=True)  # scipy.special.softmax's steps
+        np.matmul(feats[None, :, None], weights[:, None, :, :, None], out=out[..., None])
+    if C == 1:
+        return load_expit()(out, out=out)
+    out -= np.max(out, axis=2, keepdims=True)  # scipy.special.softmax's steps
     np.exp(out, out=out)
-    out /= np.sum(out, axis=1, keepdims=True)
+    out /= np.sum(out, axis=2, keepdims=True)
     return out
 
 
 def _backward(feats: np.ndarray, g: np.ndarray, p: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """dloss/dweights from the loss gradient g at p = _forward(...): the head's Jacobian
-    (sigmoid g p (1 - p) for one column, else softmax p_c (g_c - sum_c' g_c' p_c')),
-    written into dz, then the features."""
+    """dloss/dweights (R, C, F) from the loss gradient g at p = _forward(...): the
+    head's Jacobian (sigmoid g p (1 - p) for one column, else softmax
+    p_c (g_c - sum_c' g_c' p_c')), written into dz, then the features. Each
+    (model, row, feature) sums its products in one chain, as each model's own
+    einsum("bci,bif->cf") does."""
     np.multiply(g, p, out=dz)
-    if p.shape[1] == 1:
+    if p.shape[2] == 1:
         dz *= 1.0 - p
     else:
-        np.subtract(g, np.sum(dz, axis=1, keepdims=True), out=dz)
+        np.subtract(g, np.sum(dz, axis=2, keepdims=True), out=dz)
         dz *= p
-    return np.einsum("bci,bif->cf", dz, feats)
+    return np.einsum("rbci,bif->rcf", dz, feats)
 
 
 class StepResult(NamedTuple):
-    loss: float
-    loss_grad: np.ndarray
-    param_grad: np.ndarray
+    loss: np.ndarray  # (R,) each run's loss
+    param_grad: np.ndarray  # (R, C, F) each run's weight gradient
 
 
 class StepBuffers(NamedTuple):
-    """The arrays a step writes, for B samples, C model columns, L loss classes
-    and I pixels; train allocates them once per call."""
+    """The arrays a step writes, for R runs, B samples, C model columns and I
+    pixels; train allocates them once per call."""
 
-    pred: np.ndarray  # (B, C, I) predictions
-    yp: np.ndarray  # (B, L, I) the loss's y * p
-    grad: np.ndarray  # (B, C, I) loss gradient; columns the loss does not see stay 0
-    dz: np.ndarray  # (B, C, I) gradient at the logits
+    pred: np.ndarray  # (R, B, C, I) predictions
+    grad: np.ndarray  # (R, B, C, I) loss gradient; columns a loss does not see stay 0
+    dz: np.ndarray  # (R, B, C, I) gradient at the logits
+    loss: np.ndarray  # (R,) loss values
 
     @classmethod
-    def allocate(cls, B: int, C: int, L: int, I: int) -> StepBuffers:
-        return cls(np.empty((B, C, I)), np.empty((B, L, I)), np.zeros((B, C, I)),
-                   np.empty((B, C, I)))
+    def allocate(cls, R: int, B: int, C: int, I: int) -> StepBuffers:
+        return cls(np.empty((R, B, C, I)), np.zeros((R, B, C, I)), np.empty((R, B, C, I)),
+                   np.empty(R))
 
 
-def step_gradients(
-    weights: np.ndarray,
-    features: np.ndarray,
-    gt: np.ndarray,
-    plan: LossPlan,
-    mask: np.ndarray | None,
-    ones: np.ndarray,
-    counts: np.ndarray,
-    buffers: StepBuffers,
-) -> StepResult:
-    """One forward/backward pass: loss value, loss-space gradient, weight gradient.
+class LossBatch(NamedTuple):
+    """One step's loss of the runs that share a loss variant and pooled axes, a
+    slice of the run axis, on L loss classes."""
 
-    The arrays come checked from train: features (B, I, F), gt (B, L, I) of
-    0 and 1 with L at most the model's columns, ones the same gt as bool,
-    counts its (B, L) counts of ones, and plan built for L classes. The loss
-    sees the model's last L output columns, so a loss over the foreground
-    classes only still backpropagates through a softmax whose column 0 is the
-    background. The step writes into buffers, which the returned loss
-    gradient is a view of.
+    runs: slice
+    first: int  # the first model column the loss sees
+    plan: LossPlan  # eps holds one value per run, (R, 1, L, 1) or (R, 1, 1, 1)
+    ones: np.ndarray  # (R, B, L, I) bool gt
+    counts: np.ndarray  # (R, B, L) its counts of ones
+    mask: np.ndarray | None  # (R, B, L) availability, under the marginal variant
+    yp: np.ndarray  # (R, B, L, I) buffer for the loss's y * p
+    y0: np.ndarray  # (R, B, L) receives each map's subset gradient where y = 0
+    y1: np.ndarray  # (R, B, L) and where y = 1
+
+
+def step_gradients(weights: np.ndarray, features: np.ndarray, losses, buffers: StepBuffers
+                   ) -> StepResult:
+    """One forward/backward pass of R runs on one batch: each run's loss value
+    and weight gradient.
+
+    weights is (R, C, F) and features the batch's (B, I, F), shared by every
+    run. Each LossBatch of losses scores its runs' last L model columns, so a
+    loss over the foreground classes only still backpropagates through a
+    softmax whose column 0 is the background, and records its subsets' two
+    gradient values per (sample, class) map. The step writes into buffers.
     """
     pred = _forward(weights, features, buffers.pred)
-    first = weights.shape[0] - gt.shape[1]
-    grad = buffers.grad[:, first:, :]
-    loss = planned_value_and_grad(gt, pred[:, first:, :], plan, mask, ones, counts,
-                                  buffers.yp, grad)
-    return StepResult(loss, grad, _backward(features, buffers.grad, pred, buffers.dz))
+    for b in losses:
+        grad = buffers.grad[b.runs, :, b.first:]
+        buffers.loss[b.runs], y0, y1 = planned_value_and_grad(
+            b.ones, pred[b.runs, :, b.first:], b.plan, b.mask, b.counts, b.yp, grad)
+        np.copyto(b.y0, y0[..., 0])
+        np.copyto(b.y1, y1[..., 0])
+    return StepResult(buffers.loss, _backward(features, buffers.grad, pred, buffers.dz))
+
+
+def _grad_means(y0: np.ndarray, y1: np.ndarray, counts: np.ndarray, mask: np.ndarray | None,
+                pixels: int) -> np.ndarray:
+    """Per loss class the mean |grad| over a batch's y=0 pixels, then over its
+    y=1 pixels, 0 where there are none: (..., 2L) from each (sample, class)
+    map's (..., B, L) subset gradient values y0 and y1, counts of ones and,
+    under the marginal variant, availability mask.
+
+    A map holds counts pixels of the value y1 and the rest of y0. Under the
+    marginal variant an unavailable map holds the background map's gradient,
+    so its y=0 pixels carry both of the background's values at its counts.
+    """
+    n0 = pixels - counts
+    s0 = np.abs(y0)
+    s0 *= n0
+    s1 = np.abs(y1)
+    s1 *= counts
+    if mask is not None:
+        np.copyto(s0, (s0 + s1)[..., :1], where=~mask)
+    n = np.concatenate([n0.sum(axis=-2), counts.sum(axis=-2)], axis=-1)
+    total = np.concatenate([s0.sum(axis=-2), s1.sum(axis=-2)], axis=-1)
+    return np.divide(total, n, out=np.zeros(total.shape), where=n > 0)
 
 
 @dataclass(frozen=True)
@@ -211,98 +252,171 @@ class TrainResult:
     history: np.ndarray
     class_names: tuple[str, ...]  # loss-tensor column names
 
+    def __post_init__(self):
+        object.__setattr__(self, "history", readonly(self.history))
 
-def _grad_split(ones: np.ndarray, a: np.ndarray, n_ones: np.ndarray, out: np.ndarray) -> None:
-    """Mean |grad| over the y=0 pixels of loss class c into out[c], over its y=1 pixels
-    into out[L + c]; 0 where there are none.
-
-    a holds |grad|, ones marks the y=1 pixels and n_ones counts them per (sample,
-    class); np.add.reduce(x) / n is x.mean() bit for bit.
-    """
-    zeros = ~ones
-    L = ones.shape[1]
-    for c, k1 in enumerate(np.add.reduce(n_ones, axis=0).tolist()):
-        k0 = ones.shape[0] * ones.shape[2] - k1
-        g = a[:, c, :]
-        out[L + c] = np.add.reduce(g[ones[:, c, :]]) / k1 if k1 else 0.0
-        out[c] = np.add.reduce(g[zeros[:, c, :]]) / k0 if k0 else 0.0
+    def __reduce__(self):  # unpickling builds the result again: read-only
+        return TrainResult, (self.model, self.history, self.class_names)
 
 
-def train(dataset, cfg: TrainConfig) -> TrainResult:
-    """Plain SGD over whole-sample batches with seeded shuffling.
-
-    Batches regroup every epoch; a trailing group smaller than batch_size is
-    dropped so every step sees the same tensor shape. History is recorded at
-    every iteration. A NaN or infinite loss or weight gradient stops training
-    with NonFiniteTrainingError naming the iteration. A softmax model's
-    background column 0 is in the loss only under the marginal variant.
-
-    Only the step's arithmetic runs every step. The inputs are checked, the
-    features computed and the loss planned once per call; each epoch gathers
-    its shuffled samples, their gt as bool and its counts of ones into buffers
-    allocated once per call, and each step slices its batch from them. The
-    arrays a step writes (StepBuffers, and |grad|) are allocated once per call
-    too, so a step allocates only arrays of the pooled sums' size and the
-    sigmoid's 1 - p.
-    """
+def _check_runs(runs: list) -> None:
+    """InvalidConfigError (or EmptyDatasetError) unless runs can train together."""
+    if not runs:
+        raise InvalidConfigError("train needs at least one (dataset, TrainConfig) run")
+    dataset, cfg = runs[0]
     n = len(dataset)
     if n == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     if cfg.batch_size > n:
         raise InvalidConfigError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-    n_fg = dataset.n_classes
-    marginal = cfg.loss.variant is Variant.MARGINAL
-    if n_fg == 1 and marginal:
-        raise InvalidConfigError("marginal loss needs a softmax head with background")
+    for ds, c in runs:
+        if (c.batch_size, c.iterations, c.seed) != (cfg.batch_size, cfg.iterations, cfg.seed):
+            raise InvalidConfigError("runs trained together need one batch size, iteration "
+                                     "count and seed")
+        if ds.n_classes != dataset.n_classes or not (
+                np.array_equal(ds.subject_ids, dataset.subject_ids)
+                and np.array_equal(ds.images, dataset.images)):
+            raise InvalidConfigError("runs trained together need the same images, subject ids "
+                                     "and class count, in the same rows")
+        if ds.n_classes == 1 and c.loss.variant is Variant.MARGINAL:
+            raise InvalidConfigError("marginal loss needs a softmax head with background")
 
-    feats = featurize(dataset.images)
-    ones = dataset.gt.reshape(n, n_fg, -1)
-    avail = dataset.availability
-    loss_names = tuple(dataset.class_names)
-    if marginal:  # the class maps are disjoint, so the background is where none is set
-        ones = np.concatenate([~ones.any(axis=1, keepdims=True), ones], axis=1)
-        avail = np.concatenate([np.ones((n, 1), dtype=bool), avail], axis=1)
-        loss_names = ("background",) + loss_names
-    plan = loss_plan(cfg.loss, len(loss_names))
 
-    # each epoch gathers its shuffled samples into these buffers; a step slices them
-    sources = (feats, ones, avail, np.count_nonzero(ones, axis=2))
-    buffers = [np.empty_like(src) for src in sources]
-    B = cfg.batch_size
-    C, L, I = 1 if n_fg == 1 else n_fg + 1, len(loss_names), feats.shape[1]
-    gt = np.empty((B, L, I))  # the batch's gt as 0.0 and 1.0
-    step_buffers = StepBuffers.allocate(B, C, L, I)
-    abs_grad = np.empty((B, L, I))
-    weights = np.zeros((C, N_FEATURES))
+def _block_key(loss: DiceLossConfig) -> tuple:
+    return loss.variant.value, loss.scheme.axes
+
+
+class _Block(NamedTuple):
+    """The runs of a train call that share a loss variant and pooled axes."""
+
+    runs: slice  # their slice of the run axis
+    first: int  # the first model column the loss sees
+    plan: LossPlan  # eps holds one value per run
+    labels: tuple  # (ones, counts, mask) of every sample, as LossBatch holds a batch's
+    epoch: tuple  # the same, in the epoch's order
+    yp: np.ndarray
+    y0: np.ndarray  # (R, iterations, B, L): each step's LossBatch.y0
+    y1: np.ndarray
+
+
+def train(runs: Sequence[tuple]) -> list[TrainResult]:
+    """Plain SGD over whole-sample batches with seeded shuffling, every run of
+    runs in lockstep.
+
+    runs is a sequence of (dataset, TrainConfig) pairs that draw the same
+    batches: their datasets hold the same images and subject ids in the same
+    rows, and their configs one batch size, iteration count and seed.
+    Learning rate, loss and labels may differ per run. The result is one
+    TrainResult per run, in order, equal bit for bit to the run's own
+    train([run]).
+
+    Batches regroup every epoch; a trailing group smaller than batch_size is
+    dropped so every step sees the same tensor shape. History is recorded at
+    every iteration. A softmax model's background column 0 is in the loss
+    only under the marginal variant. A NaN or infinite loss or weight gradient
+    stops training with NonFiniteTrainingError naming the iteration; its run
+    is the first run of runs that fails, at that run's own iteration.
+
+    Only the step's arithmetic runs every step. The inputs are checked, the
+    features computed and the losses planned once per call; each epoch
+    gathers its shuffled features, and every run's labels, into buffers
+    allocated once per call, and each step slices its batch from them. All
+    runs share one forward and one backward per step; the runs of one loss
+    variant and pooled axes share one loss pass, with one epsilon per run.
+    """
+    runs = list(runs)
+    _check_runs(runs)
+    return _train(runs, featurize(runs[0][0].images))
+
+
+def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
+    """train on checked runs whose images have the features feats."""
+    dataset, cfg = runs[0]
+    n, n_fg = len(dataset), dataset.n_classes
+    R, B, I = len(runs), cfg.batch_size, feats.shape[1]
+    C = 1 if n_fg == 1 else n_fg + 1
+    # the runs of one loss variant and pooled axes are one slice of the run axis
+    order = sorted(range(R), key=lambda r: _block_key(runs[r][1].loss))
+    blocks, names = [], []
+    for _, members in itertools.groupby(order, key=lambda r: _block_key(runs[r][1].loss)):
+        members = list(members)
+        datasets = [runs[r][0] for r in members]
+        losses = [runs[r][1].loss for r in members]
+        ones = np.stack([ds.gt.reshape(n, n_fg, -1) for ds in datasets])
+        mask = None
+        block_names = [tuple(ds.class_names) for ds in datasets]
+        if losses[0].variant is Variant.MARGINAL:
+            # the class maps are disjoint, so the background is where none is set
+            ones = np.concatenate([~ones.any(axis=2, keepdims=True), ones], axis=2)
+            mask = np.stack([ds.availability for ds in datasets])
+            mask = np.concatenate([np.ones((len(datasets), n, 1), dtype=bool), mask], axis=2)
+            block_names = [("background",) + names_r for names_r in block_names]
+        L = ones.shape[2]
+        plans = [loss_plan(loss, L) for loss in losses]
+        # a per-class epsilon needs a class-pure scheme, so only then may eps span the classes
+        shape = (1, L, 1) if any(np.ndim(plan.eps) for plan in plans) else (1, 1, 1)
+        eps = np.stack([np.broadcast_to(plan.eps, shape) for plan in plans])
+        labels = (ones, np.count_nonzero(ones, axis=3), mask)
+        values = np.empty((len(datasets), cfg.iterations, B, L))
+        blocks.append(_Block(slice(len(names), len(names) + len(datasets)), C - L,
+                             plans[0]._replace(eps=eps), labels,
+                             tuple(None if a is None else np.empty_like(a) for a in labels),
+                             np.empty((len(datasets), B, L, I)), values, np.empty_like(values)))
+        names += block_names
+
+    x_epoch = np.empty_like(feats)
+    buffers = StepBuffers.allocate(R, B, C, I)
+    weights = np.zeros((R, C, N_FEATURES))
+    rate = np.array([runs[r][1].learning_rate for r in order], dtype=np.float64)[:, None, None]
+    loss = np.empty((R, cfg.iterations))
     rng = np.random.default_rng(cfg.seed)
     n_full = (n // B) * B
-    history = np.empty((cfg.iterations, 1 + 2 * L))
+    # each epoch's shuffled rows, to count the pixels of every batch afterwards
+    epochs = [np.empty(0, dtype=np.int64)]
     lo = n_full
-    for iteration in range(1, cfg.iterations + 1):
+    for iteration in range(cfg.iterations):
         if lo == n_full:
-            order = rng.permutation(n)
-            for src, buf in zip(sources, buffers):
-                np.take(src, order, axis=0, out=buf, mode="clip")
+            epochs.append(rng.permutation(n))
+            np.take(feats, epochs[-1], axis=0, out=x_epoch, mode="clip")
+            for b in blocks:
+                for src, buf in zip(b.labels, b.epoch):
+                    if src is not None:
+                        np.take(src, epochs[-1], axis=1, out=buf, mode="clip")
             lo = 0
-        x, y_is_1, mask, n_ones = (buf[lo:lo + B] for buf in buffers)
+        batch = slice(lo, lo + B)
         lo += B
-        np.copyto(gt, y_is_1)
-        step = step_gradients(weights, x, gt, plan, mask if marginal else None, y_is_1, n_ones,
-                              step_buffers)
-        if not (math.isfinite(step.loss) and np.isfinite(step.param_grad).all()):
+        step = step_gradients(
+            weights, x_epoch[batch],
+            [LossBatch(b.runs, b.first, b.plan,
+                       *(None if a is None else a[:, batch] for a in b.epoch),
+                       b.yp, b.y0[:, iteration], b.y1[:, iteration]) for b in blocks],
+            buffers)
+        if not (np.isfinite(step.loss).all() and np.isfinite(step.param_grad).all()):
+            finite = np.isfinite(step.loss) & np.isfinite(step.param_grad).all(axis=(1, 2))
+            failed = min(order[k] for k in np.flatnonzero(~finite).tolist())
+            if failed:  # an earlier run that fails later is the one to report
+                _train(runs[:failed], feats)
             raise NonFiniteTrainingError(
-                f"non-finite loss or weight gradient at iteration {iteration}"
-            )
-        weights -= cfg.learning_rate * step.param_grad
-        row = history[iteration - 1]
-        row[0] = step.loss
-        _grad_split(y_is_1, np.abs(step.loss_grad, out=abs_grad), n_ones, row[1:])
-    return TrainResult(LinearPixelModel(weights), readonly(history), loss_names)
+                f"non-finite loss or weight gradient at iteration {iteration + 1}", run=failed)
+        weights -= rate * step.param_grad
+        loss[:, iteration] = step.loss
+
+    rows = np.concatenate([epoch[:n_full] for epoch in epochs]).reshape(-1, B)
+    rows = rows[:cfg.iterations]  # each iteration's batch
+    histories = []
+    for b in blocks:
+        _, counts, mask = b.labels
+        means = _grad_means(b.y0, b.y1, counts[:, rows], None if mask is None else mask[:, rows], I)
+        histories += list(np.concatenate([loss[b.runs, :, None], means], axis=2))
+    results = [None] * R
+    for k, r in enumerate(order):
+        results[r] = TrainResult(LinearPixelModel(weights[k]), histories[k], names[k])
+    return results
 
 
 def predict(model: LinearPixelModel, dataset) -> np.ndarray:
     """Model predictions for every sample in a dataset, as one (B, C, I) array."""
-    return readonly(_forward(model.weights, featurize(dataset.images)))
+    return readonly(_forward(model.weights[None], featurize(dataset.images))[0])
 
 
 def _head_name(classes: int) -> str:

@@ -304,7 +304,7 @@ class TestRunAndReport:
         assert not (tmp_path / "x").exists()
 
     def test_non_finite_training_exits_1(self, runner, tmp_path, monkeypatch):
-        def diverge(train_split, cfg):
+        def diverge(runs):
             raise NonFiniteTrainingError("non-finite loss or weight gradient at iteration 3")
 
         monkeypatch.setattr(harness, "train", diverge)

@@ -20,12 +20,12 @@ from dicelab.harness import (
     config_to_dict,
     default_config,
     load_config,
-    run_cell,
     run_experiment,
     save_config,
 )
 from dicelab.metrics import read_csv
 from dicelab.synthdata import GRADE_B, PHASE_B
+from dicelab.trainer import train
 
 TINY_DATASET = {
     "image_size": 16,
@@ -63,6 +63,12 @@ def tiny_multiclass_config(**kwargs):
 
 def no_empty_map(ds):
     return bool(ds.gt.any(axis=(-2, -1)).all())
+
+
+def one_cell(config, labeling, setup, batch_size, datasets):
+    """The CellResult of one cell of config, trained and scored in a matrix of its own."""
+    alone = replace(config, labelings=(labeling,), setups=(setup,), batch_sizes=(batch_size,))
+    return harness._run_cells(alone, datasets, jobs=1)[0]
 
 
 class TestConfig:
@@ -225,7 +231,7 @@ class TestBuildDataset:
 class TestRunCell:
     def test_metric_rows_cover_validation_folds(self):
         cfg = tiny_config()
-        result = run_cell(cfg, "full", "image-wise", 1, build_dataset(cfg))
+        result = one_cell(cfg, "full", "image-wise", 1, build_dataset(cfg))
         rows = result.metric_rows
         assert len(rows) == 12  # every subject appears in exactly one fold
         assert sorted(r.subject_id for r in rows) == list(range(12))
@@ -238,7 +244,7 @@ class TestRunCell:
 
     def test_calibrated_setup_records_per_fold_epsilon(self):
         cfg = tiny_config()
-        result = run_cell(cfg, "partial", "image-wise-calibrated", 1, build_dataset(cfg))
+        result = one_cell(cfg, "partial", "image-wise-calibrated", 1, build_dataset(cfg))
         folds = [fold for fold, name, value in result.calibration_rows]
         assert folds == [0, 1]
         assert all(name == "lesion" for _, name, _ in result.calibration_rows)
@@ -246,27 +252,54 @@ class TestRunCell:
 
     def test_plain_setup_has_no_calibration(self):
         cfg = tiny_config()
-        result = run_cell(cfg, "full", "image-wise", 1, build_dataset(cfg))
+        result = one_cell(cfg, "full", "image-wise", 1, build_dataset(cfg))
         assert result.calibration_rows == ()
 
     def test_non_finite_training_names_cell_and_fold(self, monkeypatch):
         real = harness.train
 
-        def diverge_on_second_fold(train_split, cfg):
-            if cfg.seed == 1:  # run_cell seeds each fold's training with the fold index
+        def diverge_on_second_fold(runs):
+            if runs[0][1].seed == 1:  # each fold's group trains with the fold index as seed
                 raise NonFiniteTrainingError(
                     "non-finite loss or weight gradient at iteration 5")
-            return real(train_split, cfg)
+            return real(runs)
 
         monkeypatch.setattr(harness, "train", diverge_on_second_fold)
         cfg = tiny_config()
         with pytest.raises(NonFiniteTrainingError,
                            match="cell partial-image-wise-b1 fold 1: .* iteration 5"):
-            run_cell(cfg, "partial", "image-wise", 1, build_dataset(cfg))
+            one_cell(cfg, "partial", "image-wise", 1, build_dataset(cfg))
 
 
 def fail_if_trained(*args, **kwargs):
     raise AssertionError("a cell trained")
+
+
+# (fold, batch size) -> (the failing run's position in its group, iteration)
+GROUP_FAILURES = {(0, 1): (1, 2), (1, 2): (0, 7)}
+
+
+def diverge_in_two_groups(runs):
+    """harness.train, except in the GROUP_FAILURES groups, which fail there."""
+    cfg = runs[0][1]
+    if (cfg.seed, cfg.batch_size) in GROUP_FAILURES:
+        run, iteration = GROUP_FAILURES[cfg.seed, cfg.batch_size]
+        raise NonFiniteTrainingError(
+            f"non-finite loss or weight gradient at iteration {iteration}", run=run)
+    return train(runs)
+
+
+class TestFailureOrder:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_first_failing_cell_in_matrix_order_is_named(self, monkeypatch, jobs):
+        # cells full-b1, full-b2, partial-b1, partial-b2: partial-b1 fails at fold 0,
+        # iteration 2, in the first group; full-b2, earlier in matrix order, fails later
+        # (fold 1, iteration 7) in the last group, and is the one named
+        monkeypatch.setattr(harness, "train", diverge_in_two_groups)
+        config = tiny_config(setups=("image-wise",), batch_sizes=(1, 2), iterations=9)
+        with pytest.raises(NonFiniteTrainingError,
+                           match="^cell full-image-wise-b2 fold 1: .* iteration 7$"):
+            harness._run_cells(config, build_dataset(config), jobs=jobs)
 
 
 @pytest.fixture(scope="module")
@@ -319,10 +352,10 @@ class TestRunExperiment:
     def test_history_csv_holds_each_folds_train_history(self, tmp_path, monkeypatch):
         histories, real = [], harness.train
 
-        def recording(train_split, cfg):
-            result = real(train_split, cfg)
-            histories.append(result.history)
-            return result
+        def recording(runs):
+            results = real(runs)
+            histories.extend(result.history for result in results)
+            return results
 
         monkeypatch.setattr(harness, "train", recording)
         config = tiny_config(labelings=("partial",), setups=("image-wise-calibrated",),
@@ -403,20 +436,20 @@ class TestRunExperiment:
         assert sorted(out.rglob("*")) == before
 
     def test_existing_empty_output_directory_allowed(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "run_cell", fail_if_trained)
+        monkeypatch.setattr(harness, "train", fail_if_trained)
         (tmp_path / "empty").mkdir()
         with pytest.raises(AssertionError, match="trained"):
             run_experiment(tiny_config(), tmp_path / "empty")
 
     def test_batch_size_must_fit_every_fold_before_training(self, tmp_path, monkeypatch):
         # 12 subjects in 2 folds leave 6 training samples per fold
-        monkeypatch.setattr(harness, "run_cell", fail_if_trained)
+        monkeypatch.setattr(harness, "train", fail_if_trained)
         with pytest.raises(InvalidConfigError, match=r"\[7\].*6 samples"):
             run_experiment(tiny_config(batch_sizes=(6, 7)), tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
     def test_every_fold_must_hold_out_a_subject(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "run_cell", fail_if_trained)
+        monkeypatch.setattr(harness, "train", fail_if_trained)
         with pytest.raises(InvalidConfigError, match="13 folds"):
             run_experiment(tiny_config(folds=13), tmp_path / "x")
 
@@ -443,12 +476,13 @@ def assert_same_result(a, b):
 
 
 def counting_run_cell(monkeypatch):
-    """Make harness.run_cell record each cell it trains; returns the record."""
+    """Make harness.run_cell, which scores each cell that trains, record the cells;
+    returns the record."""
     trained, real = [], harness.run_cell
 
-    def counting(config, labeling, setup, batch_size, datasets):
+    def counting(config, labeling, setup, batch_size, datasets, folds):
         trained.append((labeling, setup, batch_size))
-        return real(config, labeling, setup, batch_size, datasets)
+        return real(config, labeling, setup, batch_size, datasets, folds)
 
     monkeypatch.setattr(harness, "run_cell", counting)
     return trained
@@ -463,7 +497,7 @@ class TestCellSharing:
         assert trained == [("full", "image-wise", 1), ("partial", "image-wise", 1)]
         assert [r.key for r in results] == config.cells()
         for shared in (r for r in results if r.setup == "batch-wise"):
-            assert_same_result(shared, run_cell(config, *shared.key, datasets))
+            assert_same_result(shared, one_cell(config, *shared.key, datasets))
 
     def test_batch_wise_trains_apart_when_the_batch_holds_two(self, monkeypatch):
         config = tiny_config(setups=("image-wise", "batch-wise"), batch_sizes=(2,),
@@ -483,9 +517,10 @@ class TestCellSharing:
                 assert not any(h.flags.writeable for h in r.histories)
                 assert not any(m.weights.flags.writeable for m in r.models)
 
-    @pytest.mark.parametrize("jobs, workers", [(2, 2), (5, 5), (64, 6)])
-    def test_pool_starts_no_more_workers_than_cells_to_train(self, monkeypatch, jobs, workers):
-        # a fork pool starts all max_workers processes on the first submit
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (64, 4)])
+    def test_pool_starts_no_more_workers_than_groups_to_train(self, monkeypatch, jobs, workers):
+        # a fork pool starts all max_workers processes on the first submit; the cells
+        # that train make one group per (fold, batch size): 2 x 2 here
         seen = []
 
         class SerialPool:
@@ -498,8 +533,8 @@ class TestCellSharing:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *items):
+                return map(fn, *items)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         trained = counting_run_cell(monkeypatch)
@@ -539,8 +574,8 @@ class TestCellSharing:
         config = tiny_multiclass_config(labelings=("full",), iterations=12)
         datasets = build_dataset(config)
         assert no_empty_map(datasets[0])
-        leaf = run_cell(config, "full", "leaf", 1, datasets)
-        image = run_cell(config, "full", "image-wise", 1, datasets)
+        leaf = one_cell(config, "full", "leaf", 1, datasets)
+        image = one_cell(config, "full", "image-wise", 1, datasets)
         assert_same_result(replace(leaf, setup="image-wise"), image)
         trained = counting_run_cell(monkeypatch)
         results = harness._run_cells(config, datasets, jobs=1)

@@ -1,8 +1,9 @@
 """What dicelab's modules import.
 
-SciPy stays off dicelab's import path: only the sigmoid head's expit loads it.
-Each of those checks runs in a fresh interpreter, since this test process has
-long since imported SciPy for the oracles.
+SciPy stays off dicelab's import path: only the sigmoid head's expit loads it,
+and a pool loads it once, before its workers fork. Each of those checks runs in
+a fresh interpreter, since this test process has long since imported SciPy for
+the oracles.
 
 The input rules (require_int, require_number, require_binary) are defined in
 errors.py alone, so no module grows its own copy of them. No module imports a
@@ -28,15 +29,16 @@ from dicelab.synthdata import {params}, {generate}
 from dicelab.tensor import ReductionScheme
 from dicelab.trainer import TrainConfig, train
 ds = {generate}({params}({kwargs}), seed=0)
-train(ds, TrainConfig(loss=DiceLossConfig(ReductionScheme.IMAGE_WISE), iterations=2))
+train([(ds, TrainConfig(loss=DiceLossConfig(ReductionScheme.IMAGE_WISE), iterations=2))])
 """
-SIGMOID_TRAIN = TINY_TRAIN.format(
-    params="BinaryTaskParams", generate="generate_binary",
-    kwargs="image_size=16, n_grade_a=2, n_grade_b=1, radius_a=(3.0, 4.5), radius_b=(2.0, 3.0)")
-SOFTMAX_TRAIN = TINY_TRAIN.format(
-    params="MulticlassTaskParams", generate="generate_multiclass",
-    kwargs="image_size=32, core_radius=(2.5, 3.5), shell_width=(1.5, 2.0), "
-           "satellite_radius=(2.0, 3.0), n_phase_a=2, n_phase_b=1, center_jitter=1.0")
+TINY_BINARY = ("image_size=16, n_grade_a=2, n_grade_b=1, radius_a=(3.0, 4.5), "
+               "radius_b=(2.0, 3.0)")
+TINY_MULTICLASS = ("image_size=32, core_radius=(2.5, 3.5), shell_width=(1.5, 2.0), "
+                   "satellite_radius=(2.0, 3.0), n_phase_a=2, n_phase_b=1, center_jitter=1.0")
+SIGMOID_TRAIN = TINY_TRAIN.format(params="BinaryTaskParams", generate="generate_binary",
+                                  kwargs=TINY_BINARY)
+SOFTMAX_TRAIN = TINY_TRAIN.format(params="MulticlassTaskParams", generate="generate_multiclass",
+                                  kwargs=TINY_MULTICLASS)
 
 SCIPY_FREE = {
     "import dicelab": "import dicelab",
@@ -47,14 +49,19 @@ SCIPY_FREE = {
 }
 
 
-def scipy_loaded(code: str) -> bool:
-    """Whether a fresh interpreter has imported SciPy after running code."""
+def run_fresh(code: str) -> str:
+    """The last word a fresh interpreter prints after running code."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint('scipy' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.split()[-1] == "True"
+    return done.stdout.split()[-1]
+
+
+def scipy_loaded(code: str) -> bool:
+    """Whether a fresh interpreter has imported SciPy after running code."""
+    return run_fresh(code + "\nimport sys\nprint('scipy' in sys.modules)") == "True"
 
 
 @pytest.mark.parametrize("code", SCIPY_FREE.values(), ids=SCIPY_FREE)
@@ -64,6 +71,40 @@ def test_scipy_is_not_imported(code):
 
 def test_a_sigmoid_step_imports_scipy():
     assert scipy_loaded(SIGMOID_TRAIN)
+
+
+POOLED_RUN = """
+import sys
+from dicelab import harness
+seen = []
+
+class RecordingPool:  # notes whether SciPy is loaded when the pool would fork
+    def __init__(self, max_workers):
+        seen.append("scipy.special" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *items):
+        return map(fn, *items)
+
+harness.ProcessPoolExecutor = RecordingPool
+config = harness.ExperimentConfig(task="{task}", setups=("image-wise",), batch_sizes=(1,),
+                                  iterations=2, folds=2, dataset=dict({dataset}))
+harness._run_cells(config, harness.build_dataset(config), jobs=2)
+print(seen == [True])
+"""
+
+
+@pytest.mark.parametrize("task, dataset, loaded", [("binary", TINY_BINARY, True),
+                                                   ("multiclass", TINY_MULTICLASS, False)],
+                         ids=["binary", "multiclass"])
+def test_pool_workers_fork_with_expit_loaded_for_a_sigmoid_task(task, dataset, loaded):
+    # each worker imported scipy.special on its first sigmoid step, 0.25 s of CPU apiece
+    assert run_fresh(POOLED_RUN.format(task=task, dataset=dataset)) == str(loaded)
 
 
 def test_input_rules_are_defined_in_errors_alone():

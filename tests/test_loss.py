@@ -329,6 +329,24 @@ class TestMarginalMerge:
         with pytest.raises(ShapeMismatchError):
             marginal_merge(gt, pred[..., :1], mask)
 
+    def test_a_stacked_mask_merges_each_pair_with_its_own(self):
+        gt = np.zeros((3, 2, 4, 5))
+        gt[:, :, 0] = 1.0
+        pred = softmax_like_pred((6, 4, 5), seed=3).reshape(3, 2, 4, 5)
+        masks = np.ones((3, 2, 4), dtype=bool)
+        masks[0, 1, 2] = masks[1, 0, 1] = masks[1, 0, 3] = False
+        merged = marginal_merge(gt, pred, masks)
+        for k in range(3):
+            assert merged[k].tobytes() == marginal_merge(gt[k], pred[k], masks[k]).tobytes()
+
+    @pytest.mark.parametrize("mask_shape", [(2, 1, 3), (3, 2, 1, 3)])
+    def test_a_mask_with_leading_axes_must_broadcast(self, mask_shape):
+        _, gt, pred, _ = self.make_case()
+        stacked = np.broadcast_to(pred, (2, *pred.shape))
+        with pytest.raises(ShapeMismatchError, match="broadcast"):
+            marginal_merge(gt, stacked if len(mask_shape) == 4 else pred,
+                           np.ones(mask_shape, dtype=bool))
+
 
 class TestMarginalVariant:
     def build(self, avail, seed=11):

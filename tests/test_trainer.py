@@ -29,6 +29,7 @@ from dicelab import trainer
 from dicelab.tensor import ReductionScheme
 from dicelab.trainer import (
     LinearPixelModel,
+    LossBatch,
     StepBuffers,
     TrainConfig,
     featurize,
@@ -120,7 +121,7 @@ class TestFeaturize:
 
 def forward(model, feats):
     """The model's (B, C, I) predictions for features (B, I, F), as a training step makes them."""
-    return trainer._forward(model.weights, feats)
+    return trainer._forward(model.weights[None], feats)[0]
 
 
 class TestModelForward:
@@ -159,14 +160,15 @@ class TestModelForward:
             if trial % 2:
                 x[:, :, rng.integers(c)] = x.max(axis=2)
                 x[:, :, rng.integers(c)] = x[:, :, rng.integers(c)]
-            got = trainer._forward(np.eye(c), x)
+            got = trainer._forward(np.eye(c)[None], x)[0]
             want = softmax(np.einsum("bif,cf->bci", x, np.eye(c)), axis=1)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("source", ["binary", "multiclass", "small images"])
     def test_forward_is_byte_equal_to_einsum(self, source):
         # the logits are a batched matrix-vector product; it must sum as np.einsum does,
-        # into a fresh array or into a buffer as train's steps do
+        # into a fresh array or into a buffer as train's steps do, for one model or for
+        # a stack of models that share the features
         from scipy.special import expit, softmax
         rng = np.random.default_rng(5)
         if source == "small images":  # I = 1 takes NumPy's dot-product path
@@ -179,14 +181,17 @@ class TestModelForward:
             for b in (1, 4, 13, 40):
                 feats = all_feats[rng.integers(0, len(all_feats), b)]
                 for c in range(1, 6):
-                    for scale in (0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e3):
-                        w = rng.normal(0.0, 1.0, (c, 4)) * scale
+                    scales = np.array([0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e3])[:, None, None]
+                    ws = rng.normal(0.0, 1.0, (len(scales), c, 4)) * scales
+                    stacked = trainer._forward(ws, feats)
+                    for r, w in enumerate(ws):
                         logits = np.einsum("bif,cf->bci", feats, w)
                         want = expit(logits) if c == 1 else softmax(logits, axis=1)
-                        out = np.empty(want.shape)
-                        assert trainer._forward(w, feats).tobytes() == want.tobytes()
-                        assert trainer._forward(w, feats, out) is out
-                        assert out.tobytes() == want.tobytes()
+                        out = np.empty((1, *want.shape))
+                        assert trainer._forward(w[None], feats)[0].tobytes() == want.tobytes()
+                        assert trainer._forward(w[None], feats, out) is out
+                        assert out[0].tobytes() == want.tobytes()
+                        assert stacked[r].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("weights", [np.zeros((0, 4)), np.zeros((1, 3)), np.zeros(4),
                                          np.zeros((1, 1, 4))])
@@ -215,17 +220,17 @@ class TestModelBackward:
         c = 0.3
         feats = featurize(np.full((4, 4), c))[None]
         model = LinearPixelModel(np.zeros((1, 4)))
-        grad = trainer._backward(feats, np.ones((1, 1, 16)), forward(model, feats),
-                                 np.empty((1, 1, 16)))
-        assert grad == pytest.approx(0.25 * 16 * np.array([[1.0, c, c, 0.0]]))
+        grad = trainer._backward(feats, np.ones((1, 1, 1, 16)), forward(model, feats)[None],
+                                 np.empty((1, 1, 1, 16)))
+        assert grad == pytest.approx(0.25 * 16 * np.array([[[1.0, c, c, 0.0]]]))
 
     def test_zero_loss_grad_gives_zero_weight_grad(self):
         rng = np.random.default_rng(3)
         feats = rng.uniform(0, 1, (2, 8, 4))
         model = LinearPixelModel(rng.normal(size=(3, 4)))
-        grad = trainer._backward(feats, np.zeros((2, 3, 8)), forward(model, feats),
-                                 np.empty((2, 3, 8)))
-        assert np.all(grad == 0.0)
+        grad = trainer._backward(feats, np.zeros((1, 2, 3, 8)), forward(model, feats)[None],
+                                 np.empty((1, 2, 3, 8)))
+        assert grad.shape == (1, 3, 4) and np.all(grad == 0.0)
 
 
 def features_and_gt(ds, rows, include_background):
@@ -245,12 +250,19 @@ def assert_same_bits(a, b):
 
 
 def planned_step(model, feats, gt, cfg, mask=None):
-    """step_gradients with the loss planned and the buffers allocated as train does it."""
+    """step_gradients of one run, its loss planned and its buffers allocated as train
+    does it; the loss, loss gradient and weight gradient as the oracle's StepResult."""
     ones = gt == 1.0
     B, L, I = gt.shape
-    return step_gradients(model.weights, feats, gt, loss_plan(cfg, L), mask, ones,
-                          np.count_nonzero(ones, axis=2),
-                          StepBuffers.allocate(B, model.n_classes, L, I))
+    C = model.n_classes
+    plan = loss_plan(cfg, L)
+    plan = plan._replace(eps=np.reshape(plan.eps, (1, 1, -1, 1)))
+    buffers = StepBuffers.allocate(1, B, C, I)
+    batch = LossBatch(slice(0, 1), C - L, plan, ones[None], np.count_nonzero(ones, axis=2)[None],
+                      None if mask is None else mask[None], np.empty((1, B, L, I)),
+                      np.empty((1, B, L)), np.empty((1, B, L)))
+    step = step_gradients(model.weights[None], feats, [batch], buffers)
+    return train_oracle.StepResult(step.loss[0], buffers.grad[0, :, C - L:], step.param_grad[0])
 
 
 class TestEndToEndGradient:
@@ -319,7 +331,7 @@ class TestTrainLoop:
 
     def test_zero_learning_rate_keeps_weights_and_loss_flat(self):
         ds = generate_binary(SMALL_BINARY, seed=0)
-        result = train(ds, self.binary_cfg(learning_rate=0.0, iterations=12))
+        result = train([(ds, self.binary_cfg(learning_rate=0.0, iterations=12))])[0]
         assert np.all(result.model.weights == 0.0)
         assert len(result.history) == 12
         # two epochs over the same six samples: same loss values, maybe reordered
@@ -329,8 +341,8 @@ class TestTrainLoop:
 
     def test_history_and_determinism(self):
         ds = generate_binary(SMALL_BINARY, seed=1)
-        a = train(ds, self.binary_cfg())
-        b = train(ds, self.binary_cfg())
+        a = train([(ds, self.binary_cfg())])[0]
+        b = train([(ds, self.binary_cfg())])[0]
         assert np.array_equal(a.model.weights, b.model.weights)
         assert a.history.tobytes() == b.history.tobytes()
         # one row per iteration: the loss, then grad_y0 and grad_y1 of the one class
@@ -339,13 +351,13 @@ class TestTrainLoop:
 
     def test_seed_changes_trajectory(self):
         ds = generate_binary(SMALL_BINARY, seed=1)
-        a = train(ds, self.binary_cfg(seed=0, iterations=3))
-        b = train(ds, self.binary_cfg(seed=9, iterations=3))
+        a = train([(ds, self.binary_cfg(seed=0, iterations=3))])[0]
+        b = train([(ds, self.binary_cfg(seed=9, iterations=3))])[0]
         assert not np.array_equal(a.history, b.history)
 
     def test_training_learns_the_small_binary_task(self):
         ds = generate_binary(SMALL_BINARY, seed=2)
-        result = train(ds, self.binary_cfg(learning_rate=5.0, iterations=300))
+        result = train([(ds, self.binary_cfg(learning_rate=5.0, iterations=300))])[0]
         assert result.class_names == ("lesion",)
         assert result.history[-1, 0] < result.history[0, 0]
         assert result.history[-1, 0] < 0.15
@@ -354,7 +366,7 @@ class TestTrainLoop:
         ds = generate_multiclass(SMALL_MULTI, seed=0)
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                               variant=Variant.MARGINAL)
-        result = train(ds, TrainConfig(loss=loss, batch_size=len(ds), iterations=1))
+        result = train([(ds, TrainConfig(loss=loss, batch_size=len(ds), iterations=1))])[0]
         assert result.model.weights.shape == (4, 4)
         assert result.model.n_classes == 4
         assert result.class_names == ("background", "core", "shell", "satellite")
@@ -369,7 +381,7 @@ class TestTrainLoop:
     def test_multiclass_foreground_only_loss_names(self):
         ds = generate_multiclass(SMALL_MULTI, seed=0)
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7)
-        result = train(ds, TrainConfig(loss=loss, iterations=2))
+        result = train([(ds, TrainConfig(loss=loss, iterations=2))])[0]
         assert result.model.n_classes == 4
         assert result.class_names == ("core", "shell", "satellite")
 
@@ -379,24 +391,24 @@ class TestTrainLoop:
                                              tag=PHASE_B, class_index=1))
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                               variant=Variant.MARGINAL)
-        result = train(ds, TrainConfig(loss=loss, iterations=4))
+        result = train([(ds, TrainConfig(loss=loss, iterations=4))])[0]
         assert result.history.shape == (4, 1 + 2 * 4)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            train(empty_binary(), self.binary_cfg())
+            train([(empty_binary(), self.binary_cfg())])
 
     def test_batch_size_larger_than_dataset_rejected(self):
         ds = generate_binary(SMALL_BINARY, seed=0)
         with pytest.raises(InvalidConfigError):
-            train(ds, self.binary_cfg(batch_size=7))
+            train([(ds, self.binary_cfg(batch_size=7))])
 
     def test_marginal_needs_softmax_head(self):
         ds = generate_binary(SMALL_BINARY, seed=0)
         loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                               variant=Variant.MARGINAL)
         with pytest.raises(InvalidConfigError):
-            train(ds, TrainConfig(loss=loss, iterations=1))
+            train([(ds, TrainConfig(loss=loss, iterations=1))])
 
     @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(learning_rate=-1.0),
                                         dict(iterations=-1), dict(learning_rate=float("nan")),
@@ -429,7 +441,7 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer, "step_gradients", nan_on_third)
         ds = generate_binary(SMALL_BINARY, seed=0)
         with pytest.raises(NonFiniteTrainingError, match="iteration 3$"):
-            train(ds, self.binary_cfg(iterations=10))
+            train([(ds, self.binary_cfg(iterations=10))])
         assert len(calls) == 3
 
     def test_a_dataset_holds_its_class_count(self):
@@ -449,13 +461,13 @@ class TestTrainLoop:
         ds = generate_binary(SMALL_BINARY, seed=0)
         twin = apply_partial(ds, PartialPolicy(PartialAction.EMPTY_MAP, tag="grade-b"))
         for data in (ds, twin, ds):
-            result = train(data, self.binary_cfg(iterations=3))
+            result = train([(data, self.binary_cfg(iterations=3))])[0]
             predict(result.model, data)
         assert calls == [(len(ds), 16, 16)] * 6  # the whole stack, once per call
 
     def test_predict_covers_whole_dataset(self):
         ds = generate_binary(SMALL_BINARY, seed=0)
-        result = train(ds, self.binary_cfg(iterations=3))
+        result = train([(ds, self.binary_cfg(iterations=3))])[0]
         pred = predict(result.model, ds)
         assert pred.shape == (6, 1, 256)
 
@@ -593,17 +605,208 @@ EXACTNESS_CASES = {
 }
 
 
+def assert_same_training(got, want, grad_rtol=0.0):
+    """Two TrainResults with bit-identical weights and loss column; the gradient
+    columns bit-identical too, or equal to grad_rtol relative when it is given."""
+    assert got.class_names == want.class_names
+    assert got.model.weights.shape == want.model.weights.shape
+    assert got.model.weights.tobytes() == want.model.weights.tobytes()
+    assert got.history.shape == want.history.shape
+    assert got.history[:, 0].tobytes() == want.history[:, 0].tobytes()
+    if grad_rtol:
+        np.testing.assert_allclose(got.history[:, 1:], want.history[:, 1:], rtol=grad_rtol,
+                                   atol=0.0)
+    else:
+        assert got.history.tobytes() == want.history.tobytes()
+
+
 @pytest.mark.parametrize("make_data, loss, batch_size, iterations",
                          EXACTNESS_CASES.values(), ids=EXACTNESS_CASES)
 def test_train_matches_the_per_step_oracle_bit_for_bit(make_data, loss, batch_size, iterations):
-    # three epochs or more in every case, so buffers are refilled after a shuffle
+    # three epochs or more in every case, so buffers are refilled after a shuffle; the
+    # gradient columns come from pooled sums here and from pixel means in the oracle
     ds = make_data()
     assert iterations >= 3 * (len(ds) // batch_size)
     cfg = TrainConfig(loss=loss, batch_size=batch_size, learning_rate=5.0,
                       iterations=iterations, seed=2)
-    got, want = train(ds, cfg), train_oracle.train(ds, cfg)
-    assert got.model.weights.shape == want.model.weights.shape
-    assert got.model.weights.tobytes() == want.model.weights.tobytes()
-    assert got.history.shape == want.history.shape
-    assert got.history.tobytes() == want.history.tobytes()
-    assert got.class_names == want.class_names
+    assert_same_training(train([(ds, cfg)])[0], train_oracle.train(ds, cfg), grad_rtol=1e-12)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("scheme", list(ReductionScheme), ids=lambda s: s.value)
+def test_gradient_columns_match_the_pixel_means(scheme, variant):
+    # each subset's two gradient values weighted by their pixel counts, against the
+    # oracle's mean |grad| over the pixels, on labels with empty and unavailable maps
+    ds = _partial_multiclass()
+    cfg = TrainConfig(loss=DiceLossConfig(scheme, 0.5, variant), batch_size=2,
+                      learning_rate=5.0, iterations=6, seed=1)
+    got, want = train([(ds, cfg)])[0], train_oracle.train(ds, cfg)
+    assert_same_training(got, want, grad_rtol=1e-12)
+    assert (got.history[:, 1:] > 0).any()
+
+
+def _one_pixel_binary():
+    """Eight 1 x 1 samples, every other one labeled."""
+    n = 8
+    return SyntheticDataset("binary", ("lesion",), np.arange(n), np.array(["a"] * n),
+                            np.linspace(0.1, 0.9, n).reshape(n, 1, 1),
+                            (np.arange(n) % 2 == 0).reshape(n, 1, 1, 1),
+                            np.ones((n, 1), dtype=bool))
+
+
+def _labelings(make_data):
+    data = make_data()
+    if data.task == "binary" and data.image_size > 1:
+        return generate_binary(SEVEN_BINARY, seed=11), data  # full and partial labels
+    if data.task == "multiclass":
+        return generate_multiclass(SMALL_MULTI, seed=3), data
+    return data, replace(data, gt=np.zeros_like(data.gt))
+
+
+# (data, batch size, [(labeling, loss, learning rate)]): mixed groups of runs
+LOCKSTEP_GROUPS = {
+    "sigmoid-b4": (_partial_binary, 4, [
+        (0, DiceLossConfig(IMAGE), 5.0), (1, DiceLossConfig(IMAGE), 5.0),
+        (0, DiceLossConfig(BATCH), 5.0), (1, DiceLossConfig(BATCH), 2.0),
+        (1, DiceLossConfig(IMAGE, [2.5]), 5.0), (0, DiceLossConfig(IMAGE, [40.0]), 1.0)]),
+    "sigmoid-b1": (_partial_binary, 1, [
+        (1, DiceLossConfig(IMAGE, [2.5]), 5.0), (0, DiceLossConfig(IMAGE), 5.0),
+        (1, DiceLossConfig(IMAGE, variant=Variant.LEAF), 3.0)]),
+    "softmax-b1": (_partial_multiclass, 1, [
+        (0, DiceLossConfig(IMAGE), 5.0), (0, DiceLossConfig(IMAGE, variant=Variant.MARGINAL), 5.0),
+        (1, DiceLossConfig(IMAGE), 5.0), (1, DiceLossConfig(IMAGE, variant=Variant.LEAF), 5.0),
+        (1, DiceLossConfig(IMAGE, variant=Variant.MARGINAL), 4.0)]),
+    "softmax-b4": (_partial_multiclass, 4, [
+        (1, DiceLossConfig(IMAGE, variant=Variant.MARGINAL), 5.0),
+        (1, DiceLossConfig(BATCH, [3.0, 0.5, 1.5]), 5.0),
+        (0, DiceLossConfig(ReductionScheme.ALL_WISE, 1.0), 5.0),
+        (1, DiceLossConfig(IMAGE, variant=Variant.LEAF), 5.0)]),
+    "one-pixel-images-b2": (_one_pixel_binary, 2, [
+        (0, DiceLossConfig(IMAGE, 1.0), 5.0), (1, DiceLossConfig(BATCH, 1.0), 5.0),
+        (1, DiceLossConfig(IMAGE, 1.0, Variant.LEAF), 5.0)]),
+}
+
+
+@pytest.mark.parametrize("make_data, batch_size, members", LOCKSTEP_GROUPS.values(),
+                         ids=LOCKSTEP_GROUPS)
+def test_a_group_trains_each_run_as_it_trains_alone(make_data, batch_size, members):
+    labelings = _labelings(make_data)
+    runs = [(labelings[lab], TrainConfig(loss=loss, batch_size=batch_size, learning_rate=rate,
+                                         iterations=9, seed=3))
+            for lab, loss, rate in members]
+    together = train(runs)
+    assert len(together) == len(runs)
+    for run, got in zip(runs, together):
+        assert_same_training(got, train([run])[0])
+        if labelings[0].image_size > 1:  # the oracle's featurize sums a 1-wide window apart
+            assert_same_training(got, train_oracle.train(*run), grad_rtol=1e-12)
+
+
+def test_a_group_featurizes_once(monkeypatch):
+    calls = []
+
+    def counting(image):
+        calls.append(image.shape)
+        return featurize(image)
+
+    monkeypatch.setattr(trainer, "featurize", counting)
+    full, partial = _labelings(_partial_binary)
+    cfg = TrainConfig(loss=DiceLossConfig(IMAGE), iterations=3)
+    train([(full, cfg), (partial, cfg), (partial, replace(cfg, learning_rate=0.5))])
+    assert calls == [(7, 16, 16)]
+
+
+def _reordered(ds, rows):
+    return SyntheticDataset(ds.task, ds.class_names, ds.subject_ids[rows], ds.tags[rows],
+                            ds.images[rows], ds.gt[rows], ds.availability[rows])
+
+
+@pytest.mark.parametrize("change", ["images", "rows", "seed", "batch_size", "iterations",
+                                    "classes"])
+def test_runs_that_draw_other_batches_cannot_train_together(change):
+    full, partial = _labelings(_partial_binary)
+    cfg = TrainConfig(loss=DiceLossConfig(IMAGE), batch_size=2, iterations=3, seed=1)
+    other, other_cfg = partial, cfg
+    if change == "images":
+        other = replace(partial, images=np.ascontiguousarray(partial.images[:, ::-1]))
+    elif change == "rows":
+        other = _reordered(partial, np.roll(np.arange(len(partial)), 1))
+    elif change == "classes":
+        other = _partial_multiclass()
+    else:
+        other_cfg = replace(cfg, **{change: getattr(cfg, change) + 1})
+    with pytest.raises(InvalidConfigError, match="trained together"):
+        train([(full, cfg), (other, other_cfg)])
+
+
+def test_zero_iterations_give_zero_weights_and_an_empty_history():
+    full, partial = _labelings(_partial_multiclass)
+    cfg = TrainConfig(loss=DiceLossConfig(IMAGE), iterations=0)
+    marginal = replace(cfg, loss=DiceLossConfig(IMAGE, variant=Variant.MARGINAL))
+    plain, merged = train([(full, cfg), (partial, marginal)])
+    assert plain.history.shape == (0, 7) and merged.history.shape == (0, 9)
+    assert not plain.model.weights.any() and not merged.model.weights.any()
+
+
+def test_train_needs_a_run():
+    with pytest.raises(InvalidConfigError, match="at least one"):
+        train([])
+
+
+FAIL_AT = {0.25: 2, 0.5: 5}  # a run of this epsilon gets a NaN loss at this iteration
+
+
+def poison_by_epsilon(monkeypatch):
+    """Make trainer.step_gradients give each run whose epsilon is a FAIL_AT key a NaN
+    loss at that key's iteration of each train."""
+    real, iteration = trainer.step_gradients, [0]
+
+    def poisoned(weights, features, losses, buffers):
+        iteration[0] = 1 if not weights.any() else iteration[0] + 1  # a train starts at 0
+        step = real(weights, features, losses, buffers)
+        for b in losses:
+            for k, eps in enumerate(b.plan.eps.reshape(len(b.plan.eps), -1)[:, 0].tolist()):
+                if FAIL_AT.get(eps) == iteration[0]:
+                    step.loss[b.runs.start + k] = np.nan
+        return step
+
+    monkeypatch.setattr(trainer, "step_gradients", poisoned)
+
+
+class TestFailureOrder:
+    def runs(self, *eps_and_scheme):
+        partial = _partial_binary()
+        return [(partial, TrainConfig(loss=DiceLossConfig(scheme, eps), iterations=8))
+                for eps, scheme in eps_and_scheme]
+
+    def test_an_earlier_run_that_fails_later_is_the_one_named(self, monkeypatch):
+        # the last run (first on the run axis: batch-wise sorts first) fails at 2, the
+        # first at 5; the middle one never does
+        poison_by_epsilon(monkeypatch)
+        runs = self.runs((0.5, IMAGE), (1e-7, IMAGE), (0.25, BATCH))
+        with pytest.raises(NonFiniteTrainingError, match="iteration 5$") as err:
+            train(runs)
+        assert err.value.run == 0
+
+    def test_a_later_run_is_named_when_no_earlier_one_fails(self, monkeypatch):
+        poison_by_epsilon(monkeypatch)
+        runs = self.runs((1e-7, IMAGE), (0.25, BATCH), (0.5, IMAGE))
+        with pytest.raises(NonFiniteTrainingError, match="iteration 2$") as err:
+            train(runs)
+        assert err.value.run == 1
+
+    def test_the_error_pickles_with_its_run(self):
+        err = pickle.loads(pickle.dumps(NonFiniteTrainingError("at iteration 4", run=3)))
+        assert str(err) == "at iteration 4" and err.run == 3
+
+
+def test_a_result_unpickles_read_only():
+    # unpickling used to give a writable history
+    ds = generate_binary(SMALL_BINARY, seed=0)
+    cfg = TrainConfig(loss=DiceLossConfig(IMAGE), iterations=3)
+    result = train([(ds, cfg)])[0]
+    back = pickle.loads(pickle.dumps(result))
+    assert back.history.tobytes() == result.history.tobytes()
+    assert back.model.weights.tobytes() == result.model.weights.tobytes()
+    assert back.class_names == result.class_names
+    assert not back.history.flags.writeable and not back.model.weights.flags.writeable

@@ -6,10 +6,13 @@ wide. Each step here gathers its batch by fancy indexing, computes the
 predictions itself with np.einsum and scipy.special's expit or softmax, scores
 the loss through the checked public dice_value_and_grad, backpropagates
 through its own head Jacobian and np.einsum, rebuilds the model, and averages
-|grad| with .mean(). train in dicelab.trainer does all of that set-up once per
-call and computes the softmax in NumPy; the floating-point operations of a
-step, and their order, are the same, so the weights and the history array
-must come out equal bit for bit.
+|grad| over each class's y=0 and y=1 pixels with .mean(). train in
+dicelab.trainer does all of that set-up once per call, steps a group of runs
+in lockstep and computes the softmax in NumPy; the floating-point operations
+of each run's step, and their order, are the same, so the weights and the
+history's loss column must come out equal bit for bit. train takes the
+history's gradient columns from each subset's two gradient values weighted by
+pixel counts, not from a pixel mean, so those agree to 1e-12 relative.
 
 The forward here keeps np.einsum on purpose. dicelab.trainer computes the
 logits as a batched matrix-vector product into buffers it allocates once per
@@ -20,6 +23,7 @@ every machine that runs the tests.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, softmax
@@ -29,9 +33,14 @@ from dicelab.loss import Variant, dice_value_and_grad
 from dicelab.trainer import (
     N_FEATURES,
     LinearPixelModel,
-    StepResult,
     TrainResult,
 )
+
+
+class StepResult(NamedTuple):
+    loss: float
+    loss_grad: np.ndarray
+    param_grad: np.ndarray
 
 
 def featurize(image: np.ndarray) -> np.ndarray:
