@@ -1,5 +1,6 @@
 """Experiment config handling, dataset wiring, and the run/artifact pipeline."""
 
+import hashlib
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -310,6 +311,45 @@ def tiny_run(tmp_path_factory):
     return config, out
 
 
+# sha256 of every run-level and history CSV of tiny_config() and
+# tiny_multiclass_config(), recorded before scoring became column arrays;
+# a refactor of training, scoring or writing must keep every byte
+RUN_HASHES = {
+    "binary": {
+        "auc.csv": "4d16c1fe2c5f40d83ceb486348ce35488d89e7ad43556218262ac741db02a1ec",
+        "calibration.csv": "b3d2cd1f8cdced77a74e2563436cf5183f3e150eaf00a3432b865d7a43027362",
+        "cells/full-image-wise-b1/history_fold0.csv": "2cb5eb1dfa9fbabc890f62ccdac495b01b1b4bc032b7cb74eddc7184bc79813c",
+        "cells/full-image-wise-b1/history_fold1.csv": "66ff25f5c01e3ca1e0df9f600bc7f517157f0cb5bea6cb25e750c7abcd5609a7",
+        "cells/full-image-wise-calibrated-b1/history_fold0.csv": "61e951ce14761162605919c86d7dad041dfa3eb6e59c525b911f01eef25f220d",
+        "cells/full-image-wise-calibrated-b1/history_fold1.csv": "fe574366c2ec881b29b1dc1a54e9773e541f61c9f5d74f9fc2c5807fc988fec3",
+        "cells/partial-image-wise-b1/history_fold0.csv": "c93f71babd8414bfa76be67c58d444ecf085313555423f69dc5679fda2f71d4e",
+        "cells/partial-image-wise-b1/history_fold1.csv": "4dafca5314c3170176555d0eff71e210859b0a5f893a93da6464446ba28b4b64",
+        "cells/partial-image-wise-calibrated-b1/history_fold0.csv": "d4a578d82769adcf3ae98174ad7bd70eeb1bf4174b476e3280d30ddf6169ef08",
+        "cells/partial-image-wise-calibrated-b1/history_fold1.csv": "a3defcf9d92b2a28a0a99697c764739be8e1a1f63682a582f66c6cd43f7c28c3",
+        "comparisons.csv": "b502056b53b123a012ca42b00b18cf1843f6ca0289430dcc590cc3ba5dfe7c79",
+        "metrics.csv": "b3432b95b2e0988adbae9f86ddec7ce9bbac7e351c65c9b6ad9536ae62a5669d",
+        "roc_points.csv": "81c845fb0030819f5917145b64b34ea29aa056dfc2462fbbbb59bb73787cee95",
+        "summary.csv": "048a468e8875b760f7a0eab179bbab8a11e8c01ee5c4bb09d3130bd00b0135d8",
+    },
+    "multiclass": {
+        "auc.csv": "138a6756996446d417d5a39832f3f616defc6e04a9c54cae0733fb1000e7488f",
+        "calibration.csv": "d9c3c773f76bbe64ccfb81f7def8613a7ecb4d8ac80ee279a5fa6070f8eff9d0",
+        "cells/full-image-wise-b1/history_fold0.csv": "838ccfe89923f3e66934a45b552bd58ae18f8700242c8e607d69967dd5eb27dc",
+        "cells/full-image-wise-b1/history_fold1.csv": "cbb89c93cdfcabf8c67559f8aa43c3f00c1fe518d62e3ba672ca7161ae610879",
+        "cells/full-leaf-b1/history_fold0.csv": "838ccfe89923f3e66934a45b552bd58ae18f8700242c8e607d69967dd5eb27dc",
+        "cells/full-leaf-b1/history_fold1.csv": "cbb89c93cdfcabf8c67559f8aa43c3f00c1fe518d62e3ba672ca7161ae610879",
+        "cells/partial-image-wise-b1/history_fold0.csv": "754dc9f2e4d801d4e4131ed3536be3f7fdc9c7927d69ca9c25354579d717efae",
+        "cells/partial-image-wise-b1/history_fold1.csv": "066a22a3c6b0f92a20165e07472002e8d8128c9a733e1184ec08b5a259b62351",
+        "cells/partial-leaf-b1/history_fold0.csv": "cbdc1b369d63e7f6220eb1465e1f691495b5a74d6176d23edb88738ed03d59e9",
+        "cells/partial-leaf-b1/history_fold1.csv": "04d3d6f9a81dde1a0423c67c4171f4b82f2e0bc610fcf657b25ec58f155bbab8",
+        "comparisons.csv": "eff19f23b5dab8c7b54edd0b0296d25285626291e1c3c0dea5e3c3e86cacf5a0",
+        "metrics.csv": "992712edec607ad9ba3ff7f4774af56e9e9924dc44ff642ca5af0f38093695aa",
+        "roc_points.csv": "dfc36f89b5f8105b43d4543a88805cbe6f665fb9785f152d3eaaa443fc01d432",
+        "summary.csv": "7e356a648279b5ad25c151a9493c9253b6e64f01dfd9c3f29980a84a96c0bef7",
+    },
+}
+
+
 class TestRunExperiment:
     def test_artifacts_exist(self, tiny_run):
         config, out = tiny_run
@@ -323,6 +363,18 @@ class TestRunExperiment:
         for cdir in (out / "cells").iterdir():
             assert (cdir / "history_fold0.csv").exists()
             assert (cdir / "fold1.model").exists()
+
+    @staticmethod
+    def run_hashes(out):
+        """sha256 of each run-level and history CSV of the run in out, by relative path."""
+        paths = [*out.glob("*.csv"), *out.glob("cells/*/history_fold*.csv")]
+        return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in paths}
+
+    def test_run_csvs_keep_their_reference_bytes(self, tiny_run, tmp_path):
+        multiclass = run_experiment(tiny_multiclass_config(), tmp_path / "multiclass")
+        assert self.run_hashes(tiny_run[1]) == RUN_HASHES["binary"]
+        assert self.run_hashes(multiclass) == RUN_HASHES["multiclass"]
 
     def test_summary_covers_every_cell_and_tag(self, tiny_run):
         config, out = tiny_run
