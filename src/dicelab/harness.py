@@ -238,25 +238,21 @@ def _setup_loss(setup: str, train_split: SyntheticDataset) -> tuple[DiceLossConf
     return DiceLossConfig(scheme, epsilon, variant), calibration
 
 
-class MetricRow(NamedTuple):
-    """One held-out (fold, subject, class) score; its fields are metrics.csv's columns."""
-
-    fold: int
-    subject_id: int
-    tag: str
-    class_name: str
-    dsc: float
-    delta_v: float
-    pred_vol: float
-    true_vol: float
+# One held-out (fold, subject, class) score; the fields are metrics.csv's columns
+SCORE_DTYPE = np.dtype([("fold", np.int64), ("subject_id", np.int64), ("tag", object),
+                        ("class", object), ("dsc", np.float64), ("delta_v", np.float64),
+                        ("pred_vol", np.float64), ("true_vol", np.float64)])
 
 
 @dataclass(frozen=True)
 class CellResult:
+    """One cell's trained folds and held-out scores: a read-only SCORE_DTYPE array, one
+    row per (fold, subject, class) sorted by fold, subject_id and class name."""
+
     labeling: str
     setup: str
     batch_size: int
-    metric_rows: tuple[MetricRow, ...]
+    scores: np.ndarray
     # (fold, class_name, epsilon) for calibrated setups
     calibration_rows: tuple
     # per fold: the TrainResult.history array
@@ -302,41 +298,36 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
     build_dataset(config)."""
     full = datasets[0]
     held_out = full.subject_ids % config.folds
-    metric_rows = []
-    calibration_rows = []
+    classes = np.argsort(full.class_names, kind="stable")
+    folds, calibration_rows = [], []
     for fold, (result, calibration) in enumerate(trained):
         calibration_rows += [(fold, name, value) for name, value in calibration]
         val_split = _subset(full, held_out == fold)
-        pred = predict(result.model, val_split)
-        hard = binarize(pred)[:, -full.n_classes:]  # skip a softmax background
+        hard = binarize(predict(result.model, val_split))[:, -full.n_classes:]  # skip background
         gt = val_split.gt.reshape(hard.shape)
-        for row, (subject_id, tag) in enumerate(zip(val_split.subject_ids.tolist(),
-                                                    val_split.tags.tolist())):
-            for c, name in enumerate(full.class_names):
-                gt_map = gt[row, c]
-                pred_map = hard[row, c]
-                metric_rows.append(MetricRow(
-                    fold, subject_id, tag, name,
-                    hard_dsc(gt_map, pred_map),
-                    volume_difference(gt_map, pred_map),
-                    float(pred_map.sum()),
-                    float(gt_map.sum()),
-                ))
-    metric_rows.sort(key=lambda r: (r.fold, r.subject_id, r.class_name))
+        rows, cols = np.ix_(np.argsort(val_split.subject_ids, kind="stable"), classes)
+        gt, hard = gt[rows, cols], hard[rows, cols]  # by subject_id, then class name
+        scores = np.empty(gt.shape[:2], SCORE_DTYPE)
+        scores["fold"] = fold
+        scores["subject_id"] = val_split.subject_ids[rows]
+        scores["tag"] = val_split.tags[rows]
+        scores["class"] = np.array(full.class_names, dtype=object)[cols]
+        scores["dsc"] = hard_dsc(gt, hard)
+        scores["delta_v"] = volume_difference(gt, hard)
+        scores["pred_vol"] = np.count_nonzero(hard, axis=-1)
+        scores["true_vol"] = np.count_nonzero(gt, axis=-1)
+        folds.append(scores.reshape(-1))
+    scores = np.concatenate(folds)
+    scores.flags.writeable = False
     task = TASKS[config.task]
-    scores, labels = [], []
-    for row in metric_rows:
-        if row.class_name == task.roc_target:
-            scores.append(row.pred_vol)
-            labels.append(1 if row.tag == task.positive_tag else 0)
+    target = scores[scores["class"] == task.roc_target]
     return CellResult(
-        labeling=labeling, setup=setup, batch_size=batch_size,
-        metric_rows=tuple(metric_rows),
+        labeling=labeling, setup=setup, batch_size=batch_size, scores=scores,
         calibration_rows=tuple(calibration_rows),
         histories=tuple(result.history for result, _ in trained),
         models=tuple(result.model for result, _ in trained),
         loss_class_names=trained[-1][0].class_names,
-        roc=roc_auc(scores, labels),
+        roc=roc_auc(target["pred_vol"], target["tag"] == task.positive_tag),
     )
 
 
@@ -370,8 +361,7 @@ CELL_COLUMNS = ["labeling", "setup", "batch_size"]
 
 # The run-level CSVs in writing order: file name -> header
 ARTIFACTS = {
-    "metrics.csv": [*CELL_COLUMNS, "fold", "subject_id", "tag", "class",
-                    "dsc", "delta_v", "pred_vol", "true_vol"],
+    "metrics.csv": [*CELL_COLUMNS, *SCORE_DTYPE.names],
     "summary.csv": [*CELL_COLUMNS, "tag", "class", "n", "mean_dsc",
                     "mean_delta_v", "mean_pred_vol", "mean_true_vol"],
     "auc.csv": [*CELL_COLUMNS, "target_class", "positive_tag", "auc"],
@@ -386,41 +376,40 @@ def _cell_dirname(labeling: str, setup: str, batch_size: int) -> str:
     return f"{labeling}-{setup}-b{batch_size}"
 
 
-def _group(rows) -> dict[tuple[str, str], list[MetricRow]]:
-    """Metric rows by (tag, class) and by ("all", class), each group in row order.
-
-    Tags are never "all": they come from the generators' cohorts.
-    """
-    groups: dict[tuple[str, str], list[MetricRow]] = {}
-    for row in rows:
-        for tag in (row.tag, "all"):
-            groups.setdefault((tag, row.class_name), []).append(row)
-    return groups
+def _rows(scores: np.ndarray, tag: str, name: str) -> np.ndarray:
+    """Mask of the scores of class name and tag, or of every tag for "all", which no
+    tag is: tags come from the generators' cohorts."""
+    mask = scores["class"] == name
+    return mask if tag == "all" else mask & (scores["tag"] == tag)
 
 
 def _mean(values) -> float:
     return float(np.mean(values))
 
 
-def _summarize(grouped) -> list[list]:
-    """summary.csv rows from (cell key, _group result) pairs: tags sorted, "all" last."""
+def _summarize(results) -> list[list]:
+    """summary.csv rows: per cell, tag (sorted, "all" last) and class (sorted), the
+    means over the scores of that tag and class, in score order."""
     rows = []
-    for key, groups in grouped:
-        for tag, name in sorted(groups, key=lambda k: (k[0] == "all", k)):
-            sel = groups[tag, name]
-            rows.append([*key, tag, name, len(sel),
-                         *(_mean([getattr(x, f) for x in sel])
-                           for f in ("dsc", "delta_v", "pred_vol", "true_vol"))])
+    for r in results:
+        s = r.scores
+        for tag in [*sorted(set(s["tag"])), "all"]:
+            for name in sorted(set(s["class"])):
+                mask = _rows(s, tag, name)
+                if mask.any():
+                    rows.append([*r.key, tag, name, int(np.count_nonzero(mask)),
+                                 *(_mean(s[f][mask]) for f in SCORE_DTYPE.names[4:])])
     return rows
 
 
-def _comparisons(config: ExperimentConfig, groups: dict) -> list[list]:
-    """comparisons.csv rows from each cell key's _group result.
+def _comparisons(config: ExperimentConfig, results) -> list[list]:
+    """comparisons.csv rows from the cells' results.
 
     Partial vs full labeling for each setup and batch size, then each setup
     vs the first configured one within partial labeling; per class, tag
-    ("all" last), over the subjects both cells scored.
+    ("all" last), over the subjects both cells scored, in subject id order.
     """
+    scores = {r.key: r.scores for r in results}
     baseline = config.setups[0]
     contrasts = [("labeling", s, b, "partial", "full", ("partial", s, b), ("full", s, b))
                  for s in config.setups for b in config.batch_sizes]
@@ -428,19 +417,20 @@ def _comparisons(config: ExperimentConfig, groups: dict) -> list[list]:
                   for s in config.setups[1:] for b in config.batch_sizes]
     rows = []
     for *head, key_a, key_b in contrasts:
-        if key_a not in groups or key_b not in groups:
+        if key_a not in scores or key_b not in scores:
             continue
-        ga, gb = groups[key_a], groups[key_b]
-        for tag, name in sorted(ga.keys() & gb.keys(), key=lambda k: (k[1], k[0] == "all", k[0])):
-            da = {row.subject_id: row.dsc for row in ga[tag, name]}
-            db = {row.subject_id: row.dsc for row in gb[tag, name]}
-            common = sorted(da.keys() & db.keys())
-            if len(common) < 2:
-                continue
-            xs, ys = [da[s] for s in common], [db[s] for s in common]
-            p = bootstrap_compare(xs, ys, config.bootstrap_resamples, seed=config.seed)
-            rows.append([*head, tag, name, len(xs), _mean(xs), _mean(ys),
-                         _mean(xs) - _mean(ys), p])
+        a, b = scores[key_a], scores[key_b]
+        for name in sorted(set(a["class"]) & set(b["class"])):
+            for tag in [*sorted(set(a["tag"]) & set(b["tag"])), "all"]:
+                in_a, in_b = _rows(a, tag, name), _rows(b, tag, name)
+                _, ia, ib = np.intersect1d(a["subject_id"][in_a], b["subject_id"][in_b],
+                                           assume_unique=True, return_indices=True)
+                if len(ia) < 2:
+                    continue
+                xs, ys = a["dsc"][in_a][ia], b["dsc"][in_b][ib]
+                p = bootstrap_compare(xs, ys, config.bootstrap_resamples, seed=config.seed)
+                rows.append([*head, tag, name, len(xs), _mean(xs), _mean(ys),
+                             _mean(xs) - _mean(ys), p])
     return rows
 
 
@@ -535,15 +525,14 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
             save_model(model, cdir / f"fold{fold}.model")
 
     task = TASKS[config.task]
-    grouped = [(r.key, _group(r.metric_rows)) for r in results]
     rows = {
-        "metrics.csv": [[*r.key, *row] for r in results for row in r.metric_rows],
-        "summary.csv": _summarize(grouped),
+        "metrics.csv": [[*r.key, *row] for r in results for row in r.scores.tolist()],
+        "summary.csv": _summarize(results),
         "auc.csv": [[*r.key, task.roc_target, task.positive_tag, r.roc.auc] for r in results],
         "roc_points.csv": [[*r.key, t, fpr, tpr] for r in results
-                           for (fpr, tpr), t in zip(r.roc.points, r.roc.thresholds)],
+                           for t, fpr, tpr in zip(r.roc.thresholds, r.roc.fpr, r.roc.tpr)],
         "calibration.csv": [[*r.key, *cal] for r in results for cal in r.calibration_rows],
-        "comparisons.csv": _comparisons(config, dict(grouped)),
+        "comparisons.csv": _comparisons(config, results),
     }
     for name, header in ARTIFACTS.items():
         write_csv(out / name, header, rows[name])

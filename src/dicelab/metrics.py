@@ -21,25 +21,32 @@ from .errors import (
 )
 
 
-def hard_dsc(gt_map: np.ndarray, pred_map: np.ndarray) -> float:
-    """2|A∩B| / (|A|+|B|) on binary maps; 1.0 when both maps are empty."""
-    gt = np.asarray(gt_map, dtype=np.float64).reshape(-1)
-    pred = np.asarray(pred_map, dtype=np.float64).reshape(-1)
-    if gt.shape != pred.shape:
-        raise ShapeMismatchError(f"maps differ in size: {gt.shape} vs {pred.shape}")
-    total = gt.sum() + pred.sum()
-    if total == 0.0:
-        return 1.0
-    return float(2.0 * (gt * pred).sum() / total)
+def _counts(gt_maps, pred_maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Voxels of gt, of pred and of both over the last axis of two 0/1 map stacks (..., I)."""
+    gt, pred = np.asarray(gt_maps), np.asarray(pred_maps)
+    if gt.ndim == 0 or gt.shape != pred.shape:
+        raise ShapeMismatchError(f"map stacks differ or are 0-d: {gt.shape} vs {pred.shape}")
+    require_binary("ground-truth map", gt)
+    require_binary("predicted map", pred)
+    gt, pred = gt != 0, pred != 0
+    return tuple(np.count_nonzero(m, axis=-1) for m in (gt, pred, gt & pred))
 
 
-def volume_difference(gt_map: np.ndarray, pred_map: np.ndarray) -> float:
-    """Signed voxel-count difference, predicted minus true (negative = under-segmented)."""
-    gt = np.asarray(gt_map, dtype=np.float64).reshape(-1)
-    pred = np.asarray(pred_map, dtype=np.float64).reshape(-1)
-    if gt.shape != pred.shape:
-        raise ShapeMismatchError(f"maps differ in size: {gt.shape} vs {pred.shape}")
-    return float(pred.sum() - gt.sum())
+def hard_dsc(gt_maps, pred_maps) -> np.ndarray | float:
+    """2|A∩B| / (|A|+|B|) of each pair of 0/1 maps stacked as (..., I): an array of
+    the leading shape, or a float for one (I,) pair; 1.0 when both maps are empty."""
+    n_gt, n_pred, inter = _counts(gt_maps, pred_maps)
+    total = n_gt + n_pred
+    dsc = np.where(total == 0, 1.0, 2.0 * inter / np.maximum(total, 1))
+    return float(dsc) if dsc.ndim == 0 else dsc
+
+
+def volume_difference(gt_maps, pred_maps) -> np.ndarray | float:
+    """Predicted minus true voxel count (negative = under-segmented) of each pair of 0/1
+    maps stacked as (..., I): an array of the leading shape, or a float for one (I,) pair."""
+    n_gt, n_pred, _ = _counts(gt_maps, pred_maps)
+    delta = (n_pred - n_gt).astype(np.float64)
+    return float(delta) if delta.ndim == 0 else delta
 
 
 def binarize(pred: np.ndarray) -> np.ndarray:
@@ -47,9 +54,13 @@ def binarize(pred: np.ndarray) -> np.ndarray:
 
     One class (a sigmoid) thresholds at 0.5 (0.5 itself counts as foreground).
     Two or more (a softmax) take the argmax over classes; ties go to the
-    lowest class index.
+    lowest class index. Every prediction must be a number in [0, 1].
     """
     data = np.asarray(pred)
+    if data.ndim != 3 or data.shape[1] == 0:
+        raise ShapeMismatchError(f"predictions must be (B, C, I) with C >= 1, got {data.shape}")
+    if data.dtype.kind not in "biuf" or not ((data >= 0.0) & (data <= 1.0)).all():
+        raise RangeViolationError("predictions must be finite numbers in [0, 1]")
     c = data.shape[1]
     if c == 1:
         return (data >= 0.5).astype(np.float64)
@@ -57,10 +68,14 @@ def binarize(pred: np.ndarray) -> np.ndarray:
     return (winner[:, None, :] == np.arange(c)[None, :, None]).astype(np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    points: tuple[tuple[float, float], ...]  # (fpr, tpr), monotone in fpr
-    thresholds: tuple[float, ...]
+    """Read-only float64 fpr, tpr (each rising from 0 to 1) and descending thresholds,
+    one entry per threshold, and the trapezoidal area under the curve."""
+
+    fpr: np.ndarray
+    tpr: np.ndarray
+    thresholds: np.ndarray
     auc: float
 
 
@@ -68,9 +83,9 @@ def roc_auc(scores, labels) -> RocCurve:
     """ROC over score thresholds (predict positive when score >= threshold) of
     1-D finite scores and their 0/1 labels.
 
-    Thresholds are +inf plus every distinct score in descending order, so tied
-    scores cross together and the trapezoidal area equals the pair-counting
-    estimator with ties worth one half.
+    Thresholds are +inf plus every distinct score in descending order, a zero
+    score as +0.0, so tied scores cross together and the trapezoidal area
+    equals the pair-counting estimator with ties worth one half.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
@@ -79,21 +94,16 @@ def roc_auc(scores, labels) -> RocCurve:
     require_binary("label", y)
     if not np.isfinite(s).all():
         raise RangeViolationError("scores must be finite")
-    n_pos = int(np.count_nonzero(y == 1))
-    n_neg = int(np.count_nonzero(y == 0))
-    if n_pos == 0 or n_neg == 0:
+    pos, neg = np.sort(s[y == 1]), np.sort(s[y == 0])
+    if pos.size == 0 or neg.size == 0:
         raise DegenerateLabelsError("need at least one positive and one negative label")
-    thresholds = [np.inf] + sorted(set(s.tolist()), reverse=True)
-    points = []
-    for t in thresholds:
-        called = s >= t
-        tpr = float(np.count_nonzero(called & (y == 1))) / n_pos
-        fpr = float(np.count_nonzero(called & (y == 0))) / n_neg
-        points.append((fpr, tpr))
-    fprs = np.array([p[0] for p in points])
-    tprs = np.array([p[1] for p in points])
-    auc = float(np.trapezoid(tprs, fprs))
-    return RocCurve(tuple(points), tuple(float(t) for t in thresholds), auc)
+    thresholds = np.r_[np.inf, np.unique(s)[::-1]] + 0.0  # -0.0 + 0.0 is +0.0
+    # the scores >= t of each label are those past the first one >= t in sorted order
+    tpr = (pos.size - np.searchsorted(pos, thresholds)) / pos.size
+    fpr = (neg.size - np.searchsorted(neg, thresholds)) / neg.size
+    for a in (fpr, tpr, thresholds):
+        a.flags.writeable = False
+    return RocCurve(fpr, tpr, thresholds, float(np.trapezoid(tpr, fpr)))
 
 
 def bootstrap_compare(a, b, n_resamples: int = 10_000, seed: int = 0) -> float:

@@ -1,16 +1,35 @@
-"""Per-(tag, class) rescans: the independent oracle for the harness's grouping pass.
+"""Per-(tag, class) rescans: the independent oracle for the harness's summary
+and comparison rows.
 
-summarize and comparisons filter every metric row of a cell once for each
-tag x class pair, the way dicelab.harness did before it bucketed the rows in
-one pass, so the tests can check that the buckets give the same summary.csv
-and comparisons.csv rows, float for float.
+summarize and comparisons filter every score row of a cell once for each
+tag x class pair, as Python lists and dicts, so the tests can check that the
+harness's masks over its score arrays give the same summary.csv and
+comparisons.csv rows, float for float.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from dicelab.metrics import bootstrap_compare
+
+
+class Row(NamedTuple):
+    fold: int
+    subject_id: int
+    tag: str
+    class_name: str
+    dsc: float
+    delta_v: float
+    pred_vol: float
+    true_vol: float
+
+
+def _rows(r) -> list[Row]:
+    """The score rows of a CellResult, in order, as Python values."""
+    return [Row(*row) for row in r.scores.tolist()]
 
 
 def _mean(values) -> float:
@@ -20,11 +39,11 @@ def _mean(values) -> float:
 def summarize(results) -> list[list]:
     rows = []
     for r in results:
-        tags = sorted({row.tag for row in r.metric_rows})
-        classes = sorted({row.class_name for row in r.metric_rows})
+        tags = sorted({row.tag for row in _rows(r)})
+        classes = sorted({row.class_name for row in _rows(r)})
         for tag in tags + ["all"]:
             for name in classes:
-                sel = [row for row in r.metric_rows
+                sel = [row for row in _rows(r)
                        if row.class_name == name and (tag == "all" or row.tag == tag)]
                 if not sel:
                     continue
@@ -41,7 +60,7 @@ def summarize(results) -> list[list]:
 def paired_dsc(a, b, class_name: str, tag: str):
     """Per-subject DSC lists for one class, ordered by subject, tag-filtered."""
     def collect(r):
-        return {row.subject_id: row.dsc for row in r.metric_rows
+        return {row.subject_id: row.dsc for row in _rows(r)
                 if row.class_name == class_name and (tag == "all" or row.tag == tag)}
     da, db = collect(a), collect(b)
     common = sorted(set(da) & set(db))
@@ -50,8 +69,8 @@ def paired_dsc(a, b, class_name: str, tag: str):
 
 def comparisons(config, results) -> list[list]:
     by_key = {r.key: r for r in results}
-    classes = sorted({row.class_name for r in results for row in r.metric_rows})
-    tags = sorted({row.tag for r in results for row in r.metric_rows}) + ["all"]
+    classes = sorted({row.class_name for r in results for row in _rows(r)})
+    tags = sorted({row.tag for r in results for row in _rows(r)}) + ["all"]
     rows = []
 
     def compare(kind, a, b, label_a, label_b, setup, batch_size):

@@ -230,18 +230,30 @@ class TestBuildDataset:
 
 
 class TestRunCell:
-    def test_metric_rows_cover_validation_folds(self):
+    def test_scores_cover_validation_folds(self):
         cfg = tiny_config()
         result = one_cell(cfg, "full", "image-wise", 1, build_dataset(cfg))
-        rows = result.metric_rows
-        assert len(rows) == 12  # every subject appears in exactly one fold
-        assert sorted(r.subject_id for r in rows) == list(range(12))
-        assert rows == tuple(sorted(rows, key=lambda r: (r.fold, r.subject_id, r.class_name)))
-        for r in rows:
-            assert r.subject_id % cfg.folds == r.fold
-            assert r.class_name == "lesion"
-            assert 0.0 <= r.dsc <= 1.0
-            assert r.true_vol > 0.0
+        scores = result.scores
+        assert scores.dtype.names == tuple(ARTIFACTS["metrics.csv"][3:])
+        assert len(scores) == 12  # every subject appears in exactly one fold
+        assert sorted(scores["subject_id"]) == list(range(12))
+        rows = scores.tolist()
+        assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[3]))
+        assert (scores["subject_id"] % cfg.folds == scores["fold"]).all()
+        assert (scores["class"] == "lesion").all()
+        assert ((0.0 <= scores["dsc"]) & (scores["dsc"] <= 1.0)).all()
+        assert (scores["true_vol"] > 0.0).all()
+        assert not scores.flags.writeable
+
+    def test_multiclass_scores_sort_subjects_then_class_names(self):
+        cfg = tiny_multiclass_config(iterations=3)
+        datasets = build_dataset(cfg)
+        scores = one_cell(cfg, "full", "image-wise", 1, datasets).scores
+        names = datasets[0].class_names
+        assert list(names) != sorted(names)  # class order differs from name order
+        assert len(scores) == len(datasets[0]) * len(names)
+        keys = [(fold, subject, name) for fold, subject, _, name, *_ in scores.tolist()]
+        assert keys == sorted(keys)
 
     def test_calibrated_setup_records_per_fold_epsilon(self):
         cfg = tiny_config()
@@ -515,7 +527,8 @@ class TestRunExperiment:
 
 
 def assert_same_result(a, b):
-    """Two CellResults equal field by field, the model weights and histories bit for bit."""
+    """Two CellResults equal field by field; the model weights, the histories and the
+    ROC arrays bit for bit."""
     for f in fields(CellResult):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "models":
@@ -523,6 +536,12 @@ def assert_same_result(a, b):
                 (m.weights.shape, m.weights.tobytes()) for m in y]
         elif f.name == "histories":
             assert [(h.shape, h.tobytes()) for h in x] == [(h.shape, h.tobytes()) for h in y]
+        elif f.name == "scores":
+            assert x.dtype == y.dtype and x.tolist() == y.tolist()
+        elif f.name == "roc":
+            curve = [(c.fpr.tobytes(), c.tpr.tobytes(), c.thresholds.tobytes(), c.auc)
+                     for c in (x, y)]
+            assert curve[0] == curve[1]
         else:
             assert x == y, f.name
 

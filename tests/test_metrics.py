@@ -43,6 +43,25 @@ class TestHardDsc:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             hard_dsc([1, 0], [1, 0, 1])
+        with pytest.raises(ShapeMismatchError):
+            hard_dsc(1, 1)
+
+    def test_stack_scores_each_map_of_the_last_axis(self):
+        gt = np.array([[[1, 1, 0, 0], [0, 0, 0, 0]], [[1, 0, 1, 0], [1, 1, 1, 1]]])
+        pred = np.array([[[1, 0, 1, 0], [0, 0, 0, 0]], [[0, 1, 0, 1], [1, 1, 1, 1]]])
+        dsc = hard_dsc(gt, pred)
+        assert dsc.shape == (2, 2)
+        assert dsc.tolist() == [[0.5, 1.0], [0.0, 1.0]]
+        assert type(hard_dsc(gt[0, 0], pred[0, 0])) is float
+
+    # [nan, 1] gave nan, 0.5 counted as half a voxel, and a string map raised a bare ValueError
+    @pytest.mark.parametrize("bad", [[np.nan, 1], [np.inf, 1], [0.5, 1], [2, 1], [-1, 1],
+                                     ["1", "1"], ["a", "b"]])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_maps_must_be_zero_or_one(self, bad, side):
+        pair = [bad, [1, 1]]
+        with pytest.raises(RangeViolationError, match="map"):
+            hard_dsc(*(pair if side == 0 else pair[::-1]))
 
 
 class TestVolumeDifference:
@@ -59,6 +78,20 @@ class TestVolumeDifference:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             volume_difference([1], [1, 0])
+
+    def test_stack_counts_each_map_of_the_last_axis(self):
+        gt = np.array([[1, 1, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+        pred = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 0]])
+        assert volume_difference(gt, pred).tolist() == [-2.0, 2.0, 0.0]
+        assert type(volume_difference(gt[0], pred[0])) is float
+
+    # [inf] gave -inf
+    @pytest.mark.parametrize("bad", [[np.inf], [np.nan], [0.5], [3], ["x"]])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_maps_must_be_zero_or_one(self, bad, side):
+        pair = [bad, [1]]
+        with pytest.raises(RangeViolationError, match="map"):
+            volume_difference(*(pair if side == 0 else pair[::-1]))
 
 
 class TestBinarize:
@@ -77,6 +110,25 @@ class TestBinarize:
         pred = np.asarray([0.5, 0.5], dtype=np.float64).reshape((1, 2, 1))
         assert binarize(pred)[0, :, 0].tolist() == [1.0, 0.0]
 
+    # a 1-D array raised a bare IndexError
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 2, 2), (2, 0, 3)])
+    def test_predictions_must_be_batch_class_pixel(self, shape):
+        with pytest.raises(ShapeMismatchError):
+            binarize(np.zeros(shape))
+
+    # a NaN prediction became class 0, and a sigmoid's NaN background
+    @pytest.mark.parametrize("classes", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.1])
+    def test_predictions_must_be_in_unit_interval(self, classes, bad):
+        pred = np.full((1, classes, 2), 0.5)
+        pred[0, -1, 1] = bad
+        with pytest.raises(RangeViolationError, match=r"\[0, 1\]"):
+            binarize(pred)
+
+    def test_string_predictions_rejected(self):
+        with pytest.raises(RangeViolationError):
+            binarize(np.full((1, 1, 2), "0.5"))
+
 
 def pair_count_auc(scores, labels):
     """Independent AUC oracle: fraction of correctly ordered pairs, ties half."""
@@ -93,8 +145,8 @@ class TestRoc:
     def test_perfect_separation(self):
         curve = roc_auc([0.9, 0.8, 0.3, 0.2], [1, 1, 0, 0])
         assert curve.auc == pytest.approx(1.0)
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1] == (1.0, 1.0)
+        assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
+        assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
 
     def test_chance_level_mix(self):
         # one positive above both negatives, one below: half the pairs ordered right
@@ -113,10 +165,32 @@ class TestRoc:
         scores = rng.integers(0, 5, 40) / 4.0
         labels = np.r_[np.ones(20, dtype=int), np.zeros(20, dtype=int)]
         curve = roc_auc(scores, labels)
-        fprs = [p[0] for p in curve.points]
-        tprs = [p[1] for p in curve.points]
-        assert fprs == sorted(fprs)
-        assert tprs == sorted(tprs)
+        assert (np.diff(curve.fpr) >= 0).all()
+        assert (np.diff(curve.tpr) >= 0).all()
+        assert len(curve.fpr) == len(curve.tpr) == len(curve.thresholds) == 6
+
+    def test_arrays_are_read_only(self):
+        curve = roc_auc([0.2, 0.8, 0.2], [0, 1, 1])
+        for values in (curve.fpr, curve.tpr, curve.thresholds):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.5
+
+    # [-0.0, 0.0, 1] gave the threshold -0.0 and [0.0, -0.0, 1] gave 0.0
+    def test_zero_threshold_is_positive_zero(self):
+        for scores in ([-0.0, 0.0, 1], [0.0, -0.0, 1], [-0.0, -0.0, 1]):
+            zero = roc_auc(scores, [0, 1, 1]).thresholds[-1]
+            assert zero == 0.0 and not np.signbit(zero)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_permuted_pairs_give_an_identical_curve(self, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], 12)
+        labels = np.r_[1, 0, rng.integers(0, 2, 10)]
+        order = rng.permutation(12)
+        a, b = roc_auc(scores, labels), roc_auc(scores[order], labels[order])
+        for field in ("fpr", "tpr", "thresholds"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert a.auc == b.auc
 
     @pytest.mark.parametrize("seed", range(25))
     def test_trapezoid_equals_pair_counting(self, seed):

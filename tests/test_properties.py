@@ -1,10 +1,11 @@
 """Property tests of the axis-based Dice core against the index-list oracle,
 of the leaf and marginal variants, of the batched finite-difference stencil
-against the per-element loop, of the harness's grouping pass against the
-per-(tag, class) rescans, and of the loss config, the train config, the model,
-the experiment config, the generator parameters, the dataset's fields, the
-gradient-check matrix, the bootstrap, the dataset manifest and the file readers
-on malformed input."""
+against the per-element loop, of the stacked metrics and the ROC sweep against
+the per-map and per-threshold oracles, of the harness's summary and comparison
+rows against the per-(tag, class) rescans, and of the loss config, the train
+config, the model, the experiment config, the generator parameters, the
+dataset's fields, the gradient-check matrix, the bootstrap, the dataset
+manifest and the file readers on malformed input."""
 
 import json
 import math
@@ -23,7 +24,7 @@ from hypothesis.extra import numpy as nps
 from dicelab import harness
 from dicelab.errors import DicelabError
 from dicelab.gradcheck import finite_diff_grad, resolve_epsilon, run_check_matrix
-from dicelab.metrics import RocCurve, bootstrap_compare
+from dicelab.metrics import RocCurve, bootstrap_compare, hard_dsc, roc_auc, volume_difference
 from dicelab.loss import (
     DiceLossConfig,
     Variant,
@@ -34,6 +35,7 @@ from dicelab.synthdata import MANIFEST_NAME, SyntheticDataset, load_dataset
 from dicelab.tensor import ReductionScheme, read_tensor
 from dicelab.trainer import N_FEATURES, LinearPixelModel, TrainConfig, load_model
 from fd_oracle import loop_finite_diff_grad
+import metric_oracle
 from partition_oracle import enumerate_subsets, reference_grad, reference_loss
 import summary_oracle
 from test_synthdata import save_small_binary
@@ -199,12 +201,59 @@ def test_batched_stencil_matches_per_element_loop(case):
     assert np.max(np.abs(batched - loop_finite_diff_grad(gt, pred, cfg))) <= 1e-10
 
 
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), nps.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+       st.sampled_from([np.float64, np.int64, bool]))
+def test_stacked_scores_match_per_map_oracle(data, shape, dtype):
+    gt, pred = (data.draw(nps.arrays(dtype, shape, elements=st.sampled_from([0, 1])))
+                for _ in range(2))
+    for new, oracle in ((hard_dsc, metric_oracle.hard_dsc),
+                        (volume_difference, metric_oracle.volume_difference)):
+        per_map = [oracle(gt[i], pred[i]) for i in np.ndindex(shape[:-1])]
+        assert bits(new(gt, pred)) == bits(per_map)
+        assert np.shape(new(gt, pred)) == shape[:-1]
+
+
+# heavy ties, both signs of zero, and values of every magnitude
+roc_scores = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 3.0]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def roc_inputs(draw):
+    """Finite scores and 0/1 labels holding both a positive and a negative."""
+    n = draw(st.integers(2, 20))
+    scores = draw(st.lists(roc_scores, min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n - 2, max_size=n - 2))
+    return scores, draw(st.permutations([0, 1, *labels]))
+
+
+@PROPERTY_SETTINGS
+@given(roc_inputs())
+@example(([-0.0, 0.0, 1.0], [0, 1, 1]))
+@example(([0.0, -0.0, 1.0], [0, 1, 1]))
+def test_roc_sweep_matches_per_threshold_oracle(case):
+    curve = roc_auc(*case)
+    fpr, tpr, thresholds, auc = metric_oracle.roc_auc(*case)
+    assert bits(curve.fpr) == bits(fpr)
+    assert bits(curve.tpr) == bits(tpr)
+    assert bits(curve.auc) == bits(auc)
+    # the oracle's zero threshold takes the sign of the first zero score
+    assert bits(curve.thresholds) == bits(np.add(thresholds, 0.0))
+
+
 wide = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-# rows in any order: a tag may lack a class, a subject may be alone in its group
-metric_rows = st.lists(st.builds(harness.MetricRow, st.integers(0, 2), st.integers(0, 5),
-                                 st.sampled_from(["grade-a", "grade-b", "phase-b"]),
-                                 st.sampled_from(["core", "lesion", "shell"]),
-                                 wide, wide, wide, wide), max_size=8).map(tuple)
+# rows in any order: a tag may lack a class, a subject may be alone in its group;
+# as in run_cell's scores, a cell scores each (subject, class) once
+score_rows = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5),
+                                st.sampled_from(["grade-a", "grade-b", "phase-b"]),
+                                st.sampled_from(["core", "lesion", "shell"]),
+                                wide, wide, wide, wide),
+                      max_size=8, unique_by=lambda row: (row[1], row[3]))
 
 
 @st.composite
@@ -214,7 +263,9 @@ def matrix_results(draw):
                                  min_size=1, max_size=3, unique=True)))
     config = harness.ExperimentConfig(task="binary", setups=setups, batch_sizes=(1,),
                                       bootstrap_resamples=20, seed=draw(st.integers(0, 3)))
-    results = [harness.CellResult(*cell, draw(metric_rows), (), (), (), (), RocCurve((), (), 0.0))
+    no_roc = RocCurve(np.empty(0), np.empty(0), np.empty(0), 0.0)
+    results = [harness.CellResult(*cell, np.array(draw(score_rows), harness.SCORE_DTYPE),
+                                  (), (), (), (), no_roc)
                for cell in config.cells() if draw(st.booleans())]
     return config, results
 
@@ -225,10 +276,8 @@ def matrix_results(draw):
 @given(matrix_results())
 def test_grouping_pass_matches_per_tag_rescans(case):
     config, results = case
-    grouped = [(r.key, harness._group(r.metric_rows)) for r in results]
-    assert harness._summarize(grouped) == summary_oracle.summarize(results)
-    assert (harness._comparisons(config, dict(grouped))
-            == summary_oracle.comparisons(config, results))
+    assert harness._summarize(results) == summary_oracle.summarize(results)
+    assert harness._comparisons(config, results) == summary_oracle.comparisons(config, results)
 
 
 def _read_raises_only_dicelab_errors(reader, blob: bytes) -> None:
