@@ -2,13 +2,16 @@
 
 Each class names a kind of fault that callers (and tests) can catch instead
 of parsing messages.  README's "Errors" table lists what each covers and
-the CLI exit code it gives.  require_int, require_number and require_binary
-state once what a valid integer, number and 0/1 ground truth is.
+the CLI exit code it gives.  require_int, require_number, require_array and
+require_binary state once what a valid integer, number, array and 0/1 ground
+truth is.
 """
 
 import math
 import numbers
 import sys
+
+import numpy as np
 
 
 class DicelabError(Exception):
@@ -74,6 +77,18 @@ def require_number(name: str, value, low: float, high: float = math.inf) -> None
     if not real or not max(low, -big) <= v <= min(high, big):
         raise InvalidConfigError(f"{name} must be a finite number in [{low}, {high}], "
                                  f"got {value!r}")
+
+
+def require_array(name: str, value) -> np.ndarray:
+    """value as an ndarray of real numbers (bool included): ShapeMismatchError for a
+    ragged nested sequence, RangeViolationError for any other cell, such as a string."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # NumPy's "inhomogeneous shape"
+        raise ShapeMismatchError(f"{name} must not be a ragged sequence") from exc
+    if array.dtype.kind not in "biuf":
+        raise RangeViolationError(f"{name} must hold real numbers, got dtype {array.dtype}")
+    return array
 
 
 def require_binary(name: str, y) -> None:

@@ -45,7 +45,7 @@ from .synthdata import (
     save_dataset,
 )
 from .tensor import ReductionScheme
-from .trainer import TrainConfig, load_expit, predict, save_model, train
+from .trainer import TrainConfig, predict, save_model, train
 
 CONFIG_SCHEMA = 1
 
@@ -456,8 +456,6 @@ def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult
     if jobs == 1 or len(tasks) == 1:
         outcomes = [_train_group(*task) for task in tasks]
     else:
-        if datasets[0].n_classes == 1:  # the workers fork with SciPy's expit loaded
-            load_expit()
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_train_group, *zip(*tasks)))
     failures = [(trained.index(group[exc.run]), fold, exc)

@@ -16,6 +16,7 @@ from .errors import (
     InvalidConfigError,
     RangeViolationError,
     ShapeMismatchError,
+    require_array,
     require_binary,
     require_int,
 )
@@ -23,7 +24,8 @@ from .errors import (
 
 def _counts(gt_maps, pred_maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Voxels of gt, of pred and of both over the last axis of two 0/1 map stacks (..., I)."""
-    gt, pred = np.asarray(gt_maps), np.asarray(pred_maps)
+    gt = require_array("ground-truth maps", gt_maps)
+    pred = require_array("predicted maps", pred_maps)
     if gt.ndim == 0 or gt.shape != pred.shape:
         raise ShapeMismatchError(f"map stacks differ or are 0-d: {gt.shape} vs {pred.shape}")
     require_binary("ground-truth map", gt)
@@ -56,10 +58,10 @@ def binarize(pred: np.ndarray) -> np.ndarray:
     Two or more (a softmax) take the argmax over classes; ties go to the
     lowest class index. Every prediction must be a number in [0, 1].
     """
-    data = np.asarray(pred)
+    data = require_array("predictions", pred)
     if data.ndim != 3 or data.shape[1] == 0:
         raise ShapeMismatchError(f"predictions must be (B, C, I) with C >= 1, got {data.shape}")
-    if data.dtype.kind not in "biuf" or not ((data >= 0.0) & (data <= 1.0)).all():
+    if not ((data >= 0.0) & (data <= 1.0)).all():
         raise RangeViolationError("predictions must be finite numbers in [0, 1]")
     c = data.shape[1]
     if c == 1:
@@ -87,8 +89,8 @@ def roc_auc(scores, labels) -> RocCurve:
     score as +0.0, so tied scores cross together and the trapezoidal area
     equals the pair-counting estimator with ties worth one half.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
+    s = np.asarray(require_array("scores", scores), dtype=np.float64)
+    y = require_array("labels", labels)
     if s.ndim != 1 or s.shape != y.shape:
         raise ShapeMismatchError(f"scores {s.shape} and labels {y.shape} must be 1-D of one length")
     require_binary("label", y)

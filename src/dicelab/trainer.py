@@ -7,8 +7,10 @@ Backpropagation is written out by hand, so the chain from the Dice-loss
 gradient down to the weights is explicit and can be finite-difference checked
 end to end.
 
-NumPy computes the softmax. SciPy serves only the sigmoid head's expit and is
-imported on the first sigmoid step, so multiclass training never loads it.
+NumPy computes both heads: the sigmoid as 1 / (1 + exp(-z)), the softmax in
+scipy.special.softmax's steps. Each run's weight gradient is one matrix
+product, (C, B * I) @ (B * I, F), which BLAS sums in its own order; the logits
+keep np.einsum's order bit for bit.
 
 Training takes a group of runs that draw the same batches, such as the cells
 of one cross-validation fold, and steps them in lockstep: one feature gather,
@@ -17,7 +19,6 @@ one forward and one backward per step for all of them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,12 +30,15 @@ from .errors import (
     EmptyDatasetError,
     InvalidConfigError,
     NonFiniteTrainingError,
+    RangeViolationError,
     ShapeMismatchError,
     TensorFileError,
+    require_array,
     require_int,
     require_number,
 )
 from .loss import DiceLossConfig, LossPlan, Variant, loss_plan, planned_value_and_grad
+from .synthdata import SyntheticDataset
 from .tensor import readonly
 
 N_FEATURES = 4
@@ -88,11 +92,14 @@ def featurize(image: np.ndarray) -> np.ndarray:
     (H, W) image or a stack (..., H, W), as (..., H * W, N_FEATURES).
 
     Border neighborhoods are edge-replicated, so the output is defined for
-    every pixel and the bias column is exactly 1.
+    every pixel and the bias column is exactly 1. Every pixel must be a finite
+    real number.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = np.asarray(require_array("image", image), dtype=np.float64)
     if image.ndim < 2 or 0 in image.shape[-2:]:
         raise ShapeMismatchError(f"featurize needs (..., H, W) with H, W >= 1, got {image.shape}")
+    if not np.isfinite(image).all():
+        raise RangeViolationError("image pixels must be finite")
     h, w = image.shape[-2:]
     padded = np.pad(image, [(0, 0)] * (image.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
     # window row sums, then their sum: NumPy's order for .mean over a window view
@@ -117,23 +124,16 @@ def featurize(image: np.ndarray) -> np.ndarray:
     return feats.reshape(*image.shape[:-2], h * w, N_FEATURES)
 
 
-@functools.cache
-def load_expit():
-    """scipy.special.expit, imported on the first call: a 0.25 s import that only
-    sigmoid models pay, and that a parent pays once for the workers it forks."""
-    from scipy.special import expit
-    return expit
-
-
 def _forward(weights: np.ndarray, feats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Predictions (R, B, C, I) of R models' weights (R, C, F) for the per-pixel
-    features (B, I, F) of one batch, into out when given: a sigmoid for one
-    weight row, else a softmax over the C rows.
+    features (B, I, F) of one batch, into out when given: a sigmoid
+    1 / (1 + exp(-z)) for one weight row, else a softmax over the C rows.
 
     The logits are one matrix-vector product per (model, sample, row), which
     sums the F products in np.einsum's order, so they equal each model's own
     einsum("bif,cf->bci") bit for bit; at I = 1 NumPy takes a dot product,
-    which sums in another order, so einsum computes them there.
+    which sums in another order, so einsum computes them there. exp(-z)
+    overflows to inf below z = -709, and the sigmoid is then 0.
     """
     R, C = weights.shape[:2]
     if out is None:
@@ -143,7 +143,11 @@ def _forward(weights: np.ndarray, feats: np.ndarray, out: np.ndarray | None = No
     else:
         np.matmul(feats[None, :, None], weights[:, None, :, :, None], out=out[..., None])
     if C == 1:
-        return load_expit()(out, out=out)
+        np.negative(out, out=out)
+        with np.errstate(over="ignore"):
+            np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
     out -= np.max(out, axis=2, keepdims=True)  # scipy.special.softmax's steps
     np.exp(out, out=out)
     out /= np.sum(out, axis=2, keepdims=True)
@@ -151,18 +155,21 @@ def _forward(weights: np.ndarray, feats: np.ndarray, out: np.ndarray | None = No
 
 
 def _backward(feats: np.ndarray, g: np.ndarray, p: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """dloss/dweights (R, C, F) from the loss gradient g at p = _forward(...): the
-    head's Jacobian (sigmoid g p (1 - p) for one column, else softmax
-    p_c (g_c - sum_c' g_c' p_c')), written into dz, then the features. Each
-    (model, row, feature) sums its products in one chain, as each model's own
-    einsum("bci,bif->cf") does."""
-    np.multiply(g, p, out=dz)
-    if p.shape[2] == 1:
-        dz *= 1.0 - p
+    """dloss/dweights (R, C, F) from the loss gradient g at p = _forward(...), both
+    (R, B, C, I): the head's Jacobian (sigmoid g p (1 - p) for one column, else
+    softmax p_c (g_c - sum_c' g_c' p_c')), written into dz laid out (R, C, B, I),
+    then the features. Each run's (C, B * I) @ (B * I, F) is its own matrix
+    product, so a run's gradient does not depend on the runs beside it.
+    """
+    R, C, B, I = dz.shape
+    jac = dz.transpose(0, 2, 1, 3)
+    np.multiply(g, p, out=jac)
+    if C == 1:
+        jac *= 1.0 - p
     else:
-        np.subtract(g, np.sum(dz, axis=2, keepdims=True), out=dz)
-        dz *= p
-    return np.einsum("rbci,bif->rcf", dz, feats)
+        np.subtract(g, np.sum(jac, axis=2, keepdims=True), out=jac)
+        jac *= p
+    return np.matmul(dz.reshape(R, C, B * I), feats.reshape(B * I, -1))
 
 
 class StepResult(NamedTuple):
@@ -176,12 +183,12 @@ class StepBuffers(NamedTuple):
 
     pred: np.ndarray  # (R, B, C, I) predictions
     grad: np.ndarray  # (R, B, C, I) loss gradient; columns a loss does not see stay 0
-    dz: np.ndarray  # (R, B, C, I) gradient at the logits
+    dz: np.ndarray  # (R, C, B, I) gradient at the logits, each run's rows one matrix
     loss: np.ndarray  # (R,) loss values
 
     @classmethod
     def allocate(cls, R: int, B: int, C: int, I: int) -> StepBuffers:
-        return cls(np.empty((R, B, C, I)), np.zeros((R, B, C, I)), np.empty((R, B, C, I)),
+        return cls(np.empty((R, B, C, I)), np.zeros((R, B, C, I)), np.empty((R, C, B, I)),
                    np.empty(R))
 
 
@@ -263,6 +270,10 @@ def _check_runs(runs: list) -> None:
     """InvalidConfigError (or EmptyDatasetError) unless runs can train together."""
     if not runs:
         raise InvalidConfigError("train needs at least one (dataset, TrainConfig) run")
+    for k, run in enumerate(runs):
+        if not (isinstance(run, (tuple, list)) and len(run) == 2
+                and isinstance(run[0], SyntheticDataset) and isinstance(run[1], TrainConfig)):
+            raise InvalidConfigError(f"run {k} is not a (SyntheticDataset, TrainConfig) pair")
     dataset, cfg = runs[0]
     n = len(dataset)
     if n == 0:
@@ -414,8 +425,14 @@ def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
     return results
 
 
+def _check_model(model) -> None:
+    if not isinstance(model, LinearPixelModel):
+        raise InvalidConfigError(f"model must be a LinearPixelModel, got {type(model).__name__}")
+
+
 def predict(model: LinearPixelModel, dataset) -> np.ndarray:
     """Model predictions for every sample in a dataset, as one (B, C, I) array."""
+    _check_model(model)
     return readonly(_forward(model.weights[None], featurize(dataset.images))[0])
 
 
@@ -426,6 +443,7 @@ def _head_name(classes: int) -> str:
 def save_model(model: LinearPixelModel, path) -> None:
     """Text header (head, classes, features) followed by f64 LE weights; the head
     is the one the row count gives, sigmoid for one class, softmax otherwise."""
+    _check_model(model)
     c, f = model.weights.shape
     header = f"{_MODEL_MAGIC} head={_head_name(c)} classes={c} features={f}\n"
     with open(path, "wb") as fh:

@@ -1,4 +1,4 @@
-"""The three input rules in errors.py: what each accepts and what it raises."""
+"""The four input rules in errors.py: what each accepts and what it raises."""
 
 import math
 from fractions import Fraction
@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dicelab.errors import (InvalidConfigError, RangeViolationError, require_binary,
-                            require_int, require_number)
+from dicelab.errors import (InvalidConfigError, RangeViolationError, ShapeMismatchError,
+                            require_array, require_binary, require_int, require_number)
 
 
 @pytest.mark.parametrize("value", [3, 5, np.int64(3), 10 ** 400])
@@ -33,6 +33,31 @@ def test_require_number_accepts_numbers_in_range(value):
 def test_require_number_rejects_the_rest(value, low, high):
     with pytest.raises(InvalidConfigError, match=r"x must be a finite number in \["):
         require_number("x", value, low, high)
+
+
+@pytest.mark.parametrize("value", [1.5, [[1, 2], [3, 4]], [True, False], np.zeros((2, 0)),
+                                   np.arange(3, dtype=np.uint8), [[]]])
+def test_require_array_accepts_arrays_of_real_numbers(value):
+    array = require_array("a", value)
+    assert isinstance(array, np.ndarray) and array.tolist() == np.asarray(value).tolist()
+
+
+def test_require_array_passes_an_array_through():
+    a = np.zeros(3)
+    assert require_array("a", a) is a
+
+
+@pytest.mark.parametrize("value", [[[1, 0], [1]], [[0.1], [0.2, 0.3]], [1, [2]]])
+def test_require_array_rejects_a_ragged_sequence(value):
+    with pytest.raises(ShapeMismatchError, match="a must not be a ragged sequence"):
+        require_array("a", value)
+
+
+@pytest.mark.parametrize("value", ["abc", ["1", "2"], [1, None], {}, [1, 1j], b"ab",
+                                   np.array([1, 2], dtype=object), 10 ** 400])
+def test_require_array_rejects_cells_that_are_not_real_numbers(value):
+    with pytest.raises(RangeViolationError, match="a must hold real numbers"):
+        require_array("a", value)
 
 
 def test_require_binary():

@@ -1,6 +1,9 @@
 """Experiment config handling, dataset wiring, and the run/artifact pipeline."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -324,20 +327,21 @@ def tiny_run(tmp_path_factory):
 
 
 # sha256 of every run-level and history CSV of tiny_config() and
-# tiny_multiclass_config(), recorded before scoring became column arrays;
-# a refactor of training, scoring or writing must keep every byte
+# tiny_multiclass_config(); the run-level ones were recorded before scoring became
+# column arrays, the history ones when the sigmoid and the weight gradient moved to
+# np.exp and BLAS; a refactor of training, scoring or writing must keep every byte
 RUN_HASHES = {
     "binary": {
         "auc.csv": "4d16c1fe2c5f40d83ceb486348ce35488d89e7ad43556218262ac741db02a1ec",
         "calibration.csv": "b3d2cd1f8cdced77a74e2563436cf5183f3e150eaf00a3432b865d7a43027362",
-        "cells/full-image-wise-b1/history_fold0.csv": "2cb5eb1dfa9fbabc890f62ccdac495b01b1b4bc032b7cb74eddc7184bc79813c",
-        "cells/full-image-wise-b1/history_fold1.csv": "66ff25f5c01e3ca1e0df9f600bc7f517157f0cb5bea6cb25e750c7abcd5609a7",
-        "cells/full-image-wise-calibrated-b1/history_fold0.csv": "61e951ce14761162605919c86d7dad041dfa3eb6e59c525b911f01eef25f220d",
-        "cells/full-image-wise-calibrated-b1/history_fold1.csv": "fe574366c2ec881b29b1dc1a54e9773e541f61c9f5d74f9fc2c5807fc988fec3",
-        "cells/partial-image-wise-b1/history_fold0.csv": "c93f71babd8414bfa76be67c58d444ecf085313555423f69dc5679fda2f71d4e",
-        "cells/partial-image-wise-b1/history_fold1.csv": "4dafca5314c3170176555d0eff71e210859b0a5f893a93da6464446ba28b4b64",
-        "cells/partial-image-wise-calibrated-b1/history_fold0.csv": "d4a578d82769adcf3ae98174ad7bd70eeb1bf4174b476e3280d30ddf6169ef08",
-        "cells/partial-image-wise-calibrated-b1/history_fold1.csv": "a3defcf9d92b2a28a0a99697c764739be8e1a1f63682a582f66c6cd43f7c28c3",
+        "cells/full-image-wise-b1/history_fold0.csv": "38ff737bbc1e1e141367169ccf50a09a97b46805dca995c1c90a4c5e2778bced",
+        "cells/full-image-wise-b1/history_fold1.csv": "32323db65c6e79585b1c932dabf350b53b95236676fcd564a3422665495c8517",
+        "cells/full-image-wise-calibrated-b1/history_fold0.csv": "efdd267ce0646cdbb0b7fd4241480004fccce49e031f23784958d2144caf34fc",
+        "cells/full-image-wise-calibrated-b1/history_fold1.csv": "88ea1f044a55152688a49599db9dcc2b43dea6af713c16cf0545673ccec5ea36",
+        "cells/partial-image-wise-b1/history_fold0.csv": "5ec6a0fb418a2f0ed378fc151b9984f6bad49715c084fb246341457f9ca790b5",
+        "cells/partial-image-wise-b1/history_fold1.csv": "b3327ef501405d1868f11233012084c5bf59e2642745718384db9cc04797e67e",
+        "cells/partial-image-wise-calibrated-b1/history_fold0.csv": "0b39e65a54247dde306492e5a712cf8dd9c629a756d44d0a1c0859b0a31354a2",
+        "cells/partial-image-wise-calibrated-b1/history_fold1.csv": "211f470d77cf4f549b8bf84636fcad44f57471d1ab0fe68e8b8ca772c6a90421",
         "comparisons.csv": "b502056b53b123a012ca42b00b18cf1843f6ca0289430dcc590cc3ba5dfe7c79",
         "metrics.csv": "b3432b95b2e0988adbae9f86ddec7ce9bbac7e351c65c9b6ad9536ae62a5669d",
         "roc_points.csv": "81c845fb0030819f5917145b64b34ea29aa056dfc2462fbbbb59bb73787cee95",
@@ -346,20 +350,51 @@ RUN_HASHES = {
     "multiclass": {
         "auc.csv": "138a6756996446d417d5a39832f3f616defc6e04a9c54cae0733fb1000e7488f",
         "calibration.csv": "d9c3c773f76bbe64ccfb81f7def8613a7ecb4d8ac80ee279a5fa6070f8eff9d0",
-        "cells/full-image-wise-b1/history_fold0.csv": "838ccfe89923f3e66934a45b552bd58ae18f8700242c8e607d69967dd5eb27dc",
-        "cells/full-image-wise-b1/history_fold1.csv": "cbb89c93cdfcabf8c67559f8aa43c3f00c1fe518d62e3ba672ca7161ae610879",
-        "cells/full-leaf-b1/history_fold0.csv": "838ccfe89923f3e66934a45b552bd58ae18f8700242c8e607d69967dd5eb27dc",
-        "cells/full-leaf-b1/history_fold1.csv": "cbb89c93cdfcabf8c67559f8aa43c3f00c1fe518d62e3ba672ca7161ae610879",
-        "cells/partial-image-wise-b1/history_fold0.csv": "754dc9f2e4d801d4e4131ed3536be3f7fdc9c7927d69ca9c25354579d717efae",
-        "cells/partial-image-wise-b1/history_fold1.csv": "066a22a3c6b0f92a20165e07472002e8d8128c9a733e1184ec08b5a259b62351",
-        "cells/partial-leaf-b1/history_fold0.csv": "cbdc1b369d63e7f6220eb1465e1f691495b5a74d6176d23edb88738ed03d59e9",
-        "cells/partial-leaf-b1/history_fold1.csv": "04d3d6f9a81dde1a0423c67c4171f4b82f2e0bc610fcf657b25ec58f155bbab8",
+        "cells/full-image-wise-b1/history_fold0.csv": "56dc9227e6ea1210fc6726095e21e435b009cdd607afc9b92447a80cea3a1bbf",
+        "cells/full-image-wise-b1/history_fold1.csv": "4839a4eabe336480502a7841e45a362cde82abbe884809919b3dbe9b0a3f28cb",
+        "cells/full-leaf-b1/history_fold0.csv": "56dc9227e6ea1210fc6726095e21e435b009cdd607afc9b92447a80cea3a1bbf",
+        "cells/full-leaf-b1/history_fold1.csv": "4839a4eabe336480502a7841e45a362cde82abbe884809919b3dbe9b0a3f28cb",
+        "cells/partial-image-wise-b1/history_fold0.csv": "090edcc9be2e1b93528ccb6b6d8c6f7630ffe6566bbd0a1a59ebbad8af80a5e9",
+        "cells/partial-image-wise-b1/history_fold1.csv": "86b02c904af396c12698acdcb3bd7d9b10ecaa3e9987542fe7b12e3a23ea5397",
+        "cells/partial-leaf-b1/history_fold0.csv": "e724a7f779b01a82990107bd41c82c1fa57a518ef17dad5a1bb0c45e2558aa7d",
+        "cells/partial-leaf-b1/history_fold1.csv": "e4b587d308f728d763288f9d0b42daafdab94d47dacbf03b4e0049d027767216",
         "comparisons.csv": "eff19f23b5dab8c7b54edd0b0296d25285626291e1c3c0dea5e3c3e86cacf5a0",
         "metrics.csv": "992712edec607ad9ba3ff7f4774af56e9e9924dc44ff642ca5af0f38093695aa",
         "roc_points.csv": "dfc36f89b5f8105b43d4543a88805cbe6f665fb9785f152d3eaaa443fc01d432",
         "summary.csv": "7e356a648279b5ad25c151a9493c9253b6e64f01dfd9c3f29980a84a96c0bef7",
     },
 }
+
+
+TINY_RUNS = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_harness import tiny_config, tiny_multiclass_config
+from dicelab.harness import run_experiment
+run_experiment(tiny_config(), {out!r} + "/binary")
+run_experiment(tiny_multiclass_config(), {out!r} + "/multiclass")
+"""
+
+
+def test_the_blas_thread_count_does_not_change_a_run(tmp_path):
+    # each run's weight gradient is a BLAS matrix product; one BLAS thread, as perfbench
+    # pins it, and the library's default must write the same bytes
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    trees = {}
+    for name, env in [("one", {**unset, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+                      ("unset", unset)]:
+        out = tmp_path / name
+        code = TINY_RUNS.format(tests=str(Path(__file__).parent), out=str(out))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**env, "PYTHONPATH": path}, timeout=300)
+        assert done.returncode == 0, done.stderr
+        files = sorted([*out.rglob("*.csv"), *out.rglob("*.model")])
+        trees[name] = {p.relative_to(out).as_posix(): p.read_bytes() for p in files}
+    assert len(trees["one"]) > 20 and any(k.endswith(".model") for k in trees["one"])
+    assert trees["one"] == trees["unset"]
 
 
 class TestRunExperiment:

@@ -1,14 +1,13 @@
 """What dicelab's modules import.
 
-SciPy stays off dicelab's import path: only the sigmoid head's expit loads it,
-and a pool loads it once, before its workers fork. Each of those checks runs in
-a fresh interpreter, since this test process has long since imported SciPy for
-the oracles.
+SciPy is a test-only dependency: no import, training step or pool of dicelab
+loads it. Each of those checks runs in a fresh interpreter, since this test
+process has long since imported SciPy for the oracles.
 
-The input rules (require_int, require_number, require_binary) are defined in
-errors.py alone, so no module grows its own copy of them. No module imports a
-_-prefixed name from another dicelab module: what a module keeps private stays
-its own decision.
+The input rules (require_int, require_number, require_array, require_binary)
+are defined in errors.py alone, so no module grows its own copy of them. No
+module imports a _-prefixed name from another dicelab module: what a module
+keeps private stays its own decision.
 """
 
 import ast
@@ -40,12 +39,36 @@ SIGMOID_TRAIN = TINY_TRAIN.format(params="BinaryTaskParams", generate="generate_
 SOFTMAX_TRAIN = TINY_TRAIN.format(params="MulticlassTaskParams", generate="generate_multiclass",
                                   kwargs=TINY_MULTICLASS)
 
+POOLED_RUN = """
+from dicelab import harness
+
+class InlinePool:  # runs each task in this process, so its imports show here
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *items):
+        return map(fn, *items)
+
+harness.ProcessPoolExecutor = InlinePool
+config = harness.ExperimentConfig(task="binary", setups=("image-wise",), batch_sizes=(1,),
+                                  iterations=2, folds=2, dataset=dict({dataset}))
+harness._run_cells(config, harness.build_dataset(config), jobs=2)
+""".format(dataset=TINY_BINARY)
+
 SCIPY_FREE = {
     "import dicelab": "import dicelab",
     "import dicelab.cli": "import dicelab.cli",
     "run_check_matrix": "from dicelab.gradcheck import run_check_matrix\n"
                         "run_check_matrix(n_instances=1)",
     "softmax train": SOFTMAX_TRAIN,
+    "sigmoid train": SIGMOID_TRAIN,
+    "pooled binary _run_cells": POOLED_RUN,
 }
 
 
@@ -69,44 +92,6 @@ def test_scipy_is_not_imported(code):
     assert not scipy_loaded(code)
 
 
-def test_a_sigmoid_step_imports_scipy():
-    assert scipy_loaded(SIGMOID_TRAIN)
-
-
-POOLED_RUN = """
-import sys
-from dicelab import harness
-seen = []
-
-class RecordingPool:  # notes whether SciPy is loaded when the pool would fork
-    def __init__(self, max_workers):
-        seen.append("scipy.special" in sys.modules)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *items):
-        return map(fn, *items)
-
-harness.ProcessPoolExecutor = RecordingPool
-config = harness.ExperimentConfig(task="{task}", setups=("image-wise",), batch_sizes=(1,),
-                                  iterations=2, folds=2, dataset=dict({dataset}))
-harness._run_cells(config, harness.build_dataset(config), jobs=2)
-print(seen == [True])
-"""
-
-
-@pytest.mark.parametrize("task, dataset, loaded", [("binary", TINY_BINARY, True),
-                                                   ("multiclass", TINY_MULTICLASS, False)],
-                         ids=["binary", "multiclass"])
-def test_pool_workers_fork_with_expit_loaded_for_a_sigmoid_task(task, dataset, loaded):
-    # each worker imported scipy.special on its first sigmoid step, 0.25 s of CPU apiece
-    assert run_fresh(POOLED_RUN.format(task=task, dataset=dataset)) == str(loaded)
-
-
 def test_input_rules_are_defined_in_errors_alone():
     defined = {}
     for path in sorted((SRC / "dicelab").glob("*.py")):
@@ -118,7 +103,8 @@ def test_input_rules_are_defined_in_errors_alone():
                 private = [a.name for a in node.names
                            if a.name.rpartition(".")[2].startswith("_require_")]
                 assert not private, f"{path.name} imports {private}"
-    assert defined == {"errors.py": ["require_int", "require_number", "require_binary"]}
+    assert defined == {"errors.py": ["require_int", "require_number", "require_array",
+                                     "require_binary"]}
 
 
 def test_no_module_imports_a_private_name_of_another():

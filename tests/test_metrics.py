@@ -64,6 +64,15 @@ class TestHardDsc:
             hard_dsc(*(pair if side == 0 else pair[::-1]))
 
 
+    # each raised a bare NumPy ValueError ("inhomogeneous shape")
+    @pytest.mark.parametrize("score", [hard_dsc, volume_difference])
+    def test_ragged_maps_are_a_shape_mismatch(self, score):
+        with pytest.raises(ShapeMismatchError, match="ragged"):
+            score([[1, 0], [1]], [[1, 0], [1, 1]])
+        with pytest.raises(ShapeMismatchError, match="ragged"):
+            score([[1, 0], [1, 1]], [[1, 0], [1]])
+
+
 class TestVolumeDifference:
     def test_signed_voxel_count(self):
         gt = [1, 1, 1, 1, 1, 0, 0, 0]
@@ -128,6 +137,11 @@ class TestBinarize:
     def test_string_predictions_rejected(self):
         with pytest.raises(RangeViolationError):
             binarize(np.full((1, 1, 2), "0.5"))
+
+    def test_ragged_predictions_are_a_shape_mismatch(self):
+        # a bare NumPy ValueError ("inhomogeneous shape")
+        with pytest.raises(ShapeMismatchError, match="ragged"):
+            binarize([[[0.1], [0.2, 0.3]]])
 
 
 def pair_count_auc(scores, labels):
@@ -221,6 +235,16 @@ class TestRoc:
     def test_scores_must_be_finite(self, bad):
         with pytest.raises(RangeViolationError, match="finite"):
             roc_auc([0.1, bad, 0.3], [0, 1, 1])
+
+    # each raised a bare NumPy ValueError: "inhomogeneous shape" or "could not convert"
+    @pytest.mark.parametrize("scores, labels, error", [
+        ([[0.1], [0.2, 0.3]], [0, 1], ShapeMismatchError),
+        ([0.1, 0.2], [[0], [1, 1]], ShapeMismatchError),
+        (["a", "b"], [0, 1], RangeViolationError),
+        (["0.1", "0.2"], [0, 1], RangeViolationError)])
+    def test_ragged_or_string_input_is_typed(self, scores, labels, error):
+        with pytest.raises(error):
+            roc_auc(scores, labels)
 
     # 2-D lists raised a bare TypeError
     @pytest.mark.parametrize("scores, labels", [([[0.1, 0.2], [0.3, 0.4]], [[0, 1], [1, 0]]),

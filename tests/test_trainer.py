@@ -10,6 +10,7 @@ from dicelab.errors import (
     EmptyDatasetError,
     InvalidConfigError,
     NonFiniteTrainingError,
+    RangeViolationError,
     ShapeMismatchError,
     TensorFileError,
 )
@@ -118,6 +119,21 @@ class TestFeaturize:
         with pytest.raises(ShapeMismatchError):
             featurize(image)
 
+    def test_a_ragged_or_string_image_is_typed(self):
+        # both raised a bare NumPy ValueError
+        with pytest.raises(ShapeMismatchError, match="ragged"):
+            featurize([[0.1, 0.2], [0.3]])
+        with pytest.raises(RangeViolationError, match="real numbers"):
+            featurize([["a", "b"], ["c", "d"]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_pixel_is_a_range_violation(self, bad):
+        # it gave NaN features and a RuntimeWarning
+        image = np.zeros((2, 4, 4))
+        image[1, 2, 3] = bad
+        with pytest.raises(RangeViolationError, match="finite"):
+            featurize(image)
+
 
 def forward(model, feats):
     """The model's (B, C, I) predictions for features (B, I, F), as a training step makes them."""
@@ -169,7 +185,7 @@ class TestModelForward:
         # the logits are a batched matrix-vector product; it must sum as np.einsum does,
         # into a fresh array or into a buffer as train's steps do, for one model or for
         # a stack of models that share the features
-        from scipy.special import expit, softmax
+        from scipy.special import softmax
         rng = np.random.default_rng(5)
         if source == "small images":  # I = 1 takes NumPy's dot-product path
             stacks = [featurize(rng.uniform(0, 1, (40, h, w))) for h, w in [(1, 1), (1, 2), (3, 5)]]
@@ -186,12 +202,26 @@ class TestModelForward:
                     stacked = trainer._forward(ws, feats)
                     for r, w in enumerate(ws):
                         logits = np.einsum("bif,cf->bci", feats, w)
-                        want = expit(logits) if c == 1 else softmax(logits, axis=1)
+                        want = (train_oracle.sigmoid(logits) if c == 1
+                                else softmax(logits, axis=1))
                         out = np.empty((1, *want.shape))
                         assert trainer._forward(w[None], feats)[0].tobytes() == want.tobytes()
                         assert trainer._forward(w[None], feats, out) is out
                         assert out[0].tobytes() == want.tobytes()
                         assert stacked[r].tobytes() == want.tobytes()
+
+    def test_sigmoid_is_within_4_ulp_of_scipy_expit(self):
+        # the head is 1 / (1 + exp(-z)) on NumPy's exp; SciPy's expit is the reference
+        from scipy.special import expit
+        rng = np.random.default_rng(6)
+        z = np.concatenate([[0.0, -0.0, 700.0, -700.0, 745.0, -745.0, 750.0, -750.0,
+                             np.inf, -np.inf], np.linspace(-750, 750, 300_001),
+                            rng.normal(0, 1, 10_000), rng.normal(0, 30, 10_000)])
+        got = trainer._forward(np.ones((1, 1, 1)), z.reshape(1, -1, 1))[0, 0, 0]
+        assert got.tobytes() == train_oracle.sigmoid(z).tobytes()
+        ulps = np.abs(got.view(np.int64) - expit(z).view(np.int64))  # both are in [0, 1]
+        assert ulps.max() <= 4
+        assert got[:2].tolist() == [0.5, 0.5] and got[8:10].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("weights", [np.zeros((0, 4)), np.zeros((1, 3)), np.zeros(4),
                                          np.zeros((1, 1, 4))])
@@ -229,8 +259,32 @@ class TestModelBackward:
         feats = rng.uniform(0, 1, (2, 8, 4))
         model = LinearPixelModel(rng.normal(size=(3, 4)))
         grad = trainer._backward(feats, np.zeros((1, 2, 3, 8)), forward(model, feats)[None],
-                                 np.empty((1, 2, 3, 8)))
+                                 np.empty((1, 3, 2, 8)))
         assert grad.shape == (1, 3, 4) and np.all(grad == 0.0)
+
+    @pytest.mark.parametrize("classes", [1, 4], ids=["sigmoid", "softmax"])
+    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("size", [1, 32], ids=["I=1", "I=1024"])
+    def test_gradient_is_einsum_to_within_its_rounding(self, classes, b, size):
+        # BLAS sums each run's (C, B * I) @ (B * I, F) in its own order; the head's
+        # Jacobian is unchanged bit for bit, and the product is einsum's to 1e-15 of
+        # the sum of its terms' magnitudes
+        rng = np.random.default_rng(classes + b + size)
+        feats = featurize(rng.uniform(0, 1, (b, size, size)))
+        weights = rng.normal(0, 2, (3, classes, 4))
+        p = trainer._forward(weights, feats)
+        g = rng.normal(0, 1, p.shape)
+        dz = np.empty((3, classes, b, size * size))
+        got = trainer._backward(feats, g, p, dz)
+        if classes == 1:
+            want_dz = g * p * (1.0 - p)
+        else:
+            want_dz = p * (g - np.sum(g * p, axis=2, keepdims=True))
+        assert dz.transpose(0, 2, 1, 3).tobytes() == want_dz.tobytes()
+        want = np.einsum("rbci,bif->rcf", want_dz, feats)
+        bound = 1e-15 * np.einsum("rbci,bif->rcf", np.abs(want_dz), np.abs(feats))
+        assert got.shape == (3, classes, 4)
+        assert (np.abs(got - want) <= bound).all()
 
 
 def features_and_gt(ds, rows, include_background):
@@ -464,6 +518,26 @@ class TestTrainLoop:
             result = train([(data, self.binary_cfg(iterations=3))])[0]
             predict(result.model, data)
         assert calls == [(len(ds), 16, 16)] * 6  # the whole stack, once per call
+
+    # train([1]) raised a bare TypeError, a config of "x" an AttributeError
+    @pytest.mark.parametrize("run", [1, "x", None, (), ("ds",), ("ds", "x"), ("ds", "cfg", "cfg"),
+                                     ("x", "cfg"), ("cfg", "ds"), ["ds", None]])
+    def test_each_run_is_a_dataset_and_config_pair(self, run):
+        named = {"ds": generate_binary(SMALL_BINARY, seed=0), "cfg": self.binary_cfg()}
+        if isinstance(run, (tuple, list)):
+            run = type(run)(named.get(part, part) for part in run)
+        good = (named["ds"], named["cfg"])
+        with pytest.raises(InvalidConfigError, match="run 1 is not a"):
+            train([good, run])
+
+    # each raised an AttributeError
+    def test_predict_and_save_model_need_a_model(self, tmp_path):
+        ds = generate_binary(SMALL_BINARY, seed=0)
+        with pytest.raises(InvalidConfigError, match="LinearPixelModel"):
+            predict(np.zeros((1, 4)), ds)
+        with pytest.raises(InvalidConfigError, match="LinearPixelModel"):
+            save_model(np.zeros((1, 4)), tmp_path / "m.model")
+        assert not (tmp_path / "m.model").exists()
 
     def test_predict_covers_whole_dataset(self):
         ds = generate_binary(SMALL_BINARY, seed=0)

@@ -3,9 +3,10 @@
 Features come from this module's featurize, the sliding-window reduction that
 dicelab.trainer.featurize must match bit for bit on images at least two pixels
 wide. Each step here gathers its batch by fancy indexing, computes the
-predictions itself with np.einsum and scipy.special's expit or softmax, scores
-the loss through the checked public dice_value_and_grad, backpropagates
-through its own head Jacobian and np.einsum, rebuilds the model, and averages
+predictions itself with np.einsum and 1 / (1 + np.exp(-z)) or
+scipy.special's softmax, scores the loss through the checked public
+dice_value_and_grad, backpropagates through its own head Jacobian and one
+(C, B * I) @ (B * I, F) np.matmul, rebuilds the model, and averages
 |grad| over each class's y=0 and y=1 pixels with .mean(). train in
 dicelab.trainer does all of that set-up once per call, steps a group of runs
 in lockstep and computes the softmax in NumPy; the floating-point operations
@@ -26,7 +27,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, softmax
+from scipy.special import softmax
 
 from dicelab.errors import NonFiniteTrainingError
 from dicelab.loss import Variant, dice_value_and_grad
@@ -61,20 +62,28 @@ def featurize(image: np.ndarray) -> np.ndarray:
     return feats.reshape(-1, N_FEATURES)
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)); exp overflows to inf below z = -709, and the result is then 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def forward(model, features) -> np.ndarray:
-    """The model's (B, C, I) predictions through SciPy's expit (one class) or softmax."""
+    """The model's (B, C, I) predictions through sigmoid (one class) or SciPy's softmax."""
     logits = np.einsum("bif,cf->bci", features, model.weights)
-    return expit(logits) if model.n_classes == 1 else softmax(logits, axis=1)
+    return sigmoid(logits) if model.n_classes == 1 else softmax(logits, axis=1)
 
 
 def backward(model, features, g, p) -> np.ndarray:
     """dloss/dweights: the head's Jacobian applied to the loss gradient g at the
-    predictions p, contracted against the features."""
+    predictions p, contracted against the features as one matrix product."""
     if model.n_classes == 1:
         dz = g * p * (1.0 - p)
     else:
         dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
-    return np.einsum("bci,bif->cf", dz, features)
+    b, c, i = dz.shape
+    rows = dz.transpose(1, 0, 2).reshape(c, b * i)
+    return rows @ features.reshape(b * i, -1)
 
 
 def step_gradients(model, features, gt, cfg, mask=None) -> StepResult:
