@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (EmptyDatasetError, InvalidConfigError, NoRealRootError, ShapeMismatchError,
-                     require_binary, require_number)
+                     require_array, require_binary, require_number)
 from .tensor import ReductionScheme, readonly
 
 
@@ -51,7 +51,9 @@ def calibrate_epsilon(gt: np.ndarray, scheme: ReductionScheme) -> float | np.nda
     epsilon per class; the others a float, the mean of per-sample totals. The
     value is 0 exactly when every map is empty.
     """
-    gt = np.asarray(gt)
+    gt = require_array("ground-truth maps", gt)
+    if not isinstance(scheme, ReductionScheme):
+        raise InvalidConfigError(f"scheme must be a ReductionScheme, got {scheme!r}")
     if gt.ndim != 3:
         raise ShapeMismatchError(f"ground-truth maps must be (B, C, I), got shape {gt.shape}")
     if len(gt) == 0:

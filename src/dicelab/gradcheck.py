@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .epsilon import calibrate_epsilon
-from .errors import (InvalidConfigError, RangeViolationError, ShapeMismatchError, require_binary,
-                     require_int, require_number)
-from .loss import DiceLossConfig, LossPlan, Variant, dice_grads, dice_values, loss_plan
+from .errors import (InvalidConfigError, RangeViolationError, ShapeMismatchError, require_array,
+                     require_binary, require_int, require_number)
+from .loss import DiceLossConfig, LossPlan, Variant, dice_value_and_grad, dice_values, loss_plan
 from .tensor import ReductionScheme, batch_dims, readonly
 
 FD_STEP = 1e-5
@@ -62,7 +62,8 @@ def finite_diff_grad(gt: np.ndarray, pred: np.ndarray,
     whole instances as fit in FD_BLOCK_ELEMENTS stencil elements; when even
     one does not fit, it takes as many rows of one instance as do.
     """
-    gt, pred = np.asarray(gt), np.asarray(pred, dtype=np.float64)
+    gt = require_array("ground truth", gt)
+    pred = require_array("predictions", pred).astype(np.float64, copy=False)
     _check_instances(gt, pred)
     plan = loss_plan(cfg, pred.shape[-2])
     if plan.cfg.variant is Variant.MARGINAL:
@@ -100,7 +101,7 @@ def compare_grads(analytic: np.ndarray,
     Relative error uses max(|analytic|, |numeric|, 1e-12) as denominator. One
     (B, C, I) instance gives one report, and a stack (n, B, C, I) a list of n.
     """
-    analytic, numeric = np.asarray(analytic), np.asarray(numeric)
+    analytic, numeric = require_array("analytic", analytic), require_array("numeric", numeric)
     _check_instances(analytic, numeric)
     n = math.prod(analytic.shape[:-3])
     abs_err = np.abs(analytic - numeric).reshape(n, -1)
@@ -125,9 +126,11 @@ def check_two_value(gt: np.ndarray, grad: np.ndarray,
     elements in a subset spans -inf and passes. One (B, C, I) instance gives
     one bool, and a stack (n, B, C, I) a list of n.
     """
-    y, g = np.asarray(gt), np.asarray(grad)
+    y, g = require_array("ground truth", gt), require_array("gradient", grad)
     _check_instances(y, g)
     require_binary("ground-truth", y)
+    if not isinstance(scheme, ReductionScheme):
+        raise InvalidConfigError(f"scheme must be a ReductionScheme, got {scheme!r}")
     axes = tuple(a - 3 for a in scheme.axes)
     within = []
     for sel in (y == 0.0, y == 1.0):
@@ -232,7 +235,7 @@ def run_check_matrix(
                 eps = [resolve_epsilon(eps_label, one, scheme) for one in gt]
                 plan = loss_plan(DiceLossConfig(scheme), dims[1])._replace(
                     eps=np.reshape(eps, (n_instances, 1, -1, 1)))
-                analytic = dice_grads(gt, pred, plan)
+                analytic = dice_value_and_grad(gt, pred, plan)[1]
                 reports = compare_grads(analytic, finite_diff_grad(gt, pred, plan))
                 two_value = check_two_value(gt, analytic, scheme)
                 records += [MatrixRecord(seed=seed, scheme=scheme, epsilon_label=eps_label,

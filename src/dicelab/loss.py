@@ -20,19 +20,20 @@ zero gradient and do not count toward K); the marginal variant first folds the
 predicted probabilities of unavailable classes into the background, class 0,
 and routes the background gradient back to them.
 
-One private helper pools the sums for every entry point. It takes Phi as
-negative axes, so the ground truth and the predictions may both carry leading
-axes, (..., B, C, I), which broadcast against each other: dice_values scores a
-whole stack of (ground truth, prediction) pairs in one value-only pass,
-dice_grads gives the gradient of each pair of a stack, and dice_value_and_grad
-scores one (B, C, I) pair and adds the gradient. All three check their inputs
-(ground truth of 0 and 1, predictions in [0, 1]), then build a LossPlan; a
-caller may pass a LossPlan in place of the config, for instance one whose
-epsilon holds one value per stacked ground truth. planned_value_and_grad is
-the value and gradient pass alone over a stack, for a caller such as the
-training loop that checks its arrays, builds the plan and allocates the
-buffers the pass writes once for many calls, and knows the ground truth's
-counts of ones; it also hands back each subset's two gradient values.
+One private helper pools the sums. It takes Phi as negative axes, so the
+ground truth and the predictions may both carry leading axes, (..., B, C, I),
+which broadcast against each other and stack independent pairs.
+planned_value_and_grad is the one value and gradient pass: over bool ground
+truth and its counts of ones it writes each pair's gradient into a buffer and
+returns a LossOutput, each pair's value and each subset's two gradient values.
+The two checked entry points are dice_value_and_grad, which runs that pass on
+one (B, C, I) pair or a stack, and dice_values, the value-only exit the
+finite-difference oracle calls. Both check their inputs (arrays of
+real numbers, ground truth of 0 and 1, predictions in [0, 1]) and build a
+LossPlan; a caller may pass a LossPlan in place of the config, for instance
+one whose epsilon holds one value per stacked ground truth. The training loop
+calls planned_value_and_grad itself: it checks its arrays, builds the plan and
+allocates the buffers once for many calls.
 A counted subset with S = 0 (epsilon 0, empty ground truth and zero
 prediction) raises ZeroDenominatorError in place of returning NaN.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,6 +52,7 @@ from .errors import (
     RangeViolationError,
     ShapeMismatchError,
     ZeroDenominatorError,
+    require_array,
     require_binary,
     require_number,
 )
@@ -101,27 +103,28 @@ class DiceLossConfig:
             object.__setattr__(self, "epsilon", cells.astype(np.float64).reshape(-1))
 
 
-@dataclass(frozen=True)
-class LossOutput:
-    """Loss value plus per-subset diagnostics.
+class LossOutput(NamedTuple):
+    """Each pair's loss and its per-subset diagnostics.
 
-    score and kept have the keepdims shape of the scheme's pooled axes, one
-    entry per subset; score is 0 where a subset is not counted.
+    value and effective_subset_count (K, 0 where no subset counts) have the
+    pairs' leading shape, NumPy scalars for a lone pair. kept, y0 and y1 have
+    the keepdims shape of the sums over Phi, leading axes included: kept is
+    True where a subset counts, and y0 and y1 are each subset's gradient
+    where y = 0 and where y = 1, exactly 0 where it does not count.
     """
 
-    value: float
-    score: np.ndarray = field(repr=False)
-    kept: np.ndarray = field(repr=False)
-    effective_subset_count: int
+    value: float | np.ndarray
+    kept: np.ndarray
+    effective_subset_count: int | np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
 
 
-def _check_shapes(gt: np.ndarray, p: np.ndarray, stacked: bool) -> None:
-    """gt and p must both be (B, C, I); when stacked, each may carry leading axes
-    that broadcast against the other's."""
+def _check_shapes(gt: np.ndarray, p: np.ndarray) -> None:
+    """gt and p must both be (..., B, C, I) of one (B, C, I), with leading axes
+    that broadcast against each other."""
     ok = min(gt.ndim, p.ndim) >= 3 and p.shape[-3:] == gt.shape[-3:]
-    if ok and not stacked:
-        ok = gt.ndim == p.ndim == 3
-    elif ok and gt.shape != p.shape:
+    if ok and gt.shape != p.shape:
         try:
             np.broadcast_shapes(gt.shape, p.shape)
         except ValueError:
@@ -145,7 +148,7 @@ def marginal_merge(
     truth of every unavailable class must already be empty. Merged columns are
     zeroed in place of being physically removed.
     """
-    _check_shapes(gt, p, stacked=True)
+    _check_shapes(gt, p)
     if mask is None:
         raise InvalidConfigError("marginal variant requires an availability mask")
     B, C, I = gt.shape[-3:]
@@ -210,16 +213,20 @@ class LossPlan(NamedTuple):
 
 def loss_plan(cfg: DiceLossConfig | LossPlan, classes: int) -> LossPlan:
     """The plan of cfg for C = classes, or cfg itself when it is a plan already;
-    a per-class epsilon must have C entries."""
+    a per-class epsilon must have C entries, and anything else is an
+    InvalidConfigError."""
     if isinstance(cfg, LossPlan):
         return cfg
+    if not isinstance(cfg, DiceLossConfig):
+        raise InvalidConfigError(f"loss config must be a DiceLossConfig or a LossPlan, got {cfg!r}")
     return LossPlan(cfg, tuple(a - 3 for a in cfg.scheme.axes), _epsilon(cfg, classes))
 
 
-def _checked(gt, pred, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
+def _checked(gt, pred) -> tuple[np.ndarray, np.ndarray]:
     """gt and pred as float64 arrays of matching shapes, gt of 0 and 1, pred in [0, 1]."""
-    y, p = np.asarray(gt, dtype=np.float64), np.asarray(pred, dtype=np.float64)
-    _check_shapes(y, p, stacked)
+    y = require_array("ground truth", gt).astype(np.float64, copy=False)
+    p = require_array("predictions", pred).astype(np.float64, copy=False)
+    _check_shapes(y, p)
     require_binary("ground-truth", y)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise RangeViolationError("prediction values must lie in [0, 1]")
@@ -304,35 +311,6 @@ def _loss_values(score: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
     return values.reshape(score.shape[:-3])
 
 
-def _subset_counts(S: np.ndarray, kept: np.ndarray | None):
-    """K of each stacked pair of S's leading axes, raised to at least 1: an int
-    when every subset counts, else an array that broadcasts against S."""
-    if kept is None:
-        return math.prod(S.shape[-3:])
-    return np.maximum(np.count_nonzero(kept, axis=(-3, -2, -1), keepdims=True), 1)
-
-
-def _grad(out: np.ndarray, ones: np.ndarray, K, N: np.ndarray, S: np.ndarray,
-          plan: LossPlan, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Fill out with the gradient from the pooled N and S; return each subset's
-    two values, for y = 0 and for y = 1, in the keepdims shape of the sums.
-
-    ratio / K where y = 0 and (ratio - 2 / S) / K where ones marks y = 1,
-    ratio = N / S^2, with K the counted subsets, one int or one per pair,
-    raised to at least 1. Dropped subsets have S = inf, so they, and every
-    subset of a pair with none counted, get exactly 0. Under the marginal
-    variant, an unavailable (b, c) column takes the background column's
-    gradient, as its predictions were merged into the background.
-    """
-    ratio = N / (S * S)
-    y0, y1 = ratio / K, (ratio - 2.0 / S) / K
-    np.copyto(out, y0)
-    np.copyto(out, y1, where=ones)
-    if plan.cfg.variant is Variant.MARGINAL:
-        np.copyto(out, out[..., :1, :], where=~mask[..., None])
-    return y0, y1
-
-
 def planned_value_and_grad(
     ones: np.ndarray,
     p: np.ndarray,
@@ -341,48 +319,68 @@ def planned_value_and_grad(
     counts: np.ndarray,
     yp: np.ndarray,
     out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dice_value_and_grad of a stack of R pairs without its input checks: each
-    pair's loss value, and each subset's gradient for y = 0 and for y = 1 as
-    _grad returns them; the gradient goes into out.
+) -> LossOutput:
+    """The value and gradient pass over a stack of pairs, without input checks:
+    their LossOutput, and their gradient written into out.
 
-    ones is the ground truth as a bool (R, B, C, I) array of the plan's class
-    count and p the float64 predictions of that shape; counts is the (R, B, C)
-    count of ones, mask None or (R, B, C), yp a C-contiguous (R, B, C, I)
-    float64 buffer for y * p (so its sums run in a fresh product's order) and
-    out an (R, B, C, I) float64 one. The plan's eps holds one value per pair,
-    as (R, 1, C, 1) or (R, 1, 1, 1). The marginal variant still checks its
-    mask and predictions.
+    ones is the ground truth as a bool (..., B, C, I) array of the plan's
+    class count, and p the float64 predictions, whose leading axes broadcast
+    against it; counts is ones' (..., B, C) count of ones and mask None or
+    (..., B, C). yp is a C-contiguous float64 buffer of the broadcast shape
+    for y * p (so its sums run in a fresh product's order), and out a float64
+    one. The plan's eps may hold one value per pair, as (..., 1, C, 1) or
+    (..., 1, 1, 1). The marginal variant still checks its mask and
+    predictions.
+
+    The gradient is ratio / K where y = 0 and (ratio - 2 / S) / K where ones
+    marks y = 1, ratio = N / S^2, with K each pair's count of counted subsets
+    raised to at least 1. Dropped subsets have S = inf, so they, and every
+    subset of a pair with none counted, get exactly 0. Under the marginal
+    variant, an unavailable (b, c) column takes the background column's
+    gradient, as its predictions were merged into the background.
     """
     kept, N, S = _pool(ones, p, plan, mask, counts, yp)
-    y0, y1 = _grad(out, ones, _subset_counts(S, kept), N, S, plan, mask)
-    return _loss_values(N / S, kept), y0, y1
+    value = _loss_values(N / S, kept)
+    if kept is None:
+        K = math.prod(S.shape[-3:])
+        kept, n_kept = np.ones(S.shape, dtype=bool), np.full(S.shape[:-3], K)
+    else:
+        if kept.shape != S.shape:  # kept lacks the stacked predictions' leading axes
+            kept = np.broadcast_to(kept, S.shape)
+        n_kept = np.count_nonzero(kept, axis=(-3, -2, -1))
+        K = np.maximum(n_kept, 1)[..., None, None, None]
+    ratio = N / (S * S)
+    y0, y1 = ratio / K, (ratio - 2.0 / S) / K
+    np.copyto(out, y0)
+    np.copyto(out, y1, where=ones)
+    if plan.cfg.variant is Variant.MARGINAL:
+        np.copyto(out, out[..., :1, :], where=~mask[..., None])
+    return LossOutput(value[()], kept, n_kept[()], y0, y1)
 
 
 def dice_value_and_grad(
     gt: np.ndarray,
     pred: np.ndarray,
-    cfg: DiceLossConfig,
+    cfg: DiceLossConfig | LossPlan,
     mask: np.ndarray | None = None,
 ) -> tuple[LossOutput, np.ndarray]:
     """Dice loss and its analytic gradient with respect to every prediction element.
 
-    gt and pred are (B, C, I) arrays, gt holding only 0 and 1; the gradient
-    is a read-only (B, C, I) array. Dropped subsets (leaf variant, or
+    gt and pred have shapes (..., B, C, I) whose leading axes broadcast, gt
+    holding only 0 and 1: one pair, or a stack of pairs. The gradient is
+    read-only, of the broadcast shape. Dropped subsets (leaf variant, or
     marginal columns merged away) receive exactly zero; for the marginal
     variant the gradient is computed on the merged maps and routed back
     through the background sum.
     """
-    y, p = _checked(gt, pred, stacked=False)
-    plan = loss_plan(cfg, y.shape[1])
-    kept, N, S = _pool(y, p, plan, mask)
-    score = N / S
-    if kept is None:
-        kept = np.ones(score.shape, dtype=bool)
-    K = np.count_nonzero(kept)
-    grad = np.empty(y.shape)
-    _grad(grad, y == 1.0, max(K, 1), N, S, plan, mask)
-    return LossOutput(float(_loss_values(score, kept)), score, kept, K), readonly(grad)
+    y, p = _checked(gt, pred)
+    plan = loss_plan(cfg, y.shape[-2])
+    ones = y == 1.0
+    shape = np.broadcast_shapes(y.shape, p.shape)
+    grad = np.empty(shape)
+    out = planned_value_and_grad(ones, p, plan, mask, np.count_nonzero(ones, axis=-1),
+                                 np.empty(shape), grad)
+    return out, readonly(grad)
 
 
 def dice_values(
@@ -393,30 +391,9 @@ def dice_values(
 ) -> np.ndarray:
     """Dice loss of every (ground truth, prediction) pair of a stack, value only.
 
-    gt and preds have shapes (..., B, C, I) whose leading axes broadcast, gt
-    holding only 0 and 1; the result has the broadcast leading shape, and the
-    entry of pair k equals dice_value_and_grad(gt[k], preds[k])[0].value.
+    gt and preds are as for dice_value_and_grad; the result has the broadcast
+    leading shape, and equals dice_value_and_grad(gt, preds)[0].value bit for bit.
     """
-    y, p = _checked(gt, preds, stacked=True)
+    y, p = _checked(gt, preds)
     kept, N, S = _pool(y, p, loss_plan(cfg, y.shape[-2]), mask)
     return _loss_values(N / S, kept)
-
-
-def dice_grads(
-    gt: np.ndarray,
-    preds: np.ndarray,
-    cfg: DiceLossConfig | LossPlan,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Analytic gradient of every (ground truth, prediction) pair of a stack.
-
-    gt and preds are as for dice_values; the result is read-only, of the
-    broadcast shape (..., B, C, I), and the gradient of pair k equals
-    dice_value_and_grad(gt[k], preds[k])[1].
-    """
-    y, p = _checked(gt, preds, stacked=True)
-    plan = loss_plan(cfg, y.shape[-2])
-    kept, N, S = _pool(y, p, plan, mask)
-    grad = np.empty(np.broadcast_shapes(y.shape, p.shape))
-    _grad(grad, y == 1.0, _subset_counts(S, kept), N, S, plan, mask)
-    return readonly(grad)

@@ -221,10 +221,11 @@ def step_gradients(weights: np.ndarray, features: np.ndarray, losses, buffers: S
     pred = _forward(weights, features, buffers.pred)
     for b in losses:
         grad = buffers.grad[b.runs, :, b.first:]
-        buffers.loss[b.runs], y0, y1 = planned_value_and_grad(
+        out = planned_value_and_grad(
             b.ones, pred[b.runs, :, b.first:], b.plan, b.mask, b.counts, b.yp, grad)
-        np.copyto(b.y0, y0[..., 0])
-        np.copyto(b.y1, y1[..., 0])
+        buffers.loss[b.runs] = out.value
+        np.copyto(b.y0, out.y0[..., 0])
+        np.copyto(b.y1, out.y1[..., 0])
     return StepResult(buffers.loss, _backward(features, buffers.grad, pred, buffers.dz))
 
 

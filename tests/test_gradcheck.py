@@ -28,11 +28,12 @@ def inject_gradient_fault(monkeypatch, offset=1e-3):
     """Make run_check_matrix's analytic gradient wrong by offset in the first
     element of every instance of its stacks."""
     def faulty(*args, **kwargs):
-        grad = loss.dice_grads(*args, **kwargs).copy()
+        out, grad = loss.dice_value_and_grad(*args, **kwargs)
+        grad = grad.copy()
         grad[..., 0, 0, 0] += offset
-        return grad
+        return out, grad
 
-    monkeypatch.setattr(gradcheck, "dice_grads", faulty)
+    monkeypatch.setattr(gradcheck, "dice_value_and_grad", faulty)
 
 
 class TestFiniteDiff:
@@ -98,7 +99,7 @@ class TestFiniteDiff:
             raise AssertionError("the oracle must not build a gradient")
 
         monkeypatch.setattr(gradcheck, "dice_values", counting)
-        monkeypatch.setattr(loss, "_grad", forbidden)  # every gradient is built there
+        monkeypatch.setattr(loss, "planned_value_and_grad", forbidden)  # every gradient pass
         if block is not None:
             monkeypatch.setattr(gradcheck, "FD_BLOCK_ELEMENTS", block)
         finite_diff_grad(gt, pred, cfg)

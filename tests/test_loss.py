@@ -12,7 +12,6 @@ from dicelab.errors import (
 from dicelab.loss import (
     DiceLossConfig,
     Variant,
-    dice_grads,
     dice_value_and_grad,
     dice_values,
     loss_plan,
@@ -41,9 +40,10 @@ class TestForward:
         out = dice_value_and_grad(gt, pred, cfg)[0]
         assert out.value == pytest.approx(0.5, abs=1e-15)
         assert out.effective_subset_count == 1
-        assert out.kept.shape == out.score.shape == (1, 1, 1)
+        assert out.kept.shape == out.y0.shape == out.y1.shape == (1, 1, 1)
         assert out.kept.all()
-        assert out.score.item() == pytest.approx(0.5)
+        # S = 2, N = 1: the subset's gradient is 1/4 where y = 0 and 1/4 - 1 where y = 1
+        assert (out.y0.item(), out.y1.item()) == pytest.approx((0.25, -0.75))
 
     def test_empty_gt_with_smoothing(self):
         # all-background target, uniform half predictions, epsilon 2:
@@ -88,11 +88,24 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             dice_value_and_grad(gt, pred, DiceLossConfig(scheme=ReductionScheme.ALL_WISE))[0]
 
-    def test_stacked_predictions_rejected(self):
-        # a stack of predictions is for dice_values only
-        cfg = DiceLossConfig(scheme=ReductionScheme.ALL_WISE)
-        with pytest.raises(ShapeMismatchError):
-            dice_value_and_grad(np.zeros((1, 1, 2)), np.full((3, 1, 1, 2), 0.5), cfg)
+    @pytest.mark.parametrize("scheme", ALL)
+    @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.LEAF])
+    def test_a_stack_of_predictions_equals_lone_calls_bitwise(self, scheme, variant):
+        gt, _ = random_pair((2, 3, 5), seed=3)
+        gt[0, 1] = 0.0  # an empty map, which the leaf variant drops
+        preds = np.random.default_rng(4).uniform(0.0, 1.0, (3, 2, 3, 5))
+        cfg = DiceLossConfig(scheme=scheme, epsilon=0.5, variant=variant)
+        out, grad = dice_value_and_grad(gt, preds, cfg)
+        assert out.value.shape == out.effective_subset_count.shape == (3,)
+        assert out.kept.shape == out.y0.shape == out.y1.shape
+        assert grad.shape == preds.shape
+        for k, pred in enumerate(preds):
+            lone, lone_grad = dice_value_and_grad(gt, pred, cfg)
+            assert out.value[k] == lone.value
+            assert out.effective_subset_count[k] == lone.effective_subset_count
+            for field in ("kept", "y0", "y1"):
+                assert getattr(out, field)[k].tobytes() == getattr(lone, field).tobytes()
+            assert grad[k].tobytes() == lone_grad.tobytes()
 
 
 class TestConfigValidation:
@@ -219,7 +232,8 @@ class TestLeafVariant:
         out, grad = dice_value_and_grad(gt, pred, cfg)
         assert out.effective_subset_count == 1
         assert np.flatnonzero(out.kept).tolist() == [0]
-        assert out.score[0, 1, 0] == 0.0
+        assert out.kept.shape == out.y0.shape
+        assert out.y0[0, 1, 0] == out.y1[0, 1, 0] == 0.0
         assert out.value == pytest.approx(0.5)
         assert np.all(grad[0, 1, :] == 0.0)
         assert np.any(grad[0, 0, :] != 0.0)
@@ -475,12 +489,16 @@ class TestDiceValues:
         gts, preds = self.stacked_leaf_case()
         cfg = DiceLossConfig(scheme=scheme, epsilon=0.5, variant=variant)
         values = dice_values(gts, preds, cfg)  # gts (4, ...) broadcast against preds (2, 4, ...)
-        grads = dice_grads(gts, preds, cfg)
-        assert values.shape == (2, 4)
+        stacked, grads = dice_value_and_grad(gts, preds, cfg)
+        assert values.shape == stacked.value.shape == (2, 4)
+        assert values.tobytes() == stacked.value.tobytes()
         assert grads.shape == preds.shape
         for j, k in np.ndindex(2, 4):
             out, grad = dice_value_and_grad(gts[k], preds[j, k], cfg)
             assert values[j, k] == out.value
+            assert stacked.effective_subset_count[j, k] == out.effective_subset_count
+            assert stacked.y0[j, k].tobytes() == out.y0.tobytes()
+            assert stacked.y1[j, k].tobytes() == out.y1.tobytes()
             assert np.array_equal(grads[j, k], grad)
 
     def test_leaf_counts_subsets_per_instance(self):
@@ -490,6 +508,7 @@ class TestDiceValues:
                   for k, g in enumerate(gts)]
         assert len(set(counts)) == 4 and 0 in counts  # every instance keeps its own K
         assert dice_values(gts, preds[0], cfg)[2] == 0.0
+        assert dice_value_and_grad(gts, preds[0], cfg)[0].effective_subset_count.tolist() == counts
 
     @pytest.mark.parametrize("scheme", ALL)
     def test_plan_epsilon_per_stacked_ground_truth(self, scheme):
@@ -503,10 +522,11 @@ class TestDiceValues:
             cfgs = [DiceLossConfig(scheme, e[0]) for e in eps]
         stacked = np.reshape([c.epsilon for c in cfgs], (3, 1, -1, 1))
         plan = loss_plan(DiceLossConfig(scheme), 3)._replace(eps=stacked)
-        values, grads = dice_values(gts, preds, plan), dice_grads(gts, preds, plan)
+        values = dice_values(gts, preds, plan)
+        outs, grads = dice_value_and_grad(gts, preds, plan)
         for k, cfg in enumerate(cfgs):
             out, grad = dice_value_and_grad(gts[k], preds[k], cfg)
-            assert values[k] == out.value
+            assert values[k] == outs.value[k] == out.value
             assert np.array_equal(grads[k], grad)
 
     def test_marginal_gradient_of_a_stack_routes_each_prediction(self):
@@ -516,7 +536,7 @@ class TestDiceValues:
         preds = np.stack([softmax_like_pred(shape, seed) for seed in (1, 2, 3)])
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
                              variant=Variant.MARGINAL)
-        grads = dice_grads(gt, preds, cfg, mask)
+        grads = dice_value_and_grad(gt, preds, cfg, mask)[1]
         for k, p in enumerate(preds):
             assert np.array_equal(grads[k], dice_value_and_grad(gt, p, cfg, mask)[1])
 
@@ -526,7 +546,7 @@ class TestDiceValues:
     ])
     def test_leading_axes_must_broadcast(self, gt_shape, preds_shape):
         cfg = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE)
-        for entry in (dice_values, dice_grads):
+        for entry in (dice_values, dice_value_and_grad):
             with pytest.raises(ShapeMismatchError):
                 entry(np.zeros(gt_shape), np.full(preds_shape, 0.5), cfg)
 
