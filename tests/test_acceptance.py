@@ -7,7 +7,10 @@ normal pytest run. The heavyweight experiment fixtures run once per module.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,13 @@ from dicelab.gradcheck import random_instance, run_check_matrix
 from dicelab.harness import build_dataset, default_config, run_experiment
 from dicelab.loss import DiceLossConfig, dice_value_and_grad
 from dicelab.metrics import read_csv
+from dicelab.synthdata import save_dataset
 from dicelab.tensor import ReductionScheme
+
+# sha256 of every file of both default run trees, of the `gradcheck --n 20` report
+# and of each `calibrate` output (task-labeling-scheme); "versions" names the NumPy
+# and BLAS build they came from. Only a declared numeric change may regenerate them.
+REFERENCE = json.loads((Path(__file__).parent / "reference_hashes.json").read_text())
 
 
 @pytest.fixture
@@ -215,16 +224,66 @@ def test_10_byte_identical_rerun(binary_run, tmp_path_factory, say):
     _, out, _ = binary_run
     rerun_dir = tmp_path_factory.mktemp("binary-rerun")
     runner = CliRunner()
+    # the original ran at --jobs 1, so the rerun at --jobs 2 also checks the pool
     result = runner.invoke(cli_main, ["run", "--config", str(out / "config_snapshot.yaml"),
-                                      "--out", str(rerun_dir)])
+                                      "--out", str(rerun_dir), "--jobs", "2"])
     assert result.exit_code == 0, result.output
-    originals = {p.relative_to(out): p for p in sorted(out.rglob("*.csv"))}
-    reruns = {p.relative_to(rerun_dir): p for p in sorted(rerun_dir.rglob("*.csv"))}
+    originals = {p.relative_to(out): p for p in sorted(out.rglob("*")) if p.is_file()}
+    reruns = {p.relative_to(rerun_dir): p for p in sorted(rerun_dir.rglob("*")) if p.is_file()}
     same_set = set(originals) == set(reruns)
     mismatched = [str(rel) for rel in originals
                   if rel in reruns and originals[rel].read_bytes() != reruns[rel].read_bytes()]
     ok = same_set and not mismatched
-    say(10, "rerun from config snapshot is byte-identical", ok,
-        f"{len(originals)} CSV files compared, {len(mismatched)} mismatched")
+    say(10, "rerun from config snapshot at --jobs 2 is byte-identical", ok,
+        f"{len(originals)} files compared, {len(mismatched)} mismatched")
     assert same_set
     assert not mismatched
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _tree_hashes(out: Path) -> dict[str, str]:
+    return {p.relative_to(out).as_posix(): _sha256(p.read_bytes())
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _assert_reference_bytes(name: str, hashes: dict[str, str]) -> None:
+    """hashes equal REFERENCE[name]; on failure, name the files that differ and the
+    NumPy and BLAS builds on both sides, since another build may round differently."""
+    expected = REFERENCE[name]
+    changed = sorted(k for k in expected.keys() | hashes.keys() if expected.get(k) != hashes.get(k))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    here = f"NumPy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+    assert not changed, (f"{len(changed)} of {len(expected)} {name} outputs differ from their "
+                         f"reference bytes (first: {changed[:5]}); the reference came from "
+                         f"{REFERENCE['versions']}, this is {here}")
+
+
+def test_default_binary_tree_keeps_its_reference_bytes(binary_run):
+    _assert_reference_bytes("binary", _tree_hashes(binary_run[1]))
+
+
+def test_default_multiclass_tree_keeps_its_reference_bytes(multiclass_run):
+    _assert_reference_bytes("multiclass", _tree_hashes(multiclass_run[1]))
+
+
+def test_gradcheck_report_keeps_its_reference_bytes():
+    result = CliRunner().invoke(cli_main, ["gradcheck", "--n", "20"])
+    assert result.exit_code == 0, result.output
+    _assert_reference_bytes("gradcheck", {"--n 20": _sha256(result.output.encode())})
+
+
+def test_calibrate_keeps_its_reference_bytes(tmp_path):
+    runner, hashes = CliRunner(), {}
+    for task in ("binary", "multiclass"):
+        for labeling, dataset in zip(("full", "partial"), build_dataset(default_config(task))):
+            path = tmp_path / f"{task}-{labeling}"
+            save_dataset(dataset, path)
+            for scheme in ReductionScheme:
+                result = runner.invoke(cli_main, ["calibrate", "--dataset", str(path),
+                                                  "--scheme", scheme.value])
+                assert result.exit_code == 0, result.output
+                hashes[f"{task}-{labeling}-{scheme.value}"] = _sha256(result.output.encode())
+    _assert_reference_bytes("calibrate", hashes)
