@@ -41,6 +41,7 @@ prediction) raises ZeroDenominatorError in place of returning NaN.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -133,11 +134,63 @@ def _check_shapes(gt: np.ndarray, p: np.ndarray) -> None:
         raise ShapeMismatchError(f"gt shape {gt.shape} does not match predictions {p.shape}")
 
 
-def marginal_merge(
-    gt: np.ndarray,
-    p: np.ndarray,
-    mask: np.ndarray | None,
-) -> np.ndarray:
+def check_marginal_labels(gt: np.ndarray, mask, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The marginal variant's checks that read labels alone, and the broadcast
+    shape of the pairs and the mask.
+
+    gt is the (..., B, C, I) ground truth, C >= 2, and shape the broadcast
+    shape of the pairs. mask must be a (..., B, C) bool array, True where
+    batch element b labels class c, whose leading axes broadcast against
+    shape; the background, class 0, must be available everywhere, and the
+    ground truth of every unavailable class must be empty. Labels do not
+    change between steps, so a caller checks them once for many passes.
+    """
+    if mask is None:
+        raise InvalidConfigError("marginal variant requires an availability mask")
+    B, C, I = gt.shape[-3:]
+    if C < 2:
+        raise InvalidConfigError("marginal merging requires multiclass (C >= 2) predictions")
+    try:
+        if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape[-2:] != (B, C) \
+                or mask.ndim > len(shape) - 1:
+            raise ValueError
+        shape = np.broadcast_shapes(shape, mask.shape + (1,))
+    except ValueError:
+        raise ShapeMismatchError(
+            f"availability mask must be a (..., {B}, {C}) bool array whose leading axes "
+            f"broadcast, got {np.asarray(mask).dtype} {np.shape(mask)}"
+        ) from None
+    if not np.all(mask[..., 0]):
+        raise InvalidConfigError("background class must be available in every batch element")
+    if np.any(np.broadcast_to(gt, shape)[np.broadcast_to(~mask, shape[:-1])]):
+        raise RangeViolationError("ground truth of an unavailable class contains foreground")
+    return shape
+
+
+def _check_columns(p: np.ndarray) -> None:
+    """Softmax-style predictions: the class columns sum to 1 per pixel."""
+    dev = p.sum(axis=-2)
+    dev -= 1.0
+    np.abs(dev, out=dev)
+    if np.any(dev > DISTRIBUTION_TOL):
+        raise RangeViolationError(
+            f"prediction columns must sum to 1 per pixel (max dev {float(dev.max()):.3g})")
+
+
+def _merge(p: np.ndarray, mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """p broadcast to shape, with each column that mask marks unavailable added
+    to the background column, class 0, and zeroed."""
+    hidden = np.broadcast_to(~mask, shape[:-1])
+    merged = np.empty(shape)
+    np.copyto(merged, p)
+    # the merged-away columns in class order, after the background's 0
+    spill = np.sum(merged, axis=-2, where=hidden[..., None])
+    merged[hidden] = 0.0
+    merged[..., 0, :] += spill
+    return merged
+
+
+def marginal_merge(gt, p, mask: np.ndarray | None) -> np.ndarray:
     """Fold unavailable-class predictions into the background column, class 0.
 
     gt is the ground truth and p the predictions, both (..., B, C, I) with
@@ -148,41 +201,12 @@ def marginal_merge(
     truth of every unavailable class must already be empty. Merged columns are
     zeroed in place of being physically removed.
     """
+    gt = require_array("ground truth", gt)
+    p = require_array("predictions", p)
     _check_shapes(gt, p)
-    if mask is None:
-        raise InvalidConfigError("marginal variant requires an availability mask")
-    B, C, I = gt.shape[-3:]
-    if C < 2:
-        raise InvalidConfigError("marginal merging requires multiclass (C >= 2) predictions")
-    try:
-        if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape[-2:] != (B, C) \
-                or mask.ndim > max(gt.ndim, p.ndim) - 1:
-            raise ValueError
-        shape = np.broadcast_shapes(gt.shape, p.shape, mask.shape + (1,))
-    except ValueError:
-        raise ShapeMismatchError(
-            f"availability mask must be a (..., {B}, {C}) bool array whose leading axes "
-            f"broadcast, got {np.asarray(mask).dtype} {np.shape(mask)}"
-        ) from None
-    if not np.all(mask[..., 0]):
-        raise InvalidConfigError("background class must be available in every batch element")
-
-    col_sums = p.sum(axis=-2)
-    if np.any(np.abs(col_sums - 1.0) > DISTRIBUTION_TOL):
-        worst = float(np.max(np.abs(col_sums - 1.0)))
-        raise RangeViolationError(f"prediction columns must sum to 1 per pixel (max dev {worst:.3g})")
-
-    hidden = np.broadcast_to(~mask, shape[:-1])
-    if np.any(np.broadcast_to(gt, shape)[hidden]):
-        raise RangeViolationError("ground truth of an unavailable class contains foreground")
-
-    merged = np.empty(shape)
-    np.copyto(merged, p)
-    # the merged-away columns in class order, after the background's 0
-    spill = np.sum(merged, axis=-2, where=hidden[..., None])
-    merged[hidden] = 0.0
-    merged[..., 0, :] += spill
-    return merged
+    shape = check_marginal_labels(gt, mask, np.broadcast_shapes(gt.shape, p.shape))
+    _check_columns(p)
+    return _merge(p, mask, shape)
 
 
 def _epsilon(cfg: DiceLossConfig, classes: int) -> float | np.ndarray:
@@ -222,42 +246,63 @@ def loss_plan(cfg: DiceLossConfig | LossPlan, classes: int) -> LossPlan:
     return LossPlan(cfg, tuple(a - 3 for a in cfg.scheme.axes), _epsilon(cfg, classes))
 
 
-def _checked(gt, pred) -> tuple[np.ndarray, np.ndarray]:
-    """gt and pred as float64 arrays of matching shapes, gt of 0 and 1, pred in [0, 1]."""
+def _hiding(plan: LossPlan, mask: np.ndarray | None) -> np.ndarray | None:
+    """mask, when the plan's variant is marginal and mask hides some (b, c) map;
+    else None, and the pass is the standard one."""
+    if plan.cfg.variant is Variant.MARGINAL and mask is not None and not mask.all():
+        return mask
+    return None
+
+
+def _checked(gt, pred, cfg, mask) -> tuple[np.ndarray, np.ndarray, LossPlan]:
+    """gt and pred as float64 arrays of matching shapes, gt of 0 and 1, pred in
+    [0, 1], and the plan of cfg; under the marginal variant, mask and gt pass
+    check_marginal_labels."""
     y = require_array("ground truth", gt).astype(np.float64, copy=False)
     p = require_array("predictions", pred).astype(np.float64, copy=False)
     _check_shapes(y, p)
     require_binary("ground-truth", y)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise RangeViolationError("prediction values must lie in [0, 1]")
-    return y, p
+    plan = loss_plan(cfg, y.shape[-2])
+    if plan.cfg.variant is Variant.MARGINAL:
+        check_marginal_labels(y, mask, np.broadcast_shapes(y.shape, p.shape))
+    return y, p, plan
 
 
 def _pool(
     y: np.ndarray,
     p: np.ndarray,
     plan: LossPlan,
-    mask: np.ndarray | None,
+    hidden: np.ndarray | None,
     counts: np.ndarray | None = None,
     yp: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Kept mask, N and S of every subset, pooled over the plan's axes Phi.
 
     y (0 and 1, as float64 or bool) and p are (..., B, C, I) with leading axes
-    that broadcast; p is merged here first for the marginal variant. Phi is
-    taken as negative axes, so leading axes stack independent pairs. N and S
-    carry the broadcast leading axes; kept is None under the standard
-    variant, which counts every subset, else (B', C', 1), the keepdims shape
-    of one pair's sums, unless the leaf variant drops subsets of a stacked y
-    or the marginal variant's mask has leading axes, where it carries them.
+    that broadcast. Phi is taken as negative axes, so leading axes stack
+    independent pairs. Under the marginal variant p must be softmax-style, and
+    hidden is its checked mask when that hides some map (see _hiding), else
+    None: p is merged here first only when hidden is given. N and S carry the
+    broadcast leading axes. kept is None when every subset counts (always
+    under the standard variant), else (B', C', 1), the keepdims shape of one
+    pair's sums, unless the leaf variant drops subsets of a stacked y or the
+    marginal variant's mask has leading axes, where it carries them.
     counts, when given, is y's (..., B, C) count of ones: its pooled sums are
     exact integers, so they equal y's bit for bit. yp, when given, receives
     y * p.
     """
     axes = plan.axes
     variant = plan.cfg.variant
+    kept = None
     if variant is Variant.MARGINAL:
-        p = marginal_merge(y, p, mask)
+        _check_columns(p)
+        if hidden is not None:
+            p = _merge(p, hidden, np.broadcast_shapes(p.shape, hidden.shape + (1,)))
+            # the background is available everywhere, so only subsets made of
+            # merged-away classes alone are dropped
+            kept = hidden[..., None].any(axis=axes, keepdims=True)
     inter = np.multiply(y, p, out=yp).sum(axis=axes, keepdims=True)
     if counts is None:
         gsum = y.sum(axis=axes, keepdims=True)
@@ -265,13 +310,10 @@ def _pool(
         gsum = counts[..., None].sum(axis=axes, keepdims=True)
     psum = p.sum(axis=axes, keepdims=True)
     S = gsum + psum + plan.eps
-    kept = None
-    if variant is Variant.LEAF:
+    if variant is Variant.LEAF and np.count_nonzero(gsum) < gsum.size:
         kept = gsum > 0.0
-    elif variant is Variant.MARGINAL:
-        # marginal_merge checked that the background is available everywhere,
-        # so only subsets made of merged-away classes alone are dropped
-        kept = mask[..., None].any(axis=axes, keepdims=True)
+    if kept is not None and kept.all():  # a mask that keeps every subset is the standard pass
+        kept = None
     if kept is not None:
         np.copyto(S, np.inf, where=~kept)  # a dropped subset scores 0 and gets zero gradient
     if np.count_nonzero(S) < S.size:  # some counted S == 0; cheaper than S.all() on tiny S
@@ -287,28 +329,39 @@ def _loss_values(score: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
     """1 - mean score over the counted subsets, one value per leading index of
     score; 0 where no subset counts. kept None counts every subset.
 
-    Each value sums its K kept scores as one row-contiguous run, in the order
-    of a lone pair's 1-D score[kept].sum(), so a stacked value equals the lone
-    one bit for bit. A kept mask with leading axes (the leaf variant on a
-    stacked ground truth) groups the rows by K.
+    Each value sums its K kept scores in the order of a lone pair's 1-D
+    score[kept].sum(), so a stacked value equals the lone one bit for bit.
+    A dropped subset scores exactly 0.0, and NumPy adds fewer than 8 terms
+    one after another, so a row of fewer than 8 subsets is summed whole: its
+    zeros change no partial sum. Longer rows, which NumPy sums pairwise, are
+    gathered, one group of rows per K.
     """
-    if kept is None or kept.ndim == 3:  # every leading index counts the same subsets
-        K = math.prod(score.shape[-3:]) if kept is None else np.count_nonzero(kept)
-        if K == 0:
-            return np.zeros(score.shape[:-3])
-        # score is C-contiguous, so its rows already run in that order; with leading
-        # axes the boolean index comes back column-major and is made row-contiguous
-        counted = (score.reshape(*score.shape[:-3], K) if kept is None
-                   else np.ascontiguousarray(score[..., kept]))
-        return 1.0 - counted.sum(axis=-1) / K
-    rows = score.reshape(-1, math.prod(score.shape[-3:]))
+    n = math.prod(score.shape[-3:])
+    if n == 0:
+        return np.zeros(score.shape[:-3])
+    rows = score.reshape(-1, n)
+    if kept is None:
+        return (1.0 - rows.sum(axis=1) / n).reshape(score.shape[:-3])
     keep = np.broadcast_to(kept, score.shape).reshape(rows.shape)
     counts = np.count_nonzero(keep, axis=1)
-    values = np.zeros(len(rows))
-    for K in set(counts.tolist()) - {0}:
-        group = counts == K
-        values[group] = 1.0 - rows[group][keep[group]].reshape(-1, K).sum(axis=-1) / K
+    if n < 8:
+        sums = rows.sum(axis=1)
+    else:
+        sums = np.zeros(len(rows))
+        for K in set(counts.tolist()) - {0}:
+            group = counts == K
+            sums[group] = rows[group][keep[group]].reshape(-1, K).sum(axis=-1)
+    values = 1.0 - sums / np.maximum(counts, 1)
+    values[counts == 0] = 0.0
     return values.reshape(score.shape[:-3])
+
+
+@functools.lru_cache(maxsize=32)
+def _all_kept(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """What a pass that counts every subset of S's shape hands back: read-only
+    views of an all-True kept mask and of each pair's K, and K."""
+    K = math.prod(shape[-3:])
+    return np.broadcast_to(np.True_, shape), np.broadcast_to(np.int64(K), shape[:-3]), K
 
 
 def planned_value_and_grad(
@@ -329,8 +382,11 @@ def planned_value_and_grad(
     (..., B, C). yp is a C-contiguous float64 buffer of the broadcast shape
     for y * p (so its sums run in a fresh product's order), and out a float64
     one. The plan's eps may hold one value per pair, as (..., 1, C, 1) or
-    (..., 1, 1, 1). The marginal variant still checks its mask and
-    predictions.
+    (..., 1, 1, 1). Under the marginal variant the predictions' column sums
+    are checked on every call, and the mask's labels not at all: the caller
+    runs check_marginal_labels once. A mask that hides no map, or None, makes
+    the pass the standard one; so does a leaf or marginal pass that drops no
+    subset, whose kept and effective_subset_count are then read-only views.
 
     The gradient is ratio / K where y = 0 and (ratio - 2 / S) / K where ones
     marks y = 1, ratio = N / S^2, with K each pair's count of counted subsets
@@ -339,11 +395,11 @@ def planned_value_and_grad(
     variant, an unavailable (b, c) column takes the background column's
     gradient, as its predictions were merged into the background.
     """
-    kept, N, S = _pool(ones, p, plan, mask, counts, yp)
+    hidden = _hiding(plan, mask)
+    kept, N, S = _pool(ones, p, plan, hidden, counts, yp)
     value = _loss_values(N / S, kept)
     if kept is None:
-        K = math.prod(S.shape[-3:])
-        kept, n_kept = np.ones(S.shape, dtype=bool), np.full(S.shape[:-3], K)
+        kept, n_kept, K = _all_kept(S.shape)
     else:
         if kept.shape != S.shape:  # kept lacks the stacked predictions' leading axes
             kept = np.broadcast_to(kept, S.shape)
@@ -353,8 +409,8 @@ def planned_value_and_grad(
     y0, y1 = ratio / K, (ratio - 2.0 / S) / K
     np.copyto(out, y0)
     np.copyto(out, y1, where=ones)
-    if plan.cfg.variant is Variant.MARGINAL:
-        np.copyto(out, out[..., :1, :], where=~mask[..., None])
+    if hidden is not None:
+        np.copyto(out, out[..., :1, :], where=~hidden[..., None])
     return LossOutput(value[()], kept, n_kept[()], y0, y1)
 
 
@@ -373,8 +429,7 @@ def dice_value_and_grad(
     variant the gradient is computed on the merged maps and routed back
     through the background sum.
     """
-    y, p = _checked(gt, pred)
-    plan = loss_plan(cfg, y.shape[-2])
+    y, p, plan = _checked(gt, pred, cfg, mask)
     ones = y == 1.0
     shape = np.broadcast_shapes(y.shape, p.shape)
     grad = np.empty(shape)
@@ -394,6 +449,6 @@ def dice_values(
     gt and preds are as for dice_value_and_grad; the result has the broadcast
     leading shape, and equals dice_value_and_grad(gt, preds)[0].value bit for bit.
     """
-    y, p = _checked(gt, preds)
-    kept, N, S = _pool(y, p, loss_plan(cfg, y.shape[-2]), mask)
-    return _loss_values(N / S, kept)
+    y, p, plan = _checked(gt, preds, cfg, mask)
+    kept, N, S = _pool(y, p, plan, _hiding(plan, mask))
+    return _loss_values(N / S, kept)[()]

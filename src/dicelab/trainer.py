@@ -37,7 +37,8 @@ from .errors import (
     require_int,
     require_number,
 )
-from .loss import DiceLossConfig, LossPlan, Variant, loss_plan, planned_value_and_grad
+from .loss import (DiceLossConfig, LossPlan, Variant, check_marginal_labels, loss_plan,
+                   planned_value_and_grad)
 from .synthdata import SyntheticDataset
 from .tensor import readonly
 
@@ -135,17 +136,22 @@ def _forward(weights: np.ndarray, feats: np.ndarray, out: np.ndarray | None = No
     which sums in another order, so einsum computes them there. exp(-z)
     overflows to inf below z = -709, and the sigmoid is then 0.
     """
-    R, C = weights.shape[:2]
     if out is None:
-        out = np.empty((R, feats.shape[0], C, feats.shape[1]))
+        out = np.empty((weights.shape[0], feats.shape[0], weights.shape[1], feats.shape[1]))
+    with np.errstate(over="ignore"):
+        return _forward_into(weights, feats, out)
+
+
+def _forward_into(weights: np.ndarray, feats: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """_forward into out, leaving exp's overflow to the caller's np.errstate: train
+    enters it once for all its steps."""
     if feats.shape[1] == 1:
         np.einsum("bif,rcf->rbci", feats, weights, out=out)
     else:
         np.matmul(feats[None, :, None], weights[:, None, :, :, None], out=out[..., None])
-    if C == 1:
+    if weights.shape[1] == 1:
         np.negative(out, out=out)
-        with np.errstate(over="ignore"):
-            np.exp(out, out=out)
+        np.exp(out, out=out)
         out += 1.0
         return np.divide(1.0, out, out=out)
     out -= np.max(out, axis=2, keepdims=True)  # scipy.special.softmax's steps
@@ -191,18 +197,24 @@ class StepBuffers(NamedTuple):
         return cls(np.empty((R, B, C, I)), np.zeros((R, B, C, I)), np.empty((R, C, B, I)),
                    np.empty(R))
 
+    def views(self, runs: slice, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pred, grad and loss of a LossBatch whose runs are a slice of the run
+        axis and whose loss sees the model columns from first on."""
+        return self.pred[runs, :, first:], self.grad[runs, :, first:], self.loss[runs]
+
 
 class LossBatch(NamedTuple):
-    """One step's loss of the runs that share a loss variant and pooled axes, a
-    slice of the run axis, on L loss classes."""
+    """One step's loss of the runs that share a loss variant and pooled axes, on
+    L loss classes: views of the step's buffers for those runs, and their batch."""
 
-    runs: slice
-    first: int  # the first model column the loss sees
+    pred: np.ndarray  # (R, B, L, I) the predictions the loss sees, in StepBuffers.pred
+    grad: np.ndarray  # (R, B, L, I) receives their loss gradient, in StepBuffers.grad
+    loss: np.ndarray  # (R,) receives each run's loss value, in StepBuffers.loss
     plan: LossPlan  # eps holds one value per run, (R, 1, L, 1) or (R, 1, 1, 1)
+    yp: np.ndarray  # (R, B, L, I) buffer for the loss's y * p
     ones: np.ndarray  # (R, B, L, I) bool gt
     counts: np.ndarray  # (R, B, L) its counts of ones
     mask: np.ndarray | None  # (R, B, L) availability, under the marginal variant
-    yp: np.ndarray  # (R, B, L, I) buffer for the loss's y * p
     y0: np.ndarray  # (R, B, L) receives each map's subset gradient where y = 0
     y1: np.ndarray  # (R, B, L) and where y = 1
 
@@ -216,14 +228,14 @@ def step_gradients(weights: np.ndarray, features: np.ndarray, losses, buffers: S
     run. Each LossBatch of losses scores its runs' last L model columns, so a
     loss over the foreground classes only still backpropagates through a
     softmax whose column 0 is the background, and records its subsets' two
-    gradient values per (sample, class) map. The step writes into buffers.
+    gradient values per (sample, class) map. The step writes into buffers,
+    of which each LossBatch holds views. A sigmoid's exp(-z) overflows below
+    z = -709, which train ignores once for all its steps.
     """
-    pred = _forward(weights, features, buffers.pred)
+    pred = _forward_into(weights, features, buffers.pred)
     for b in losses:
-        grad = buffers.grad[b.runs, :, b.first:]
-        out = planned_value_and_grad(
-            b.ones, pred[b.runs, :, b.first:], b.plan, b.mask, b.counts, b.yp, grad)
-        buffers.loss[b.runs] = out.value
+        out = planned_value_and_grad(b.ones, b.pred, b.plan, b.mask, b.counts, b.yp, b.grad)
+        b.loss[...] = out.value
         np.copyto(b.y0, out.y0[..., 0])
         np.copyto(b.y1, out.y1[..., 0])
     return StepResult(buffers.loss, _backward(features, buffers.grad, pred, buffers.dz))
@@ -302,11 +314,9 @@ class _Block(NamedTuple):
     """The runs of a train call that share a loss variant and pooled axes."""
 
     runs: slice  # their slice of the run axis
-    first: int  # the first model column the loss sees
-    plan: LossPlan  # eps holds one value per run
+    fixed: tuple  # (pred, grad, loss, plan, yp): the LossBatch fields every step shares
     labels: tuple  # (ones, counts, mask) of every sample, as LossBatch holds a batch's
     epoch: tuple  # the same, in the epoch's order
-    yp: np.ndarray
     y0: np.ndarray  # (R, iterations, B, L): each step's LossBatch.y0
     y1: np.ndarray
 
@@ -330,7 +340,9 @@ def train(runs: Sequence[tuple]) -> list[TrainResult]:
     is the first run of runs that fails, at that run's own iteration.
 
     Only the step's arithmetic runs every step. The inputs are checked, the
-    features computed and the losses planned once per call; each epoch
+    features computed and the losses planned once per call: a marginal run's
+    labels are checked over every sample, so foreground in an unavailable
+    map fails before the first step, whether or not a batch draws it. Each epoch
     gathers its shuffled features, and every run's labels, into buffers
     allocated once per call, and each step slices its batch from them. All
     runs share one forward and one backward per step; the runs of one loss
@@ -347,6 +359,7 @@ def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
     n, n_fg = len(dataset), dataset.n_classes
     R, B, I = len(runs), cfg.batch_size, feats.shape[1]
     C = 1 if n_fg == 1 else n_fg + 1
+    buffers = StepBuffers.allocate(R, B, C, I)
     # the runs of one loss variant and pooled axes are one slice of the run axis
     order = sorted(range(R), key=lambda r: _block_key(runs[r][1].loss))
     blocks, names = [], []
@@ -362,6 +375,8 @@ def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
             ones = np.concatenate([~ones.any(axis=2, keepdims=True), ones], axis=2)
             mask = np.stack([ds.availability for ds in datasets])
             mask = np.concatenate([np.ones((len(datasets), n, 1), dtype=bool), mask], axis=2)
+            # labels do not change between steps, so every sample is checked here once
+            check_marginal_labels(ones, mask, ones.shape)
             block_names = [("background",) + names_r for names_r in block_names]
         L = ones.shape[2]
         plans = [loss_plan(loss, L) for loss in losses]
@@ -370,14 +385,15 @@ def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
         eps = np.stack([np.broadcast_to(plan.eps, shape) for plan in plans])
         labels = (ones, np.count_nonzero(ones, axis=3), mask)
         values = np.empty((len(datasets), cfg.iterations, B, L))
-        blocks.append(_Block(slice(len(names), len(names) + len(datasets)), C - L,
-                             plans[0]._replace(eps=eps), labels,
+        block = slice(len(names), len(names) + len(datasets))
+        fixed = (*buffers.views(block, C - L), plans[0]._replace(eps=eps),
+                 np.empty((len(datasets), B, L, I)))
+        blocks.append(_Block(block, fixed, labels,
                              tuple(None if a is None else np.empty_like(a) for a in labels),
-                             np.empty((len(datasets), B, L, I)), values, np.empty_like(values)))
+                             values, np.empty_like(values)))
         names += block_names
 
     x_epoch = np.empty_like(feats)
-    buffers = StepBuffers.allocate(R, B, C, I)
     weights = np.zeros((R, C, N_FEATURES))
     rate = np.array([runs[r][1].learning_rate for r in order], dtype=np.float64)[:, None, None]
     loss = np.empty((R, cfg.iterations))
@@ -386,32 +402,35 @@ def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
     # each epoch's shuffled rows, to count the pixels of every batch afterwards
     epochs = [np.empty(0, dtype=np.int64)]
     lo = n_full
-    for iteration in range(cfg.iterations):
-        if lo == n_full:
-            epochs.append(rng.permutation(n))
-            np.take(feats, epochs[-1], axis=0, out=x_epoch, mode="clip")
+    with np.errstate(over="ignore"):  # a sigmoid's exp(-z) overflows to inf, giving 0
+        for iteration in range(cfg.iterations):
+            if lo == n_full:
+                epochs.append(rng.permutation(n))
+                np.take(feats, epochs[-1], axis=0, out=x_epoch, mode="clip")
+                for b in blocks:
+                    for src, buf in zip(b.labels, b.epoch):
+                        if src is not None:
+                            np.take(src, epochs[-1], axis=1, out=buf, mode="clip")
+                lo = 0
+            batch = slice(lo, lo + B)
+            lo += B
+            losses = []
             for b in blocks:
-                for src, buf in zip(b.labels, b.epoch):
-                    if src is not None:
-                        np.take(src, epochs[-1], axis=1, out=buf, mode="clip")
-            lo = 0
-        batch = slice(lo, lo + B)
-        lo += B
-        step = step_gradients(
-            weights, x_epoch[batch],
-            [LossBatch(b.runs, b.first, b.plan,
-                       *(None if a is None else a[:, batch] for a in b.epoch),
-                       b.yp, b.y0[:, iteration], b.y1[:, iteration]) for b in blocks],
-            buffers)
-        if not (np.isfinite(step.loss).all() and np.isfinite(step.param_grad).all()):
-            finite = np.isfinite(step.loss) & np.isfinite(step.param_grad).all(axis=(1, 2))
-            failed = min(order[k] for k in np.flatnonzero(~finite).tolist())
-            if failed:  # an earlier run that fails later is the one to report
-                _train(runs[:failed], feats)
-            raise NonFiniteTrainingError(
-                f"non-finite loss or weight gradient at iteration {iteration + 1}", run=failed)
-        weights -= rate * step.param_grad
-        loss[:, iteration] = step.loss
+                ones, counts, mask = b.epoch
+                losses.append(LossBatch(*b.fixed, ones[:, batch], counts[:, batch],
+                                        None if mask is None else mask[:, batch],
+                                        b.y0[:, iteration], b.y1[:, iteration]))
+            step = step_gradients(weights, x_epoch[batch], losses, buffers)
+            if not (np.isfinite(step.loss).all() and np.isfinite(step.param_grad).all()):
+                finite = np.isfinite(step.loss) & np.isfinite(step.param_grad).all(axis=(1, 2))
+                failed = min(order[k] for k in np.flatnonzero(~finite).tolist())
+                if failed:  # an earlier run that fails later is the one to report
+                    _train(runs[:failed], feats)
+                raise NonFiniteTrainingError(
+                    f"non-finite loss or weight gradient at iteration {iteration + 1}",
+                    run=failed)
+            weights -= rate * step.param_grad
+            loss[:, iteration] = step.loss
 
     rows = np.concatenate([epoch[:n_full] for epoch in epochs]).reshape(-1, B)
     rows = rows[:cfg.iterations]  # each iteration's batch

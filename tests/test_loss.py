@@ -1,5 +1,7 @@
 """Dice loss forward/backward, variants, and the merge machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dicelab.errors import (
 )
 from dicelab.loss import (
     DiceLossConfig,
+    LossOutput,
     Variant,
     dice_value_and_grad,
     dice_values,
@@ -441,6 +444,46 @@ class TestMarginalVariant:
         assert g_marg == pytest.approx(g_std, abs=1e-15)
 
 
+def assert_same_pass(a, b):
+    """Two dice_value_and_grad results equal in every LossOutput field and in the
+    gradient: shape, dtype and bytes."""
+    for x, y in zip((*a[0], a[1]), (*b[0], b[1])):
+        x, y = np.asarray(x), np.asarray(y)
+        assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
+
+
+def one_hot_gt(shape, seed):
+    """(..., B, C, I) ground truth with one class of C per pixel, background included."""
+    *lead, B, C, I = shape
+    labels = np.random.default_rng(seed).integers(0, C, (*lead, B, I))
+    return (labels[..., None, :] == np.arange(C)[:, None]).astype(np.float64)
+
+
+class TestVariantsThatDropNothing:
+    """A leaf pass that drops no subset, and a marginal pass whose mask hides no
+    map, are the standard pass: the same bytes in every field and gradient."""
+
+    @pytest.mark.parametrize("scheme", ALL)
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_leaf_without_an_empty_subset_is_the_standard_pass(self, scheme, lead):
+        gt, pred = random_pair((*lead, 3, 2, 5), seed=8)
+        gt[..., 0] = 1.0  # no (b, c) map is empty, so no subset of any scheme is
+        leaf = dice_value_and_grad(gt, pred, DiceLossConfig(scheme, 0.5, Variant.LEAF))
+        assert_same_pass(leaf, dice_value_and_grad(gt, pred, DiceLossConfig(scheme, 0.5)))
+        assert leaf[0].kept.all()
+
+    @pytest.mark.parametrize("scheme", ALL)
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_marginal_with_every_class_available_is_the_standard_pass(self, scheme, lead):
+        shape = (*lead, 2, 3, 5)
+        gt = one_hot_gt(shape, seed=12)
+        pred = softmax_like_pred((math.prod(shape[:-2]), 3, 5), seed=13).reshape(shape)
+        mask = np.ones(shape[:-1], dtype=bool)
+        marginal = dice_value_and_grad(gt, pred, DiceLossConfig(scheme, 0.5, Variant.MARGINAL),
+                                       mask)
+        assert_same_pass(marginal, dice_value_and_grad(gt, pred, DiceLossConfig(scheme, 0.5)))
+
+
 class TestDiceValues:
     @pytest.mark.parametrize("scheme", ALL)
     @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.LEAF])
@@ -539,6 +582,35 @@ class TestDiceValues:
         grads = dice_value_and_grad(gt, preds, cfg, mask)[1]
         for k, p in enumerate(preds):
             assert np.array_equal(grads[k], dice_value_and_grad(gt, p, cfg, mask)[1])
+
+    @pytest.mark.parametrize("scheme", ALL)
+    @pytest.mark.parametrize("B", [2, 3])  # 6 and 9 image-wise subsets: summed whole, gathered
+    def test_leaf_stack_with_drops_equals_lone_calls_bitwise(self, scheme, B):
+        gts = np.stack([random_pair((B, 3, 4), seed)[0] for seed in range(4)])
+        gts[..., 0] = 1.0
+        gts[0, 0, 1] = gts[1, 1] = gts[2, :, 2] = 0.0  # pair 3 drops nothing
+        preds = np.random.default_rng(2).uniform(0.0, 1.0, gts.shape)
+        cfg = DiceLossConfig(scheme, 0.5, Variant.LEAF)
+        stacked = dice_value_and_grad(gts, preds, cfg)
+        for k in range(4):
+            lone = dice_value_and_grad(gts[k], preds[k], cfg)
+            assert_same_pass((LossOutput(*(f[k] for f in stacked[0])), stacked[1][k]), lone)
+
+    @pytest.mark.parametrize("scheme", ALL)
+    @pytest.mark.parametrize("B", [2, 3])  # 6 and 9 image-wise subsets: summed whole, gathered
+    def test_marginal_stack_with_hidden_maps_equals_lone_calls_bitwise(self, scheme, B):
+        gts = one_hot_gt((4, B, 3, 5), seed=6)
+        preds = softmax_like_pred((4 * B, 3, 5), seed=7).reshape(gts.shape)
+        masks = np.ones((4, B, 3), dtype=bool)
+        masks[0, 0, 1] = masks[1, :, 2] = masks[2, 1, 1:] = False  # pair 3 hides nothing
+        gts[~masks] = 0.0
+        gts[:, :, 0] = 1.0 - gts[:, :, 1:].sum(axis=2)
+        cfg = DiceLossConfig(scheme, 1e-7, Variant.MARGINAL)
+        stacked = dice_value_and_grad(gts, preds, cfg, masks)
+        assert dice_values(gts, preds, cfg, masks).tobytes() == stacked[0].value.tobytes()
+        for k in range(4):
+            lone = dice_value_and_grad(gts[k], preds[k], cfg, masks[k])
+            assert_same_pass((LossOutput(*(f[k] for f in stacked[0])), stacked[1][k]), lone)
 
     @pytest.mark.parametrize("gt_shape, preds_shape", [
         ((3, 1, 2, 3), (4, 1, 2, 3)),   # leading axes that do not broadcast

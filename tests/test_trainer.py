@@ -312,8 +312,8 @@ def planned_step(model, feats, gt, cfg, mask=None):
     plan = loss_plan(cfg, L)
     plan = plan._replace(eps=np.reshape(plan.eps, (1, 1, -1, 1)))
     buffers = StepBuffers.allocate(1, B, C, I)
-    batch = LossBatch(slice(0, 1), C - L, plan, ones[None], np.count_nonzero(ones, axis=2)[None],
-                      None if mask is None else mask[None], np.empty((1, B, L, I)),
+    batch = LossBatch(*buffers.views(slice(0, 1), C - L), plan, np.empty((1, B, L, I)), ones[None],
+                      np.count_nonzero(ones, axis=2)[None], None if mask is None else mask[None],
                       np.empty((1, B, L)), np.empty((1, B, L)))
     step = step_gradients(model.weights[None], feats, [batch], buffers)
     return train_oracle.StepResult(step.loss[0], buffers.grad[0, :, C - L:], step.param_grad[0])
@@ -447,6 +447,20 @@ class TestTrainLoop:
                               variant=Variant.MARGINAL)
         result = train([(ds, TrainConfig(loss=loss, iterations=4))])[0]
         assert result.history.shape == (4, 1 + 2 * 4)
+
+    def test_foreground_in_an_unavailable_map_fails_before_training(self):
+        # the last sample's class 1 is unavailable yet labeled; a run of no steps
+        # draws no batch, and still fails
+        ds = generate_multiclass(SMALL_MULTI, seed=5)
+        availability = ds.availability.copy()
+        availability[-1, 1] = False
+        assert ds.gt[-1, 1].any()
+        ds = replace(ds, availability=availability)
+        loss = DiceLossConfig(scheme=ReductionScheme.IMAGE_WISE, epsilon=1e-7,
+                              variant=Variant.MARGINAL)
+        cfg = TrainConfig(loss=loss, iterations=0)
+        with pytest.raises(RangeViolationError, match="unavailable class contains foreground"):
+            train([(ds, cfg)])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
@@ -841,7 +855,7 @@ def poison_by_epsilon(monkeypatch):
         for b in losses:
             for k, eps in enumerate(b.plan.eps.reshape(len(b.plan.eps), -1)[:, 0].tolist()):
                 if FAIL_AT.get(eps) == iteration[0]:
-                    step.loss[b.runs.start + k] = np.nan
+                    b.loss[k] = np.nan  # a view of step.loss
         return step
 
     monkeypatch.setattr(trainer, "step_gradients", poisoned)
