@@ -315,6 +315,9 @@ def generate_multiclass(params: MulticlassTaskParams, seed: int) -> SyntheticDat
 
 def apply_partial(dataset: SyntheticDataset, policy: PartialPolicy) -> SyntheticDataset:
     """Corrupt targeted samples' ground truth; the images are shared, not copied."""
+    if not isinstance(dataset, SyntheticDataset) or not isinstance(policy, PartialPolicy):
+        raise InvalidConfigError(f"apply_partial needs a SyntheticDataset and a PartialPolicy, "
+                                 f"got {type(dataset).__name__} and {type(policy).__name__}")
     rows = slice(None) if policy.tag is None else dataset.tags == policy.tag
     if policy.tag is not None and not rows.any():
         raise InvalidConfigError(f"tag {policy.tag!r} not present in dataset")

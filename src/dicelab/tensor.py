@@ -16,7 +16,8 @@ import struct
 
 import numpy as np
 
-from .errors import InvalidConfigError, ShapeMismatchError, TensorFileError, require_int
+from .errors import (InvalidConfigError, RangeViolationError, ShapeMismatchError,
+                     TensorFileError, require_array, require_int)
 
 
 class ReductionScheme(enum.Enum):
@@ -82,8 +83,14 @@ _HEADER_BYTES = 18
 
 
 def write_tensor(path, tensor: np.ndarray) -> None:
-    """Write the portable tensor format: magic, dtype u8, ndim u8, dims u32 LE, f64 LE payload."""
-    B, C, I = batch_dims(np.shape(tensor))
+    """Write the portable tensor format: magic, dtype u8, ndim u8, dims u32 LE, f64 LE payload.
+
+    tensor is a (B, C, I) array of finite real numbers.
+    """
+    tensor = require_array("tensor", tensor)
+    B, C, I = batch_dims(tensor.shape)
+    if not np.isfinite(tensor).all():
+        raise RangeViolationError("tensor values must be finite")
     header = _MAGIC + struct.pack("<BB", _DTYPE_F64_LE, 3) + struct.pack("<III", B, C, I)
     payload = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
     with open(path, "wb") as fh:

@@ -12,8 +12,10 @@ from dicelab.errors import (DicelabError, InvalidConfigError, RangeViolationErro
                             ShapeMismatchError, require_array, require_binary, require_int,
                             require_number)
 from dicelab.gradcheck import check_two_value, compare_grads, finite_diff_grad
-from dicelab.loss import DiceLossConfig, dice_value_and_grad, dice_values
-from dicelab.tensor import ReductionScheme
+from dicelab.loss import DiceLossConfig, dice_value_and_grad, dice_values, marginal_merge
+from dicelab.synthdata import (BinaryTaskParams, PartialAction, PartialPolicy, apply_partial,
+                               generate_binary)
+from dicelab.tensor import ReductionScheme, write_tensor
 
 
 @pytest.mark.parametrize("value", [3, 5, np.int64(3), 10 ** 400])
@@ -77,8 +79,17 @@ GT = np.array([[[1.0, 0.0, 1.0]]])
 PRED = np.array([[[0.4, 0.5, 0.6]]])
 SCHEME = ReductionScheme.IMAGE_WISE
 CFG = DiceLossConfig(SCHEME)
+# a two-class pair, the background first, for the marginal merge
+GT2 = np.array([[[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]])
+PRED2 = np.array([[[0.6, 0.5, 0.4], [0.4, 0.5, 0.6]]])
+MASK2 = np.array([[True, True]])
+DATASET = generate_binary(BinaryTaskParams(image_size=16, n_grade_a=2, n_grade_b=1,
+                                           radius_a=(3.0, 4.5), radius_b=(2.0, 3.0)), seed=0)
+POLICY = PartialPolicy(PartialAction.EMPTY_MAP, class_index=0)
 
-# each entry point with well-formed arguments, and the kind of each argument
+# each entry point with well-formed arguments, and the kind of each argument;
+# a path argument ("p") is taken as well-formed, and write_tensor writes into the
+# test's own directory
 ENTRY_POINTS = {
     "dice_values": (dice_values, (GT, PRED, CFG), "aac"),
     "dice_value_and_grad": (dice_value_and_grad, (GT, PRED, CFG), "aac"),
@@ -86,12 +97,21 @@ ENTRY_POINTS = {
     "compare_grads": (compare_grads, (PRED, PRED), "aa"),
     "check_two_value": (check_two_value, (GT, PRED, SCHEME), "aas"),
     "calibrate_epsilon": (calibrate_epsilon, (GT, SCHEME), "as"),
+    "marginal_merge": (marginal_merge, (GT2, PRED2, MASK2), "aam"),
+    "write_tensor": (write_tensor, ("t.drt", PRED), "pt"),
+    "apply_partial": (apply_partial, (DATASET, POLICY), "dq"),
 }
 MALFORMED = {
     "a": {"ragged": [[[1.0, 0.0], [1.0]]], "str": [[["1", "0", "1"]]], "complex": GT + 0j,
           "2-D": GT[0], "0-D": 1.0},
     "c": {"None": None, "str": "image-wise", "scheme": SCHEME},
     "s": {"None": None, "str": "image-wise", "config": CFG},
+    "m": {"None": None, "list": MASK2.tolist(), "int": MASK2.astype(int), "1-D": MASK2[0]},
+    "p": {},
+    "t": {"ragged": [[[1.0, 0.0], [1.0]]], "str": [[["1", "0", "1"]]], "complex": PRED + 0j,
+          "None": None, "2-D": PRED[0], "NaN": PRED * np.nan, "inf": np.full(PRED.shape, np.inf)},
+    "d": {"None": None, "policy": POLICY, "images": DATASET.images},
+    "q": {"None": None, "str": "empty-map", "dataset": DATASET},
 }
 CASES = [pytest.param(name, i, bad, id=f"{name}-{i}-{label}")
          for name, (_, args, kinds) in ENTRY_POINTS.items()
@@ -100,13 +120,16 @@ CASES = [pytest.param(name, i, bad, id=f"{name}-{i}-{label}")
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
-def test_entry_point_accepts_its_well_formed_arguments(name):
+def test_entry_point_accepts_its_well_formed_arguments(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     entry, args, _ = ENTRY_POINTS[name]
     entry(*args)
 
 
 @pytest.mark.parametrize("name, position, bad", CASES)
-def test_entry_point_turns_malformed_input_into_a_dicelab_error(name, position, bad):
+def test_entry_point_turns_malformed_input_into_a_dicelab_error(name, position, bad, tmp_path,
+                                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
     entry, args, _ = ENTRY_POINTS[name]
     args = list(args)
     args[position] = bad

@@ -1,6 +1,7 @@
 """Synthetic task generators, corruption policies, and dataset persistence."""
 
 import json
+import math
 import pickle
 import shutil
 import struct
@@ -54,10 +55,14 @@ def _point_first_sample(root, name_for):
 
 
 def _edit_first_sample(root, index, value):
-    """Set one element of the first sample's (1, 2, n * n) tensor: row 0 image, row 1 gt."""
-    tensor = read_tensor(_first_sample(root)).copy()
-    tensor[index] = value
-    write_tensor(_first_sample(root), tensor)
+    """Set one element of the first sample's (1, 2, n * n) tensor, row 0 image and
+    row 1 gt, in the file's f64 payload (write_tensor refuses a NaN)."""
+    path = _first_sample(root)
+    shape = read_tensor(path).shape
+    blob = bytearray(path.read_bytes())
+    offset = len(blob) - 8 * math.prod(shape) + 8 * int(np.ravel_multi_index(index, shape))
+    struct.pack_into("<d", blob, offset, value)
+    path.write_bytes(bytes(blob))
 
 
 def _duplicate_lesion_class(root):
