@@ -34,6 +34,12 @@ LossPlan; a caller may pass a LossPlan in place of the config, for instance
 one whose epsilon holds one value per stacked ground truth. The training loop
 calls planned_value_and_grad itself: it checks its arrays, builds the plan and
 allocates the buffers once for many calls.
+
+A leaf or marginal pass that drops no subset computes the standard loss bit
+for bit, so it takes the standard path; the marginal variant merges and
+routes only where its mask hides a map. Its label checks,
+check_marginal_labels, read no predictions, so they run once per checked call
+or per training run; the column-sum check on the predictions runs every pass.
 A counted subset with S = 0 (epsilon 0, empty ground truth and zero
 prediction) raises ZeroDenominatorError in place of returning NaN.
 """
@@ -274,7 +280,7 @@ def _pool(
     y: np.ndarray,
     p: np.ndarray,
     plan: LossPlan,
-    hidden: np.ndarray | None,
+    hiding: np.ndarray | None,
     counts: np.ndarray | None = None,
     yp: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -283,8 +289,8 @@ def _pool(
     y (0 and 1, as float64 or bool) and p are (..., B, C, I) with leading axes
     that broadcast. Phi is taken as negative axes, so leading axes stack
     independent pairs. Under the marginal variant p must be softmax-style, and
-    hidden is its checked mask when that hides some map (see _hiding), else
-    None: p is merged here first only when hidden is given. N and S carry the
+    hiding is its checked mask when that hides some map (see _hiding), else
+    None: p is merged here first only when hiding is given. N and S carry the
     broadcast leading axes. kept is None when every subset counts (always
     under the standard variant), else (B', C', 1), the keepdims shape of one
     pair's sums, unless the leaf variant drops subsets of a stacked y or the
@@ -298,11 +304,11 @@ def _pool(
     kept = None
     if variant is Variant.MARGINAL:
         _check_columns(p)
-        if hidden is not None:
-            p = _merge(p, hidden, np.broadcast_shapes(p.shape, hidden.shape + (1,)))
+        if hiding is not None:
+            p = _merge(p, hiding, np.broadcast_shapes(p.shape, hiding.shape + (1,)))
             # the background is available everywhere, so only subsets made of
             # merged-away classes alone are dropped
-            kept = hidden[..., None].any(axis=axes, keepdims=True)
+            kept = hiding[..., None].any(axis=axes, keepdims=True)
     inter = np.multiply(y, p, out=yp).sum(axis=axes, keepdims=True)
     if counts is None:
         gsum = y.sum(axis=axes, keepdims=True)
@@ -395,8 +401,8 @@ def planned_value_and_grad(
     variant, an unavailable (b, c) column takes the background column's
     gradient, as its predictions were merged into the background.
     """
-    hidden = _hiding(plan, mask)
-    kept, N, S = _pool(ones, p, plan, hidden, counts, yp)
+    hiding = _hiding(plan, mask)
+    kept, N, S = _pool(ones, p, plan, hiding, counts, yp)
     value = _loss_values(N / S, kept)
     if kept is None:
         kept, n_kept, K = _all_kept(S.shape)
@@ -409,8 +415,8 @@ def planned_value_and_grad(
     y0, y1 = ratio / K, (ratio - 2.0 / S) / K
     np.copyto(out, y0)
     np.copyto(out, y1, where=ones)
-    if hidden is not None:
-        np.copyto(out, out[..., :1, :], where=~hidden[..., None])
+    if hiding is not None:
+        np.copyto(out, out[..., :1, :], where=~hiding[..., None])
     return LossOutput(value[()], kept, n_kept[()], y0, y1)
 
 

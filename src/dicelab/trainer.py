@@ -14,7 +14,9 @@ keep np.einsum's order bit for bit.
 
 Training takes a group of runs that draw the same batches, such as the cells
 of one cross-validation fold, and steps them in lockstep: one feature gather,
-one forward and one backward per step for all of them.
+one forward and one backward per step for all of them. Whatever does not
+change between steps (input and label checks, loss plans, buffers and the
+views each loss block takes of them) is set up once per training call.
 """
 
 from __future__ import annotations
