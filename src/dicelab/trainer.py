@@ -355,6 +355,7 @@ def train(runs: Sequence[tuple]) -> list[TrainResult]:
     return _train(runs, featurize(runs[0][0].images))
 
 
+@np.errstate(over="ignore")  # a sigmoid's exp(-z) overflows to inf, and the sigmoid is 0
 def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
     """train on checked runs whose images have the features feats."""
     dataset, cfg = runs[0]
@@ -404,35 +405,33 @@ def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
     # each epoch's shuffled rows, to count the pixels of every batch afterwards
     epochs = [np.empty(0, dtype=np.int64)]
     lo = n_full
-    with np.errstate(over="ignore"):  # a sigmoid's exp(-z) overflows to inf, giving 0
-        for iteration in range(cfg.iterations):
-            if lo == n_full:
-                epochs.append(rng.permutation(n))
-                np.take(feats, epochs[-1], axis=0, out=x_epoch, mode="clip")
-                for b in blocks:
-                    for src, buf in zip(b.labels, b.epoch):
-                        if src is not None:
-                            np.take(src, epochs[-1], axis=1, out=buf, mode="clip")
-                lo = 0
-            batch = slice(lo, lo + B)
-            lo += B
-            losses = []
+    for iteration in range(cfg.iterations):
+        if lo == n_full:
+            epochs.append(rng.permutation(n))
+            np.take(feats, epochs[-1], axis=0, out=x_epoch, mode="clip")
             for b in blocks:
-                ones, counts, mask = b.epoch
-                losses.append(LossBatch(*b.fixed, ones[:, batch], counts[:, batch],
-                                        None if mask is None else mask[:, batch],
-                                        b.y0[:, iteration], b.y1[:, iteration]))
-            step = step_gradients(weights, x_epoch[batch], losses, buffers)
-            if not (np.isfinite(step.loss).all() and np.isfinite(step.param_grad).all()):
-                finite = np.isfinite(step.loss) & np.isfinite(step.param_grad).all(axis=(1, 2))
-                failed = min(order[k] for k in np.flatnonzero(~finite).tolist())
-                if failed:  # an earlier run that fails later is the one to report
-                    _train(runs[:failed], feats)
-                raise NonFiniteTrainingError(
-                    f"non-finite loss or weight gradient at iteration {iteration + 1}",
-                    run=failed)
-            weights -= rate * step.param_grad
-            loss[:, iteration] = step.loss
+                for src, buf in zip(b.labels, b.epoch):
+                    if src is not None:
+                        np.take(src, epochs[-1], axis=1, out=buf, mode="clip")
+            lo = 0
+        batch = slice(lo, lo + B)
+        lo += B
+        losses = []
+        for b in blocks:
+            ones, counts, mask = b.epoch
+            losses.append(LossBatch(*b.fixed, ones[:, batch], counts[:, batch],
+                                    None if mask is None else mask[:, batch],
+                                    b.y0[:, iteration], b.y1[:, iteration]))
+        step = step_gradients(weights, x_epoch[batch], losses, buffers)
+        if not (np.isfinite(step.loss).all() and np.isfinite(step.param_grad).all()):
+            finite = np.isfinite(step.loss) & np.isfinite(step.param_grad).all(axis=(1, 2))
+            failed = min(order[k] for k in np.flatnonzero(~finite).tolist())
+            if failed:  # an earlier run that fails later is the one to report
+                _train(runs[:failed], feats)
+            raise NonFiniteTrainingError(
+                f"non-finite loss or weight gradient at iteration {iteration + 1}", run=failed)
+        weights -= rate * step.param_grad
+        loss[:, iteration] = step.loss
 
     rows = np.concatenate([epoch[:n_full] for epoch in epochs]).reshape(-1, B)
     rows = rows[:cfg.iterations]  # each iteration's batch
