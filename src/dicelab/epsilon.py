@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (EmptyDatasetError, InvalidConfigError, NoRealRootError, ShapeMismatchError,
-                     require_array, require_binary, require_number)
+                     require_array, require_binary, require_number, require_type)
 from .tensor import ReductionScheme, readonly
 
 
@@ -72,6 +72,7 @@ def solve_balance_epsilon(p: BalanceParams) -> float:
 
         2a * eps^2 + (4a - b^2) * v * eps + 2a * v^2 = 0
     """
+    require_type("p", p, BalanceParams)
     A = 2.0 * p.a
     B = (4.0 * p.a - p.b * p.b) * p.v_hat
     C = 2.0 * p.a * p.v_hat * p.v_hat

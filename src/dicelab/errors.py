@@ -2,9 +2,9 @@
 
 Each class names a kind of fault that callers (and tests) can catch instead
 of parsing messages.  README's "Errors" table lists what each covers and
-the CLI exit code it gives.  require_int, require_number, require_array and
-require_binary state once what a valid integer, number, array and 0/1 ground
-truth is.
+the CLI exit code it gives.  require_int, require_number, require_array,
+require_binary and require_type state once what a valid integer, number,
+array, 0/1 ground truth and typed argument is.
 """
 
 import math
@@ -95,3 +95,10 @@ def require_binary(name: str, y) -> None:
     """RangeViolationError unless every value of the array y is 0 or 1 (NaN is neither)."""
     if not ((y == 0.0) | (y == 1.0)).all():
         raise RangeViolationError(f"{name} values must be exactly 0 or 1")
+
+
+def require_type(name: str, value, kind: type) -> None:
+    """InvalidConfigError unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise InvalidConfigError(f"{name} must be of type {kind.__name__}, "
+                                 f"got {type(value).__name__}")

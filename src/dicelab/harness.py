@@ -25,7 +25,8 @@ import numpy as np
 import yaml
 
 from .epsilon import calibrate_epsilon
-from .errors import InvalidConfigError, NonFiniteTrainingError, require_int, require_number
+from .errors import (InvalidConfigError, NonFiniteTrainingError, require_int, require_number,
+                     require_type)
 from .loss import DiceLossConfig, Variant
 from .metrics import (RocCurve, binarize, bootstrap_compare, hard_dsc, roc_auc,
                       volume_difference, write_csv)
@@ -118,7 +119,7 @@ class ExperimentConfig:
     dataset: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.task not in TASKS:
+        if not isinstance(self.task, str) or self.task not in TASKS:
             raise InvalidConfigError(f"unknown task {self.task!r}")
         for name in ("setups", "batch_sizes"):
             if getattr(self, name) is None:
@@ -494,6 +495,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
 
     out_dir must be new or empty, so no artifact of an older run survives.
     """
+    require_type("config", config, ExperimentConfig)
     require_int("jobs", jobs, 1)
     out = Path(out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):

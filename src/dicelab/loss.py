@@ -140,6 +140,13 @@ def _check_shapes(gt: np.ndarray, p: np.ndarray) -> None:
         raise ShapeMismatchError(f"gt shape {gt.shape} does not match predictions {p.shape}")
 
 
+def _check_values(y: np.ndarray, p: np.ndarray) -> None:
+    """RangeViolationError unless y holds 0 and 1 and p lies in [0, 1]."""
+    require_binary("ground-truth", y)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise RangeViolationError("prediction values must lie in [0, 1]")
+
+
 def check_marginal_labels(gt: np.ndarray, mask, shape: tuple[int, ...]) -> tuple[int, ...]:
     """The marginal variant's checks that read labels alone, and the broadcast
     shape of the pairs and the mask.
@@ -178,7 +185,7 @@ def _check_columns(p: np.ndarray) -> None:
     dev = p.sum(axis=-2)
     dev -= 1.0
     np.abs(dev, out=dev)
-    if np.any(dev > DISTRIBUTION_TOL):
+    if not (dev <= DISTRIBUTION_TOL).all():  # NaN fails too
         raise RangeViolationError(
             f"prediction columns must sum to 1 per pixel (max dev {float(dev.max()):.3g})")
 
@@ -202,14 +209,16 @@ def marginal_merge(gt, p, mask: np.ndarray | None) -> np.ndarray:
     gt is the ground truth and p the predictions, both (..., B, C, I) with
     leading axes that broadcast, so a stack merges in one call; mask is a
     (..., B, C) bool array, True where batch element b labels class c, whose
-    leading axes broadcast against theirs. Predictions
-    must be softmax-style (class columns sum to 1 per pixel) and the ground
-    truth of every unavailable class must already be empty. Merged columns are
-    zeroed in place of being physically removed.
+    leading axes broadcast against theirs. The ground truth holds 0 and 1,
+    and the ground truth of every unavailable class must already be empty;
+    predictions must lie in [0, 1] and be softmax-style (class columns sum to
+    1 per pixel). Merged columns are zeroed in place of being physically
+    removed.
     """
     gt = require_array("ground truth", gt)
     p = require_array("predictions", p)
     _check_shapes(gt, p)
+    _check_values(gt, p)
     shape = check_marginal_labels(gt, mask, np.broadcast_shapes(gt.shape, p.shape))
     _check_columns(p)
     return _merge(p, mask, shape)
@@ -267,9 +276,7 @@ def _checked(gt, pred, cfg, mask) -> tuple[np.ndarray, np.ndarray, LossPlan]:
     y = require_array("ground truth", gt).astype(np.float64, copy=False)
     p = require_array("predictions", pred).astype(np.float64, copy=False)
     _check_shapes(y, p)
-    require_binary("ground-truth", y)
-    if not ((p >= 0.0) & (p <= 1.0)).all():
-        raise RangeViolationError("prediction values must lie in [0, 1]")
+    _check_values(y, p)
     plan = loss_plan(cfg, y.shape[-2])
     if plan.cfg.variant is Variant.MARGINAL:
         check_marginal_labels(y, mask, np.broadcast_shapes(y.shape, p.shape))

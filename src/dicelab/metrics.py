@@ -118,8 +118,8 @@ def bootstrap_compare(a, b, n_resamples: int = 10_000, seed: int = 0) -> float:
     """
     require_int("n_resamples", n_resamples, 1)
     require_int("seed", seed, 0)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(require_array("paired values", a), dtype=np.float64)
+    b = np.asarray(require_array("paired values", b), dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ShapeMismatchError(f"paired lists must match: {a.shape} vs {b.shape}")
     if a.size < 2:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (InvalidConfigError, RangeViolationError, ShapeMismatchError, TensorFileError,
-                     require_int, require_number)
+                     require_int, require_number, require_type)
 from .tensor import read_tensor, write_tensor
 
 GRADE_A = "grade-a"
@@ -256,6 +256,7 @@ def _shuffled_tags(counts: list[tuple[str, int]], rng: np.random.Generator) -> l
 
 def generate_binary(params: BinaryTaskParams, seed: int) -> SyntheticDataset:
     """One disk per image; grade decides its intensity band and radius range."""
+    require_type("params", params, BinaryTaskParams)
     require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     n = params.image_size
@@ -283,6 +284,7 @@ def generate_binary(params: BinaryTaskParams, seed: int) -> SyntheticDataset:
 
 def generate_multiclass(params: MulticlassTaskParams, seed: int) -> SyntheticDataset:
     """Core disk + shell ring + satellite disk; phase-b shrinks all radii."""
+    require_type("params", params, MulticlassTaskParams)
     require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     n = params.image_size
@@ -315,9 +317,8 @@ def generate_multiclass(params: MulticlassTaskParams, seed: int) -> SyntheticDat
 
 def apply_partial(dataset: SyntheticDataset, policy: PartialPolicy) -> SyntheticDataset:
     """Corrupt targeted samples' ground truth; the images are shared, not copied."""
-    if not isinstance(dataset, SyntheticDataset) or not isinstance(policy, PartialPolicy):
-        raise InvalidConfigError(f"apply_partial needs a SyntheticDataset and a PartialPolicy, "
-                                 f"got {type(dataset).__name__} and {type(policy).__name__}")
+    require_type("dataset", dataset, SyntheticDataset)
+    require_type("policy", policy, PartialPolicy)
     rows = slice(None) if policy.tag is None else dataset.tags == policy.tag
     if policy.tag is not None and not rows.any():
         raise InvalidConfigError(f"tag {policy.tag!r} not present in dataset")
@@ -340,6 +341,7 @@ def _sample_filename(subject_id: int) -> str:
 
 def save_dataset(dataset: SyntheticDataset, out_dir) -> Path:
     """Write a manifest plus one tensor file per sample (image row + gt rows)."""
+    require_type("dataset", dataset, SyntheticDataset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n = dataset.image_size

@@ -13,10 +13,11 @@ product, (C, B * I) @ (B * I, F), which BLAS sums in its own order; the logits
 keep np.einsum's order bit for bit.
 
 Training takes a group of runs that draw the same batches, such as the cells
-of one cross-validation fold, and steps them in lockstep: one feature gather,
-one forward and one backward per step for all of them. Whatever does not
-change between steps (input and label checks, loss plans, buffers and the
-views each loss block takes of them) is set up once per training call.
+of one cross-validation fold, and steps them in lockstep: one forward, one
+loss pass per block of runs that share a loss variant and pooled axes, and one
+backward per step for all of them. Whatever does not change between steps
+(input and label checks, features, each block's loss plan and labels, and the
+step's arrays) is set up once per training call; a step slices its batch.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     require_array,
     require_int,
     require_number,
+    require_type,
 )
 from .loss import (DiceLossConfig, LossPlan, Variant, check_marginal_labels, loss_plan,
                    planned_value_and_grad)
@@ -127,26 +129,18 @@ def featurize(image: np.ndarray) -> np.ndarray:
     return feats.reshape(*image.shape[:-2], h * w, N_FEATURES)
 
 
-def _forward(weights: np.ndarray, feats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _forward(weights: np.ndarray, feats: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Predictions (R, B, C, I) of R models' weights (R, C, F) for the per-pixel
-    features (B, I, F) of one batch, into out when given: a sigmoid
+    features (B, I, F) of one batch, written into out and returned: a sigmoid
     1 / (1 + exp(-z)) for one weight row, else a softmax over the C rows.
 
     The logits are one matrix-vector product per (model, sample, row), which
     sums the F products in np.einsum's order, so they equal each model's own
     einsum("bif,cf->bci") bit for bit; at I = 1 NumPy takes a dot product,
     which sums in another order, so einsum computes them there. exp(-z)
-    overflows to inf below z = -709, and the sigmoid is then 0.
+    overflows to inf below z = -709, and the sigmoid is then 0; the caller
+    enters np.errstate(over="ignore") for it, train once for all its steps.
     """
-    if out is None:
-        out = np.empty((weights.shape[0], feats.shape[0], weights.shape[1], feats.shape[1]))
-    with np.errstate(over="ignore"):
-        return _forward_into(weights, feats, out)
-
-
-def _forward_into(weights: np.ndarray, feats: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """_forward into out, leaving exp's overflow to the caller's np.errstate: train
-    enters it once for all its steps."""
     if feats.shape[1] == 1:
         np.einsum("bif,rcf->rbci", feats, weights, out=out)
     else:
@@ -180,67 +174,49 @@ def _backward(feats: np.ndarray, g: np.ndarray, p: np.ndarray, dz: np.ndarray) -
     return np.matmul(dz.reshape(R, C, B * I), feats.reshape(B * I, -1))
 
 
-class StepResult(NamedTuple):
-    loss: np.ndarray  # (R,) each run's loss
-    param_grad: np.ndarray  # (R, C, F) each run's weight gradient
+class _Block(NamedTuple):
+    """The runs of a train call that share a loss variant and pooled axes, on L
+    loss classes, and what their loss pass reads and writes at every step."""
 
-
-class StepBuffers(NamedTuple):
-    """The arrays a step writes, for R runs, B samples, C model columns and I
-    pixels; train allocates them once per call."""
-
-    pred: np.ndarray  # (R, B, C, I) predictions
-    grad: np.ndarray  # (R, B, C, I) loss gradient; columns a loss does not see stay 0
-    dz: np.ndarray  # (R, C, B, I) gradient at the logits, each run's rows one matrix
-    loss: np.ndarray  # (R,) loss values
-
-    @classmethod
-    def allocate(cls, R: int, B: int, C: int, I: int) -> StepBuffers:
-        return cls(np.empty((R, B, C, I)), np.zeros((R, B, C, I)), np.empty((R, C, B, I)),
-                   np.empty(R))
-
-    def views(self, runs: slice, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pred, grad and loss of a LossBatch whose runs are a slice of the run
-        axis and whose loss sees the model columns from first on."""
-        return self.pred[runs, :, first:], self.grad[runs, :, first:], self.loss[runs]
-
-
-class LossBatch(NamedTuple):
-    """One step's loss of the runs that share a loss variant and pooled axes, on
-    L loss classes: views of the step's buffers for those runs, and their batch."""
-
-    pred: np.ndarray  # (R, B, L, I) the predictions the loss sees, in StepBuffers.pred
-    grad: np.ndarray  # (R, B, L, I) receives their loss gradient, in StepBuffers.grad
-    loss: np.ndarray  # (R,) receives each run's loss value, in StepBuffers.loss
+    runs: slice  # their slice of the run axis
+    first: int  # the first model column their loss sees
     plan: LossPlan  # eps holds one value per run, (R, 1, L, 1) or (R, 1, 1, 1)
     yp: np.ndarray  # (R, B, L, I) buffer for the loss's y * p
-    ones: np.ndarray  # (R, B, L, I) bool gt
-    counts: np.ndarray  # (R, B, L) its counts of ones
-    mask: np.ndarray | None  # (R, B, L) availability, under the marginal variant
-    y0: np.ndarray  # (R, B, L) receives each map's subset gradient where y = 0
-    y1: np.ndarray  # (R, B, L) and where y = 1
+    # (ones, counts, mask) of every sample: bool gt (R, n, L, I), its counts of ones
+    # (R, n, L) and, under the marginal variant, availability (R, n, L), else None
+    labels: tuple
+    epoch: tuple  # the same, in the epoch's order
+    y0: np.ndarray  # (R, iterations, B, L): each step's subset gradient where y = 0
+    y1: np.ndarray  # and where y = 1
 
 
-def step_gradients(weights: np.ndarray, features: np.ndarray, losses, buffers: StepBuffers
-                   ) -> StepResult:
+def step_gradients(weights: np.ndarray, features: np.ndarray, blocks: Sequence[_Block],
+                   batch: slice, iteration: int, pred: np.ndarray, grad: np.ndarray,
+                   dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One forward/backward pass of R runs on one batch: each run's loss value
-    and weight gradient.
+    (R,) and weight gradient (R, C, F).
 
     weights is (R, C, F) and features the batch's (B, I, F), shared by every
-    run. Each LossBatch of losses scores its runs' last L model columns, so a
-    loss over the foreground classes only still backpropagates through a
-    softmax whose column 0 is the background, and records its subsets' two
-    gradient values per (sample, class) map. The step writes into buffers,
-    of which each LossBatch holds views. A sigmoid's exp(-z) overflows below
-    z = -709, which train ignores once for all its steps.
+    run; batch is the batch's slice of each block's epoch-ordered labels, and
+    the block records its subsets' two gradient values per (sample, class) map
+    at iteration. Each block scores its runs' model columns from its first on,
+    so a loss over the foreground classes only still backpropagates through a
+    softmax whose column 0 is the background. The step writes the predictions
+    into pred, the loss gradient into grad (columns no loss sees stay 0) and
+    the gradient at the logits into dz, laid out (R, C, B, I). A sigmoid's
+    exp(-z) overflows below z = -709, which train ignores once for all its steps.
     """
-    pred = _forward_into(weights, features, buffers.pred)
-    for b in losses:
-        out = planned_value_and_grad(b.ones, b.pred, b.plan, b.mask, b.counts, b.yp, b.grad)
-        b.loss[...] = out.value
-        np.copyto(b.y0, out.y0[..., 0])
-        np.copyto(b.y1, out.y1[..., 0])
-    return StepResult(buffers.loss, _backward(features, buffers.grad, pred, buffers.dz))
+    _forward(weights, features, pred)
+    loss = np.empty(len(weights))
+    for b in blocks:
+        ones, counts, mask = b.epoch
+        out = planned_value_and_grad(ones[:, batch], pred[b.runs, :, b.first:], b.plan,
+                                     None if mask is None else mask[:, batch], counts[:, batch],
+                                     b.yp, grad[b.runs, :, b.first:])
+        loss[b.runs] = out.value
+        b.y0[:, iteration] = out.y0[..., 0]
+        b.y1[:, iteration] = out.y1[..., 0]
+    return loss, _backward(features, grad, pred, dz)
 
 
 def _grad_means(y0: np.ndarray, y1: np.ndarray, counts: np.ndarray, mask: np.ndarray | None,
@@ -312,17 +288,6 @@ def _block_key(loss: DiceLossConfig) -> tuple:
     return loss.variant.value, loss.scheme.axes
 
 
-class _Block(NamedTuple):
-    """The runs of a train call that share a loss variant and pooled axes."""
-
-    runs: slice  # their slice of the run axis
-    fixed: tuple  # (pred, grad, loss, plan, yp): the LossBatch fields every step shares
-    labels: tuple  # (ones, counts, mask) of every sample, as LossBatch holds a batch's
-    epoch: tuple  # the same, in the epoch's order
-    y0: np.ndarray  # (R, iterations, B, L): each step's LossBatch.y0
-    y1: np.ndarray
-
-
 def train(runs: Sequence[tuple]) -> list[TrainResult]:
     """Plain SGD over whole-sample batches with seeded shuffling, every run of
     runs in lockstep.
@@ -362,7 +327,6 @@ def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
     n, n_fg = len(dataset), dataset.n_classes
     R, B, I = len(runs), cfg.batch_size, feats.shape[1]
     C = 1 if n_fg == 1 else n_fg + 1
-    buffers = StepBuffers.allocate(R, B, C, I)
     # the runs of one loss variant and pooled axes are one slice of the run axis
     order = sorted(range(R), key=lambda r: _block_key(runs[r][1].loss))
     blocks, names = [], []
@@ -388,15 +352,14 @@ def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
         eps = np.stack([np.broadcast_to(plan.eps, shape) for plan in plans])
         labels = (ones, np.count_nonzero(ones, axis=3), mask)
         values = np.empty((len(datasets), cfg.iterations, B, L))
-        block = slice(len(names), len(names) + len(datasets))
-        fixed = (*buffers.views(block, C - L), plans[0]._replace(eps=eps),
-                 np.empty((len(datasets), B, L, I)))
-        blocks.append(_Block(block, fixed, labels,
-                             tuple(None if a is None else np.empty_like(a) for a in labels),
+        blocks.append(_Block(slice(len(names), len(names) + len(datasets)), C - L,
+                             plans[0]._replace(eps=eps), np.empty((len(datasets), B, L, I)),
+                             labels, tuple(None if a is None else np.empty_like(a) for a in labels),
                              values, np.empty_like(values)))
         names += block_names
 
     x_epoch = np.empty_like(feats)
+    pred, grad, dz = np.empty((R, B, C, I)), np.zeros((R, B, C, I)), np.empty((R, C, B, I))
     weights = np.zeros((R, C, N_FEATURES))
     rate = np.array([runs[r][1].learning_rate for r in order], dtype=np.float64)[:, None, None]
     loss = np.empty((R, cfg.iterations))
@@ -416,22 +379,16 @@ def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
             lo = 0
         batch = slice(lo, lo + B)
         lo += B
-        losses = []
-        for b in blocks:
-            ones, counts, mask = b.epoch
-            losses.append(LossBatch(*b.fixed, ones[:, batch], counts[:, batch],
-                                    None if mask is None else mask[:, batch],
-                                    b.y0[:, iteration], b.y1[:, iteration]))
-        step = step_gradients(weights, x_epoch[batch], losses, buffers)
-        if not (np.isfinite(step.loss).all() and np.isfinite(step.param_grad).all()):
-            finite = np.isfinite(step.loss) & np.isfinite(step.param_grad).all(axis=(1, 2))
+        loss[:, iteration], param_grad = step_gradients(weights, x_epoch[batch], blocks, batch,
+                                                        iteration, pred, grad, dz)
+        if not (np.isfinite(loss[:, iteration]).all() and np.isfinite(param_grad).all()):
+            finite = np.isfinite(loss[:, iteration]) & np.isfinite(param_grad).all(axis=(1, 2))
             failed = min(order[k] for k in np.flatnonzero(~finite).tolist())
             if failed:  # an earlier run that fails later is the one to report
                 _train(runs[:failed], feats)
             raise NonFiniteTrainingError(
                 f"non-finite loss or weight gradient at iteration {iteration + 1}", run=failed)
-        weights -= rate * step.param_grad
-        loss[:, iteration] = step.loss
+        weights -= rate * param_grad
 
     rows = np.concatenate([epoch[:n_full] for epoch in epochs]).reshape(-1, B)
     rows = rows[:cfg.iterations]  # each iteration's batch
@@ -446,15 +403,14 @@ def _train(runs: list, feats: np.ndarray) -> list[TrainResult]:
     return results
 
 
-def _check_model(model) -> None:
-    if not isinstance(model, LinearPixelModel):
-        raise InvalidConfigError(f"model must be a LinearPixelModel, got {type(model).__name__}")
-
-
 def predict(model: LinearPixelModel, dataset) -> np.ndarray:
     """Model predictions for every sample in a dataset, as one (B, C, I) array."""
-    _check_model(model)
-    return readonly(_forward(model.weights[None], featurize(dataset.images))[0])
+    require_type("model", model, LinearPixelModel)
+    require_type("dataset", dataset, SyntheticDataset)
+    feats = featurize(dataset.images)
+    out = np.empty((1, len(feats), model.n_classes, feats.shape[1]))
+    with np.errstate(over="ignore"):  # a sigmoid's exp(-z) overflows to inf, and the sigmoid is 0
+        return readonly(_forward(model.weights[None], feats, out)[0])
 
 
 def _head_name(classes: int) -> str:
@@ -464,7 +420,7 @@ def _head_name(classes: int) -> str:
 def save_model(model: LinearPixelModel, path) -> None:
     """Text header (head, classes, features) followed by f64 LE weights; the head
     is the one the row count gives, sigmoid for one class, softmax otherwise."""
-    _check_model(model)
+    require_type("model", model, LinearPixelModel)
     c, f = model.weights.shape
     header = f"{_MODEL_MAGIC} head={_head_name(c)} classes={c} features={f}\n"
     with open(path, "wb") as fh:

@@ -104,7 +104,7 @@ def test_input_rules_are_defined_in_errors_alone():
                            if a.name.rpartition(".")[2].startswith("_require_")]
                 assert not private, f"{path.name} imports {private}"
     assert defined == {"errors.py": ["require_int", "require_number", "require_array",
-                                     "require_binary"]}
+                                     "require_binary", "require_type"]}
 
 
 def test_no_module_imports_a_private_name_of_another():

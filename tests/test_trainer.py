@@ -30,8 +30,6 @@ from dicelab import trainer
 from dicelab.tensor import ReductionScheme
 from dicelab.trainer import (
     LinearPixelModel,
-    LossBatch,
-    StepBuffers,
     TrainConfig,
     featurize,
     load_model,
@@ -135,9 +133,15 @@ class TestFeaturize:
             featurize(image)
 
 
+def forward_stack(weights, feats):
+    """_forward of the stacked weights (R, C, F) on features (B, I, F), into a new array."""
+    return trainer._forward(weights, feats, np.empty((len(weights), len(feats), weights.shape[1],
+                                                      feats.shape[1])))
+
+
 def forward(model, feats):
     """The model's (B, C, I) predictions for features (B, I, F), as a training step makes them."""
-    return trainer._forward(model.weights[None], feats)[0]
+    return forward_stack(model.weights[None], feats)[0]
 
 
 class TestModelForward:
@@ -176,15 +180,16 @@ class TestModelForward:
             if trial % 2:
                 x[:, :, rng.integers(c)] = x.max(axis=2)
                 x[:, :, rng.integers(c)] = x[:, :, rng.integers(c)]
-            got = trainer._forward(np.eye(c)[None], x)[0]
+            got = forward_stack(np.eye(c)[None], x)[0]
             want = softmax(np.einsum("bif,cf->bci", x, np.eye(c)), axis=1)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("source", ["binary", "multiclass", "small images"])
+    @np.errstate(over="ignore")  # weights of scale 1e3 drive z below -709
     def test_forward_is_byte_equal_to_einsum(self, source):
         # the logits are a batched matrix-vector product; it must sum as np.einsum does,
-        # into a fresh array or into a buffer as train's steps do, for one model or for
-        # a stack of models that share the features
+        # into the caller's array as train's steps do, for one model or for a stack of
+        # models that share the features
         from scipy.special import softmax
         rng = np.random.default_rng(5)
         if source == "small images":  # I = 1 takes NumPy's dot-product path
@@ -199,13 +204,12 @@ class TestModelForward:
                 for c in range(1, 6):
                     scales = np.array([0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e3])[:, None, None]
                     ws = rng.normal(0.0, 1.0, (len(scales), c, 4)) * scales
-                    stacked = trainer._forward(ws, feats)
+                    stacked = forward_stack(ws, feats)
                     for r, w in enumerate(ws):
                         logits = np.einsum("bif,cf->bci", feats, w)
                         want = (train_oracle.sigmoid(logits) if c == 1
                                 else softmax(logits, axis=1))
                         out = np.empty((1, *want.shape))
-                        assert trainer._forward(w[None], feats)[0].tobytes() == want.tobytes()
                         assert trainer._forward(w[None], feats, out) is out
                         assert out[0].tobytes() == want.tobytes()
                         assert stacked[r].tobytes() == want.tobytes()
@@ -217,7 +221,8 @@ class TestModelForward:
         z = np.concatenate([[0.0, -0.0, 700.0, -700.0, 745.0, -745.0, 750.0, -750.0,
                              np.inf, -np.inf], np.linspace(-750, 750, 300_001),
                             rng.normal(0, 1, 10_000), rng.normal(0, 30, 10_000)])
-        got = trainer._forward(np.ones((1, 1, 1)), z.reshape(1, -1, 1))[0, 0, 0]
+        with np.errstate(over="ignore"):  # exp(-z) overflows below z = -709
+            got = forward_stack(np.ones((1, 1, 1)), z.reshape(1, -1, 1))[0, 0, 0]
         assert got.tobytes() == train_oracle.sigmoid(z).tobytes()
         ulps = np.abs(got.view(np.int64) - expit(z).view(np.int64))  # both are in [0, 1]
         assert ulps.max() <= 4
@@ -272,7 +277,7 @@ class TestModelBackward:
         rng = np.random.default_rng(classes + b + size)
         feats = featurize(rng.uniform(0, 1, (b, size, size)))
         weights = rng.normal(0, 2, (3, classes, 4))
-        p = trainer._forward(weights, feats)
+        p = forward_stack(weights, feats)
         g = rng.normal(0, 1, p.shape)
         dz = np.empty((3, classes, b, size * size))
         got = trainer._backward(feats, g, p, dz)
@@ -304,19 +309,20 @@ def assert_same_bits(a, b):
 
 
 def planned_step(model, feats, gt, cfg, mask=None):
-    """step_gradients of one run, its loss planned and its buffers allocated as train
+    """step_gradients of one run, its loss planned and its arrays allocated as train
     does it; the loss, loss gradient and weight gradient as the oracle's StepResult."""
     ones = gt == 1.0
     B, L, I = gt.shape
     C = model.n_classes
     plan = loss_plan(cfg, L)
     plan = plan._replace(eps=np.reshape(plan.eps, (1, 1, -1, 1)))
-    buffers = StepBuffers.allocate(1, B, C, I)
-    batch = LossBatch(*buffers.views(slice(0, 1), C - L), plan, np.empty((1, B, L, I)), ones[None],
-                      np.count_nonzero(ones, axis=2)[None], None if mask is None else mask[None],
-                      np.empty((1, B, L)), np.empty((1, B, L)))
-    step = step_gradients(model.weights[None], feats, [batch], buffers)
-    return train_oracle.StepResult(step.loss[0], buffers.grad[0, :, C - L:], step.param_grad[0])
+    epoch = (ones[None], np.count_nonzero(ones, axis=2)[None], None if mask is None else mask[None])
+    block = trainer._Block(slice(0, 1), C - L, plan, np.empty((1, B, L, I)), epoch, epoch,
+                           np.empty((1, 1, B, L)), np.empty((1, 1, B, L)))
+    grad = np.zeros((1, B, C, I))
+    loss, param_grad = step_gradients(model.weights[None], feats, [block], slice(0, B), 0,
+                                      np.empty((1, B, C, I)), grad, np.empty((1, C, B, I)))
+    return train_oracle.StepResult(loss[0], grad[0, :, C - L:], param_grad[0])
 
 
 class TestEndToEndGradient:
@@ -501,10 +507,10 @@ class TestTrainLoop:
 
         def nan_on_third(*args):
             calls.append(1)
-            step = real(*args)
+            loss, param_grad = real(*args)
             if len(calls) == 3:
-                return step._replace(param_grad=np.full_like(step.param_grad, np.nan))
-            return step
+                return loss, np.full_like(param_grad, np.nan)
+            return loss, param_grad
 
         monkeypatch.setattr(trainer, "step_gradients", nan_on_third)
         ds = generate_binary(SMALL_BINARY, seed=0)
@@ -558,6 +564,12 @@ class TestTrainLoop:
         result = train([(ds, self.binary_cfg(iterations=3))])[0]
         pred = predict(result.model, ds)
         assert pred.shape == (6, 1, 256)
+
+    def test_predict_on_overflowing_logits_is_zero_without_a_warning(self):
+        # the bias logit -1000 overflows exp(-z); warnings are errors in this suite
+        ds = generate_binary(SMALL_BINARY, seed=0)
+        pred = predict(LinearPixelModel([[-1000.0, 0.0, 0.0, 0.0]]), ds)
+        assert pred.shape == (6, 1, 256) and not pred.any()
 
     @pytest.mark.parametrize("rows", [1, 4], ids=["sigmoid", "softmax"])
     def test_predict_on_an_empty_dataset_is_empty(self, rows):
@@ -847,16 +859,15 @@ FAIL_AT = {0.25: 2, 0.5: 5}  # a run of this epsilon gets a NaN loss at this ite
 def poison_by_epsilon(monkeypatch):
     """Make trainer.step_gradients give each run whose epsilon is a FAIL_AT key a NaN
     loss at that key's iteration of each train."""
-    real, iteration = trainer.step_gradients, [0]
+    real = trainer.step_gradients
 
-    def poisoned(weights, features, losses, buffers):
-        iteration[0] = 1 if not weights.any() else iteration[0] + 1  # a train starts at 0
-        step = real(weights, features, losses, buffers)
-        for b in losses:
+    def poisoned(weights, features, blocks, batch, iteration, *arrays):
+        loss, param_grad = real(weights, features, blocks, batch, iteration, *arrays)
+        for b in blocks:
             for k, eps in enumerate(b.plan.eps.reshape(len(b.plan.eps), -1)[:, 0].tolist()):
-                if FAIL_AT.get(eps) == iteration[0]:
-                    b.loss[k] = np.nan  # a view of step.loss
-        return step
+                if FAIL_AT.get(eps) == iteration + 1:
+                    loss[b.runs][k] = np.nan  # a view of loss
+        return loss, param_grad
 
     monkeypatch.setattr(trainer, "step_gradients", poisoned)
 
