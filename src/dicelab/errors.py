@@ -3,12 +3,13 @@
 Each class names a kind of fault that callers (and tests) can catch instead
 of parsing messages.  README's "Errors" table lists what each covers and
 the CLI exit code it gives.  require_int, require_number, require_array,
-require_binary and require_type state once what a valid integer, number,
-array, 0/1 ground truth and typed argument is.
+require_binary, require_type and require_path state once what a valid
+integer, number, array, 0/1 ground truth, typed argument and path is.
 """
 
 import math
 import numbers
+import os
 import sys
 
 import numpy as np
@@ -101,4 +102,12 @@ def require_type(name: str, value, kind: type) -> None:
     """InvalidConfigError unless value is an instance of kind."""
     if not isinstance(value, kind):
         raise InvalidConfigError(f"{name} must be of type {kind.__name__}, "
+                                 f"got {type(value).__name__}")
+
+
+def require_path(name: str, value) -> None:
+    """InvalidConfigError unless value is a str or an os.PathLike: open() would take
+    an int (a bool included) as a file descriptor."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise InvalidConfigError(f"{name} must be a str or os.PathLike path, "
                                  f"got {type(value).__name__}")

@@ -3,21 +3,19 @@
 A run expands a config into a matrix of cells (labeling x setup x batch size),
 trains each cell with subject-level k-fold cross-validation, scores held-out
 subjects against pristine ground truth, and writes everything as CSV plus
-model checkpoints. Cells whose training is the same computation (batch-wise
-pooling at B = 1 is image-wise pooling; the leaf variant on labels without an
-empty map is the standard loss) train once and share the result. The cells
-that train draw the same batches at one fold and batch size, so each such
-group trains in lockstep; groups are independent and may execute in parallel.
-The parent process scores the cells and writes all artifacts in a fixed
-order, so outputs are byte-identical for a given config no matter the job
-count.
+model checkpoints. The cells draw the same batches at one fold and batch
+size, so each such group trains in lockstep, and train trains the cells of a
+group that train alike once; groups are independent and may execute in
+parallel. The parent process scores the cells and writes all artifacts in a
+fixed order, so outputs are byte-identical for a given config no matter the
+job count.
 """
 
 from __future__ import annotations
 
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -26,7 +24,7 @@ import yaml
 
 from .epsilon import calibrate_epsilon
 from .errors import (InvalidConfigError, NonFiniteTrainingError, require_int, require_number,
-                     require_type)
+                     require_path, require_type)
 from .loss import DiceLossConfig, Variant
 from .metrics import (RocCurve, binarize, bootstrap_compare, hard_dsc, roc_auc,
                       volume_difference, write_csv)
@@ -195,6 +193,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    require_path("path", path)
     p = Path(path)
     if not p.is_file():
         raise InvalidConfigError(f"config file not found: {p}")
@@ -332,32 +331,6 @@ def run_cell(config: ExperimentConfig, labeling: str, setup: str, batch_size: in
     )
 
 
-def _training_key(labeling: str, setup: str, batch_size: int, n_classes: int,
-                  complete: bool) -> tuple:
-    """What decides how a cell trains, for a task of n_classes foreground classes
-    whose labeling has no empty (sample, class) map when complete is true.
-
-    A pooled axis of extent 1 (the batch axis at B = 1, the class axis of a
-    one-class loss) sums a single term, so leaving it out of Phi changes no
-    sum: batch-wise pooling at B = 1 is image-wise pooling, bit for bit. On
-    complete labels no pooled subset is empty, so the leaf variant drops none
-    and trains as the standard loss, bit for bit.
-    """
-    scheme, variant, calibrated = SETUPS[setup]
-    if variant is Variant.LEAF and complete:
-        variant = Variant.STANDARD
-    extent = {0: batch_size, 1: n_classes + (variant is Variant.MARGINAL)}
-    axes = tuple(a for a in scheme.axes if extent.get(a) != 1)
-    return labeling, batch_size, variant, calibrated, axes
-
-
-def _training_keys(config: ExperimentConfig, datasets) -> list[tuple]:
-    """Each cell's training key; datasets is build_dataset(config), in LABELINGS order."""
-    complete = {lab: bool(v.gt.any(axis=(-2, -1)).all()) for lab, v in zip(LABELINGS, datasets)}
-    return [_training_key(*cell, datasets[0].n_classes, complete[cell[0]])
-            for cell in config.cells()]
-
-
 CELL_COLUMNS = ["labeling", "setup", "batch_size"]
 
 # The run-level CSVs in writing order: file name -> header
@@ -438,20 +411,13 @@ def _comparisons(config: ExperimentConfig, results) -> list[list]:
 def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult]:
     """The result of every cell of the matrix, in config.cells() order.
 
-    Cells with one training key train once, as the first of them in matrix
-    order; the others take its result under their own labeling, setup and
-    batch size. The cells that train draw the same batches at one fold and
-    batch size, so each such group trains in lockstep, serially or as one
-    pool task; then each cell is scored. A NonFiniteTrainingError names the
-    first failing (cell, fold) in matrix order.
+    The cells of one fold and batch size draw the same batches, so each such
+    group trains in lockstep, serially or as one pool task; then each cell is
+    scored. A NonFiniteTrainingError names the first failing (cell, fold) in
+    matrix order.
     """
     cells = config.cells()
-    keys = _training_keys(config, datasets)
-    firsts: dict[tuple, tuple] = {}
-    for key, cell in zip(keys, cells):
-        firsts.setdefault(key, cell)
-    trained = list(firsts.values())
-    groups = [(fold, [cell for cell in trained if cell[2] == b])
+    groups = [(fold, [cell for cell in cells if cell[2] == b])
               for fold in range(config.folds) for b in config.batch_sizes]
     tasks = [(config, group, fold, datasets) for fold, group in groups]
     if jobs == 1 or len(tasks) == 1:
@@ -459,20 +425,18 @@ def _run_cells(config: ExperimentConfig, datasets, jobs: int) -> list[CellResult
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_train_group, *zip(*tasks)))
-    failures = [(trained.index(group[exc.run]), fold, exc)
+    failures = [(cells.index(group[exc.run]), fold, exc)
                 for (fold, group), exc in zip(groups, outcomes)
                 if isinstance(exc, NonFiniteTrainingError)]
     if failures:
         cell, fold, exc = min(failures, key=lambda f: f[:2])
         raise NonFiniteTrainingError(
-            f"cell {_cell_dirname(*trained[cell])} fold {fold}: {exc}") from exc
-    folds: dict[tuple, list] = {cell: [] for cell in trained}
+            f"cell {_cell_dirname(*cells[cell])} fold {fold}: {exc}") from exc
+    folds: dict[tuple, list] = {cell: [] for cell in cells}
     for (_, group), outcome in zip(groups, outcomes):  # in fold order
         for cell, result in zip(group, outcome):
             folds[cell].append(result)
-    scored = {key: run_cell(config, *cell, datasets, folds[cell]) for key, cell in firsts.items()}
-    return [replace(scored[key], labeling=lab, setup=setup, batch_size=b)
-            for key, (lab, setup, b) in zip(keys, cells)]
+    return [run_cell(config, *cell, datasets, folds[cell]) for cell in cells]
 
 
 def _check_folds(config: ExperimentConfig, full: SyntheticDataset) -> None:
@@ -496,6 +460,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     out_dir must be new or empty, so no artifact of an older run survives.
     """
     require_type("config", config, ExperimentConfig)
+    require_path("out_dir", out_dir)
     require_int("jobs", jobs, 1)
     out = Path(out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
@@ -508,7 +473,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
 
     save_config(config, out / "config_snapshot.yaml")
     save_dataset(full, out / "dataset")
-    first_file: dict[int, Path] = {}  # by id of the history array, which shared cells reuse
+    first_file: dict[int, Path] = {}  # by id of the history array, which cells that train alike share
     for r in results:
         cdir = out / "cells" / _cell_dirname(*r.key)
         cdir.mkdir(parents=True, exist_ok=True)

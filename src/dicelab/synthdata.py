@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (InvalidConfigError, RangeViolationError, ShapeMismatchError, TensorFileError,
-                     require_int, require_number, require_type)
+                     require_int, require_number, require_path, require_type)
 from .tensor import read_tensor, write_tensor
 
 GRADE_A = "grade-a"
@@ -342,6 +342,7 @@ def _sample_filename(subject_id: int) -> str:
 def save_dataset(dataset: SyntheticDataset, out_dir) -> Path:
     """Write a manifest plus one tensor file per sample (image row + gt rows)."""
     require_type("dataset", dataset, SyntheticDataset)
+    require_path("out_dir", out_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n = dataset.image_size
@@ -377,6 +378,7 @@ def load_dataset(path) -> SyntheticDataset:
     a sample file that cannot be read or is not a (1, C + 1, N * N) tensor;
     and whatever SyntheticDataset rejects in the data read.
     """
+    require_path("path", path)
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .errors import (InvalidConfigError, RangeViolationError, ShapeMismatchError,
-                     TensorFileError, require_array, require_int)
+                     TensorFileError, require_array, require_int, require_path)
 
 
 class ReductionScheme(enum.Enum):
@@ -87,6 +87,7 @@ def write_tensor(path, tensor: np.ndarray) -> None:
 
     tensor is a (B, C, I) array of finite real numbers.
     """
+    require_path("path", path)
     tensor = require_array("tensor", tensor)
     B, C, I = batch_dims(tensor.shape)
     if not np.isfinite(tensor).all():
@@ -99,6 +100,7 @@ def write_tensor(path, tensor: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    require_path("path", path)
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:

@@ -18,14 +18,23 @@ loss pass per block of runs that share a loss variant and pooled axes, and one
 backward per step for all of them. Whatever does not change between steps
 (input and label checks, features, each block's loss plan and labels, and the
 step's arrays) is set up once per training call; a step slices its batch.
+
+Runs whose training is the same computation train once and share one
+TrainResult. A pooled axis of extent 1 sums a single term, so leaving it out
+of Phi changes no sum (batch-wise pooling at B = 1 is image-wise pooling);
+on labels without an empty (sample, class) map the leaf variant drops no
+subset and is the standard loss, bit for bit. So a run's key is its dataset
+object, learning rate, epsilon values, variant (leaf as standard there) and
+pooled axes (those of extent 1 left out).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +48,7 @@ from .errors import (
     require_array,
     require_int,
     require_number,
+    require_path,
     require_type,
 )
 from .loss import (DiceLossConfig, LossPlan, Variant, check_marginal_labels, loss_plan,
@@ -257,7 +267,7 @@ class TrainResult:
         return TrainResult, (self.model, self.history, self.class_names)
 
 
-def _check_runs(runs: list) -> None:
+def _check_runs(runs: Sequence) -> None:
     """InvalidConfigError (or EmptyDatasetError) unless runs can train together."""
     if not runs:
         raise InvalidConfigError("train needs at least one (dataset, TrainConfig) run")
@@ -288,6 +298,19 @@ def _block_key(loss: DiceLossConfig) -> tuple:
     return loss.variant.value, loss.scheme.axes
 
 
+def _train_key(dataset: SyntheticDataset, cfg: TrainConfig) -> tuple:
+    """Among checked runs that draw the same batches, those of one key train alike."""
+    labels = dataset.gt.reshape(len(dataset), dataset.n_classes, -1)
+    variant = cfg.loss.variant
+    if variant is Variant.LEAF and labels.any(axis=2).all():
+        variant = Variant.STANDARD
+    L = dataset.n_classes + (variant is Variant.MARGINAL)
+    extent = (cfg.batch_size, L, labels.shape[2])
+    return (id(dataset), float(cfg.learning_rate), variant,
+            np.broadcast_to(loss_plan(cfg.loss, L).eps, (L, 1)).tobytes(),
+            tuple(a for a in cfg.loss.scheme.axes if extent[a] != 1))
+
+
 def train(runs: Sequence[tuple]) -> list[TrainResult]:
     """Plain SGD over whole-sample batches with seeded shuffling, every run of
     runs in lockstep.
@@ -297,7 +320,7 @@ def train(runs: Sequence[tuple]) -> list[TrainResult]:
     rows, and their configs one batch size, iteration count and seed.
     Learning rate, loss and labels may differ per run. The result is one
     TrainResult per run, in order, equal bit for bit to the run's own
-    train([run]).
+    train([run]); runs that train alike (see the module docstring) share one object.
 
     Batches regroup every epoch; a trailing group smaller than batch_size is
     dropped so every step sees the same tensor shape. History is recorded at
@@ -315,9 +338,17 @@ def train(runs: Sequence[tuple]) -> list[TrainResult]:
     runs share one forward and one backward per step; the runs of one loss
     variant and pooled axes share one loss pass, with one epsilon per run.
     """
-    runs = list(runs)
+    require_type("runs", runs, Sequence)
     _check_runs(runs)
-    return _train(runs, featurize(runs[0][0].images))
+    keys = [_train_key(*run) for run in runs]
+    firsts = [keys.index(key) for key in keys]  # the first run of each run's key
+    distinct = sorted(set(firsts))
+    try:
+        results = _train([runs[r] for r in distinct], featurize(runs[0][0].images))
+    except NonFiniteTrainingError as exc:
+        exc.run = distinct[exc.run]
+        raise
+    return [results[distinct.index(r)] for r in firsts]
 
 
 @np.errstate(over="ignore")  # a sigmoid's exp(-z) overflows to inf, and the sigmoid is 0
@@ -421,6 +452,7 @@ def save_model(model: LinearPixelModel, path) -> None:
     """Text header (head, classes, features) followed by f64 LE weights; the head
     is the one the row count gives, sigmoid for one class, softmax otherwise."""
     require_type("model", model, LinearPixelModel)
+    require_path("path", path)
     c, f = model.weights.shape
     header = f"{_MODEL_MAGIC} head={_head_name(c)} classes={c} features={f}\n"
     with open(path, "wb") as fh:
@@ -429,6 +461,7 @@ def save_model(model: LinearPixelModel, path) -> None:
 
 
 def load_model(path) -> LinearPixelModel:
+    require_path("path", path)
     with open(path, "rb") as fh:
         blob = fh.read()
     newline = blob.find(b"\n")

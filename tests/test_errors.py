@@ -1,8 +1,9 @@
-"""The four input rules in errors.py: what each accepts and what it raises, and
-the typed errors that the entry points taking user arrays raise through them."""
+"""The input rules in errors.py: what each accepts and what it raises, and the
+typed errors that the entry points raise through them."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +12,20 @@ import dicelab
 from dicelab.epsilon import BalanceParams, calibrate_epsilon, solve_balance_epsilon
 from dicelab.errors import (DicelabError, InvalidConfigError, RangeViolationError,
                             ShapeMismatchError, require_array, require_binary, require_int,
-                            require_number)
+                            require_number, require_path)
 from dicelab.gradcheck import check_two_value, compare_grads, finite_diff_grad
-from dicelab.harness import ExperimentConfig, default_config, run_experiment
+from dicelab.harness import (ExperimentConfig, default_config, load_config, run_experiment,
+                             save_config)
 from dicelab.loss import (DiceLossConfig, Variant, dice_value_and_grad, dice_values,
                           marginal_merge)
 from dicelab.metrics import (binarize, bootstrap_compare, hard_dsc, roc_auc,
                              volume_difference)
 from dicelab.synthdata import (BinaryTaskParams, MulticlassTaskParams, PartialAction,
                                PartialPolicy, apply_partial, generate_binary,
-                               generate_multiclass, save_dataset)
-from dicelab.tensor import ReductionScheme, write_tensor
-from dicelab.trainer import LinearPixelModel, TrainConfig, featurize, predict, save_model
+                               generate_multiclass, load_dataset, save_dataset)
+from dicelab.tensor import ReductionScheme, read_tensor, write_tensor
+from dicelab.trainer import (LinearPixelModel, TrainConfig, featurize, load_model, predict,
+                             save_model, train)
 
 
 @pytest.mark.parametrize("value", [3, 5, np.int64(3), 10 ** 400])
@@ -82,6 +85,17 @@ def test_require_binary():
             require_binary("gt", np.array([0.0, bad]))
 
 
+@pytest.mark.parametrize("value", ["out", Path("out")])
+def test_require_path_accepts_a_str_or_a_path_like(value):
+    require_path("p", value)
+
+
+@pytest.mark.parametrize("value", [None, 3, True, 1.5, b"out", ["out"]])
+def test_require_path_rejects_the_rest(value):
+    with pytest.raises(InvalidConfigError, match="p must be a str or os.PathLike path, got"):
+        require_path("p", value)
+
+
 GT = np.array([[[1.0, 0.0, 1.0]]])
 PRED = np.array([[[0.4, 0.5, 0.6]]])
 SCHEME = ReductionScheme.IMAGE_WISE
@@ -105,8 +119,8 @@ EXPERIMENT = ExperimentConfig(task="binary", labelings=("full",), setups=("image
                                        "radius_a": [3.0, 4.5], "radius_b": [2.0, 3.0]})
 
 # each entry point with well-formed arguments, and the kind of each argument;
-# a path argument ("p") is taken as well-formed, and write_tensor, save_dataset,
-# save_model and run_experiment write into the test's own directory
+# write_tensor, save_dataset, save_model and run_experiment write into the test's
+# own directory, and each loader reads there what its writer in WRITERS wrote
 ENTRY_POINTS = {
     "dice_values": (dice_values, (GT, PRED, CFG), "aac"),
     "dice_value_and_grad": (dice_value_and_grad, (GT, PRED, CFG), "aac"),
@@ -116,6 +130,7 @@ ENTRY_POINTS = {
     "calibrate_epsilon": (calibrate_epsilon, (GT, SCHEME), "as"),
     "marginal_merge": (marginal_merge, (GT2, PRED2, MASK2), "gem"),
     "write_tensor": (write_tensor, ("t.drt", PRED), "pt"),
+    "read_tensor": (read_tensor, ("t.drt",), "p"),
     "apply_partial": (apply_partial, (DATASET, POLICY), "dq"),
     "DiceLossConfig": (DiceLossConfig, (SCHEME, 1.0, Variant.STANDARD), "snv"),
     "BalanceParams": (BalanceParams, (0.5, 2.0, 10.0), "nnn"),
@@ -123,18 +138,28 @@ ENTRY_POINTS = {
     "generate_binary": (generate_binary, (SMALL_BINARY, 0), "bi"),
     "generate_multiclass": (generate_multiclass, (SMALL_MULTI, 0), "Mi"),
     "save_dataset": (save_dataset, (DATASET, "ds"), "dp"),
+    "load_dataset": (load_dataset, ("ds",), "p"),
     "LinearPixelModel": (LinearPixelModel, (np.zeros((1, 4)),), "a"),
     "TrainConfig": (TrainConfig, (CFG,), "c"),
+    "train": (train, ([(DATASET, TrainConfig(CFG, iterations=2))],), "r"),
     "featurize": (featurize, (np.zeros((2, 4, 4)),), "f"),
     "predict": (predict, (MODEL, DATASET), "wd"),
     "save_model": (save_model, (MODEL, "m.model"), "wp"),
+    "load_model": (load_model, ("m.model",), "p"),
     "hard_dsc": (hard_dsc, (GT, GT), "aa"),
     "volume_difference": (volume_difference, (GT, GT), "aa"),
     "binarize": (binarize, (PRED,), "a"),
     "roc_auc": (roc_auc, ([0.1, 0.9, 0.4], [0, 1, 0]), "ll"),
     "bootstrap_compare": (bootstrap_compare, ([1.0, 2.0, 3.0], [0.0, 1.0, 1.0], 10, 0), "llii"),
     "default_config": (default_config, ("binary",), "k"),
+    "load_config": (load_config, ("c.yaml",), "p"),
     "run_experiment": (run_experiment, (EXPERIMENT, "out", 1), "xpi"),
+}
+WRITERS = {
+    "read_tensor": lambda: write_tensor("t.drt", PRED),
+    "load_dataset": lambda: save_dataset(DATASET, "ds"),
+    "load_model": lambda: save_model(MODEL, "m.model"),
+    "load_config": lambda: save_config(EXPERIMENT, "c.yaml"),
 }
 ARRAYS = {"ragged": [[[1.0, 0.0], [1.0]]], "str": [[["1", "0", "1"]]], "complex": GT + 0j,
           "2-D": GT[0], "0-D": 1.0}
@@ -146,7 +171,9 @@ MALFORMED = {
     "c": {"None": None, "str": "image-wise", "scheme": SCHEME},
     "s": {"None": None, "str": "image-wise", "config": CFG},
     "m": {"None": None, "list": MASK2.tolist(), "int": MASK2.astype(int), "1-D": MASK2[0]},
-    "p": {},
+    # open() takes an int, a bool included, as a file descriptor
+    "p": {"None": None, "int": 3, "bool": True},
+    "r": {"None": None, "int": 3, "bool": True},
     "t": {"ragged": [[[1.0, 0.0], [1.0]]], "str": [[["1", "0", "1"]]], "complex": PRED + 0j,
           "None": None, "2-D": PRED[0], "NaN": PRED * np.nan, "inf": np.full(PRED.shape, np.inf)},
     "d": {"None": None, "policy": POLICY, "images": DATASET.images},
@@ -174,8 +201,7 @@ CASES = [pytest.param(name, i, bad, id=f"{name}-{i}-{label}")
 NOT_YET_COVERED = {
     "BinaryTaskParams", "ExperimentConfig", "GradCheckReport", "LossOutput",
     "MulticlassTaskParams", "PartialAction", "PartialPolicy", "ReductionScheme", "RocCurve",
-    "SyntheticDataset", "TrainResult", "Variant", "load_config", "load_dataset", "load_model",
-    "read_tensor", "run_check_matrix", "train",
+    "SyntheticDataset", "TrainResult", "Variant", "run_check_matrix",
 }
 
 
@@ -183,6 +209,7 @@ NOT_YET_COVERED = {
 def test_entry_point_accepts_its_well_formed_arguments(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     entry, args, _ = ENTRY_POINTS[name]
+    WRITERS.get(name, lambda: None)()
     entry(*args)
 
 
@@ -205,4 +232,4 @@ def test_every_exported_callable_has_a_row_or_is_not_yet_covered():
                 and not (isinstance(value, type) and issubclass(value, BaseException))}
     assert NOT_YET_COVERED <= exported and not NOT_YET_COVERED & ENTRY_POINTS.keys()
     assert exported - NOT_YET_COVERED <= ENTRY_POINTS.keys()
-    assert len(NOT_YET_COVERED) <= 18  # lower this bound as rows are added
+    assert len(NOT_YET_COVERED) <= 13  # lower this bound as rows are added

@@ -10,12 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dicelab import harness
+from dicelab import harness, trainer
 from dicelab.errors import InvalidConfigError, NonFiniteTrainingError
 from dicelab.harness import (
     ARTIFACTS,
-    LABELINGS,
-    SETUPS,
     TASKS,
     CellResult,
     ExperimentConfig,
@@ -581,16 +579,24 @@ def assert_same_result(a, b):
             assert x == y, f.name
 
 
-def counting_run_cell(monkeypatch):
-    """Make harness.run_cell, which scores each cell that trains, record the cells;
-    returns the record."""
-    trained, real = [], harness.run_cell
+def recording_train(monkeypatch, config):
+    """Make trainer._train, which train calls with the runs that do not train alike,
+    record the cells of config whose runs it receives, one list per call; returns
+    the record."""
+    trained, group, real_train, real_inner = [], [], harness.train, trainer._train
 
-    def counting(config, labeling, setup, batch_size, datasets, folds):
-        trained.append((labeling, setup, batch_size))
-        return real(config, labeling, setup, batch_size, datasets, folds)
+    def outer(runs):
+        group[:] = runs
+        return real_train(runs)
 
-    monkeypatch.setattr(harness, "run_cell", counting)
+    def inner(runs, feats):
+        cells = [cell for cell in config.cells() if cell[2] == runs[0][1].batch_size]
+        cell_of = {id(run): cell for run, cell in zip(group, cells, strict=True)}
+        trained.append([cell_of[id(run)] for run in runs])
+        return real_inner(runs, feats)
+
+    monkeypatch.setattr(harness, "train", outer)
+    monkeypatch.setattr(trainer, "_train", inner)
     return trained
 
 
@@ -598,19 +604,21 @@ class TestCellSharing:
     def test_shared_cell_equals_its_own_training(self, monkeypatch):
         config = tiny_config(setups=("image-wise", "batch-wise"), iterations=12)
         datasets = build_dataset(config)
-        trained = counting_run_cell(monkeypatch)
+        own = {cell: one_cell(config, *cell, datasets) for cell in config.cells()
+               if cell[1] == "batch-wise"}
+        trained = recording_train(monkeypatch, config)
         results = harness._run_cells(config, datasets, jobs=1)
-        assert trained == [("full", "image-wise", 1), ("partial", "image-wise", 1)]
+        assert trained == [[("full", "image-wise", 1), ("partial", "image-wise", 1)]] * 2
         assert [r.key for r in results] == config.cells()
         for shared in (r for r in results if r.setup == "batch-wise"):
-            assert_same_result(shared, one_cell(config, *shared.key, datasets))
+            assert_same_result(shared, own[shared.key])
 
     def test_batch_wise_trains_apart_when_the_batch_holds_two(self, monkeypatch):
         config = tiny_config(setups=("image-wise", "batch-wise"), batch_sizes=(2,),
                              iterations=3)
-        trained = counting_run_cell(monkeypatch)
+        trained = recording_train(monkeypatch, config)
         harness._run_cells(config, build_dataset(config), jobs=1)
-        assert trained == config.cells()
+        assert trained == [config.cells()] * 2
 
     def test_pool_gives_the_serial_results(self):
         config = tiny_config(setups=("image-wise", "batch-wise"), batch_sizes=(1, 2),
@@ -626,7 +634,7 @@ class TestCellSharing:
     @pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (64, 4)])
     def test_pool_starts_no_more_workers_than_groups_to_train(self, monkeypatch, jobs, workers):
         # a fork pool starts all max_workers processes on the first submit; the cells
-        # that train make one group per (fold, batch size): 2 x 2 here
+        # train in one group per (fold, batch size): 2 x 2 here
         seen = []
 
         class SerialPool:
@@ -643,38 +651,13 @@ class TestCellSharing:
                 return map(fn, *items)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-        trained = counting_run_cell(monkeypatch)
         config = tiny_config(setups=("image-wise", "batch-wise"), batch_sizes=(1, 2),
                              iterations=3)
+        trained = recording_train(monkeypatch, config)
         results = harness._run_cells(config, build_dataset(config), jobs=jobs)
-        assert len(trained) == 6 and len(results) == 8  # batch-wise at B = 1 trains once
+        # batch-wise at B = 1 trains once with image-wise
+        assert [len(group) for group in trained] == [2, 4] * 2 and len(results) == 8
         assert seen == [workers]
-
-    @pytest.mark.parametrize("complete", [False, True])
-    @pytest.mark.parametrize("n_classes", [1, 3])
-    def test_key_merges_only_cells_that_train_alike(self, n_classes, complete):
-        def key(cell):
-            return harness._training_key(*cell, n_classes, complete)
-
-        cells = [(lab, setup, b) for lab in LABELINGS for setup in SETUPS for b in (1, 2, 4)]
-        for a in cells:
-            for b in cells:
-                if key(a) != key(b):
-                    continue
-                (lab_a, setup_a, b_a), (lab_b, setup_b, b_b) = a, b
-                assert lab_a == lab_b and b_a == b_b
-                assert SETUPS[setup_a].calibrated == SETUPS[setup_b].calibrated
-                if complete and {setup_a, setup_b} == {"image-wise", "leaf"}:
-                    continue  # the one merge complete labels add
-                if complete and {setup_a, setup_b} == {"batch-wise", "leaf"} and b_a == 1:
-                    continue  # both merge with image-wise there
-                assert SETUPS[setup_a].variant is SETUPS[setup_b].variant
-                assert {setup_a, setup_b} <= {"image-wise", "batch-wise"} or setup_a == setup_b
-                assert setup_a == setup_b or b_a == 1
-        image, batch = ("full", "image-wise", 1), ("full", "batch-wise", 1)
-        assert key(image) == key(batch)
-        for b in (1, 2, 4):
-            assert (key(("full", "leaf", b)) == key(("full", "image-wise", b))) is complete
 
     def test_leaf_on_complete_labels_is_image_wise(self, monkeypatch):
         config = tiny_multiclass_config(labelings=("full",), iterations=12)
@@ -683,29 +666,38 @@ class TestCellSharing:
         leaf = one_cell(config, "full", "leaf", 1, datasets)
         image = one_cell(config, "full", "image-wise", 1, datasets)
         assert_same_result(replace(leaf, setup="image-wise"), image)
-        trained = counting_run_cell(monkeypatch)
+        trained = recording_train(monkeypatch, config)
         results = harness._run_cells(config, datasets, jobs=1)
-        assert trained == [("full", "image-wise", 1)]
+        assert trained == [[("full", "image-wise", 1)]] * 2
         assert_same_result(results[1], leaf)
 
-    def test_leaf_trains_apart_when_a_map_is_empty(self, monkeypatch):
+    @pytest.mark.parametrize("emptied", [(0,), (0, 1)])
+    def test_leaf_trains_apart_where_a_training_map_is_empty(self, monkeypatch, emptied):
+        # a subject's emptied map is in the training labels of every fold but its own:
+        # subject 0 is held out at fold 0 and subject 1 at fold 1
         config = tiny_multiclass_config(labelings=("full",), iterations=12)
         full, partial = build_dataset(config)
+        rows = np.isin(full.subject_ids, emptied)
         gt = full.gt.copy()
-        gt[0, 1] = False  # subject 0's shell
+        gt[rows, 1] = False  # their shells
         datasets = (replace(full, gt=gt), partial)
         assert not no_empty_map(datasets[0])
-        trained = counting_run_cell(monkeypatch)
+        trained = recording_train(monkeypatch, config)
         image, leaf = harness._run_cells(config, datasets, jobs=1)
-        assert trained == config.cells()
-        assert [m.weights.tobytes() for m in leaf.models] != [
-            m.weights.tobytes() for m in image.models]
+        apart = [bool((full.subject_ids[rows] % config.folds != fold).any())
+                 for fold in range(config.folds)]
+        assert apart == [len(emptied) > 1, True]
+        assert trained == [config.cells() if a else config.cells()[:1] for a in apart]
+        assert [m.weights.tobytes() != n.weights.tobytes()
+                for m, n in zip(leaf.models, image.models)] == apart
 
-    @pytest.mark.parametrize("task, trained_cells", [("binary", 10), ("multiclass", 5)])
+    @pytest.mark.parametrize("task, trained_runs", [("binary", [4, 6] * 3),
+                                                    ("multiclass", [5] * 3)])
     def test_default_configs_train_fewer_cells_than_they_have(self, monkeypatch, task,
-                                                              trained_cells):
+                                                              trained_runs):
         # binary: batch-wise at B = 1 twice; multiclass: leaf on the full labels
         config = replace(default_config(task), iterations=2)
-        trained = counting_run_cell(monkeypatch)
+        trained = recording_train(monkeypatch, config)
         results = harness._run_cells(config, build_dataset(config), jobs=1)
-        assert len(trained) == trained_cells and len(results) == len(config.cells())
+        assert [len(group) for group in trained] == trained_runs
+        assert len(results) == len(config.cells())

@@ -4,10 +4,10 @@ SciPy is a test-only dependency: no import, training step or pool of dicelab
 loads it. Each of those checks runs in a fresh interpreter, since this test
 process has long since imported SciPy for the oracles.
 
-The input rules (require_int, require_number, require_array, require_binary)
-are defined in errors.py alone, so no module grows its own copy of them. No
-module imports a _-prefixed name from another dicelab module: what a module
-keeps private stays its own decision.
+The input rules (require_int, require_number, require_array, require_binary,
+require_type, require_path) are defined in errors.py alone, so no module grows
+its own copy of them. No module imports a _-prefixed name from another dicelab
+module: what a module keeps private stays its own decision.
 """
 
 import ast
@@ -104,7 +104,7 @@ def test_input_rules_are_defined_in_errors_alone():
                            if a.name.rpartition(".")[2].startswith("_require_")]
                 assert not private, f"{path.name} imports {private}"
     assert defined == {"errors.py": ["require_int", "require_number", "require_array",
-                                     "require_binary", "require_type"]}
+                                     "require_binary", "require_type", "require_path"]}
 
 
 def test_no_module_imports_a_private_name_of_another():

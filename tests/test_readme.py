@@ -5,6 +5,7 @@ error table names every error class, and its module map lists every module."""
 
 import inspect
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import yaml
 from dicelab import errors, harness
 from dicelab.harness import ARTIFACTS, TASKS, build_dataset, config_to_dict, default_config
 from dicelab.synthdata import MAX_IMAGE_SIZE
+
+from test_harness import recording_train
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -56,7 +59,9 @@ def test_run_artifacts_block_lists_every_table():
     assert set(ARTIFACTS) <= listed
 
 
-def test_shared_cells_match_the_grouping():
+def test_shared_cells_match_the_grouping(monkeypatch):
+    # train gives the runs that train alike one TrainResult, so a shared cell holds
+    # the history arrays of the cell whose result it takes
     text = README.read_text(encoding="utf-8")
     match = re.search(r"### Which cells train\n(.*?)\n#", text, re.S)
     assert match, "README has no 'Which cells train' section"
@@ -65,15 +70,19 @@ def test_shared_cells_match_the_grouping():
         assert line, f"README lists no shared cells for {task}"
         listed = re.findall(r"`([\w-]+)` ← `([\w-]+)`", line.group(1))
         assert listed or line.group(1) == "none"
-        config = default_config(task)
+        config = replace(default_config(task), iterations=2)
+        with monkeypatch.context() as m:
+            trained = recording_train(m, config)
+            results = harness._run_cells(config, build_dataset(config), jobs=1)
         first: dict = {}
         shared = []
-        for cell, key in zip(config.cells(),
-                             harness._training_keys(config, build_dataset(config))):
-            if key in first:
-                shared.append((harness._cell_dirname(*cell), harness._cell_dirname(*first[key])))
-            first.setdefault(key, cell)
+        for r in results:
+            source = first.setdefault(tuple(map(id, r.histories)), r.key)
+            if source != r.key:
+                shared.append((harness._cell_dirname(*r.key), harness._cell_dirname(*source)))
         assert listed == shared, task
+        for group in trained:  # the cells that take no other's result train at every fold
+            assert group == [key for key in first.values() if key[2] == group[0][2]]
 
 
 def test_errors_table_lists_every_error_class():

@@ -40,13 +40,13 @@ def count_calls(monkeypatch) -> Counter:
 def test_every_traced_layer_runs_in_an_experiment(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch)
     # 2 folds x batch sizes (1, 2) = 4 groups; batch-wise at B = 1 shares image-wise's
-    # training, so 6 of the 8 cells train
+    # training, and all 8 cells are scored
     config = tiny_config(setups=("image-wise", "batch-wise"), batch_sizes=(1, 2), iterations=3)
     harness.run_experiment(config, tmp_path / "x")
     assert calls == {
         "trainer.train": 4,
         "trainer.step_gradients": 4 * 3,
-        "trainer.featurize": 4 + 6 * 2,  # once per train, and per predict of each cell's folds
-        "harness.run_cell": 6,
+        "trainer.featurize": 4 + 8 * 2,  # once per train, and per predict of each cell's folds
+        "harness.run_cell": 8,
         "harness.build_dataset": 1,
     }

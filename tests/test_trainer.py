@@ -853,6 +853,18 @@ def test_train_needs_a_run():
         train([])
 
 
+def recording_inner_train(monkeypatch):
+    """Make trainer._train record the runs that train gives it, one list per call."""
+    calls, real = [], trainer._train
+
+    def recording(runs, feats):
+        calls.append(list(runs))
+        return real(runs, feats)
+
+    monkeypatch.setattr(trainer, "_train", recording)
+    return calls
+
+
 FAIL_AT = {0.25: 2, 0.5: 5}  # a run of this epsilon gets a NaN loss at this iteration
 
 
@@ -894,9 +906,121 @@ class TestFailureOrder:
             train(runs)
         assert err.value.run == 1
 
+    def test_a_duplicate_run_that_diverges_is_named_at_its_first_occurrence(self, monkeypatch):
+        # at B = 1 runs 0 and 1 train alike, as do runs 2 and 3, which fail: _train
+        # gets runs 0 and 2, and its failing run 1 is run 2 here
+        poison_by_epsilon(monkeypatch)
+        calls = recording_inner_train(monkeypatch)
+        runs = self.runs((1e-7, IMAGE), (1e-7, BATCH), (0.25, BATCH), (0.25, IMAGE))
+        with pytest.raises(NonFiniteTrainingError, match="iteration 2$") as err:
+            train(runs)
+        assert err.value.run == 2
+        assert calls == [[runs[0], runs[2]], [runs[0]]]  # then run 0 alone, if it fails later
+
     def test_the_error_pickles_with_its_run(self):
         err = pickle.loads(pickle.dumps(NonFiniteTrainingError("at iteration 4", run=3)))
         assert str(err) == "at iteration 4" and err.run == 3
+
+
+def _key_runs(data, datasets, rates):
+    """Runs of each of datasets, which hold data's labels, over every scheme, variant
+    data's head takes and batch size (1, 2, 4), at each of rates and three epsilons:
+    the negligible one as a number and per class, and 1."""
+    runs = []
+    for ds in datasets:
+        for scheme in ReductionScheme:
+            for variant in Variant:
+                if variant is Variant.MARGINAL and data.n_classes == 1:
+                    continue
+                classes = data.n_classes + (variant is Variant.MARGINAL)
+                for eps in (1e-7, [1e-7] * classes, 1.0):
+                    if isinstance(eps, list) and not scheme.class_pure:
+                        continue
+                    for b in (1, 2, 4):
+                        for rate in rates:
+                            runs.append((ds, TrainConfig(DiceLossConfig(scheme, eps, variant),
+                                                         batch_size=b, learning_rate=rate,
+                                                         iterations=4, seed=1)))
+    return runs
+
+
+def _by_key(runs):
+    """runs grouped by batch size, the one field _key_runs varies that runs trained
+    together share, and then by training key."""
+    groups = {}
+    for run in runs:
+        groups.setdefault((run[1].batch_size, trainer._train_key(*run)), []).append(run)
+    return list(groups.values())
+
+
+LABELS = {f"{task}-{lab}": (make_data, lab)
+          for task, make_data in (("binary", _partial_binary), ("multiclass", _partial_multiclass))
+          for lab in ("full", "partial")}
+
+
+@pytest.mark.parametrize("make_data, labels", LABELS.values(), ids=LABELS)
+def test_key_merges_only_runs_that_train_alike(make_data, labels):
+    data = _labelings(make_data)[labels == "partial"]
+    complete = bool(data.gt.any(axis=(-2, -1)).all())
+    assert complete is (labels == "full")
+    twin = replace(data)  # the same labels in another object
+    for group in _by_key(_key_runs(data, (data, twin), (5.0, 2.0))):
+        (ds, cfg), loss = group[0], group[0][1].loss
+        for other, other_cfg in group[1:]:
+            assert other is ds and other_cfg.learning_rate == cfg.learning_rate
+            classes = data.n_classes + (loss.variant is Variant.MARGINAL)
+            eps = [np.broadcast_to(c.loss.epsilon, classes).tolist() for c in (cfg, other_cfg)]
+            assert eps[0] == eps[1]
+            variants = {loss.variant, other_cfg.loss.variant}
+            assert len(variants) == 1 or (complete and variants == {Variant.STANDARD,
+                                                                     Variant.LEAF})
+            # the axes one pools and the other does not each have extent 1
+            extent = (cfg.batch_size, classes, data.image_size ** 2)
+            assert all(extent[a] == 1 for a in set(loss.scheme.axes)
+                       ^ set(other_cfg.loss.scheme.axes))
+
+    def key(ds=data, scheme=IMAGE, eps=1e-7, variant=Variant.STANDARD, b=1, rate=5.0):
+        cfg = TrainConfig(DiceLossConfig(scheme, eps, variant), batch_size=b, learning_rate=rate)
+        return trainer._train_key(ds, cfg)
+
+    assert key() == key(scheme=BATCH) == key(eps=[1e-7] * data.n_classes)
+    assert key(b=2) != key(b=2, scheme=BATCH)
+    assert key() != key(ds=twin) and key() != key(rate=2.0) and key() != key(eps=1.0)
+    assert (key(scheme=ReductionScheme.CLASS_WISE) == key()) is (data.n_classes == 1)
+    for b in (1, 2, 4):
+        assert (key(variant=Variant.LEAF, b=b) == key(b=b)) is complete
+
+
+@pytest.mark.parametrize("make_data, labels", LABELS.values(), ids=LABELS)
+def test_runs_of_one_key_train_alike_bit_for_bit(make_data, labels):
+    data = _labelings(make_data)[labels == "partial"]
+    feats = featurize(data.images)
+    merged = [group for group in _by_key(_key_runs(data, (data,), (5.0,))) if len(group) > 1]
+    assert merged
+    for group in merged:
+        want = trainer._train(group[:1], feats)[0]
+        for run in group[1:]:
+            assert_same_training(trainer._train([run], feats)[0], want)
+
+
+def test_runs_that_differ_only_in_epsilon_train_apart(monkeypatch):
+    calls = recording_inner_train(monkeypatch)
+    data = _partial_multiclass()
+    runs = [(data, TrainConfig(DiceLossConfig(IMAGE, eps), iterations=3)) for eps in (1e-7, 1.0)]
+    small, large = train(runs)
+    assert calls == [runs]
+    assert small.model.weights.tobytes() != large.model.weights.tobytes()
+
+
+def test_a_fixed_negligible_epsilon_trains_once_with_image_wise(monkeypatch):
+    # the negligible epsilon given per class, as a calibration could give it
+    calls = recording_inner_train(monkeypatch)
+    data = _partial_multiclass()
+    runs = [(data, TrainConfig(DiceLossConfig(IMAGE, eps), iterations=3))
+            for eps in (1e-7, [1e-7] * data.n_classes)]
+    image, fixed = train(runs)
+    assert calls == [runs[:1]] and fixed is image
+    assert_same_training(trainer._train(runs[1:], featurize(data.images))[0], image)
 
 
 def test_a_result_unpickles_read_only():
